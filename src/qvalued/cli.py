@@ -154,9 +154,7 @@ def cmd_chain(args) -> int:
 def cmd_minimize(args) -> int:
     f = _load_field(args.input, args)
     frame = _frame_for(args, f.n, f.q_sheets)
-    opts = MinimizeOptions(
-        max_iters=args.max_iters, tol_rel_energy=args.tol_rel_energy, seed=args.seed
-    )
+    opts = MinimizeOptions(max_iters=args.max_iters, tol_rel_energy=args.tol_rel_energy)
     result = minimize(f, opts)
     if args.output:
         with open(args.output, "w") as fh:
@@ -177,6 +175,11 @@ def cmd_minimize(args) -> int:
         "constants": _constants_block(f.n, f.q_sheets),
     }
     _dump_json(summary, None)
+    if not result.converged:
+        print(
+            f"warning: minimize did not converge in {result.iterations} iterations",
+            file=sys.stderr,
+        )
     return EXIT_OK
 
 
@@ -307,7 +310,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--csv", help="energy-vs-iteration table")
     p.add_argument("--max-iters", type=int, default=200, dest="max_iters")
     p.add_argument("--tol-rel-energy", type=float, default=1e-12, dest="tol_rel_energy")
-    p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_minimize)
 
     p = sub.add_parser("analyze", help="Hopf and companion diagnostics of a field")

@@ -6,9 +6,12 @@ parallel edges); the matched variant replaces the embedded edge difference
 by the assignment distance on the same stencil, so the two agree exactly
 whenever the per-axis sorted matchings realise the optimal matchings.
 
-Minimisation alternates per-edge optimal matchings with damped Jacobi
-sweeps on the resulting decoupled quadratic; each half step is a descent
-step of the matched energy, so the iteration is monotone.
+Minimisation alternates per-edge optimal matchings with an exact minimiser
+of the quadratic they freeze: one sparse LU solve of the weighted graph
+Laplacian on (node, sheet) vertices, with the masked nodes held fixed.  The
+frozen quadratic majorises the matched energy and touches it at the current
+field, so each outer iteration is a descent step and the iteration is
+monotone.
 """
 
 from __future__ import annotations
@@ -17,6 +20,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
 from .errors import InvalidInputError, NumericalFailureError
 from .embedding import ProjectionFrame
@@ -235,9 +240,6 @@ def _edge_perms(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 class MinimizeOptions:
     max_iters: int = 200
     tol_rel_energy: float = 1e-12
-    seed: int = 0            # reserved; the scheme is deterministic
-    inner_sweeps: int = 40
-    damping: float = 0.8
 
 
 @dataclass
@@ -248,27 +250,66 @@ class MinimizeResult:
     converged: bool
 
 
+# The free-free block is symmetric positive definite, so SuperLU runs in
+# symmetric mode on a minimum-degree ordering of A + A^T without pivoting.
+# relax=1 and panel_size=1 keep its supernodes and panels small: with the
+# defaults, minimising two 97x97 two-valued fields raised the process's
+# peak RSS from 118.9 to 129.4 MB.
+_SPLU_KW = dict(
+    permc_spec="MMD_AT_PLUS_A",
+    diag_pivot_thresh=0.0,
+    relax=1,
+    panel_size=1,
+    options=dict(SymmetricMode=True),
+)
+
+
 def minimize(f: GridField, opts: MinimizeOptions | None = None) -> MinimizeResult:
     """Relax interior nodes toward a discrete Dirichlet minimiser.
 
-    Outer loop: freeze per-edge optimal matchings (a majorising quadratic),
-    run damped Jacobi sweeps on it, re-match.  The matched energy never
-    increases across outer iterations.
+    Outer loop: freeze the per-edge optimal matchings, then minimise the
+    quadratic they define exactly.  That quadratic is the weighted graph
+    Laplacian on (iy, ix, sheet) vertices, where an x-edge links sheet s of
+    a node to sheet px[s] of its right neighbour (likewise for y-edges), with
+    the masked nodes as Dirichlet data.  Every component of this Q-fold
+    cover of the grid graph reaches the rim, so the free-free block is
+    positive definite; one sparse LU factorisation per outer iteration
+    solves all n coordinates.  The matched energy never increases across
+    outer iterations, and once the matching stops changing the next solve
+    repeats the last one bit for bit, which stops the loop.
     """
     opts = opts or MinimizeOptions()
-    if not 0 < opts.damping <= 1:
-        raise InvalidInputError("damping must lie in (0, 1]")
     g = f.copy()
     v = g.values
-    ny, nx = g.ny, g.nx
-    free = ~g.boundary_mask
+    ny, nx, q, n = v.shape
     wx = np.ones((ny, nx - 1))
     wx[0] = 0.5
     wx[-1] = 0.5
     wy = np.ones((ny - 1, nx))
     wy[:, 0] = 0.5
     wy[:, -1] = 0.5
-    wss = wx[..., None, None], wy[..., None, None]
+
+    # Free nodes are interior (the rim is always masked), so each has all
+    # four neighbours.  Per column (free vertex) the CSC slots are ordered
+    # down, left, diagonal, right, up: by node index, hence by row index.
+    fixed = g.boundary_mask
+    fy, fx = np.nonzero(~fixed)
+    nf = fy.size
+    compact = np.full((ny, nx), -1, dtype=np.intc)
+    compact[fy, fx] = np.arange(nf, dtype=np.intc)
+    nbrs = ((fy - 1, fx), (fy, fx - 1), (fy, fx + 1), (fy + 1, fx))
+    weights = np.stack([wy[fy - 1, fx], wx[fy, fx - 1], wx[fy, fx], wy[fy, fx]])
+    nbr_fixed = np.stack([fixed[y, x] for y, x in nbrs])
+    nbr_rows = np.stack([compact[y, x] for y, x in nbrs]) * q
+    rhs_w = (weights * nbr_fixed)[..., None, None]
+    slot_w = np.insert(-weights, 2, weights.sum(axis=0), axis=0).T  # (nf, 5)
+    slot_on = np.insert(~nbr_fixed, 2, True, axis=0).T
+    slot_on = np.broadcast_to(slot_on[:, None, :], (nf, q, 5))
+    data = np.broadcast_to(slot_w[:, None, :], (nf, q, 5))[slot_on]
+    indptr = np.zeros(nf * q + 1, dtype=np.intc)
+    np.cumsum(slot_on.sum(axis=-1).ravel(), out=indptr[1:])
+    rows = np.empty((nf, q, 5), dtype=np.intc)
+    rows[..., 2] = np.arange(nf * q, dtype=np.intc).reshape(nf, q)
 
     e_prev = dirichlet_energy_matched(g).total
     history = [e_prev]
@@ -279,19 +320,14 @@ def minimize(f: GridField, opts: MinimizeOptions | None = None) -> MinimizeResul
         py = _edge_perms(v[:-1, :], v[1:, :])
         ipx = np.argsort(px, axis=-1)
         ipy = np.argsort(py, axis=-1)
-        for _ in range(opts.inner_sweeps):
-            num = np.zeros_like(v)
-            den = np.zeros((ny, nx))
-            num[:, :-1] += wss[0] * np.take_along_axis(v[:, 1:], px[..., None], -2)
-            den[:, :-1] += wx
-            num[:, 1:] += wss[0] * np.take_along_axis(v[:, :-1], ipx[..., None], -2)
-            den[:, 1:] += wx
-            num[:-1] += wss[1] * np.take_along_axis(v[1:, :], py[..., None], -2)
-            den[:-1] += wy
-            num[1:] += wss[1] * np.take_along_axis(v[:-1, :], ipy[..., None], -2)
-            den[1:] += wy
-            target = num / den[..., None, None]
-            v[free] = (1 - opts.damping) * v[free] + opts.damping * target[free]
+        partners = (ipy[fy - 1, fx], ipx[fy, fx - 1], px[fy, fx], py[fy, fx])
+        rhs = np.zeros((nf, q, n))
+        for slot, (y, x), base, w, sheet in zip((0, 1, 3, 4), nbrs, nbr_rows, rhs_w, partners):
+            rows[..., slot] = base[:, None] + sheet
+            rhs += w * v[y[:, None], x[:, None], sheet]
+        lap = sp.csc_matrix((data, rows[slot_on], indptr), shape=(nf * q, nf * q))
+        sol = spla.splu(lap, **_SPLU_KW).solve(rhs.reshape(nf * q, n))
+        v[fy, fx] = sol.reshape(nf, q, n)
         e = dirichlet_energy_matched(g).total
         if not math.isfinite(e):
             raise NumericalFailureError("non-finite energy during minimisation")

@@ -19,7 +19,7 @@ def frame22():
 def minimized_sqrt_97():
     """Square-root boundary data relaxed on a 97x97 grid (shared, read-only)."""
     res = minimize(
-        sqrt_grid_field(97), MinimizeOptions(max_iters=300, inner_sweeps=40, tol_rel_energy=0.0)
+        sqrt_grid_field(97), MinimizeOptions(max_iters=300, tol_rel_energy=0.0)
     )
     return res
 
@@ -28,5 +28,5 @@ def minimized_sqrt_97():
 def minimized_strong_97():
     """A well-separated two-sheet field relaxed on a 97x97 grid (shared, read-only)."""
     f = two_sheet_field(97, seed=0)
-    res = minimize(f, MinimizeOptions(max_iters=200, inner_sweeps=40, tol_rel_energy=1e-14))
+    res = minimize(f, MinimizeOptions(max_iters=200, tol_rel_energy=1e-14))
     return res

@@ -66,7 +66,7 @@ STRONG_SEEDS = (11, 12, 13, 14, 15)
 def ac_sqrt_minimized():
     res = minimize(
         sqrt_grid_field(161),
-        MinimizeOptions(max_iters=120, inner_sweeps=30, tol_rel_energy=1e-13),
+        MinimizeOptions(max_iters=120, tol_rel_energy=1e-13),
     )
     return res.field
 
@@ -77,7 +77,7 @@ def ac_strong_minimized():
     for seed in STRONG_SEEDS:
         res = minimize(
             two_sheet_field(97, seed=seed),
-            MinimizeOptions(max_iters=100, inner_sweeps=30, tol_rel_energy=1e-13),
+            MinimizeOptions(max_iters=100, tol_rel_energy=1e-13),
         )
         fields.append(res.field)
     return fields
@@ -259,7 +259,7 @@ def test_ac06_hopf_diagnostics():
 def test_ac07_minimizer_sanity():
     started = time.time()
     f, g = harmonic_boundary_field(33)
-    res = minimize(f, MinimizeOptions(max_iters=200, inner_sweeps=60, tol_rel_energy=0.0))
+    res = minimize(f, MinimizeOptions(max_iters=200, tol_rel_energy=0.0))
     oracle = harmonic_extension(g, f.boundary_mask)
     err = float(np.abs(res.field.values[..., 0, 0] - oracle).max())
     monotone = bool(np.all(np.diff(res.energies) <= 1e-12))
@@ -332,7 +332,7 @@ def test_ac10_stationarity_residuals():
     details = []
     ok = True
     f, g = harmonic_boundary_field(33)
-    res = minimize(f, MinimizeOptions(max_iters=200, inner_sweeps=60, tol_rel_energy=0.0))
+    res = minimize(f, MinimizeOptions(max_iters=200, tol_rel_energy=0.0))
     sr = stationarity_residual(res.field, standard_frame(1, 1), trials=5, seed=7)
     ok &= sr.domain_max <= 1e-3 * sr.energy and sr.range_max <= 1e-3 * sr.energy
     details.append(f"harmonic {sr.domain_max / sr.energy:.1e}/{sr.range_max / sr.energy:.1e}")
@@ -342,7 +342,7 @@ def test_ac10_stationarity_residuals():
     for seed in (11, 12):
         res = minimize(
             two_sheet_field(65, seed=seed),
-            MinimizeOptions(max_iters=150, inner_sweeps=60, tol_rel_energy=0.0),
+            MinimizeOptions(max_iters=150, tol_rel_energy=0.0),
         )
         if first is None:
             first = res.field

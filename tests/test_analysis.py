@@ -354,7 +354,7 @@ def test_monotonicity_report_harmonic_field():
     f, _ = harmonic_boundary_field(65)
     from qvalued import MinimizeOptions, minimize
 
-    res = minimize(f, MinimizeOptions(max_iters=150, inner_sweeps=40, tol_rel_energy=0.0))
+    res = minimize(f, MinimizeOptions(max_iters=150, tol_rel_energy=0.0))
     fr = standard_frame(1, 1)
     comp = harmonic_companion(hopf_differential(res.field, fr))
     w = (32, 32)
@@ -507,7 +507,7 @@ def test_holomorphy_residual_decreases_under_refinement():
     for nn, iters in ((25, 150), (33, 200), (49, 250)):
         res = minimize(
             two_sheet_field(nn, seed=4),
-            MinimizeOptions(max_iters=iters, inner_sweeps=60, tol_rel_energy=0.0),
+            MinimizeOptions(max_iters=iters, tol_rel_energy=0.0),
         )
         residuals.append(holomorphy_residual(hopf_differential(res.field, fr)))
     assert residuals[2] < residuals[1] < residuals[0]

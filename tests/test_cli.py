@@ -115,10 +115,22 @@ def test_minimize_deterministic_outputs(tmp_path):
         out = tmp_path / f"min_{tag}.json"
         main(
             ["minimize", "--input", str(inp), "--output", str(out),
-             "--max-iters", "4", "--seed", "7"]
+             "--max-iters", "4"]
         )
         outs.append(out.read_bytes())
     assert outs[0] == outs[1]
+
+
+def test_minimize_warns_when_not_converged(tmp_path, capsys):
+    inp, _ = small_field_file(tmp_path)
+    assert main(["minimize", "--input", str(inp), "--max-iters", "1"]) == 0
+    captured = capsys.readouterr()
+    assert json.loads(captured.out)["converged"] is False
+    assert captured.err == "warning: minimize did not converge in 1 iterations\n"
+    assert main(["minimize", "--input", str(inp)]) == 0
+    captured = capsys.readouterr()
+    assert json.loads(captured.out)["converged"] is True
+    assert captured.err == ""
 
 
 def test_analyze_constant_field(tmp_path, capsys):
@@ -137,7 +149,7 @@ def test_analyze_constant_field(tmp_path, capsys):
 
 def test_monotonicity_cli(tmp_path, capsys):
     f = two_sheet_field(49, seed=0)
-    res = minimize(f, MinimizeOptions(max_iters=80, inner_sweeps=30))
+    res = minimize(f, MinimizeOptions(max_iters=80))
     path = tmp_path / "min.json"
     write_json(path, res.field.to_dict())
     csv = tmp_path / "ladder.csv"

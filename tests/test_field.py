@@ -165,26 +165,49 @@ def test_energy_refinement_cauchy_for_sqrt():
 
 def test_minimize_matches_sparse_oracle():
     f, g = harmonic_boundary_field(25)
-    res = minimize(f, MinimizeOptions(max_iters=120, inner_sweeps=60, tol_rel_energy=0.0))
+    res = minimize(f, MinimizeOptions(max_iters=120, tol_rel_energy=0.0))
     oracle = harmonic_extension(g, f.boundary_mask)
     err = np.abs(res.field.values[..., 0, 0] - oracle).max()
     assert err <= 1e-8
     assert np.all(np.diff(res.energies) <= 1e-12)
 
 
+def test_minimize_interior_island_matches_sparse_oracle():
+    f, g = harmonic_boundary_field(25)
+    mask = f.boundary_mask.copy()
+    mask[9:13, 14:17] = True
+    data = np.where(mask, g, 0.0)
+    data[9:13, 14:17] += 0.5  # island values off the harmonic extension of the rim
+    vals = data[..., None, None].copy()
+    res = minimize(GridField(vals, f.spacing, f.origin, mask))
+    oracle = harmonic_extension(data, mask)
+    assert res.iterations <= 3
+    assert np.abs(res.field.values[..., 0, 0] - oracle).max() <= 1e-10
+    assert np.array_equal(res.field.values[mask], vals[mask])
+
+
 def test_minimize_energy_monotone_two_valued():
     f = noisy_copy(two_sheet_field(17, seed=2), scale=0.3, seed=4)
-    res = minimize(f, MinimizeOptions(max_iters=40, inner_sweeps=10))
+    res = minimize(f, MinimizeOptions(max_iters=40))
     assert np.all(np.diff(res.energies) <= 1e-12)
     assert res.energies[-1] < res.energies[0]
 
 
 def test_minimize_fixed_point():
     f, _ = harmonic_boundary_field(17)
-    first = minimize(f, MinimizeOptions(max_iters=200, inner_sweeps=50, tol_rel_energy=0.0))
+    first = minimize(f, MinimizeOptions(max_iters=200, tol_rel_energy=0.0))
     again = minimize(first.field, MinimizeOptions(max_iters=50, tol_rel_energy=1e-12))
     assert again.iterations == 1
     assert again.converged
+
+
+def test_minimize_fixed_point_branched():
+    # the sqrt field's matching is not the identity near the branch point
+    first = minimize(sqrt_grid_field(33))
+    again = minimize(first.field)
+    assert again.iterations == 1
+    assert again.converged
+    assert np.array_equal(again.field.values, first.field.values)
 
 
 def test_minimize_sqrt_boundary_close_to_analytic(minimized_sqrt_97):
@@ -198,7 +221,7 @@ def test_minimize_sqrt_boundary_close_to_analytic(minimized_sqrt_97):
 
 def test_minimize_preserves_boundary():
     f = two_sheet_field(17, seed=5)
-    res = minimize(f, MinimizeOptions(max_iters=10, inner_sweeps=10))
+    res = minimize(f, MinimizeOptions(max_iters=10))
     mask = f.boundary_mask
     np.testing.assert_allclose(res.field.values[mask], f.values[mask])
 
@@ -291,5 +314,5 @@ def test_minimize_q7_fallback_paths():
     f = GridField(vals, 0.25, (0.0, 0.0))
     e = dirichlet_energy_matched(f)
     assert np.isfinite(e.total) and e.total > 0
-    res = minimize(f, MinimizeOptions(max_iters=4, inner_sweeps=4))
+    res = minimize(f, MinimizeOptions(max_iters=4))
     assert np.all(np.diff(res.energies) <= 1e-12)

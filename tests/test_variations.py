@@ -40,7 +40,7 @@ from helpers import (
 @pytest.fixture(scope="module")
 def minimized_harmonic():
     f, _ = harmonic_boundary_field(33)
-    return minimize(f, MinimizeOptions(max_iters=150, inner_sweeps=60, tol_rel_energy=0.0))
+    return minimize(f, MinimizeOptions(max_iters=150, tol_rel_energy=0.0))
 
 
 def _range_setup(result, w=(48, 44)):
