@@ -21,7 +21,9 @@ from .embedding import ProjectionFrame, standard_frame
 from .qspace import (
     QPoint,
     SupportDecomposition,
+    _threshold_classes,
     metric_g,
+    metric_g_many,
     min_separation,
     support,
 )
@@ -313,31 +315,6 @@ class NestedBallChain:
         }
 
 
-def _threshold_classes(sites: np.ndarray, threshold: float) -> list[list[int]]:
-    """Equivalence classes of sites chained by pairwise distance <= threshold."""
-    count = sites.shape[0]
-    parent = list(range(count))
-
-    def find(u):
-        while parent[u] != u:
-            parent[u] = parent[parent[u]]
-            u = parent[u]
-        return u
-
-    if threshold > 0:
-        d = np.linalg.norm(sites[:, None, :] - sites[None, :, :], axis=-1)
-        for i in range(count):
-            for j in range(i + 1, count):
-                if d[i, j] <= threshold:
-                    ri, rj = find(i), find(j)
-                    if ri != rj:
-                        parent[max(ri, rj)] = min(ri, rj)
-    groups: dict[int, list[int]] = {}
-    for i in range(count):
-        groups.setdefault(find(i), []).append(i)
-    return list(groups.values())
-
-
 def nested_chain(
     q: QPoint, frame: AngleSeparatedFrame, dedup_tol: float | None = None
 ) -> NestedBallChain:
@@ -472,8 +449,6 @@ def chain_inclusion_check(chain: NestedBallChain, samples: int, seed: int = 0) -
         norms[norms == 0] = 1.0
         radii = prev.sigma * rng.uniform(0, 1, size=(samples, 1, 1)) ** (1.0 / (q_sheets * n))
         members = base.points[None] + offsets / norms * radii
-        from .qspace import metric_g_many
-
         dist = metric_g_many(cur.decomposition.rebuild().points, members)
         bad = np.where(dist > cur.rho * (1 + 1e-12))[0]
         if bad.size:

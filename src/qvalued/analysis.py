@@ -39,7 +39,7 @@ from .field import (
     disc_energy,
     embed_grid,
 )
-from .qspace import match_to, metric_g_many
+from .qspace import assign, metric_g_many
 
 #: dilation (in nodes) around degenerate-matching cores censored before integration
 CENSOR_DILATION = 10
@@ -60,11 +60,11 @@ def _replicate_rim(interior: np.ndarray, ny: int, nx: int) -> np.ndarray:
 def _matched_stencil(values: np.ndarray):
     """Neighbour tuples re-ordered to match the center tuple, per interior node."""
     c = values[1:-1, 1:-1]
-    east, _ = match_to(c, values[1:-1, 2:])
-    west, _ = match_to(c, values[1:-1, :-2])
-    north, _ = match_to(c, values[2:, 1:-1])
-    south, _ = match_to(c, values[:-2, 1:-1])
-    return c, east, west, north, south
+    matched = [c]
+    for nb in (values[1:-1, 2:], values[1:-1, :-2], values[2:, 1:-1], values[:-2, 1:-1]):
+        perm, _ = assign(c, nb)
+        matched.append(np.take_along_axis(nb, perm[..., None], axis=-2))
+    return tuple(matched)
 
 
 @dataclass(eq=False)
@@ -715,7 +715,7 @@ def continuity_certificate(
         x1 = f.origin[0] + (f.nx - 1) * f.spacing
         y1 = f.origin[1] + (f.ny - 1) * f.spacing
         r0 = min(w[0] - f.origin[0], x1 - w[0], w[1] - f.origin[1], y1 - w[1])
-    slice_r, slice_osc = courant_lebesgue_slice(f, frame, w, radius, c_cl)
+    slice_r, slice_osc = courant_lebesgue_slice(f, frame, w, radius)
     e_r = disc_energy(f, frame, w, radius)
     alpha1 = c_cl * math.sqrt(e_r)
     c_r0 = disc_energy(f, frame, w, r0) / (math.pi * r0**2)

@@ -38,6 +38,9 @@ EXIT_PARSE = 2
 EXIT_INVARIANT = 3
 EXIT_NUMERICAL = 4
 
+#: certificate radii tried when --radii is absent; those below 4h are dropped
+DEFAULT_RADII = (0.4, 0.2, 0.1)
+
 
 def _json_floats(obj):
     """Round-trip floats through 17 significant digits for stable output."""
@@ -258,8 +261,14 @@ def cmd_certificate(args) -> int:
     f = _load_field(args.input, args)
     frame = _frame_for(args, f.n, f.q_sheets)
     w = tuple(float(t) for t in args.w.split(","))
-    radii = [float(t) for t in args.radii.split(",")]
-    certs = [continuity_certificate(f, frame, w, r) for r in radii]
+    if args.radii is None:
+        radii = [r for r in DEFAULT_RADII if r >= 4 * f.spacing]
+        if not radii:
+            raise QValuedError(f"grid spacing {f.spacing} is too coarse for the default radii")
+    else:
+        radii = [float(t) for t in args.radii.split(",")]
+    comp = harmonic_companion(hopf_differential(f, frame))
+    certs = [continuity_certificate(f, frame, w, r, comp=comp) for r in radii]
     out = {
         "w": list(w),
         "certificates": [c.to_dict() for c in certs],
@@ -342,7 +351,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--input", required=True)
     p.add_argument("--frame")
     p.add_argument("--w", required=True, metavar="X,Y")
-    p.add_argument("--radii", default="0.4,0.2,0.1")
+    p.add_argument("--radii", help="comma-separated disc radii, each at least 4h "
+                   "(default: those of 0.4,0.2,0.1 that are)")
     p.add_argument("--output")
     p.add_argument("--csv")
     p.set_defaults(func=cmd_certificate)

@@ -25,7 +25,7 @@ import scipy.sparse.linalg as spla
 
 from .errors import InvalidInputError, NumericalFailureError
 from .embedding import ProjectionFrame
-from .qspace import EXHAUSTIVE_MAX_SHEETS, QPoint, _permutation_table, metric_g_many
+from .qspace import QPoint, assign, metric_g_many
 
 #: default circle-slice constant (the classical Courant-Lebesgue shape)
 DEFAULT_C_CL = math.sqrt(4.0 * math.pi / math.log(2.0))
@@ -157,47 +157,22 @@ def embed_grid(f: GridField, frame: ProjectionFrame) -> np.ndarray:
     return np.sort(proj, axis=-1).reshape(f.ny, f.nx, f.n * f.q_sheets)
 
 
-def embedded_energy(farr: np.ndarray, spacing: float) -> EnergyBreakdown:
-    """Cell-integrated squared-gradient energy of an (ny, nx, m) array."""
-    ex = farr[:, 1:] - farr[:, :-1]
-    ey = farr[1:, :] - farr[:-1, :]
-    gx2 = np.einsum("...k,...k->...", ex, ex)  # (ny, nx-1)
-    gy2 = np.einsum("...k,...k->...", ey, ey)  # (ny-1, nx)
+def _cell_energy(gx2: np.ndarray, gy2: np.ndarray) -> EnergyBreakdown:
+    """Cell-integrate squared x-edge (ny, nx-1) and y-edge (ny-1, nx) lengths."""
     per_cell = 0.5 * (gx2[:-1] + gx2[1:]) + 0.5 * (gy2[:, :-1] + gy2[:, 1:])
     return EnergyBreakdown(float(per_cell.sum()), per_cell)
 
 
+def embedded_energy(farr: np.ndarray) -> EnergyBreakdown:
+    """Cell-integrated squared-gradient energy of an (ny, nx, m) array."""
+    ex = farr[:, 1:] - farr[:, :-1]
+    ey = farr[1:, :] - farr[:-1, :]
+    return _cell_energy(np.einsum("...k,...k->...", ex, ex), np.einsum("...k,...k->...", ey, ey))
+
+
 def dirichlet_energy(f: GridField, frame: ProjectionFrame) -> EnergyBreakdown:
     """Dirichlet energy of the embedded field."""
-    return embedded_energy(embed_grid(f, frame), f.spacing)
-
-
-def _edge_assignment_sq(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Squared assignment distance between tuple arrays a, b of shape (..., Q, n)."""
-    q = a.shape[-2]
-    if q > EXHAUSTIVE_MAX_SHEETS:
-        d = metric_g_many_pairwise(a, b)
-        return d**2
-    perms = _permutation_table(q)
-    cand = b[..., perms, :]
-    delta = a[..., None, :, :] - cand
-    cost = np.einsum("...ijk,...ijk->...i", delta, delta)
-    return cost.min(axis=-1)
-
-
-def metric_g_many_pairwise(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Element-wise assignment distances for equal-shaped tuple batches."""
-    from scipy.optimize import linear_sum_assignment
-
-    flat_a = a.reshape(-1, *a.shape[-2:])
-    flat_b = b.reshape(-1, *b.shape[-2:])
-    out = np.empty(flat_a.shape[0])
-    for k in range(flat_a.shape[0]):
-        diff = flat_a[k][:, None, :] - flat_b[k][None, :, :]
-        cost = np.einsum("ijk,ijk->ij", diff, diff)
-        rows, cols = linear_sum_assignment(cost)
-        out[k] = math.sqrt(cost[rows, cols].sum())
-    return out.reshape(a.shape[:-2])
+    return embedded_energy(embed_grid(f, frame))
 
 
 def dirichlet_energy_matched(f: GridField) -> EnergyBreakdown:
@@ -207,33 +182,15 @@ def dirichlet_energy_matched(f: GridField) -> EnergyBreakdown:
     difference; equals `dirichlet_energy` exactly when sorted and optimal
     matchings coincide on every edge.
     """
-    v = f.values
-    gx2 = _edge_assignment_sq(v[:, :-1], v[:, 1:])
-    gy2 = _edge_assignment_sq(v[:-1, :], v[1:, :])
-    per_cell = 0.5 * (gx2[:-1] + gx2[1:]) + 0.5 * (gy2[:, :-1] + gy2[:, 1:])
-    return EnergyBreakdown(float(per_cell.sum()), per_cell)
+    return _match_edges(f.values)[2]
 
 
-def _edge_perms(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Optimal permutation per edge: b[perm] pairs with a sheet-by-sheet."""
-    q = a.shape[-2]
-    if q > EXHAUSTIVE_MAX_SHEETS:
-        from scipy.optimize import linear_sum_assignment
-
-        flat_a = a.reshape(-1, q, a.shape[-1])
-        flat_b = b.reshape(-1, q, b.shape[-1])
-        out = np.empty((flat_a.shape[0], q), dtype=np.intp)
-        for k in range(flat_a.shape[0]):
-            diff = flat_a[k][:, None, :] - flat_b[k][None, :, :]
-            cost = np.einsum("ijk,ijk->ij", diff, diff)
-            rows, cols = linear_sum_assignment(cost)
-            out[k] = cols
-        return out.reshape(*a.shape[:-2], q)
-    perms = _permutation_table(q)
-    cand = b[..., perms, :]
-    delta = a[..., None, :, :] - cand
-    cost = np.einsum("...ijk,...ijk->...i", delta, delta)
-    return perms[np.argmin(cost, axis=-1)]
+def _match_edges(v: np.ndarray) -> tuple[np.ndarray, np.ndarray, EnergyBreakdown]:
+    """Optimal x- and y-edge permutations of (ny, nx, Q, n) values, and the
+    matched energy they give."""
+    px, gx2 = assign(v[:, :-1], v[:, 1:])
+    py, gy2 = assign(v[:-1, :], v[1:, :])
+    return px, py, _cell_energy(gx2, gy2)
 
 
 @dataclass
@@ -274,9 +231,11 @@ def minimize(f: GridField, opts: MinimizeOptions | None = None) -> MinimizeResul
     the masked nodes as Dirichlet data.  Every component of this Q-fold
     cover of the grid graph reaches the rim, so the free-free block is
     positive definite; one sparse LU factorisation per outer iteration
-    solves all n coordinates.  The matched energy never increases across
-    outer iterations, and once the matching stops changing the next solve
-    repeats the last one bit for bit, which stops the loop.
+    solves all n coordinates.  Matching the edges after a solve gives both
+    the matched energy of the iterate and the next frozen matching.  The
+    matched energy never increases across outer iterations, and once the
+    matching stops changing the next solve repeats the last one bit for
+    bit, which stops the loop.
     """
     opts = opts or MinimizeOptions()
     g = f.copy()
@@ -311,13 +270,12 @@ def minimize(f: GridField, opts: MinimizeOptions | None = None) -> MinimizeResul
     rows = np.empty((nf, q, 5), dtype=np.intc)
     rows[..., 2] = np.arange(nf * q, dtype=np.intc).reshape(nf, q)
 
-    e_prev = dirichlet_energy_matched(g).total
+    px, py, energy = _match_edges(v)
+    e_prev = energy.total
     history = [e_prev]
     converged = False
     it = 0
     for it in range(1, opts.max_iters + 1):
-        px = _edge_perms(v[:, :-1], v[:, 1:])
-        py = _edge_perms(v[:-1, :], v[1:, :])
         ipx = np.argsort(px, axis=-1)
         ipy = np.argsort(py, axis=-1)
         partners = (ipy[fy - 1, fx], ipx[fy, fx - 1], px[fy, fx], py[fy, fx])
@@ -328,7 +286,8 @@ def minimize(f: GridField, opts: MinimizeOptions | None = None) -> MinimizeResul
         lap = sp.csc_matrix((data, rows[slot_on], indptr), shape=(nf * q, nf * q))
         sol = spla.splu(lap, **_SPLU_KW).solve(rhs.reshape(nf * q, n))
         v[fy, fx] = sol.reshape(nf, q, n)
-        e = dirichlet_energy_matched(g).total
+        px, py, energy = _match_edges(v)
+        e = energy.total
         if not math.isfinite(e):
             raise NumericalFailureError("non-finite energy during minimisation")
         history.append(e)
@@ -419,13 +378,12 @@ def courant_lebesgue_slice(
     frame: ProjectionFrame,
     w0: tuple[float, float],
     radius: float,
-    c_cl: float = DEFAULT_C_CL,
 ) -> tuple[float, float]:
     """Scan radii in [R/2, R] and return (r, osc) minimising circle oscillation.
 
     Oscillation is the maximum pairwise distance of embedded circle values;
-    the chosen slice obeys osc <= c_cl * sqrt(disc energy) for the classical
-    constant shape, which callers may verify against `disc_energy`.
+    the chosen slice obeys osc <= DEFAULT_C_CL * sqrt(disc energy) for the
+    classical constant shape, which callers may verify against `disc_energy`.
     """
     _require_disc_inside(f, w0, radius)
     if radius < 4 * f.spacing:

@@ -3,9 +3,10 @@
 A member is a multiset of Q points (repetitions allowed).  The distance
 between two members is the optimal-assignment distance: the minimum over
 permutations of the root of the summed squared pairwise distances.  The
-assignment is solved exactly by the Hungarian algorithm; an exhaustive
-permutation search is kept vectorised here because several grid routines
-need the distance for every node of a field at once.
+assignment is solved exactly by the Hungarian algorithm.  Grid routines
+need the assignment for every node or edge of a field at once; `assign`
+serves them all, enumerating permutations over bounded-memory chunks of
+the batch for small Q.
 """
 
 from __future__ import annotations
@@ -20,6 +21,9 @@ from .errors import InvalidInputError
 
 #: largest sheet count for which batch distances enumerate all permutations
 EXHAUSTIVE_MAX_SHEETS = 6
+
+#: byte budget of one chunk of candidate differences in `assign`
+ASSIGN_CHUNK_BYTES = 1 << 22
 
 #: relative factor for the default coincidence tolerance of `support`
 DEDUP_REL_TOL = 1e-9
@@ -167,62 +171,85 @@ def optimal_matching(p: QPoint, r: QPoint) -> tuple[np.ndarray, float]:
     return perm, float(np.sqrt(best))
 
 
-def match_to(base: np.ndarray, batch: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Match each tuple of ``batch`` against ``base``, vectorised.
+def assign(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Optimal sheet assignment between tuple batches, element by element.
 
-    ``base`` broadcasts against ``batch`` of shape (..., Q, n).  Returns
-    (matched, dist): ``matched`` is ``batch`` with sheets reordered so that
-    sheet i pairs with ``base`` sheet i, and ``dist`` the assignment distance.
-    Uses exhaustive permutation enumeration for Q <= EXHAUSTIVE_MAX_SHEETS,
-    else falls back to the Hungarian solver per element.
+    ``a`` and ``b`` have shape (..., Q, n) and broadcast against each other.
+    Returns (perm, sq): ``b[..., perm[i], :]`` pairs with ``a[..., i, :]``
+    and ``sq`` is the squared assignment distance.  For Q <=
+    EXHAUSTIVE_MAX_SHEETS every permutation is scored, with ties going to the
+    lexicographically first, on chunks of the flattened batch whose
+    candidate differences fit in ASSIGN_CHUNK_BYTES; beyond that the
+    Hungarian solver runs once per element.
     """
-    batch = np.asarray(batch, dtype=np.float64)
-    base = np.broadcast_to(np.asarray(base, dtype=np.float64), batch.shape)
-    q = batch.shape[-2]
+    a = np.asarray(a, dtype=np.float64)
+    b = np.asarray(b, dtype=np.float64)
+    shape = np.broadcast_shapes(a.shape, b.shape)
+    q, n = shape[-2:]
+    a = np.broadcast_to(a, shape).reshape(-1, q, n)
+    b = np.broadcast_to(b, shape).reshape(-1, q, n)
+    perm = np.empty((a.shape[0], q), dtype=np.intp)
+    sq = np.empty(a.shape[0])
     if q <= EXHAUSTIVE_MAX_SHEETS:
-        perms = _permutation_table(q)
-        candidates = batch[..., perms, :]                      # (..., q!, Q, n)
-        delta = base[..., None, :, :] - candidates
-        cost = np.einsum("...ijk,...ijk->...i", delta, delta)  # (..., q!)
-        pick = np.argmin(cost, axis=-1)
-        order = perms[pick]                                    # (..., Q)
-        matched = np.take_along_axis(batch, order[..., None], axis=-2)
-        dist = np.sqrt(np.take_along_axis(cost, pick[..., None], axis=-1)[..., 0])
-        return matched, dist
-
-    flat_b = batch.reshape(-1, q, batch.shape[-1])
-    flat_a = base.reshape(-1, q, batch.shape[-1])
-    matched = np.empty_like(flat_b)
-    dist = np.empty(flat_b.shape[0])
-    for k in range(flat_b.shape[0]):
-        diff = flat_a[k][:, None, :] - flat_b[k][None, :, :]
-        cost = np.einsum("ijk,ijk->ij", diff, diff)
-        rows, cols = linear_sum_assignment(cost)
-        matched[k] = flat_b[k][cols]
-        dist[k] = np.sqrt(cost[rows, cols].sum())
-    return matched.reshape(batch.shape), dist.reshape(batch.shape[:-2])
+        table = _permutation_table(q)
+        step = max(1, ASSIGN_CHUNK_BYTES // (table.size * n * 8))
+        # einsum sums in the memory order of delta, so both branches lay it
+        # out as the plain difference a[:, None] - b[:, table] comes out:
+        # (Q!, Q, k, n) for one tuple against a batch, else (Q!, k, Q, n).
+        one_base = a.strides[0] == 0
+        for lo in range(0, a.shape[0], step):
+            hi = lo + step
+            if one_base:
+                delta = b[lo:hi, table]
+                np.subtract(a[lo:hi, None], delta, out=delta)
+            else:
+                cand = np.take(b[lo:hi], table, axis=1)  # (k, Q!, Q, n)
+                delta = np.empty((table.shape[0], cand.shape[0], q, n)).swapaxes(0, 1)
+                np.subtract(a[lo:hi, None], cand, out=delta)
+            cost = np.einsum("...ijk,...ijk->...i", delta, delta)  # (k, Q!)
+            pick = np.argmin(cost, axis=-1)
+            perm[lo:hi] = table[pick]
+            sq[lo:hi] = cost.min(axis=-1)
+    else:
+        for k in range(a.shape[0]):
+            diff = a[k][:, None, :] - b[k][None, :, :]
+            cost = np.einsum("ijk,ijk->ij", diff, diff)
+            rows, cols = linear_sum_assignment(cost)
+            perm[k] = cols
+            sq[k] = cost[rows, cols].sum()
+    return perm.reshape(shape[:-1]), sq.reshape(shape[:-2])
 
 
 def metric_g_many(base: np.ndarray, batch: np.ndarray) -> np.ndarray:
     """Assignment distance from one (Q, n) tuple to a batch of tuples."""
-    _, dist = match_to(base, batch)
-    return dist
+    return np.sqrt(assign(base, batch)[1])
 
 
-class _UnionFind:
-    def __init__(self, size: int):
-        self.parent = list(range(size))
+def _threshold_classes(points: np.ndarray, threshold: float) -> list[list[int]]:
+    """Classes of points chained by pairwise distance <= threshold.
 
-    def find(self, u: int) -> int:
-        while self.parent[u] != u:
-            self.parent[u] = self.parent[self.parent[u]]
-            u = self.parent[u]
+    Classes are listed in the order of their first members, and each lists
+    its members in increasing order.
+    """
+    count = points.shape[0]
+    parent = list(range(count))
+
+    def find(u: int) -> int:
+        while parent[u] != u:
+            parent[u] = parent[parent[u]]
+            u = parent[u]
         return u
 
-    def union(self, u: int, v: int):
-        ru, rv = self.find(u), self.find(v)
-        if ru != rv:
-            self.parent[max(ru, rv)] = min(ru, rv)
+    diff = points[:, None, :] - points[None, :, :]
+    close = np.sqrt(np.einsum("ijk,ijk->ij", diff, diff)) <= threshold
+    for i, j in zip(*np.nonzero(np.triu(close, k=1))):
+        ri, rj = find(i), find(j)
+        if ri != rj:
+            parent[max(ri, rj)] = min(ri, rj)
+    classes: dict[int, list[int]] = {}
+    for i in range(count):
+        classes.setdefault(find(i), []).append(i)
+    return list(classes.values())
 
 
 def default_dedup_tol(points: np.ndarray) -> float:
@@ -246,20 +273,9 @@ def support(p: QPoint, dedup_tol: float | None = None) -> SupportDecomposition:
     if dedup_tol < 0:
         raise InvalidInputError("dedup_tol must be nonnegative")
     pts = p.points
-    uf = _UnionFind(p.q)
-    diff = pts[:, None, :] - pts[None, :, :]
-    close = np.sqrt(np.einsum("ijk,ijk->ij", diff, diff)) <= dedup_tol
-    for i in range(p.q):
-        for j in range(i + 1, p.q):
-            if close[i, j]:
-                uf.union(i, j)
-    clusters: dict[int, list[int]] = {}
-    for i in range(p.q):
-        clusters.setdefault(uf.find(i), []).append(i)
-
     sites = []
     mult = []
-    for members in clusters.values():
+    for members in _threshold_classes(pts, dedup_tol):
         block = pts[members]
         rep = block[np.lexsort(block.T[::-1])[0]]
         sites.append(rep)

@@ -97,8 +97,8 @@ def domain_variation_derivative(
         if np.any(det <= 0):
             raise InvalidStepError(f"step {t} makes the domain map non-diffeomorphic")
     farr = embed_grid(f, frame)
-    e_plus = embedded_energy(bilinear_array(farr, f, pts + t * disp), f.spacing).total
-    e_minus = embedded_energy(bilinear_array(farr, f, pts - t * disp), f.spacing).total
+    e_plus = embedded_energy(bilinear_array(farr, f, pts + t * disp)).total
+    e_minus = embedded_energy(bilinear_array(farr, f, pts - t * disp)).total
     return (e_plus - e_minus) / (2 * t)
 
 

@@ -4,8 +4,15 @@ import math
 import numpy as np
 import pytest
 
-from qvalued import GridField, QPoint, minimize, MinimizeOptions
-from qvalued.cli import main
+from qvalued import (
+    GridField,
+    MinimizeOptions,
+    QPoint,
+    continuity_certificate,
+    minimize,
+    standard_frame,
+)
+from qvalued.cli import _constants_block, _dump_json, _write_csv, main
 
 from helpers import two_sheet_field, unit_square_grid
 
@@ -181,9 +188,40 @@ def test_certificate_cli(tmp_path, capsys):
          "--radii", "0.4,0.2", "--csv", str(csv)]
     )
     assert code == 0
-    out = json.loads(capsys.readouterr().out)
+    text = capsys.readouterr().out
+    out = json.loads(text)
     assert len(out["certificates"]) == 2
     assert out["certificates"][0]["modulus"] > 0
+    # the shared companion changes nothing: the outputs match per-radius
+    # certificates that each build their own
+    certs = [continuity_certificate(f, standard_frame(2, 2), (0.0, 0.0), r) for r in (0.4, 0.2)]
+    want_json = tmp_path / "want.json"
+    want_csv = tmp_path / "want.csv"
+    _dump_json(
+        {"w": [0.0, 0.0], "certificates": [c.to_dict() for c in certs],
+         "constants": _constants_block(2, 2)},
+        str(want_json),
+    )
+    _write_csv(str(want_csv), ["R", "alpha1", "alpha2", "beta", "modulus"],
+               [[c.radius, c.alpha1, c.alpha2, c.beta, c.modulus] for c in certs])
+    assert text == want_json.read_text()
+    assert csv.read_bytes() == want_csv.read_bytes()
+
+
+def test_certificate_default_radii(tmp_path, capsys):
+    # h = 1/32 on a 65^2 grid: 0.1 < 4h is dropped from the default radii
+    f = two_sheet_field(65, seed=2)
+    path = tmp_path / "f.json"
+    write_json(path, f.to_dict())
+    assert main(["certificate", "--input", str(path), "--w", "0.0,0.0"]) == 0
+    out = json.loads(capsys.readouterr().out)
+    assert [c["R"] for c in out["certificates"]] == [0.4, 0.2]
+    # an explicit radius below 4h is still refused, and so is a grid too
+    # coarse for any default radius (h = 1/4 on 9^2)
+    assert main(["certificate", "--input", str(path), "--w", "0.0,0.0", "--radii", "0.1"]) == 2
+    coarse = tmp_path / "coarse.json"
+    write_json(coarse, two_sheet_field(9, seed=2).to_dict())
+    assert main(["certificate", "--input", str(coarse), "--w", "0.0,0.0"]) == 2
 
 
 def test_cli_version(capsys):

@@ -1,5 +1,10 @@
+import itertools
+import tracemalloc
+from datetime import timedelta
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from qvalued import (
     InvalidInputError,
@@ -11,6 +16,7 @@ from qvalued import (
     pushforward_projection,
     support,
 )
+from qvalued.qspace import ASSIGN_CHUNK_BYTES, assign
 
 from helpers import random_qpoint, random_qpoint_pair
 from oracles import exhaustive_metric
@@ -198,12 +204,62 @@ def test_metric_paths_agree_beyond_exhaustive_limit():
     d1 = metric_g(a, b)
     d2 = metric_g_many(a.points, b.points[None])[0]
     perm, d3 = optimal_matching(a, b)
+    perm4, sq4 = assign(a.points, b.points)
     assert d2 == pytest.approx(d1, abs=1e-12)
     assert d3 == pytest.approx(d1, abs=1e-12)
-    paired = np.sqrt(((a.points - b.points[perm]) ** 2).sum())
-    assert paired == pytest.approx(d1, abs=1e-12)
+    assert np.sqrt(sq4) == pytest.approx(d1, abs=1e-12)
+    for p in (perm, perm4):
+        paired = np.sqrt(((a.points - b.points[p]) ** 2).sum())
+        assert paired == pytest.approx(d1, abs=1e-12)
 
 
 def test_support_rejects_negative_tolerance():
     with pytest.raises(InvalidInputError):
         support(QPoint([[0.0], [1.0]]), dedup_tol=-1.0)
+
+
+@settings(max_examples=60, deadline=timedelta(seconds=5))
+@given(data=st.data(), q=st.integers(1, 6), n=st.integers(1, 3), k=st.integers(1, 4))
+def test_assign_matches_enumeration(data, q, n, k):
+    # coordinates are multiples of 1/4, so every cost is exact and tied
+    # permutations tie exactly; forced duplicate sheets make such ties common
+    coord = st.integers(-8, 8).map(lambda t: t / 4)
+
+    def tuples(shape):
+        size = int(np.prod(shape))
+        return np.array(data.draw(st.lists(coord, min_size=size, max_size=size))).reshape(shape)
+
+    a = tuples((q, n) if data.draw(st.booleans()) else (k, q, n))
+    b = tuples((k, q, n))
+    for arr in (a, b):
+        i, j = data.draw(st.integers(0, q - 1)), data.draw(st.integers(0, q - 1))
+        arr[..., i, :] = arr[..., j, :]
+    perm, sq = assign(a, b)
+    assert perm.shape == (k, q) and sq.shape == (k,)
+    a_full = np.broadcast_to(a, b.shape)
+    for e in range(k):
+        assert sq[e] == pytest.approx(exhaustive_metric(a_full[e], b[e]) ** 2, abs=1e-12)
+        assert ((a_full[e] - b[e][perm[e]]) ** 2).sum() == pytest.approx(sq[e], abs=1e-12)
+        perms = list(itertools.permutations(range(q)))
+        costs = [((a_full[e] - b[e][list(p)]) ** 2).sum() for p in perms]
+        assert tuple(perm[e]) == perms[int(np.argmin(costs))]
+
+
+def test_assign_memory_is_bounded():
+    # 1000 Q = 6 pairs do not fill a whole number of chunks; enumerating
+    # them in one piece would hold two (1000, 720, 6, 2) arrays, 138 MB each
+    assert 1000 % (ASSIGN_CHUNK_BYTES // (720 * 6 * 2 * 8)) != 0
+    rng = np.random.default_rng(9)
+    a = rng.normal(size=(1000, 6, 2))
+    b = rng.normal(size=(1000, 6, 2))
+    tracemalloc.start()
+    try:
+        perm, sq = assign(a, b)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 48e6
+    want = [metric_g(QPoint(a[e]), QPoint(b[e])) for e in range(1000)]
+    np.testing.assert_allclose(np.sqrt(sq), want, rtol=0, atol=1e-12)
+    paired = ((a - np.take_along_axis(b, perm[..., None], axis=-2)) ** 2).sum(axis=(1, 2))
+    np.testing.assert_allclose(paired, sq, rtol=0, atol=1e-12)
