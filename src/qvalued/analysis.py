@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 import scipy.sparse as sp
@@ -26,14 +27,14 @@ import scipy.sparse.linalg as spla
 from scipy import ndimage
 
 from .admissible import NestedBallChain, modification_constants, theta0
-from .embedding import ProjectionFrame
+from .embedding import ProjectionFrame, xi0
 from .errors import InvalidInputError, NumericalFailureError
 from .field import (
     DEFAULT_C_CL,
     GridField,
     _disc_cell_sum,
     _require_disc_inside,
-    bilinear_embedded,
+    bilinear_array,
     circle_points,
     courant_lebesgue_slice,
     disc_energy,
@@ -45,6 +46,8 @@ from .qspace import assign, metric_g_many
 CENSOR_DILATION = 10
 #: ring width (in nodes) of the holomorphic refit collar
 REFIT_RING = 6
+#: points per axis at which each cutoff cell samples the bilinear d* reconstruction
+PSI_SUBSAMPLES = 3
 
 
 def _replicate_rim(interior: np.ndarray, ny: int, nx: int) -> np.ndarray:
@@ -219,13 +222,15 @@ def _lsq_potential(phi: np.ndarray, h: float) -> np.ndarray:
     rhs = np.concatenate(
         [-(h / 8) * (pf[ex_a] + pf[ex_b]), -(1j * h / 8) * (pf[ey_a] + pf[ey_b])]
     )
-    lap = (a_mat.T @ a_mat).tolil()
-    lap[0, :] = 0.0
-    lap[0, 0] = 1.0
+    # gauge row: drop row 0 of the normal matrix and pin psi[0] = 0
+    lap = (a_mat.T @ a_mat).tocoo()
+    keep = lap.row != 0
+    ri, ci = np.append(lap.row[keep], 0), np.append(lap.col[keep], 0)
+    lap = sp.csc_matrix((np.append(lap.data[keep], 1.0), (ri, ci)), shape=(total, total))
     rb = a_mat.T @ rhs
     rb = np.asarray(rb).ravel()
     rb[0] = 0.0
-    psi = spla.spsolve(lap.tocsc(), rb)
+    psi = spla.spsolve(lap, rb)
     return psi.reshape(ny, nx)
 
 
@@ -340,6 +345,23 @@ def _node_index(f: GridField, w_star: tuple[int, int]) -> tuple[int, int]:
     return iy, ix
 
 
+def _rim_distance(f: GridField, w: tuple[float, float]) -> float:
+    """Radius of the largest disc centred at w inside the grid rectangle."""
+    x1 = f.origin[0] + (f.nx - 1) * f.spacing
+    y1 = f.origin[1] + (f.ny - 1) * f.spacing
+    return min(w[0] - f.origin[0], x1 - w[0], w[1] - f.origin[1], y1 - w[1])
+
+
+def _disc(f: GridField, w_star: tuple[int, int], w0, r) -> tuple[tuple[float, float], float]:
+    """The cutoff disc; the largest one centred on node w_star supplies a missing w0 or r."""
+    if w0 is None or r is None:
+        iy, ix = _node_index(f, w_star)
+        d0 = (f.origin[0] + ix * f.spacing, f.origin[1] + iy * f.spacing)
+        w0 = w0 or d0
+        r = r or _rim_distance(f, d0)
+    return w0, r
+
+
 def d_star(
     f: GridField,
     comp: HarmonicCompanion,
@@ -368,7 +390,7 @@ def tau_star(
     _require_disc_inside(f, w0, r)
     iy, ix = _node_index(f, w_star)
     farr = embed_grid(f, frame)
-    vals = bilinear_embedded(f, frame, circle_points(w0, r, f.spacing))
+    vals = bilinear_array(farr, f, circle_points(w0, r, f.spacing))
     return float(np.linalg.norm(vals - farr[iy, ix], axis=-1).min())
 
 
@@ -382,39 +404,43 @@ def k_zero(chain: NestedBallChain, tau: float) -> int:
     return k0
 
 
-def _default_disc(f: GridField, w_star: tuple[int, int]) -> tuple[tuple[float, float], float]:
-    iy, ix = w_star
-    w0 = (f.origin[0] + ix * f.spacing, f.origin[1] + iy * f.spacing)
-    x1 = f.origin[0] + (f.nx - 1) * f.spacing
-    y1 = f.origin[1] + (f.ny - 1) * f.spacing
-    r = min(w0[0] - f.origin[0], x1 - w0[0], w0[1] - f.origin[1], y1 - w0[1])
-    return w0, r
+class _Pivot(NamedTuple):
+    """What a base node fixes for every level and rung: the disc, tau*, k0."""
+    w0: tuple[float, float]
+    r: float
+    tau: float
+    k0: int
 
 
-def _circle_d_star_min(
-    f: GridField,
-    comp: HarmonicCompanion,
-    frame: ProjectionFrame,
-    w_star: tuple[int, int],
-    k: int,
-    chain: NestedBallChain,
-    w0: tuple[float, float],
-    r: float,
-) -> float:
+def _pivot(f: GridField, frame: ProjectionFrame, w_star, chain: NestedBallChain, w0, r) -> _Pivot:
+    """The disc, tau* on its circle and the pivot level k0 (the chain depth when tau* = 0)."""
+    w0, r = _disc(f, w_star, w0, r)
+    tau = tau_star(f, frame, w_star, w0, r)
+    return _Pivot(w0, r, tau, k_zero(chain, tau) if tau > 0 else chain.depth)
+
+
+def _circle_d_star_min(f, comp: HarmonicCompanion, frame, w_star, k: int, chain, w0, r) -> float:
     """Minimum of the level-k augmented distance over the circle (interpolated)."""
     iy, ix = _node_index(f, w_star)
     pts = circle_points(w0, r, f.spacing)
-    from .embedding import xi0
-    from .field import bilinear_array
-
-    fvals = bilinear_embedded(f, frame, pts)
+    fvals = bilinear_array(embed_grid(f, frame), f, pts)
     target = xi0(frame, chain.levels[k].decomposition.rebuild()).flat
-    hvals = bilinear_array(
-        np.stack([comp.values.real, comp.values.imag], axis=-1), f, pts
-    )
+    hvals = bilinear_array(np.stack([comp.values.real, comp.values.imag], axis=-1), f, pts)
     hw = comp.values[iy, ix]
     dh2 = (hvals[..., 0] - hw.real) ** 2 + (hvals[..., 1] - hw.imag) ** 2
     return float(np.sqrt(np.linalg.norm(fvals - target, axis=-1) ** 2 + dh2).min())
+
+
+def _level_range(f, comp, frame, w_star, k: int, chain, piv: _Pivot) -> tuple[float, float, float]:
+    """(rho_k, valid hi, monotone hi) of level k; see `valid_rho_interval`
+    and `monotone_rho_interval`."""
+    if k > piv.k0:
+        raise InvalidInputError(f"level {k} beyond the pivot level k0 = {piv.k0}")
+    lv = chain.levels[k]
+    hi = lv.sigma if k < piv.k0 else 0.4 * min(piv.tau, lv.sigma)
+    if not hi > 0 or math.isinf(hi):
+        hi = 0.4 * _circle_d_star_min(f, comp, frame, w_star, k, chain, piv.w0, piv.r)
+    return lv.rho, hi, 0.4 * hi if k < piv.k0 else hi
 
 
 def valid_rho_interval(
@@ -436,22 +462,9 @@ def valid_rho_interval(
     the augmented circle distance replaces tau* so cutoffs stay compactly
     supported in the disc.
     """
-    if w0 is None or r is None:
-        d0, dr = _default_disc(f, _node_index(f, w_star))
-        w0 = w0 or d0
-        r = r or dr
-    tau = tau_star(f, frame, w_star, w0, r)
-    k0 = k_zero(chain, tau) if tau > 0 else chain.depth
-    if k > k0:
-        raise InvalidInputError(f"level {k} beyond the pivot level k0 = {k0}")
-    lv = chain.levels[k]
-    if k < k0:
-        hi = lv.sigma
-    else:
-        hi = 0.4 * min(tau, lv.sigma)
-    if not hi > 0 or math.isinf(hi):
-        hi = 0.4 * _circle_d_star_min(f, comp, frame, w_star, k, chain, w0, r)
-    return lv.rho, hi, k0, tau
+    piv = _pivot(f, frame, w_star, chain, w0, r)
+    lo, hi, _ = _level_range(f, comp, frame, w_star, k, chain, piv)
+    return lo, hi, piv.k0, piv.tau
 
 
 def monotone_rho_interval(
@@ -469,15 +482,50 @@ def monotone_rho_interval(
     This is the interval on which the ratio psi_k(rho)/rho^2 is asserted to
     be nondecreasing; it is narrower than psi_k's validity below the pivot.
     """
-    lo, hi, k0, tau = valid_rho_interval(f, comp, frame, w_star, k, chain, w0, r)
-    if k < k0:
-        hi = 0.4 * hi
+    piv = _pivot(f, frame, w_star, chain, w0, r)
+    lo, _, hi = _level_range(f, comp, frame, w_star, k, chain, piv)
     return lo, hi
 
 
 def _smoothstep(t: np.ndarray) -> np.ndarray:
     t = np.clip(t, 0.0, 1.0)
     return t**3 * (10.0 - 15.0 * t + 6.0 * t**2)
+
+
+def _check_rung(chain: NestedBallChain, k: int, piv: _Pivot, hi: float, rho: float, eps: float):
+    """Raise unless rho lies in (0, hi) and eps in (0, its cap) at level k."""
+    if not 0.0 < rho < hi:
+        raise InvalidInputError(
+            f"rho = {rho} outside the valid interval (0, {hi}) for level {k} (k0 = {piv.k0})"
+        )
+    eps_cap = min(chain.levels[0].sigma, piv.tau) / 10 if piv.tau > 0 else hi / 4
+    if eps <= 0 or eps >= eps_cap:
+        raise InvalidInputError(f"ramp width eps = {eps} outside (0, {eps_cap})")
+
+
+def _cutoff_cells(f: GridField, comp: HarmonicCompanion, frame: ProjectionFrame) -> np.ndarray:
+    """Cell averages of the augmented energy density |grad f|^2 + |grad h|^2."""
+    energy = grad_sq_field(f, frame) + comp.grad_sq()
+    return (energy[:-1, :-1] + energy[:-1, 1:] + energy[1:, :-1] + energy[1:, 1:]) / 4
+
+
+def _psi_kernel(dst: np.ndarray, e_cell: np.ndarray, rho, eps, f: GridField, w0, r) -> float:
+    """Cutoff-weighted disc sum of e_cell for the distance field dst."""
+    n = PSI_SUBSAMPLES
+    lam_cell = np.zeros_like(e_cell)
+    for a in range(n):
+        for b in range(n):
+            ta = (a + 0.5) / n
+            tb = (b + 0.5) / n
+            dsub = (
+                dst[:-1, :-1] * (1 - ta) * (1 - tb)
+                + dst[:-1, 1:] * ta * (1 - tb)
+                + dst[1:, :-1] * (1 - ta) * tb
+                + dst[1:, 1:] * ta * tb
+            )
+            lam_cell += _smoothstep((rho - dsub) / eps)
+    lam_cell /= n**2
+    return _disc_cell_sum(lam_cell * e_cell * f.spacing**2, f, w0, r)
 
 
 def psi_k(
@@ -491,49 +539,28 @@ def psi_k(
     eps: float,
     w0: tuple[float, float] | None = None,
     r: float | None = None,
-    subsamples: int = 3,
     validate: bool = True,
 ) -> float:
     """Cutoff-weighted disc energy of the augmented map at level k.
 
     Integrates lambda(rho - d*_k) |grad G|^2 over the disc with a quintic
     ramp of width eps.  The ramp is evaluated on a subsampled bilinear
-    reconstruction of d* inside each cell so that cutoff layers thinner than
-    a cell are still integrated consistently.  ``validate=False`` skips the
-    range checks (useful for saturated-cutoff diagnostics).
+    reconstruction of d* inside each cell (``PSI_SUBSAMPLES`` per axis) so
+    that cutoff layers thinner than a cell are still integrated
+    consistently.  ``validate=False`` skips the range checks (useful for
+    saturated-cutoff diagnostics).
     """
-    if w0 is None or r is None:
-        d0, dr = _default_disc(f, _node_index(f, w_star))
-        w0 = w0 or d0
-        r = r or dr
     if validate:
-        lo, hi, k0, tau = valid_rho_interval(f, comp, frame, w_star, k, chain, w0, r)
-        if not 0.0 < rho < hi:
-            raise InvalidInputError(
-                f"rho = {rho} outside the valid interval (0, {hi}) for level {k} (k0 = {k0})"
-            )
-        eps_cap = min(chain.levels[0].sigma, tau) / 10 if tau > 0 else hi / 4
-        if eps <= 0 or eps >= eps_cap:
-            raise InvalidInputError(f"ramp width eps = {eps} outside (0, {eps_cap})")
-    elif rho <= 0 or eps <= 0:
-        raise InvalidInputError("rho and eps must be positive")
+        piv = _pivot(f, frame, w_star, chain, w0, r)
+        w0, r = piv.w0, piv.r
+        _, hi, _ = _level_range(f, comp, frame, w_star, k, chain, piv)
+        _check_rung(chain, k, piv, hi, rho, eps)
+    else:
+        w0, r = _disc(f, w_star, w0, r)
+        if rho <= 0 or eps <= 0:
+            raise InvalidInputError("rho and eps must be positive")
     dst = d_star(f, comp, w_star, k, chain)
-    energy = grad_sq_field(f, frame) + comp.grad_sq()
-    e_cell = (energy[:-1, :-1] + energy[:-1, 1:] + energy[1:, :-1] + energy[1:, 1:]) / 4
-    lam_cell = np.zeros_like(e_cell)
-    for a in range(subsamples):
-        for b in range(subsamples):
-            ta = (a + 0.5) / subsamples
-            tb = (b + 0.5) / subsamples
-            dsub = (
-                dst[:-1, :-1] * (1 - ta) * (1 - tb)
-                + dst[:-1, 1:] * ta * (1 - tb)
-                + dst[1:, :-1] * (1 - ta) * tb
-                + dst[1:, 1:] * ta * tb
-            )
-            lam_cell += _smoothstep((rho - dsub) / eps)
-    lam_cell /= subsamples**2
-    return _disc_cell_sum(lam_cell * e_cell * f.spacing**2, f, w0, r)
+    return _psi_kernel(dst, _cutoff_cells(f, comp, frame), rho, eps, f, w0, r)
 
 
 @dataclass(frozen=True)
@@ -588,43 +615,46 @@ def monotonicity_report(
 
     ``ladder`` holds fractions of each level's valid interval (default ten
     points from 0.35 to 0.95).  A pair s < t with ratio(s) > ratio(t)(1+tol)
-    is recorded as a violation.
+    is recorded as a violation.  The pivot, the energy density and each
+    level's d* are computed once and shared by the rungs, which still pass
+    the range checks of `psi_k`.
     """
     if ladder is None:
         ladder = np.linspace(0.35, 0.95, 10)
     ladder = np.asarray(ladder, dtype=np.float64)
     if np.any(ladder <= 0) or np.any(ladder >= 1):
         raise InvalidInputError("ladder fractions must lie strictly inside (0, 1)")
-    if w0 is None or r is None:
-        d0, dr = _default_disc(f, _node_index(f, w_star))
-        w0 = w0 or d0
-        r = r or dr
-    lo0, hi0, k0, tau = valid_rho_interval(f, comp, frame, w_star, 0, chain, w0, r)
-    n, q = f.n, f.q_sheets
-    k_const, c0 = modification_constants(n, q)
-    constants = {
-        "theta0": theta0(n, q),
-        "K": k_const,
-        "C0": c0,
-        "delta": delta_constant(n, q),
-    }
-    eps_scale = min(chain.levels[0].sigma, tau) if tau > 0 else 2.5 * hi0
-    eps = eps_scale / 20
+    piv = _pivot(f, frame, w_star, chain, w0, r)
+    ranges = [_level_range(f, comp, frame, w_star, k, chain, piv) for k in range(piv.k0 + 1)]
+    eps = (min(chain.levels[0].sigma, piv.tau) if piv.tau > 0 else 2.5 * ranges[0][1]) / 20
+    e_cell = _cutoff_cells(f, comp, frame)
     levels: dict[int, list[LadderRow]] = {}
     violations: list[tuple[int, float, float]] = []
-    for k in range(k0 + 1):
-        lo, hi = monotone_rho_interval(f, comp, frame, w_star, k, chain, w0, r)
-        rhos = lo + (hi - lo) * ladder
+    for k, (lo, hi, mono_hi) in enumerate(ranges):
+        dst = d_star(f, comp, w_star, k, chain)
         rows = []
-        for rho in rhos:
-            val = psi_k(f, comp, frame, w_star, k, chain, rho, eps, w0, r)
+        for rho in lo + (mono_hi - lo) * ladder:
+            _check_rung(chain, k, piv, hi, rho, eps)
+            val = _psi_kernel(dst, e_cell, rho, eps, f, piv.w0, piv.r)
             rows.append(LadderRow(float(rho), float(val), float(val / rho**2)))
         levels[k] = rows
         for i in range(len(rows)):
             for j in range(i + 1, len(rows)):
                 if rows[i].ratio > rows[j].ratio * (1 + tolerance) + 1e-15:
                     violations.append((k, rows[i].rho, rows[j].rho))
-    return MonotonicityReport(levels, k0, tau, violations, tolerance, constants)
+    constants = _constants_block(f.n, f.q_sheets)
+    return MonotonicityReport(levels, piv.k0, piv.tau, violations, tolerance, constants)
+
+
+def _constants_block(n: int, q: int) -> dict:
+    """The chain and oscillation constants every report carries."""
+    k_const, c0 = modification_constants(n, q)
+    return {
+        "theta0": theta0(n, q),
+        "K": k_const,
+        "C0": c0,
+        "delta": delta_constant(n, q),
+    }
 
 
 def delta_constant(n: int, q_sheets: int) -> float:
@@ -653,8 +683,7 @@ def key_lemma_check(
     tolerance: float = 0.05,
 ) -> tuple[float, float, bool]:
     """Oscillation bound: circle distance to f(w*) vs augmented disc energy."""
-    iy, ix = _node_index(f, w_star)
-    w0 = (f.origin[0] + ix * f.spacing, f.origin[1] + iy * f.spacing)
+    w0, _ = _disc(f, w_star, None, r)  # centred on the base node
     lhs = tau_star(f, frame, w_star, w0, r)
     e_f = disc_energy(f, frame, w0, r)
     e_h = _companion_disc_energy(comp, f, w0, r)
@@ -712,9 +741,7 @@ def continuity_certificate(
     """
     _require_disc_inside(f, w, radius)
     if r0 is None:
-        x1 = f.origin[0] + (f.nx - 1) * f.spacing
-        y1 = f.origin[1] + (f.ny - 1) * f.spacing
-        r0 = min(w[0] - f.origin[0], x1 - w[0], w[1] - f.origin[1], y1 - w[1])
+        r0 = _rim_distance(f, w)
     slice_r, slice_osc = courant_lebesgue_slice(f, frame, w, radius)
     e_r = disc_energy(f, frame, w, radius)
     alpha1 = c_cl * math.sqrt(e_r)

@@ -10,18 +10,16 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 
 import numpy as np
 
 from . import __version__
 from .admissible import angle_separated_frame, chain_inclusion_check, nested_chain, validate_chain
-from .admissible import modification_constants, theta0
 from .analysis import (
+    _constants_block,
     conformality_defect,
     continuity_certificate,
-    delta_constant,
     harmonic_companion,
     holomorphy_residual,
     hopf_differential,
@@ -77,16 +75,6 @@ def _write_csv(path: str, header: list[str], rows: list[list]) -> None:
 def _load_json(path: str) -> dict:
     with open(path) as fh:
         return json.load(fh)
-
-
-def _constants_block(n: int, q: int) -> dict:
-    k_const, c0 = modification_constants(n, q)
-    return {
-        "theta0": theta0(n, q),
-        "K": k_const,
-        "C0": c0,
-        "delta": delta_constant(n, q),
-    }
 
 
 def _load_field(path: str, args=None) -> GridField:
@@ -230,9 +218,7 @@ def cmd_monotonicity(args) -> int:
     report = monotonicity_report(
         f, comp, frame, w_star, chain, ladder=ladder, tolerance=args.tol_monotone
     )
-    out = report.to_dict()
-    out["constants"] = _constants_block(f.n, f.q_sheets)
-    _dump_json(out, args.output)
+    _dump_json(report.to_dict(), args.output)
     if args.csv:
         rows = []
         for k, level_rows in sorted(report.levels.items()):
@@ -357,24 +343,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--csv")
     p.set_defaults(func=cmd_certificate)
 
-    for name, sp in sub.choices.items():
-        sp.add_argument("--deterministic", action="store_true",
-                        help="force single-threaded numerics")
-        if name in {"minimize", "analyze", "monotonicity", "variations", "certificate"}:
-            sp.add_argument("--grid", help="assert the input grid is NX,NY,H")
-            sp.add_argument("--nQ", dest="nq", help="assert the input field is N,Q")
+    for name in ("minimize", "analyze", "monotonicity", "variations", "certificate"):
+        sub.choices[name].add_argument("--grid", help="assert the input grid is NX,NY,H")
+        sub.choices[name].add_argument("--nQ", dest="nq", help="assert the input field is N,Q")
     return ap
 
 
 def main(argv: list[str] | None = None) -> int:
-    threads = os.environ.get("QVK_THREADS")
-    if threads:
-        for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
-            os.environ.setdefault(var, threads)
     args = build_parser().parse_args(argv)
-    if getattr(args, "deterministic", False):
-        for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
-            os.environ[var] = "1"
     try:
         return args.func(args)
     except NumericalFailureError as exc:

@@ -29,6 +29,9 @@ from .qspace import QPoint, assign, metric_g_many
 
 #: default circle-slice constant (the classical Courant-Lebesgue shape)
 DEFAULT_C_CL = math.sqrt(4.0 * math.pi / math.log(2.0))
+#: disc nodes beyond which `disc_oscillation` draws a seeded random subset
+OSC_MAX_NODES = 400
+OSC_SEED = 0
 
 
 @dataclass(frozen=True)
@@ -312,18 +315,13 @@ def sqrt_field(spec: GridSpec) -> GridField:
     return GridField(v, spec.spacing, spec.origin)
 
 
-def bilinear_embedded(f: GridField, frame: ProjectionFrame, pts: np.ndarray) -> np.ndarray:
-    """Bilinear interpolation of the embedded field at points (..., 2).
-
-    Interpolating the sorted blocks keeps each block sorted, so the result is
-    a valid embedded value wherever the field's sheets vary continuously.
-    """
-    farr = embed_grid(f, frame)
-    return bilinear_array(farr, f, pts)
-
-
 def bilinear_array(arr: np.ndarray, f: GridField, pts: np.ndarray) -> np.ndarray:
-    """Bilinear interpolation of a nodal array (ny, nx, m) at physical points."""
+    """Bilinear interpolation of a nodal array (ny, nx, m) at physical points.
+
+    Interpolating an `embed_grid` array keeps each sorted block sorted, so the
+    result is a valid embedded value wherever the field's sheets vary
+    continuously.
+    """
     pts = np.asarray(pts, dtype=np.float64)
     gx = (pts[..., 0] - f.origin[0]) / f.spacing
     gy = (pts[..., 1] - f.origin[1]) / f.spacing
@@ -410,26 +408,21 @@ def _max_pairwise(vals: np.ndarray) -> float:
     return float(math.sqrt(d2.max()))
 
 
-def disc_oscillation(
-    f: GridField,
-    w0: tuple[float, float],
-    r: float,
-    max_nodes: int = 400,
-    seed: int = 0,
-) -> float:
+def disc_oscillation(f: GridField, w0: tuple[float, float], r: float) -> float:
     """Exact assignment-metric oscillation over grid nodes in U_r(w0).
 
-    Subsamples deterministically when the disc holds more than ``max_nodes``
-    nodes, so the result is a lower bound on the true oscillation.
+    A disc of more than ``OSC_MAX_NODES`` nodes is replaced by a random subset
+    of that size drawn with seed ``OSC_SEED``, so the result is then a lower
+    bound on the true oscillation.
     """
     gx, gy = np.meshgrid(f.xs, f.ys)
     mask = (gx - w0[0]) ** 2 + (gy - w0[1]) ** 2 <= r**2
     nodes = f.values[mask]
     if nodes.shape[0] < 2:
         return 0.0
-    if nodes.shape[0] > max_nodes:
-        rng = np.random.default_rng(seed)
-        nodes = nodes[rng.choice(nodes.shape[0], size=max_nodes, replace=False)]
+    if nodes.shape[0] > OSC_MAX_NODES:
+        rng = np.random.default_rng(OSC_SEED)
+        nodes = nodes[rng.choice(nodes.shape[0], size=OSC_MAX_NODES, replace=False)]
     best = 0.0
     for i in range(nodes.shape[0] - 1):
         d = metric_g_many(nodes[i], nodes[i + 1 :])

@@ -19,12 +19,12 @@ import numpy as np
 from .admissible import NestedBallChain
 from .analysis import (
     HarmonicCompanion,
+    _level_range,
+    _pivot,
     _smoothstep,
     d_star,
     harmonic_companion,
     hopf_differential,
-    monotone_rho_interval,
-    valid_rho_interval,
 )
 from .embedding import ProjectionFrame
 from .errors import InvalidInputError, InvalidStepError, NotInBallError, NumericalFailureError
@@ -40,13 +40,10 @@ class DomainVariation:
     center: tuple[float, float]
     radius: float
     direction: tuple[float, float]
-    family: str = "bump"
 
     def __post_init__(self):
         if self.radius <= 0:
             raise InvalidInputError("bump radius must be positive")
-        if self.family != "bump":
-            raise InvalidInputError(f"unknown variation family {self.family!r}")
 
     def displacement(self, pts: np.ndarray) -> np.ndarray:
         s2 = ((pts - np.asarray(self.center)) ** 2).sum(-1) / self.radius**2
@@ -289,14 +286,14 @@ def stationarity_residual(
         base = QPoint(f.values[iy, ix].copy())
         try:
             chain = nested_chain(base, angle_separated_frame(support(base)))
-            lo, hi, k0, tau = valid_rho_interval(f, comp, frame, (iy, ix), 0, chain)
+            piv = _pivot(f, frame, (iy, ix), chain, None, None)
         except InvalidInputError:
             continue
-        if tau <= 0:
+        if piv.tau <= 0:
             continue
-        eps = min(chain.levels[0].sigma, tau) / 20
-        for k in range(k0 + 1):
-            lo, hi = monotone_rho_interval(f, comp, frame, (iy, ix), k, chain)
+        eps = min(chain.levels[0].sigma, piv.tau) / 20
+        for k in range(piv.k0 + 1):
+            lo, _, hi = _level_range(f, comp, frame, (iy, ix), k, chain, piv)
             rho = lo + 0.6 * (hi - lo)
             if rho <= 0 or not math.isfinite(rho):
                 continue

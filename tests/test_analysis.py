@@ -408,6 +408,83 @@ def test_monotonicity_report_constant_field():
         assert row.ratio == pytest.approx(want, rel=0.05)
 
 
+def _constant_field_setup():
+    vals = np.tile(np.array([0.2, -0.1]), (65, 65, 2, 1))
+    spec = unit_square_grid(65)
+    f = GridField(vals, spec.spacing, spec.origin)
+    fr = standard_frame(2, 2)
+    comp = harmonic_companion(hopf_differential(f, fr))
+    base = QPoint(f.values[32, 32].copy())
+    return f, fr, comp, (32, 32), nested_chain(base, angle_separated_frame(support(base)))
+
+
+def _strong_field_setup(res):
+    g = res.field
+    fr = standard_frame(2, 2)
+    comp = harmonic_companion(hopf_differential(g, fr))
+    w = (48, 44)
+    base = QPoint(g.values[w[0], w[1]].copy())
+    return g, fr, comp, w, nested_chain(base, angle_separated_frame(support(base)))
+
+
+def _near_double_field_setup():
+    # Q = 3 with two sheets 1e-6 apart: a three-level chain whose pivot is k0 = 1
+    spec = unit_square_grid(65)
+    x, y = meshgrid_for(spec)
+    s0 = np.stack([0.1 * x, 0.1 * y], -1)
+    far = np.stack([1 + 0.1 * x, 0.5 + 0 * y], -1)
+    f = GridField(np.stack([s0, s0 + np.array([1e-6, 0.0]), far], axis=2), spec.spacing, spec.origin)
+    fr = standard_frame(2, 3)
+    comp = harmonic_companion(hopf_differential(f, fr))
+    base = QPoint(f.values[32, 32].copy())
+    return f, fr, comp, (32, 32), nested_chain(base, angle_separated_frame(support(base)))
+
+
+def _ladder_setup(which, request):
+    if which == "strong":
+        return _strong_field_setup(request.getfixturevalue("minimized_strong_97"))
+    return _constant_field_setup() if which == "constant" else _near_double_field_setup()
+
+
+@pytest.mark.parametrize("which", ["strong", "constant", "near_double"])
+def test_monotonicity_rows_equal_direct_psi_k(which, request):
+    # the ladder shares one pivot, one energy density and one d* per level;
+    # every rung must still equal a standalone, fully validated psi_k call
+    f, fr, comp, w, chain = _ladder_setup(which, request)
+    rep = monotonicity_report(f, comp, fr, w, chain)
+    if which == "near_double":
+        assert rep.k0 == 1
+    _, hi0, _, tau = valid_rho_interval(f, comp, fr, w, 0, chain)
+    eps = (min(chain.levels[0].sigma, tau) if tau > 0 else 2.5 * hi0) / 20
+    assert sum(len(rows) for rows in rep.levels.values()) == 10 * (rep.k0 + 1)
+    for k, rows in rep.levels.items():
+        for row in rows:
+            assert row.psi == psi_k(f, comp, fr, w, k, chain, row.rho, eps)
+
+
+@pytest.mark.parametrize("which", ["strong", "near_double"])
+def test_monotonicity_report_builds_pivot_once(which, request, monkeypatch):
+    import qvalued.analysis as analysis
+
+    calls = {"tau_star": 0, "d_star": 0}
+
+    def counting(name):
+        inner = getattr(analysis, name)
+
+        def wrapped(*args, **kwargs):
+            calls[name] += 1
+            return inner(*args, **kwargs)
+
+        return wrapped
+
+    f, fr, comp, w, chain = _ladder_setup(which, request)
+    for name in calls:
+        monkeypatch.setattr(analysis, name, counting(name))
+    rep = monotonicity_report(f, comp, fr, w, chain)
+    assert calls == {"tau_star": 1, "d_star": len(rep.levels)}
+    assert len(rep.levels) == rep.k0 + 1
+
+
 def test_monotonicity_flags_violations_on_rough_field():
     # strongly oscillatory, unrelaxed boundary extension: the cutoff energy
     # ratios are visibly non-monotone and the report must say so

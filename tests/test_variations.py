@@ -241,8 +241,3 @@ def test_domain_variation_jacobian_consistency():
         shift[axis] = step
         fd = (v.displacement(pts + shift) - v.displacement(pts - shift)) / (2 * step)
         np.testing.assert_allclose(jac[..., axis], fd, atol=1e-8)
-
-
-def test_domain_variation_unknown_family():
-    with pytest.raises(InvalidInputError):
-        DomainVariation((0.0, 0.0), 0.2, (1.0, 0.0), family="vortex")
