@@ -217,12 +217,6 @@ def is_admissible(ball: AdmissibleBall) -> bool:
     return True
 
 
-def admissible_radius_bound(s: SupportDecomposition, q_sheets: int | None = None) -> float:
-    """Radius below which an angle-separated cover is guaranteed admissible."""
-    q = q_sheets if q_sheets is not None else s.q
-    return 0.5 * math.sin(theta0(s.n, q)) * min_separation(s)
-
-
 def assign_sheets(q_dec: SupportDecomposition, p: QPoint, ball: AdmissibleBall) -> np.ndarray:
     """Site index of each sheet of p inside the admissible cover of ``q_dec``.
 

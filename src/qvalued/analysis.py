@@ -32,11 +32,13 @@ from .errors import InvalidInputError, NumericalFailureError
 from .field import (
     DEFAULT_C_CL,
     GridField,
+    _SPLU_KW,
     _disc_cell_sum,
     _require_disc_inside,
     bilinear_array,
     circle_points,
     courant_lebesgue_slice,
+    dirichlet_energy,
     disc_energy,
     embed_grid,
 )
@@ -70,6 +72,15 @@ def _matched_stencil(values: np.ndarray):
     return tuple(matched)
 
 
+def _matched_gradient(f: GridField, frame: ProjectionFrame):
+    """Matched stencil of the field in frame coordinates and its central differences du, dv."""
+    axes = frame.directions[: frame.n]
+    v = np.einsum("an,yxqn->yxqa", axes, f.values)  # rotate into frame coordinates
+    stencil = _matched_stencil(v)
+    _, east, west, north, south = stencil
+    return stencil, (east - west) / (2 * f.spacing), (north - south) / (2 * f.spacing)
+
+
 @dataclass(eq=False)
 class HopfField:
     """Complex Hopf density per node (rim replicated from the interior)."""
@@ -94,13 +105,9 @@ def hopf_differential(f: GridField, frame: ProjectionFrame) -> HopfField:
     """Hopf density of the embedded field from matched central differences."""
     if f.nx < 3 or f.ny < 3:
         raise InvalidInputError("need interior nodes to form central differences")
-    axes = frame.directions[: frame.n]
     if frame.n != f.n or frame.q_sheets != f.q_sheets:
         raise InvalidInputError("frame does not match the field's (Q, n)")
-    v = np.einsum("an,yxqn->yxqa", axes, f.values)  # rotate into frame coordinates
-    c, east, west, north, south = _matched_stencil(v)
-    du = (east - west) / (2 * f.spacing)
-    dv = (north - south) / (2 * f.spacing)
+    (c, east, west, north, south), du, dv = _matched_gradient(f, frame)
     phi_int = (
         np.einsum("...qa,...qa->...", du, du)
         - np.einsum("...qa,...qa->...", dv, dv)
@@ -183,55 +190,51 @@ class HarmonicCompanion:
     spacing: float
     origin: tuple[float, float]
 
+    def _central_differences(self) -> tuple[np.ndarray, np.ndarray]:
+        """(h_u, h_v) at the interior nodes."""
+        v, h = self.values, self.spacing
+        return (v[1:-1, 2:] - v[1:-1, :-2]) / (2 * h), (v[2:, 1:-1] - v[:-2, 1:-1]) / (2 * h)
+
     def grad_sq(self) -> np.ndarray:
         """Nodal squared gradient |grad h|^2 (rim replicated)."""
-        h = self.spacing
-        hu = (self.values[1:-1, 2:] - self.values[1:-1, :-2]) / (2 * h)
-        hv = (self.values[2:, 1:-1] - self.values[:-2, 1:-1]) / (2 * h)
+        hu, hv = self._central_differences()
         g = np.abs(hu) ** 2 + np.abs(hv) ** 2
         return _replicate_rim(g, *self.values.shape)
 
     def hopf_term(self) -> np.ndarray:
         """Hopf density of h alone, from central differences (rim replicated)."""
-        h = self.spacing
-        hu = (self.values[1:-1, 2:] - self.values[1:-1, :-2]) / (2 * h)
-        hv = (self.values[2:, 1:-1] - self.values[:-2, 1:-1]) / (2 * h)
+        hu, hv = self._central_differences()
         term = (np.abs(hu) ** 2 - np.abs(hv) ** 2) - 2j * (
             hu.real * hv.real + hu.imag * hv.imag
         )
         return _replicate_rim(term, *self.values.shape)
 
 
+def _path_laplacian(m: int) -> sp.spmatrix:
+    """Graph Laplacian of the path on m nodes (free ends)."""
+    d = sp.diags([-1.0, 1.0], [0, 1], shape=(m - 1, m))
+    return d.T @ d
+
+
 def _lsq_potential(phi: np.ndarray, h: float) -> np.ndarray:
-    """Least-squares primitive of -phi/4 over the grid graph (gauge: node 0)."""
+    """Least-squares primitive of -phi/4 over the grid graph (gauge: psi[0] = 0).
+
+    Eliminating node 0 keeps the Neumann grid Laplacian symmetric positive
+    definite, so it takes `minimize`'s symmetric SuperLU mode; one real
+    factorisation solves the real and imaginary parts as two columns.
+    """
     ny, nx = phi.shape
-    total = ny * nx
-    idx = np.arange(total).reshape(ny, nx)
-    ex_a = idx[:, :-1].ravel()
-    ex_b = idx[:, 1:].ravel()
-    ey_a = idx[:-1, :].ravel()
-    ey_b = idx[1:, :].ravel()
-    heads = np.concatenate([ex_b, ey_b])
-    tails = np.concatenate([ex_a, ey_a])
-    edges = heads.shape[0]
-    rows = np.repeat(np.arange(edges), 2)
-    cols = np.stack([heads, tails], axis=1).ravel()
-    data = np.tile([1.0, -1.0], edges)
-    a_mat = sp.csr_matrix((data, (rows, cols)), shape=(edges, total))
-    pf = phi.ravel()
-    rhs = np.concatenate(
-        [-(h / 8) * (pf[ex_a] + pf[ex_b]), -(1j * h / 8) * (pf[ey_a] + pf[ey_b])]
-    )
-    # gauge row: drop row 0 of the normal matrix and pin psi[0] = 0
-    lap = (a_mat.T @ a_mat).tocoo()
-    keep = lap.row != 0
-    ri, ci = np.append(lap.row[keep], 0), np.append(lap.col[keep], 0)
-    lap = sp.csc_matrix((np.append(lap.data[keep], 1.0), (ri, ci)), shape=(total, total))
-    rb = a_mat.T @ rhs
-    rb = np.asarray(rb).ravel()
-    rb[0] = 0.0
-    psi = spla.spsolve(lap, rb)
-    return psi.reshape(ny, nx)
+    gx = -(h / 8) * (phi[:, :-1] + phi[:, 1:])  # trapezoid edge increments of -phi/4
+    gy = -(1j * h / 8) * (phi[:-1] + phi[1:])
+    div = np.zeros(phi.shape, dtype=complex)
+    div[:, 1:] += gx
+    div[:, :-1] -= gx
+    div[1:] += gy
+    div[:-1] -= gy
+    lap = sp.kron(sp.eye(ny), _path_laplacian(nx)) + sp.kron(_path_laplacian(ny), sp.eye(nx))
+    rhs = div.ravel()[1:]
+    sol = spla.splu(lap.tocsc()[1:, 1:], **_SPLU_KW).solve(np.stack([rhs.real, rhs.imag], 1))
+    return np.append(0.0, sol[:, 0] + 1j * sol[:, 1]).reshape(ny, nx)
 
 
 def _path_primitive(phi: np.ndarray, h: float) -> np.ndarray:
@@ -278,11 +281,7 @@ def harmonic_companion(hopf: HopfField, method: str = "least_squares") -> Harmon
 
 def grad_sq_field(f: GridField, frame: ProjectionFrame) -> np.ndarray:
     """Nodal squared gradient of the embedded field via matched differences."""
-    axes = frame.directions[: frame.n]
-    v = np.einsum("an,yxqn->yxqa", axes, f.values)
-    c, east, west, north, south = _matched_stencil(v)
-    du = (east - west) / (2 * f.spacing)
-    dv = (north - south) / (2 * f.spacing)
+    _, du, dv = _matched_gradient(f, frame)
     g = np.einsum("...qa,...qa->...", du, du) + np.einsum("...qa,...qa->...", dv, dv)
     return _replicate_rim(g, f.ny, f.nx)
 
@@ -503,10 +502,14 @@ def _check_rung(chain: NestedBallChain, k: int, piv: _Pivot, hi: float, rho: flo
         raise InvalidInputError(f"ramp width eps = {eps} outside (0, {eps_cap})")
 
 
+def _cell_average(g: np.ndarray) -> np.ndarray:
+    """Four-corner average of a nodal array over each grid cell."""
+    return (g[:-1, :-1] + g[:-1, 1:] + g[1:, :-1] + g[1:, 1:]) / 4
+
+
 def _cutoff_cells(f: GridField, comp: HarmonicCompanion, frame: ProjectionFrame) -> np.ndarray:
     """Cell averages of the augmented energy density |grad f|^2 + |grad h|^2."""
-    energy = grad_sq_field(f, frame) + comp.grad_sq()
-    return (energy[:-1, :-1] + energy[:-1, 1:] + energy[1:, :-1] + energy[1:, 1:]) / 4
+    return _cell_average(grad_sq_field(f, frame) + comp.grad_sq())
 
 
 def _psi_kernel(dst: np.ndarray, e_cell: np.ndarray, rho, eps, f: GridField, w0, r) -> float:
@@ -695,9 +698,7 @@ def key_lemma_check(
 def _companion_disc_energy(
     comp: HarmonicCompanion, f: GridField, w0: tuple[float, float], r: float
 ) -> float:
-    g = comp.grad_sq()
-    cell = (g[:-1, :-1] + g[:-1, 1:] + g[1:, :-1] + g[1:, 1:]) / 4 * f.spacing**2
-    return _disc_cell_sum(cell, f, w0, r)
+    return _disc_cell_sum(_cell_average(comp.grad_sq()) * f.spacing**2, f, w0, r)
 
 
 @dataclass(frozen=True)
@@ -743,9 +744,10 @@ def continuity_certificate(
     if r0 is None:
         r0 = _rim_distance(f, w)
     slice_r, slice_osc = courant_lebesgue_slice(f, frame, w, radius)
-    e_r = disc_energy(f, frame, w, radius)
+    per_cell = dirichlet_energy(f, frame).per_cell
+    e_r = _disc_cell_sum(per_cell, f, w, radius)
     alpha1 = c_cl * math.sqrt(e_r)
-    c_r0 = disc_energy(f, frame, w, r0) / (math.pi * r0**2)
+    c_r0 = _disc_cell_sum(per_cell, f, w, r0) / (math.pi * r0**2)
     if comp is None:
         comp = harmonic_companion(hopf_differential(f, frame))
     e_h = _companion_disc_energy(comp, f, w, radius)

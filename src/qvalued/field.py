@@ -210,8 +210,10 @@ class MinimizeResult:
     converged: bool
 
 
-# The free-free block is symmetric positive definite, so SuperLU runs in
-# symmetric mode on a minimum-degree ordering of A + A^T without pivoting.
+# Both callers factorise symmetric positive definite matrices (the free-free
+# block of `minimize`, and the grid Laplacian of `analysis._lsq_potential`
+# with node 0 eliminated), so SuperLU runs in symmetric mode on a
+# minimum-degree ordering of A + A^T without pivoting.
 # relax=1 and panel_size=1 keep its supernodes and panels small: with the
 # defaults, minimising two 97x97 two-valued fields raised the process's
 # peak RSS from 118.9 to 129.4 MB.

@@ -70,6 +70,27 @@ def harmonic_extension(boundary_values: np.ndarray, mask: np.ndarray) -> np.ndar
     return spla.spsolve(mat.tocsc(), rhs).reshape(ny, nx)
 
 
+def lsq_primitive(phi: np.ndarray, h: float) -> np.ndarray:
+    """Dense least-squares primitive of -phi/4 on the grid graph, gauge psi[0] = 0.
+
+    One equation per grid edge: psi(head) - psi(tail) equals the trapezoid
+    integral of -phi/4 along the edge (dz = h on x-edges, i h on y-edges).
+    The rank-deficient system is solved by `np.linalg.lstsq` and shifted so
+    that node 0 carries zero.
+    """
+    ny, nx = phi.shape
+    idx = np.arange(ny * nx).reshape(ny, nx)
+    rows, rhs = [], []
+    for tails, heads, dz in ((idx[:, :-1], idx[:, 1:], h), (idx[:-1, :], idx[1:, :], 1j * h)):
+        for a, b in zip(tails.ravel(), heads.ravel()):
+            row = np.zeros(ny * nx)
+            row[b], row[a] = 1.0, -1.0
+            rows.append(row)
+            rhs.append(-0.25 * dz * (phi.flat[a] + phi.flat[b]) / 2)
+    psi, *_ = np.linalg.lstsq(np.array(rows), np.array(rhs), rcond=None)
+    return (psi - psi[0]).reshape(ny, nx)
+
+
 def sqrt_disc_energy(radius: float) -> float:
     """Radial quadrature of the square-root field's energy density.
 

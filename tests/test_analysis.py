@@ -30,7 +30,7 @@ from qvalued import (
     valid_rho_interval,
     xi0_invariance_gap,
 )
-from qvalued.analysis import plaquette_defects
+from qvalued.analysis import _lsq_potential, plaquette_defects
 
 from helpers import (
     harmonic_boundary_field,
@@ -40,7 +40,7 @@ from helpers import (
     two_sheet_field,
     unit_square_grid,
 )
-from oracles import sqrt_circle_distance_to_branch
+from oracles import lsq_primitive, sqrt_circle_distance_to_branch
 
 
 def single_valued_field(nn, fn, half=1.0):
@@ -188,6 +188,21 @@ def test_companion_path_method_accumulates_sqrt_defect():
     err_path = np.abs(comp_path.grad_sq() - np.abs(hopf.phi) ** 2 / 8 - 2.0)[1:-1, 1:-1]
     err_lsq = np.abs(comp_lsq.grad_sq() - np.abs(hopf.phi) ** 2 / 8 - 2.0)[1:-1, 1:-1]
     assert err_path[annulus].max() > 10 * err_lsq[annulus].max()
+
+
+@pytest.mark.parametrize("shape", [(7, 11), (11, 7)])
+def test_lsq_potential_matches_dense_oracle(shape):
+    # random complex data is far from integrable, so the least-squares
+    # residual is large and the solve cannot hide behind an exact primitive
+    rng = np.random.default_rng(shape[0])
+    phi = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+    h = 0.13
+    hopf = HopfField(phi, np.zeros(shape, dtype=bool), h, (0.0, 0.0))
+    assert np.abs(plaquette_defects(hopf)).max() > 0.1
+    psi = _lsq_potential(phi, h)
+    assert psi.shape == shape
+    assert psi[0, 0] == 0
+    assert np.abs(psi - lsq_primitive(phi, h)).max() <= 1e-10
 
 
 def test_plaquette_defects_match_residual_semantics():
