@@ -24,7 +24,6 @@ from typing import NamedTuple
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
-from scipy import ndimage
 
 from .admissible import NestedBallChain, modification_constants, theta0
 from .embedding import ProjectionFrame, xi0
@@ -157,9 +156,12 @@ def plaquette_defects(hopf: HopfField) -> np.ndarray:
 def _censor_refit(hopf: HopfField, degree: int = 2) -> tuple[np.ndarray, np.ndarray]:
     """Replace the censored zone by a local holomorphic polynomial fit."""
     phi = hopf.phi
+    if not hopf.degenerate.any():
+        # The dilation of an empty mask is empty, and scipy.ndimage need not load.
+        return phi.copy(), np.zeros_like(hopf.degenerate, dtype=bool)
+    from scipy import ndimage
+
     bad = ndimage.binary_dilation(hopf.degenerate, iterations=CENSOR_DILATION)
-    if not bad.any():
-        return phi.copy(), bad
     out = phi.copy()
     labels, count = ndimage.label(bad)
     z = hopf.zgrid()

@@ -12,8 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.stats import qmc
-from scipy.special import ndtri
 
 from .errors import InvalidInputError
 from .qspace import QPoint
@@ -100,6 +98,11 @@ def frame_with_extra_directions(n: int, q_sheets: int, p_total: int) -> Projecti
         if n == 1:
             dirs.append(np.ones((extra, 1)))
         else:
+            # Imported here, their only use, so that importing the package
+            # does not pay for loading scipy.stats.
+            from scipy.special import ndtri
+            from scipy.stats import qmc
+
             sob = qmc.Sobol(d=n, scramble=True, seed=100003 * n + q_sheets)
             draw = 1 << max(1, (extra - 1).bit_length())
             u = sob.random(draw)[:extra]

@@ -238,9 +238,12 @@ def minimize(f: GridField, opts: MinimizeOptions | None = None) -> MinimizeResul
     positive definite; one sparse LU factorisation per outer iteration
     solves all n coordinates.  Matching the edges after a solve gives both
     the matched energy of the iterate and the next frozen matching.  The
-    matched energy never increases across outer iterations, and once the
-    matching stops changing the next solve repeats the last one bit for
-    bit, which stops the loop.
+    matched energy never increases across outer iterations.  Once the
+    matching after a solve equals the one that solve used, the next solve
+    would repeat it bit for bit (only the fixed neighbours enter its
+    right-hand side), so the remaining iterations reuse the iterate and its
+    energy without factorising again; with a non-negative tolerance the
+    first of them stops the loop.
     """
     opts = opts or MinimizeOptions()
     g = f.copy()
@@ -280,18 +283,21 @@ def minimize(f: GridField, opts: MinimizeOptions | None = None) -> MinimizeResul
     history = [e_prev]
     converged = False
     it = 0
+    solved_px = solved_py = None
     for it in range(1, opts.max_iters + 1):
-        ipx = np.argsort(px, axis=-1)
-        ipy = np.argsort(py, axis=-1)
-        partners = (ipy[fy - 1, fx], ipx[fy, fx - 1], px[fy, fx], py[fy, fx])
-        rhs = np.zeros((nf, q, n))
-        for slot, (y, x), base, w, sheet in zip((0, 1, 3, 4), nbrs, nbr_rows, rhs_w, partners):
-            rows[..., slot] = base[:, None] + sheet
-            rhs += w * v[y[:, None], x[:, None], sheet]
-        lap = sp.csc_matrix((data, rows[slot_on], indptr), shape=(nf * q, nf * q))
-        sol = spla.splu(lap, **_SPLU_KW).solve(rhs.reshape(nf * q, n))
-        v[fy, fx] = sol.reshape(nf, q, n)
-        px, py, energy = _match_edges(v)
+        if not (np.array_equal(px, solved_px) and np.array_equal(py, solved_py)):
+            solved_px, solved_py = px, py
+            ipx = np.argsort(px, axis=-1)
+            ipy = np.argsort(py, axis=-1)
+            partners = (ipy[fy - 1, fx], ipx[fy, fx - 1], px[fy, fx], py[fy, fx])
+            rhs = np.zeros((nf, q, n))
+            for slot, (y, x), base, w, sheet in zip((0, 1, 3, 4), nbrs, nbr_rows, rhs_w, partners):
+                rows[..., slot] = base[:, None] + sheet
+                rhs += w * v[y[:, None], x[:, None], sheet]
+            lap = sp.csc_matrix((data, rows[slot_on], indptr), shape=(nf * q, nf * q))
+            sol = spla.splu(lap, **_SPLU_KW).solve(rhs.reshape(nf * q, n))
+            v[fy, fx] = sol.reshape(nf, q, n)
+            px, py, energy = _match_edges(v)
         e = energy.total
         if not math.isfinite(e):
             raise NumericalFailureError("non-finite energy during minimisation")

@@ -6,7 +6,8 @@ permutations of the root of the summed squared pairwise distances.  The
 assignment is solved exactly by the Hungarian algorithm.  Grid routines
 need the assignment for every node or edge of a field at once; `assign`
 serves them all, enumerating permutations over bounded-memory chunks of
-the batch for small Q.
+the batch for small Q.  The functions that run the Hungarian solver import
+it themselves, so importing this module does not load scipy.optimize.
 """
 
 from __future__ import annotations
@@ -15,7 +16,6 @@ import itertools
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 from .errors import InvalidInputError
 
@@ -127,6 +127,8 @@ def _check_compatible(p: QPoint, r: QPoint):
 
 def metric_g(p: QPoint, r: QPoint) -> float:
     """Optimal-assignment distance between two unordered tuples."""
+    from scipy.optimize import linear_sum_assignment
+
     _check_compatible(p, r)
     diff = p.points[:, None, :] - r.points[None, :, :]
     cost = np.einsum("ijk,ijk->ij", diff, diff)
@@ -141,6 +143,8 @@ def optimal_matching(p: QPoint, r: QPoint) -> tuple[np.ndarray, float]:
     Ties are broken toward the lexicographically smallest permutation so that
     reported matchings are reproducible.
     """
+    from scipy.optimize import linear_sum_assignment
+
     _check_compatible(p, r)
     diff = p.points[:, None, :] - r.points[None, :, :]
     cost = np.einsum("ijk,ijk->ij", diff, diff)
@@ -211,6 +215,8 @@ def assign(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
             perm[lo:hi] = table[pick]
             sq[lo:hi] = cost.min(axis=-1)
     else:
+        from scipy.optimize import linear_sum_assignment
+
         for k in range(a.shape[0]):
             diff = a[k][:, None, :] - b[k][None, :, :]
             cost = np.einsum("ijk,ijk->ij", diff, diff)

@@ -30,7 +30,7 @@ from qvalued import (
     valid_rho_interval,
     xi0_invariance_gap,
 )
-from qvalued.analysis import _lsq_potential, plaquette_defects
+from qvalued.analysis import _censor_refit, _lsq_potential, plaquette_defects
 
 from helpers import (
     harmonic_boundary_field,
@@ -188,6 +188,15 @@ def test_companion_path_method_accumulates_sqrt_defect():
     err_path = np.abs(comp_path.grad_sq() - np.abs(hopf.phi) ** 2 / 8 - 2.0)[1:-1, 1:-1]
     err_lsq = np.abs(comp_lsq.grad_sq() - np.abs(hopf.phi) ** 2 / 8 - 2.0)[1:-1, 1:-1]
     assert err_path[annulus].max() > 10 * err_lsq[annulus].max()
+
+
+def test_censor_refit_without_degenerate_cells_copies_phi():
+    hopf = synthetic_hopf(17, lambda z: z**2 + 1j * np.conj(z))
+    phi, patched = _censor_refit(hopf)
+    assert patched.dtype == bool and patched.shape == hopf.degenerate.shape
+    assert not patched.any()
+    assert np.array_equal(phi, hopf.phi)
+    assert not np.shares_memory(phi, hopf.phi)
 
 
 @pytest.mark.parametrize("shape", [(7, 11), (11, 7)])

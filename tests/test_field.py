@@ -210,6 +210,43 @@ def test_minimize_fixed_point_branched():
     assert np.array_equal(again.field.values, first.field.values)
 
 
+def count_splu(monkeypatch) -> list:
+    import qvalued.field as field
+
+    calls = []
+    splu = field.spla.splu
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return splu(*args, **kwargs)
+
+    monkeypatch.setattr(field.spla, "splu", counting)
+    return calls
+
+
+def test_minimize_factorises_an_unchanged_matching_once(monkeypatch):
+    # the square-root field's matching is final after the first solve, and a
+    # second solve on it would repeat the first bit for bit
+    calls = count_splu(monkeypatch)
+    res = minimize(sqrt_grid_field(33))
+    assert (res.iterations, res.converged) == (2, True)
+    assert len(calls) == 1
+
+
+def test_minimize_negative_tolerance_repeats_the_final_iterate(monkeypatch):
+    f = sqrt_grid_field(33)
+    calls = count_splu(monkeypatch)
+    res = minimize(f, MinimizeOptions(max_iters=4, tol_rel_energy=-1.0))
+    assert res.iterations == 4
+    assert res.converged is False
+    assert len(res.energies) == 5
+    assert res.energies[1] < res.energies[0]
+    assert np.all(res.energies[2:] == res.energies[1])
+    assert len(calls) == 1
+    once = minimize(f, MinimizeOptions(max_iters=1))
+    assert np.array_equal(res.field.values, once.field.values)
+
+
 def test_minimize_sqrt_boundary_close_to_analytic(minimized_sqrt_97):
     analytic = sqrt_grid_field(97)
     e_analytic = dirichlet_energy_matched(analytic).total

@@ -1,0 +1,54 @@
+"""Import-graph gate: heavy scipy subpackages load only on the paths that use them.
+
+Each check runs in a fresh interpreter and reads `sys.modules` afterwards, so
+it depends on module names only, never on time.  A new module-level import
+of one of these subpackages anywhere under `qvalued.cli` fails the first test.
+"""
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import qvalued
+from qvalued import hopf_differential, standard_frame
+
+from helpers import sqrt_grid_field, two_sheet_field
+
+LAZY = ("scipy.stats", "scipy.optimize", "scipy.ndimage")
+
+
+def lazy_modules_loaded(code: str, *argv: str) -> set[str]:
+    """Run `code` with `argv` in a fresh interpreter; return the LAZY modules it loaded."""
+    src = str(Path(qvalued.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    probe = f"{code}\nimport json, sys\nprint(json.dumps([m for m in {list(LAZY)!r} if m in sys.modules]))"
+    run = subprocess.run(
+        [sys.executable, "-c", probe, *argv],
+        env=env, capture_output=True, text=True, timeout=120, check=True,
+    )
+    return set(json.loads(run.stdout.splitlines()[-1]))
+
+
+def test_cli_import_loads_no_lazy_scipy_subpackage():
+    assert lazy_modules_loaded("import qvalued.cli") == set()
+
+
+@pytest.mark.parametrize(
+    "field, censored",
+    [(two_sheet_field(17, seed=0), False), (sqrt_grid_field(17), True)],
+    ids=["two_sheet", "sqrt"],
+)
+def test_analyze_loads_ndimage_only_to_censor(tmp_path, field, censored):
+    # the square-root field is degenerate at its branch point, so the
+    # companion censors and refits there; the separated sheets never are
+    assert hopf_differential(field, standard_frame(2, 2)).degenerate.any() == censored
+    path = tmp_path / "field.json"
+    path.write_text(json.dumps(field.to_dict()))
+    run_analyze = "import sys\nfrom qvalued.cli import main\nif main(sys.argv[1:]) != 0:\n    sys.exit(1)"
+    loaded = lazy_modules_loaded(run_analyze, "analyze", "--input", str(path))
+    assert loaded == ({"scipy.ndimage"} if censored else set())
