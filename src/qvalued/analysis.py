@@ -34,12 +34,12 @@ from .field import (
     _SPLU_KW,
     _disc_cell_sum,
     _require_disc_inside,
+    _slice_scan,
     bilinear_array,
     circle_points,
-    courant_lebesgue_slice,
-    dirichlet_energy,
     disc_energy,
     embed_grid,
+    embedded_energy,
 )
 from .qspace import assign, metric_g_many
 
@@ -388,9 +388,13 @@ def tau_star(
     r: float,
 ) -> float:
     """Infimum of the embedded distance to f(w*) over the circle of radius r."""
+    return _tau_star(f, embed_grid(f, frame), w_star, w0, r)
+
+
+def _tau_star(f: GridField, farr: np.ndarray, w_star, w0, r) -> float:
+    """`tau_star` on the embedded field farr."""
     _require_disc_inside(f, w0, r)
     iy, ix = _node_index(f, w_star)
-    farr = embed_grid(f, frame)
     vals = bilinear_array(farr, f, circle_points(w0, r, f.spacing))
     return float(np.linalg.norm(vals - farr[iy, ix], axis=-1).min())
 
@@ -413,18 +417,19 @@ class _Pivot(NamedTuple):
     k0: int
 
 
-def _pivot(f: GridField, frame: ProjectionFrame, w_star, chain: NestedBallChain, w0, r) -> _Pivot:
-    """The disc, tau* on its circle and the pivot level k0 (the chain depth when tau* = 0)."""
+def _pivot(f: GridField, farr: np.ndarray, w_star, chain: NestedBallChain, w0, r) -> _Pivot:
+    """The disc, tau* on its circle and the pivot level k0 (the chain depth when
+    tau* = 0), for the field f embedded as farr."""
     w0, r = _disc(f, w_star, w0, r)
-    tau = tau_star(f, frame, w_star, w0, r)
+    tau = _tau_star(f, farr, w_star, w0, r)
     return _Pivot(w0, r, tau, k_zero(chain, tau) if tau > 0 else chain.depth)
 
 
-def _circle_d_star_min(f, comp: HarmonicCompanion, frame, w_star, k: int, chain, w0, r) -> float:
+def _circle_d_star_min(f, farr, comp: HarmonicCompanion, frame, w_star, k: int, chain, w0, r) -> float:
     """Minimum of the level-k augmented distance over the circle (interpolated)."""
     iy, ix = _node_index(f, w_star)
     pts = circle_points(w0, r, f.spacing)
-    fvals = bilinear_array(embed_grid(f, frame), f, pts)
+    fvals = bilinear_array(farr, f, pts)
     target = xi0(frame, chain.levels[k].decomposition.rebuild()).flat
     hvals = bilinear_array(np.stack([comp.values.real, comp.values.imag], axis=-1), f, pts)
     hw = comp.values[iy, ix]
@@ -432,15 +437,15 @@ def _circle_d_star_min(f, comp: HarmonicCompanion, frame, w_star, k: int, chain,
     return float(np.sqrt(np.linalg.norm(fvals - target, axis=-1) ** 2 + dh2).min())
 
 
-def _level_range(f, comp, frame, w_star, k: int, chain, piv: _Pivot) -> tuple[float, float, float]:
-    """(rho_k, valid hi, monotone hi) of level k; see `valid_rho_interval`
-    and `monotone_rho_interval`."""
+def _level_range(f, farr, comp, frame, w_star, k: int, chain, piv: _Pivot) -> tuple[float, float, float]:
+    """(rho_k, valid hi, monotone hi) of level k, for f embedded as farr; see
+    `valid_rho_interval` and `monotone_rho_interval`."""
     if k > piv.k0:
         raise InvalidInputError(f"level {k} beyond the pivot level k0 = {piv.k0}")
     lv = chain.levels[k]
     hi = lv.sigma if k < piv.k0 else 0.4 * min(piv.tau, lv.sigma)
     if not hi > 0 or math.isinf(hi):
-        hi = 0.4 * _circle_d_star_min(f, comp, frame, w_star, k, chain, piv.w0, piv.r)
+        hi = 0.4 * _circle_d_star_min(f, farr, comp, frame, w_star, k, chain, piv.w0, piv.r)
     return lv.rho, hi, 0.4 * hi if k < piv.k0 else hi
 
 
@@ -463,8 +468,9 @@ def valid_rho_interval(
     the augmented circle distance replaces tau* so cutoffs stay compactly
     supported in the disc.
     """
-    piv = _pivot(f, frame, w_star, chain, w0, r)
-    lo, hi, _ = _level_range(f, comp, frame, w_star, k, chain, piv)
+    farr = embed_grid(f, frame)
+    piv = _pivot(f, farr, w_star, chain, w0, r)
+    lo, hi, _ = _level_range(f, farr, comp, frame, w_star, k, chain, piv)
     return lo, hi, piv.k0, piv.tau
 
 
@@ -483,8 +489,9 @@ def monotone_rho_interval(
     This is the interval on which the ratio psi_k(rho)/rho^2 is asserted to
     be nondecreasing; it is narrower than psi_k's validity below the pivot.
     """
-    piv = _pivot(f, frame, w_star, chain, w0, r)
-    lo, _, hi = _level_range(f, comp, frame, w_star, k, chain, piv)
+    farr = embed_grid(f, frame)
+    piv = _pivot(f, farr, w_star, chain, w0, r)
+    lo, _, hi = _level_range(f, farr, comp, frame, w_star, k, chain, piv)
     return lo, hi
 
 
@@ -556,9 +563,10 @@ def psi_k(
     saturated-cutoff diagnostics).
     """
     if validate:
-        piv = _pivot(f, frame, w_star, chain, w0, r)
+        farr = embed_grid(f, frame)
+        piv = _pivot(f, farr, w_star, chain, w0, r)
         w0, r = piv.w0, piv.r
-        _, hi, _ = _level_range(f, comp, frame, w_star, k, chain, piv)
+        _, hi, _ = _level_range(f, farr, comp, frame, w_star, k, chain, piv)
         _check_rung(chain, k, piv, hi, rho, eps)
     else:
         w0, r = _disc(f, w_star, w0, r)
@@ -620,17 +628,18 @@ def monotonicity_report(
 
     ``ladder`` holds fractions of each level's valid interval (default ten
     points from 0.35 to 0.95).  A pair s < t with ratio(s) > ratio(t)(1+tol)
-    is recorded as a violation.  The pivot, the energy density and each
-    level's d* are computed once and shared by the rungs, which still pass
-    the range checks of `psi_k`.
+    is recorded as a violation.  The embedded field, the pivot, the energy
+    density and each level's d* are computed once and shared by the rungs,
+    which still pass the range checks of `psi_k`.
     """
     if ladder is None:
         ladder = np.linspace(0.35, 0.95, 10)
     ladder = np.asarray(ladder, dtype=np.float64)
     if np.any(ladder <= 0) or np.any(ladder >= 1):
         raise InvalidInputError("ladder fractions must lie strictly inside (0, 1)")
-    piv = _pivot(f, frame, w_star, chain, w0, r)
-    ranges = [_level_range(f, comp, frame, w_star, k, chain, piv) for k in range(piv.k0 + 1)]
+    farr = embed_grid(f, frame)
+    piv = _pivot(f, farr, w_star, chain, w0, r)
+    ranges = [_level_range(f, farr, comp, frame, w_star, k, chain, piv) for k in range(piv.k0 + 1)]
     eps = (min(chain.levels[0].sigma, piv.tau) if piv.tau > 0 else 2.5 * ranges[0][1]) / 20
     e_cell = _cutoff_cells(f, comp, frame)
     levels: dict[int, list[LadderRow]] = {}
@@ -689,8 +698,9 @@ def key_lemma_check(
 ) -> tuple[float, float, bool]:
     """Oscillation bound: circle distance to f(w*) vs augmented disc energy."""
     w0, _ = _disc(f, w_star, None, r)  # centred on the base node
-    lhs = tau_star(f, frame, w_star, w0, r)
-    e_f = disc_energy(f, frame, w0, r)
+    farr = embed_grid(f, frame)
+    lhs = _tau_star(f, farr, w_star, w0, r)
+    e_f = _disc_cell_sum(embedded_energy(farr).per_cell, f, w0, r)
     e_h = _companion_disc_energy(comp, f, w0, r)
     delta = delta_constant(f.n, f.q_sheets)
     rhs = math.sqrt((e_f + e_h) / (2 * math.pi * delta))
@@ -745,8 +755,9 @@ def continuity_certificate(
     _require_disc_inside(f, w, radius)
     if r0 is None:
         r0 = _rim_distance(f, w)
-    slice_r, slice_osc = courant_lebesgue_slice(f, frame, w, radius)
-    per_cell = dirichlet_energy(f, frame).per_cell
+    farr = embed_grid(f, frame)
+    slice_r, slice_osc = _slice_scan(f, farr, w, radius)
+    per_cell = embedded_energy(farr).per_cell
     e_r = _disc_cell_sum(per_cell, f, w, radius)
     alpha1 = c_cl * math.sqrt(e_r)
     c_r0 = _disc_cell_sum(per_cell, f, w, r0) / (math.pi * r0**2)

@@ -7,6 +7,13 @@ the displaced field evaluated by bilinear interpolation of the embedded
 coordinates.  Range variations push every sheet toward its chain site
 through the two-radius retraction, weighted by the spatial cutoff built
 from the level distance field.
+
+Both kinds of trial are local: a variation moves only the nodes under its
+bump or cutoff, so the cells outside have the same energy at +t and -t.
+Each derivative therefore sums the energy of the box of nodes that move
+plus a one-node ring, which changes the summation order of the full-grid
+difference and nothing else.  `stationarity_residual` embeds the grid once
+and shares that array with its domain trials and pivots.
 """
 
 from __future__ import annotations
@@ -28,7 +35,14 @@ from .analysis import (
 )
 from .embedding import ProjectionFrame
 from .errors import InvalidInputError, InvalidStepError, NotInBallError, NumericalFailureError
-from .field import GridField, bilinear_array, dirichlet_energy, embed_grid, embedded_energy
+from .field import (
+    GridField,
+    _check_frame,
+    _embed_values,
+    bilinear_array,
+    embed_grid,
+    embedded_energy,
+)
 from .qspace import QPoint, support
 from .admissible import angle_separated_frame, nested_chain
 
@@ -82,9 +96,29 @@ def domain_variation_derivative(
     step: float | None = None,
 ) -> float:
     """Central-difference energy derivative under x -> x + t * bump at t = 0."""
+    return _domain_derivative(f, embed_grid(f, frame), v, step)
+
+
+def _support_nodes(c: float, r: float, origin: float, h: float) -> slice:
+    """Nodes of one axis from the last at or below c - r to the first at or above c + r."""
+    return slice(math.floor((c - r - origin) / h), math.ceil((c + r - origin) / h) + 1)
+
+
+def _domain_derivative(
+    f: GridField, farr: np.ndarray, v: DomainVariation, step: float | None = None
+) -> float:
+    """`domain_variation_derivative` for f embedded as farr.
+
+    Only nodes strictly inside the bump's disc move, so the energy difference
+    is that of the cells of their box plus a one-node ring, which the
+    interior check keeps inside the grid.  Outside the box I + tJ = I, so the
+    diffeomorphism check runs on the box alone.
+    """
     _check_support_interior(f, v)
     t = f.spacing**2 if step is None else step
-    xg, yg = np.meshgrid(f.xs, f.ys)
+    sx = _support_nodes(v.center[0], v.radius, f.origin[0], f.spacing)
+    sy = _support_nodes(v.center[1], v.radius, f.origin[1], f.spacing)
+    xg, yg = np.meshgrid(f.xs[sx], f.ys[sy])
     pts = np.stack([xg, yg], axis=-1)
     disp = v.displacement(pts)
     jac = v.jacobian(pts)
@@ -93,7 +127,6 @@ def domain_variation_derivative(
         det = m[..., 0, 0] * m[..., 1, 1] - m[..., 0, 1] * m[..., 1, 0]
         if np.any(det <= 0):
             raise InvalidStepError(f"step {t} makes the domain map non-diffeomorphic")
-    farr = embed_grid(f, frame)
     e_plus = embedded_energy(bilinear_array(farr, f, pts + t * disp)).total
     e_minus = embedded_energy(bilinear_array(farr, f, pts - t * disp)).total
     return (e_plus - e_minus) / (2 * t)
@@ -195,27 +228,41 @@ def range_variation_derivative(
     step: float | None = None,
 ) -> float:
     """Central-difference energy derivative of the admissible range variation."""
+    _check_frame(f, frame)
     if comp is None:
         comp = harmonic_companion(hopf_differential(f, frame))
-    lam = cutoff_weights(f, comp, rv)
+    return _range_derivative(f, frame, rv, cutoff_weights(f, comp, rv), step)
 
+
+def _range_derivative(
+    f: GridField, frame: ProjectionFrame, rv: RangeVariation, lam: np.ndarray, step: float | None = None
+) -> float:
+    """`range_variation_derivative` for the cutoff weights lam.
+
+    Only nodes with lam > 0 move; they are off the masked rim, so the energy
+    difference is that of the cells of their bounding box plus a one-node
+    ring, re-embedded at +t and -t.
+    """
+    active = lam > 0
+    if not active.any():
+        return 0.0
     sigma = rv.sigma
     if not math.isinf(sigma):
-        active = lam > 0
-        if active.any():
-            sheets = f.values[active]
-            d = np.linalg.norm(sheets[..., None, :] - rv.sites, axis=-1).min(-1)
-            if d.max() > 0.4 * sigma + 1e-9:
-                raise NotInBallError(
-                    "a sheet under the cutoff leaves its 2/5-sigma site ball; "
-                    "shrink rho or use a finer level"
-                )
+        sheets = f.values[active]
+        d = np.linalg.norm(sheets[..., None, :] - rv.sites, axis=-1).min(-1)
+        if d.max() > 0.4 * sigma + 1e-9:
+            raise NotInBallError(
+                "a sheet under the cutoff leaves its 2/5-sigma site ball; "
+                "shrink rho or use a finer level"
+            )
     t = f.spacing**2 if step is None else step
-    gam = rv.retraction(f.values)
-    bump = lam[..., None, None] * gam
-    plus = GridField(f.values + t * bump, f.spacing, f.origin, f.boundary_mask)
-    minus = GridField(f.values - t * bump, f.spacing, f.origin, f.boundary_mask)
-    return (dirichlet_energy(plus, frame).total - dirichlet_energy(minus, frame).total) / (2 * t)
+    iy, ix = np.nonzero(active)
+    box = np.s_[iy.min() - 1 : iy.max() + 2, ix.min() - 1 : ix.max() + 2]
+    vals = f.values[box]
+    bump = lam[box][..., None, None] * rv.retraction(vals)
+    e_plus = embedded_energy(_embed_values(vals + t * bump, frame)).total
+    e_minus = embedded_energy(_embed_values(vals - t * bump, frame)).total
+    return (e_plus - e_minus) / (2 * t)
 
 
 @dataclass(frozen=True)
@@ -255,7 +302,8 @@ def stationarity_residual(
     """Max |energy derivative| over random domain bumps and admissible range
     variations at sampled interior base nodes."""
     rng = np.random.default_rng(seed)
-    energy = dirichlet_energy(f, frame).total
+    farr = embed_grid(f, frame)
+    energy = embedded_energy(farr).total
     x_lo = f.origin[0] + f.spacing
     x_hi = f.origin[0] + (f.nx - 2) * f.spacing
     y_lo = f.origin[1] + f.spacing
@@ -269,7 +317,7 @@ def stationarity_residual(
         cy = rng.uniform(y_lo + rad * 1.05, y_hi - rad * 1.05)
         th = rng.uniform(0, 2 * math.pi)
         v = DomainVariation((cx, cy), rad, (math.cos(th), math.sin(th)))
-        domain_derivs.append(domain_variation_derivative(f, frame, v))
+        domain_derivs.append(_domain_derivative(f, farr, v))
 
     comp = harmonic_companion(hopf_differential(f, frame))
     range_derivs: list[float] = []
@@ -282,22 +330,23 @@ def stationarity_residual(
         base = QPoint(f.values[iy, ix].copy())
         try:
             chain = nested_chain(base, angle_separated_frame(support(base)))
-            piv = _pivot(f, frame, (iy, ix), chain, None, None)
+            piv = _pivot(f, farr, (iy, ix), chain, None, None)
         except InvalidInputError:
             continue
         if piv.tau <= 0:
             continue
         eps = min(chain.levels[0].sigma, piv.tau) / 20
         for k in range(piv.k0 + 1):
-            lo, _, hi = _level_range(f, comp, frame, (iy, ix), k, chain, piv)
+            lo, _, hi = _level_range(f, farr, comp, frame, (iy, ix), k, chain, piv)
             rho = lo + 0.6 * (hi - lo)
             if rho <= 0 or not math.isfinite(rho):
                 continue
             try:
                 rv = build_admissible_variation(chain, k, rho, eps, (iy, ix), seed=seed)
-                if not np.any(cutoff_weights(f, comp, rv) > 0):
+                lam = cutoff_weights(f, comp, rv)
+                if not np.any(lam > 0):
                     continue  # cutoff support below grid resolution: nothing varied
-                d = range_variation_derivative(f, frame, rv, comp)
+                d = _range_derivative(f, frame, rv, lam)
             except (InvalidInputError, NotInBallError):
                 continue
             range_derivs.append(d)

@@ -67,3 +67,21 @@ def noisy_copy(f, scale=0.05, seed=99):
     free = ~g.boundary_mask
     g.values[free] += rng.normal(scale=scale, size=g.values[free].shape)
     return g
+
+
+def count_embed_grid(monkeypatch) -> list:
+    """Record the shape of every full-grid `embed_grid` call in the package."""
+    import qvalued.analysis as analysis
+    import qvalued.field as field
+    import qvalued.variations as variations
+
+    inner = field.embed_grid
+    calls = []
+
+    def counting(f, frame):
+        calls.append(f.values.shape)
+        return inner(f, frame)
+
+    for mod in (field, analysis, variations):
+        monkeypatch.setattr(mod, "embed_grid", counting)
+    return calls

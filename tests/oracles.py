@@ -2,7 +2,10 @@
 
 Everything here is implemented from first principles (brute force,
 enumeration, direct sparse solves, quadrature) and never calls back into
-the code paths it is used to check.
+the code paths it is used to check.  The full-grid first variations are
+the exception: they re-embed and sum the whole grid at +t and -t, sharing
+only the embedding, interpolation and energy primitives with the local
+derivatives they check.
 """
 
 import itertools
@@ -118,3 +121,73 @@ def sqrt_circle_oscillation(radius: float, samples: int = 720) -> float:
     b = roots[None, :]
     d = math.sqrt(2.0) * np.minimum(np.abs(a - b), np.abs(a + b))
     return float(d.max())
+
+
+def einsum_embedding(values: np.ndarray, axes: np.ndarray) -> np.ndarray:
+    """Sorted projections of (ny, nx, Q, n) values onto the rows of axes, by `einsum`."""
+    proj = np.einsum("an,yxqn->yxaq", axes, values)
+    ny, nx = values.shape[:2]
+    return np.sort(proj, axis=-1).reshape(ny, nx, -1)
+
+
+def max_pairwise_distance(vals: np.ndarray) -> float:
+    """Largest distance between rows (every step-th row beyond 512), by the
+    direct m x m difference array."""
+    m = vals.shape[0]
+    if m > 512:
+        step = m // 512 + 1
+        vals = vals[::step]
+    d2 = ((vals[:, None, :] - vals[None, :, :]) ** 2).sum(-1)
+    return float(math.sqrt(d2.max()))
+
+
+def full_grid_domain_derivative(f, frame, v, step=None) -> float:
+    """Central-difference domain derivative from the energies of the whole
+    interpolated grid at +t and -t."""
+    from qvalued import InvalidStepError, embed_grid
+    from qvalued.field import bilinear_array, embedded_energy
+    from qvalued.variations import _check_support_interior
+
+    _check_support_interior(f, v)
+    t = f.spacing**2 if step is None else step
+    xg, yg = np.meshgrid(f.xs, f.ys)
+    pts = np.stack([xg, yg], axis=-1)
+    disp = v.displacement(pts)
+    jac = v.jacobian(pts)
+    for sgn in (1.0, -1.0):
+        m = np.eye(2) + sgn * t * jac
+        det = m[..., 0, 0] * m[..., 1, 1] - m[..., 0, 1] * m[..., 1, 0]
+        if np.any(det <= 0):
+            raise InvalidStepError(f"step {t} makes the domain map non-diffeomorphic")
+    farr = embed_grid(f, frame)
+    e_plus = embedded_energy(bilinear_array(farr, f, pts + t * disp)).total
+    e_minus = embedded_energy(bilinear_array(farr, f, pts - t * disp)).total
+    return (e_plus - e_minus) / (2 * t)
+
+
+def full_grid_range_derivative(f, frame, rv, comp=None, step=None) -> float:
+    """Central-difference range derivative from the Dirichlet energies of the
+    whole varied field at +t and -t."""
+    from qvalued import GridField, NotInBallError, dirichlet_energy, harmonic_companion, hopf_differential
+    from qvalued.variations import cutoff_weights
+
+    if comp is None:
+        comp = harmonic_companion(hopf_differential(f, frame))
+    lam = cutoff_weights(f, comp, rv)
+    sigma = rv.sigma
+    if not math.isinf(sigma):
+        active = lam > 0
+        if active.any():
+            sheets = f.values[active]
+            d = np.linalg.norm(sheets[..., None, :] - rv.sites, axis=-1).min(-1)
+            if d.max() > 0.4 * sigma + 1e-9:
+                raise NotInBallError(
+                    "a sheet under the cutoff leaves its 2/5-sigma site ball; "
+                    "shrink rho or use a finer level"
+                )
+    t = f.spacing**2 if step is None else step
+    gam = rv.retraction(f.values)
+    bump = lam[..., None, None] * gam
+    plus = GridField(f.values + t * bump, f.spacing, f.origin, f.boundary_mask)
+    minus = GridField(f.values - t * bump, f.spacing, f.origin, f.boundary_mask)
+    return (dirichlet_energy(plus, frame).total - dirichlet_energy(minus, frame).total) / (2 * t)

@@ -33,6 +33,7 @@ from qvalued import (
 from qvalued.analysis import _censor_refit, _lsq_potential, plaquette_defects
 
 from helpers import (
+    count_embed_grid,
     harmonic_boundary_field,
     meshgrid_for,
     noisy_copy,
@@ -490,7 +491,7 @@ def test_monotonicity_rows_equal_direct_psi_k(which, request):
 def test_monotonicity_report_builds_pivot_once(which, request, monkeypatch):
     import qvalued.analysis as analysis
 
-    calls = {"tau_star": 0, "d_star": 0}
+    calls = {"_tau_star": 0, "d_star": 0}
 
     def counting(name):
         inner = getattr(analysis, name)
@@ -505,8 +506,30 @@ def test_monotonicity_report_builds_pivot_once(which, request, monkeypatch):
     for name in calls:
         monkeypatch.setattr(analysis, name, counting(name))
     rep = monotonicity_report(f, comp, fr, w, chain)
-    assert calls == {"tau_star": 1, "d_star": len(rep.levels)}
+    assert calls == {"_tau_star": 1, "d_star": len(rep.levels)}
     assert len(rep.levels) == rep.k0 + 1
+
+
+@pytest.mark.parametrize("which", ["strong", "constant", "near_double"])
+def test_monotonicity_report_embeds_the_grid_once(which, request, monkeypatch):
+    # the pivot and the circle fallback of every level share one embedded array
+    f, fr, comp, w, chain = _ladder_setup(which, request)
+    calls = count_embed_grid(monkeypatch)
+    monotonicity_report(f, comp, fr, w, chain)
+    assert calls == [f.values.shape]
+
+
+@pytest.mark.parametrize("with_comp", [True, False])
+def test_certificate_and_key_lemma_embed_the_grid_once(with_comp, monkeypatch):
+    f = sqrt_grid_field(65)
+    fr = standard_frame(2, 2)
+    comp = harmonic_companion(hopf_differential(f, fr))
+    calls = count_embed_grid(monkeypatch)
+    continuity_certificate(f, fr, (0.0, 0.0), 0.4, comp=comp if with_comp else None)
+    assert calls == [f.values.shape]
+    calls.clear()
+    key_lemma_check(f, comp, (32, 32), 0.5, fr)
+    assert calls == [f.values.shape]
 
 
 def test_monotonicity_flags_violations_on_rough_field():

@@ -14,6 +14,7 @@ from qvalued import (
     dirichlet_energy,
     dirichlet_energy_matched,
     disc_energy,
+    embed_grid,
     metric_g,
     minimize,
     rotated_frame,
@@ -28,7 +29,13 @@ from helpers import (
     two_sheet_field,
     unit_square_grid,
 )
-from oracles import harmonic_extension, sqrt_disc_energy, sqrt_circle_oscillation
+from oracles import (
+    einsum_embedding,
+    harmonic_extension,
+    max_pairwise_distance,
+    sqrt_circle_oscillation,
+    sqrt_disc_energy,
+)
 
 
 def constant_field(nn=9, value=(0.3, -0.4)):
@@ -295,6 +302,33 @@ def test_courant_lebesgue_sqrt_field():
     assert osc == pytest.approx(want, rel=0.02)
     bound = DEFAULT_C_CL * math.sqrt(disc_energy(f, fr, (0.0, 0.0), radius))
     assert osc <= bound
+
+
+@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("q", [2, 3, 7])
+def test_embed_grid_equals_einsum_projection(q, n):
+    # the per-axis products sum in einsum's order: the same floats, standard or rotated
+    rng = np.random.default_rng(100 * q + n)
+    f = GridField(rng.normal(scale=3.0, size=(13, 11, q, n)), 0.1, (-0.6, -0.5))
+    for fr in (standard_frame(n, q), rotated_frame(n, q, seed=q), rotated_frame(n, q, seed=7)):
+        got = embed_grid(f, fr)
+        assert np.array_equal(got, einsum_embedding(f.values, fr.directions[:n]))
+
+
+def test_max_pairwise_equals_direct_form():
+    # the Gram search must return the float of the direct m x m difference array
+    from qvalued.field import _max_pairwise, bilinear_array, circle_points
+
+    rng = np.random.default_rng(5)
+    f = sqrt_grid_field(129)
+    farr = embed_grid(f, standard_frame(2, 2))
+    cases = [rng.normal(size=(m, k)) * s + o for m, k, s, o in
+             ((40, 4, 1.0, 0.0), (600, 4, 1e-3, 5.0), (1100, 21, 1e3, 0.0), (9, 1, 1.0, 1e4))]
+    cases += [bilinear_array(farr, f, circle_points(w, r, f.spacing))
+              for w, r in (((0.0, 0.0), 0.5), ((0.1, -0.2), 0.33), ((0.2, 0.2), 0.05))]
+    cases.append(np.zeros((30, 4)))
+    for vals in cases:
+        assert _max_pairwise(vals) == max_pairwise_distance(vals)
 
 
 def test_courant_lebesgue_disc_outside_grid():

@@ -31,10 +31,12 @@ from qvalued.variations import cutoff_weights
 from helpers import (
     harmonic_boundary_field,
     meshgrid_for,
+    count_embed_grid,
     noisy_copy,
     two_sheet_field,
     unit_square_grid,
 )
+from oracles import full_grid_domain_derivative, full_grid_range_derivative
 
 
 @pytest.fixture(scope="module")
@@ -241,3 +243,60 @@ def test_domain_variation_jacobian_consistency():
         shift[axis] = step
         fd = (v.displacement(pts + shift) - v.displacement(pts - shift)) / (2 * step)
         np.testing.assert_allclose(jac[..., axis], fd, atol=1e-8)
+
+
+def _interior_limits(f):
+    h = f.spacing
+    return (f.origin[0] + h, f.origin[0] + (f.nx - 2) * h), (f.origin[1] + h, f.origin[1] + (f.ny - 2) * h)
+
+
+@pytest.mark.parametrize("where", ["interior_limit", "centred"])
+def test_domain_derivative_matches_full_grid_oracle(minimized_strong_97, where):
+    # a bump moves only the nodes of its support box; the cells outside it have
+    # the same energy at +t and -t, so the local sum differs only in rounding
+    g = minimized_strong_97.field
+    fr = standard_frame(2, 2)
+    e = dirichlet_energy(g, fr).total
+    (x_lo, x_hi), (y_lo, y_hi) = _interior_limits(g)
+    gap = 1e-6 * g.spacing
+    bumps = []
+    for rad in (0.3, 10.5 * g.spacing, 12 * g.spacing):
+        if where == "interior_limit":
+            centres = [(x_lo + rad + gap, y_hi - rad - gap), (x_hi - rad - gap, y_lo + rad + gap)]
+        else:
+            centres = [(0.0, 0.0), (0.5 * g.spacing, -0.25 * g.spacing)]
+        for c in centres:
+            for th in (0.3, 2.0, 4.4):
+                bumps.append(DomainVariation(c, rad, (math.cos(th), math.sin(th))))
+    for v in bumps:
+        d = domain_variation_derivative(g, fr, v)
+        assert abs(d - full_grid_domain_derivative(g, fr, v)) <= 1e-9 * e
+
+
+def test_range_derivative_matches_full_grid_oracle(minimized_strong_97):
+    g = minimized_strong_97.field
+    fr = standard_frame(2, 2)
+    e = dirichlet_energy(g, fr).total
+    comp = harmonic_companion(hopf_differential(g, fr))
+    checked = 0
+    for w in ((48, 44), (30, 60), (62, 35), (20, 20)):
+        base = QPoint(g.values[w[0], w[1]].copy())
+        chain = nested_chain(base, angle_separated_frame(support(base)))
+        lo, hi = monotone_rho_interval(g, comp, fr, w, 0, chain)
+        for frac in (0.3, 0.6, 0.9):
+            rho = lo + frac * (hi - lo)
+            rv = build_admissible_variation(chain, 0, rho, hi / 8, w)
+            if not np.any(cutoff_weights(g, comp, rv) > 0):
+                continue
+            d = range_variation_derivative(g, fr, rv, comp)
+            assert abs(d - full_grid_range_derivative(g, fr, rv, comp)) <= 1e-9 * e
+            checked += 1
+    assert checked >= 6
+
+
+def test_stationarity_residual_embeds_the_grid_once(minimized_strong_97, monkeypatch):
+    g = minimized_strong_97.field
+    calls = count_embed_grid(monkeypatch)
+    res = stationarity_residual(g, standard_frame(2, 2), trials=4, seed=1)
+    assert res.domain_trials == 4 and res.range_trials > 0
+    assert calls == [g.values.shape]
