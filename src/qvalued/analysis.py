@@ -425,7 +425,9 @@ def _pivot(f: GridField, farr: np.ndarray, w_star, chain: NestedBallChain, w0, r
     return _Pivot(w0, r, tau, k_zero(chain, tau) if tau > 0 else chain.depth)
 
 
-def _circle_d_star_min(f, farr, comp: HarmonicCompanion, frame, w_star, k: int, chain, w0, r) -> float:
+def _circle_d_star_min(
+    f, farr, comp: HarmonicCompanion, frame, w_star, k: int, chain, w0, r
+) -> float:
     """Minimum of the level-k augmented distance over the circle (interpolated)."""
     iy, ix = _node_index(f, w_star)
     pts = circle_points(w0, r, f.spacing)
@@ -437,7 +439,9 @@ def _circle_d_star_min(f, farr, comp: HarmonicCompanion, frame, w_star, k: int, 
     return float(np.sqrt(np.linalg.norm(fvals - target, axis=-1) ** 2 + dh2).min())
 
 
-def _level_range(f, farr, comp, frame, w_star, k: int, chain, piv: _Pivot) -> tuple[float, float, float]:
+def _level_range(
+    f, farr, comp, frame, w_star, k: int, chain, piv: _Pivot
+) -> tuple[float, float, float]:
     """(rho_k, valid hi, monotone hi) of level k, for f embedded as farr; see
     `valid_rho_interval` and `monotone_rho_interval`."""
     if k > piv.k0:

@@ -409,7 +409,9 @@ def courant_lebesgue_slice(
     return _slice_scan(f, embed_grid(f, frame), w0, radius)
 
 
-def _slice_scan(f: GridField, farr: np.ndarray, w0: tuple[float, float], radius: float) -> tuple[float, float]:
+def _slice_scan(
+    f: GridField, farr: np.ndarray, w0: tuple[float, float], radius: float
+) -> tuple[float, float]:
     """`courant_lebesgue_slice` on the embedded field farr."""
     _require_disc_inside(f, w0, radius)
     if radius < 4 * f.spacing:

@@ -235,7 +235,11 @@ def range_variation_derivative(
 
 
 def _range_derivative(
-    f: GridField, frame: ProjectionFrame, rv: RangeVariation, lam: np.ndarray, step: float | None = None
+    f: GridField,
+    frame: ProjectionFrame,
+    rv: RangeVariation,
+    lam: np.ndarray,
+    step: float | None = None,
 ) -> float:
     """`range_variation_derivative` for the cutoff weights lam.
 
