@@ -2,12 +2,15 @@
 
 A member is a multiset of Q points (repetitions allowed).  The distance
 between two members is the optimal-assignment distance: the minimum over
-permutations of the root of the summed squared pairwise distances.  The
-assignment is solved exactly by the Hungarian algorithm.  Grid routines
-need the assignment for every node or edge of a field at once; `assign`
-serves them all, enumerating permutations over bounded-memory chunks of
-the batch for small Q.  The functions that run the Hungarian solver import
-it themselves, so importing this module does not load scipy.optimize.
+permutations of the root of the summed squared pairwise distances.  For
+one pair, `metric_g` and `optimal_matching` solve the assignment with
+SciPy's Hungarian algorithm, which they import themselves, so importing
+this module does not load scipy.optimize.  Grid routines need the
+assignment for every node or edge of a field at once; `assign` serves
+them all, over bounded-memory chunks of the batch.  It enumerates
+permutations for small Q and otherwise runs a shortest-augmenting-path
+solver on the whole chunk at once.  Every entry point breaks ties toward
+the lexicographically first optimal permutation.
 """
 
 from __future__ import annotations
@@ -19,10 +22,15 @@ import numpy as np
 
 from .errors import InvalidInputError
 
-#: largest sheet count for which batch distances enumerate all permutations
-EXHAUSTIVE_MAX_SHEETS = 6
+#: largest sheet count for which `assign` scores all Q! permutations; above
+#: it the batched shortest-augmenting-path solver runs.  Enumeration is the
+#: faster path at Q = 2, and at Q = 3 on tie-heavy one-base batches; Q = 3
+#: and 4 stay on it so that their floats do not move, although the solver is
+#: already faster there on smooth fields.
+EXHAUSTIVE_MAX_SHEETS = 4
 
-#: byte budget of one chunk of candidate differences in `assign`
+#: byte budget of one chunk of `assign`: the candidate differences of the
+#: enumeration, or the (Q, Q) cost matrices of the solver
 ASSIGN_CHUNK_BYTES = 1 << 22
 
 #: relative factor for the default coincidence tolerance of `support`
@@ -175,16 +183,216 @@ def optimal_matching(p: QPoint, r: QPoint) -> tuple[np.ndarray, float]:
     return perm, float(np.sqrt(best))
 
 
+def _cost_matrices(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Squared sheet distances cost[i, j, e] = |a[e, i] - b[e, j]|^2 of
+    (k, Q, n) batches, batch axis last so every operation runs along it.
+    The floats do not depend on the memory layout of either batch."""
+    a = np.ascontiguousarray(a.transpose(2, 1, 0))
+    b = np.ascontiguousarray(b.transpose(2, 1, 0))
+    d = a[0, :, None] - b[0, None]
+    cost = d * d
+    for c in range(1, a.shape[0]):
+        np.subtract(a[c, :, None], b[c, None], out=d)
+        d *= d
+        cost += d
+    return cost
+
+
+def _shortest_augmenting_paths(cost: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Optimal assignment for every element of a (Q, Q, k) cost batch.
+
+    The column potentials start at the column minima and the row
+    potentials at each row's minimum of cost - v, so rows that share a
+    cheapest column (coincident sheets) still find distinct zero-cost
+    columns.  Each row in turn takes the first free column where its reduced
+    cost is zero, and the rows left over join by `_join_rows`.  Returns
+    (perm, u, v), each (k, Q): row i takes column perm[:, i], and the dual
+    potentials satisfy cost[i, j] - u[:, i] - v[:, j] >= 0 with equality on
+    the matching, up to rounding.
+    """
+    q, _, k = cost.shape
+    elements = np.arange(k)
+    v = cost.min(axis=0)             # (Q, k) column minima
+    u = np.zeros((k, q + 1))         # row potentials; slot q absorbs writes for free columns
+    # row holding each column, q while free; column q takes the writes of
+    # rows left unmatched here, and later roots each search
+    owner = np.full((k, q + 1), q)
+    free = np.ones((q + 1, k), dtype=bool)
+    waiting = np.zeros((k, q), dtype=bool)
+    cols = np.arange(q)[:, None]
+    for i in range(q):
+        reduced = cost[i] - v
+        low = reduced.min(axis=0)
+        u[:, i] = low
+        col = np.where((reduced == low) & free[:q], cols, q).min(axis=0)  # q if none is free
+        owner[elements, col] = i
+        free[col, elements] = False
+        waiting[:, i] = col == q
+    v = np.ascontiguousarray(v.T)
+    search = np.nonzero(waiting.any(axis=1))[0]
+    if search.size:
+        cost_rows = cost.transpose(2, 0, 1)[search].reshape(-1, q)
+        us, vs, owns = u[search], v[search], owner[search]
+        _join_rows(cost_rows, us, vs, owns, waiting[search])
+        u[search], v[search], owner[search] = us, vs, owns
+    perm = np.empty((k, q), dtype=np.intp)
+    perm[elements[:, None], owner[:, :q]] = np.arange(q)
+    return perm, u[:, :q], v
+
+
+def _join_rows(cost_rows: np.ndarray, u: np.ndarray, v: np.ndarray, owner: np.ndarray,
+               waiting: np.ndarray) -> None:
+    """Add every waiting row to the matching, updating u, v and owner in place.
+
+    ``cost_rows`` holds the (m * Q, Q) cost rows of m elements, ``u`` (m, Q + 1)
+    and ``v`` (m, Q) their potentials, ``owner`` (m, Q + 1) the row holding
+    each column (Q while free) with column Q as the search root, and
+    ``waiting`` (m, Q) the rows still unmatched.  A row joins by
+    Dijkstra's search over reduced costs until it settles a free column, and
+    the matching flips along the search tree (Jonker and Volgenant,
+    Computing 38, 1987).  One row joins per element per round, and each
+    search step advances every element still searching at once.
+    """
+    q = v.shape[1]
+    q1 = q + 1
+    own, uf = owner.ravel(), u.ravel()
+    while True:
+        e = np.nonzero(waiting.any(axis=1))[0]
+        if not e.size:
+            break
+        root = waiting[e].argmax(axis=1)
+        waiting[e, root] = False
+        own[e * q1 + q] = root
+        ve = v[e]
+        j0 = np.full(e.size, q)      # column settled last
+        dist = np.zeros(e.size)      # its distance from the root
+        minv = np.full(ve.shape, np.inf)  # tentative distances; inf once settled
+        way = np.full(ve.shape, q)   # predecessor of each column in the search tree
+        settled = np.zeros(ve.shape, dtype=bool)
+        dcol = np.zeros(ve.shape)    # distance at which each column settled
+        while e.size:
+            i0 = own.take(e * q1 + j0)
+            cur = cost_rows.take(e * q + i0, axis=0)
+            cur -= ve
+            cur += (dist - uf.take(e * q1 + i0))[:, None]
+            better = cur < minv
+            better &= ~settled
+            np.copyto(minv, cur, where=better)
+            np.copyto(way, j0[:, None], where=better)
+            j0 = minv.argmin(axis=1)
+            here = np.arange(e.size) * q + j0
+            dist = minv.take(here)
+            settled.put(here, True)
+            dcol.put(here, dist)
+            minv.put(here, np.inf)
+            free = own.take(e * q1 + j0) == q
+            if free.any():
+                ef, jf, df = e[free], j0[free], dist[free]
+                shift = df[:, None] - dcol[free]
+                shift *= settled[free]
+                v[ef] -= shift
+                uf[ef[:, None] * q1 + owner[ef, :q]] += shift
+                uf[ef * q1 + own.take(ef * q1 + q)] += df
+                wf = way[free]
+                f = np.arange(ef.size)
+                while f.size:  # flip the matching along the tree path back to the root
+                    jp = wf.take(f * q + jf)
+                    own[ef * q1 + jf] = own.take(ef * q1 + jp)
+                    on = jp != q
+                    f, ef, jf = f[on], ef[on], jp[on]
+                keep = ~free
+                e, j0, dist, ve = e[keep], j0[keep], dist[keep], ve[keep]
+                minv, way, settled, dcol = minv[keep], way[keep], settled[keep], dcol[keep]
+
+
+def _lexicographic_matchings(tight: np.ndarray, perm: np.ndarray) -> np.ndarray:
+    """Lexicographically first perfect matching of each (Q, Q) tight graph.
+
+    ``tight`` holds 1.0 on the graph's edges and 0.0 elsewhere, and ``perm``
+    is a perfect matching inside each graph.  Row by row, the row takes the
+    smallest column it can hold while the rows below it still match: the
+    column's holder must start an alternating path of tight edges, through
+    rows below, to the column the row holds now.  A breadth-first search
+    from that column finds those holders, and the path shifts one step to
+    make room.
+    """
+    t, q = perm.shape
+    rows = np.arange(q)
+    perm = perm.copy()
+    for i in range(q - 1):
+        holder = np.empty_like(perm)
+        holder[np.arange(t)[:, None], perm] = rows
+        # elements where row i sees a smaller tight column held below it
+        cand = (tight[:, i, :] > 0) & (holder > i) & (rows < perm[:, i:i + 1])
+        sub = np.nonzero(cand.any(axis=1))[0]
+        if not sub.size:
+            continue
+        ts, hs = tight[sub], holder[sub]
+        depth = np.full(hs.shape, q + 1)  # length of each row's path to row i's column
+        depth[:, i] = 0
+        front = np.zeros(hs.shape)
+        front[np.arange(sub.size), perm[sub, i]] = 1.0
+        for d in range(1, q - i):
+            hit = np.einsum("tac,tc->ta", ts, front) > 0
+            hit &= (depth > q) & (rows > i)
+            if not hit.any():
+                break
+            depth[hit] = d
+            front = np.take_along_axis(hit, hs, axis=1).astype(np.float64)
+        reached = np.take_along_axis(depth, hs, axis=1)  # path length of each column's holder
+        ok = cand[sub] & (reached <= q)
+        moved = np.nonzero(ok.any(axis=1))[0]
+        col = ok[moved].argmax(axis=1)
+        a = hs[moved, col]
+        perm[sub[moved], i] = col
+        while moved.size:
+            da = depth[moved, a]
+            col = ((ts[moved, a] > 0) & (reached[moved] == (da - 1)[:, None])).argmax(axis=1)
+            perm[sub[moved], a] = col
+            on = da > 1
+            moved, a = moved[on], hs[moved[on], col[on]]
+    return perm
+
+
+def _tie_broken_assignments(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Lexicographically first optimal assignments of (k, Q, n) batches, and
+    their squared costs summed in row order."""
+    q = a.shape[1]
+    rows = np.arange(q)[:, None]
+    cost = _cost_matrices(a, b)
+    if not np.isfinite(cost).all():  # the searches below need finite reduced costs to end
+        raise InvalidInputError("squared sheet distances must be finite")
+    perm, u, v = _shortest_augmenting_paths(cost)
+    elements = np.arange(perm.shape[0])
+    sq = cost[rows, perm.T, elements].sum(axis=0)
+    slack = cost - np.ascontiguousarray(u.T)[:, None]
+    slack -= np.ascontiguousarray(v.T)
+    slack[rows, perm.T, elements] = np.inf  # look for tight pairs off the matching
+    tight = slack <= 1e-12 * (1.0 + sq)
+    ties = np.nonzero(tight.any(axis=(0, 1)))[0]
+    if ties.size:
+        tight = tight[..., ties].transpose(2, 0, 1).astype(np.float64)
+        tight[np.arange(ties.size)[:, None], rows.T, perm[ties]] = 1.0
+        perm[ties] = _lexicographic_matchings(tight, perm[ties])
+        sq[ties] = cost[rows, perm[ties].T, ties].sum(axis=0)
+    return perm, sq
+
+
 def assign(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Optimal sheet assignment between tuple batches, element by element.
 
     ``a`` and ``b`` have shape (..., Q, n) and broadcast against each other.
     Returns (perm, sq): ``b[..., perm[i], :]`` pairs with ``a[..., i, :]``
-    and ``sq`` is the squared assignment distance.  For Q <=
-    EXHAUSTIVE_MAX_SHEETS every permutation is scored, with ties going to the
-    lexicographically first, on chunks of the flattened batch whose
-    candidate differences fit in ASSIGN_CHUNK_BYTES; beyond that the
-    Hungarian solver runs once per element.
+    and ``sq`` is the squared assignment distance.  Ties go to the
+    lexicographically first optimal permutation.  The flattened batch is
+    solved in chunks whose largest array fits in ASSIGN_CHUNK_BYTES.
+
+    For Q <= EXHAUSTIVE_MAX_SHEETS every permutation is scored.  Above that
+    a batched shortest-augmenting-path solver finds an optimum and its dual
+    potentials.  A pair is tight when its reduced cost is at most
+    1e-12 * (1 + sq), and an element whose tight graph admits more than one
+    perfect matching takes the graph's lexicographically first one.  This
+    path gives the same floats whether ``a`` is one tuple or a batch.
     """
     a = np.asarray(a, dtype=np.float64)
     b = np.asarray(b, dtype=np.float64)
@@ -215,14 +423,10 @@ def assign(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
             perm[lo:hi] = table[pick]
             sq[lo:hi] = cost.min(axis=-1)
     else:
-        from scipy.optimize import linear_sum_assignment
-
-        for k in range(a.shape[0]):
-            diff = a[k][:, None, :] - b[k][None, :, :]
-            cost = np.einsum("ijk,ijk->ij", diff, diff)
-            rows, cols = linear_sum_assignment(cost)
-            perm[k] = cols
-            sq[k] = cost[rows, cols].sum()
+        step = max(1, ASSIGN_CHUNK_BYTES // (q * q * 8))
+        for lo in range(0, a.shape[0], step):
+            hi = lo + step
+            perm[lo:hi], sq[lo:hi] = _tie_broken_assignments(a[lo:hi], b[lo:hi])
     return perm.reshape(shape[:-1]), sq.reshape(shape[:-2])
 
 

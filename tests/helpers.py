@@ -22,6 +22,15 @@ def sqrt_grid_field(nn, half=1.0):
     return sqrt_field(unit_square_grid(nn, half))
 
 
+def root_grid_field(nn, q, z0=0.0, half=1.0):
+    """All Q complex Q-th roots of z - z0 at every node, branched at z0."""
+    spec = unit_square_grid(nn, half)
+    x, y = meshgrid_for(spec)
+    w = (x + 1j * y - z0) ** (1.0 / q)
+    w = w[..., None] * np.exp(2j * np.pi * np.arange(q) / q)
+    return GridField(np.stack([w.real, w.imag], axis=-1), spec.spacing, spec.origin)
+
+
 def meshgrid_for(spec):
     xs = spec.origin[0] + spec.spacing * np.arange(spec.nx)
     ys = spec.origin[1] + spec.spacing * np.arange(spec.ny)

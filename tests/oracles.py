@@ -8,6 +8,7 @@ only the embedding, interpolation and energy primitives with the local
 derivatives they check.
 """
 
+import functools
 import itertools
 import math
 
@@ -25,6 +26,26 @@ def exhaustive_metric(p_pts: np.ndarray, r_pts: np.ndarray) -> float:
         tot = sum(float(((p_pts[i] - r_pts[perm[i]]) ** 2).sum()) for i in range(q))
         best = min(best, tot)
     return math.sqrt(best)
+
+
+@functools.cache
+def _permutations(q: int) -> np.ndarray:
+    return np.array(list(itertools.permutations(range(q))), dtype=np.intp)
+
+
+def exhaustive_assignment(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, float]:
+    """Lexicographically first optimal permutation of b against a, and its
+    squared cost, by trying every permutation in itertools order.
+
+    Each permutation's pair costs are sorted before they are summed, so two
+    permutations that pair the same points give the same float.
+    """
+    q = a.shape[0]
+    pair = ((a[:, None, :] - b[None, :, :]) ** 2).sum(axis=-1)
+    perms = _permutations(q)
+    costs = np.sort(pair[np.arange(q), perms], axis=1).sum(axis=1)
+    best = int(np.argmin(costs))
+    return perms[best], float(costs[best])
 
 
 def harmonic_extension(boundary_values: np.ndarray, mask: np.ndarray) -> np.ndarray:

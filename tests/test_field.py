@@ -378,8 +378,8 @@ def test_grid_field_from_dict_shape_mismatch():
 
 
 def test_minimize_q7_fallback_paths():
-    # tiny grid with Q beyond the permutation table exercises the Hungarian
-    # edge-matching fallbacks in both energies and the relaxation
+    # tiny grid with Q beyond the permutation table exercises the batched
+    # shortest-augmenting-path edge matching in both energies and the relaxation
     rng = np.random.default_rng(3)
     vals = rng.normal(size=(5, 5, 7, 2))
     f = GridField(vals, 0.25, (0.0, 0.0))

@@ -16,7 +16,7 @@ import pytest
 import qvalued
 from qvalued import hopf_differential, standard_frame
 
-from helpers import sqrt_grid_field, two_sheet_field
+from helpers import root_grid_field, sqrt_grid_field, two_sheet_field
 
 LAZY = ("scipy.stats", "scipy.optimize", "scipy.ndimage")
 
@@ -52,3 +52,20 @@ def test_analyze_loads_ndimage_only_to_censor(tmp_path, field, censored):
     run_analyze = "import sys\nfrom qvalued.cli import main\nif main(sys.argv[1:]) != 0:\n    sys.exit(1)"
     loaded = lazy_modules_loaded(run_analyze, "analyze", "--input", str(path))
     assert loaded == ({"scipy.ndimage"} if censored else set())
+
+
+def test_assignment_beyond_enumeration_loads_no_optimize(tmp_path):
+    # Q = 7 edge matchings and a Q = 8 one-base batch run the batched solver,
+    # not scipy's; only metric_g and optimal_matching load scipy.optimize
+    path = tmp_path / "field.json"
+    path.write_text(json.dumps(root_grid_field(9, 7, 0.05 - 0.03j).to_dict()))
+    run = (
+        "import json, sys\n"
+        "from pathlib import Path\n"
+        "import numpy as np\n"
+        "from qvalued import GridField, MinimizeOptions, metric_g_many, minimize\n"
+        "f = GridField.from_dict(json.loads(Path(sys.argv[1]).read_text()))\n"
+        "minimize(f, MinimizeOptions(max_iters=3))\n"
+        "metric_g_many(np.zeros((8, 2)), np.random.default_rng(0).normal(size=(50, 8, 2)))"
+    )
+    assert lazy_modules_loaded(run, str(path)) == set()

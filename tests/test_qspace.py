@@ -16,10 +16,11 @@ from qvalued import (
     pushforward_projection,
     support,
 )
+from qvalued import qspace
 from qvalued.qspace import ASSIGN_CHUNK_BYTES, assign
 
 from helpers import random_qpoint, random_qpoint_pair
-from oracles import exhaustive_metric
+from oracles import exhaustive_assignment, exhaustive_metric
 
 
 def test_metric_identity():
@@ -263,3 +264,117 @@ def test_assign_memory_is_bounded():
     np.testing.assert_allclose(np.sqrt(sq), want, rtol=0, atol=1e-12)
     paired = ((a - np.take_along_axis(b, perm[..., None], axis=-2)) ** 2).sum(axis=(1, 2))
     np.testing.assert_allclose(paired, sq, rtol=0, atol=1e-12)
+
+
+def dyadic_tuple(rng, q, n):
+    """A tuple on the grid of quarters with one sheet duplicated: every cost
+    is exact, so tied permutations tie exactly."""
+    pts = rng.integers(-8, 9, size=(q, n)) / 4
+    i, j = rng.choice(q, 2, replace=False)
+    pts[i] = pts[j]
+    return pts
+
+
+def assert_assign_matches_oracle(a, b):
+    """`assign` of a (Q, n) or (k, Q, n) batch against a (k, Q, n) batch,
+    checked element by element against every permutation."""
+    perm, sq = assign(a, b)
+    assert perm.shape == b.shape[:-1] and sq.shape == b.shape[:-2]
+    a_full = np.broadcast_to(a, b.shape)
+    for e in range(b.shape[0]):
+        want, cost = exhaustive_assignment(a_full[e], b[e])
+        assert perm[e].tolist() == want.tolist()
+        assert sq[e] == pytest.approx(cost, abs=1e-12)
+
+
+@pytest.mark.parametrize("q", range(2, 9))
+def test_assign_and_optimal_matching_break_ties_alike(q):
+    rng = np.random.default_rng(40 + q)
+    for _ in range(40):
+        a, b = dyadic_tuple(rng, q, 2), dyadic_tuple(rng, q, 2)
+        perm, dist = optimal_matching(QPoint(a), QPoint(b))
+        got, sq = assign(a, b)
+        assert got.tolist() == perm.tolist()
+        assert np.sqrt(sq) == pytest.approx(dist, abs=1e-12)
+
+
+@settings(max_examples=30, deadline=timedelta(seconds=5))
+@given(data=st.data(), q=st.integers(5, 8), n=st.integers(1, 3), k=st.integers(1, 4))
+def test_assign_matches_oracle_beyond_enumeration(data, q, n, k):
+    # the shortest-augmenting-path solver on the exact, tie-rich inputs of
+    # test_assign_matches_enumeration
+    coord = st.integers(-8, 8).map(lambda t: t / 4)
+
+    def tuples(shape):
+        size = int(np.prod(shape))
+        return np.array(data.draw(st.lists(coord, min_size=size, max_size=size))).reshape(shape)
+
+    a = tuples((q, n) if data.draw(st.booleans()) else (k, q, n))
+    b = tuples((k, q, n))
+    for arr in (a, b):
+        i, j = data.draw(st.integers(0, q - 1)), data.draw(st.integers(0, q - 1))
+        arr[..., i, :] = arr[..., j, :]
+    assert_assign_matches_oracle(a, b)
+
+
+def test_assign_chunks_beyond_enumeration(monkeypatch):
+    # a small budget cuts 100 Q = 7 pairs into chunks of 41, the last one partial
+    monkeypatch.setattr(qspace, "ASSIGN_CHUNK_BYTES", 1 << 14)
+    assert 100 % (qspace.ASSIGN_CHUNK_BYTES // (7 * 7 * 8)) != 0
+    rng = np.random.default_rng(12)
+    assert_assign_matches_oracle(rng.normal(size=(100, 7, 2)), rng.normal(size=(100, 7, 2)))
+
+
+def test_assign_one_base_with_coincident_sheets():
+    # a chain level's tuple repeats its sites, so every member of its ball
+    # ties between the coincident sheets, as in `chain_inclusion_check`
+    rng = np.random.default_rng(13)
+    base = np.repeat(rng.normal(size=(2, 3)), [2, 3], axis=0)
+    assert_assign_matches_oracle(base, base + 0.3 * rng.normal(size=(300, 5, 3)))
+
+
+@pytest.mark.parametrize("q", [5, 6, 7, 8])
+def test_assign_layouts_agree_beyond_enumeration(q):
+    # one tuple against a batch and the same tuple repeated give the same floats
+    rng = np.random.default_rng(q)
+    base = np.repeat(rng.normal(size=(3, 2)), [1, 2, q - 3], axis=0)
+    batch = base + 0.5 * rng.normal(size=(400, q, 2))
+    batch[::2] = rng.normal(size=(200, q, 2))
+    p1, s1 = assign(base, batch)
+    p2, s2 = assign(np.broadcast_to(base, batch.shape).copy(), batch)
+    assert np.array_equal(p1, p2)
+    assert np.array_equal(s1, s2)
+
+
+def test_assign_memory_is_bounded_beyond_enumeration():
+    # 30000 Q = 8 pairs do not fill a whole number of chunks; solving them in
+    # one piece peaks near 42 MB, holding several (8, 8, 30000) float arrays.
+    # Most pairs match a tuple to a shuffled, slightly moved copy; every
+    # sixteenth pair is random, so the solver's searches run in every chunk
+    assert 30000 % (ASSIGN_CHUNK_BYTES // (8 * 8 * 8)) != 0
+    rng = np.random.default_rng(14)
+    a = 3.0 * rng.normal(size=(30000, 8, 2))
+    shuffle = np.argsort(rng.random((30000, 8)), axis=1)
+    b = np.take_along_axis(a + 0.01 * rng.normal(size=a.shape), shuffle[..., None], axis=1)
+    a[::16] = rng.normal(size=(1875, 8, 2))
+    b[::16] = rng.normal(size=(1875, 8, 2))
+    tracemalloc.start()
+    try:
+        perm, sq = assign(a, b)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 24e6
+    sample = range(0, 30000, 101)
+    want = [metric_g(QPoint(a[e]), QPoint(b[e])) for e in sample]
+    np.testing.assert_allclose(np.sqrt(sq[sample]), want, rtol=0, atol=1e-12)
+    paired = ((a - np.take_along_axis(b, perm[..., None], axis=-2)) ** 2).sum(axis=(1, 2))
+    np.testing.assert_allclose(paired, sq, rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("value", [np.nan, 1e200])
+def test_assign_rejects_non_finite_costs(value):
+    # a NaN, or squared distances that overflow, would leave the solver's
+    # searches without a finite column to settle
+    with np.errstate(over="ignore"), pytest.raises(InvalidInputError):
+        assign(np.full((5, 2), value), np.zeros((5, 2)))
