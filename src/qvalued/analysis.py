@@ -239,40 +239,14 @@ def _lsq_potential(phi: np.ndarray, h: float) -> np.ndarray:
     return np.append(0.0, sol[:, 0] + 1j * sol[:, 1]).reshape(ny, nx)
 
 
-def _path_primitive(phi: np.ndarray, h: float) -> np.ndarray:
-    """Axis-monotone L-path primitive from the grid center (trapezoid rule)."""
-    ny, nx = phi.shape
-    icy, icx = ny // 2, nx // 2
-    row = phi[icy]
-    inc = (row[:-1] + row[1:]) / 2 * h
-    cumx = np.zeros(nx, dtype=complex)
-    cumx[icx + 1 :] = np.cumsum(inc[icx:])
-    cumx[:icx] = -np.cumsum(inc[:icx][::-1])[::-1]
-    incv = (phi[:-1, :] + phi[1:, :]) / 2 * (1j * h)
-    cumv = np.zeros((ny, nx), dtype=complex)
-    cumv[icy + 1 :] = np.cumsum(incv[icy:], axis=0)
-    cumv[:icy] = -np.cumsum(incv[:icy][::-1], axis=0)[::-1]
-    return -0.25 * (cumx[None, :] + cumv)
-
-
-def harmonic_companion(hopf: HopfField, method: str = "least_squares") -> HarmonicCompanion:
+def harmonic_companion(hopf: HopfField) -> HarmonicCompanion:
     """Companion h = psi + conj(z) with psi a primitive of -phi/4.
 
-    ``least_squares`` (default) censors degenerate samples, refits them with
-    a local holomorphic polynomial and recovers psi by a potential solve.
-    ``path`` integrates the raw data along axis-monotone L-paths from the
-    grid center; it is exact for holomorphic sample fields but accumulates
-    any integrability defect of the data, so it is kept for diagnostics.
+    Degenerate samples are censored and refitted with a local holomorphic
+    polynomial, and psi is recovered by a least-squares potential solve.
     """
-    if method == "least_squares":
-        phi_used, patched = _censor_refit(hopf)
-        psi = _lsq_potential(phi_used, hopf.spacing)
-    elif method == "path":
-        phi_used = hopf.phi.copy()
-        patched = np.zeros_like(hopf.degenerate)
-        psi = _path_primitive(phi_used, hopf.spacing)
-    else:
-        raise InvalidInputError(f"unknown companion method {method!r}")
+    phi_used, patched = _censor_refit(hopf)
+    psi = _lsq_potential(phi_used, hopf.spacing)
     used = HopfField(phi_used, hopf.degenerate, hopf.spacing, hopf.origin)
     residual = float(np.abs(plaquette_defects(used)).max())
     values = psi + np.conj(hopf.zgrid())

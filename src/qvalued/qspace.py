@@ -2,15 +2,17 @@
 
 A member is a multiset of Q points (repetitions allowed).  The distance
 between two members is the optimal-assignment distance: the minimum over
-permutations of the root of the summed squared pairwise distances.  For
-one pair, `metric_g` and `optimal_matching` solve the assignment with
-SciPy's Hungarian algorithm, which they import themselves, so importing
-this module does not load scipy.optimize.  Grid routines need the
-assignment for every node or edge of a field at once; `assign` serves
-them all, over bounded-memory chunks of the batch.  It enumerates
-permutations for small Q and otherwise runs a shortest-augmenting-path
-solver on the whole chunk at once.  Every entry point breaks ties toward
-the lexicographically first optimal permutation.
+permutations of the root of the summed squared pairwise distances.  Every
+assignment that reports a permutation goes through `assign`: one pair in
+`optimal_matching`, and for grid routines every node or edge of a field at
+once, over bounded-memory chunks of the batch.  `assign` builds one layout
+of squared sheet distances for every Q, sums each permutation's cost in
+row order, and sends exact ties to the lexicographically first optimal
+permutation; it enumerates permutations for small Q and otherwise runs a
+shortest-augmenting-path solver on the whole chunk at once.  `metric_g`,
+which needs the distance of one pair only, is the one user of SciPy's
+Hungarian solver; it imports it itself, so importing this module does not
+load scipy.optimize.
 """
 
 from __future__ import annotations
@@ -23,14 +25,16 @@ import numpy as np
 from .errors import InvalidInputError
 
 #: largest sheet count for which `assign` scores all Q! permutations; above
-#: it the batched shortest-augmenting-path solver runs.  Enumeration is the
-#: faster path at Q = 2, and at Q = 3 on tie-heavy one-base batches; Q = 3
-#: and 4 stay on it so that their floats do not move, although the solver is
-#: already faster there on smooth fields.
+#: it the batched shortest-augmenting-path solver runs.  Per element on a
+#: 2-core host (49^2 root-field edges; one-base batches whose base repeats
+#: its sites, so every element ties), enumeration against the solver took
+#: 0.14 against 0.39 us (edges) and 0.20 against 1.0 us (ties) at Q = 3,
+#: 0.50 against 0.51 us and 0.43-0.51 against 1.2-1.3 us at Q = 4, but
+#: 1.7 against 0.71 us on the edges at Q = 5, where edge matchings dominate.
 EXHAUSTIVE_MAX_SHEETS = 4
 
-#: byte budget of one chunk of `assign`: the candidate differences of the
-#: enumeration, or the (Q, Q) cost matrices of the solver
+#: byte budget of one chunk of `assign`: its (Q, Q) cost matrices, or the
+#: Q! permutation costs of the enumeration where those are larger
 ASSIGN_CHUNK_BYTES = 1 << 22
 
 #: relative factor for the default coincidence tolerance of `support`
@@ -148,39 +152,12 @@ def optimal_matching(p: QPoint, r: QPoint) -> tuple[np.ndarray, float]:
     """Optimal sheet pairing and its distance.
 
     Returns (perm, dist) with ``r.points[perm[i]]`` matched to ``p.points[i]``.
-    Ties are broken toward the lexicographically smallest permutation so that
-    reported matchings are reproducible.
+    Ties are broken toward the lexicographically smallest permutation, as in
+    `assign`, so that reported matchings are reproducible.
     """
-    from scipy.optimize import linear_sum_assignment
-
     _check_compatible(p, r)
-    diff = p.points[:, None, :] - r.points[None, :, :]
-    cost = np.einsum("ijk,ijk->ij", diff, diff)
-    rows, cols = linear_sum_assignment(cost)
-    best = cost[rows, cols].sum()
-    tol = 1e-12 * (1.0 + abs(best))
-
-    q = p.q
-    perm = np.empty(q, dtype=np.intp)
-    free = list(range(q))
-    remaining = best
-    for i in range(q):
-        for j in sorted(free):
-            rest = [c for c in free if c != j]
-            if rest:
-                sub = cost[np.ix_(range(i + 1, q), rest)]
-                rr, cc = linear_sum_assignment(sub)
-                sub_cost = sub[rr, cc].sum()
-            else:
-                sub_cost = 0.0
-            if cost[i, j] + sub_cost <= remaining + tol:
-                perm[i] = j
-                free.remove(j)
-                remaining -= cost[i, j]
-                break
-        else:  # pragma: no cover - assignment always completes
-            raise RuntimeError("tie-broken matching reconstruction failed")
-    return perm, float(np.sqrt(best))
+    perm, sq = assign(p.points, r.points)
+    return perm, float(np.sqrt(sq))
 
 
 def _cost_matrices(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -354,14 +331,12 @@ def _lexicographic_matchings(tight: np.ndarray, perm: np.ndarray) -> np.ndarray:
     return perm
 
 
-def _tie_broken_assignments(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Lexicographically first optimal assignments of (k, Q, n) batches, and
-    their squared costs summed in row order."""
-    q = a.shape[1]
+def _tie_broken_assignments(cost: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Lexicographically first optimal assignments of a finite (Q, Q, k) cost
+    batch by the shortest-augmenting-path solver, and their costs summed in
+    row order."""
+    q = cost.shape[0]
     rows = np.arange(q)[:, None]
-    cost = _cost_matrices(a, b)
-    if not np.isfinite(cost).all():  # the searches below need finite reduced costs to end
-        raise InvalidInputError("squared sheet distances must be finite")
     perm, u, v = _shortest_augmenting_paths(cost)
     elements = np.arange(perm.shape[0])
     sq = cost[rows, perm.T, elements].sum(axis=0)
@@ -378,21 +353,38 @@ def _tie_broken_assignments(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, n
     return perm, sq
 
 
+def _enumerated_assignments(cost: np.ndarray, table: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Lexicographically first optimal assignments of a (Q, Q, k) cost batch
+    by scoring every permutation of ``table``, and their costs summed in row
+    order.  A permutation is optimal when its cost is at most
+    min + 1e-12 * (1 + min)."""
+    s = cost[0, table[:, 0]]  # (Q!, k)
+    for i in range(1, table.shape[1]):
+        s += cost[i, table[:, i]]
+    best = s.min(axis=0)
+    pick = np.argmax(s <= best + 1e-12 * (1.0 + best), axis=0)
+    return table[pick], s[pick, np.arange(s.shape[1])]
+
+
 def assign(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Optimal sheet assignment between tuple batches, element by element.
 
     ``a`` and ``b`` have shape (..., Q, n) and broadcast against each other.
     Returns (perm, sq): ``b[..., perm[i], :]`` pairs with ``a[..., i, :]``
-    and ``sq`` is the squared assignment distance.  Ties go to the
-    lexicographically first optimal permutation.  The flattened batch is
-    solved in chunks whose largest array fits in ASSIGN_CHUNK_BYTES.
+    and ``sq`` is the squared assignment distance.  The flattened batch is
+    solved in chunks whose (Q, Q) cost matrices, or Q! permutation costs
+    where those are larger, fit in ASSIGN_CHUNK_BYTES.
 
-    For Q <= EXHAUSTIVE_MAX_SHEETS every permutation is scored.  Above that
-    a batched shortest-augmenting-path solver finds an optimum and its dual
-    potentials.  A pair is tight when its reduced cost is at most
-    1e-12 * (1 + sq), and an element whose tight graph admits more than one
-    perfect matching takes the graph's lexicographically first one.  This
-    path gives the same floats whether ``a`` is one tuple or a batch.
+    Each chunk becomes one (Q, Q, k) batch of squared sheet distances, laid
+    out the same whether ``a`` is one tuple or a batch, and each element's
+    cost is summed in row order, so the floats do not depend on the batch
+    form.  For Q <= EXHAUSTIVE_MAX_SHEETS every permutation is scored, and
+    the lexicographically first whose cost is at most min + 1e-12 * (1 + min)
+    wins.  Above that a batched shortest-augmenting-path solver finds an
+    optimum and its dual potentials; a pair is tight when its reduced cost is
+    at most 1e-12 * (1 + sq), and an element whose tight graph admits more
+    than one perfect matching takes the lexicographically first.  Either way
+    exact ties go to the lexicographically first optimal permutation.
     """
     a = np.asarray(a, dtype=np.float64)
     b = np.asarray(b, dtype=np.float64)
@@ -402,31 +394,20 @@ def assign(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     b = np.broadcast_to(b, shape).reshape(-1, q, n)
     perm = np.empty((a.shape[0], q), dtype=np.intp)
     sq = np.empty(a.shape[0])
-    if q <= EXHAUSTIVE_MAX_SHEETS:
-        table = _permutation_table(q)
-        step = max(1, ASSIGN_CHUNK_BYTES // (table.size * n * 8))
-        # einsum sums in the memory order of delta, so both branches lay it
-        # out as the plain difference a[:, None] - b[:, table] comes out:
-        # (Q!, Q, k, n) for one tuple against a batch, else (Q!, k, Q, n).
-        one_base = a.strides[0] == 0
-        for lo in range(0, a.shape[0], step):
-            hi = lo + step
-            if one_base:
-                delta = b[lo:hi, table]
-                np.subtract(a[lo:hi, None], delta, out=delta)
-            else:
-                cand = np.take(b[lo:hi], table, axis=1)  # (k, Q!, Q, n)
-                delta = np.empty((table.shape[0], cand.shape[0], q, n)).swapaxes(0, 1)
-                np.subtract(a[lo:hi, None], cand, out=delta)
-            cost = np.einsum("...ijk,...ijk->...i", delta, delta)  # (k, Q!)
-            pick = np.argmin(cost, axis=-1)
-            perm[lo:hi] = table[pick]
-            sq[lo:hi] = cost.min(axis=-1)
-    else:
-        step = max(1, ASSIGN_CHUNK_BYTES // (q * q * 8))
-        for lo in range(0, a.shape[0], step):
-            hi = lo + step
-            perm[lo:hi], sq[lo:hi] = _tie_broken_assignments(a[lo:hi], b[lo:hi])
+    table = _permutation_table(q) if q <= EXHAUSTIVE_MAX_SHEETS else None
+    width = q * q if table is None else max(q * q, table.shape[0])
+    step = max(1, ASSIGN_CHUNK_BYTES // (width * 8))
+    for lo in range(0, a.shape[0], step):
+        hi = lo + step
+        cost = _cost_matrices(a[lo:hi], b[lo:hi])
+        # NaN or overflowed costs have no optimum, and the solver's searches
+        # need finite reduced costs to end
+        if not np.isfinite(cost).all():
+            raise InvalidInputError("squared sheet distances must be finite")
+        if table is None:
+            perm[lo:hi], sq[lo:hi] = _tie_broken_assignments(cost)
+        else:
+            perm[lo:hi], sq[lo:hi] = _enumerated_assignments(cost, table)
     return perm.reshape(shape[:-1]), sq.reshape(shape[:-2])
 
 

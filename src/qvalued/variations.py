@@ -89,14 +89,10 @@ def _check_support_interior(f: GridField, v: DomainVariation):
         raise InvalidInputError("bump support must stay strictly inside the interior nodes")
 
 
-def domain_variation_derivative(
-    f: GridField,
-    frame: ProjectionFrame,
-    v: DomainVariation,
-    step: float | None = None,
-) -> float:
-    """Central-difference energy derivative under x -> x + t * bump at t = 0."""
-    return _domain_derivative(f, embed_grid(f, frame), v, step)
+def domain_variation_derivative(f: GridField, frame: ProjectionFrame, v: DomainVariation) -> float:
+    """Central-difference energy derivative under x -> x + t * bump at t = 0,
+    with step t = h^2."""
+    return _domain_derivative(f, embed_grid(f, frame), v)
 
 
 def _support_nodes(c: float, r: float, origin: float, h: float) -> slice:
@@ -104,9 +100,7 @@ def _support_nodes(c: float, r: float, origin: float, h: float) -> slice:
     return slice(math.floor((c - r - origin) / h), math.ceil((c + r - origin) / h) + 1)
 
 
-def _domain_derivative(
-    f: GridField, farr: np.ndarray, v: DomainVariation, step: float | None = None
-) -> float:
+def _domain_derivative(f: GridField, farr: np.ndarray, v: DomainVariation) -> float:
     """`domain_variation_derivative` for f embedded as farr.
 
     Only nodes strictly inside the bump's disc move, so the energy difference
@@ -115,7 +109,7 @@ def _domain_derivative(
     diffeomorphism check runs on the box alone.
     """
     _check_support_interior(f, v)
-    t = f.spacing**2 if step is None else step
+    t = f.spacing**2
     sx = _support_nodes(v.center[0], v.radius, f.origin[0], f.spacing)
     sy = _support_nodes(v.center[1], v.radius, f.origin[1], f.spacing)
     xg, yg = np.meshgrid(f.xs[sx], f.ys[sy])
@@ -225,13 +219,13 @@ def range_variation_derivative(
     frame: ProjectionFrame,
     rv: RangeVariation,
     comp: HarmonicCompanion | None = None,
-    step: float | None = None,
 ) -> float:
-    """Central-difference energy derivative of the admissible range variation."""
+    """Central-difference energy derivative of the admissible range
+    variation, with step t = h^2."""
     _check_frame(f, frame)
     if comp is None:
         comp = harmonic_companion(hopf_differential(f, frame))
-    return _range_derivative(f, frame, rv, cutoff_weights(f, comp, rv), step)
+    return _range_derivative(f, frame, rv, cutoff_weights(f, comp, rv))
 
 
 def _range_derivative(
@@ -239,7 +233,6 @@ def _range_derivative(
     frame: ProjectionFrame,
     rv: RangeVariation,
     lam: np.ndarray,
-    step: float | None = None,
 ) -> float:
     """`range_variation_derivative` for the cutoff weights lam.
 
@@ -259,7 +252,7 @@ def _range_derivative(
                 "a sheet under the cutoff leaves its 2/5-sigma site ball; "
                 "shrink rho or use a finer level"
             )
-    t = f.spacing**2 if step is None else step
+    t = f.spacing**2
     iy, ix = np.nonzero(active)
     box = np.s_[iy.min() - 1 : iy.max() + 2, ix.min() - 1 : ix.max() + 2]
     vals = f.values[box]

@@ -162,7 +162,7 @@ def max_pairwise_distance(vals: np.ndarray) -> float:
     return float(math.sqrt(d2.max()))
 
 
-def full_grid_domain_derivative(f, frame, v, step=None) -> float:
+def full_grid_domain_derivative(f, frame, v) -> float:
     """Central-difference domain derivative from the energies of the whole
     interpolated grid at +t and -t."""
     from qvalued import InvalidStepError, embed_grid
@@ -170,7 +170,7 @@ def full_grid_domain_derivative(f, frame, v, step=None) -> float:
     from qvalued.variations import _check_support_interior
 
     _check_support_interior(f, v)
-    t = f.spacing**2 if step is None else step
+    t = f.spacing**2
     xg, yg = np.meshgrid(f.xs, f.ys)
     pts = np.stack([xg, yg], axis=-1)
     disp = v.displacement(pts)
@@ -186,7 +186,7 @@ def full_grid_domain_derivative(f, frame, v, step=None) -> float:
     return (e_plus - e_minus) / (2 * t)
 
 
-def full_grid_range_derivative(f, frame, rv, comp=None, step=None) -> float:
+def full_grid_range_derivative(f, frame, rv, comp=None) -> float:
     """Central-difference range derivative from the Dirichlet energies of the
     whole varied field at +t and -t."""
     from qvalued import GridField, NotInBallError, dirichlet_energy, harmonic_companion, hopf_differential
@@ -206,7 +206,7 @@ def full_grid_range_derivative(f, frame, rv, comp=None, step=None) -> float:
                     "a sheet under the cutoff leaves its 2/5-sigma site ball; "
                     "shrink rho or use a finer level"
                 )
-    t = f.spacing**2 if step is None else step
+    t = f.spacing**2
     gam = rv.retraction(f.values)
     bump = lam[..., None, None] * gam
     plus = GridField(f.values + t * bump, f.spacing, f.origin, f.boundary_mask)

@@ -139,13 +139,12 @@ def test_companion_zero_hopf_gives_conjugate():
 def test_companion_constant_hopf_linear_primitive():
     c = 1.5 - 0.5j
     hopf = synthetic_hopf(17, lambda z: np.full(z.shape, c))
-    for method in ("least_squares", "path"):
-        comp = harmonic_companion(hopf, method=method)
-        z = hopf.zgrid()
-        psi = comp.values - np.conj(z)
-        want = -c * z / 4
-        shift = psi - want
-        np.testing.assert_allclose(shift, shift[0, 0], atol=1e-9)
+    comp = harmonic_companion(hopf)
+    z = hopf.zgrid()
+    psi = comp.values - np.conj(z)
+    want = -c * z / 4
+    shift = psi - want
+    np.testing.assert_allclose(shift, shift[0, 0], atol=1e-9)
 
 
 def test_companion_energy_identity_linear_data_exact():
@@ -176,19 +175,6 @@ def test_companion_energy_identity_sqrt_field():
     annulus = (np.hypot(x, y) > 0.1)[1:-1, 1:-1]
     err = np.abs(comp.grad_sq() - np.abs(hopf.phi) ** 2 / 8 - 2.0)[1:-1, 1:-1]
     assert err[annulus].max() <= 10 * f.spacing
-
-
-def test_companion_path_method_accumulates_sqrt_defect():
-    # the straight path integrator is poisoned by the branch monodromy
-    f = sqrt_grid_field(65)
-    hopf = hopf_differential(f, standard_frame(2, 2))
-    comp_path = harmonic_companion(hopf, method="path")
-    comp_lsq = harmonic_companion(hopf)
-    x, y = np.meshgrid(f.xs, f.ys)
-    annulus = (np.hypot(x, y) > 0.1)[1:-1, 1:-1]
-    err_path = np.abs(comp_path.grad_sq() - np.abs(hopf.phi) ** 2 / 8 - 2.0)[1:-1, 1:-1]
-    err_lsq = np.abs(comp_lsq.grad_sq() - np.abs(hopf.phi) ** 2 / 8 - 2.0)[1:-1, 1:-1]
-    assert err_path[annulus].max() > 10 * err_lsq[annulus].max()
 
 
 def test_censor_refit_without_degenerate_cells_copies_phi():
@@ -635,9 +621,3 @@ def test_holomorphy_residual_decreases_under_refinement():
         )
         residuals.append(holomorphy_residual(hopf_differential(res.field, fr)))
     assert residuals[2] < residuals[1] < residuals[0]
-
-
-def test_harmonic_companion_unknown_method():
-    hopf = synthetic_hopf(9, lambda z: np.zeros(z.shape, dtype=complex))
-    with pytest.raises(InvalidInputError):
-        harmonic_companion(hopf, method="nope")

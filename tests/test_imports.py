@@ -11,14 +11,17 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import qvalued
-from qvalued import hopf_differential, standard_frame
+from qvalued import QPoint, hopf_differential, standard_frame
 
 from helpers import root_grid_field, sqrt_grid_field, two_sheet_field
 
 LAZY = ("scipy.stats", "scipy.optimize", "scipy.ndimage")
+#: runs the qvalued CLI on the probe's argv and fails on a non-zero exit code
+RUN_CLI = "import sys\nfrom qvalued.cli import main\nif main(sys.argv[1:]) != 0:\n    sys.exit(1)"
 
 
 def lazy_modules_loaded(code: str, *argv: str) -> set[str]:
@@ -49,14 +52,13 @@ def test_analyze_loads_ndimage_only_to_censor(tmp_path, field, censored):
     assert hopf_differential(field, standard_frame(2, 2)).degenerate.any() == censored
     path = tmp_path / "field.json"
     path.write_text(json.dumps(field.to_dict()))
-    run_analyze = "import sys\nfrom qvalued.cli import main\nif main(sys.argv[1:]) != 0:\n    sys.exit(1)"
-    loaded = lazy_modules_loaded(run_analyze, "analyze", "--input", str(path))
+    loaded = lazy_modules_loaded(RUN_CLI, "analyze", "--input", str(path))
     assert loaded == ({"scipy.ndimage"} if censored else set())
 
 
 def test_assignment_beyond_enumeration_loads_no_optimize(tmp_path):
     # Q = 7 edge matchings and a Q = 8 one-base batch run the batched solver,
-    # not scipy's; only metric_g and optimal_matching load scipy.optimize
+    # not scipy's; only metric_g loads scipy.optimize
     path = tmp_path / "field.json"
     path.write_text(json.dumps(root_grid_field(9, 7, 0.05 - 0.03j).to_dict()))
     run = (
@@ -69,3 +71,16 @@ def test_assignment_beyond_enumeration_loads_no_optimize(tmp_path):
         "metric_g_many(np.zeros((8, 2)), np.random.default_rng(0).normal(size=(50, 8, 2)))"
     )
     assert lazy_modules_loaded(run, str(path)) == set()
+
+
+def test_metric_command_loads_no_optimize(tmp_path):
+    # `qvalued metric` reports a matching, which `assign` finds without scipy
+    rng = np.random.default_rng(0)
+    paths = []
+    for name in ("p.json", "r.json"):
+        paths.append(tmp_path / name)
+        paths[-1].write_text(json.dumps(QPoint(rng.normal(size=(7, 2))).to_dict()))
+    out = tmp_path / "out.json"
+    loaded = lazy_modules_loaded(RUN_CLI, "metric", *map(str, paths), "--output", str(out))
+    assert loaded == set()
+    assert len(json.loads(out.read_text())["matching"]) == 7

@@ -198,8 +198,9 @@ def test_qpoint_rejects_nonfinite():
 
 
 def test_metric_paths_agree_beyond_exhaustive_limit():
-    # Q = 7 exceeds the permutation table: all three code paths fall back to
-    # the Hungarian solver and must agree
+    # Q = 7 is above EXHAUSTIVE_MAX_SHEETS: metric_g runs SciPy's Hungarian
+    # solver, and metric_g_many, optimal_matching and assign run the batched
+    # shortest-augmenting-path solver; all must agree
     rng = np.random.default_rng(8)
     a, b = random_qpoint_pair(rng, 7, 3)
     d1 = metric_g(a, b)
@@ -247,8 +248,9 @@ def test_assign_matches_enumeration(data, q, n, k):
 
 
 def test_assign_memory_is_bounded():
-    # 1000 Q = 6 pairs do not fill a whole number of chunks; enumerating
-    # them in one piece would hold two (1000, 720, 6, 2) arrays, 138 MB each
+    # Q = 6 runs the batched solver on (6, 6, k) cost matrices; scoring all
+    # 720 permutations of the 1000 pairs in one piece would hold two
+    # (1000, 720, 6, 2) arrays, 138 MB each, far above the bound below
     assert 1000 % (ASSIGN_CHUNK_BYTES // (720 * 6 * 2 * 8)) != 0
     rng = np.random.default_rng(9)
     a = rng.normal(size=(1000, 6, 2))
@@ -325,19 +327,39 @@ def test_assign_chunks_beyond_enumeration(monkeypatch):
     assert_assign_matches_oracle(rng.normal(size=(100, 7, 2)), rng.normal(size=(100, 7, 2)))
 
 
-def test_assign_one_base_with_coincident_sheets():
+@pytest.mark.parametrize("q", [2, 3, 4, 5])
+def test_assign_one_base_with_coincident_sheets(q):
     # a chain level's tuple repeats its sites, so every member of its ball
-    # ties between the coincident sheets, as in `chain_inclusion_check`
+    # ties between the coincident sheets, as in `chain_inclusion_check`; the
+    # sites are not dyadic, so tied permutations can differ in the last bit
     rng = np.random.default_rng(13)
-    base = np.repeat(rng.normal(size=(2, 3)), [2, 3], axis=0)
-    assert_assign_matches_oracle(base, base + 0.3 * rng.normal(size=(300, 5, 3)))
+    mult = {2: [2], 3: [1, 2], 4: [2, 2], 5: [2, 3]}[q]
+    base = np.repeat(rng.normal(size=(len(mult), 3)), mult, axis=0)
+    batch = base + 0.3 * rng.normal(size=(300, q, 3))
+    assert_assign_matches_oracle(base, batch)
+    assert_assign_matches_oracle(np.broadcast_to(base, batch.shape).copy(), batch)
+    perm = assign(base, batch)[0]
+    for e in range(0, 300, 30):
+        assert optimal_matching(QPoint(base), QPoint(batch[e]))[0].tolist() == perm[e].tolist()
 
 
-@pytest.mark.parametrize("q", [5, 6, 7, 8])
-def test_assign_layouts_agree_beyond_enumeration(q):
+def test_assign_chunks_in_enumeration(monkeypatch):
+    # a small budget cuts 100 Q = 4 pairs into chunks of 21, the last one
+    # partial; every pair holds coincident sheets, so every chunk has ties
+    monkeypatch.setattr(qspace, "ASSIGN_CHUNK_BYTES", 1 << 12)
+    assert 100 % (qspace.ASSIGN_CHUNK_BYTES // (max(4 * 4, 24) * 8)) != 0
+    rng = np.random.default_rng(15)
+    a = np.repeat(rng.normal(size=(100, 2, 2)), 2, axis=1)
+    b = a + 0.3 * rng.normal(size=(100, 4, 2))
+    assert_assign_matches_oracle(a, b)
+    assert_assign_matches_oracle(a[0], b)
+
+
+@pytest.mark.parametrize("q", range(1, 9))
+def test_assign_layouts_agree(q):
     # one tuple against a batch and the same tuple repeated give the same floats
     rng = np.random.default_rng(q)
-    base = np.repeat(rng.normal(size=(3, 2)), [1, 2, q - 3], axis=0)
+    base = rng.normal(size=((q + 1) // 2, 2))[np.arange(q) // 2]
     batch = base + 0.5 * rng.normal(size=(400, q, 2))
     batch[::2] = rng.normal(size=(200, q, 2))
     p1, s1 = assign(base, batch)
@@ -375,6 +397,8 @@ def test_assign_memory_is_bounded_beyond_enumeration():
 @pytest.mark.parametrize("value", [np.nan, 1e200])
 def test_assign_rejects_non_finite_costs(value):
     # a NaN, or squared distances that overflow, would leave the solver's
-    # searches without a finite column to settle
-    with np.errstate(over="ignore"), pytest.raises(InvalidInputError):
-        assign(np.full((5, 2), value), np.zeros((5, 2)))
+    # searches without a finite column to settle, and the enumeration
+    # without a minimum to compare against
+    for q in (2, 5):
+        with np.errstate(over="ignore"), pytest.raises(InvalidInputError):
+            assign(np.full((q, 2), value), np.zeros((q, 2)))
