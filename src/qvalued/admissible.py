@@ -21,6 +21,7 @@ from .embedding import ProjectionFrame, standard_frame
 from .qspace import (
     QPoint,
     SupportDecomposition,
+    _collapse_classes,
     _threshold_classes,
     metric_g,
     metric_g_many,
@@ -309,9 +310,7 @@ class NestedBallChain:
         }
 
 
-def nested_chain(
-    q: QPoint, frame: AngleSeparatedFrame, dedup_tol: float | None = None
-) -> NestedBallChain:
+def nested_chain(q: QPoint, frame: AngleSeparatedFrame) -> NestedBallChain:
     """Coarsen the support of q level by level into a nested admissible chain.
 
     At each level the outer radius is a fixed fraction of the minimum site
@@ -321,7 +320,7 @@ def nested_chain(
     its lexicographically smallest site carrying the class's total
     multiplicity.  Terminates in at most Q-1 levels.
     """
-    dec = support(q, dedup_tol)
+    dec = support(q)
     n, q_sheets = dec.n, dec.q
     th0 = theta0(n, q_sheets)
     k_const, c0_const = modification_constants(n, q_sheets)
@@ -359,16 +358,7 @@ def nested_chain(
         rho = s_values[kappa0 - 1]
         merged = classes_at[kappa0 - 1]
 
-        sites = []
-        mult = []
-        for members in merged:
-            block = current.sites[members]
-            rep = block[np.lexsort(block.T[::-1])[0]]
-            sites.append(rep)
-            mult.append(int(current.multiplicities[members].sum()))
-        sites_arr = np.array(sites)
-        order = np.lexsort(sites_arr.T[::-1])
-        current = SupportDecomposition(sites_arr[order], np.array(mult, dtype=np.intp)[order])
+        current = _collapse_classes(current.sites, current.multiplicities, merged)
 
     levels.append(ChainLevel(current, rho, float("inf")))
     return NestedBallChain(tuple(levels), th0, k_const, c0_const, frame.frame)

@@ -32,6 +32,7 @@ from .field import (
     DEFAULT_C_CL,
     GridField,
     _SPLU_KW,
+    _check_frame,
     _disc_cell_sum,
     _require_disc_inside,
     _slice_scan,
@@ -47,8 +48,12 @@ from .qspace import assign, metric_g_many
 CENSOR_DILATION = 10
 #: ring width (in nodes) of the holomorphic refit collar
 REFIT_RING = 6
+#: degree of the holomorphic polynomial refitted over each censored zone
+REFIT_DEGREE = 2
 #: points per axis at which each cutoff cell samples the bilinear d* reconstruction
 PSI_SUBSAMPLES = 3
+#: relative slack of the frame-gap bound and of the key-lemma oscillation bound
+BOUND_SLACK = 0.05
 
 
 def _replicate_rim(interior: np.ndarray, ny: int, nx: int) -> np.ndarray:
@@ -104,8 +109,7 @@ def hopf_differential(f: GridField, frame: ProjectionFrame) -> HopfField:
     """Hopf density of the embedded field from matched central differences."""
     if f.nx < 3 or f.ny < 3:
         raise InvalidInputError("need interior nodes to form central differences")
-    if frame.n != f.n or frame.q_sheets != f.q_sheets:
-        raise InvalidInputError("frame does not match the field's (Q, n)")
+    _check_frame(f, frame)
     (c, east, west, north, south), du, dv = _matched_gradient(f, frame)
     phi_int = (
         np.einsum("...qa,...qa->...", du, du)
@@ -153,8 +157,9 @@ def plaquette_defects(hopf: HopfField) -> np.ndarray:
     return (h / 2) * ((a + b) + 1j * (b + c) - (d + c) - 1j * (a + d))
 
 
-def _censor_refit(hopf: HopfField, degree: int = 2) -> tuple[np.ndarray, np.ndarray]:
-    """Replace the censored zone by a local holomorphic polynomial fit."""
+def _censor_refit(hopf: HopfField) -> tuple[np.ndarray, np.ndarray]:
+    """Replace the censored zone by a local holomorphic polynomial fit of
+    degree REFIT_DEGREE."""
     phi = hopf.phi
     if not hopf.degenerate.any():
         # The dilation of an empty mask is empty, and scipy.ndimage need not load.
@@ -168,17 +173,17 @@ def _censor_refit(hopf: HopfField, degree: int = 2) -> tuple[np.ndarray, np.ndar
     for lab in range(1, count + 1):
         blob = labels == lab
         ring = ndimage.binary_dilation(blob, iterations=REFIT_RING) & ~bad
-        if ring.sum() < 3 * (degree + 1):
+        if ring.sum() < 3 * (REFIT_DEGREE + 1):
             ring = ~bad
         if not ring.any():
             continue  # no clean samples anywhere: leave the raw values in place
         zc = z[blob].mean()
         scale = max(float(np.abs(z[ring] - zc).max()), hopf.spacing)
         t = (z[ring] - zc) / scale
-        vand = np.stack([t**p for p in range(degree + 1)], axis=1)
+        vand = np.stack([t**p for p in range(REFIT_DEGREE + 1)], axis=1)
         coef, *_ = np.linalg.lstsq(vand, phi[ring], rcond=None)
         tin = (z[blob] - zc) / scale
-        out[blob] = np.stack([tin**p for p in range(degree + 1)], axis=1) @ coef
+        out[blob] = np.stack([tin**p for p in range(REFIT_DEGREE + 1)], axis=1) @ coef
     return out, bad
 
 
@@ -283,14 +288,13 @@ def xi0_invariance_gap(
     f: GridField,
     frame_a: ProjectionFrame,
     frame_b: ProjectionFrame,
-    radius: float | None = None,
-    tol: float = 0.05,
 ) -> InvarianceGap:
     """Frame dependence of the Hopf density: a constant-modulus difference.
 
     Returns the standard deviation and mean of |phi - phi~| over interior
-    nodes and the energy bound 4/(pi R0^2) * Dir(f; U_{R0}); raises when the
-    mean exceeds the bound beyond ``tol`` (relative).  The matched-difference
+    nodes and the energy bound 4/(pi R0^2) * Dir(f; U_{R0}) on the largest
+    disc U_{R0} about the grid centre; raises when the mean exceeds the bound
+    by more than BOUND_SLACK (relative).  The matched-difference
     estimator pairs each sheet's derivative with itself, so both gap numbers
     vanish to roundoff; the call certifies that together with the bound.
     """
@@ -302,11 +306,10 @@ def xi0_invariance_gap(
         f.origin[0] + 0.5 * (f.nx - 1) * f.spacing,
         f.origin[1] + 0.5 * (f.ny - 1) * f.spacing,
     )
-    if radius is None:
-        radius = 0.5 * f.spacing * (min(f.nx, f.ny) - 1)
+    radius = 0.5 * f.spacing * (min(f.nx, f.ny) - 1)
     bound = 4.0 / (math.pi * radius**2) * disc_energy(f, frame_a, center, radius)
     mean = float(diff.mean())
-    if mean > bound * (1 + tol) + 1e-12:
+    if mean > bound * (1 + BOUND_SLACK) + 1e-12:
         raise NumericalFailureError(
             f"mean frame gap {mean} exceeds the energy bound {bound}"
         )
@@ -327,14 +330,10 @@ def _rim_distance(f: GridField, w: tuple[float, float]) -> float:
     return min(w[0] - f.origin[0], x1 - w[0], w[1] - f.origin[1], y1 - w[1])
 
 
-def _disc(f: GridField, w_star: tuple[int, int], w0, r) -> tuple[tuple[float, float], float]:
-    """The cutoff disc; the largest one centred on node w_star supplies a missing w0 or r."""
-    if w0 is None or r is None:
-        iy, ix = _node_index(f, w_star)
-        d0 = (f.origin[0] + ix * f.spacing, f.origin[1] + iy * f.spacing)
-        w0 = w0 or d0
-        r = r or _rim_distance(f, d0)
-    return w0, r
+def _node_point(f: GridField, w_star: tuple[int, int]) -> tuple[float, float]:
+    """Position of the interior node w_star."""
+    iy, ix = _node_index(f, w_star)
+    return (f.origin[0] + ix * f.spacing, f.origin[1] + iy * f.spacing)
 
 
 def d_star(
@@ -384,17 +383,19 @@ def k_zero(chain: NestedBallChain, tau: float) -> int:
 
 
 class _Pivot(NamedTuple):
-    """What a base node fixes for every level and rung: the disc, tau*, k0."""
+    """What a base node fixes for every level and rung: the cutoff disc (the
+    largest one centred on the node), tau*, k0."""
     w0: tuple[float, float]
     r: float
     tau: float
     k0: int
 
 
-def _pivot(f: GridField, farr: np.ndarray, w_star, chain: NestedBallChain, w0, r) -> _Pivot:
-    """The disc, tau* on its circle and the pivot level k0 (the chain depth when
-    tau* = 0), for the field f embedded as farr."""
-    w0, r = _disc(f, w_star, w0, r)
+def _pivot(f: GridField, farr: np.ndarray, w_star, chain: NestedBallChain) -> _Pivot:
+    """The cutoff disc, tau* on its circle and the pivot level k0 (the chain
+    depth when tau* = 0), for the field f embedded as farr."""
+    w0 = _node_point(f, w_star)
+    r = _rim_distance(f, w0)
     tau = _tau_star(f, farr, w_star, w0, r)
     return _Pivot(w0, r, tau, k_zero(chain, tau) if tau > 0 else chain.depth)
 
@@ -434,10 +435,9 @@ def valid_rho_interval(
     w_star: tuple[int, int],
     k: int,
     chain: NestedBallChain,
-    w0: tuple[float, float] | None = None,
-    r: float | None = None,
 ) -> tuple[float, float, int, float]:
-    """(lo, hi, k0, tau*) for the level-k cutoff parameter.
+    """(lo, hi, k0, tau*) for the level-k cutoff parameter on the largest
+    disc centred on the base node w_star.
 
     ``hi`` is sigma_k below the pivot level and (2/5) min(tau*, sigma_k0) at
     it; ``lo`` is rho_k, the inner radius where the monotonicity statement
@@ -447,7 +447,7 @@ def valid_rho_interval(
     supported in the disc.
     """
     farr = embed_grid(f, frame)
-    piv = _pivot(f, farr, w_star, chain, w0, r)
+    piv = _pivot(f, farr, w_star, chain)
     lo, hi, _ = _level_range(f, farr, comp, frame, w_star, k, chain, piv)
     return lo, hi, piv.k0, piv.tau
 
@@ -459,16 +459,15 @@ def monotone_rho_interval(
     w_star: tuple[int, int],
     k: int,
     chain: NestedBallChain,
-    w0: tuple[float, float] | None = None,
-    r: float | None = None,
 ) -> tuple[float, float]:
-    """(rho_k, 2/5 sigma_k) below the pivot, the pivot's full valid range at it.
+    """(rho_k, 2/5 sigma_k) below the pivot, the pivot's full valid range at it,
+    on the largest disc centred on the base node w_star.
 
     This is the interval on which the ratio psi_k(rho)/rho^2 is asserted to
     be nondecreasing; it is narrower than psi_k's validity below the pivot.
     """
     farr = embed_grid(f, frame)
-    piv = _pivot(f, farr, w_star, chain, w0, r)
+    piv = _pivot(f, farr, w_star, chain)
     lo, _, hi = _level_range(f, farr, comp, frame, w_star, k, chain, piv)
     return lo, hi
 
@@ -527,31 +526,22 @@ def psi_k(
     chain: NestedBallChain,
     rho: float,
     eps: float,
-    w0: tuple[float, float] | None = None,
-    r: float | None = None,
-    validate: bool = True,
 ) -> float:
     """Cutoff-weighted disc energy of the augmented map at level k.
 
-    Integrates lambda(rho - d*_k) |grad G|^2 over the disc with a quintic
-    ramp of width eps.  The ramp is evaluated on a subsampled bilinear
-    reconstruction of d* inside each cell (``PSI_SUBSAMPLES`` per axis) so
-    that cutoff layers thinner than a cell are still integrated
-    consistently.  ``validate=False`` skips the range checks (useful for
-    saturated-cutoff diagnostics).
+    Integrates lambda(rho - d*_k) |grad G|^2 over the largest disc centred on
+    the base node w_star with a quintic ramp of width eps, after checking rho
+    and eps against the level's valid range.  The ramp is evaluated on a
+    subsampled bilinear reconstruction of d* inside each cell
+    (``PSI_SUBSAMPLES`` per axis) so that cutoff layers thinner than a cell
+    are still integrated consistently.
     """
-    if validate:
-        farr = embed_grid(f, frame)
-        piv = _pivot(f, farr, w_star, chain, w0, r)
-        w0, r = piv.w0, piv.r
-        _, hi, _ = _level_range(f, farr, comp, frame, w_star, k, chain, piv)
-        _check_rung(chain, k, piv, hi, rho, eps)
-    else:
-        w0, r = _disc(f, w_star, w0, r)
-        if rho <= 0 or eps <= 0:
-            raise InvalidInputError("rho and eps must be positive")
+    farr = embed_grid(f, frame)
+    piv = _pivot(f, farr, w_star, chain)
+    _, hi, _ = _level_range(f, farr, comp, frame, w_star, k, chain, piv)
+    _check_rung(chain, k, piv, hi, rho, eps)
     dst = d_star(f, comp, w_star, k, chain)
-    return _psi_kernel(dst, _cutoff_cells(f, comp, frame), rho, eps, f, w0, r)
+    return _psi_kernel(dst, _cutoff_cells(f, comp, frame), rho, eps, f, piv.w0, piv.r)
 
 
 @dataclass(frozen=True)
@@ -598,11 +588,10 @@ def monotonicity_report(
     w_star: tuple[int, int],
     chain: NestedBallChain,
     ladder: np.ndarray | None = None,
-    w0: tuple[float, float] | None = None,
-    r: float | None = None,
     tolerance: float = 0.05,
 ) -> MonotonicityReport:
-    """Evaluate psi_k(rho)/rho^2 ladders for every level up to the pivot.
+    """Evaluate psi_k(rho)/rho^2 ladders for every level up to the pivot, on
+    the largest disc centred on the base node w_star.
 
     ``ladder`` holds fractions of each level's valid interval (default ten
     points from 0.35 to 0.95).  A pair s < t with ratio(s) > ratio(t)(1+tol)
@@ -616,7 +605,7 @@ def monotonicity_report(
     if np.any(ladder <= 0) or np.any(ladder >= 1):
         raise InvalidInputError("ladder fractions must lie strictly inside (0, 1)")
     farr = embed_grid(f, frame)
-    piv = _pivot(f, farr, w_star, chain, w0, r)
+    piv = _pivot(f, farr, w_star, chain)
     ranges = [_level_range(f, farr, comp, frame, w_star, k, chain, piv) for k in range(piv.k0 + 1)]
     eps = (min(chain.levels[0].sigma, piv.tau) if piv.tau > 0 else 2.5 * ranges[0][1]) / 20
     e_cell = _cutoff_cells(f, comp, frame)
@@ -672,17 +661,20 @@ def key_lemma_check(
     w_star: tuple[int, int],
     r: float,
     frame: ProjectionFrame,
-    tolerance: float = 0.05,
 ) -> tuple[float, float, bool]:
-    """Oscillation bound: circle distance to f(w*) vs augmented disc energy."""
-    w0, _ = _disc(f, w_star, None, r)  # centred on the base node
+    """Oscillation bound: circle distance to f(w*) vs augmented disc energy on
+    the disc of radius r centred on the base node.
+
+    Returns (lhs, rhs, lhs <= rhs * (1 + BOUND_SLACK)).
+    """
+    w0 = _node_point(f, w_star)
     farr = embed_grid(f, frame)
     lhs = _tau_star(f, farr, w_star, w0, r)
     e_f = _disc_cell_sum(embedded_energy(farr).per_cell, f, w0, r)
     e_h = _companion_disc_energy(comp, f, w0, r)
     delta = delta_constant(f.n, f.q_sheets)
     rhs = math.sqrt((e_f + e_h) / (2 * math.pi * delta))
-    return lhs, rhs, lhs <= rhs * (1 + tolerance)
+    return lhs, rhs, lhs <= rhs * (1 + BOUND_SLACK)
 
 
 def _companion_disc_energy(
@@ -720,27 +712,24 @@ def continuity_certificate(
     frame: ProjectionFrame,
     w: tuple[float, float],
     radius: float,
-    c_cl: float = DEFAULT_C_CL,
-    r0: float | None = None,
-    comp: HarmonicCompanion | None = None,
+    comp: HarmonicCompanion,
 ) -> ContinuityCertificate:
     """Continuity modulus at w from the slice bound and the oscillation bound.
 
-    alpha1 bounds the best circle oscillation by the disc energy; beta
-    controls the companion energy independently of the frame choice; alpha2
-    feeds both into the oscillation bound; the modulus is 4 max(a1, a2).
+    alpha1 = DEFAULT_C_CL sqrt(E_R) bounds the best circle oscillation by the
+    disc energy; C_R0 is the mean energy density on the largest disc about w
+    inside the grid; beta controls the energy of the companion ``comp``
+    independently of the frame choice; alpha2 feeds both into the
+    oscillation bound; the modulus is 4 max(a1, a2).
     """
     _require_disc_inside(f, w, radius)
-    if r0 is None:
-        r0 = _rim_distance(f, w)
+    r0 = _rim_distance(f, w)
     farr = embed_grid(f, frame)
     slice_r, slice_osc = _slice_scan(f, farr, w, radius)
     per_cell = embedded_energy(farr).per_cell
     e_r = _disc_cell_sum(per_cell, f, w, radius)
-    alpha1 = c_cl * math.sqrt(e_r)
+    alpha1 = DEFAULT_C_CL * math.sqrt(e_r)
     c_r0 = _disc_cell_sum(per_cell, f, w, r0) / (math.pi * r0**2)
-    if comp is None:
-        comp = harmonic_companion(hopf_differential(f, frame))
     e_h = _companion_disc_energy(comp, f, w, radius)
     beta = e_h + 2 * math.pi * c_r0**2 * radius**2 + 2 * c_r0 * e_r
     delta = delta_constant(f.n, f.q_sheets)

@@ -27,7 +27,7 @@ from .errors import InvalidInputError, NumericalFailureError
 from .embedding import ProjectionFrame
 from .qspace import QPoint, assign, metric_g_many
 
-#: default circle-slice constant (the classical Courant-Lebesgue shape)
+#: circle-slice constant of the certificate's alpha1 (the classical Courant-Lebesgue shape)
 DEFAULT_C_CL = math.sqrt(4.0 * math.pi / math.log(2.0))
 #: disc nodes beyond which `disc_oscillation` draws a seeded random subset
 OSC_MAX_NODES = 400

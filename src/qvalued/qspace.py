@@ -37,7 +37,7 @@ EXHAUSTIVE_MAX_SHEETS = 4
 #: Q! permutation costs of the enumeration where those are larger
 ASSIGN_CHUNK_BYTES = 1 << 22
 
-#: relative factor for the default coincidence tolerance of `support`
+#: coincidence tolerance of `support`, relative to 1 + the tuple's diameter
 DEDUP_REL_TOL = 1e-9
 
 _PERM_CACHE: dict[int, np.ndarray] = {}
@@ -138,7 +138,13 @@ def _check_compatible(p: QPoint, r: QPoint):
 
 
 def metric_g(p: QPoint, r: QPoint) -> float:
-    """Optimal-assignment distance between two unordered tuples."""
+    """Optimal-assignment distance between two unordered tuples.
+
+    It runs SciPy's Hungarian solver on costs built with `einsum`, apart
+    from `assign` on purpose: it is the independent reference that the
+    `assign` tests compare against, so its value may differ from
+    `assign`'s (and `optimal_matching`'s) in the last bit.
+    """
     from scipy.optimize import linear_sum_assignment
 
     _check_compatible(p, r)
@@ -443,37 +449,29 @@ def _threshold_classes(points: np.ndarray, threshold: float) -> list[list[int]]:
     return list(classes.values())
 
 
-def default_dedup_tol(points: np.ndarray) -> float:
-    """Scale-aware coincidence tolerance: DEDUP_REL_TOL * (1 + diameter)."""
-    pts = np.asarray(points, dtype=np.float64)
-    if pts.shape[0] < 2:
-        return DEDUP_REL_TOL
-    diff = pts[:, None, :] - pts[None, :, :]
-    diam = np.sqrt(np.einsum("ijk,ijk->ij", diff, diff).max())
-    return DEDUP_REL_TOL * (1.0 + diam)
+def _collapse_classes(
+    points: np.ndarray, multiplicities: np.ndarray, classes: list[list[int]]
+) -> SupportDecomposition:
+    """One site per class of points: its lexicographically smallest member,
+    carrying the class's total multiplicity.  Sites come in lexicographic order."""
+    sites = np.array([points[m][np.lexsort(points[m].T[::-1])[0]] for m in classes])
+    mult = np.array([multiplicities[m].sum() for m in classes], dtype=np.intp)
+    order = np.lexsort(sites.T[::-1])
+    return SupportDecomposition(sites[order], mult[order])
 
 
-def support(p: QPoint, dedup_tol: float | None = None) -> SupportDecomposition:
-    """Cluster coincident sheets (pairwise distance <= dedup_tol) into sites.
+def support(p: QPoint) -> SupportDecomposition:
+    """Cluster coincident sheets into sites.
 
-    Each cluster is represented by its lexicographically smallest member;
+    Sheets chained by pairwise distance at most DEDUP_REL_TOL * (1 + diameter)
+    form one site, represented by its lexicographically smallest member;
     sites are returned in lexicographic order.
     """
-    if dedup_tol is None:
-        dedup_tol = default_dedup_tol(p.points)
-    if dedup_tol < 0:
-        raise InvalidInputError("dedup_tol must be nonnegative")
     pts = p.points
-    sites = []
-    mult = []
-    for members in _threshold_classes(pts, dedup_tol):
-        block = pts[members]
-        rep = block[np.lexsort(block.T[::-1])[0]]
-        sites.append(rep)
-        mult.append(len(members))
-    sites_arr = np.array(sites)
-    order = np.lexsort(sites_arr.T[::-1])
-    return SupportDecomposition(sites_arr[order], np.array(mult, dtype=np.intp)[order])
+    diff = pts[:, None, :] - pts[None, :, :]
+    diam = np.sqrt(np.einsum("ijk,ijk->ij", diff, diff).max())
+    classes = _threshold_classes(pts, DEDUP_REL_TOL * (1.0 + diam))
+    return _collapse_classes(pts, np.ones(p.q, dtype=np.intp), classes)
 
 
 def min_separation(s: SupportDecomposition) -> float:

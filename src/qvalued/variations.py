@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .admissible import NestedBallChain
+from .admissible import NestedBallChain, angle_separated_frame, nested_chain
 from .analysis import (
     HarmonicCompanion,
     _level_range,
@@ -44,7 +44,9 @@ from .field import (
     embedded_energy,
 )
 from .qspace import QPoint, support
-from .admissible import angle_separated_frame, nested_chain
+
+#: sampled point pairs per site in the retraction's Lipschitz check
+LIP_SAMPLES = 400
 
 
 @dataclass(frozen=True)
@@ -164,15 +166,14 @@ def build_admissible_variation(
     rho: float,
     eps: float,
     w_star: tuple[int, int],
-    lip_samples: int = 400,
     seed: int = 0,
 ) -> RangeVariation:
     """Assemble the level-k range variation and certify the retraction numerically.
 
     Checks the structural parameter ranges (the tau*-dependent part of the
     cutoff validity is re-checked against the field by the derivative) and
-    samples two-point ratios of the retraction around every site against the
-    chain's Lipschitz budget 5/sigma_k.
+    samples LIP_SAMPLES two-point ratios of the retraction around every site
+    against the chain's Lipschitz budget 5/sigma_k.
     """
     if not 0 <= k < len(chain.levels):
         raise InvalidInputError(f"chain level {k} out of range")
@@ -191,8 +192,8 @@ def build_admissible_variation(
         n = sites.shape[1]
         budget = 5.0 / sigma + 1e-6
         for site in sites:
-            y1 = site + rng.normal(size=(lip_samples, n)) * (0.4 * sigma)
-            y2 = y1 + rng.normal(size=(lip_samples, n)) * (0.05 * sigma)
+            y1 = site + rng.normal(size=(LIP_SAMPLES, n)) * (0.4 * sigma)
+            y2 = y1 + rng.normal(size=(LIP_SAMPLES, n)) * (0.05 * sigma)
             num = np.linalg.norm(rv.retraction(y1) - rv.retraction(y2), axis=-1)
             den = np.linalg.norm(y1 - y2, axis=-1)
             ok = den > 1e-12
@@ -218,13 +219,12 @@ def range_variation_derivative(
     f: GridField,
     frame: ProjectionFrame,
     rv: RangeVariation,
-    comp: HarmonicCompanion | None = None,
+    comp: HarmonicCompanion,
 ) -> float:
     """Central-difference energy derivative of the admissible range
-    variation, with step t = h^2."""
+    variation, with step t = h^2, whose cutoff measures d* with the
+    companion ``comp``."""
     _check_frame(f, frame)
-    if comp is None:
-        comp = harmonic_companion(hopf_differential(f, frame))
     return _range_derivative(f, frame, rv, cutoff_weights(f, comp, rv))
 
 
@@ -327,7 +327,7 @@ def stationarity_residual(
         base = QPoint(f.values[iy, ix].copy())
         try:
             chain = nested_chain(base, angle_separated_frame(support(base)))
-            piv = _pivot(f, farr, (iy, ix), chain, None, None)
+            piv = _pivot(f, farr, (iy, ix), chain)
         except InvalidInputError:
             continue
         if piv.tau <= 0:

@@ -237,6 +237,19 @@ def test_nested_chain_hand_computed_two_site():
     assert validate_chain(chain) == []
 
 
+def test_nested_chain_keeps_smallest_site_and_total_multiplicity():
+    # a repeated sheet: the support counts it twice, and the merged level
+    # keeps the lexicographically smallest site with the multiplicities summed
+    p = QPoint([[1.0, 5.0], [1.0, -2.0], [3.0, 0.0], [1.0, -2.0]])
+    chain = nested_chain(p, angle_separated_frame(support(p)))
+    first, last = chain.levels[0].decomposition, chain.levels[-1].decomposition
+    assert first.sites.tolist() == [[1.0, -2.0], [1.0, 5.0], [3.0, 0.0]]
+    assert first.multiplicities.tolist() == [2, 1, 1]
+    assert last.sites.tolist() == [[1.0, -2.0]]
+    assert last.multiplicities.tolist() == [4]
+    assert validate_chain(chain) == []
+
+
 def test_nested_chain_random_invariants():
     rng = np.random.default_rng(7)
     for _ in range(100):

@@ -30,7 +30,14 @@ from qvalued import (
     valid_rho_interval,
     xi0_invariance_gap,
 )
-from qvalued.analysis import _censor_refit, _lsq_potential, plaquette_defects
+from qvalued.analysis import (
+    _censor_refit,
+    _cutoff_cells,
+    _lsq_potential,
+    _psi_kernel,
+    _rim_distance,
+    plaquette_defects,
+)
 
 from helpers import (
     count_embed_grid,
@@ -301,7 +308,10 @@ def test_psi_k_zero_below_min_distance(minimized_strong_97):
         dst = d_star(g, comp, w, 1, chain)
         floor = dst.min()
         rho = 0.5 * floor
-        val = psi_k(g, comp, fr, w, 1, chain, rho, rho / 4, validate=False)
+        # the cutoff disc of psi_k, without its range checks
+        w0 = tuple(g.node_position(w))
+        cells = _cutoff_cells(g, comp, fr)
+        val = _psi_kernel(dst, cells, rho, rho / 4, g, w0, _rim_distance(g, w0))
         assert val == 0.0
 
 
@@ -319,9 +329,8 @@ def test_psi_k_saturated_cutoff_full_energy():
     dst = d_star(f, comp, w, 0, chain)
     x, y = np.meshgrid(f.xs, f.ys)
     big = float(dst[np.hypot(x, y) <= r_disc + 0.1].max())
-    val = psi_k(
-        f, comp, fr, w, 0, chain, big + 1.0, 0.5, w0=(0.0, 0.0), r=r_disc, validate=False
-    )
+    cells = _cutoff_cells(f, comp, fr)
+    val = _psi_kernel(dst, cells, big + 1.0, 0.5, f, (0.0, 0.0), r_disc)
     g2 = comp.grad_sq()
     cell = (g2[:-1, :-1] + g2[:-1, 1:] + g2[1:, :-1] + g2[1:, 1:]) / 4 * f.spacing**2
     cx = f.origin[0] + f.spacing * (np.arange(f.nx - 1) + 0.5)
@@ -505,13 +514,12 @@ def test_monotonicity_report_embeds_the_grid_once(which, request, monkeypatch):
     assert calls == [f.values.shape]
 
 
-@pytest.mark.parametrize("with_comp", [True, False])
-def test_certificate_and_key_lemma_embed_the_grid_once(with_comp, monkeypatch):
+def test_certificate_and_key_lemma_embed_the_grid_once(monkeypatch):
     f = sqrt_grid_field(65)
     fr = standard_frame(2, 2)
     comp = harmonic_companion(hopf_differential(f, fr))
     calls = count_embed_grid(monkeypatch)
-    continuity_certificate(f, fr, (0.0, 0.0), 0.4, comp=comp if with_comp else None)
+    continuity_certificate(f, fr, (0.0, 0.0), 0.4, comp)
     assert calls == [f.values.shape]
     calls.clear()
     key_lemma_check(f, comp, (32, 32), 0.5, fr)
@@ -577,7 +585,8 @@ def test_continuity_certificate_constant_field():
     spec = unit_square_grid(65)
     f = GridField(vals, spec.spacing, spec.origin)
     fr = standard_frame(2, 2)
-    cert = continuity_certificate(f, fr, (0.0, 0.0), 0.4)
+    comp = harmonic_companion(hopf_differential(f, fr))
+    cert = continuity_certificate(f, fr, (0.0, 0.0), 0.4, comp)
     assert cert.alpha1 == pytest.approx(0.0, abs=1e-12)
     # beta is the companion disc energy alone: |grad h|^2 = 2 over the disc
     assert cert.beta == pytest.approx(2 * math.pi * 0.4**2, rel=0.05)

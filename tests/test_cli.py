@@ -9,6 +9,8 @@ from qvalued import (
     MinimizeOptions,
     QPoint,
     continuity_certificate,
+    harmonic_companion,
+    hopf_differential,
     minimize,
     standard_frame,
 )
@@ -194,7 +196,11 @@ def test_certificate_cli(tmp_path, capsys):
     assert out["certificates"][0]["modulus"] > 0
     # the shared companion changes nothing: the outputs match per-radius
     # certificates that each build their own
-    certs = [continuity_certificate(f, standard_frame(2, 2), (0.0, 0.0), r) for r in (0.4, 0.2)]
+    fr = standard_frame(2, 2)
+    certs = [
+        continuity_certificate(f, fr, (0.0, 0.0), r, harmonic_companion(hopf_differential(f, fr)))
+        for r in (0.4, 0.2)
+    ]
     want_json = tmp_path / "want.json"
     want_csv = tmp_path / "want.csv"
     _dump_json(
