@@ -20,8 +20,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
 from .errors import InvalidInputError, NumericalFailureError
 from .embedding import ProjectionFrame
@@ -225,9 +223,8 @@ class MinimizeResult:
     converged: bool
 
 
-# Both callers factorise symmetric positive definite matrices (the free-free
-# block of `minimize`, and the grid Laplacian of `analysis._lsq_potential`
-# with node 0 eliminated), so SuperLU runs in symmetric mode on a
+# `minimize` factorises the symmetric positive definite free-free block of
+# its frozen quadratic, so SuperLU runs in symmetric mode on a
 # minimum-degree ordering of A + A^T without pivoting.
 # relax=1 and panel_size=1 keep its supernodes and panels small: with the
 # defaults, minimising two 97x97 two-valued fields raised the process's
@@ -260,6 +257,11 @@ def minimize(f: GridField, opts: MinimizeOptions | None = None) -> MinimizeResul
     energy without factorising again; with a non-negative tolerance the
     first of them stops the loop.
     """
+    # the one sparse solve in qvalued; importing it here keeps scipy out of
+    # every other command's start-up
+    import scipy.sparse as sp
+    import scipy.sparse.linalg as spla
+
     opts = opts or MinimizeOptions()
     g = f.copy()
     v = g.values

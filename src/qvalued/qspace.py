@@ -422,13 +422,12 @@ def metric_g_many(base: np.ndarray, batch: np.ndarray) -> np.ndarray:
     return np.sqrt(assign(base, batch)[1])
 
 
-def _threshold_classes(points: np.ndarray, threshold: float) -> list[list[int]]:
-    """Classes of points chained by pairwise distance <= threshold.
+def _union_classes(count: int, pairs) -> list[list[int]]:
+    """Classes of range(count) chained by the given index pairs (union-find).
 
     Classes are listed in the order of their first members, and each lists
     its members in increasing order.
     """
-    count = points.shape[0]
     parent = list(range(count))
 
     def find(u: int) -> int:
@@ -437,9 +436,7 @@ def _threshold_classes(points: np.ndarray, threshold: float) -> list[list[int]]:
             u = parent[u]
         return u
 
-    diff = points[:, None, :] - points[None, :, :]
-    close = np.sqrt(np.einsum("ijk,ijk->ij", diff, diff)) <= threshold
-    for i, j in zip(*np.nonzero(np.triu(close, k=1))):
+    for i, j in pairs:
         ri, rj = find(i), find(j)
         if ri != rj:
             parent[max(ri, rj)] = min(ri, rj)
@@ -447,6 +444,13 @@ def _threshold_classes(points: np.ndarray, threshold: float) -> list[list[int]]:
     for i in range(count):
         classes.setdefault(find(i), []).append(i)
     return list(classes.values())
+
+
+def _threshold_classes(points: np.ndarray, threshold: float) -> list[list[int]]:
+    """Classes of points chained by pairwise distance <= threshold."""
+    diff = points[:, None, :] - points[None, :, :]
+    close = np.sqrt(np.einsum("ijk,ijk->ij", diff, diff)) <= threshold
+    return _union_classes(points.shape[0], zip(*np.nonzero(np.triu(close, k=1))))
 
 
 def _collapse_classes(

@@ -115,6 +115,66 @@ def lsq_primitive(phi: np.ndarray, h: float) -> np.ndarray:
     return (psi - psi[0]).reshape(ny, nx)
 
 
+def _path_laplacian(m: int) -> sp.spmatrix:
+    """Graph Laplacian of the path on m nodes (free ends)."""
+    d = sp.diags([-1.0, 1.0], [0, 1], shape=(m - 1, m))
+    return d.T @ d
+
+
+def superlu_potential(phi: np.ndarray, h: float) -> np.ndarray:
+    """Least-squares primitive of -phi/4 by a sparse LU solve, gauge psi[0] = 0.
+
+    The right-hand side is the divergence of the trapezoid edge increments;
+    the Neumann grid Laplacian, assembled as a Kronecker sum of path
+    Laplacians, is made definite by eliminating node 0.
+    """
+    ny, nx = phi.shape
+    gx = -(h / 8) * (phi[:, :-1] + phi[:, 1:])
+    gy = -(1j * h / 8) * (phi[:-1] + phi[1:])
+    div = np.zeros(phi.shape, dtype=complex)
+    div[:, 1:] += gx
+    div[:, :-1] -= gx
+    div[1:] += gy
+    div[:-1] -= gy
+    lap = sp.kron(sp.eye(ny), _path_laplacian(nx)) + sp.kron(_path_laplacian(ny), sp.eye(nx))
+    rhs = div.ravel()[1:]
+    sol = spla.splu(lap.tocsc()[1:, 1:]).solve(np.stack([rhs.real, rhs.imag], 1))
+    return np.append(0.0, sol[:, 0] + 1j * sol[:, 1]).reshape(ny, nx)
+
+
+def ndimage_censor_refit(hopf, dilation: int, ring_width: int, degree: int):
+    """Censor-and-refit of the Hopf density with scipy.ndimage morphology.
+
+    The degenerate mask is dilated `dilation` times by the 4-neighbour cross,
+    each 4-connected blob of the result is replaced by a degree-`degree`
+    polynomial in z least-squares fitted on a collar `ring_width` cross
+    dilations wide (or on every clean node when the collar has fewer than
+    3 (degree + 1) of them).  Returns (phi_used, patched).
+    """
+    from scipy import ndimage
+
+    phi = hopf.phi
+    bad = ndimage.binary_dilation(hopf.degenerate, iterations=dilation)
+    out = phi.copy()
+    labels, count = ndimage.label(bad)
+    z = hopf.zgrid()
+    for lab in range(1, count + 1):
+        blob = labels == lab
+        ring = ndimage.binary_dilation(blob, iterations=ring_width) & ~bad
+        if ring.sum() < 3 * (degree + 1):
+            ring = ~bad
+        if not ring.any():
+            continue
+        zc = z[blob].mean()
+        scale = max(float(np.abs(z[ring] - zc).max()), hopf.spacing)
+        t = (z[ring] - zc) / scale
+        vand = np.stack([t**p for p in range(degree + 1)], axis=1)
+        coef, *_ = np.linalg.lstsq(vand, phi[ring], rcond=None)
+        tin = (z[blob] - zc) / scale
+        out[blob] = np.stack([tin**p for p in range(degree + 1)], axis=1) @ coef
+    return out, bad
+
+
 def sqrt_disc_energy(radius: float) -> float:
     """Radial quadrature of the square-root field's energy density.
 

@@ -31,6 +31,9 @@ from qvalued import (
     xi0_invariance_gap,
 )
 from qvalued.analysis import (
+    CENSOR_DILATION,
+    REFIT_DEGREE,
+    REFIT_RING,
     _censor_refit,
     _cutoff_cells,
     _lsq_potential,
@@ -44,11 +47,17 @@ from helpers import (
     harmonic_boundary_field,
     meshgrid_for,
     noisy_copy,
+    root_grid_field,
     sqrt_grid_field,
     two_sheet_field,
     unit_square_grid,
 )
-from oracles import lsq_primitive, sqrt_circle_distance_to_branch
+from oracles import (
+    lsq_primitive,
+    ndimage_censor_refit,
+    sqrt_circle_distance_to_branch,
+    superlu_potential,
+)
 
 
 def single_valued_field(nn, fn, half=1.0):
@@ -206,6 +215,55 @@ def test_lsq_potential_matches_dense_oracle(shape):
     assert psi.shape == shape
     assert psi[0, 0] == 0
     assert np.abs(psi - lsq_primitive(phi, h)).max() <= 1e-10
+
+
+def field_hopf(f: GridField) -> HopfField:
+    return hopf_differential(f, standard_frame(f.n, f.q_sheets))
+
+
+def window(f: GridField, ny: int, nx: int) -> GridField:
+    """The field on its first ny rows and nx columns."""
+    return GridField(f.values[:ny, :nx], f.spacing, f.origin)
+
+
+@pytest.mark.parametrize("shape", [(65, 65), (64, 64), (64, 37), (37, 64)])
+@pytest.mark.parametrize("kind", ["sqrt", "two_sheet"])
+def test_lsq_potential_matches_superlu_oracle(shape, kind):
+    # the companion's own input: the censored and refitted Hopf density
+    base = sqrt_grid_field(65) if kind == "sqrt" else two_sheet_field(65, seed=4)
+    hopf = field_hopf(window(base, *shape))
+    phi, _ = _censor_refit(hopf)
+    psi = _lsq_potential(phi, hopf.spacing)
+    ref = superlu_potential(phi, hopf.spacing)
+    assert psi[0, 0] == 0
+    assert np.abs(psi - ref).max() <= 1e-11 * np.abs(ref).max()
+
+
+def censor_cases():
+    yield pytest.param(field_hopf(sqrt_grid_field(33)), id="sqrt_33")
+    yield pytest.param(field_hopf(root_grid_field(33, 3, 0.05 - 0.03j)), id="root_q3")
+    # several blobs: one reaches the rim, two touch only diagonally (4-connected
+    # labelling keeps them apart), and one holds two degenerate nodes
+    rng = np.random.default_rng(5)
+    phi = rng.normal(size=(60, 70)) + 1j * rng.normal(size=(60, 70))
+    core = np.zeros((60, 70), dtype=bool)
+    core[[5, 30, 32, 45, 46, 50], [3, 35, 37, 5, 26, 60]] = True
+    yield pytest.param(HopfField(phi, core, 0.05, (-1.0, -2.0)), id="blobs")
+    # two blobs in a 4-row strip touch diagonally; the left one's collar keeps
+    # only the 8 < 3 (degree + 1) clean nodes between them, so its fit falls
+    # back to every clean node, those right of the second blob included
+    core = np.zeros((4, 50), dtype=bool)
+    core[[1, 2], [6, 27]] = True
+    yield pytest.param(HopfField(phi[:4, :50], core, 0.1, (0.0, 0.0)), id="fallback")
+
+
+@pytest.mark.parametrize("hopf", list(censor_cases()))
+def test_censor_refit_matches_ndimage_oracle(hopf):
+    phi, patched = _censor_refit(hopf)
+    ref_phi, ref_patched = ndimage_censor_refit(hopf, CENSOR_DILATION, REFIT_RING, REFIT_DEGREE)
+    assert patched.any()
+    assert np.array_equal(patched, ref_patched)
+    assert np.array_equal(phi, ref_phi)
 
 
 def test_plaquette_defects_match_residual_semantics():

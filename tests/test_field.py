@@ -218,16 +218,17 @@ def test_minimize_fixed_point_branched():
 
 
 def count_splu(monkeypatch) -> list:
-    import qvalued.field as field
+    # `minimize` imports scipy.sparse.linalg when it runs, so patch the module
+    import scipy.sparse.linalg as spla
 
     calls = []
-    splu = field.spla.splu
+    splu = spla.splu
 
     def counting(*args, **kwargs):
         calls.append(1)
         return splu(*args, **kwargs)
 
-    monkeypatch.setattr(field.spla, "splu", counting)
+    monkeypatch.setattr(spla, "splu", counting)
     return calls
 
 

@@ -1,8 +1,9 @@
-"""Import-graph gate: heavy scipy subpackages load only on the paths that use them.
+"""Import-graph gate: scipy loads only on the paths that use it.
 
 Each check runs in a fresh interpreter and reads `sys.modules` afterwards, so
-it depends on module names only, never on time.  A new module-level import
-of one of these subpackages anywhere under `qvalued.cli` fails the first test.
+it depends on module names only, never on time.  Importing `qvalued.cli`
+loads no scipy module, the analysis commands load none either, and
+`minimize`, the one sparse solve, loads `scipy.sparse.linalg` itself.
 """
 
 import json
@@ -24,12 +25,15 @@ LAZY = ("scipy.stats", "scipy.optimize", "scipy.ndimage")
 RUN_CLI = "import sys\nfrom qvalued.cli import main\nif main(sys.argv[1:]) != 0:\n    sys.exit(1)"
 
 
-def lazy_modules_loaded(code: str, *argv: str) -> set[str]:
-    """Run `code` with `argv` in a fresh interpreter; return the LAZY modules it loaded."""
+def scipy_modules_loaded(code: str, *argv: str) -> set[str]:
+    """Run `code` with `argv` in a fresh interpreter; return the scipy modules it loaded."""
     src = str(Path(qvalued.__file__).resolve().parents[1])
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    probe = f"{code}\nimport json, sys\nprint(json.dumps([m for m in {list(LAZY)!r} if m in sys.modules]))"
+    probe = (
+        f"{code}\nimport json, sys\n"
+        "print(json.dumps([m for m in sys.modules if m.split('.')[0] == 'scipy']))"
+    )
     run = subprocess.run(
         [sys.executable, "-c", probe, *argv],
         env=env, capture_output=True, text=True, timeout=120, check=True,
@@ -37,23 +41,47 @@ def lazy_modules_loaded(code: str, *argv: str) -> set[str]:
     return set(json.loads(run.stdout.splitlines()[-1]))
 
 
-def test_cli_import_loads_no_lazy_scipy_subpackage():
-    assert lazy_modules_loaded("import qvalued.cli") == set()
+def lazy_modules_loaded(code: str, *argv: str) -> set[str]:
+    """The LAZY modules that `code` loaded (see `scipy_modules_loaded`)."""
+    return scipy_modules_loaded(code, *argv) & set(LAZY)
+
+
+def test_cli_import_loads_no_scipy():
+    assert scipy_modules_loaded("import qvalued.cli") == set()
 
 
 @pytest.mark.parametrize(
     "field, censored",
-    [(two_sheet_field(17, seed=0), False), (sqrt_grid_field(17), True)],
+    [(two_sheet_field(33, seed=0), False), (sqrt_grid_field(33), True)],
     ids=["two_sheet", "sqrt"],
 )
-def test_analyze_loads_ndimage_only_to_censor(tmp_path, field, censored):
+def test_analysis_commands_load_no_scipy(tmp_path, field, censored):
     # the square-root field is degenerate at its branch point, so the
     # companion censors and refits there; the separated sheets never are
     assert hopf_differential(field, standard_frame(2, 2)).degenerate.any() == censored
     path = tmp_path / "field.json"
     path.write_text(json.dumps(field.to_dict()))
-    loaded = lazy_modules_loaded(RUN_CLI, "analyze", "--input", str(path))
-    assert loaded == ({"scipy.ndimage"} if censored else set())
+    out = str(tmp_path / "out.json")
+    commands = [
+        ["analyze"],
+        ["monotonicity", "--wstar", "24,16"],
+        ["variations", "--trials", "2"],
+        ["certificate", "--w", "0.1,0.05", "--radii", "0.5,0.25"],
+    ]
+    run_each = (
+        "import sys\nfrom qvalued.cli import main\n"
+        f"for argv in {[c + ['--input', str(path), '--output', out] for c in commands]!r}:\n"
+        "    if main(argv) != 0:\n        sys.exit(1)"
+    )
+    assert scipy_modules_loaded(run_each) == set()
+
+
+def test_minimize_command_loads_sparse_linalg(tmp_path):
+    path = tmp_path / "field.json"
+    path.write_text(json.dumps(two_sheet_field(17, seed=0).to_dict()))
+    out = str(tmp_path / "out.json")
+    loaded = scipy_modules_loaded(RUN_CLI, "minimize", "--input", str(path), "--output", out)
+    assert "scipy.sparse.linalg" in loaded
 
 
 def test_assignment_beyond_enumeration_loads_no_optimize(tmp_path):
