@@ -32,6 +32,7 @@ from .field import (
     DEFAULT_C_CL,
     GridField,
     _check_frame,
+    _disc_cell_mask,
     _disc_cell_sum,
     _require_disc_inside,
     _slice_scan,
@@ -538,23 +539,61 @@ def _cutoff_cells(f: GridField, comp: HarmonicCompanion, frame: ProjectionFrame)
     return _cell_average(grad_sq_field(f, frame) + comp.grad_sq())
 
 
-def _psi_kernel(dst: np.ndarray, e_cell: np.ndarray, rho, eps, f: GridField, w0, r) -> float:
-    """Cutoff-weighted disc sum of e_cell for the distance field dst."""
-    n = PSI_SUBSAMPLES
-    lam_cell = np.zeros_like(e_cell)
-    for a in range(n):
-        for b in range(n):
-            ta = (a + 0.5) / n
-            tb = (b + 0.5) / n
-            dsub = (
-                dst[:-1, :-1] * (1 - ta) * (1 - tb)
-                + dst[:-1, 1:] * ta * (1 - tb)
-                + dst[1:, :-1] * (1 - ta) * tb
-                + dst[1:, 1:] * ta * tb
-            )
-            lam_cell += _smoothstep((rho - dsub) / eps)
-    lam_cell /= n**2
-    return _disc_cell_sum(lam_cell * e_cell * f.spacing**2, f, w0, r)
+class _DiscCells(NamedTuple):
+    """The cells whose centers lie in the cutoff disc: their mask on the cell
+    grid, their energy density and the cell area."""
+    mask: np.ndarray
+    energy: np.ndarray
+    area: float
+
+
+def _disc_cells(f: GridField, e_cell: np.ndarray, w0, r) -> _DiscCells:
+    mask = _disc_cell_mask(f, w0, r)
+    return _DiscCells(mask, e_cell[mask], f.spacing**2)
+
+
+class _LevelCutoff:
+    """Cutoff-weighted disc energies of one level's distance field.
+
+    Each disc cell samples the bilinear reconstruction of d* at
+    ``PSI_SUBSAMPLES`` points per axis.  The samples depend on the level and
+    the disc, not on rho or eps, so they are built once and shared by the
+    rungs.  At a rung, a cell whose samples all have (rho - d*)/eps >= 1 is
+    saturated and weighs 1; one whose samples all have (rho - d*)/eps <= 0
+    weighs 0; only the cells between, the transition band, go through the
+    ramp.  The clipped ramp is exactly 1 and 0 beyond those ends, so every
+    weight is the ramp's average over the cell's samples.
+    """
+
+    def __init__(self, dst: np.ndarray, disc: _DiscCells):
+        m = disc.mask
+        c00, c01, c10, c11 = dst[:-1, :-1][m], dst[:-1, 1:][m], dst[1:, :-1][m], dst[1:, 1:][m]
+        n = PSI_SUBSAMPLES
+        rows = []
+        for a in range(n):
+            for b in range(n):
+                ta = (a + 0.5) / n
+                tb = (b + 0.5) / n
+                rows.append(
+                    c00 * (1 - ta) * (1 - tb)
+                    + c01 * ta * (1 - tb)
+                    + c10 * (1 - ta) * tb
+                    + c11 * ta * tb
+                )
+        self.samples = np.stack(rows)  # (PSI_SUBSAMPLES^2, disc cells)
+        self.d_min = self.samples.min(axis=0)
+        self.d_max = self.samples.max(axis=0)
+        self.disc = disc
+
+    def psi(self, rho: float, eps: float) -> float:
+        """Disc sum of weight * e_cell * h^2 at the rung (rho, eps)."""
+        full = (rho - self.d_max) / eps >= 1.0
+        band = ((rho - self.d_min) / eps > 0.0) & ~full
+        weight = full.astype(np.float64)
+        ramp = _smoothstep((rho - self.samples[:, band]) / eps)
+        # summed sample by sample, in the order a full-grid accumulation adds them
+        weight[band] = sum(ramp) / PSI_SUBSAMPLES**2
+        return float((weight * self.disc.energy * self.disc.area).sum())
 
 
 def psi_k(
@@ -572,16 +611,17 @@ def psi_k(
     Integrates lambda(rho - d*_k) |grad G|^2 over the largest disc centred on
     the base node w_star with a quintic ramp of width eps, after checking rho
     and eps against the level's valid range.  The ramp is evaluated on a
-    subsampled bilinear reconstruction of d* inside each cell
+    subsampled bilinear reconstruction of d* inside each disc cell
     (``PSI_SUBSAMPLES`` per axis) so that cutoff layers thinner than a cell
-    are still integrated consistently.
+    are still integrated consistently; cells wholly inside the cutoff count
+    their full energy and only the transition band goes through the ramp.
     """
     farr = embed_grid(f, frame)
     piv = _pivot(f, farr, w_star, chain)
     _, hi, _ = _level_range(f, farr, comp, frame, w_star, k, chain, piv)
     _check_rung(chain, k, piv, hi, rho, eps)
-    dst = d_star(f, comp, w_star, k, chain)
-    return _psi_kernel(dst, _cutoff_cells(f, comp, frame), rho, eps, f, piv.w0, piv.r)
+    disc = _disc_cells(f, _cutoff_cells(f, comp, frame), piv.w0, piv.r)
+    return _LevelCutoff(d_star(f, comp, w_star, k, chain), disc).psi(rho, eps)
 
 
 @dataclass(frozen=True)
@@ -635,9 +675,12 @@ def monotonicity_report(
 
     ``ladder`` holds fractions of each level's valid interval (default ten
     points from 0.35 to 0.95).  A pair s < t with ratio(s) > ratio(t)(1+tol)
-    is recorded as a violation.  The embedded field, the pivot, the energy
-    density and each level's d* are computed once and shared by the rungs,
-    which still pass the range checks of `psi_k`.
+    is recorded as a violation.  The embedded field, the pivot and the disc
+    cells' energy density are computed once, and each level's d* and its
+    subsampled reconstruction on the disc cells once per level.  The rungs
+    share them, evaluate the ramp on the transition band alone and still
+    pass the range checks of `psi_k`, so each row equals a standalone
+    `psi_k` call.
     """
     if ladder is None:
         ladder = np.linspace(0.35, 0.95, 10)
@@ -648,15 +691,15 @@ def monotonicity_report(
     piv = _pivot(f, farr, w_star, chain)
     ranges = [_level_range(f, farr, comp, frame, w_star, k, chain, piv) for k in range(piv.k0 + 1)]
     eps = (min(chain.levels[0].sigma, piv.tau) if piv.tau > 0 else 2.5 * ranges[0][1]) / 20
-    e_cell = _cutoff_cells(f, comp, frame)
+    disc = _disc_cells(f, _cutoff_cells(f, comp, frame), piv.w0, piv.r)
     levels: dict[int, list[LadderRow]] = {}
     violations: list[tuple[int, float, float]] = []
     for k, (lo, hi, mono_hi) in enumerate(ranges):
-        dst = d_star(f, comp, w_star, k, chain)
+        level = _LevelCutoff(d_star(f, comp, w_star, k, chain), disc)
         rows = []
         for rho in lo + (mono_hi - lo) * ladder:
             _check_rung(chain, k, piv, hi, rho, eps)
-            val = _psi_kernel(dst, e_cell, rho, eps, f, piv.w0, piv.r)
+            val = level.psi(rho, eps)
             rows.append(LadderRow(float(rho), float(val), float(val / rho**2)))
         levels[k] = rows
         for i in range(len(rows)):

@@ -372,12 +372,16 @@ def disc_energy(f: GridField, frame: ProjectionFrame, w0: tuple[float, float], r
     return _disc_cell_sum(br.per_cell, f, w0, r)
 
 
-def _disc_cell_sum(per_cell: np.ndarray, f: GridField, w0: tuple[float, float], r: float) -> float:
+def _disc_cell_mask(f: GridField, w0: tuple[float, float], r: float) -> np.ndarray:
+    """Cells whose centers lie in the disc U_r(w0), as a (ny - 1, nx - 1) mask."""
     cx = f.origin[0] + f.spacing * (np.arange(f.nx - 1) + 0.5)
     cy = f.origin[1] + f.spacing * (np.arange(f.ny - 1) + 0.5)
     gx, gy = np.meshgrid(cx, cy)
-    mask = (gx - w0[0]) ** 2 + (gy - w0[1]) ** 2 <= r**2
-    return float(per_cell[mask].sum())
+    return (gx - w0[0]) ** 2 + (gy - w0[1]) ** 2 <= r**2
+
+
+def _disc_cell_sum(per_cell: np.ndarray, f: GridField, w0: tuple[float, float], r: float) -> float:
+    return float(per_cell[_disc_cell_mask(f, w0, r)].sum())
 
 
 def _require_disc_inside(f: GridField, w0: tuple[float, float], r: float):

@@ -208,9 +208,16 @@ def build_admissible_variation(
 def cutoff_weights(
     f: GridField, comp: HarmonicCompanion, rv: RangeVariation
 ) -> np.ndarray:
-    """Nodal spatial-cutoff weights of the variation (zero on masked nodes)."""
+    """Nodal spatial-cutoff weights of the variation (zero on masked nodes).
+
+    The ramp runs only where 0 < (rho - d*)/eps < 1; it is exactly 1 and 0
+    beyond those ends.
+    """
     dst = d_star(f, comp, rv.w_star, rv.level, rv.chain)
-    lam = _smoothstep((rv.rho - dst) / rv.eps)
+    t = (rv.rho - dst) / rv.eps
+    lam = (t >= 1.0).astype(np.float64)
+    band = (t > 0.0) & (t < 1.0)
+    lam[band] = _smoothstep(t[band])
     lam[f.boundary_mask] = 0.0
     return lam
 

@@ -272,3 +272,39 @@ def full_grid_range_derivative(f, frame, rv, comp=None) -> float:
     plus = GridField(f.values + t * bump, f.spacing, f.origin, f.boundary_mask)
     minus = GridField(f.values - t * bump, f.spacing, f.origin, f.boundary_mask)
     return (dirichlet_energy(plus, frame).total - dirichlet_energy(minus, frame).total) / (2 * t)
+
+
+def full_grid_cutoff(dst, rho, eps, f, w0, r) -> tuple[np.ndarray, np.ndarray]:
+    """Cell weights of the psi_k cutoff over the whole grid, and the mask of
+    the cells whose centers lie in the disc U_r(w0).
+
+    Every cell samples the bilinear reconstruction of the nodal distance
+    field dst at three points per axis and averages the clipped quintic ramp
+    lambda((rho - d)/eps) over them.
+    """
+    n = 3
+    lam = np.zeros((f.ny - 1, f.nx - 1))
+    for a in range(n):
+        for b in range(n):
+            ta = (a + 0.5) / n
+            tb = (b + 0.5) / n
+            dsub = (
+                dst[:-1, :-1] * (1 - ta) * (1 - tb)
+                + dst[:-1, 1:] * ta * (1 - tb)
+                + dst[1:, :-1] * (1 - ta) * tb
+                + dst[1:, 1:] * ta * tb
+            )
+            t = np.clip((rho - dsub) / eps, 0.0, 1.0)
+            lam += t**3 * (10.0 - 15.0 * t + 6.0 * t**2)
+    lam /= n**2
+    cx = f.origin[0] + f.spacing * (np.arange(f.nx - 1) + 0.5)
+    cy = f.origin[1] + f.spacing * (np.arange(f.ny - 1) + 0.5)
+    gx, gy = np.meshgrid(cx, cy)
+    return lam, (gx - w0[0]) ** 2 + (gy - w0[1]) ** 2 <= r**2
+
+
+def full_grid_psi(dst, e_cell, rho, eps, f, w0, r) -> float:
+    """Cutoff-weighted disc energy: the `full_grid_cutoff` weights times the
+    cell energies e_cell h^2, summed over the disc cells."""
+    lam, disc = full_grid_cutoff(dst, rho, eps, f, w0, r)
+    return float((lam * e_cell * f.spacing**2)[disc].sum())

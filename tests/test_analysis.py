@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -36,8 +37,9 @@ from qvalued.analysis import (
     REFIT_RING,
     _censor_refit,
     _cutoff_cells,
+    _disc_cells,
+    _LevelCutoff,
     _lsq_potential,
-    _psi_kernel,
     _rim_distance,
     plaquette_defects,
 )
@@ -53,6 +55,8 @@ from helpers import (
     unit_square_grid,
 )
 from oracles import (
+    full_grid_cutoff,
+    full_grid_psi,
     lsq_primitive,
     ndimage_censor_refit,
     sqrt_circle_distance_to_branch,
@@ -368,8 +372,8 @@ def test_psi_k_zero_below_min_distance(minimized_strong_97):
         rho = 0.5 * floor
         # the cutoff disc of psi_k, without its range checks
         w0 = tuple(g.node_position(w))
-        cells = _cutoff_cells(g, comp, fr)
-        val = _psi_kernel(dst, cells, rho, rho / 4, g, w0, _rim_distance(g, w0))
+        disc = _disc_cells(g, _cutoff_cells(g, comp, fr), w0, _rim_distance(g, w0))
+        val = _LevelCutoff(dst, disc).psi(rho, rho / 4)
         assert val == 0.0
 
 
@@ -387,8 +391,8 @@ def test_psi_k_saturated_cutoff_full_energy():
     dst = d_star(f, comp, w, 0, chain)
     x, y = np.meshgrid(f.xs, f.ys)
     big = float(dst[np.hypot(x, y) <= r_disc + 0.1].max())
-    cells = _cutoff_cells(f, comp, fr)
-    val = _psi_kernel(dst, cells, big + 1.0, 0.5, f, (0.0, 0.0), r_disc)
+    disc = _disc_cells(f, _cutoff_cells(f, comp, fr), (0.0, 0.0), r_disc)
+    val = _LevelCutoff(dst, disc).psi(big + 1.0, 0.5)
     g2 = comp.grad_sq()
     cell = (g2[:-1, :-1] + g2[:-1, 1:] + g2[1:, :-1] + g2[1:, 1:]) / 4 * f.spacing**2
     cx = f.origin[0] + f.spacing * (np.arange(f.nx - 1) + 0.5)
@@ -486,23 +490,21 @@ def test_monotonicity_report_constant_field():
         assert row.ratio == pytest.approx(want, rel=0.05)
 
 
-def _constant_field_setup():
-    vals = np.tile(np.array([0.2, -0.1]), (65, 65, 2, 1))
-    spec = unit_square_grid(65)
-    f = GridField(vals, spec.spacing, spec.origin)
-    fr = standard_frame(2, 2)
+def _based_at(f, fr, w):
     comp = harmonic_companion(hopf_differential(f, fr))
-    base = QPoint(f.values[32, 32].copy())
-    return f, fr, comp, (32, 32), nested_chain(base, angle_separated_frame(support(base)))
+    base = QPoint(f.values[w[0], w[1]].copy())
+    return f, fr, comp, w, nested_chain(base, angle_separated_frame(support(base)))
+
+
+def _constant_field_setup(nn=65):
+    vals = np.tile(np.array([0.2, -0.1]), (nn, nn, 2, 1))
+    spec = unit_square_grid(nn)
+    f = GridField(vals, spec.spacing, spec.origin)
+    return _based_at(f, standard_frame(2, 2), (nn // 2, nn // 2))
 
 
 def _strong_field_setup(res):
-    g = res.field
-    fr = standard_frame(2, 2)
-    comp = harmonic_companion(hopf_differential(g, fr))
-    w = (48, 44)
-    base = QPoint(g.values[w[0], w[1]].copy())
-    return g, fr, comp, w, nested_chain(base, angle_separated_frame(support(base)))
+    return _based_at(res.field, standard_frame(2, 2), (48, 44))
 
 
 def _near_double_field_setup():
@@ -512,15 +514,34 @@ def _near_double_field_setup():
     s0 = np.stack([0.1 * x, 0.1 * y], -1)
     far = np.stack([1 + 0.1 * x, 0.5 + 0 * y], -1)
     f = GridField(np.stack([s0, s0 + np.array([1e-6, 0.0]), far], axis=2), spec.spacing, spec.origin)
-    fr = standard_frame(2, 3)
-    comp = harmonic_companion(hopf_differential(f, fr))
-    base = QPoint(f.values[32, 32].copy())
-    return f, fr, comp, (32, 32), nested_chain(base, angle_separated_frame(support(base)))
+    return _based_at(f, standard_frame(2, 3), (32, 32))
+
+
+def _split_pair_field_setup():
+    # Q = 2, the sheets z and z + 0.003: the pair merges at level 1, k0 = 1,
+    # and d*_1 differs from d*_0 by O(0.003), which moves samples across every
+    # level-1 rung (the near-double field's level-1 cutoffs are thinner than
+    # its subsample spacing, so psi is 0 on both of its levels); the base is
+    # off-centre, so mirrored cells do not cancel
+    spec = unit_square_grid(65)
+    x, y = meshgrid_for(spec)
+    s0 = np.stack([x, y], -1)
+    f = GridField(np.stack([s0, s0 + np.array([3e-3, 0.0])], axis=2), spec.spacing, spec.origin)
+    return _based_at(f, standard_frame(2, 2), (35, 30))
 
 
 def _ladder_setup(which, request):
     if which == "strong":
         return _strong_field_setup(request.getfixturevalue("minimized_strong_97"))
+    if which == "constant_33":
+        return _constant_field_setup(33)
+    if which == "root3":
+        # based at the branch point: one site, sigma_0 = inf
+        return _based_at(root_grid_field(65, 3), standard_frame(2, 3), (32, 32))
+    if which == "sqrt161":
+        return _based_at(sqrt_grid_field(161), standard_frame(2, 2), (70, 90))
+    if which == "split_pair":
+        return _split_pair_field_setup()
     return _constant_field_setup() if which == "constant" else _near_double_field_setup()
 
 
@@ -570,6 +591,73 @@ def test_monotonicity_report_embeds_the_grid_once(which, request, monkeypatch):
     calls = count_embed_grid(monkeypatch)
     monotonicity_report(f, comp, fr, w, chain)
     assert calls == [f.values.shape]
+
+
+def test_psi_ladder_matches_full_grid_oracle(request):
+    # every rung of every level against the full-grid kernel, which ramps all
+    # nine subsamples of every cell and masks to the disc at the end; the
+    # per-cell arithmetic and the summation order are the same, so are the floats
+    mixed = 0
+    for which in ("strong", "constant_33", "near_double", "root3", "sqrt161", "split_pair"):
+        f, fr, comp, w, chain = _ladder_setup(which, request)
+        rep = monotonicity_report(f, comp, fr, w, chain)
+        if which in ("near_double", "split_pair"):
+            assert rep.k0 == 1
+        if which in ("sqrt161", "split_pair"):
+            assert all(row.psi > 0 for row in rep.levels[rep.k0])
+        _, hi0, _, tau = valid_rho_interval(f, comp, fr, w, 0, chain)
+        eps = (min(chain.levels[0].sigma, tau) if tau > 0 else 2.5 * hi0) / 20
+        e_cell = _cutoff_cells(f, comp, fr)
+        w0 = tuple(f.node_position(w))
+        r = _rim_distance(f, w0)
+        for k, rows in rep.levels.items():
+            dst = d_star(f, comp, w, k, chain)
+            for row in rows:
+                want = full_grid_psi(dst, e_cell, row.rho, eps, f, w0, r)
+                assert row.psi == want, (which, k, row.rho)
+                lam, disc = full_grid_cutoff(dst, row.rho, eps, f, w0, r)
+                lam = lam[disc]
+                mixed += bool((lam == 1).any() and ((lam > 0) & (lam < 1)).any() and (lam == 0).any())
+    assert mixed > 0  # some rung has saturated, band and empty cells at once
+
+
+@pytest.mark.parametrize("which", ["strong", "near_double"])
+def test_monotonicity_report_ramps_only_the_band(which, request, monkeypatch):
+    import qvalued.analysis as analysis
+
+    built, ramped = [], []
+
+    class CountingLevel(analysis._LevelCutoff):
+        def __init__(self, *args):
+            super().__init__(*args)
+            built.append(self)
+
+    smoothstep = analysis._smoothstep
+
+    def counting_smoothstep(t):
+        ramped.append(t.size)
+        return smoothstep(t)
+
+    f, fr, comp, w, chain = _ladder_setup(which, request)
+    monkeypatch.setattr(analysis, "_LevelCutoff", CountingLevel)
+    monkeypatch.setattr(analysis, "_smoothstep", counting_smoothstep)
+    rep = monotonicity_report(f, comp, fr, w, chain)
+    assert len(built) == len(rep.levels)
+    rungs = sum(len(rows) for rows in rep.levels.values())
+    assert sum(ramped) < analysis.PSI_SUBSAMPLES**2 * built[0].disc.energy.size * rungs
+
+
+def test_monotonicity_report_peak_memory():
+    # the subsampled reconstructions cover the disc cells alone, 9 floats per
+    # cell; the peak stays that of the energy density's matched stencil
+    f, fr, comp, w, chain = _ladder_setup("sqrt161", None)
+    tracemalloc.start()
+    try:
+        monotonicity_report(f, comp, fr, w, chain)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 11 * 2**20
 
 
 def test_certificate_and_key_lemma_embed_the_grid_once(monkeypatch):

@@ -13,6 +13,7 @@ from qvalued import (
     QPoint,
     angle_separated_frame,
     build_admissible_variation,
+    d_star,
     dirichlet_energy,
     domain_variation_derivative,
     harmonic_companion,
@@ -33,6 +34,7 @@ from helpers import (
     meshgrid_for,
     count_embed_grid,
     noisy_copy,
+    root_grid_field,
     two_sheet_field,
     unit_square_grid,
 )
@@ -112,6 +114,32 @@ def test_domain_variation_harmonic_small_vs_noisy(minimized_harmonic):
         v = DomainVariation(tuple(c), rad, (math.cos(th), math.sin(th)))
         worst = max(worst, abs(domain_variation_derivative(noisy, fr, v)))
     assert worst > 10 * base
+
+
+def _root3_range_setup():
+    # Q = 3 roots of z on 65^2, based at the branch point: one site, sigma = inf
+    g = root_grid_field(65, 3)
+    fr = standard_frame(2, 3)
+    comp = harmonic_companion(hopf_differential(g, fr))
+    base = QPoint(g.values[32, 32].copy())
+    chain = nested_chain(base, angle_separated_frame(support(base)))
+    return g, fr, comp, chain, build_admissible_variation(chain, 0, 1.0, 0.4, (32, 32))
+
+
+@pytest.mark.parametrize("which", ["strong", "root3"])
+def test_cutoff_weights_equal_full_grid_ramp(which, request):
+    # the ramp runs on the band 0 < t < 1 alone; it is exactly 1 and 0 beyond
+    if which == "strong":
+        g, fr, comp, chain, rv = _range_setup(request.getfixturevalue("minimized_strong_97"))
+    else:
+        g, fr, comp, chain, rv = _root3_range_setup()
+    t = (rv.rho - d_star(g, comp, rv.w_star, rv.level, rv.chain)) / rv.eps
+    inner = ~g.boundary_mask
+    assert (t[inner] >= 1).any() and ((t[inner] > 0) & (t[inner] < 1)).any() and (t[inner] <= 0).any()
+    t = np.clip(t, 0.0, 1.0)
+    want = t**3 * (10.0 - 15.0 * t + 6.0 * t**2)
+    want[g.boundary_mask] = 0.0
+    assert np.array_equal(cutoff_weights(g, comp, rv), want)
 
 
 def test_range_variation_quadratic_exactness(minimized_strong_97):
