@@ -20,7 +20,7 @@ integrated data is reported as the loop residual.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import NamedTuple
 
 import numpy as np
@@ -76,20 +76,12 @@ def _matched_stencil(values: np.ndarray):
     return tuple(matched)
 
 
-def _matched_gradient(f: GridField, frame: ProjectionFrame):
-    """Matched stencil of the field in frame coordinates and its central differences du, dv."""
-    axes = frame.directions[: frame.n]
-    v = np.einsum("an,yxqn->yxqa", axes, f.values)  # rotate into frame coordinates
-    stencil = _matched_stencil(v)
-    _, east, west, north, south = stencil
-    return stencil, (east - west) / (2 * f.spacing), (north - south) / (2 * f.spacing)
-
-
 @dataclass(eq=False)
 class HopfField:
-    """Complex Hopf density per node (rim replicated from the interior)."""
+    """Hopf density and |grad f|^2 per node from one matched stencil (rim replicated)."""
 
     phi: np.ndarray            # (ny, nx) complex
+    grad_sq: np.ndarray        # (ny, nx) float
     degenerate: np.ndarray     # (ny, nx) bool: stencil matching ill-conditioned
     spacing: float
     origin: tuple[float, float]
@@ -106,16 +98,17 @@ class HopfField:
 
 
 def hopf_differential(f: GridField, frame: ProjectionFrame) -> HopfField:
-    """Hopf density of the embedded field from matched central differences."""
+    """Hopf density and |grad f|^2 of the embedded field from matched central differences."""
     if f.nx < 3 or f.ny < 3:
         raise InvalidInputError("need interior nodes to form central differences")
     _check_frame(f, frame)
-    (c, east, west, north, south), du, dv = _matched_gradient(f, frame)
-    phi_int = (
-        np.einsum("...qa,...qa->...", du, du)
-        - np.einsum("...qa,...qa->...", dv, dv)
-        - 2j * np.einsum("...qa,...qa->...", du, dv)
-    )
+    axes = frame.directions[: frame.n]
+    v = np.einsum("an,yxqn->yxqa", axes, f.values)  # rotate into frame coordinates
+    c, east, west, north, south = _matched_stencil(v)
+    du, dv = (east - west) / (2 * f.spacing), (north - south) / (2 * f.spacing)
+    uu = np.einsum("...qa,...qa->...", du, du)
+    vv = np.einsum("...qa,...qa->...", dv, dv)
+    phi_int = uu - vv - 2j * np.einsum("...qa,...qa->...", du, dv)
 
     q = f.q_sheets
     if q >= 2:
@@ -131,9 +124,10 @@ def hopf_differential(f: GridField, frame: ProjectionFrame) -> HopfField:
         core_int = np.zeros(c.shape[:2], dtype=bool)
 
     phi = _replicate_rim(phi_int, f.ny, f.nx)
+    grad_sq = _replicate_rim(uu + vv, f.ny, f.nx)
     core = np.zeros((f.ny, f.nx), dtype=bool)
     core[1:-1, 1:-1] = core_int
-    return HopfField(phi, core, f.spacing, f.origin)
+    return HopfField(phi, grad_sq, core, f.spacing, f.origin)
 
 
 def holomorphy_residual(hopf: HopfField) -> float:
@@ -217,17 +211,16 @@ def _censor_refit(hopf: HopfField) -> tuple[np.ndarray, np.ndarray]:
 
 @dataclass(eq=False)
 class HarmonicCompanion:
-    """Companion field h = psi + conj(z) with its integration diagnostics."""
+    """Companion h = psi + conj(z), its diagnostics and the Hopf field it integrates."""
 
     values: np.ndarray        # (ny, nx) complex
     path_residual: float      # max plaquette circulation of the integrated data
     patched: np.ndarray       # (ny, nx) bool: censored-and-refilled samples
-    spacing: float
-    origin: tuple[float, float]
+    hopf: HopfField
 
     def _central_differences(self) -> tuple[np.ndarray, np.ndarray]:
         """(h_u, h_v) at the interior nodes."""
-        v, h = self.values, self.spacing
+        v, h = self.values, self.hopf.spacing
         return (v[1:-1, 2:] - v[1:-1, :-2]) / (2 * h), (v[2:, 1:-1] - v[:-2, 1:-1]) / (2 * h)
 
     def grad_sq(self) -> np.ndarray:
@@ -293,27 +286,24 @@ def harmonic_companion(hopf: HopfField) -> HarmonicCompanion:
     """
     phi_used, patched = _censor_refit(hopf)
     psi = _lsq_potential(phi_used, hopf.spacing)
-    used = HopfField(phi_used, hopf.degenerate, hopf.spacing, hopf.origin)
-    residual = float(np.abs(plaquette_defects(used)).max())
+    residual = float(np.abs(plaquette_defects(replace(hopf, phi=phi_used))).max())
     values = psi + np.conj(hopf.zgrid())
     if not np.all(np.isfinite(values)):
         raise NumericalFailureError("companion integration produced non-finite values")
-    return HarmonicCompanion(values, residual, patched, hopf.spacing, hopf.origin)
+    return HarmonicCompanion(values, residual, patched, hopf)
 
 
-def grad_sq_field(f: GridField, frame: ProjectionFrame) -> np.ndarray:
-    """Nodal squared gradient of the embedded field via matched differences."""
-    _, du, dv = _matched_gradient(f, frame)
-    g = np.einsum("...qa,...qa->...", du, du) + np.einsum("...qa,...qa->...", dv, dv)
-    return _replicate_rim(g, f.ny, f.nx)
-
-
-def conformality_defect(f: GridField, frame: ProjectionFrame, comp: HarmonicCompanion) -> float:
-    """Discrete L2 norm of the Hopf density of the augmented map (field, h)."""
-    if comp.values.shape != (f.ny, f.nx):
+def _check_companion(f: GridField, comp: HarmonicCompanion) -> None:
+    """Raise unless the companion was built on the field's grid."""
+    hopf = comp.hopf
+    if (hopf.phi.shape, hopf.spacing, hopf.origin) != ((f.ny, f.nx), f.spacing, f.origin):
         raise InvalidInputError("companion grid does not match the field")
-    hopf = hopf_differential(f, frame)
-    phi_g = hopf.phi + comp.hopf_term()
+
+
+def conformality_defect(f: GridField, comp: HarmonicCompanion) -> float:
+    """Discrete L2 norm of the Hopf density of the augmented map (field, h)."""
+    _check_companion(f, comp)
+    phi_g = comp.hopf.phi + comp.hopf_term()
     h = f.spacing
     return float(np.sqrt((np.abs(phi_g[1:-1, 1:-1]) ** 2).sum() * h * h))
 
@@ -385,6 +375,7 @@ def d_star(
     chain: NestedBallChain,
 ) -> np.ndarray:
     """Level-k augmented distance field sqrt(G(q_k, f)^2 + |h(w*) - h|^2)."""
+    _check_companion(f, comp)
     iy, ix = _node_index(f, w_star)
     if not 0 <= k < len(chain.levels):
         raise InvalidInputError(f"chain level {k} out of range")
@@ -460,6 +451,7 @@ def _level_range(
 ) -> tuple[float, float, float]:
     """(rho_k, valid hi, monotone hi) of level k, for f embedded as farr; see
     `valid_rho_interval` and `monotone_rho_interval`."""
+    _check_companion(f, comp)
     if k > piv.k0:
         raise InvalidInputError(f"level {k} beyond the pivot level k0 = {piv.k0}")
     lv = chain.levels[k]
@@ -534,9 +526,9 @@ def _cell_average(g: np.ndarray) -> np.ndarray:
     return (g[:-1, :-1] + g[:-1, 1:] + g[1:, :-1] + g[1:, 1:]) / 4
 
 
-def _cutoff_cells(f: GridField, comp: HarmonicCompanion, frame: ProjectionFrame) -> np.ndarray:
+def _cutoff_cells(comp: HarmonicCompanion) -> np.ndarray:
     """Cell averages of the augmented energy density |grad f|^2 + |grad h|^2."""
-    return _cell_average(grad_sq_field(f, frame) + comp.grad_sq())
+    return _cell_average(comp.hopf.grad_sq + comp.grad_sq())
 
 
 class _DiscCells(NamedTuple):
@@ -620,7 +612,7 @@ def psi_k(
     piv = _pivot(f, farr, w_star, chain)
     _, hi, _ = _level_range(f, farr, comp, frame, w_star, k, chain, piv)
     _check_rung(chain, k, piv, hi, rho, eps)
-    disc = _disc_cells(f, _cutoff_cells(f, comp, frame), piv.w0, piv.r)
+    disc = _disc_cells(f, _cutoff_cells(comp), piv.w0, piv.r)
     return _LevelCutoff(d_star(f, comp, w_star, k, chain), disc).psi(rho, eps)
 
 
@@ -644,11 +636,17 @@ class MonotonicityReport:
     def passed(self) -> bool:
         return not self.violations
 
+    @property
+    def vacuous(self) -> bool:
+        """Every psi on every level is 0, so the ratio check compared zeros."""
+        return all(row.psi == 0 for rows in self.levels.values() for row in rows)
+
     def to_dict(self) -> dict:
         return {
             "k0": self.k0,
             "tau_star": self.tau_star,
             "passed": self.passed,
+            "vacuous": self.vacuous,
             "tolerance": self.tolerance,
             "constants": self.constants,
             "levels": {
@@ -691,7 +689,7 @@ def monotonicity_report(
     piv = _pivot(f, farr, w_star, chain)
     ranges = [_level_range(f, farr, comp, frame, w_star, k, chain, piv) for k in range(piv.k0 + 1)]
     eps = (min(chain.levels[0].sigma, piv.tau) if piv.tau > 0 else 2.5 * ranges[0][1]) / 20
-    disc = _disc_cells(f, _cutoff_cells(f, comp, frame), piv.w0, piv.r)
+    disc = _disc_cells(f, _cutoff_cells(comp), piv.w0, piv.r)
     levels: dict[int, list[LadderRow]] = {}
     violations: list[tuple[int, float, float]] = []
     for k, (lo, hi, mono_hi) in enumerate(ranges):
@@ -763,6 +761,7 @@ def key_lemma_check(
 def _companion_disc_energy(
     comp: HarmonicCompanion, f: GridField, w0: tuple[float, float], r: float
 ) -> float:
+    _check_companion(f, comp)
     return _disc_cell_sum(_cell_average(comp.grad_sq()) * f.spacing**2, f, w0, r)
 
 

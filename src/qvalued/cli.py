@@ -177,9 +177,8 @@ def cmd_minimize(args) -> int:
 def cmd_analyze(args) -> int:
     f = _load_field(args.input, args)
     frame = _frame_for(args, f.n, f.q_sheets)
-    hopf = hopf_differential(f, frame)
-    comp = harmonic_companion(hopf)
-    interior = hopf.interior
+    comp = harmonic_companion(hopf_differential(f, frame))
+    interior = comp.hopf.interior
     id_err = np.abs(
         comp.grad_sq()[1:-1, 1:-1] - np.abs(interior) ** 2 / 8 - 2.0
     )
@@ -194,10 +193,10 @@ def cmd_analyze(args) -> int:
         "energy": energy.total,
         "phi_sup": float(np.abs(interior).max()),
         "phi_mean": float(np.abs(interior).mean()),
-        "holomorphy_residual": holomorphy_residual(hopf),
+        "holomorphy_residual": holomorphy_residual(comp.hopf),
         "companion_path_residual": comp.path_residual,
         "energy_identity_max_error": float(id_err.max()),
-        "conformality_defect": conformality_defect(f, frame, comp),
+        "conformality_defect": conformality_defect(f, comp),
         "constants": _constants_block(f.n, f.q_sheets),
     }
     _dump_json(report, args.output)

@@ -94,3 +94,18 @@ def count_embed_grid(monkeypatch) -> list:
     for mod in (field, analysis, variations):
         monkeypatch.setattr(mod, "embed_grid", counting)
     return calls
+
+
+def count_matched_stencil(monkeypatch) -> list:
+    """Record the shape of every matched-stencil build."""
+    import qvalued.analysis as analysis
+
+    inner = analysis._matched_stencil
+    calls = []
+
+    def counting(values):
+        calls.append(values.shape)
+        return inner(values)
+
+    monkeypatch.setattr(analysis, "_matched_stencil", counting)
+    return calls

@@ -10,6 +10,7 @@ from qvalued import (
     InvalidInputError,
     QPoint,
     angle_separated_frame,
+    build_admissible_variation,
     conformality_defect,
     continuity_certificate,
     d_star,
@@ -24,6 +25,7 @@ from qvalued import (
     monotonicity_report,
     nested_chain,
     psi_k,
+    range_variation_derivative,
     rotated_frame,
     standard_frame,
     support,
@@ -43,9 +45,11 @@ from qvalued.analysis import (
     _rim_distance,
     plaquette_defects,
 )
+from qvalued.variations import cutoff_weights
 
 from helpers import (
     count_embed_grid,
+    count_matched_stencil,
     harmonic_boundary_field,
     meshgrid_for,
     noisy_copy,
@@ -73,12 +77,14 @@ def single_valued_field(nn, fn, half=1.0):
 
 
 def synthetic_hopf(nn, fn, half=1.0):
-    """HopfField with prescribed complex samples (no degeneracies)."""
+    """HopfField with prescribed complex samples (no degeneracies); its
+    |grad f|^2 is |phi|, the least any map with this Hopf density has."""
     spec = unit_square_grid(nn, half)
     x, y = meshgrid_for(spec)
-    phi = fn(x + 1j * y)
+    phi = np.asarray(fn(x + 1j * y), dtype=complex)
     return HopfField(
-        np.asarray(phi, dtype=complex),
+        phi,
+        np.abs(phi),
         np.zeros((nn, nn), dtype=bool),
         spec.spacing,
         spec.origin,
@@ -213,7 +219,7 @@ def test_lsq_potential_matches_dense_oracle(shape):
     rng = np.random.default_rng(shape[0])
     phi = rng.normal(size=shape) + 1j * rng.normal(size=shape)
     h = 0.13
-    hopf = HopfField(phi, np.zeros(shape, dtype=bool), h, (0.0, 0.0))
+    hopf = HopfField(phi, np.abs(phi), np.zeros(shape, dtype=bool), h, (0.0, 0.0))
     assert np.abs(plaquette_defects(hopf)).max() > 0.1
     psi = _lsq_potential(phi, h)
     assert psi.shape == shape
@@ -252,13 +258,14 @@ def censor_cases():
     phi = rng.normal(size=(60, 70)) + 1j * rng.normal(size=(60, 70))
     core = np.zeros((60, 70), dtype=bool)
     core[[5, 30, 32, 45, 46, 50], [3, 35, 37, 5, 26, 60]] = True
-    yield pytest.param(HopfField(phi, core, 0.05, (-1.0, -2.0)), id="blobs")
+    yield pytest.param(HopfField(phi, np.abs(phi), core, 0.05, (-1.0, -2.0)), id="blobs")
     # two blobs in a 4-row strip touch diagonally; the left one's collar keeps
     # only the 8 < 3 (degree + 1) clean nodes between them, so its fit falls
     # back to every clean node, those right of the second blob included
     core = np.zeros((4, 50), dtype=bool)
     core[[1, 2], [6, 27]] = True
-    yield pytest.param(HopfField(phi[:4, :50], core, 0.1, (0.0, 0.0)), id="fallback")
+    strip = phi[:4, :50]
+    yield pytest.param(HopfField(strip, np.abs(strip), core, 0.1, (0.0, 0.0)), id="fallback")
 
 
 @pytest.mark.parametrize("hopf", list(censor_cases()))
@@ -278,13 +285,49 @@ def test_plaquette_defects_match_residual_semantics():
     np.testing.assert_allclose(defects, 2j * h * h, atol=1e-12)
 
 
+def _companions_off_the_grid():
+    # each is built on a grid other than the 65^2 field's
+    f = sqrt_grid_field(65)
+    yield pytest.param(sqrt_grid_field(33), id="coarse")
+    shifted = (f.origin[0] + f.spacing, f.origin[1])
+    yield pytest.param(GridField(f.values, f.spacing, shifted), id="shifted")
+    yield pytest.param(GridField(f.values, 0.5 * f.spacing, f.origin), id="rescaled")
+
+
+@pytest.mark.parametrize("other", list(_companions_off_the_grid()))
+def test_companion_from_another_grid_is_rejected(other):
+    f = sqrt_grid_field(65)
+    fr = standard_frame(2, 2)
+    comp = harmonic_companion(hopf_differential(other, fr))
+    w = (40, 40)
+    base = QPoint(f.values[w].copy())
+    chain = nested_chain(base, angle_separated_frame(support(base)))
+    scale = min(chain.levels[0].sigma, 1.0)
+    rv = build_admissible_variation(chain, 0, 0.5 * scale, scale / 20, w)
+    calls = [
+        lambda: d_star(f, comp, w, 0, chain),
+        lambda: psi_k(f, comp, fr, w, 0, chain, 0.5 * scale, scale / 20),
+        lambda: valid_rho_interval(f, comp, fr, w, 0, chain),
+        lambda: monotone_rho_interval(f, comp, fr, w, 0, chain),
+        lambda: monotonicity_report(f, comp, fr, w, chain),
+        lambda: key_lemma_check(f, comp, w, 0.3, fr),
+        lambda: continuity_certificate(f, fr, (0.0, 0.0), 0.4, comp),
+        lambda: cutoff_weights(f, comp, rv),
+        lambda: range_variation_derivative(f, fr, rv, comp),
+        lambda: conformality_defect(f, comp),
+    ]
+    for call in calls:
+        with pytest.raises(InvalidInputError, match="companion grid does not match the field"):
+            call()
+
+
 def test_conformality_defect_identity_pair():
     vals = []
     for nn in (17, 33, 65):
         f = single_valued_field(nn, lambda x, y: (x, y))
         fr = standard_frame(2, 1)
         comp = harmonic_companion(hopf_differential(f, fr))
-        vals.append(conformality_defect(f, fr, comp))
+        vals.append(conformality_defect(f, comp))
     assert vals[2] < vals[1] < vals[0] or vals[0] <= 1e-10
     assert vals[2] <= 1e-9
 
@@ -293,10 +336,10 @@ def test_conformality_defect_minimized_vs_noisy(minimized_strong_97):
     fr = standard_frame(2, 2)
     g = minimized_strong_97.field
     comp = harmonic_companion(hopf_differential(g, fr))
-    base = conformality_defect(g, fr, comp)
+    base = conformality_defect(g, comp)
     noisy = noisy_copy(g, scale=0.1, seed=8)
     comp_n = harmonic_companion(hopf_differential(noisy, fr))
-    assert conformality_defect(noisy, fr, comp_n) > 3 * base
+    assert conformality_defect(noisy, comp_n) > 3 * base
     assert base > 0
 
 
@@ -372,7 +415,7 @@ def test_psi_k_zero_below_min_distance(minimized_strong_97):
         rho = 0.5 * floor
         # the cutoff disc of psi_k, without its range checks
         w0 = tuple(g.node_position(w))
-        disc = _disc_cells(g, _cutoff_cells(g, comp, fr), w0, _rim_distance(g, w0))
+        disc = _disc_cells(g, _cutoff_cells(comp), w0, _rim_distance(g, w0))
         val = _LevelCutoff(dst, disc).psi(rho, rho / 4)
         assert val == 0.0
 
@@ -391,7 +434,7 @@ def test_psi_k_saturated_cutoff_full_energy():
     dst = d_star(f, comp, w, 0, chain)
     x, y = np.meshgrid(f.xs, f.ys)
     big = float(dst[np.hypot(x, y) <= r_disc + 0.1].max())
-    disc = _disc_cells(f, _cutoff_cells(f, comp, fr), (0.0, 0.0), r_disc)
+    disc = _disc_cells(f, _cutoff_cells(comp), (0.0, 0.0), r_disc)
     val = _LevelCutoff(dst, disc).psi(big + 1.0, 0.5)
     g2 = comp.grad_sq()
     cell = (g2[:-1, :-1] + g2[:-1, 1:] + g2[1:, :-1] + g2[1:, 1:]) / 4 * f.spacing**2
@@ -545,14 +588,17 @@ def _ladder_setup(which, request):
     return _constant_field_setup() if which == "constant" else _near_double_field_setup()
 
 
-@pytest.mark.parametrize("which", ["strong", "constant", "near_double"])
+@pytest.mark.parametrize("which", ["strong", "constant", "near_double", "split_pair"])
 def test_monotonicity_rows_equal_direct_psi_k(which, request):
     # the ladder shares one pivot, one energy density and one d* per level;
     # every rung must still equal a standalone, fully validated psi_k call
     f, fr, comp, w, chain = _ladder_setup(which, request)
     rep = monotonicity_report(f, comp, fr, w, chain)
-    if which == "near_double":
+    if which in ("near_double", "split_pair"):
         assert rep.k0 == 1
+    if which == "split_pair":
+        # the near-double field reads 0 on every rung; this one compares values
+        assert any(row.psi > 0 for row in rep.levels[rep.k0])
     _, hi0, _, tau = valid_rho_interval(f, comp, fr, w, 0, chain)
     eps = (min(chain.levels[0].sigma, tau) if tau > 0 else 2.5 * hi0) / 20
     assert sum(len(rows) for rows in rep.levels.values()) == 10 * (rep.k0 + 1)
@@ -607,7 +653,7 @@ def test_psi_ladder_matches_full_grid_oracle(request):
             assert all(row.psi > 0 for row in rep.levels[rep.k0])
         _, hi0, _, tau = valid_rho_interval(f, comp, fr, w, 0, chain)
         eps = (min(chain.levels[0].sigma, tau) if tau > 0 else 2.5 * hi0) / 20
-        e_cell = _cutoff_cells(f, comp, fr)
+        e_cell = _cutoff_cells(comp)
         w0 = tuple(f.node_position(w))
         r = _rim_distance(f, w0)
         for k, rows in rep.levels.items():
@@ -647,9 +693,33 @@ def test_monotonicity_report_ramps_only_the_band(which, request, monkeypatch):
     assert sum(ramped) < analysis.PSI_SUBSAMPLES**2 * built[0].disc.energy.size * rungs
 
 
+@pytest.mark.parametrize("which, vacuous", [("near_double", True), ("split_pair", False)])
+def test_monotonicity_report_says_when_vacuous(which, vacuous, request):
+    # a ladder of zeros passes the ratio check without testing anything
+    f, fr, comp, w, chain = _ladder_setup(which, request)
+    rep = monotonicity_report(f, comp, fr, w, chain)
+    assert rep.vacuous is vacuous
+    assert rep.to_dict()["vacuous"] is vacuous
+
+
+def test_one_matched_stencil_per_field(monkeypatch):
+    # the companion carries |grad f|^2 from its Hopf field, so the ladder and
+    # psi_k build no stencil of their own
+    f, fr, comp, w, chain = _split_pair_field_setup()
+    calls = count_matched_stencil(monkeypatch)
+    rep = monotonicity_report(f, comp, fr, w, chain)
+    _, hi0, _, tau = valid_rho_interval(f, comp, fr, w, 0, chain)
+    eps = (min(chain.levels[0].sigma, tau) if tau > 0 else 2.5 * hi0) / 20
+    psi_k(f, comp, fr, w, 0, chain, rep.levels[0][0].rho, eps)
+    assert calls == []
+    hopf_differential(f, fr)
+    assert calls == [f.values.shape]
+
+
 def test_monotonicity_report_peak_memory():
     # the subsampled reconstructions cover the disc cells alone, 9 floats per
-    # cell; the peak stays that of the energy density's matched stencil
+    # cell, and the energy density comes with the companion, so no matched
+    # stencil (the old peak) is built
     f, fr, comp, w, chain = _ladder_setup("sqrt161", None)
     tracemalloc.start()
     try:
@@ -657,7 +727,7 @@ def test_monotonicity_report_peak_memory():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 11 * 2**20
+    assert peak <= 6 * 2**20
 
 
 def test_certificate_and_key_lemma_embed_the_grid_once(monkeypatch):
@@ -755,12 +825,10 @@ def test_continuity_certificate_sqrt_decreasing_and_bounds_osc():
 def test_energy_density_floor(minimized_strong_97):
     # |grad G|^2 stays above 2 everywhere: the companion contributes at least
     # the conjugate-coordinate energy density
-    from qvalued.analysis import grad_sq_field
-
     g = minimized_strong_97.field
     fr = standard_frame(2, 2)
     comp = harmonic_companion(hopf_differential(g, fr))
-    total = grad_sq_field(g, fr) + comp.grad_sq()
+    total = comp.hopf.grad_sq + comp.grad_sq()
     assert total.min() >= 2.0 - 1e-6
 
 

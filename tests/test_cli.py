@@ -16,7 +16,7 @@ from qvalued import (
 )
 from qvalued.cli import _constants_block, _dump_json, _write_csv, main
 
-from helpers import two_sheet_field, unit_square_grid
+from helpers import count_matched_stencil, two_sheet_field, unit_square_grid
 
 
 def write_json(path, obj):
@@ -171,6 +171,19 @@ def test_monotonicity_cli(tmp_path, capsys):
     assert "levels" in out and "k0" in out
     header = csv.read_text().splitlines()[0]
     assert header == "k,rho,psi,psi_over_rho_sq"
+
+
+@pytest.mark.parametrize("cmd", [["analyze"], ["monotonicity", "--wstar", "16,16"]])
+def test_command_builds_one_matched_stencil(cmd, tmp_path, monkeypatch, capsys):
+    # the companion carries the field's Hopf field and |grad f|^2, so neither
+    # the conformality defect nor the ladder builds a second stencil
+    path, _ = small_field_file(tmp_path, nn=33)
+    calls = count_matched_stencil(monkeypatch)
+    assert main([cmd[0], "--input", str(path)] + cmd[1:]) == 0
+    assert calls == [(33, 33, 2, 2)]
+    out = json.loads(capsys.readouterr().out)
+    if cmd[0] == "monotonicity":
+        assert isinstance(out["vacuous"], bool)
 
 
 def test_variations_cli(tmp_path, capsys):
