@@ -26,6 +26,7 @@ from .qspace import (
     metric_g,
     metric_g_many,
     min_separation,
+    project_sheets,
     support,
 )
 
@@ -35,14 +36,15 @@ ANGLE_SLACK = 1e-9
 def theta0(n: int, q_sheets: int) -> float:
     """Guaranteed direction-to-hyperplane angle for the separated frame.
 
-    pi/2 in one dimension; otherwise the angle cascade evaluated at the
-    worst-case number of distinct difference directions, q(q-1).
+    The angle cascade evaluated at the worst-case number of distinct
+    difference directions, q(q-1); pi/2 when there is no direction to place
+    (one dimension, or a single sheet).
     """
     if n < 1 or q_sheets < 1:
         raise InvalidInputError("n and q_sheets must be positive")
-    if n == 1:
+    if n == 1 or q_sheets == 1:
         return math.pi / 2
-    return 0.5 ** ((n - 1) * (q_sheets * (q_sheets - 1) - 1)) * math.asin(1.0 / math.sqrt(n))
+    return delta_cascade(n, q_sheets * (q_sheets - 1))
 
 
 def delta_cascade(n: int, ell: int) -> float:
@@ -145,8 +147,8 @@ def angle_separated_frame(s: SupportDecomposition) -> AngleSeparatedFrame:
         u = np.full(n, 1.0 / math.sqrt(n))
         # rows e_alpha = R @ std_alpha give <e_alpha, v1> = 1/sqrt(n)
         basis = _rotation_to(u, dirs[0]).T
-        delta_prev = math.asin(1.0 / math.sqrt(n))
         for ell in range(2, dirs.shape[0] + 1):
+            delta_prev = delta_cascade(n, ell - 1)
             v = dirs[ell - 1].copy()
             angles = np.arcsin(np.clip(np.abs(basis @ v), 0.0, 1.0))
             violated = np.where(angles < delta_prev)[0]
@@ -171,7 +173,6 @@ def angle_separated_frame(s: SupportDecomposition) -> AngleSeparatedFrame:
                     v_cur /= np.linalg.norm(v_cur)
                     accum = rot @ accum
                 basis = basis @ accum
-            delta_prev *= 0.5 ** (n - 1)
 
     frame = ProjectionFrame(basis, q)
     achieved = math.pi / 2
@@ -207,10 +208,7 @@ def is_admissible(ball: AdmissibleBall) -> bool:
     sites = ball.center.sites
     if sites.shape[0] < 2:
         return True
-    axes = ball.frame.directions[: ball.frame.n]
-    proj = sites @ axes.T  # (I, n)
-    for a in range(axes.shape[0]):
-        vals = proj[:, a]
+    for vals in project_sheets(ball.frame.directions[: ball.frame.n], sites):
         gaps = np.abs(vals[:, None] - vals[None, :])
         iu = np.triu_indices(sites.shape[0], k=1)
         if np.any(gaps[iu] <= 2.0 * ball.radius):

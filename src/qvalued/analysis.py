@@ -66,6 +66,11 @@ def _replicate_rim(interior: np.ndarray, ny: int, nx: int) -> np.ndarray:
     return full
 
 
+def _central_differences(a: np.ndarray, h: float) -> tuple[np.ndarray, np.ndarray]:
+    """(d/du, d/dv) of a nodal array at the interior nodes."""
+    return (a[1:-1, 2:] - a[1:-1, :-2]) / (2 * h), (a[2:, 1:-1] - a[:-2, 1:-1]) / (2 * h)
+
+
 def _matched_stencil(values: np.ndarray):
     """Neighbour tuples re-ordered to match the center tuple, per interior node."""
     c = values[1:-1, 1:-1]
@@ -102,8 +107,11 @@ def hopf_differential(f: GridField, frame: ProjectionFrame) -> HopfField:
     if f.nx < 3 or f.ny < 3:
         raise InvalidInputError("need interior nodes to form central differences")
     _check_frame(f, frame)
-    axes = frame.directions[: frame.n]
-    v = np.einsum("an,yxqn->yxqa", axes, f.values)  # rotate into frame coordinates
+    # Frame coordinates by einsum, not `project_sheets`: the matched stencil
+    # permutes sheets, so it needs them unsorted and sheet-major (..., Q, n),
+    # and the kernel's (..., n, Q) output plus a contiguous transposed copy
+    # took 2.8 ms against 1.0 ms for this product at 161^2 (2-core host).
+    v = np.einsum("an,yxqn->yxqa", frame.directions[: frame.n], f.values)
     c, east, west, north, south = _matched_stencil(v)
     du, dv = (east - west) / (2 * f.spacing), (north - south) / (2 * f.spacing)
     uu = np.einsum("...qa,...qa->...", du, du)
@@ -132,10 +140,8 @@ def hopf_differential(f: GridField, frame: ProjectionFrame) -> HopfField:
 
 def holomorphy_residual(hopf: HopfField) -> float:
     """Discrete L2 norm of the conjugate-derivative of phi over interior nodes."""
-    phi = hopf.phi
     h = hopf.spacing
-    du = (phi[1:-1, 2:] - phi[1:-1, :-2]) / (2 * h)
-    dv = (phi[2:, 1:-1] - phi[:-2, 1:-1]) / (2 * h)
+    du, dv = _central_differences(hopf.phi, h)
     dzbar = 0.5 * (du + 1j * dv)
     return float(np.sqrt((np.abs(dzbar) ** 2).sum() * h * h))
 
@@ -218,20 +224,15 @@ class HarmonicCompanion:
     patched: np.ndarray       # (ny, nx) bool: censored-and-refilled samples
     hopf: HopfField
 
-    def _central_differences(self) -> tuple[np.ndarray, np.ndarray]:
-        """(h_u, h_v) at the interior nodes."""
-        v, h = self.values, self.hopf.spacing
-        return (v[1:-1, 2:] - v[1:-1, :-2]) / (2 * h), (v[2:, 1:-1] - v[:-2, 1:-1]) / (2 * h)
-
     def grad_sq(self) -> np.ndarray:
         """Nodal squared gradient |grad h|^2 (rim replicated)."""
-        hu, hv = self._central_differences()
+        hu, hv = _central_differences(self.values, self.hopf.spacing)
         g = np.abs(hu) ** 2 + np.abs(hv) ** 2
         return _replicate_rim(g, *self.values.shape)
 
     def hopf_term(self) -> np.ndarray:
         """Hopf density of h alone, from central differences (rim replicated)."""
-        hu, hv = self._central_differences()
+        hu, hv = _central_differences(self.values, self.hopf.spacing)
         term = (np.abs(hu) ** 2 - np.abs(hv) ** 2) - 2j * (
             hu.real * hv.real + hu.imag * hv.imag
         )

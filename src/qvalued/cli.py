@@ -2,8 +2,9 @@
 pipelines with JSON summaries and CSV plot data.
 
 Exit codes: 0 success, 2 input/parse failure, 3 chain invariant violation,
-4 numerical failure.  Outputs are deterministic for a fixed config and seed;
-floats are serialised at 17 significant digits.
+4 numerical failure.  Outputs are deterministic for a fixed config and seed:
+JSON prints each float as the shortest repr that round-trips, and CSV at 17
+significant digits.
 """
 
 from __future__ import annotations
@@ -40,23 +41,15 @@ EXIT_NUMERICAL = 4
 DEFAULT_RADII = (0.4, 0.2, 0.1)
 
 
-def _json_floats(obj):
-    """Round-trip floats through 17 significant digits for stable output."""
-    if isinstance(obj, float):
-        return float(f"{obj:.17g}")
-    if isinstance(obj, dict):
-        return {k: _json_floats(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_json_floats(v) for v in obj]
-    if isinstance(obj, (np.floating,)):
-        return float(f"{float(obj):.17g}")
-    if isinstance(obj, (np.integer,)):
-        return int(obj)
-    return obj
+def _numpy_scalar(obj):
+    """JSON value of a numpy scalar (the `default` hook of `json.dumps`)."""
+    if isinstance(obj, np.generic):
+        return obj.item()
+    raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
 
 
 def _dump_json(obj, path: str | None):
-    text = json.dumps(_json_floats(obj), indent=2, sort_keys=True, allow_nan=True)
+    text = json.dumps(obj, indent=2, sort_keys=True, allow_nan=True, default=_numpy_scalar)
     if path:
         with open(path, "w") as fh:
             fh.write(text + "\n")
@@ -77,28 +70,26 @@ def _load_json(path: str) -> dict:
         return json.load(fh)
 
 
-def _load_field(path: str, args=None) -> GridField:
-    f = GridField.from_dict(_load_json(path))
-    if args is not None:
-        grid = getattr(args, "grid", None)
-        if grid:
-            nx, ny, h = grid.split(",")
-            if (f.nx, f.ny) != (int(nx), int(ny)) or abs(f.spacing - float(h)) > 1e-12:
-                raise QValuedError(
-                    f"input grid ({f.nx},{f.ny},{f.spacing}) does not match --grid {grid}"
-                )
-        nq = getattr(args, "nq", None)
-        if nq:
-            n, q = (int(t) for t in nq.split(","))
-            if (f.n, f.q_sheets) != (n, q):
-                raise QValuedError(
-                    f"input field is (n={f.n}, Q={f.q_sheets}), expected --nQ {nq}"
-                )
+def _load_field(args) -> GridField:
+    """The grid field of --input, checked against the --grid and --nQ guards."""
+    f = GridField.from_dict(_load_json(args.input))
+    if args.grid:
+        nx, ny, h = args.grid.split(",")
+        if (f.nx, f.ny) != (int(nx), int(ny)) or abs(f.spacing - float(h)) > 1e-12:
+            raise QValuedError(
+                f"input grid ({f.nx},{f.ny},{f.spacing}) does not match --grid {args.grid}"
+            )
+    if args.nq:
+        n, q = (int(t) for t in args.nq.split(","))
+        if (f.n, f.q_sheets) != (n, q):
+            raise QValuedError(
+                f"input field is (n={f.n}, Q={f.q_sheets}), expected --nQ {args.nq}"
+            )
     return f
 
 
 def _frame_for(args, n: int, q: int) -> ProjectionFrame:
-    if getattr(args, "frame", None):
+    if args.frame:
         return ProjectionFrame.from_dict(_load_json(args.frame))
     return standard_frame(n, q)
 
@@ -143,13 +134,13 @@ def cmd_chain(args) -> int:
 
 
 def cmd_minimize(args) -> int:
-    f = _load_field(args.input, args)
+    f = _load_field(args)
     frame = _frame_for(args, f.n, f.q_sheets)
     opts = MinimizeOptions(max_iters=args.max_iters, tol_rel_energy=args.tol_rel_energy)
     result = minimize(f, opts)
     if args.output:
         with open(args.output, "w") as fh:
-            json.dump(_json_floats(result.field.to_dict()), fh, sort_keys=True)
+            json.dump(result.field.to_dict(), fh, sort_keys=True)
             fh.write("\n")
     if args.csv:
         _write_csv(
@@ -175,7 +166,7 @@ def cmd_minimize(args) -> int:
 
 
 def cmd_analyze(args) -> int:
-    f = _load_field(args.input, args)
+    f = _load_field(args)
     frame = _frame_for(args, f.n, f.q_sheets)
     comp = harmonic_companion(hopf_differential(f, frame))
     interior = comp.hopf.interior
@@ -204,7 +195,7 @@ def cmd_analyze(args) -> int:
 
 
 def cmd_monotonicity(args) -> int:
-    f = _load_field(args.input, args)
+    f = _load_field(args)
     frame = _frame_for(args, f.n, f.q_sheets)
     w_star = _parse_node(args.wstar)
     base = QPoint(f.values[w_star[0], w_star[1]].copy())
@@ -228,7 +219,7 @@ def cmd_monotonicity(args) -> int:
 
 
 def cmd_variations(args) -> int:
-    f = _load_field(args.input, args)
+    f = _load_field(args)
     frame = _frame_for(args, f.n, f.q_sheets)
     res = stationarity_residual(f, frame, trials=args.trials, seed=args.seed)
     out = res.to_dict()
@@ -243,7 +234,7 @@ def cmd_variations(args) -> int:
 
 
 def cmd_certificate(args) -> int:
-    f = _load_field(args.input, args)
+    f = _load_field(args)
     frame = _frame_for(args, f.n, f.q_sheets)
     w = tuple(float(t) for t in args.w.split(","))
     if args.radii is None:
@@ -297,54 +288,43 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_chain)
 
-    p = sub.add_parser("minimize", help="relax a grid field toward minimality")
-    p.add_argument("--input", required=True)
-    p.add_argument("--frame")
-    p.add_argument("--output")
+    # the options every grid command shares
+    grid = argparse.ArgumentParser(add_help=False)
+    grid.add_argument("--input", required=True)
+    grid.add_argument("--frame")
+    grid.add_argument("--output")
+    grid.add_argument("--grid", help="assert the input grid is NX,NY,H")
+    grid.add_argument("--nQ", dest="nq", help="assert the input field is N,Q")
+
+    p = sub.add_parser("minimize", parents=[grid], help="relax a grid field toward minimality")
     p.add_argument("--csv", help="energy-vs-iteration table")
     p.add_argument("--max-iters", type=int, default=200, dest="max_iters")
     p.add_argument("--tol-rel-energy", type=float, default=1e-12, dest="tol_rel_energy")
     p.set_defaults(func=cmd_minimize)
 
-    p = sub.add_parser("analyze", help="Hopf and companion diagnostics of a field")
-    p.add_argument("--input", required=True)
-    p.add_argument("--frame")
-    p.add_argument("--output")
+    p = sub.add_parser("analyze", parents=[grid], help="Hopf and companion diagnostics of a field")
     p.add_argument("--cell-csv", dest="cell_csv", help="per-cell energy table")
     p.set_defaults(func=cmd_analyze)
 
-    p = sub.add_parser("monotonicity", help="cutoff energy ratio ladders")
-    p.add_argument("--input", required=True)
-    p.add_argument("--frame")
+    p = sub.add_parser("monotonicity", parents=[grid], help="cutoff energy ratio ladders")
     p.add_argument("--wstar", required=True, metavar="IX,IY")
     p.add_argument("--ladder", help="fractions as LO:HI:COUNT")
     p.add_argument("--tol-monotone", type=float, default=0.05, dest="tol_monotone")
-    p.add_argument("--output")
     p.add_argument("--csv")
     p.set_defaults(func=cmd_monotonicity)
 
-    p = sub.add_parser("variations", help="stationarity residual battery")
-    p.add_argument("--input", required=True)
-    p.add_argument("--frame")
+    p = sub.add_parser("variations", parents=[grid], help="stationarity residual battery")
     p.add_argument("--trials", type=int, default=8)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--tol-residual", type=float, default=1e-3, dest="tol_residual")
-    p.add_argument("--output")
     p.set_defaults(func=cmd_variations)
 
-    p = sub.add_parser("certificate", help="continuity modulus at a point")
-    p.add_argument("--input", required=True)
-    p.add_argument("--frame")
+    p = sub.add_parser("certificate", parents=[grid], help="continuity modulus at a point")
     p.add_argument("--w", required=True, metavar="X,Y")
     p.add_argument("--radii", help="comma-separated disc radii, each at least 4h "
                    "(default: those of 0.4,0.2,0.1 that are)")
-    p.add_argument("--output")
     p.add_argument("--csv")
     p.set_defaults(func=cmd_certificate)
-
-    for name in ("minimize", "analyze", "monotonicity", "variations", "certificate"):
-        sub.choices[name].add_argument("--grid", help="assert the input grid is NX,NY,H")
-        sub.choices[name].add_argument("--nQ", dest="nq", help="assert the input field is N,Q")
     return ap
 
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidInputError
-from .qspace import QPoint
+from .qspace import QPoint, project_sheets
 
 ORTHONORMAL_TOL = 1e-10
 UNIT_TOL = 1e-12
@@ -134,21 +134,19 @@ def xi_alpha(frame: ProjectionFrame, alpha: int, p: QPoint) -> np.ndarray:
     _check_point(frame, p)
     if not 0 <= alpha < frame.p_total:
         raise InvalidInputError(f"direction index {alpha} out of range [0, {frame.p_total})")
-    return np.sort(p.points @ frame.directions[alpha])
+    return np.sort(project_sheets(frame.directions[alpha, None], p.points)[0])
 
 
 def xi0(frame: ProjectionFrame, p: QPoint) -> EmbeddedPoint:
     """The n-block Lipschitz embedding (first n directions only)."""
     _check_point(frame, p)
-    proj = p.points @ frame.directions[: frame.n].T  # (Q, n)
-    return EmbeddedPoint(np.sort(proj.T, axis=1))
+    return EmbeddedPoint(np.sort(project_sheets(frame.directions[: frame.n], p.points), axis=1))
 
 
 def xi_full(frame: ProjectionFrame, p: QPoint) -> EmbeddedPoint:
     """Sorted projection blocks for every direction of the frame."""
     _check_point(frame, p)
-    proj = p.points @ frame.directions.T
-    return EmbeddedPoint(np.sort(proj.T, axis=1))
+    return EmbeddedPoint(np.sort(project_sheets(frame.directions, p.points), axis=1))
 
 
 def embedded_distance(a: EmbeddedPoint, b: EmbeddedPoint) -> float:

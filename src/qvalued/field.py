@@ -23,7 +23,7 @@ import numpy as np
 
 from .errors import InvalidInputError, NumericalFailureError
 from .embedding import ProjectionFrame
-from .qspace import QPoint, assign, metric_g_many
+from .qspace import QPoint, assign, metric_g_many, project_sheets
 
 #: circle-slice constant of the certificate's alpha1 (the classical Courant-Lebesgue shape)
 DEFAULT_C_CL = math.sqrt(4.0 * math.pi / math.log(2.0))
@@ -160,16 +160,11 @@ def _embed_values(values: np.ndarray, frame: ProjectionFrame) -> np.ndarray:
     """Sorted projections of (..., Q, n) node values onto the frame's first n
     directions, flattened to (..., n*Q).
 
-    Each node is embedded on its own, so a block of nodes embeds to the same
-    floats as it does inside the whole grid.  The projections are summed
-    coordinate by coordinate from the first, the order in which
-    ``np.einsum("an,yxqn->yxaq", ...)`` sums them, so the two give the same
-    floats; the products take about a quarter of its time.
+    Each node is embedded on its own by `project_sheets`, so a block of
+    nodes embeds to the same floats as it does inside the whole grid, and a
+    node to the same floats as `xi0` gives it.
     """
-    axes = frame.directions[: frame.n]
-    proj = axes[:, 0, None] * values[..., None, :, 0]
-    for k in range(1, values.shape[-1]):
-        proj += axes[:, k, None] * values[..., None, :, k]
+    proj = project_sheets(frame.directions[: frame.n], values)
     return np.sort(proj, axis=-1).reshape(*values.shape[:-2], -1)
 
 

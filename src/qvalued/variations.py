@@ -80,11 +80,18 @@ class DomainVariation:
         return np.asarray(self.direction)[:, None] * grad_eta[..., None, :]
 
 
+def _interior_box(f: GridField) -> tuple[float, float, float, float]:
+    """(x_lo, x_hi, y_lo, y_hi) of the box one node in from the grid rim."""
+    return (
+        f.origin[0] + f.spacing,
+        f.origin[0] + (f.nx - 2) * f.spacing,
+        f.origin[1] + f.spacing,
+        f.origin[1] + (f.ny - 2) * f.spacing,
+    )
+
+
 def _check_support_interior(f: GridField, v: DomainVariation):
-    x_lo = f.origin[0] + f.spacing
-    x_hi = f.origin[0] + (f.nx - 2) * f.spacing
-    y_lo = f.origin[1] + f.spacing
-    y_hi = f.origin[1] + (f.ny - 2) * f.spacing
+    x_lo, x_hi, y_lo, y_hi = _interior_box(f)
     cx, cy = v.center
     if not (x_lo < cx - v.radius and cx + v.radius < x_hi
             and y_lo < cy - v.radius and cy + v.radius < y_hi):
@@ -305,13 +312,16 @@ def stationarity_residual(
 ) -> StationarityResidual:
     """Max |energy derivative| over random domain bumps and admissible range
     variations at sampled interior base nodes."""
+    # sampled base nodes keep this many nodes from the rim, per axis
+    my, mx = max(3, f.ny // 8), max(3, f.nx // 8)
+    if f.ny <= 2 * my or f.nx <= 2 * mx:
+        raise InvalidInputError(
+            f"stationarity_residual needs at least 7 nodes per axis, got {f.nx}x{f.ny}"
+        )
     rng = np.random.default_rng(seed)
     farr = embed_grid(f, frame)
     energy = embedded_energy(farr).total
-    x_lo = f.origin[0] + f.spacing
-    x_hi = f.origin[0] + (f.nx - 2) * f.spacing
-    y_lo = f.origin[1] + f.spacing
-    y_hi = f.origin[1] + (f.ny - 2) * f.spacing
+    x_lo, x_hi, y_lo, y_hi = _interior_box(f)
     span = min(x_hi - x_lo, y_hi - y_lo)
 
     domain_derivs: list[float] = []
@@ -326,11 +336,10 @@ def stationarity_residual(
     comp = harmonic_companion(hopf_differential(f, frame))
     range_derivs: list[float] = []
     attempts = 0
-    margin = max(3, f.nx // 8)
     while len(range_derivs) < trials and attempts < 10 * trials:
         attempts += 1
-        iy = int(rng.integers(margin, f.ny - margin))
-        ix = int(rng.integers(margin, f.nx - margin))
+        iy = int(rng.integers(my, f.ny - my))
+        ix = int(rng.integers(mx, f.nx - mx))
         base = QPoint(f.values[iy, ix].copy())
         try:
             chain = nested_chain(base, angle_separated_frame(support(base)))

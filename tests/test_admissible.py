@@ -34,6 +34,31 @@ def test_theta0_one_dimensional():
         assert theta0(1, q) == pytest.approx(math.pi / 2)
 
 
+def test_theta0_single_sheet_is_right_angle():
+    # one sheet has no difference direction to place, in any dimension
+    for n in range(1, 5):
+        assert theta0(n, 1) == math.pi / 2
+        asf = angle_separated_frame(support(QPoint(np.ones((1, n)))))
+        assert asf.target_theta0 == asf.achieved_min_angle == math.pi / 2
+
+
+def test_theta0_is_the_closed_form_bitwise():
+    for n in range(2, 6):
+        for q in range(2, 9):
+            closed = 0.5 ** ((n - 1) * (q * (q - 1) - 1)) * math.asin(1.0 / math.sqrt(n))
+            assert theta0(n, q) == closed
+
+
+def test_cascade_floors_equal_the_running_product():
+    # the frame reads each floor from delta_cascade; halving is exact, so
+    # the floors are the running product's floats
+    for n in range(2, 5):
+        floor = math.asin(1.0 / math.sqrt(n))
+        for ell in range(1, 21):
+            assert delta_cascade(n, ell) == floor
+            floor *= 0.5 ** (n - 1)
+
+
 def test_theta0_n2_q2():
     assert theta0(2, 2) == pytest.approx(0.5 * math.asin(1 / math.sqrt(2)))
     assert theta0(2, 2) == pytest.approx(math.pi / 8)

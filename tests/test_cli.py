@@ -7,6 +7,7 @@ import pytest
 from qvalued import (
     GridField,
     MinimizeOptions,
+    NumericalFailureError,
     QPoint,
     continuity_certificate,
     harmonic_companion,
@@ -14,6 +15,7 @@ from qvalued import (
     minimize,
     standard_frame,
 )
+import qvalued.cli
 from qvalued.cli import _constants_block, _dump_json, _write_csv, main
 
 from helpers import count_matched_stencil, two_sheet_field, unit_square_grid
@@ -70,6 +72,36 @@ def test_embed_outputs_sorted_blocks(tmp_path, capsys):
     assert main(["embed", "--input", str(a)]) == 0
     out = json.loads(capsys.readouterr().out)
     assert out["blocks"][0] == [-1.0, 2.0]
+
+
+def test_chain_invariant_violation_exits_3(tmp_path, monkeypatch, capsys):
+    a = qpoint_file(tmp_path, "a.json", [[0.0], [1.0]])
+    monkeypatch.setattr(qvalued.cli, "validate_chain", lambda chain: ["forced violation"])
+    assert main(["chain", "--input", str(a), "--samples", "10"]) == 3
+    captured = capsys.readouterr()
+    assert "chain invariant violation" in captured.err
+    assert json.loads(captured.out)["invariants"]["violations"] == ["forced violation"]
+
+
+def test_numerical_failure_exits_4(tmp_path, monkeypatch, capsys):
+    path, _ = small_field_file(tmp_path)
+
+    def fail(f, comp):
+        raise NumericalFailureError("forced failure")
+
+    monkeypatch.setattr(qvalued.cli, "conformality_defect", fail)
+    assert main(["analyze", "--input", str(path)]) == 4
+    assert "numerical failure: forced failure" in capsys.readouterr().err
+
+
+def test_dump_json_numpy_scalars_print_as_python_values(tmp_path):
+    report = {"f64": np.float64(0.1), "f32": np.float32(0.1), "i64": np.int64(3),
+              "rows": [np.float64(1.0) / 3, np.float64("inf")]}
+    plain = {"f64": 0.1, "f32": float(np.float32(0.1)), "i64": 3,
+             "rows": [1.0 / 3, float("inf")]}
+    _dump_json(report, str(tmp_path / "numpy.json"))
+    _dump_json(plain, str(tmp_path / "plain.json"))
+    assert (tmp_path / "numpy.json").read_text() == (tmp_path / "plain.json").read_text()
 
 
 def test_chain_single_site(tmp_path, capsys):
@@ -184,6 +216,20 @@ def test_command_builds_one_matched_stencil(cmd, tmp_path, monkeypatch, capsys):
     out = json.loads(capsys.readouterr().out)
     if cmd[0] == "monotonicity":
         assert isinstance(out["vacuous"], bool)
+
+
+def test_single_sheet_field_in_r3(tmp_path, capsys):
+    # theta0 = pi/2 at Q = 1, which the trivial frame achieves
+    spec = unit_square_grid(33)
+    x, y = np.meshgrid(spec.origin[0] + spec.spacing * np.arange(33),
+                       spec.origin[1] + spec.spacing * np.arange(33))
+    vals = np.stack([x, y, x * y - 0.5 * y**2], axis=-1)[:, :, None, :]
+    path = tmp_path / "single.json"
+    write_json(path, GridField(vals, spec.spacing, spec.origin).to_dict())
+    assert main(["monotonicity", "--input", str(path), "--wstar", "16,16"]) == 0
+    assert json.loads(capsys.readouterr().out)["constants"]["theta0"] == math.pi / 2
+    assert main(["variations", "--input", str(path), "--trials", "2", "--nQ", "3,1"]) == 0
+    assert json.loads(capsys.readouterr().out)["constants"]["theta0"] == math.pi / 2
 
 
 def test_variations_cli(tmp_path, capsys):

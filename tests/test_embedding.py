@@ -3,12 +3,15 @@ import pytest
 
 from qvalued import (
     EmbeddedPoint,
+    GridField,
     InvalidInputError,
     ProjectionFrame,
     QPoint,
+    embed_grid,
     embedded_distance,
     frame_with_extra_directions,
     metric_g,
+    pushforward_projection,
     rotated_frame,
     standard_frame,
     xi0,
@@ -153,3 +156,31 @@ def test_extra_directions_in_one_dimension():
     fr = frame_with_extra_directions(1, 3, 4)
     assert fr.p_total == 4
     np.testing.assert_allclose(np.abs(fr.directions), 1.0)
+
+
+FRAMES = {
+    "standard": standard_frame,
+    "rotated": lambda n, q: rotated_frame(n, q, seed=3),
+    "extra": lambda n, q: frame_with_extra_directions(n, q, n + 3),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(FRAMES))
+@pytest.mark.parametrize("q", [1, 2, 3, 5])
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_projection_paths_agree_bitwise(n, q, kind):
+    # every projection of sheets onto frame directions goes through one
+    # kernel, so a node embeds to the same floats on every path
+    frame = FRAMES[kind](n, q)
+    rng = np.random.default_rng(100 * n + q)
+    f = GridField(rng.normal(size=(9, 9, q, n)), 0.25)
+    farr = embed_grid(f, frame)
+    for node in np.ndindex(9, 9):
+        p = f.node_value(node)
+        assert np.array_equal(xi0(frame, p).flat, farr[node])
+        full = xi_full(frame, p)
+        for a in range(frame.p_total):
+            block = xi_alpha(frame, a, p)
+            assert np.array_equal(full.blocks[a], block)
+            pushed = pushforward_projection(frame.directions[a], p)
+            assert np.array_equal(np.sort(pushed.points[:, 0]), block)

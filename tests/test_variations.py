@@ -330,3 +330,16 @@ def test_stationarity_residual_embeds_the_grid_once(minimized_strong_97, monkeyp
     res = stationarity_residual(g, standard_frame(2, 2), trials=4, seed=1)
     assert res.domain_trials == 4 and res.range_trials > 0
     assert calls == [g.values.shape]
+
+
+def test_stationarity_residual_samples_each_axis_by_its_own_margin():
+    # each axis keeps its own margin from the rim, so a short axis beside a
+    # long one still has base nodes; an axis with no room is refused by name
+    f = two_sheet_field(65, seed=4)
+    frame = standard_frame(2, 2)
+    for box in (np.s_[:9], np.s_[:, :9]):
+        g = GridField(f.values[box], f.spacing, f.origin)
+        res = stationarity_residual(g, frame, trials=2, seed=0)
+        assert res.domain_trials == 2 and math.isfinite(res.range_max)
+    with pytest.raises(InvalidInputError, match="at least 7 nodes"):
+        stationarity_residual(GridField(f.values[:5, :5], f.spacing, f.origin), frame, trials=2)
