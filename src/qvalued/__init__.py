@@ -60,6 +60,7 @@ from .field import (
     GridSpec,
     MinimizeOptions,
     MinimizeResult,
+    branch_plaquettes,
     courant_lebesgue_slice,
     dirichlet_energy,
     dirichlet_energy_matched,

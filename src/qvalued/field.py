@@ -7,15 +7,19 @@ by the assignment distance on the same stencil, so the two agree exactly
 whenever the per-axis sorted matchings realise the optimal matchings.
 
 Minimisation alternates per-edge optimal matchings with an exact minimiser
-of the quadratic they freeze: one sparse LU solve of the weighted graph
-Laplacian on (node, sheet) vertices, with the masked nodes held fixed.  The
-frozen quadratic majorises the matched energy and touches it at the current
-field, so each outer iteration is a descent step and the iteration is
-monotone.
+of the quadratic they freeze: the graph Laplacian on (node, sheet)
+vertices, with the masked nodes held fixed.  The frozen quadratic majorises
+the matched energy and touches it at the current field, so each outer
+iteration is a descent step and the iteration is monotone.  On a rim-only
+mask the quadratic is solved in the comb gauge, where only the cut edges
+carry a permutation: a DST-I fast solve of Q plain Dirichlet Laplacians
+plus a capacitance correction on the cut.  Masks with interior islands,
+and cuts too large for the dense correction, keep a sparse LU solve.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -218,12 +222,13 @@ class MinimizeResult:
     converged: bool
 
 
-# `minimize` factorises the symmetric positive definite free-free block of
-# its frozen quadratic, so SuperLU runs in symmetric mode on a
-# minimum-degree ordering of A + A^T without pivoting.
-# relax=1 and panel_size=1 keep its supernodes and panels small: with the
-# defaults, minimising two 97x97 two-valued fields raised the process's
-# peak RSS from 118.9 to 129.4 MB.
+# `_superlu_solve`, the fallback for island masks and large cuts,
+# factorises the symmetric positive definite free-free block of the frozen
+# quadratic, so SuperLU runs in symmetric mode on a minimum-degree ordering
+# of A + A^T without pivoting.  relax=1 and panel_size=1 keep its
+# supernodes and panels small: with the defaults, factorising for two
+# 97x97 two-valued fields raised the process's peak RSS from 118.9 to
+# 129.4 MB.
 _SPLU_KW = dict(
     permc_spec="MMD_AT_PLUS_A",
     diag_pivot_thresh=0.0,
@@ -232,64 +237,269 @@ _SPLU_KW = dict(
     options=dict(SymmetricMode=True),
 )
 
+#: the capacitance solve runs while its K x K system has at most this many
+#: unknowns per square root of the (free node, sheet) count.  Its dense LU
+#: costs K^3 / 3 and SuperLU's nested factorisation of a grid about
+#: (Q * free nodes)^1.5, so the crossover is a fixed ratio: on noisy root
+#: fields (Q = 2, 3; 65^2 to 129^2; one BLAS thread) the two solves took
+#: equal time at K / sqrt(Q * free nodes) = 6 to 7
+_CAPACITANCE_MAX_RATIO = 6.0
 
-def minimize(f: GridField, opts: MinimizeOptions | None = None) -> MinimizeResult:
-    """Relax interior nodes toward a discrete Dirichlet minimiser.
 
-    Outer loop: freeze the per-edge optimal matchings, then minimise the
-    quadratic they define exactly.  That quadratic is the weighted graph
-    Laplacian on (iy, ix, sheet) vertices, where an x-edge links sheet s of
-    a node to sheet px[s] of its right neighbour (likewise for y-edges), with
-    the masked nodes as Dirichlet data.  Every component of this Q-fold
-    cover of the grid graph reaches the rim, so the free-free block is
-    positive definite; one sparse LU factorisation per outer iteration
-    solves all n coordinates.  Matching the edges after a solve gives both
-    the matched energy of the iterate and the next frozen matching.  The
-    matched energy never increases across outer iterations.  Once the
-    matching after a solve equals the one that solve used, the next solve
-    would repeat it bit for bit (only the fixed neighbours enter its
-    right-hand side), so the remaining iterations reuse the iterate and its
-    energy without factorising again; with a non-negative tolerance the
-    first of them stops the loop.
+def _compose(first: np.ndarray, then: np.ndarray) -> np.ndarray:
+    """Follow the permutation arrays ``first``, then ``then``, along their
+    last axis: out[..., s] = then[..., first[..., s]]."""
+    return np.take_along_axis(then, first, axis=-1)
+
+
+def _prefix_compose(p: np.ndarray) -> np.ndarray:
+    """Prefix products of a sequence of permutation arrays along axis 0:
+    out[0] is the identity and out[i + 1] follows out[i], then p[i].  Each
+    doubling step composes the whole sequence at once (Hillis & Steele,
+    CACM 29, 1986), so there are about log2 len(p) of them."""
+    out = np.concatenate([np.broadcast_to(np.arange(p.shape[-1]), (1, *p.shape[1:])), p])
+    d = 1
+    while d < out.shape[0]:
+        out[d:] = _compose(out[:-d], out[d:])
+        d *= 2
+    return out
+
+
+def _comb_gauge(px: np.ndarray, py: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Relabel the sheets so that the matchings along a comb are identities.
+
+    The comb is every row's x-edges plus column 0's y-edges.  ``g[iy, ix, t]``
+    is the sheet that takes label t at node (iy, ix): the identity at (0, 0),
+    composed with the matched permutations down column 0 and then along
+    each row.  Returns g and every y-edge's permutation in the new labels,
+    (ny - 1, nx, Q): label t below pairs with label twist[..., t] above.  A
+    y-edge keeps a non-identity twist only where the cells to its left
+    enclose a net holonomy.
     """
-    # the one sparse solve in qvalued; importing it here keeps scipy out of
-    # every other command's start-up
+    column = _prefix_compose(py[:, 0])  # (ny, Q)
+    rows = _prefix_compose(px.transpose(1, 0, 2)).transpose(1, 0, 2)  # (ny, nx, Q)
+    g = _compose(column[:, None], rows)
+    return g, _compose(_compose(g[:-1], py), np.argsort(g[1:], axis=-1))
+
+
+def branch_plaquettes(f: GridField) -> dict[tuple[int, int], tuple[int, ...]]:
+    """Cells around which the optimal edge matchings compose to a
+    non-identity holonomy, each mapped to that holonomy.
+
+    Cell (iy, ix) has corners (iy, ix) and (iy + 1, ix + 1).  Its holonomy h
+    takes sheet s at node (iy, ix), carried once counterclockwise around the
+    cell along the matched edges, to sheet h[s].  These cells hold the
+    branch points of the field's cover; they come in row-major order.
+    """
+    px, py, _ = _match_edges(f.values)
+    right = _compose(px[:-1], py[:, 1:])  # along the bottom, then up the right side
+    left = _compose(py[:, :-1], px[1:])   # up the left side, then along the top
+    hol = _compose(right, np.argsort(left, axis=-1))
+    cells = np.argwhere((hol != np.arange(f.q_sheets)).any(axis=-1))
+    return {(int(iy), int(ix)): tuple(hol[iy, ix].tolist()) for iy, ix in cells}
+
+
+@functools.lru_cache(maxsize=4)
+def _sine_basis(m: int) -> tuple[np.ndarray, np.ndarray]:
+    """Orthonormal DST-I basis of R^m, symmetric and its own inverse, and
+    the eigenvalues 4 sin^2(pi k / 2(m + 1)), k = 1..m, of the path
+    Laplacian with Dirichlet ends that it diagonalises.  Read-only, since
+    the cache hands the same arrays to every caller."""
+    k = np.arange(1, m + 1)
+    basis = np.sqrt(2.0 / (m + 1)) * np.sin(np.pi * np.outer(k, k) / (m + 1))
+    eig = 4.0 * np.sin(np.pi * k / (2 * (m + 1))) ** 2
+    basis.flags.writeable = eig.flags.writeable = False
+    return basis, eig
+
+
+def _sine_transform(b: np.ndarray, sy: np.ndarray, sx: np.ndarray) -> np.ndarray:
+    """Apply sy along axis 0 and sx along axis 1 of a (my, mx, c) array."""
+    my, mx, c = b.shape
+    t = (sy @ b.reshape(my, mx * c)).reshape(my, mx, c).transpose(1, 0, 2)
+    return (sx @ t.reshape(mx, my * c)).reshape(mx, my, c).transpose(1, 0, 2)
+
+
+def _green_matrix(sy: np.ndarray, sxe: np.ndarray, dinv: np.ndarray, ys: np.ndarray) -> np.ndarray:
+    """Green's function of the interior Dirichlet Laplacian between the
+    nodes in rows ``ys`` whose x-basis rows are ``sxe``, built one row of
+    nodes at a time: the y-mode sums of a row against every row are one
+    (rows, my) @ (my, mx) product, and each node pair then takes a dot
+    product over the x modes.  No (nodes, nodes, mx) array is formed."""
+    rows, row_of = np.unique(ys, return_inverse=True)
+    syr = sy[rows]
+    green = np.empty((ys.size, ys.size))
+    for a in range(rows.size):
+        h = (syr[a] * syr) @ dinv  # h[b, k] = sum_l S(ya, l) S(yb, l) / (mu_l + lambda_k)
+        own = row_of == a
+        green[own] = sxe[own] @ (h[row_of] * sxe).T
+    return green
+
+
+def _capacitance_solve(b: np.ndarray, twist: np.ndarray, cut: np.ndarray) -> np.ndarray:
+    """Solve (L0 + dL) x = b in the comb gauge on a rim-only mask.
+
+    ``b`` is (my, mx, Q, n) over the interior nodes, ``twist`` the (my - 1,
+    mx, Q) permutations of the y-edges between interior nodes, and ``cut``
+    the (E, 2) interior (row, column) of the lower node of each edge whose
+    twist is not the identity.  L0 is Q copies of the 5-point Dirichlet
+    Laplacian, which the DST-I basis of each axis diagonalises.  Each cut
+    edge adds dL = U C U^T on its 2Q (node, sheet) endpoints, with
+    C = [[0, I - P], [(I - P)^T, 0]] and P the twist's permutation matrix.
+    Woodbury's identity x = G (b - U w), (I + C U^T G U) w = C U^T G b, then
+    corrects the fast solve G b by one dense system over the endpoints (the
+    capacitance matrix method: Buzbee, Dorr, George & Golub, SIAM J. Numer.
+    Anal. 8, 1971; Proskurowski & Widlund, Math. Comp. 30, 1976).  Both
+    G b and G U w stay in the sine basis until the one inverse transform.
+    """
+    my, mx, q, n = b.shape
+    c = q * n
+    sy, ly = _sine_basis(my)
+    sx, lx = _sine_basis(mx)
+    dinv = 1.0 / (ly[:, None] + lx[None, :])
+    hat = _sine_transform(b.reshape(my, mx, c), sy, sx)
+    hat *= dinv[..., None]
+    if cut.size:
+        edges = cut.shape[0]
+        lower = cut[:, 0] * mx + cut[:, 1]
+        nodes, ends = np.unique(np.concatenate([lower, lower + mx]), return_inverse=True)
+        lo, up = ends[:edges], ends[edges:]
+        m = nodes.size
+        sye, sxe = sy[nodes // mx], sx[nodes % mx]
+        green = _green_matrix(sy, sxe, dinv, nodes // mx)
+        perm = twist[cut[:, 0], cut[:, 1]]
+        d = np.eye(q) - np.eye(q)[perm]  # I - P per edge
+        # I + C (G kron I): C has the block D at (lo, up) and D^T at (up, lo), and
+        # a node is the lower end of one cut edge at most, and the upper end of one
+        cap = np.zeros((m, q, m, q))
+        cap[lo] += np.einsum("etr,ec->etcr", d, green[up])
+        cap[up] += np.einsum("ert,ec->etcr", d, green[lo])
+        cap = cap.reshape(m * q, m * q)
+        cap[np.diag_indices(m * q)] += 1.0
+        y = np.einsum("ikc,ik->ic", (sye @ hat.reshape(my, mx * c)).reshape(m, mx, c), sxe)
+        y = y.reshape(m, q, n)  # G b at the endpoints
+        cy = np.zeros((m, q, n))
+        cy[lo] += y[up] - y[up[:, None], perm]
+        cy[up] += y[lo] - y[lo[:, None], np.argsort(perm, axis=-1)]
+        w = np.linalg.solve(cap, cy.reshape(m * q, n)).reshape(m, c)
+        uw = sye.T @ (sxe[:, :, None] * w[:, None, :]).reshape(m, mx * c)  # U w, sine basis
+        hat -= uw.reshape(my, mx, c) * dinv[..., None]
+    return _sine_transform(hat, sy, sx).reshape(my * mx, q, n)
+
+
+def _fixed_neighbour_sum(v: np.ndarray, fixed: np.ndarray, px: np.ndarray,
+                         py: np.ndarray) -> np.ndarray:
+    """Right-hand side of the frozen quadratic, (free nodes, Q, n) in
+    `np.nonzero` order: each free node's sum, sheet by sheet, of the sheets
+    that its fixed neighbours (down, left, right, up) pair with it."""
+    fy, fx = np.nonzero(~fixed)
+    rhs = np.zeros((fy.size, *v.shape[2:]))
+    for dy, dx in ((-1, 0), (0, -1), (0, 1), (1, 0)):
+        on = np.flatnonzero(fixed[fy + dy, fx + dx])
+        iy, ix = fy[on], fx[on]
+        if dy:
+            perm = py[iy, ix] if dy > 0 else np.argsort(py[iy - 1, ix], axis=-1)
+        else:
+            perm = px[iy, ix] if dx > 0 else np.argsort(px[iy, ix - 1], axis=-1)
+        rhs[on] += v[iy[:, None] + dy, ix[:, None] + dx, perm]
+    return rhs
+
+
+def _superlu_solve(rhs: np.ndarray, fixed: np.ndarray, px: np.ndarray,
+                   py: np.ndarray) -> np.ndarray:
+    """Solve the frozen quadratic by one sparse LU factorisation: the path
+    for masks with interior islands and for large capacitance systems."""
+    # importing scipy here keeps it out of every other command's start-up
     import scipy.sparse as sp
     import scipy.sparse.linalg as spla
 
+    nf, q, n = rhs.shape
+    fy, fx = np.nonzero(~fixed)
+    compact = np.full(fixed.shape, -1, dtype=np.intc)
+    compact[fy, fx] = np.arange(nf, dtype=np.intc)
+    nbrs = ((fy - 1, fx), (fy, fx - 1), (fy, fx + 1), (fy + 1, fx))
+    # sheet s of a free node pairs with sheet partner[s] of each neighbour
+    partners = (np.argsort(py, axis=-1)[fy - 1, fx], np.argsort(px, axis=-1)[fy, fx - 1],
+                px[fy, fx], py[fy, fx])
+    # per column (free vertex) the CSC slots are ordered down, left,
+    # diagonal, right, up: by node index, hence by row index
+    rows = np.empty((nf, q, 5), dtype=np.intc)
+    rows[..., 2] = np.arange(nf * q, dtype=np.intc).reshape(nf, q)
+    on = np.ones((nf, 5), dtype=bool)
+    for slot, (y, x), sheet in zip((0, 1, 3, 4), nbrs, partners):
+        rows[..., slot] = compact[y, x][:, None] * q + sheet
+        on[:, slot] = ~fixed[y, x]
+    on = np.broadcast_to(on[:, None, :], (nf, q, 5))
+    data = np.broadcast_to(np.array([-1.0, -1.0, 4.0, -1.0, -1.0]), (nf, q, 5))[on]
+    indptr = np.zeros(nf * q + 1, dtype=np.intc)
+    np.cumsum(on.sum(axis=-1).ravel(), out=indptr[1:])
+    lap = sp.csc_matrix((data, rows[on], indptr), shape=(nf * q, nf * q))
+    return spla.splu(lap, **_SPLU_KW).solve(rhs.reshape(nf * q, n)).reshape(nf, q, n)
+
+
+def _frozen_solve(v: np.ndarray, fixed: np.ndarray, px: np.ndarray, py: np.ndarray) -> np.ndarray:
+    """Minimiser of the quadratic that the matchings px, py freeze, at the
+    free nodes: (free nodes, Q, n) in `np.nonzero` order.
+
+    Free nodes are interior (the rim is always masked), so each has four
+    neighbours, and every edge at a free node has weight 1: the half
+    weights sit on edges between two rim nodes.  The matrix therefore has 4
+    on the diagonal and -1 for each pair of (free node, sheet) vertices that
+    a matched edge links, and only the fixed nodes' values enter, through
+    the right-hand side.  On a rim-only mask every free node has the plain
+    5-point stencil, and `_capacitance_solve` solves the system in the comb
+    gauge while its capacitance matrix has at most
+    _CAPACITANCE_MAX_RATIO * sqrt(Q * free nodes) unknowns.  Masks with
+    interior islands, and larger capacitance systems, go to
+    `_superlu_solve`.  The choice depends on the mask and the matchings
+    alone, so equal inputs take the same path.
+    """
+    ny, nx, q, n = v.shape
+    rhs = _fixed_neighbour_sum(v, fixed, px, py)
+    if not rhs.size:
+        return rhs
+    if not fixed[1:-1, 1:-1].any():
+        g, twist = _comb_gauge(px, py)
+        g = g[1:-1, 1:-1].reshape(-1, q)
+        twist = twist[1:-1, 1:-1]  # y-edges between two interior nodes
+        cut = np.argwhere((twist != np.arange(q)).any(axis=-1))
+        ends = np.zeros((ny - 2, nx - 2), dtype=bool)
+        ends[cut[:, 0], cut[:, 1]] = ends[cut[:, 0] + 1, cut[:, 1]] = True
+        if q * np.count_nonzero(ends) <= _CAPACITANCE_MAX_RATIO * math.sqrt(q * g.shape[0]):
+            node = np.arange(g.shape[0])[:, None]
+            b = rhs[node, g].reshape(ny - 2, nx - 2, q, n)  # label t is sheet g[node, t]
+            x = np.empty_like(rhs)
+            x[node, g] = _capacitance_solve(b, twist, cut)
+            return x
+    return _superlu_solve(rhs, fixed, px, py)
+
+
+def minimize(f: GridField, opts: MinimizeOptions | None = None) -> MinimizeResult:
+    """Relax interior nodes to the discrete Dirichlet minimiser within the
+    input's cover.
+
+    Outer loop: freeze the per-edge optimal matchings, then minimise the
+    quadratic they define exactly.  That quadratic is the graph Laplacian
+    on (iy, ix, sheet) vertices, where an x-edge links sheet s of a node to
+    sheet px[s] of its right neighbour (likewise for y-edges), with the
+    masked nodes as Dirichlet data.  Every component of this Q-fold cover
+    of the grid graph reaches the rim, so the free-free block is positive
+    definite; `_frozen_solve` solves it for all n coordinates at once.
+    Matching the edges after a solve gives both the matched energy of the
+    iterate and the next frozen matching.  The matched energy never
+    increases across outer iterations.  Re-matching edge by edge does not
+    move a branch point of the cover, which needs a coordinated flip along
+    a cut, so the result keeps each branch point where the input put it.
+    Once the matching after a solve equals the one that solve used, the next
+    solve would repeat it bit for bit (only the fixed neighbours enter its
+    right-hand side), so the remaining iterations reuse the iterate and its
+    energy without solving again; with a non-negative tolerance the first
+    of them stops the loop.
+    """
     opts = opts or MinimizeOptions()
     g = f.copy()
     v = g.values
-    ny, nx, q, n = v.shape
-    wx = np.ones((ny, nx - 1))
-    wx[0] = 0.5
-    wx[-1] = 0.5
-    wy = np.ones((ny - 1, nx))
-    wy[:, 0] = 0.5
-    wy[:, -1] = 0.5
-
-    # Free nodes are interior (the rim is always masked), so each has all
-    # four neighbours.  Per column (free vertex) the CSC slots are ordered
-    # down, left, diagonal, right, up: by node index, hence by row index.
     fixed = g.boundary_mask
-    fy, fx = np.nonzero(~fixed)
-    nf = fy.size
-    compact = np.full((ny, nx), -1, dtype=np.intc)
-    compact[fy, fx] = np.arange(nf, dtype=np.intc)
-    nbrs = ((fy - 1, fx), (fy, fx - 1), (fy, fx + 1), (fy + 1, fx))
-    weights = np.stack([wy[fy - 1, fx], wx[fy, fx - 1], wx[fy, fx], wy[fy, fx]])
-    nbr_fixed = np.stack([fixed[y, x] for y, x in nbrs])
-    nbr_rows = np.stack([compact[y, x] for y, x in nbrs]) * q
-    rhs_w = (weights * nbr_fixed)[..., None, None]
-    slot_w = np.insert(-weights, 2, weights.sum(axis=0), axis=0).T  # (nf, 5)
-    slot_on = np.insert(~nbr_fixed, 2, True, axis=0).T
-    slot_on = np.broadcast_to(slot_on[:, None, :], (nf, q, 5))
-    data = np.broadcast_to(slot_w[:, None, :], (nf, q, 5))[slot_on]
-    indptr = np.zeros(nf * q + 1, dtype=np.intc)
-    np.cumsum(slot_on.sum(axis=-1).ravel(), out=indptr[1:])
-    rows = np.empty((nf, q, 5), dtype=np.intc)
-    rows[..., 2] = np.arange(nf * q, dtype=np.intc).reshape(nf, q)
-
+    free = ~fixed
     px, py, energy = _match_edges(v)
     e_prev = energy.total
     history = [e_prev]
@@ -299,16 +509,7 @@ def minimize(f: GridField, opts: MinimizeOptions | None = None) -> MinimizeResul
     for it in range(1, opts.max_iters + 1):
         if not (np.array_equal(px, solved_px) and np.array_equal(py, solved_py)):
             solved_px, solved_py = px, py
-            ipx = np.argsort(px, axis=-1)
-            ipy = np.argsort(py, axis=-1)
-            partners = (ipy[fy - 1, fx], ipx[fy, fx - 1], px[fy, fx], py[fy, fx])
-            rhs = np.zeros((nf, q, n))
-            for slot, (y, x), base, w, sheet in zip((0, 1, 3, 4), nbrs, nbr_rows, rhs_w, partners):
-                rows[..., slot] = base[:, None] + sheet
-                rhs += w * v[y[:, None], x[:, None], sheet]
-            lap = sp.csc_matrix((data, rows[slot_on], indptr), shape=(nf * q, nf * q))
-            sol = spla.splu(lap, **_SPLU_KW).solve(rhs.reshape(nf * q, n))
-            v[fy, fx] = sol.reshape(nf, q, n)
+            v[free] = _frozen_solve(v, fixed, px, py)
             px, py, energy = _match_edges(v)
         e = energy.total
         if not math.isfinite(e):

@@ -9,10 +9,9 @@ once, over bounded-memory chunks of the batch.  `assign` builds one layout
 of squared sheet distances for every Q, sums each permutation's cost in
 row order, and sends exact ties to the lexicographically first optimal
 permutation; it enumerates permutations for small Q and otherwise runs a
-shortest-augmenting-path solver on the whole chunk at once.  `metric_g`,
-which needs the distance of one pair only, is the one user of SciPy's
-Hungarian solver; it imports it itself, so importing this module does not
-load scipy.optimize.
+shortest-augmenting-path solver on the whole chunk at once.  Distances
+(`metric_g`, `metric_g_many`) come from the same kernel, so this module
+never loads scipy.optimize.
 """
 
 from __future__ import annotations
@@ -138,20 +137,10 @@ def _check_compatible(p: QPoint, r: QPoint):
 
 
 def metric_g(p: QPoint, r: QPoint) -> float:
-    """Optimal-assignment distance between two unordered tuples.
-
-    It runs SciPy's Hungarian solver on costs built with `einsum`, apart
-    from `assign` on purpose: it is the independent reference that the
-    `assign` tests compare against, so its value may differ from
-    `assign`'s (and `optimal_matching`'s) in the last bit.
-    """
-    from scipy.optimize import linear_sum_assignment
-
+    """Optimal-assignment distance between two unordered tuples: the root
+    of `assign`'s squared distance for the one pair."""
     _check_compatible(p, r)
-    diff = p.points[:, None, :] - r.points[None, :, :]
-    cost = np.einsum("ijk,ijk->ij", diff, diff)
-    rows, cols = linear_sum_assignment(cost)
-    return float(np.sqrt(cost[rows, cols].sum()))
+    return float(np.sqrt(assign(p.points, r.points)[1]))
 
 
 def optimal_matching(p: QPoint, r: QPoint) -> tuple[np.ndarray, float]:

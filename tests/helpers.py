@@ -109,3 +109,13 @@ def count_matched_stencil(monkeypatch) -> list:
 
     monkeypatch.setattr(analysis, "_matched_stencil", counting)
     return calls
+
+
+def branch_pair_field(nn, a, b, half=1.0):
+    """Both values of sqrt((z - a)(z - b)), branched at a and at b."""
+    spec = unit_square_grid(nn, half)
+    x, y = meshgrid_for(spec)
+    z = x + 1j * y
+    w = np.sqrt(z - a) * np.sqrt(z - b)
+    sheet = np.stack([w.real, w.imag], axis=-1)
+    return GridField(np.stack([sheet, -sheet], axis=2), spec.spacing, spec.origin)

@@ -28,6 +28,17 @@ def exhaustive_metric(p_pts: np.ndarray, r_pts: np.ndarray) -> float:
     return math.sqrt(best)
 
 
+def hungarian_metric(p, r) -> float:
+    """Assignment distance of two `QPoint`s by SciPy's Hungarian solver on
+    costs built with `einsum`."""
+    from scipy.optimize import linear_sum_assignment
+
+    diff = p.points[:, None, :] - r.points[None, :, :]
+    cost = np.einsum("ijk,ijk->ij", diff, diff)
+    rows, cols = linear_sum_assignment(cost)
+    return float(np.sqrt(cost[rows, cols].sum()))
+
+
 @functools.cache
 def _permutations(q: int) -> np.ndarray:
     return np.array(list(itertools.permutations(range(q))), dtype=np.intp)
@@ -92,6 +103,56 @@ def harmonic_extension(boundary_values: np.ndarray, mask: np.ndarray) -> np.ndar
             data.append(wsum)
     mat = sp.csr_matrix((data, (rows, cols)), shape=(total, total))
     return spla.spsolve(mat.tocsc(), rhs).reshape(ny, nx)
+
+
+def frozen_quadratic_solve(values: np.ndarray, mask: np.ndarray, px: np.ndarray,
+                           py: np.ndarray) -> np.ndarray:
+    """Minimiser of the quadratic that the edge matchings px, py freeze, by
+    one sparse LU factorisation of the weighted graph Laplacian on
+    (node, sheet) vertices; the masked nodes hold their values.
+
+    The assembly writes each column's CSC slots (down, left, diagonal,
+    right, up) directly, with the rim-weighted edges, and SuperLU runs in
+    symmetric mode on a minimum-degree ordering.  Returns the whole
+    (ny, nx, Q, n) array.
+    """
+    v = values.copy()
+    ny, nx, q, n = v.shape
+    wx = np.ones((ny, nx - 1))
+    wx[0] = 0.5
+    wx[-1] = 0.5
+    wy = np.ones((ny - 1, nx))
+    wy[:, 0] = 0.5
+    wy[:, -1] = 0.5
+    fy, fx = np.nonzero(~mask)
+    nf = fy.size
+    compact = np.full((ny, nx), -1, dtype=np.intc)
+    compact[fy, fx] = np.arange(nf, dtype=np.intc)
+    nbrs = ((fy - 1, fx), (fy, fx - 1), (fy, fx + 1), (fy + 1, fx))
+    weights = np.stack([wy[fy - 1, fx], wx[fy, fx - 1], wx[fy, fx], wy[fy, fx]])
+    nbr_fixed = np.stack([mask[y, x] for y, x in nbrs])
+    nbr_rows = np.stack([compact[y, x] for y, x in nbrs]) * q
+    rhs_w = (weights * nbr_fixed)[..., None, None]
+    slot_w = np.insert(-weights, 2, weights.sum(axis=0), axis=0).T
+    slot_on = np.insert(~nbr_fixed, 2, True, axis=0).T
+    slot_on = np.broadcast_to(slot_on[:, None, :], (nf, q, 5))
+    data = np.broadcast_to(slot_w[:, None, :], (nf, q, 5))[slot_on]
+    indptr = np.zeros(nf * q + 1, dtype=np.intc)
+    np.cumsum(slot_on.sum(axis=-1).ravel(), out=indptr[1:])
+    rows = np.empty((nf, q, 5), dtype=np.intc)
+    rows[..., 2] = np.arange(nf * q, dtype=np.intc).reshape(nf, q)
+    ipx = np.argsort(px, axis=-1)
+    ipy = np.argsort(py, axis=-1)
+    partners = (ipy[fy - 1, fx], ipx[fy, fx - 1], px[fy, fx], py[fy, fx])
+    rhs = np.zeros((nf, q, n))
+    for slot, (y, x), base, w, sheet in zip((0, 1, 3, 4), nbrs, nbr_rows, rhs_w, partners):
+        rows[..., slot] = base[:, None] + sheet
+        rhs += w * v[y[:, None], x[:, None], sheet]
+    lap = sp.csc_matrix((data, rows[slot_on], indptr), shape=(nf * q, nf * q))
+    lu = spla.splu(lap, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0, relax=1,
+                   panel_size=1, options=dict(SymmetricMode=True))
+    v[fy, fx] = lu.solve(rhs.reshape(nf * q, n)).reshape(nf, q, n)
+    return v
 
 
 def lsq_primitive(phi: np.ndarray, h: float) -> np.ndarray:

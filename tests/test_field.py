@@ -10,6 +10,7 @@ from qvalued import (
     InvalidInputError,
     MinimizeOptions,
     QPoint,
+    branch_plaquettes,
     courant_lebesgue_slice,
     dirichlet_energy,
     dirichlet_energy_matched,
@@ -21,16 +22,21 @@ from qvalued import (
     standard_frame,
 )
 
+from qvalued.field import _comb_gauge, _match_edges
+
 from helpers import (
+    branch_pair_field,
     harmonic_boundary_field,
     meshgrid_for,
     noisy_copy,
+    root_grid_field,
     sqrt_grid_field,
     two_sheet_field,
     unit_square_grid,
 )
 from oracles import (
     einsum_embedding,
+    frozen_quadratic_solve,
     harmonic_extension,
     max_pairwise_distance,
     sqrt_circle_oscillation,
@@ -217,25 +223,25 @@ def test_minimize_fixed_point_branched():
     assert np.array_equal(again.field.values, first.field.values)
 
 
-def count_splu(monkeypatch) -> list:
-    # `minimize` imports scipy.sparse.linalg when it runs, so patch the module
-    import scipy.sparse.linalg as spla
+def count_calls(monkeypatch, name: str) -> list:
+    """Record the arguments of every call of `qvalued.field.<name>`."""
+    import qvalued.field as field
 
+    inner = getattr(field, name)
     calls = []
-    splu = spla.splu
 
-    def counting(*args, **kwargs):
-        calls.append(1)
-        return splu(*args, **kwargs)
+    def counting(*args):
+        calls.append(args)
+        return inner(*args)
 
-    monkeypatch.setattr(spla, "splu", counting)
+    monkeypatch.setattr(field, name, counting)
     return calls
 
 
 def test_minimize_factorises_an_unchanged_matching_once(monkeypatch):
     # the square-root field's matching is final after the first solve, and a
     # second solve on it would repeat the first bit for bit
-    calls = count_splu(monkeypatch)
+    calls = count_calls(monkeypatch, "_frozen_solve")
     res = minimize(sqrt_grid_field(33))
     assert (res.iterations, res.converged) == (2, True)
     assert len(calls) == 1
@@ -243,7 +249,7 @@ def test_minimize_factorises_an_unchanged_matching_once(monkeypatch):
 
 def test_minimize_negative_tolerance_repeats_the_final_iterate(monkeypatch):
     f = sqrt_grid_field(33)
-    calls = count_splu(monkeypatch)
+    calls = count_calls(monkeypatch, "_frozen_solve")
     res = minimize(f, MinimizeOptions(max_iters=4, tol_rel_energy=-1.0))
     assert res.iterations == 4
     assert res.converged is False
@@ -253,6 +259,87 @@ def test_minimize_negative_tolerance_repeats_the_final_iterate(monkeypatch):
     assert len(calls) == 1
     once = minimize(f, MinimizeOptions(max_iters=1))
     assert np.array_equal(res.field.values, once.field.values)
+
+
+def island_field(nn=25) -> GridField:
+    f, g = harmonic_boundary_field(nn)
+    mask = f.boundary_mask.copy()
+    mask[9:13, 14:17] = True
+    vals = np.where(mask, g, 0.0)[..., None, None]
+    return GridField(vals, f.spacing, f.origin, mask)
+
+
+def test_minimize_takes_the_capacitance_solve_on_a_rim_mask(monkeypatch):
+    fast = count_calls(monkeypatch, "_capacitance_solve")
+    superlu = count_calls(monkeypatch, "_superlu_solve")
+    minimize(sqrt_grid_field(33))
+    assert len(fast) == 1 and not superlu
+    assert fast[0][2].shape[0] > 0  # the square-root field's cut joins free nodes
+
+
+@pytest.mark.parametrize("field", [
+    island_field(),
+    noisy_copy(sqrt_grid_field(33), scale=1.0, seed=1),
+], ids=["interior_island", "noise_dominated"])
+def test_minimize_falls_back_to_superlu(monkeypatch, field):
+    # an island breaks the plain 5-point stencil, and the noise cuts about
+    # 430 y-edges, a capacitance system of about 1300 unknowns, above the
+    # crossover of 6 * sqrt(2 * 31^2) = 263
+    fast = count_calls(monkeypatch, "_capacitance_solve")
+    superlu = count_calls(monkeypatch, "_superlu_solve")
+    minimize(field, MinimizeOptions(max_iters=1))
+    assert len(superlu) == 1 and not fast
+
+
+def _rim_branch(nn, cell_row):
+    # a square-root field branched inside the given cell row
+    h = 2.0 / (nn - 1)
+    return root_grid_field(nn, 2, complex(0.1, -1.0 + (cell_row + 0.5) * h))
+
+
+ORACLE_FIELDS = {
+    "sqrt_97": lambda: sqrt_grid_field(97),
+    "root3_49": lambda: root_grid_field(49, 3, 0.05 - 0.03j),
+    "root4_49": lambda: root_grid_field(49, 4, 0.05 - 0.03j),
+    "root7_49": lambda: root_grid_field(49, 7, 0.05 - 0.03j),
+    "root3_41x23": lambda: GridField(root_grid_field(49, 3, 0.05 - 0.03j).values[4:45, 13:36],
+                                     2.0 / 48, (-1.0 + 13 / 24, -1.0 + 4 / 24)),
+    "two_sheet_65": lambda: two_sheet_field(65, seed=2),
+    "branch_pair_65": lambda: branch_pair_field(65, -0.4 + 0.013j, 0.37 + 0.3j),
+    "rim_cell_33": lambda: _rim_branch(33, 0),
+    "next_to_rim_33": lambda: _rim_branch(33, 1),
+}
+
+
+@pytest.mark.parametrize("name", list(ORACLE_FIELDS))
+def test_frozen_solve_matches_superlu_oracle(monkeypatch, name):
+    f = ORACLE_FIELDS[name]()
+    px, py, _ = _match_edges(f.values)
+    want = frozen_quadratic_solve(f.values, f.boundary_mask, px, py)
+    fast = count_calls(monkeypatch, "_capacitance_solve")
+    got = minimize(f, MinimizeOptions(max_iters=1)).field.values
+    assert len(fast) == 1
+    assert np.abs(got - want).max() <= 1e-10
+    cut_rows = {int(r) for r in fast[0][2][:, 0]}
+    plaquette_rows = {iy for iy, _ in branch_plaquettes(f)}
+    if name == "two_sheet_65":
+        assert not cut_rows and not plaquette_rows
+    elif name == "branch_pair_65":
+        assert len(cut_rows) == 2  # one row pair per branch point
+    elif name == "rim_cell_33":
+        # the cut joins rim row 0 to row 1, so it enters the right-hand side only
+        assert plaquette_rows == {0} and not cut_rows
+    else:
+        assert cut_rows
+
+
+@pytest.mark.parametrize("field", [sqrt_grid_field(65), root_grid_field(33, 3, 0.05 - 0.03j)],
+                         ids=["sqrt", "root3"])
+def test_minimize_repeat_is_byte_identical(field):
+    first = minimize(field)
+    again = minimize(field)
+    assert first.field.values.tobytes() == again.field.values.tobytes()
+    assert first.energies.tobytes() == again.energies.tobytes()
 
 
 def test_minimize_sqrt_boundary_close_to_analytic(minimized_sqrt_97):
@@ -388,3 +475,54 @@ def test_minimize_q7_fallback_paths():
     assert np.isfinite(e.total) and e.total > 0
     res = minimize(f, MinimizeOptions(max_iters=4))
     assert np.all(np.diff(res.energies) <= 1e-12)
+
+
+def _is_q_cycle(perm) -> bool:
+    s, steps = perm[0], 1
+    while s != 0:
+        s, steps = perm[s], steps + 1
+    return steps == len(perm)
+
+
+@pytest.mark.parametrize("q", [2, 3])
+def test_branch_plaquettes_of_root_fields(q):
+    z0 = 0.05 - 0.03j
+    f = root_grid_field(33, q, z0)
+    cell = (int((z0.imag + 1.0) // f.spacing), int((z0.real + 1.0) // f.spacing))
+    found = branch_plaquettes(f)
+    assert list(found) == [cell]
+    assert _is_q_cycle(found[cell])
+    assert branch_plaquettes(minimize(f).field) == found
+
+
+def test_two_sheet_fields_have_no_branch_plaquettes():
+    for seed in range(3):
+        f = two_sheet_field(33, seed=seed)
+        assert branch_plaquettes(f) == {}
+        assert branch_plaquettes(minimize(f).field) == {}
+
+
+@pytest.mark.parametrize("field", [
+    noisy_copy(root_grid_field(17, 3, 0.05 - 0.03j), scale=0.4, seed=3),
+    branch_pair_field(33, -0.4 + 0.013j, 0.37 + 0.3j),
+], ids=["noisy_root3", "branch_pair"])
+def test_comb_gauge_cut_is_the_holonomy_to_the_left(field):
+    # the loop around cells (iy, 0..ix-1), based at node (iy, 0), traverses the
+    # rightmost cell's loop first; each cell's holonomy is carried to the base
+    # along the row's x-edges, and the loop's holonomy is the identity exactly
+    # when the gauge leaves y-edge (iy, ix) untwisted
+    px, py, _ = _match_edges(field.values)
+    _, twist = _comb_gauge(px, py)
+    q = field.q_sheets
+    ident = np.arange(q)
+    hol = branch_plaquettes(field)
+    assert len(hol) >= 2
+    for iy in range(field.ny - 1):
+        loop, carry = ident, ident
+        for ix in range(field.nx):
+            assert (not np.array_equal(twist[iy, ix], ident)) == (not np.array_equal(loop, ident))
+            if ix == field.nx - 1:
+                break
+            h = np.asarray(hol.get((iy, ix), ident))
+            loop = loop[np.argsort(carry)[h[carry]]]
+            carry = px[iy, ix][carry]

@@ -2,8 +2,10 @@
 
 Each check runs in a fresh interpreter and reads `sys.modules` afterwards, so
 it depends on module names only, never on time.  Importing `qvalued.cli`
-loads no scipy module, the analysis commands load none either, and
-`minimize`, the one sparse solve, loads `scipy.sparse.linalg` itself.
+loads no scipy module, and neither do the analysis commands, `chain` and
+`minimize` on a rim-only mask.  Only `minimize`'s SuperLU fallback loads
+`scipy.sparse.linalg`, and only `frame_with_extra_directions` loads
+`scipy.stats`.
 """
 
 import json
@@ -77,16 +79,37 @@ def test_analysis_commands_load_no_scipy(tmp_path, field, censored):
 
 
 def test_minimize_command_loads_sparse_linalg(tmp_path):
+    # an interior island sends the solve to the SuperLU fallback
+    f = two_sheet_field(17, seed=0)
+    f.boundary_mask[7:9, 5:10] = True
     path = tmp_path / "field.json"
-    path.write_text(json.dumps(two_sheet_field(17, seed=0).to_dict()))
+    path.write_text(json.dumps(f.to_dict()))
     out = str(tmp_path / "out.json")
     loaded = scipy_modules_loaded(RUN_CLI, "minimize", "--input", str(path), "--output", out)
     assert "scipy.sparse.linalg" in loaded
 
 
+@pytest.mark.parametrize("field", [two_sheet_field(17, seed=0), sqrt_grid_field(33)],
+                         ids=["two_sheet", "sqrt"])
+def test_rim_mask_minimize_command_loads_no_scipy(tmp_path, field):
+    path = tmp_path / "field.json"
+    path.write_text(json.dumps(field.to_dict()))
+    out = str(tmp_path / "out.json")
+    assert scipy_modules_loaded(RUN_CLI, "minimize", "--input", str(path), "--output", out) == set()
+
+
+def test_chain_command_loads_no_optimize(tmp_path):
+    # validate_chain measures level distances with metric_g
+    path = tmp_path / "p.json"
+    points = np.random.default_rng(1).normal(size=(3, 2))
+    path.write_text(json.dumps(QPoint(points).to_dict()))
+    loaded = lazy_modules_loaded(RUN_CLI, "chain", "--input", str(path), "--samples", "50")
+    assert loaded == set()
+
+
 def test_assignment_beyond_enumeration_loads_no_optimize(tmp_path):
     # Q = 7 edge matchings and a Q = 8 one-base batch run the batched solver,
-    # not scipy's; only metric_g loads scipy.optimize
+    # not scipy's
     path = tmp_path / "field.json"
     path.write_text(json.dumps(root_grid_field(9, 7, 0.05 - 0.03j).to_dict()))
     run = (

@@ -20,7 +20,7 @@ from qvalued import qspace
 from qvalued.qspace import ASSIGN_CHUNK_BYTES, assign
 
 from helpers import random_qpoint, random_qpoint_pair
-from oracles import exhaustive_assignment, exhaustive_metric
+from oracles import exhaustive_assignment, exhaustive_metric, hungarian_metric
 
 
 def test_metric_identity():
@@ -91,7 +91,26 @@ def test_optimal_matching_distance_and_lexicographic_ties():
         perm, dist = optimal_matching(a, b)
         paired = np.sqrt(((a.points - b.points[perm]) ** 2).sum())
         assert paired == pytest.approx(dist, abs=1e-12)
-        assert dist == pytest.approx(metric_g(a, b), abs=1e-12)
+        assert dist == pytest.approx(hungarian_metric(a, b), abs=1e-12)
+
+
+def test_metric_g_matches_hungarian_oracle():
+    # the tuples of the tests that take the Hungarian oracle as their reference
+    pairs = []
+    rng = np.random.default_rng(3)
+    pairs += [random_qpoint_pair(rng, 4, 2) for _ in range(25)]
+    rng = np.random.default_rng(4)
+    base = random_qpoint(rng, 4, 3)
+    pairs += [(base, QPoint(t)) for t in rng.normal(size=(50, 4, 3))]
+    pairs.append(random_qpoint_pair(np.random.default_rng(8), 7, 3))
+    rng = np.random.default_rng(9)
+    a = rng.normal(size=(30000, 6, 2))
+    b = rng.normal(size=(30000, 6, 2))
+    pairs += [(QPoint(a[e]), QPoint(b[e])) for e in range(0, 30000, 100)]
+    a, b = shuffled_pairs()
+    pairs += [(QPoint(a[e]), QPoint(b[e])) for e in range(0, 30000, 101)]
+    for p, r in pairs:
+        assert abs(metric_g(p, r) - hungarian_metric(p, r)) <= 1e-12
 
 
 def test_metric_g_many_matches_scalar():
@@ -100,7 +119,7 @@ def test_metric_g_many_matches_scalar():
     batch = rng.normal(size=(50, 4, 3))
     dists = metric_g_many(base.points, batch)
     for k in range(50):
-        assert dists[k] == pytest.approx(metric_g(base, QPoint(batch[k])), abs=1e-12)
+        assert dists[k] == pytest.approx(hungarian_metric(base, QPoint(batch[k])), abs=1e-12)
 
 
 def test_support_multiplicity():
@@ -198,12 +217,12 @@ def test_qpoint_rejects_nonfinite():
 
 
 def test_metric_paths_agree_beyond_exhaustive_limit():
-    # Q = 7 is above EXHAUSTIVE_MAX_SHEETS: metric_g runs SciPy's Hungarian
-    # solver, and metric_g_many, optimal_matching and assign run the batched
-    # shortest-augmenting-path solver; all must agree
+    # Q = 7 is above EXHAUSTIVE_MAX_SHEETS: the SciPy Hungarian oracle and
+    # the batched shortest-augmenting-path solver behind metric_g_many,
+    # optimal_matching and assign must agree
     rng = np.random.default_rng(8)
     a, b = random_qpoint_pair(rng, 7, 3)
-    d1 = metric_g(a, b)
+    d1 = hungarian_metric(a, b)
     d2 = metric_g_many(a.points, b.points[None])[0]
     perm, d3 = optimal_matching(a, b)
     perm4, sq4 = assign(a.points, b.points)
@@ -260,7 +279,7 @@ def test_assign_memory_is_bounded():
         tracemalloc.stop()
     assert peak < 32e6
     sample = range(0, 30000, 10)
-    want = [metric_g(QPoint(a[e]), QPoint(b[e])) for e in sample]
+    want = [hungarian_metric(QPoint(a[e]), QPoint(b[e])) for e in sample]
     np.testing.assert_allclose(np.sqrt(sq[sample]), want, rtol=0, atol=1e-12)
     paired = ((a - np.take_along_axis(b, perm[..., None], axis=-2)) ** 2).sum(axis=(1, 2))
     np.testing.assert_allclose(paired, sq, rtol=0, atol=1e-12)
@@ -366,18 +385,25 @@ def test_assign_layouts_agree(q):
     assert np.array_equal(s1, s2)
 
 
-def test_assign_memory_is_bounded_beyond_enumeration():
-    # 30000 Q = 8 pairs do not fill a whole number of chunks; solving them in
-    # one piece peaks near 42 MB, holding several (8, 8, 30000) float arrays.
-    # Most pairs match a tuple to a shuffled, slightly moved copy; every
-    # sixteenth pair is random, so the solver's searches run in every chunk
-    assert 30000 % (ASSIGN_CHUNK_BYTES // (8 * 8 * 8)) != 0
+def shuffled_pairs():
+    """30000 Q = 8 pairs: a tuple against a shuffled, slightly moved copy,
+    and every sixteenth pair random."""
     rng = np.random.default_rng(14)
     a = 3.0 * rng.normal(size=(30000, 8, 2))
     shuffle = np.argsort(rng.random((30000, 8)), axis=1)
     b = np.take_along_axis(a + 0.01 * rng.normal(size=a.shape), shuffle[..., None], axis=1)
     a[::16] = rng.normal(size=(1875, 8, 2))
     b[::16] = rng.normal(size=(1875, 8, 2))
+    return a, b
+
+
+def test_assign_memory_is_bounded_beyond_enumeration():
+    # 30000 Q = 8 pairs do not fill a whole number of chunks; solving them in
+    # one piece peaks near 42 MB, holding several (8, 8, 30000) float arrays.
+    # Most pairs match a tuple to a shuffled, slightly moved copy; every
+    # sixteenth pair is random, so the solver's searches run in every chunk
+    assert 30000 % (ASSIGN_CHUNK_BYTES // (8 * 8 * 8)) != 0
+    a, b = shuffled_pairs()
     tracemalloc.start()
     try:
         perm, sq = assign(a, b)
@@ -386,7 +412,7 @@ def test_assign_memory_is_bounded_beyond_enumeration():
         tracemalloc.stop()
     assert peak < 24e6
     sample = range(0, 30000, 101)
-    want = [metric_g(QPoint(a[e]), QPoint(b[e])) for e in sample]
+    want = [hungarian_metric(QPoint(a[e]), QPoint(b[e])) for e in sample]
     np.testing.assert_allclose(np.sqrt(sq[sample]), want, rtol=0, atol=1e-12)
     paired = ((a - np.take_along_axis(b, perm[..., None], axis=-2)) ** 2).sum(axis=(1, 2))
     np.testing.assert_allclose(paired, sq, rtol=0, atol=1e-12)
