@@ -1,10 +1,12 @@
 """Conformality diagnostics for planar Q-tuple fields.
 
-The Hopf density is assembled from per-sheet central differences whose
-stencil neighbours are matched to the center tuple by optimal assignment.
-Plain differences of the sorted embedding carry O(1) errors along sheet
-projection fold lines; the matched form realises the almost-everywhere
-derivative and converges at second order away from multiplicity points.
+The Hopf density is assembled from per-sheet central differences of the
+field itself, whose stencil neighbours are paired with the center tuple by
+the optimal edge matchings of `field._match_edges`, the matching the
+minimiser and the matched energy use.  Plain differences of the sorted
+embedding carry O(1) errors along sheet projection fold lines; the matched
+form realises the almost-everywhere derivative, converges at second order
+away from multiplicity points and does not depend on the projection frame.
 
 The harmonic companion is the primitive of -phi/4 plus the conjugate
 coordinate.  Samples whose stencil matching is degenerate (sheets closer
@@ -34,6 +36,7 @@ from .field import (
     _check_frame,
     _disc_cell_mask,
     _disc_cell_sum,
+    _match_edges,
     _require_disc_inside,
     _slice_scan,
     bilinear_array,
@@ -42,7 +45,7 @@ from .field import (
     embed_grid,
     embedded_energy,
 )
-from .qspace import _union_classes, assign, metric_g_many
+from .qspace import _union_classes, metric_g_many
 
 #: dilation (in nodes) around degenerate-matching cores censored before integration
 CENSOR_DILATION = 10
@@ -56,34 +59,14 @@ PSI_SUBSAMPLES = 3
 BOUND_SLACK = 0.05
 
 
-def _replicate_rim(interior: np.ndarray, ny: int, nx: int) -> np.ndarray:
-    full = np.empty((ny, nx), dtype=interior.dtype)
-    full[1:-1, 1:-1] = interior
-    full[0, 1:-1] = interior[0]
-    full[-1, 1:-1] = interior[-1]
-    full[:, 0] = full[:, 1]
-    full[:, -1] = full[:, -2]
-    return full
-
-
 def _central_differences(a: np.ndarray, h: float) -> tuple[np.ndarray, np.ndarray]:
     """(d/du, d/dv) of a nodal array at the interior nodes."""
     return (a[1:-1, 2:] - a[1:-1, :-2]) / (2 * h), (a[2:, 1:-1] - a[:-2, 1:-1]) / (2 * h)
 
 
-def _matched_stencil(values: np.ndarray):
-    """Neighbour tuples re-ordered to match the center tuple, per interior node."""
-    c = values[1:-1, 1:-1]
-    matched = [c]
-    for nb in (values[1:-1, 2:], values[1:-1, :-2], values[2:, 1:-1], values[:-2, 1:-1]):
-        perm, _ = assign(c, nb)
-        matched.append(np.take_along_axis(nb, perm[..., None], axis=-2))
-    return tuple(matched)
-
-
 @dataclass(eq=False)
 class HopfField:
-    """Hopf density and |grad f|^2 per node from one matched stencil (rim replicated)."""
+    """Hopf density and |grad f|^2 per node on the matched edges (rim replicated)."""
 
     phi: np.ndarray            # (ny, nx) complex
     grad_sq: np.ndarray        # (ny, nx) float
@@ -103,38 +86,39 @@ class HopfField:
 
 
 def hopf_differential(f: GridField, frame: ProjectionFrame) -> HopfField:
-    """Hopf density and |grad f|^2 of the embedded field from matched central differences."""
+    """Hopf density and |grad f|^2 of the field from central differences on
+    the edge matchings of `_match_edges`: the east and north neighbours are
+    gathered by the node's own edge permutations, the west and south ones
+    scattered by the inverse of the incoming edge's.  The frame is only
+    checked, so every frame gives the same floats."""
     if f.nx < 3 or f.ny < 3:
         raise InvalidInputError("need interior nodes to form central differences")
     _check_frame(f, frame)
-    # Frame coordinates by einsum, not `project_sheets`: the matched stencil
-    # permutes sheets, so it needs them unsorted and sheet-major (..., Q, n),
-    # and the kernel's (..., n, Q) output plus a contiguous transposed copy
-    # took 2.8 ms against 1.0 ms for this product at 161^2 (2-core host).
-    v = np.einsum("an,yxqn->yxqa", frame.directions[: frame.n], f.values)
-    c, east, west, north, south = _matched_stencil(v)
+    v = f.values
+    px, py, _ = _match_edges(v)
+    c = v[1:-1, 1:-1]
+    east = np.take_along_axis(v[1:-1, 2:], px[1:-1, 1:, :, None], axis=-2)
+    north = np.take_along_axis(v[2:, 1:-1], py[1:, 1:-1, :, None], axis=-2)
+    west, south = np.empty_like(c), np.empty_like(c)
+    np.put_along_axis(west, px[1:-1, :-1, :, None], v[1:-1, :-2], axis=-2)
+    np.put_along_axis(south, py[:-1, 1:-1, :, None], v[:-2, 1:-1], axis=-2)
     du, dv = (east - west) / (2 * f.spacing), (north - south) / (2 * f.spacing)
     uu = np.einsum("...qa,...qa->...", du, du)
     vv = np.einsum("...qa,...qa->...", dv, dv)
     phi_int = uu - vv - 2j * np.einsum("...qa,...qa->...", du, dv)
 
-    q = f.q_sheets
-    if q >= 2:
-        dmin = np.full(c.shape[:2], np.inf)
-        for i in range(q):
-            for j in range(i + 1, q):
-                dmin = np.minimum(dmin, np.linalg.norm(c[:, :, i] - c[:, :, j], axis=-1))
-        inc = np.zeros(c.shape[:2])
-        for nb in (east, west, north, south):
-            inc = np.maximum(inc, np.linalg.norm(nb - c, axis=-1).max(-1))
-        core_int = dmin <= 8.0 * inc
-    else:
-        core_int = np.zeros(c.shape[:2], dtype=bool)
-
-    phi = _replicate_rim(phi_int, f.ny, f.nx)
-    grad_sq = _replicate_rim(uu + vv, f.ny, f.nx)
+    # at Q = 1 no pair lowers dmin from inf, so no node is degenerate
+    dmin = np.full(c.shape[:2], np.inf)
+    for i in range(f.q_sheets):
+        for j in range(i + 1, f.q_sheets):
+            dmin = np.minimum(dmin, np.linalg.norm(c[:, :, i] - c[:, :, j], axis=-1))
+    inc = np.zeros(c.shape[:2])
+    for nb in (east, west, north, south):
+        inc = np.maximum(inc, np.linalg.norm(nb - c, axis=-1).max(-1))
+    phi = np.pad(phi_int, 1, mode="edge")
+    grad_sq = np.pad(uu + vv, 1, mode="edge")
     core = np.zeros((f.ny, f.nx), dtype=bool)
-    core[1:-1, 1:-1] = core_int
+    core[1:-1, 1:-1] = dmin <= 8.0 * inc
     return HopfField(phi, grad_sq, core, f.spacing, f.origin)
 
 
@@ -228,7 +212,7 @@ class HarmonicCompanion:
         """Nodal squared gradient |grad h|^2 (rim replicated)."""
         hu, hv = _central_differences(self.values, self.hopf.spacing)
         g = np.abs(hu) ** 2 + np.abs(hv) ** 2
-        return _replicate_rim(g, *self.values.shape)
+        return np.pad(g, 1, mode="edge")
 
     def hopf_term(self) -> np.ndarray:
         """Hopf density of h alone, from central differences (rim replicated)."""
@@ -236,7 +220,7 @@ class HarmonicCompanion:
         term = (np.abs(hu) ** 2 - np.abs(hv) ** 2) - 2j * (
             hu.real * hv.real + hu.imag * hv.imag
         )
-        return _replicate_rim(term, *self.values.shape)
+        return np.pad(term, 1, mode="edge")
 
 
 def _dct_basis(m: int) -> tuple[np.ndarray, np.ndarray]:
@@ -326,9 +310,9 @@ def xi0_invariance_gap(
     Returns the standard deviation and mean of |phi - phi~| over interior
     nodes and the energy bound 4/(pi R0^2) * Dir(f; U_{R0}) on the largest
     disc U_{R0} about the grid centre; raises when the mean exceeds the bound
-    by more than BOUND_SLACK (relative).  The matched-difference
-    estimator pairs each sheet's derivative with itself, so both gap numbers
-    vanish to roundoff; the call certifies that together with the bound.
+    by more than BOUND_SLACK (relative).  The Hopf density is built from
+    the field itself, not its frame coordinates, so both gap numbers are
+    exactly 0; the call certifies that together with the bound.
     """
     pa = hopf_differential(f, frame_a)
     pb = hopf_differential(f, frame_b)

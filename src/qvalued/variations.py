@@ -239,7 +239,8 @@ def range_variation_derivative(
     variation, with step t = h^2, whose cutoff measures d* with the
     companion ``comp``."""
     _check_frame(f, frame)
-    return _range_derivative(f, frame, rv, cutoff_weights(f, comp, rv))
+    d = _range_derivative(f, frame, rv, cutoff_weights(f, comp, rv))
+    return 0.0 if d is None else d
 
 
 def _range_derivative(
@@ -247,8 +248,9 @@ def _range_derivative(
     frame: ProjectionFrame,
     rv: RangeVariation,
     lam: np.ndarray,
-) -> float:
-    """`range_variation_derivative` for the cutoff weights lam.
+) -> float | None:
+    """`range_variation_derivative` for the cutoff weights lam, or None when
+    lam * Gamma vanishes on every node, so the variation moves no sheet.
 
     Only nodes with lam > 0 move; they are off the masked rim, so the energy
     difference is that of the cells of their bounding box plus a one-node
@@ -256,7 +258,7 @@ def _range_derivative(
     """
     active = lam > 0
     if not active.any():
-        return 0.0
+        return None
     sigma = rv.sigma
     if not math.isinf(sigma):
         sheets = f.values[active]
@@ -271,6 +273,8 @@ def _range_derivative(
     box = np.s_[iy.min() - 1 : iy.max() + 2, ix.min() - 1 : ix.max() + 2]
     vals = f.values[box]
     bump = lam[box][..., None, None] * rv.retraction(vals)
+    if not bump.any():
+        return None
     e_plus = embedded_energy(_embed_values(vals + t * bump, frame)).total
     e_minus = embedded_energy(_embed_values(vals - t * bump, frame)).total
     return (e_plus - e_minus) / (2 * t)
@@ -283,6 +287,7 @@ class StationarityResidual:
     energy: float
     domain_derivatives: tuple[float, ...]
     range_derivatives: tuple[float, ...]
+    range_vacuous: int  # range trials that moved no sheet, kept out of the above
 
     @property
     def domain_trials(self) -> int:
@@ -301,6 +306,7 @@ class StationarityResidual:
             "range_derivatives": list(self.range_derivatives),
             "domain_trials": self.domain_trials,
             "range_trials": self.range_trials,
+            "range_vacuous": self.range_vacuous,
         }
 
 
@@ -335,8 +341,8 @@ def stationarity_residual(
 
     comp = harmonic_companion(hopf_differential(f, frame))
     range_derivs: list[float] = []
-    attempts = 0
-    while len(range_derivs) < trials and attempts < 10 * trials:
+    vacuous = attempts = 0
+    while len(range_derivs) + vacuous < trials and attempts < 10 * trials:
         attempts += 1
         iy = int(rng.integers(my, f.ny - my))
         ix = int(rng.integers(mx, f.nx - mx))
@@ -362,9 +368,12 @@ def stationarity_residual(
                 d = _range_derivative(f, frame, rv, lam)
             except (InvalidInputError, NotInBallError):
                 continue
-            range_derivs.append(d)
+            if d is None:
+                vacuous += 1
+            else:
+                range_derivs.append(d)
     domain_max = max((abs(d) for d in domain_derivs), default=0.0)
     range_max = max((abs(d) for d in range_derivs), default=0.0)
     return StationarityResidual(
-        domain_max, range_max, energy, tuple(domain_derivs), tuple(range_derivs)
+        domain_max, range_max, energy, tuple(domain_derivs), tuple(range_derivs), vacuous
     )

@@ -96,18 +96,19 @@ def count_embed_grid(monkeypatch) -> list:
     return calls
 
 
-def count_matched_stencil(monkeypatch) -> list:
-    """Record the shape of every matched-stencil build."""
+def count_analysis_match_edges(monkeypatch) -> list:
+    """Record the shape of every edge matching `qvalued.analysis` asks
+    `_match_edges` for: one per Hopf stencil build."""
     import qvalued.analysis as analysis
 
-    inner = analysis._matched_stencil
+    inner = analysis._match_edges
     calls = []
 
     def counting(values):
         calls.append(values.shape)
         return inner(values)
 
-    monkeypatch.setattr(analysis, "_matched_stencil", counting)
+    monkeypatch.setattr(analysis, "_match_edges", counting)
     return calls
 
 

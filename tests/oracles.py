@@ -2,10 +2,11 @@
 
 Everything here is implemented from first principles (brute force,
 enumeration, direct sparse solves, quadrature) and never calls back into
-the code paths it is used to check.  The full-grid first variations are
-the exception: they re-embed and sum the whole grid at +t and -t, sharing
+the code paths it is used to check.  Two are exceptions.  The full-grid
+first variations re-embed and sum the whole grid at +t and -t, sharing
 only the embedding, interpolation and energy primitives with the local
-derivatives they check.
+derivatives they check.  The node-by-node Hopf stencil shares only the
+assignment kernel with `hopf_differential`.
 """
 
 import functools
@@ -263,6 +264,41 @@ def sqrt_circle_oscillation(radius: float, samples: int = 720) -> float:
     b = roots[None, :]
     d = math.sqrt(2.0) * np.minimum(np.abs(a - b), np.abs(a + b))
     return float(d.max())
+
+
+def node_stencil_hopf(values: np.ndarray, axes: np.ndarray, h: float):
+    """Hopf density and |grad f|^2 of (ny, nx, Q, n) values, rim
+    replicated, and the degenerate mask, False on the rim, from a stencil
+    matched node by node.
+
+    The values are projected onto the rows of axes by `einsum`, and each
+    interior node matches each of its four neighbours to itself by its own
+    `assign` call, so every edge is matched once from each end.
+    """
+    from qvalued.qspace import assign
+
+    v = np.einsum("an,yxqn->yxqa", axes, values)
+    c = v[1:-1, 1:-1]
+    east, west, north, south = (
+        np.take_along_axis(nb, assign(c, nb)[0][..., None], axis=-2)
+        for nb in (v[1:-1, 2:], v[1:-1, :-2], v[2:, 1:-1], v[:-2, 1:-1])
+    )
+    du, dv = (east - west) / (2 * h), (north - south) / (2 * h)
+    uu = np.einsum("...qa,...qa->...", du, du)
+    vv = np.einsum("...qa,...qa->...", dv, dv)
+    phi = uu - vv - 2j * np.einsum("...qa,...qa->...", du, dv)
+    q = values.shape[2]
+    core = np.zeros(c.shape[:2], dtype=bool)
+    if q >= 2:
+        dmin = np.full(c.shape[:2], np.inf)
+        for i in range(q):
+            for j in range(i + 1, q):
+                dmin = np.minimum(dmin, np.linalg.norm(c[:, :, i] - c[:, :, j], axis=-1))
+        inc = np.zeros(c.shape[:2])
+        for nb in (east, west, north, south):
+            inc = np.maximum(inc, np.linalg.norm(nb - c, axis=-1).max(-1))
+        core = dmin <= 8.0 * inc
+    return np.pad(phi, 1, mode="edge"), np.pad(uu + vv, 1, mode="edge"), np.pad(core, 1)
 
 
 def einsum_embedding(values: np.ndarray, axes: np.ndarray) -> np.ndarray:

@@ -21,6 +21,7 @@ from qvalued import (
     holomorphy_residual,
     hopf_differential,
     key_lemma_check,
+    minimize,
     monotone_rho_interval,
     monotonicity_report,
     nested_chain,
@@ -45,11 +46,13 @@ from qvalued.analysis import (
     _rim_distance,
     plaquette_defects,
 )
+from qvalued.qspace import assign
 from qvalued.variations import cutoff_weights
 
 from helpers import (
+    branch_pair_field,
+    count_analysis_match_edges,
     count_embed_grid,
-    count_matched_stencil,
     harmonic_boundary_field,
     meshgrid_for,
     noisy_copy,
@@ -63,6 +66,7 @@ from oracles import (
     full_grid_psi,
     lsq_primitive,
     ndimage_censor_refit,
+    node_stencil_hopf,
     sqrt_circle_distance_to_branch,
     superlu_potential,
 )
@@ -351,16 +355,108 @@ def test_invariance_gap_same_frame_zero():
 
 
 def test_invariance_gap_sqrt_rotated_frame():
-    # matched per-sheet differences make the Hopf density frame-invariant to
-    # roundoff, so the constant-gap estimate is trivially inside its bound
+    # the Hopf density is built from the field, not its frame coordinates,
+    # so a rotated frame gives the same floats and the gap is exactly 0
     fr_a = standard_frame(2, 2)
     fr_b = rotated_frame(2, 2, seed=3)
     for nn in (33, 65):
         f = sqrt_grid_field(nn)
         gap = xi0_invariance_gap(f, fr_a, fr_b)
-        assert gap.stddev <= 1e-10
+        assert gap.stddev == 0.0 and gap.mean == 0.0
         assert gap.mean <= gap.bound * 1.05
         assert gap.bound > 0
+        ha, hb = hopf_differential(f, fr_a), hopf_differential(f, fr_b)
+        for name in ("phi", "grad_sq", "degenerate"):
+            assert np.array_equal(getattr(ha, name), getattr(hb, name))
+
+
+def _window(f, box):
+    return GridField(f.values[box], f.spacing, f.origin)
+
+
+def _transposed(f):
+    return GridField(f.values.transpose(1, 0, 2, 3), f.spacing, f.origin)
+
+
+def _scalar_field(nn, fn):
+    spec = unit_square_grid(nn)
+    x, y = meshgrid_for(spec)
+    vals = np.stack(fn(x, y), axis=-1)[:, :, None, :]
+    return GridField(vals, spec.spacing, spec.origin)
+
+
+def _coincident_sqrt(nn):
+    # a third sheet on top of the first everywhere: every node ties
+    s = sqrt_grid_field(nn)
+    return GridField(np.concatenate([s.values, s.values[:, :, :1]], axis=2), s.spacing, s.origin)
+
+
+_HOPF_FIELDS = {
+    "diagnose_root_161": lambda: root_grid_field(161, 2, z0=0.11 - 0.07j),
+    "diagnose_two_sheet_129": lambda: minimize(two_sheet_field(129, seed=41)).field,
+    **{
+        f"root_q{q}": (lambda q=q: root_grid_field(33, q, z0=0.13 + 0.07j))
+        for q in range(2, 9)
+    },
+    # the branch cut crosses x-edges instead of y-edges
+    **{
+        f"root_q{q}_transposed": (lambda q=q: _transposed(root_grid_field(33, q, z0=0.13 + 0.07j)))
+        for q in (3, 7)
+    },
+    "two_sheet": lambda: two_sheet_field(41, seed=3),
+    "branch_pair": lambda: branch_pair_field(41, -0.3 + 0.1j, 0.35 - 0.2j),
+    "noisy": lambda: noisy_copy(sqrt_grid_field(33)),
+    "minimised": lambda: minimize(noisy_copy(sqrt_grid_field(33))).field,
+    "q1_n1": lambda: _scalar_field(21, lambda x, y: (x * y,)),
+    "q1_n3": lambda: _scalar_field(21, lambda x, y: (x, y, x * y - 0.5 * y**2)),
+    "grid_3x40": lambda: _window(two_sheet_field(41, seed=5), np.s_[:3, :40]),
+    "grid_41x9": lambda: _window(two_sheet_field(41, seed=5), np.s_[:, :9]),
+    "coincident": lambda: _coincident_sqrt(25),
+}
+
+
+def _oracle_hopf(f):
+    fr = standard_frame(f.n, f.q_sheets)
+    return hopf_differential(f, fr), node_stencil_hopf(f.values, fr.directions[: f.n], f.spacing)
+
+
+@pytest.mark.parametrize("which", sorted(_HOPF_FIELDS))
+def test_hopf_differential_equals_node_stencil_oracle(which):
+    # one matching per edge pairs the neighbours exactly as matching each
+    # node's four neighbours to it did, wherever no edge's matching ties
+    got, want = _oracle_hopf(_HOPF_FIELDS[which]())
+    for name, ref in zip(("phi", "grad_sq", "degenerate"), want):
+        assert np.array_equal(getattr(got, name), ref), name
+
+
+@pytest.mark.parametrize("q", [3, 4, 6])
+def test_hopf_lattice_ties_differ_only_at_degenerate_nodes(q):
+    # on an integer lattice an edge's optimal matching ties, and each edge now
+    # keeps the one matching `_match_edges` gives it where the node-by-node
+    # stencil matched it once from each end; a tie needs sheets no farther
+    # apart than the increments, so only degenerate nodes (and the rim
+    # copies of their values) may differ
+    vals = np.random.default_rng(q).integers(0, 2, size=(13, 13, q, 2)).astype(float)
+    got, (phi, grad_sq, core) = _oracle_hopf(GridField(vals, 1.0, (0.0, 0.0)))
+    differ = (got.phi != phi) | (got.grad_sq != grad_sq) | (got.degenerate != core)
+    allowed = np.pad(got.degenerate[1:-1, 1:-1], 1, mode="edge")
+    assert not np.any(differ & ~allowed)
+
+
+def test_hopf_differential_makes_two_assign_calls(monkeypatch):
+    # the x- and y-edge matchings of `_match_edges`, nothing more
+    import qvalued.field as field
+
+    calls = []
+
+    def counting(a, b):
+        calls.append(a.shape)
+        return assign(a, b)
+
+    monkeypatch.setattr(field, "assign", counting)
+    f = root_grid_field(17, 3, z0=0.1 + 0.05j)
+    hopf_differential(f, standard_frame(2, 3))
+    assert calls == [(17, 16, 3, 2), (16, 17, 3, 2)]
 
 
 def test_d_star_basics(minimized_strong_97):
@@ -706,7 +802,7 @@ def test_one_matched_stencil_per_field(monkeypatch):
     # the companion carries |grad f|^2 from its Hopf field, so the ladder and
     # psi_k build no stencil of their own
     f, fr, comp, w, chain = _split_pair_field_setup()
-    calls = count_matched_stencil(monkeypatch)
+    calls = count_analysis_match_edges(monkeypatch)
     rep = monotonicity_report(f, comp, fr, w, chain)
     _, hi0, _, tau = valid_rho_interval(f, comp, fr, w, 0, chain)
     eps = (min(chain.levels[0].sigma, tau) if tau > 0 else 2.5 * hi0) / 20

@@ -18,7 +18,7 @@ from qvalued import (
 import qvalued.cli
 from qvalued.cli import _constants_block, _dump_json, _write_csv, main
 
-from helpers import count_matched_stencil, two_sheet_field, unit_square_grid
+from helpers import count_analysis_match_edges, two_sheet_field, unit_square_grid
 
 
 def write_json(path, obj):
@@ -210,7 +210,7 @@ def test_command_builds_one_matched_stencil(cmd, tmp_path, monkeypatch, capsys):
     # the companion carries the field's Hopf field and |grad f|^2, so neither
     # the conformality defect nor the ladder builds a second stencil
     path, _ = small_field_file(tmp_path, nn=33)
-    calls = count_matched_stencil(monkeypatch)
+    calls = count_analysis_match_edges(monkeypatch)
     assert main([cmd[0], "--input", str(path)] + cmd[1:]) == 0
     assert calls == [(33, 33, 2, 2)]
     out = json.loads(capsys.readouterr().out)

@@ -343,3 +343,17 @@ def test_stationarity_residual_samples_each_axis_by_its_own_margin():
         assert res.domain_trials == 2 and math.isfinite(res.range_max)
     with pytest.raises(InvalidInputError, match="at least 7 nodes"):
         stationarity_residual(GridField(f.values[:5, :5], f.spacing, f.origin), frame, trials=2)
+
+
+def test_vacuous_range_trials_are_counted_apart():
+    # on a 9-node strip each range cutoff covers only its base node, whose
+    # retraction is 0: such a trial moves no sheet, so it fills its slot but
+    # is reported as vacuous instead of as a zero derivative
+    f = two_sheet_field(65, seed=4)
+    frame = standard_frame(2, 2)
+    for box in (np.s_[:9], np.s_[:, :9]):
+        g = GridField(f.values[box], f.spacing, f.origin)
+        res = stationarity_residual(g, frame, trials=8, seed=0)
+        assert res.range_trials == 0 and res.range_vacuous == 8
+        assert res.range_derivatives == () and res.range_max == 0.0
+        assert res.to_dict()["range_vacuous"] == 8
