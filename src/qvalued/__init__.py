@@ -88,7 +88,6 @@ from .analysis import (
     psi_k,
     tau_star,
     valid_rho_interval,
-    xi0_invariance_gap,
 )
 from .variations import (
     DomainVariation,

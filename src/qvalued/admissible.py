@@ -261,9 +261,20 @@ def interpolate(q_dec: SupportDecomposition, p: QPoint, s: float, ball: Admissib
 
 
 def modification_constants(n: int, q_sheets: int) -> tuple[float, float]:
-    """The merge-threshold growth constant K and the radius-ratio bound C0."""
-    k = 20.0 * q_sheets / math.sin(theta0(n, q_sheets))
-    c0 = (1.0 + 2.0 * k * (q_sheets - 1) ** 2) ** (q_sheets - 1)
+    """The merge-threshold growth constant K and the radius-ratio bound C0.
+
+    C0 = (1 + 2K(Q - 1)^2)^(Q - 1) leaves the double range at n = 2 for
+    Q >= 11 and at n = 3 for Q >= 9; there it raises InvalidInputError.
+    """
+    try:
+        k = 20.0 * q_sheets / math.sin(theta0(n, q_sheets))
+        c0 = (1.0 + 2.0 * k * (q_sheets - 1) ** 2) ** (q_sheets - 1)
+    except (OverflowError, ZeroDivisionError):
+        c0 = math.inf
+    if not math.isfinite(c0):
+        raise InvalidInputError(
+            f"the chain constant C0 overflows a double at n = {n}, Q = {q_sheets}"
+        )
     return k, c0
 
 

@@ -41,7 +41,6 @@ from .field import (
     _slice_scan,
     bilinear_array,
     circle_points,
-    disc_energy,
     embed_grid,
     embedded_energy,
 )
@@ -55,13 +54,25 @@ REFIT_RING = 6
 REFIT_DEGREE = 2
 #: points per axis at which each cutoff cell samples the bilinear d* reconstruction
 PSI_SUBSAMPLES = 3
-#: relative slack of the frame-gap bound and of the key-lemma oscillation bound
+#: relative slack of the key-lemma oscillation bound
 BOUND_SLACK = 0.05
 
 
 def _central_differences(a: np.ndarray, h: float) -> tuple[np.ndarray, np.ndarray]:
     """(d/du, d/dv) of a nodal array at the interior nodes."""
     return (a[1:-1, 2:] - a[1:-1, :-2]) / (2 * h), (a[2:, 1:-1] - a[:-2, 1:-1]) / (2 * h)
+
+
+def _sum_sq(d: np.ndarray) -> np.ndarray:
+    """Sum of squares along the last axis, the float `np.linalg.norm` takes
+    the root of.  numpy adds fewer than 8 terms in order, so those are summed
+    coordinate by coordinate; longer axes go through its own reduction."""
+    if d.shape[-1] >= 8:
+        return (d * d).sum(-1)
+    out = d[..., 0] ** 2
+    for k in range(1, d.shape[-1]):
+        out += d[..., k] ** 2
+    return out
 
 
 @dataclass(eq=False)
@@ -90,35 +101,48 @@ def hopf_differential(f: GridField, frame: ProjectionFrame) -> HopfField:
     the edge matchings of `_match_edges`: the east and north neighbours are
     gathered by the node's own edge permutations, the west and south ones
     scattered by the inverse of the incoming edge's.  The frame is only
-    checked, so every frame gives the same floats."""
+    checked, so every frame gives the same floats.
+
+    Sheets move as whole rows of the (nodes * Q, n) view of the values, row
+    node * Q + sheet.  The degenerate test takes one square root of the
+    minimum and of the maximum squared distance (`_sum_sq`): sqrt is monotone
+    and correctly rounded, so those are the floats the minimum and maximum
+    of the norms give."""
     if f.nx < 3 or f.ny < 3:
         raise InvalidInputError("need interior nodes to form central differences")
     _check_frame(f, frame)
     v = f.values
+    ny, nx, q, n = v.shape
     px, py, _ = _match_edges(v)
+    rows = v.reshape(-1, n)
+    node = q * np.arange(ny * nx).reshape(ny, nx)[1:-1, 1:-1, None]
+    own = q * np.arange((ny - 2) * (nx - 2)).reshape(ny - 2, nx - 2, 1)
     c = v[1:-1, 1:-1]
-    east = np.take_along_axis(v[1:-1, 2:], px[1:-1, 1:, :, None], axis=-2)
-    north = np.take_along_axis(v[2:, 1:-1], py[1:, 1:-1, :, None], axis=-2)
-    west, south = np.empty_like(c), np.empty_like(c)
-    np.put_along_axis(west, px[1:-1, :-1, :, None], v[1:-1, :-2], axis=-2)
-    np.put_along_axis(south, py[:-1, 1:-1, :, None], v[:-2, 1:-1], axis=-2)
+    east = rows[node + q + px[1:-1, 1:]]
+    north = rows[node + nx * q + py[1:, 1:-1]]
+    # C order, so that their row views below are views
+    west, south = np.empty(c.shape, v.dtype), np.empty(c.shape, v.dtype)
+    west.reshape(-1, n)[own + px[1:-1, :-1]] = v[1:-1, :-2]
+    south.reshape(-1, n)[own + py[:-1, 1:-1]] = v[:-2, 1:-1]
     du, dv = (east - west) / (2 * f.spacing), (north - south) / (2 * f.spacing)
     uu = np.einsum("...qa,...qa->...", du, du)
     vv = np.einsum("...qa,...qa->...", dv, dv)
     phi_int = uu - vv - 2j * np.einsum("...qa,...qa->...", du, dv)
 
-    # at Q = 1 no pair lowers dmin from inf, so no node is degenerate
-    dmin = np.full(c.shape[:2], np.inf)
-    for i in range(f.q_sheets):
-        for j in range(i + 1, f.q_sheets):
-            dmin = np.minimum(dmin, np.linalg.norm(c[:, :, i] - c[:, :, j], axis=-1))
-    inc = np.zeros(c.shape[:2])
+    # at Q = 1 no pair lowers dmin2 from inf, so no node is degenerate
+    dmin2 = np.full(c.shape[:2], np.inf)
+    for i in range(q):
+        for j in range(i + 1, q):
+            dmin2 = np.minimum(dmin2, _sum_sq(c[:, :, i] - c[:, :, j]))
+    inc2 = np.zeros(c.shape[:2])
     for nb in (east, west, north, south):
-        inc = np.maximum(inc, np.linalg.norm(nb - c, axis=-1).max(-1))
+        sq = _sum_sq(nb - c)
+        for k in range(q):
+            inc2 = np.maximum(inc2, sq[..., k])
     phi = np.pad(phi_int, 1, mode="edge")
     grad_sq = np.pad(uu + vv, 1, mode="edge")
-    core = np.zeros((f.ny, f.nx), dtype=bool)
-    core[1:-1, 1:-1] = dmin <= 8.0 * inc
+    core = np.zeros((ny, nx), dtype=bool)
+    core[1:-1, 1:-1] = np.sqrt(dmin2) <= 8.0 * np.sqrt(inc2)
     return HopfField(phi, grad_sq, core, f.spacing, f.origin)
 
 
@@ -293,45 +317,6 @@ def conformality_defect(f: GridField, comp: HarmonicCompanion) -> float:
     return float(np.sqrt((np.abs(phi_g[1:-1, 1:-1]) ** 2).sum() * h * h))
 
 
-@dataclass(frozen=True)
-class InvarianceGap:
-    stddev: float
-    mean: float
-    bound: float
-
-
-def xi0_invariance_gap(
-    f: GridField,
-    frame_a: ProjectionFrame,
-    frame_b: ProjectionFrame,
-) -> InvarianceGap:
-    """Frame dependence of the Hopf density: a constant-modulus difference.
-
-    Returns the standard deviation and mean of |phi - phi~| over interior
-    nodes and the energy bound 4/(pi R0^2) * Dir(f; U_{R0}) on the largest
-    disc U_{R0} about the grid centre; raises when the mean exceeds the bound
-    by more than BOUND_SLACK (relative).  The Hopf density is built from
-    the field itself, not its frame coordinates, so both gap numbers are
-    exactly 0; the call certifies that together with the bound.
-    """
-    pa = hopf_differential(f, frame_a)
-    pb = hopf_differential(f, frame_b)
-    good = ~(pa.degenerate | pb.degenerate)[1:-1, 1:-1]
-    diff = np.abs(pa.interior - pb.interior)[good]
-    center = (
-        f.origin[0] + 0.5 * (f.nx - 1) * f.spacing,
-        f.origin[1] + 0.5 * (f.ny - 1) * f.spacing,
-    )
-    radius = 0.5 * f.spacing * (min(f.nx, f.ny) - 1)
-    bound = 4.0 / (math.pi * radius**2) * disc_energy(f, frame_a, center, radius)
-    mean = float(diff.mean())
-    if mean > bound * (1 + BOUND_SLACK) + 1e-12:
-        raise NumericalFailureError(
-            f"mean frame gap {mean} exceeds the energy bound {bound}"
-        )
-    return InvarianceGap(float(diff.std()), mean, bound)
-
-
 def _node_index(f: GridField, w_star: tuple[int, int]) -> tuple[int, int]:
     iy, ix = int(w_star[0]), int(w_star[1])
     if not (0 < iy < f.ny - 1 and 0 < ix < f.nx - 1):
@@ -360,14 +345,21 @@ def d_star(
     chain: NestedBallChain,
 ) -> np.ndarray:
     """Level-k augmented distance field sqrt(G(q_k, f)^2 + |h(w*) - h|^2)."""
+    qk, dh2 = _d_star_terms(f, comp, w_star, k, chain)
+    return np.sqrt(metric_g_many(qk, f.values) ** 2 + dh2)
+
+
+def _d_star_terms(
+    f: GridField, comp: HarmonicCompanion, w_star, k: int, chain: NestedBallChain
+) -> tuple[np.ndarray, np.ndarray]:
+    """The level-k tuple q_k and the grid of |h(w*) - h|^2 that `d_star`
+    combines, after its checks of the companion, base node and level."""
     _check_companion(f, comp)
     iy, ix = _node_index(f, w_star)
     if not 0 <= k < len(chain.levels):
         raise InvalidInputError(f"chain level {k} out of range")
     qk = chain.levels[k].decomposition.rebuild().points
-    dist = metric_g_many(qk, f.values)
-    dh = np.abs(comp.values - comp.values[iy, ix])
-    return np.sqrt(dist**2 + dh**2)
+    return qk, np.abs(comp.values - comp.values[iy, ix]) ** 2
 
 
 def tau_star(

@@ -140,7 +140,8 @@ def cmd_minimize(args) -> int:
     result = minimize(f, opts)
     if args.output:
         with open(args.output, "w") as fh:
-            json.dump(result.field.to_dict(), fh, sort_keys=True)
+            # one json.dumps call runs the C encoder; json.dump streams through the Python one
+            fh.write(json.dumps(result.field.to_dict(), sort_keys=True))
             fh.write("\n")
     if args.csv:
         _write_csv(

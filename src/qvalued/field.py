@@ -623,14 +623,37 @@ def _slice_scan(
     best = (float("nan"), float("inf"))
     for r in radii:
         vals = bilinear_array(farr, f, circle_points(w0, r, f.spacing))
+        # the oscillation is at least the floor's root, so a root at or
+        # above the best oscillation cannot pass the strict test below
+        if math.sqrt(_pairwise_floor(vals)) >= best[1]:
+            continue
         osc = _max_pairwise(vals)
         if osc < best[1]:
             best = (float(r), osc)
     return best
 
 
+def _pairwise_rows(vals: np.ndarray) -> np.ndarray:
+    """The rows of vals whose distances the oscillation compares: every
+    step-th row beyond 512."""
+    m = vals.shape[0]
+    return vals[:: m // 512 + 1] if m > 512 else vals
+
+
+def _pairwise_floor(vals: np.ndarray) -> float:
+    """A lower bound on the squared `_max_pairwise(vals)` from two sweeps:
+    the row farthest from row 0, then the largest squared distance from it.
+
+    Both sweeps use the rows and the direct form |a - b|^2 of `_max_pairwise`,
+    so the bound is the float that form gives one of the pairs it compares.
+    """
+    vals = _pairwise_rows(vals)
+    far = vals[((vals - vals[0]) ** 2).sum(-1).argmax()]
+    return float(((vals - far) ** 2).sum(-1).max())
+
+
 def _max_pairwise(vals: np.ndarray) -> float:
-    """Largest distance between two rows of vals (every step-th row beyond 512).
+    """Largest distance between two rows of `_pairwise_rows(vals)`.
 
     The Gram form |a|^2 + |b|^2 - 2 a.b finds the largest squared distance to
     within `slack`, a bound on its rounding error and on that of the direct
@@ -638,10 +661,7 @@ def _max_pairwise(vals: np.ndarray) -> float:
     recomputed directly, so the result is the float the direct form gives
     over all pairs.
     """
-    m = vals.shape[0]
-    if m > 512:
-        step = m // 512 + 1
-        vals = vals[::step]
+    vals = _pairwise_rows(vals)
     sq = np.einsum("ik,ik->i", vals, vals)
     gram = vals @ vals.T
     gram *= -2.0

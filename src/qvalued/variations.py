@@ -26,10 +26,10 @@ import numpy as np
 from .admissible import NestedBallChain, angle_separated_frame, nested_chain
 from .analysis import (
     HarmonicCompanion,
+    _d_star_terms,
     _level_range,
     _pivot,
     _smoothstep,
-    d_star,
     harmonic_companion,
     hopf_differential,
 )
@@ -43,7 +43,7 @@ from .field import (
     embed_grid,
     embedded_energy,
 )
-from .qspace import QPoint, support
+from .qspace import QPoint, metric_g_many, support
 
 #: sampled point pairs per site in the retraction's Lipschitz check
 LIP_SAMPLES = 400
@@ -218,14 +218,20 @@ def cutoff_weights(
     """Nodal spatial-cutoff weights of the variation (zero on masked nodes).
 
     The ramp runs only where 0 < (rho - d*)/eps < 1; it is exactly 1 and 0
-    beyond those ends.
+    beyond those ends.  In floats d* = sqrt(G^2 + dh^2) is at least
+    sqrt(dh^2), so a node with sqrt(dh^2) >= rho weighs 0, and d* is formed,
+    as `d_star` forms it, only on the other unmasked nodes: `assign` gives a
+    node the same distance in any batch.
     """
-    dst = d_star(f, comp, rv.w_star, rv.level, rv.chain)
+    qk, dh2 = _d_star_terms(f, comp, rv.w_star, rv.level, rv.chain)
+    near = (np.sqrt(dh2) < rv.rho) & ~f.boundary_mask
+    dst = np.sqrt(metric_g_many(qk, f.values[near]) ** 2 + dh2[near])
     t = (rv.rho - dst) / rv.eps
-    lam = (t >= 1.0).astype(np.float64)
+    weight = (t >= 1.0).astype(np.float64)
     band = (t > 0.0) & (t < 1.0)
-    lam[band] = _smoothstep(t[band])
-    lam[f.boundary_mask] = 0.0
+    weight[band] = _smoothstep(t[band])
+    lam = np.zeros(dh2.shape)
+    lam[near] = weight
     return lam
 
 

@@ -319,6 +319,23 @@ def max_pairwise_distance(vals: np.ndarray) -> float:
     return float(math.sqrt(d2.max()))
 
 
+def full_slice_scan(f, frame, w0, radius) -> tuple[float, float]:
+    """`courant_lebesgue_slice` with `max_pairwise_distance` run at every
+    radius of the scan, none skipped."""
+    from qvalued import embed_grid
+    from qvalued.field import bilinear_array, circle_points
+
+    farr = embed_grid(f, frame)
+    radii = np.arange(radius / 2, radius + f.spacing / 4, f.spacing)
+    radii[-1] = min(radii[-1], radius)
+    best = (float("nan"), float("inf"))
+    for r in radii:
+        osc = max_pairwise_distance(bilinear_array(farr, f, circle_points(w0, r, f.spacing)))
+        if osc < best[1]:
+            best = (float(r), osc)
+    return best
+
+
 def full_grid_domain_derivative(f, frame, v) -> float:
     """Central-difference domain derivative from the energies of the whole
     interpolated grid at +t and -t."""

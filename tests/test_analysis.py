@@ -32,7 +32,6 @@ from qvalued import (
     support,
     tau_star,
     valid_rho_interval,
-    xi0_invariance_gap,
 )
 from qvalued.analysis import (
     CENSOR_DILATION,
@@ -347,27 +346,16 @@ def test_conformality_defect_minimized_vs_noisy(minimized_strong_97):
     assert base > 0
 
 
-def test_invariance_gap_same_frame_zero():
-    f = two_sheet_field(17, seed=0)
-    fr = standard_frame(2, 2)
-    gap = xi0_invariance_gap(f, fr, fr)
-    assert gap.stddev == 0.0 and gap.mean == 0.0
-
-
-def test_invariance_gap_sqrt_rotated_frame():
-    # the Hopf density is built from the field, not its frame coordinates,
-    # so a rotated frame gives the same floats and the gap is exactly 0
-    fr_a = standard_frame(2, 2)
-    fr_b = rotated_frame(2, 2, seed=3)
-    for nn in (33, 65):
-        f = sqrt_grid_field(nn)
-        gap = xi0_invariance_gap(f, fr_a, fr_b)
-        assert gap.stddev == 0.0 and gap.mean == 0.0
-        assert gap.mean <= gap.bound * 1.05
-        assert gap.bound > 0
-        ha, hb = hopf_differential(f, fr_a), hopf_differential(f, fr_b)
+@pytest.mark.parametrize("q", [2, 3])
+def test_hopf_differential_same_floats_in_every_frame(q):
+    # the stencil is built from the field, not its frame coordinates, so the
+    # standard frame and two rotated frames give the same floats
+    f = sqrt_grid_field(33) if q == 2 else root_grid_field(33, 3, z0=0.13 + 0.07j)
+    want = hopf_differential(f, standard_frame(2, q))
+    for seed in (3, 11):
+        got = hopf_differential(f, rotated_frame(2, q, seed=seed))
         for name in ("phi", "grad_sq", "degenerate"):
-            assert np.array_equal(getattr(ha, name), getattr(hb, name))
+            assert np.array_equal(getattr(got, name), getattr(want, name)), name
 
 
 def _window(f, box):

@@ -113,6 +113,20 @@ def test_chain_single_site(tmp_path, capsys):
     assert out["invariants"]["violations"] == []
 
 
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_chain_exits_with_a_documented_code(tmp_path, capsys, n):
+    # C0 overflows a double at n = 2 for Q >= 11 and at n = 3 for Q >= 9:
+    # those tuples are refused as input (exit 2), never a traceback
+    rng = np.random.default_rng(n)
+    codes = []
+    for q in range(1, 13):
+        a = qpoint_file(tmp_path, f"q{q}.json", rng.normal(size=(q, n)))
+        codes.append(main(["chain", "--input", str(a), "--samples", "20"]))
+    assert set(codes) <= {0, 2, 3, 4}
+    first_overflow = {1: 13, 2: 11, 3: 9}[n]
+    assert codes == [0] * (first_overflow - 1) + [2] * (13 - first_overflow)
+
+
 def test_chain_two_site_hand_value(tmp_path, capsys):
     a = qpoint_file(tmp_path, "a.json", [[0.0], [1.0]])
     assert main(["chain", "--input", str(a), "--samples", "200"]) == 0

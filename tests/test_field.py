@@ -37,6 +37,7 @@ from helpers import (
 from oracles import (
     einsum_embedding,
     frozen_quadratic_solve,
+    full_slice_scan,
     harmonic_extension,
     max_pairwise_distance,
     sqrt_circle_oscillation,
@@ -417,6 +418,55 @@ def test_max_pairwise_equals_direct_form():
     cases.append(np.zeros((30, 4)))
     for vals in cases:
         assert _max_pairwise(vals) == max_pairwise_distance(vals)
+
+
+def _circle_field(nn, rm):
+    """Q = 1 field 0.03 (r - rm)^2 + 0.01 times the unit radial direction about 0.
+
+    Its circle oscillation 2 (0.03 (r - rm)^2 + 0.01) falls with r up to rm,
+    then rises; near rm one grid step changes it by about 0.1%, so a skip
+    test looser than exact drops a radius the full scan picks."""
+    spec = unit_square_grid(nn)
+    x, y = meshgrid_for(spec)
+    r = np.hypot(x, y)
+    g = np.divide(0.03 * (r - rm) ** 2 + 0.01, r, out=np.zeros_like(r), where=r > 0)
+    return GridField(np.stack([g * x, g * y], -1)[:, :, None, :], spec.spacing, spec.origin)
+
+
+def _two_harmonic_sheets(nn):
+    """Two sheets, each a holomorphic polynomial, so every coordinate is harmonic."""
+    spec = unit_square_grid(nn)
+    x, y = meshgrid_for(spec)
+    z = x + 1j * y
+    w = np.stack([z**2 + 0.3 * z, 4.0 + 2.0j + 0.5 * z**3], axis=-1)
+    return GridField(np.stack([w.real, w.imag], axis=-1), spec.spacing, spec.origin)
+
+
+_SLICE_CASES = {
+    "root2": lambda: (root_grid_field(65, 2, z0=0.05 - 0.1j), (0.0, 0.0), 0.5),
+    "root3": lambda: (root_grid_field(65, 3, z0=0.13 + 0.07j), (0.1, -0.05), 0.45),
+    "two_sheet": lambda: (_two_harmonic_sheets(65), (-0.1, 0.2), 0.5),
+    "falling": lambda: (_circle_field(129, 0.4), (0.0, 0.0), 0.6),
+}
+
+
+@pytest.mark.parametrize("which", sorted(_SLICE_CASES))
+def test_courant_lebesgue_slice_equals_full_scan(which, monkeypatch):
+    # a radius is skipped only when its two-sweep floor already reaches the
+    # best oscillation, so the scan returns what scoring every radius returns
+    import qvalued.field as field
+
+    f, w0, radius = _SLICE_CASES[which]()
+    fr = standard_frame(f.n, f.q_sheets)
+    scored = []
+    inner = field._max_pairwise
+    monkeypatch.setattr(field, "_max_pairwise", lambda vals: scored.append(1) or inner(vals))
+    got = courant_lebesgue_slice(f, fr, w0, radius)
+    assert got == full_slice_scan(f, fr, w0, radius)
+    if which == "falling":
+        # the radii up to the minimum near 0.4 are scored, those beyond skipped
+        radii = np.arange(radius / 2, radius + f.spacing / 4, f.spacing)
+        assert got[0] > radius / 2 and 1 < len(scored) < radii.size
 
 
 def test_courant_lebesgue_disc_outside_grid():

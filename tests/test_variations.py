@@ -35,6 +35,7 @@ from helpers import (
     count_embed_grid,
     noisy_copy,
     root_grid_field,
+    sqrt_grid_field,
     two_sheet_field,
     unit_square_grid,
 )
@@ -48,7 +49,10 @@ def minimized_harmonic():
 
 
 def _range_setup(result, w=(48, 44)):
-    g = result.field
+    return _field_range_setup(result.field, w)
+
+
+def _field_range_setup(g, w):
     fr = standard_frame(2, 2)
     comp = harmonic_companion(hopf_differential(g, fr))
     base = QPoint(g.values[w[0], w[1]].copy())
@@ -126,13 +130,16 @@ def _root3_range_setup():
     return g, fr, comp, chain, build_admissible_variation(chain, 0, 1.0, 0.4, (32, 32))
 
 
-@pytest.mark.parametrize("which", ["strong", "root3"])
+@pytest.mark.parametrize("which", ["strong", "root3", "sqrt161"])
 def test_cutoff_weights_equal_full_grid_ramp(which, request):
     # the ramp runs on the band 0 < t < 1 alone; it is exactly 1 and 0 beyond
     if which == "strong":
         g, fr, comp, chain, rv = _range_setup(request.getfixturevalue("minimized_strong_97"))
-    else:
+    elif which == "root3":
         g, fr, comp, chain, rv = _root3_range_setup()
+    else:
+        # the `diagnose` grid size, where the cutoff covers a few dozen nodes
+        g, fr, comp, chain, rv = _field_range_setup(sqrt_grid_field(161), (140, 140))
     t = (rv.rho - d_star(g, comp, rv.w_star, rv.level, rv.chain)) / rv.eps
     inner = ~g.boundary_mask
     assert (t[inner] >= 1).any() and ((t[inner] > 0) & (t[inner] < 1)).any() and (t[inner] <= 0).any()
