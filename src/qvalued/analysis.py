@@ -21,6 +21,7 @@ integrated data is reported as the loop residual.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, replace
 from typing import NamedTuple
@@ -32,6 +33,7 @@ from .embedding import ProjectionFrame, xi0
 from .errors import InvalidInputError, NumericalFailureError
 from .field import (
     DEFAULT_C_CL,
+    EnergyBreakdown,
     GridField,
     _check_frame,
     _disc_cell_mask,
@@ -77,13 +79,20 @@ def _sum_sq(d: np.ndarray) -> np.ndarray:
 
 @dataclass(eq=False)
 class HopfField:
-    """Hopf density and |grad f|^2 per node on the matched edges (rim replicated)."""
+    """Hopf density and |grad f|^2 per node on the matched edges (rim
+    replicated), and what `hopf_differential` built them from: the field's
+    values, the frame, the embedded field and its cell energy.  Those four
+    are None on a density given directly, which no field diagnostic accepts."""
 
     phi: np.ndarray            # (ny, nx) complex
     grad_sq: np.ndarray        # (ny, nx) float
     degenerate: np.ndarray     # (ny, nx) bool: stencil matching ill-conditioned
     spacing: float
     origin: tuple[float, float]
+    values: np.ndarray | None = None        # (ny, nx, Q, n) read-only copy of the field's values
+    frame: ProjectionFrame | None = None
+    embedded: np.ndarray | None = None      # (ny, nx, n*Q) read-only embed_grid(f, frame)
+    energy: EnergyBreakdown | None = None   # embedded_energy(embedded)
 
     @property
     def interior(self) -> np.ndarray:
@@ -100,8 +109,11 @@ def hopf_differential(f: GridField, frame: ProjectionFrame) -> HopfField:
     """Hopf density and |grad f|^2 of the field from central differences on
     the edge matchings of `_match_edges`: the east and north neighbours are
     gathered by the node's own edge permutations, the west and south ones
-    scattered by the inverse of the incoming edge's.  The frame is only
-    checked, so every frame gives the same floats.
+    scattered by the inverse of the incoming edge's.  phi and |grad f|^2 do
+    not read the frame, so every frame gives the same floats.  The embedding
+    `embed_grid(f, frame)` and its cell energy belong to the frame; they are
+    kept on the result with the frame and a copy of the values, so that the
+    diagnostics reading this field's companion embed nothing again.
 
     Sheets move as whole rows of the (nodes * Q, n) view of the values, row
     node * Q + sheet.  The degenerate test takes one square root of the
@@ -110,7 +122,7 @@ def hopf_differential(f: GridField, frame: ProjectionFrame) -> HopfField:
     of the norms give."""
     if f.nx < 3 or f.ny < 3:
         raise InvalidInputError("need interior nodes to form central differences")
-    _check_frame(f, frame)
+    farr = embed_grid(f, frame)
     v = f.values
     ny, nx, q, n = v.shape
     px, py, _ = _match_edges(v)
@@ -143,7 +155,11 @@ def hopf_differential(f: GridField, frame: ProjectionFrame) -> HopfField:
     grad_sq = np.pad(uu + vv, 1, mode="edge")
     core = np.zeros((ny, nx), dtype=bool)
     core[1:-1, 1:-1] = np.sqrt(dmin2) <= 8.0 * np.sqrt(inc2)
-    return HopfField(phi, grad_sq, core, f.spacing, f.origin)
+    energy = embedded_energy(farr)
+    values = v.copy()
+    for a in (values, farr, energy.per_cell):
+        a.flags.writeable = False
+    return HopfField(phi, grad_sq, core, f.spacing, f.origin, values, frame, farr, energy)
 
 
 def holomorphy_residual(hopf: HopfField) -> float:
@@ -225,35 +241,45 @@ def _censor_refit(hopf: HopfField) -> tuple[np.ndarray, np.ndarray]:
 
 @dataclass(eq=False)
 class HarmonicCompanion:
-    """Companion h = psi + conj(z), its diagnostics and the Hopf field it integrates."""
+    """Companion h = psi + conj(z), its diagnostics and the Hopf field it
+    integrates.  The central differences of h and |grad h|^2 are formed once,
+    at construction."""
 
     values: np.ndarray        # (ny, nx) complex
     path_residual: float      # max plaquette circulation of the integrated data
     patched: np.ndarray       # (ny, nx) bool: censored-and-refilled samples
     hopf: HopfField
 
+    def __post_init__(self):
+        self._diffs = _central_differences(self.values, self.hopf.spacing)
+        hu, hv = self._diffs
+        self._grad_sq = np.pad(np.abs(hu) ** 2 + np.abs(hv) ** 2, 1, mode="edge")
+        self._grad_sq.flags.writeable = False
+
     def grad_sq(self) -> np.ndarray:
-        """Nodal squared gradient |grad h|^2 (rim replicated)."""
-        hu, hv = _central_differences(self.values, self.hopf.spacing)
-        g = np.abs(hu) ** 2 + np.abs(hv) ** 2
-        return np.pad(g, 1, mode="edge")
+        """Nodal squared gradient |grad h|^2 (rim replicated), read-only."""
+        return self._grad_sq
 
     def hopf_term(self) -> np.ndarray:
         """Hopf density of h alone, from central differences (rim replicated)."""
-        hu, hv = _central_differences(self.values, self.hopf.spacing)
+        hu, hv = self._diffs
         term = (np.abs(hu) ** 2 - np.abs(hv) ** 2) - 2j * (
             hu.real * hv.real + hu.imag * hv.imag
         )
         return np.pad(term, 1, mode="edge")
 
 
+@functools.lru_cache(maxsize=4)
 def _dct_basis(m: int) -> tuple[np.ndarray, np.ndarray]:
     """Orthonormal DCT-II basis (columns) of R^m and the eigenvalues
-    4 sin^2(pi k / 2m) of the free-end path Laplacian it diagonalises."""
+    4 sin^2(pi k / 2m) of the free-end path Laplacian it diagonalises.
+    Read-only, since the cache hands the same arrays to every caller."""
     k = np.arange(m)
     basis = np.sqrt(2.0 / m) * np.cos(np.pi * np.outer(k + 0.5, k) / m)
     basis[:, 0] = np.sqrt(1.0 / m)
-    return basis, 4.0 * np.sin(np.pi * k / (2 * m)) ** 2
+    eig = 4.0 * np.sin(np.pi * k / (2 * m)) ** 2
+    basis.flags.writeable = eig.flags.writeable = False
+    return basis, eig
 
 
 def _lsq_potential(phi: np.ndarray, h: float) -> np.ndarray:
@@ -302,11 +328,21 @@ def harmonic_companion(hopf: HopfField) -> HarmonicCompanion:
     return HarmonicCompanion(values, residual, patched, hopf)
 
 
-def _check_companion(f: GridField, comp: HarmonicCompanion) -> None:
-    """Raise unless the companion was built on the field's grid."""
+def _check_companion(
+    f: GridField, comp: HarmonicCompanion, frame: ProjectionFrame | None = None
+) -> None:
+    """Raise unless the companion was built on the field's grid from values
+    equal to the field's and, when a frame is given, in a frame with the same
+    first n directions, all that the embedding it carries reads."""
     hopf = comp.hopf
     if (hopf.phi.shape, hopf.spacing, hopf.origin) != ((f.ny, f.nx), f.spacing, f.origin):
         raise InvalidInputError("companion grid does not match the field")
+    if hopf.values is None or not np.array_equal(hopf.values, f.values):
+        raise InvalidInputError("companion was not built from the field's values")
+    if frame is not None:
+        _check_frame(f, frame)
+        if not np.array_equal(hopf.frame.directions[: f.n], frame.directions[: f.n]):
+            raise InvalidInputError("companion was built in another frame")
 
 
 def conformality_defect(f: GridField, comp: HarmonicCompanion) -> float:
@@ -345,6 +381,7 @@ def d_star(
     chain: NestedBallChain,
 ) -> np.ndarray:
     """Level-k augmented distance field sqrt(G(q_k, f)^2 + |h(w*) - h|^2)."""
+    _check_companion(f, comp)
     qk, dh2 = _d_star_terms(f, comp, w_star, k, chain)
     return np.sqrt(metric_g_many(qk, f.values) ** 2 + dh2)
 
@@ -353,8 +390,7 @@ def _d_star_terms(
     f: GridField, comp: HarmonicCompanion, w_star, k: int, chain: NestedBallChain
 ) -> tuple[np.ndarray, np.ndarray]:
     """The level-k tuple q_k and the grid of |h(w*) - h|^2 that `d_star`
-    combines, after its checks of the companion, base node and level."""
-    _check_companion(f, comp)
+    combines, after its checks of the base node and level."""
     iy, ix = _node_index(f, w_star)
     if not 0 <= k < len(chain.levels):
         raise InvalidInputError(f"chain level {k} out of range")
@@ -400,41 +436,36 @@ class _Pivot(NamedTuple):
     k0: int
 
 
-def _pivot(f: GridField, farr: np.ndarray, w_star, chain: NestedBallChain) -> _Pivot:
+def _pivot(f: GridField, comp: HarmonicCompanion, w_star, chain: NestedBallChain) -> _Pivot:
     """The cutoff disc, tau* on its circle and the pivot level k0 (the chain
-    depth when tau* = 0), for the field f embedded as farr."""
+    depth when tau* = 0), for the field f embedded as its companion carries it."""
     w0 = _node_point(f, w_star)
     r = _rim_distance(f, w0)
-    tau = _tau_star(f, farr, w_star, w0, r)
+    tau = _tau_star(f, comp.hopf.embedded, w_star, w0, r)
     return _Pivot(w0, r, tau, k_zero(chain, tau) if tau > 0 else chain.depth)
 
 
-def _circle_d_star_min(
-    f, farr, comp: HarmonicCompanion, frame, w_star, k: int, chain, w0, r
-) -> float:
+def _circle_d_star_min(f, comp: HarmonicCompanion, w_star, k: int, chain, w0, r) -> float:
     """Minimum of the level-k augmented distance over the circle (interpolated)."""
     iy, ix = _node_index(f, w_star)
     pts = circle_points(w0, r, f.spacing)
-    fvals = bilinear_array(farr, f, pts)
-    target = xi0(frame, chain.levels[k].decomposition.rebuild()).flat
+    fvals = bilinear_array(comp.hopf.embedded, f, pts)
+    target = xi0(comp.hopf.frame, chain.levels[k].decomposition.rebuild()).flat
     hvals = bilinear_array(np.stack([comp.values.real, comp.values.imag], axis=-1), f, pts)
     hw = comp.values[iy, ix]
     dh2 = (hvals[..., 0] - hw.real) ** 2 + (hvals[..., 1] - hw.imag) ** 2
     return float(np.sqrt(np.linalg.norm(fvals - target, axis=-1) ** 2 + dh2).min())
 
 
-def _level_range(
-    f, farr, comp, frame, w_star, k: int, chain, piv: _Pivot
-) -> tuple[float, float, float]:
-    """(rho_k, valid hi, monotone hi) of level k, for f embedded as farr; see
-    `valid_rho_interval` and `monotone_rho_interval`."""
-    _check_companion(f, comp)
+def _level_range(f, comp, w_star, k: int, chain, piv: _Pivot) -> tuple[float, float, float]:
+    """(rho_k, valid hi, monotone hi) of level k; see `valid_rho_interval` and
+    `monotone_rho_interval`."""
     if k > piv.k0:
         raise InvalidInputError(f"level {k} beyond the pivot level k0 = {piv.k0}")
     lv = chain.levels[k]
     hi = lv.sigma if k < piv.k0 else 0.4 * min(piv.tau, lv.sigma)
     if not hi > 0 or math.isinf(hi):
-        hi = 0.4 * _circle_d_star_min(f, farr, comp, frame, w_star, k, chain, piv.w0, piv.r)
+        hi = 0.4 * _circle_d_star_min(f, comp, w_star, k, chain, piv.w0, piv.r)
     return lv.rho, hi, 0.4 * hi if k < piv.k0 else hi
 
 
@@ -456,9 +487,9 @@ def valid_rho_interval(
     the augmented circle distance replaces tau* so cutoffs stay compactly
     supported in the disc.
     """
-    farr = embed_grid(f, frame)
-    piv = _pivot(f, farr, w_star, chain)
-    lo, hi, _ = _level_range(f, farr, comp, frame, w_star, k, chain, piv)
+    _check_companion(f, comp, frame)
+    piv = _pivot(f, comp, w_star, chain)
+    lo, hi, _ = _level_range(f, comp, w_star, k, chain, piv)
     return lo, hi, piv.k0, piv.tau
 
 
@@ -476,9 +507,9 @@ def monotone_rho_interval(
     This is the interval on which the ratio psi_k(rho)/rho^2 is asserted to
     be nondecreasing; it is narrower than psi_k's validity below the pivot.
     """
-    farr = embed_grid(f, frame)
-    piv = _pivot(f, farr, w_star, chain)
-    lo, _, hi = _level_range(f, farr, comp, frame, w_star, k, chain, piv)
+    _check_companion(f, comp, frame)
+    piv = _pivot(f, comp, w_star, chain)
+    lo, _, hi = _level_range(f, comp, w_star, k, chain, piv)
     return lo, hi
 
 
@@ -585,9 +616,9 @@ def psi_k(
     are still integrated consistently; cells wholly inside the cutoff count
     their full energy and only the transition band goes through the ramp.
     """
-    farr = embed_grid(f, frame)
-    piv = _pivot(f, farr, w_star, chain)
-    _, hi, _ = _level_range(f, farr, comp, frame, w_star, k, chain, piv)
+    _check_companion(f, comp, frame)
+    piv = _pivot(f, comp, w_star, chain)
+    _, hi, _ = _level_range(f, comp, w_star, k, chain, piv)
     _check_rung(chain, k, piv, hi, rho, eps)
     disc = _disc_cells(f, _cutoff_cells(comp), piv.w0, piv.r)
     return _LevelCutoff(d_star(f, comp, w_star, k, chain), disc).psi(rho, eps)
@@ -650,21 +681,21 @@ def monotonicity_report(
 
     ``ladder`` holds fractions of each level's valid interval (default ten
     points from 0.35 to 0.95).  A pair s < t with ratio(s) > ratio(t)(1+tol)
-    is recorded as a violation.  The embedded field, the pivot and the disc
-    cells' energy density are computed once, and each level's d* and its
-    subsampled reconstruction on the disc cells once per level.  The rungs
-    share them, evaluate the ramp on the transition band alone and still
-    pass the range checks of `psi_k`, so each row equals a standalone
-    `psi_k` call.
+    is recorded as a violation.  The embedded field comes with the
+    companion; the pivot and the disc cells' energy density are computed
+    once, and each level's d* and its subsampled reconstruction on the disc
+    cells once per level.  The rungs share them, evaluate the ramp on the
+    transition band alone and still pass the range checks of `psi_k`, so
+    each row equals a standalone `psi_k` call.
     """
     if ladder is None:
         ladder = np.linspace(0.35, 0.95, 10)
     ladder = np.asarray(ladder, dtype=np.float64)
     if np.any(ladder <= 0) or np.any(ladder >= 1):
         raise InvalidInputError("ladder fractions must lie strictly inside (0, 1)")
-    farr = embed_grid(f, frame)
-    piv = _pivot(f, farr, w_star, chain)
-    ranges = [_level_range(f, farr, comp, frame, w_star, k, chain, piv) for k in range(piv.k0 + 1)]
+    _check_companion(f, comp, frame)
+    piv = _pivot(f, comp, w_star, chain)
+    ranges = [_level_range(f, comp, w_star, k, chain, piv) for k in range(piv.k0 + 1)]
     eps = (min(chain.levels[0].sigma, piv.tau) if piv.tau > 0 else 2.5 * ranges[0][1]) / 20
     disc = _disc_cells(f, _cutoff_cells(comp), piv.w0, piv.r)
     levels: dict[int, list[LadderRow]] = {}
@@ -725,10 +756,10 @@ def key_lemma_check(
 
     Returns (lhs, rhs, lhs <= rhs * (1 + BOUND_SLACK)).
     """
+    _check_companion(f, comp, frame)
     w0 = _node_point(f, w_star)
-    farr = embed_grid(f, frame)
-    lhs = _tau_star(f, farr, w_star, w0, r)
-    e_f = _disc_cell_sum(embedded_energy(farr).per_cell, f, w0, r)
+    lhs = _tau_star(f, comp.hopf.embedded, w_star, w0, r)
+    e_f = _disc_cell_sum(comp.hopf.energy.per_cell, f, w0, r)
     e_h = _companion_disc_energy(comp, f, w0, r)
     delta = delta_constant(f.n, f.q_sheets)
     rhs = math.sqrt((e_f + e_h) / (2 * math.pi * delta))
@@ -738,7 +769,6 @@ def key_lemma_check(
 def _companion_disc_energy(
     comp: HarmonicCompanion, f: GridField, w0: tuple[float, float], r: float
 ) -> float:
-    _check_companion(f, comp)
     return _disc_cell_sum(_cell_average(comp.grad_sq()) * f.spacing**2, f, w0, r)
 
 
@@ -782,10 +812,10 @@ def continuity_certificate(
     oscillation bound; the modulus is 4 max(a1, a2).
     """
     _require_disc_inside(f, w, radius)
+    _check_companion(f, comp, frame)
     r0 = _rim_distance(f, w)
-    farr = embed_grid(f, frame)
-    slice_r, slice_osc = _slice_scan(f, farr, w, radius)
-    per_cell = embedded_energy(farr).per_cell
+    slice_r, slice_osc = _slice_scan(f, comp.hopf.embedded, w, radius)
+    per_cell = comp.hopf.energy.per_cell
     e_r = _disc_cell_sum(per_cell, f, w, radius)
     alpha1 = DEFAULT_C_CL * math.sqrt(e_r)
     c_r0 = _disc_cell_sum(per_cell, f, w, r0) / (math.pi * r0**2)

@@ -174,7 +174,7 @@ def cmd_analyze(args) -> int:
     id_err = np.abs(
         comp.grad_sq()[1:-1, 1:-1] - np.abs(interior) ** 2 / 8 - 2.0
     )
-    energy = dirichlet_energy(f, frame)
+    energy = comp.hopf.energy
     if args.cell_csv:
         rows = []
         for iy in range(energy.per_cell.shape[0]):

@@ -12,8 +12,9 @@ Both kinds of trial are local: a variation moves only the nodes under its
 bump or cutoff, so the cells outside have the same energy at +t and -t.
 Each derivative therefore sums the energy of the box of nodes that move
 plus a one-node ring, which changes the summation order of the full-grid
-difference and nothing else.  `stationarity_residual` embeds the grid once
-and shares that array with its domain trials and pivots.
+difference and nothing else.  `stationarity_residual` builds the field's
+harmonic companion first and shares the embedded grid it carries with its
+domain trials and pivots.
 """
 
 from __future__ import annotations
@@ -26,6 +27,7 @@ import numpy as np
 from .admissible import NestedBallChain, angle_separated_frame, nested_chain
 from .analysis import (
     HarmonicCompanion,
+    _check_companion,
     _d_star_terms,
     _level_range,
     _pivot,
@@ -37,7 +39,6 @@ from .embedding import ProjectionFrame
 from .errors import InvalidInputError, InvalidStepError, NotInBallError, NumericalFailureError
 from .field import (
     GridField,
-    _check_frame,
     _embed_values,
     bilinear_array,
     embed_grid,
@@ -223,6 +224,12 @@ def cutoff_weights(
     as `d_star` forms it, only on the other unmasked nodes: `assign` gives a
     node the same distance in any batch.
     """
+    _check_companion(f, comp)
+    return _cutoff_weights(f, comp, rv)
+
+
+def _cutoff_weights(f: GridField, comp: HarmonicCompanion, rv: RangeVariation) -> np.ndarray:
+    """`cutoff_weights` for a companion already checked against f."""
     qk, dh2 = _d_star_terms(f, comp, rv.w_star, rv.level, rv.chain)
     near = (np.sqrt(dh2) < rv.rho) & ~f.boundary_mask
     dst = np.sqrt(metric_g_many(qk, f.values[near]) ** 2 + dh2[near])
@@ -244,8 +251,8 @@ def range_variation_derivative(
     """Central-difference energy derivative of the admissible range
     variation, with step t = h^2, whose cutoff measures d* with the
     companion ``comp``."""
-    _check_frame(f, frame)
-    d = _range_derivative(f, frame, rv, cutoff_weights(f, comp, rv))
+    _check_companion(f, comp, frame)
+    d = _range_derivative(f, frame, rv, _cutoff_weights(f, comp, rv))
     return 0.0 if d is None else d
 
 
@@ -331,8 +338,9 @@ def stationarity_residual(
             f"stationarity_residual needs at least 7 nodes per axis, got {f.nx}x{f.ny}"
         )
     rng = np.random.default_rng(seed)
-    farr = embed_grid(f, frame)
-    energy = embedded_energy(farr).total
+    comp = harmonic_companion(hopf_differential(f, frame))
+    farr = comp.hopf.embedded
+    energy = comp.hopf.energy.total
     x_lo, x_hi, y_lo, y_hi = _interior_box(f)
     span = min(x_hi - x_lo, y_hi - y_lo)
 
@@ -345,7 +353,6 @@ def stationarity_residual(
         v = DomainVariation((cx, cy), rad, (math.cos(th), math.sin(th)))
         domain_derivs.append(_domain_derivative(f, farr, v))
 
-    comp = harmonic_companion(hopf_differential(f, frame))
     range_derivs: list[float] = []
     vacuous = attempts = 0
     while len(range_derivs) + vacuous < trials and attempts < 10 * trials:
@@ -355,20 +362,20 @@ def stationarity_residual(
         base = QPoint(f.values[iy, ix].copy())
         try:
             chain = nested_chain(base, angle_separated_frame(support(base)))
-            piv = _pivot(f, farr, (iy, ix), chain)
+            piv = _pivot(f, comp, (iy, ix), chain)
         except InvalidInputError:
             continue
         if piv.tau <= 0:
             continue
         eps = min(chain.levels[0].sigma, piv.tau) / 20
         for k in range(piv.k0 + 1):
-            lo, _, hi = _level_range(f, farr, comp, frame, (iy, ix), k, chain, piv)
+            lo, _, hi = _level_range(f, comp, (iy, ix), k, chain, piv)
             rho = lo + 0.6 * (hi - lo)
             if rho <= 0 or not math.isfinite(rho):
                 continue
             try:
                 rv = build_admissible_variation(chain, k, rho, eps, (iy, ix), seed=seed)
-                lam = cutoff_weights(f, comp, rv)
+                lam = _cutoff_weights(f, comp, rv)
                 if not np.any(lam > 0):
                     continue  # cutoff support below grid resolution: nothing varied
                 d = _range_derivative(f, frame, rv, lam)

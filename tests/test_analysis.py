@@ -15,6 +15,7 @@ from qvalued import (
     continuity_certificate,
     d_star,
     delta_constant,
+    dirichlet_energy,
     disc_oscillation,
     embed_grid,
     harmonic_companion,
@@ -39,6 +40,7 @@ from qvalued.analysis import (
     REFIT_RING,
     _censor_refit,
     _cutoff_cells,
+    _dct_basis,
     _disc_cells,
     _LevelCutoff,
     _lsq_potential,
@@ -297,31 +299,84 @@ def _companions_off_the_grid():
     yield pytest.param(GridField(f.values, 0.5 * f.spacing, f.origin), id="rescaled")
 
 
+def _companion_calls(f, fr, comp):
+    """Every diagnostic that takes the field and a companion, by name, as
+    (takes a frame, call), at a base node of the 65^2 square-root field with
+    a rung inside its valid range."""
+    w = (40, 40)
+    base = QPoint(f.values[w].copy())
+    chain = nested_chain(base, angle_separated_frame(support(base)))
+    rho = 0.9 * 0.4 * chain.levels[0].sigma
+    eps = chain.levels[0].sigma / 20
+    rv = build_admissible_variation(chain, 0, rho, eps, w)
+    return {
+        "d_star": (False, lambda: d_star(f, comp, w, 0, chain)),
+        "psi_k": (True, lambda: psi_k(f, comp, fr, w, 0, chain, rho, eps)),
+        "valid_rho_interval": (True, lambda: valid_rho_interval(f, comp, fr, w, 0, chain)),
+        "monotone_rho_interval": (True, lambda: monotone_rho_interval(f, comp, fr, w, 0, chain)),
+        "monotonicity_report": (True, lambda: monotonicity_report(f, comp, fr, w, chain).to_dict()),
+        "key_lemma_check": (True, lambda: key_lemma_check(f, comp, w, 0.3, fr)),
+        "continuity_certificate": (True, lambda: continuity_certificate(f, fr, (0.0, 0.0), 0.4, comp)),
+        "cutoff_weights": (False, lambda: cutoff_weights(f, comp, rv)),
+        "range_variation_derivative": (True, lambda: range_variation_derivative(f, fr, rv, comp)),
+        "conformality_defect": (False, lambda: conformality_defect(f, comp)),
+    }
+
+
+def _bits(out) -> str:
+    """The exact floats of a diagnostic's output, as text."""
+    if isinstance(out, np.ndarray):
+        return out.tobytes().hex()
+    return repr(out)
+
+
 @pytest.mark.parametrize("other", list(_companions_off_the_grid()))
 def test_companion_from_another_grid_is_rejected(other):
     f = sqrt_grid_field(65)
     fr = standard_frame(2, 2)
     comp = harmonic_companion(hopf_differential(other, fr))
-    w = (40, 40)
-    base = QPoint(f.values[w].copy())
-    chain = nested_chain(base, angle_separated_frame(support(base)))
-    scale = min(chain.levels[0].sigma, 1.0)
-    rv = build_admissible_variation(chain, 0, 0.5 * scale, scale / 20, w)
-    calls = [
-        lambda: d_star(f, comp, w, 0, chain),
-        lambda: psi_k(f, comp, fr, w, 0, chain, 0.5 * scale, scale / 20),
-        lambda: valid_rho_interval(f, comp, fr, w, 0, chain),
-        lambda: monotone_rho_interval(f, comp, fr, w, 0, chain),
-        lambda: monotonicity_report(f, comp, fr, w, chain),
-        lambda: key_lemma_check(f, comp, w, 0.3, fr),
-        lambda: continuity_certificate(f, fr, (0.0, 0.0), 0.4, comp),
-        lambda: cutoff_weights(f, comp, rv),
-        lambda: range_variation_derivative(f, fr, rv, comp),
-        lambda: conformality_defect(f, comp),
-    ]
-    for call in calls:
+    for _, call in _companion_calls(f, fr, comp).values():
         with pytest.raises(InvalidInputError, match="companion grid does not match the field"):
             call()
+
+
+def test_companion_of_another_field_is_rejected():
+    # same grid, other values: its energy must not be mixed with f's embedding
+    f = sqrt_grid_field(65)
+    fr = standard_frame(2, 2)
+    comp = harmonic_companion(hopf_differential(noisy_copy(f, scale=1e-3), fr))
+    for _, call in _companion_calls(f, fr, comp).values():
+        with pytest.raises(InvalidInputError, match="not built from the field's values"):
+            call()
+
+
+def test_companion_from_a_rotated_frame_is_rejected():
+    # the companion's embedding belongs to its frame, so each diagnostic that
+    # reads it in the caller's frame refuses another one; those that take no
+    # frame read the frame-free density alone and give the same floats
+    f = sqrt_grid_field(65)
+    fr = standard_frame(2, 2)
+    want = _companion_calls(f, fr, harmonic_companion(hopf_differential(f, fr)))
+    comp = harmonic_companion(hopf_differential(f, rotated_frame(2, 2, seed=3)))
+    for name, (takes_frame, call) in _companion_calls(f, fr, comp).items():
+        if takes_frame:
+            with pytest.raises(InvalidInputError, match="companion was built in another frame"):
+                call()
+        else:
+            assert _bits(call()) == _bits(want[name][1]()), name
+
+
+def test_equal_field_and_frame_are_accepted_bitwise():
+    # the check compares values and the first n directions, not objects
+    f = sqrt_grid_field(65)
+    fr = standard_frame(2, 2)
+    comp = harmonic_companion(hopf_differential(f, fr))
+    want = _companion_calls(f, fr, comp)
+    twin, twin_frame = GridField.from_dict(f.to_dict()), standard_frame(2, 2)
+    assert twin.values is not f.values and twin_frame is not fr
+    got = _companion_calls(twin, twin_frame, comp)
+    for name, (_, call) in got.items():
+        assert _bits(call()) == _bits(want[name][1]()), name
 
 
 def test_conformality_defect_identity_pair():
@@ -356,6 +411,38 @@ def test_hopf_differential_same_floats_in_every_frame(q):
         got = hopf_differential(f, rotated_frame(2, q, seed=seed))
         for name in ("phi", "grad_sq", "degenerate"):
             assert np.array_equal(getattr(got, name), getattr(want, name)), name
+
+
+@pytest.mark.parametrize("q", [2, 3])
+def test_hopf_field_carries_the_embedding_of_its_frame(q):
+    # the embedding and its cell energy are those of the frame it was built in
+    f = sqrt_grid_field(33) if q == 2 else root_grid_field(33, 3, z0=0.13 + 0.07j)
+    for fr in (standard_frame(2, q), rotated_frame(2, q, seed=3)):
+        hopf = hopf_differential(f, fr)
+        energy = dirichlet_energy(f, fr)
+        assert hopf.frame is fr
+        assert np.array_equal(hopf.embedded, embed_grid(f, fr))
+        assert np.array_equal(hopf.energy.per_cell, energy.per_cell)
+        assert hopf.energy.total == energy.total
+        assert np.array_equal(hopf.values, f.values) and not np.shares_memory(hopf.values, f.values)
+        assert not any(a.flags.writeable for a in (hopf.values, hopf.embedded, hopf.energy.per_cell))
+
+
+def test_companion_of_a_field_changed_in_place_is_rejected():
+    # the Hopf field keeps a copy of the values, so an in-place edit of the
+    # field after the companion was built is seen, not read through
+    f = sqrt_grid_field(33)
+    fr = standard_frame(2, 2)
+    comp = harmonic_companion(hopf_differential(f, fr))
+    f.values[16, 10] += 1e-3
+    with pytest.raises(InvalidInputError, match="not built from the field's values"):
+        key_lemma_check(f, comp, (16, 16), 0.3, fr)
+
+
+def test_dct_basis_is_cached_and_read_only():
+    basis, eig = _dct_basis(37)
+    assert _dct_basis(37)[0] is basis
+    assert not basis.flags.writeable and not eig.flags.writeable
 
 
 def _window(f, box):
@@ -716,11 +803,12 @@ def test_monotonicity_report_builds_pivot_once(which, request, monkeypatch):
 
 @pytest.mark.parametrize("which", ["strong", "constant", "near_double"])
 def test_monotonicity_report_embeds_the_grid_once(which, request, monkeypatch):
-    # the pivot and the circle fallback of every level share one embedded array
+    # the grid is embedded once per Hopf field: the pivot and the circle
+    # fallback of every level read the array the companion carries
     f, fr, comp, w, chain = _ladder_setup(which, request)
     calls = count_embed_grid(monkeypatch)
     monotonicity_report(f, comp, fr, w, chain)
-    assert calls == [f.values.shape]
+    assert calls == []
 
 
 def test_psi_ladder_matches_full_grid_oracle(request):
@@ -820,10 +908,8 @@ def test_certificate_and_key_lemma_embed_the_grid_once(monkeypatch):
     comp = harmonic_companion(hopf_differential(f, fr))
     calls = count_embed_grid(monkeypatch)
     continuity_certificate(f, fr, (0.0, 0.0), 0.4, comp)
-    assert calls == [f.values.shape]
-    calls.clear()
     key_lemma_check(f, comp, (32, 32), 0.5, fr)
-    assert calls == [f.values.shape]
+    assert calls == []  # both read the embedded grid and its cell energy from comp.hopf
 
 
 def test_monotonicity_flags_violations_on_rough_field():

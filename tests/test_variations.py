@@ -13,13 +13,16 @@ from qvalued import (
     QPoint,
     angle_separated_frame,
     build_admissible_variation,
+    continuity_certificate,
     d_star,
     dirichlet_energy,
     domain_variation_derivative,
     harmonic_companion,
     hopf_differential,
+    key_lemma_check,
     minimize,
     monotone_rho_interval,
+    monotonicity_report,
     nested_chain,
     range_variation_derivative,
     standard_frame,
@@ -337,6 +340,24 @@ def test_stationarity_residual_embeds_the_grid_once(minimized_strong_97, monkeyp
     res = stationarity_residual(g, standard_frame(2, 2), trials=4, seed=1)
     assert res.domain_trials == 4 and res.range_trials > 0
     assert calls == [g.values.shape]
+
+
+def test_diagnostic_battery_embeds_the_grid_twice(minimized_strong_97, monkeypatch):
+    # once for the caller's Hopf field, whose companion carries the embedding
+    # to the ladder, the certificates and the key lemma, and once for the
+    # companion stationarity_residual builds for itself
+    g = minimized_strong_97.field
+    fr = standard_frame(2, 2)
+    w = (48, 44)
+    calls = count_embed_grid(monkeypatch)
+    comp = harmonic_companion(hopf_differential(g, fr))
+    base = QPoint(g.values[w].copy())
+    monotonicity_report(g, comp, fr, w, nested_chain(base, angle_separated_frame(support(base))))
+    stationarity_residual(g, fr, trials=2, seed=1)
+    for radius in (0.6, 0.45, 0.3):
+        continuity_certificate(g, fr, tuple(g.node_position(w)), radius, comp)
+    key_lemma_check(g, comp, w, 0.5, fr)
+    assert calls == [g.values.shape] * 2
 
 
 def test_stationarity_residual_samples_each_axis_by_its_own_margin():
