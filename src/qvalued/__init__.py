@@ -44,7 +44,9 @@ from .admissible import (
     NestedBallChain,
     angle_separated_frame,
     chain_inclusion_check,
+    constants_block,
     delta_cascade,
+    delta_constant,
     interpolate,
     is_admissible,
     modification_constants,
@@ -78,7 +80,6 @@ from .analysis import (
     conformality_defect,
     continuity_certificate,
     d_star,
-    delta_constant,
     harmonic_companion,
     holomorphy_residual,
     hopf_differential,

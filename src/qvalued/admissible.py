@@ -278,6 +278,34 @@ def modification_constants(n: int, q_sheets: int) -> tuple[float, float]:
     return k, c0
 
 
+def delta_constant(n: int, q_sheets: int) -> float:
+    """Oscillation-bound constant assembled from the worst chain level.
+
+    The chain constants grow doubly exponentially in Q, so the bound is
+    evaluated in log space; results smaller than the tiniest subnormal are
+    clamped there to keep the constant strictly positive.
+    """
+    _, c0 = modification_constants(n, q_sheets)
+    log_growth = max(q_sheets - 2, 0) * math.log(7.5 * c0)
+    log_m = max(
+        math.log(2.5 + 25 * q_sheets * c0),
+        math.log(25 * q_sheets * c0) + log_growth,
+        math.log(2.5) + log_growth,
+    )
+    return max(math.exp(-2.0 * log_m), 5e-324)
+
+
+def constants_block(n: int, q_sheets: int) -> dict:
+    """The frame angle, chain and oscillation constants every report carries."""
+    k_const, c0 = modification_constants(n, q_sheets)
+    return {
+        "theta0": theta0(n, q_sheets),
+        "K": k_const,
+        "C0": c0,
+        "delta": delta_constant(n, q_sheets),
+    }
+
+
 @dataclass(frozen=True, eq=False)
 class ChainLevel:
     decomposition: SupportDecomposition
@@ -287,12 +315,11 @@ class ChainLevel:
 
 @dataclass(frozen=True, eq=False)
 class NestedBallChain:
-    """Support coarsening levels with their inner/outer radii and constants."""
+    """Support coarsening levels with their inner/outer radii, and the frame
+    every finite level is admissible under.  The chain constants are those of
+    the (n, Q) the levels hold: see `constants_block`."""
 
     levels: tuple[ChainLevel, ...]
-    theta0: float
-    k_const: float
-    c0_const: float
     frame: ProjectionFrame
 
     @property
@@ -304,8 +331,9 @@ class NestedBallChain:
         return self.levels[0].decomposition.q
 
     def to_dict(self) -> dict:
+        dec = self.levels[0].decomposition
         return {
-            "constants": {"theta0": self.theta0, "K": self.k_const, "C0": self.c0_const},
+            "constants": constants_block(dec.n, dec.q),
             "levels": [
                 {
                     "k": k,
@@ -331,9 +359,8 @@ def nested_chain(q: QPoint, frame: AngleSeparatedFrame) -> NestedBallChain:
     """
     dec = support(q)
     n, q_sheets = dec.n, dec.q
-    th0 = theta0(n, q_sheets)
-    k_const, c0_const = modification_constants(n, q_sheets)
-    sin_th = math.sin(th0)
+    k_const, _ = modification_constants(n, q_sheets)
+    sin_th = math.sin(theta0(n, q_sheets))
 
     levels: list[ChainLevel] = []
     current = dec
@@ -343,41 +370,37 @@ def nested_chain(q: QPoint, frame: AngleSeparatedFrame) -> NestedBallChain:
         levels.append(ChainLevel(current, rho, sigma))
 
         # threshold ladder: s_0 = sigma, t_1 = 0, d_k = (Q-1) t_k,
-        # s_k = (Q-1) d_k + s_{k-1}, t_{k+1} = 2 K s_k
-        s_prev = sigma
-        t = 0.0
-        class_counts: list[int] = []
-        classes_at: list[list[list[int]]] = []
-        s_values: list[float] = []
-        kappa0 = None
-        kappa = 1
+        # s_k = (Q-1) d_k + s_{k-1}, t_{k+1} = 2 K s_k; the first step whose
+        # class count repeats its predecessor's stops it, and the predecessor
+        # gives the next inner radius and the merged classes
+        s_prev = sigma  # s_1, as t_1 = 0
+        classes_prev = _threshold_classes(current.sites, 0.0)
         while True:
+            t = 2.0 * k_const * s_prev
             classes = _threshold_classes(current.sites, t)
-            class_counts.append(len(classes))
-            classes_at.append(classes)
-            d_k = (q_sheets - 1) * t
-            s_k = (q_sheets - 1) * d_k + s_prev
-            s_values.append(s_k)
-            if kappa >= 2 and class_counts[-1] == class_counts[-2]:
-                kappa0 = kappa - 1
+            if len(classes) == len(classes_prev):
                 break
-            s_prev = s_k
-            t = 2.0 * k_const * s_k
-            kappa += 1
-        rho = s_values[kappa0 - 1]
-        merged = classes_at[kappa0 - 1]
-
-        current = _collapse_classes(current.sites, current.multiplicities, merged)
+            d_k = (q_sheets - 1) * t
+            s_prev = (q_sheets - 1) * d_k + s_prev
+            classes_prev = classes
+        rho = s_prev
+        current = _collapse_classes(current.sites, current.multiplicities, classes_prev)
 
     levels.append(ChainLevel(current, rho, float("inf")))
-    return NestedBallChain(tuple(levels), th0, k_const, c0_const, frame.frame)
+    return NestedBallChain(tuple(levels), frame.frame)
 
 
 def validate_chain(chain: NestedBallChain) -> list[str]:
-    """Check every structural chain invariant; return human-readable violations."""
+    """Check every structural chain invariant; return human-readable violations.
+
+    Besides the radius bookkeeping, every finite level must be admissible
+    under the chain's frame at radius sigma_k; a frame of another dimension
+    raises InvalidInputError.
+    """
     v: list[str] = []
     lv = chain.levels
-    q_sheets = chain.q_sheets
+    n, q_sheets = lv[0].decomposition.n, chain.q_sheets
+    _, c0_const = modification_constants(n, q_sheets)
     if lv[0].rho != 0.0:
         v.append(f"rho_0 = {lv[0].rho} != 0")
     if not math.isinf(lv[-1].sigma):
@@ -399,8 +422,13 @@ def validate_chain(chain: NestedBallChain) -> list[str]:
             v.append(f"10*Q*rho_{k} > sigma_{k}")
     for k in range(1, len(lv)):
         sig_prev = lv[k - 1].sigma
-        if not (sig_prev < lv[k].rho <= chain.c0_const * sig_prev * (1 + 1e-12)):
+        if not (sig_prev < lv[k].rho <= c0_const * sig_prev * (1 + 1e-12)):
             v.append(f"sigma_{k - 1} < rho_{k} <= C0*sigma_{k - 1} violated at level {k}")
+    for k, level in enumerate(lv):
+        if math.isfinite(level.sigma) and not is_admissible(
+            AdmissibleBall(level.decomposition, level.sigma, chain.frame)
+        ):
+            v.append(f"level {k} is not admissible under the chain's frame at sigma_{k}")
     base = lv[0].decomposition.rebuild()
     total = 0.0
     for k in range(1, len(lv)):
@@ -428,7 +456,10 @@ def chain_inclusion_check(chain: NestedBallChain, samples: int, seed: int = 0) -
 
     Members are drawn by perturbing the rebuilt level tuple with offsets whose
     total norm is at most sigma, so they lie in the sigma-ball by construction.
+    ``samples`` members are drawn per level; fewer than one is refused.
     """
+    if samples < 1:
+        raise InvalidInputError(f"the inclusion check needs at least one sample, got {samples}")
     rng = np.random.default_rng(seed)
     for k in range(1, len(chain.levels)):
         prev = chain.levels[k - 1]

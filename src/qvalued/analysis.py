@@ -28,7 +28,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .admissible import NestedBallChain, modification_constants, theta0
+from .admissible import NestedBallChain, constants_block, delta_constant
 from .embedding import ProjectionFrame, xi0
 from .errors import InvalidInputError, NumericalFailureError
 from .field import (
@@ -58,6 +58,8 @@ REFIT_DEGREE = 2
 PSI_SUBSAMPLES = 3
 #: relative slack of the key-lemma oscillation bound
 BOUND_SLACK = 0.05
+#: relative ratio drop a monotonicity ladder tolerates before it records a violation
+MONOTONE_TOLERANCE = 0.05
 
 
 def _central_differences(a: np.ndarray, h: float) -> tuple[np.ndarray, np.ndarray]:
@@ -637,7 +639,6 @@ class MonotonicityReport:
     k0: int
     tau_star: float
     violations: list[tuple[int, float, float]]  # (level, rho_s, rho_t) with ratio drop
-    tolerance: float
     constants: dict
 
     @property
@@ -655,7 +656,7 @@ class MonotonicityReport:
             "tau_star": self.tau_star,
             "passed": self.passed,
             "vacuous": self.vacuous,
-            "tolerance": self.tolerance,
+            "tolerance": MONOTONE_TOLERANCE,
             "constants": self.constants,
             "levels": {
                 str(k): [{"rho": r.rho, "psi": r.psi, "ratio": r.ratio} for r in rows]
@@ -674,23 +675,25 @@ def monotonicity_report(
     w_star: tuple[int, int],
     chain: NestedBallChain,
     ladder: np.ndarray | None = None,
-    tolerance: float = 0.05,
 ) -> MonotonicityReport:
     """Evaluate psi_k(rho)/rho^2 ladders for every level up to the pivot, on
     the largest disc centred on the base node w_star.
 
     ``ladder`` holds fractions of each level's valid interval (default ten
-    points from 0.35 to 0.95).  A pair s < t with ratio(s) > ratio(t)(1+tol)
-    is recorded as a violation.  The embedded field comes with the
-    companion; the pivot and the disc cells' energy density are computed
-    once, and each level's d* and its subsampled reconstruction on the disc
-    cells once per level.  The rungs share them, evaluate the ramp on the
-    transition band alone and still pass the range checks of `psi_k`, so
-    each row equals a standalone `psi_k` call.
+    points from 0.35 to 0.95; an empty ladder is refused).  A pair s < t
+    with ratio(s) > ratio(t)(1 + MONOTONE_TOLERANCE) is recorded as a
+    violation.  The embedded field comes with the companion; the pivot and
+    the disc cells' energy density are computed once, and each level's d*
+    and its subsampled reconstruction on the disc cells once per level.
+    The rungs share them, evaluate the ramp on the transition band alone
+    and still pass the range checks of `psi_k`, so each row equals a
+    standalone `psi_k` call.
     """
     if ladder is None:
         ladder = np.linspace(0.35, 0.95, 10)
     ladder = np.asarray(ladder, dtype=np.float64)
+    if ladder.size == 0:
+        raise InvalidInputError("the ladder has no fractions")
     if np.any(ladder <= 0) or np.any(ladder >= 1):
         raise InvalidInputError("ladder fractions must lie strictly inside (0, 1)")
     _check_companion(f, comp, frame)
@@ -710,38 +713,10 @@ def monotonicity_report(
         levels[k] = rows
         for i in range(len(rows)):
             for j in range(i + 1, len(rows)):
-                if rows[i].ratio > rows[j].ratio * (1 + tolerance) + 1e-15:
+                if rows[i].ratio > rows[j].ratio * (1 + MONOTONE_TOLERANCE) + 1e-15:
                     violations.append((k, rows[i].rho, rows[j].rho))
-    constants = _constants_block(f.n, f.q_sheets)
-    return MonotonicityReport(levels, piv.k0, piv.tau, violations, tolerance, constants)
-
-
-def _constants_block(n: int, q: int) -> dict:
-    """The chain and oscillation constants every report carries."""
-    k_const, c0 = modification_constants(n, q)
-    return {
-        "theta0": theta0(n, q),
-        "K": k_const,
-        "C0": c0,
-        "delta": delta_constant(n, q),
-    }
-
-
-def delta_constant(n: int, q_sheets: int) -> float:
-    """Oscillation-bound constant assembled from the worst chain level.
-
-    The chain constants grow doubly exponentially in Q, so the bound is
-    evaluated in log space; results smaller than the tiniest subnormal are
-    clamped there to keep the constant strictly positive.
-    """
-    _, c0 = modification_constants(n, q_sheets)
-    log_growth = max(q_sheets - 2, 0) * math.log(7.5 * c0)
-    log_m = max(
-        math.log(2.5 + 25 * q_sheets * c0),
-        math.log(25 * q_sheets * c0) + log_growth,
-        math.log(2.5) + log_growth,
-    )
-    return max(math.exp(-2.0 * log_m), 5e-324)
+    constants = constants_block(f.n, f.q_sheets)
+    return MonotonicityReport(levels, piv.k0, piv.tau, violations, constants)
 
 
 def key_lemma_check(

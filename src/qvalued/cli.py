@@ -16,9 +16,14 @@ import sys
 import numpy as np
 
 from . import __version__
-from .admissible import angle_separated_frame, chain_inclusion_check, nested_chain, validate_chain
+from .admissible import (
+    angle_separated_frame,
+    chain_inclusion_check,
+    constants_block,
+    nested_chain,
+    validate_chain,
+)
 from .analysis import (
-    _constants_block,
     conformality_defect,
     continuity_certificate,
     harmonic_companion,
@@ -39,6 +44,9 @@ EXIT_NUMERICAL = 4
 
 #: certificate radii tried when --radii is absent; those below 4h are dropped
 DEFAULT_RADII = (0.4, 0.2, 0.1)
+#: `variations` reports a field stationary when both residuals are at most
+#: this fraction of its energy
+RESIDUAL_TOLERANCE = 1e-3
 
 
 def _numpy_scalar(obj):
@@ -94,8 +102,19 @@ def _frame_for(args, n: int, q: int) -> ProjectionFrame:
     return standard_frame(n, q)
 
 
-def _parse_node(text: str) -> tuple[int, int]:
-    ix, iy = (int(t) for t in text.split(","))
+def _parse_pair(text: str, kind, option: str) -> tuple:
+    """The two comma-separated numbers of an option's value."""
+    parts = text.split(",")
+    if len(parts) != 2:
+        raise QValuedError(f"{option} takes two comma-separated numbers, got {text!r}")
+    return kind(parts[0]), kind(parts[1])
+
+
+def _interior_node(f: GridField, text: str) -> tuple[int, int]:
+    """The (iy, ix) of the --wstar value IX,IY, which must be an interior node of f."""
+    ix, iy = _parse_pair(text, int, "--wstar")
+    if not (0 < iy < f.ny - 1 and 0 < ix < f.nx - 1):
+        raise QValuedError(f"--wstar {text} is not an interior node of the {f.nx}x{f.ny} grid")
     return iy, ix
 
 
@@ -155,7 +174,7 @@ def cmd_minimize(args) -> int:
         "energy_initial": float(result.energies[0]),
         "energy_final": float(result.energies[-1]),
         "dirichlet_energy": dirichlet_energy(result.field, frame).total,
-        "constants": _constants_block(f.n, f.q_sheets),
+        "constants": constants_block(f.n, f.q_sheets),
     }
     _dump_json(summary, None)
     if not result.converged:
@@ -189,7 +208,7 @@ def cmd_analyze(args) -> int:
         "companion_path_residual": comp.path_residual,
         "energy_identity_max_error": float(id_err.max()),
         "conformality_defect": conformality_defect(f, comp),
-        "constants": _constants_block(f.n, f.q_sheets),
+        "constants": constants_block(f.n, f.q_sheets),
     }
     _dump_json(report, args.output)
     return EXIT_OK
@@ -198,7 +217,7 @@ def cmd_analyze(args) -> int:
 def cmd_monotonicity(args) -> int:
     f = _load_field(args)
     frame = _frame_for(args, f.n, f.q_sheets)
-    w_star = _parse_node(args.wstar)
+    w_star = _interior_node(f, args.wstar)
     base = QPoint(f.values[w_star[0], w_star[1]].copy())
     chain = nested_chain(base, angle_separated_frame(support(base)))
     comp = harmonic_companion(hopf_differential(f, frame))
@@ -206,9 +225,7 @@ def cmd_monotonicity(args) -> int:
     if args.ladder:
         lo, hi, num = args.ladder.split(":")
         ladder = np.linspace(float(lo), float(hi), int(num))
-    report = monotonicity_report(
-        f, comp, frame, w_star, chain, ladder=ladder, tolerance=args.tol_monotone
-    )
+    report = monotonicity_report(f, comp, frame, w_star, chain, ladder=ladder)
     _dump_json(report.to_dict(), args.output)
     if args.csv:
         rows = []
@@ -224,11 +241,11 @@ def cmd_variations(args) -> int:
     frame = _frame_for(args, f.n, f.q_sheets)
     res = stationarity_residual(f, frame, trials=args.trials, seed=args.seed)
     out = res.to_dict()
-    out["constants"] = _constants_block(f.n, f.q_sheets)
-    out["threshold"] = args.tol_residual * res.energy
+    out["constants"] = constants_block(f.n, f.q_sheets)
+    out["threshold"] = RESIDUAL_TOLERANCE * res.energy
     out["stationary"] = bool(
-        res.domain_max <= args.tol_residual * res.energy
-        and res.range_max <= args.tol_residual * res.energy
+        res.domain_max <= RESIDUAL_TOLERANCE * res.energy
+        and res.range_max <= RESIDUAL_TOLERANCE * res.energy
     )
     _dump_json(out, args.output)
     return EXIT_OK
@@ -237,7 +254,7 @@ def cmd_variations(args) -> int:
 def cmd_certificate(args) -> int:
     f = _load_field(args)
     frame = _frame_for(args, f.n, f.q_sheets)
-    w = tuple(float(t) for t in args.w.split(","))
+    w = _parse_pair(args.w, float, "--w")
     if args.radii is None:
         radii = [r for r in DEFAULT_RADII if r >= 4 * f.spacing]
         if not radii:
@@ -249,7 +266,7 @@ def cmd_certificate(args) -> int:
     out = {
         "w": list(w),
         "certificates": [c.to_dict() for c in certs],
-        "constants": _constants_block(f.n, f.q_sheets),
+        "constants": constants_block(f.n, f.q_sheets),
     }
     _dump_json(out, args.output)
     if args.csv:
@@ -310,14 +327,12 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("monotonicity", parents=[grid], help="cutoff energy ratio ladders")
     p.add_argument("--wstar", required=True, metavar="IX,IY")
     p.add_argument("--ladder", help="fractions as LO:HI:COUNT")
-    p.add_argument("--tol-monotone", type=float, default=0.05, dest="tol_monotone")
     p.add_argument("--csv")
     p.set_defaults(func=cmd_monotonicity)
 
     p = sub.add_parser("variations", parents=[grid], help="stationarity residual battery")
     p.add_argument("--trials", type=int, default=8)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--tol-residual", type=float, default=1e-3, dest="tol_residual")
     p.set_defaults(func=cmd_variations)
 
     p = sub.add_parser("certificate", parents=[grid], help="continuity modulus at a point")

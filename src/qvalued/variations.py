@@ -48,6 +48,12 @@ from .qspace import QPoint, metric_g_many, support
 
 #: sampled point pairs per site in the retraction's Lipschitz check
 LIP_SAMPLES = 400
+#: Lipschitz constant of every level's collar retraction y -> chi(|y - c|)(c - y).
+#: Its derivative has the eigenvalue chi across the radius and
+#: 1 - S(t) - (2 + t) S'(t) along it, up to sign, with S the quintic ramp and
+#: t = (|y - c| - 0.4 sigma) / (0.2 sigma); the constant is the larger of 1 and
+#: max |1 - S - (2 + t) S'| over [0, 1], reached at t = 0.5486, whatever sigma is.
+RETRACTION_LIPSCHITZ = 4.2793088601276414
 
 
 @dataclass(frozen=True)
@@ -180,8 +186,11 @@ def build_admissible_variation(
 
     Checks the structural parameter ranges (the tau*-dependent part of the
     cutoff validity is re-checked against the field by the derivative) and
-    samples LIP_SAMPLES two-point ratios of the retraction around every site
-    against the chain's Lipschitz budget 5/sigma_k.
+    samples LIP_SAMPLES two-point ratios |Gamma(y1) - Gamma(y2)| / |y1 - y2|
+    around every site, pairs closer than 1e-12 sigma_k left out, against
+    the retraction's own Lipschitz constant RETRACTION_LIPSCHITZ (plus 1e-6).
+    Both the ratios and the constant are pure numbers, so the check does not
+    depend on the field's scale.
     """
     if not 0 <= k < len(chain.levels):
         raise InvalidInputError(f"chain level {k} out of range")
@@ -198,17 +207,18 @@ def build_admissible_variation(
         rng = np.random.default_rng(seed)
         sites = rv.sites
         n = sites.shape[1]
-        budget = 5.0 / sigma + 1e-6
+        budget = RETRACTION_LIPSCHITZ + 1e-6
         for site in sites:
             y1 = site + rng.normal(size=(LIP_SAMPLES, n)) * (0.4 * sigma)
             y2 = y1 + rng.normal(size=(LIP_SAMPLES, n)) * (0.05 * sigma)
             num = np.linalg.norm(rv.retraction(y1) - rv.retraction(y2), axis=-1)
             den = np.linalg.norm(y1 - y2, axis=-1)
-            ok = den > 1e-12
+            ok = den > 1e-12 * sigma
             ratio = num[ok] / den[ok]
             if ratio.size and ratio.max() > budget:
                 raise NumericalFailureError(
-                    f"sampled retraction Lipschitz ratio {ratio.max()} exceeds 5/sigma_k"
+                    f"sampled retraction Lipschitz ratio {ratio.max()} exceeds "
+                    f"the retraction's constant {RETRACTION_LIPSCHITZ}"
                 )
     return rv
 
@@ -329,8 +339,11 @@ def stationarity_residual(
     trials: int,
     seed: int = 0,
 ) -> StationarityResidual:
-    """Max |energy derivative| over random domain bumps and admissible range
-    variations at sampled interior base nodes."""
+    """Max |energy derivative| over ``trials`` random domain bumps and up to
+    as many admissible range variations at sampled interior base nodes;
+    fewer than one trial is refused."""
+    if trials < 1:
+        raise InvalidInputError(f"stationarity_residual needs at least one trial, got {trials}")
     # sampled base nodes keep this many nodes from the rim, per axis
     my, mx = max(3, f.ny // 8), max(3, f.nx // 8)
     if f.ny <= 2 * my or f.nx <= 2 * mx:

@@ -422,3 +422,14 @@ def full_grid_psi(dst, e_cell, rho, eps, f, w0, r) -> float:
     cell energies e_cell h^2, summed over the disc cells."""
     lam, disc = full_grid_cutoff(dst, rho, eps, f, w0, r)
     return float((lam * e_cell * f.spacing**2)[disc].sum())
+
+
+def retraction_lipschitz(samples: int = 2_000_001) -> float:
+    """Lipschitz constant of y -> chi(|y|)(-y) at sigma = 1, chi = 1 - S((s - 0.4)/0.2)
+    with the quintic ramp S: the larger of the tangential factor max chi = 1
+    and the steepest slope of the radial profile s chi(s), by finite
+    differences on a dense grid of s."""
+    s = np.linspace(0.0, 0.6, samples)
+    t = np.clip((s - 0.4) / 0.2, 0.0, 1.0)
+    profile = s * (1.0 - t**3 * (10.0 - 15.0 * t + 6.0 * t**2))
+    return max(1.0, float(np.abs(np.diff(profile) / np.diff(s)).max()))

@@ -1,7 +1,10 @@
+import dataclasses
 import math
+from datetime import timedelta
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from qvalued import (
     AdmissibleBall,
@@ -305,6 +308,32 @@ def test_chain_level_balls_admissible():
             assert is_admissible(ball)
 
 
+def test_validate_chain_reads_the_frame():
+    # the standard frame projects both sites of (0, 0), (1, 0) to 0 on its
+    # second axis, so level 0 is not admissible under it
+    p = QPoint([[0.0, 0.0], [1.0, 0.0]])
+    chain = nested_chain(p, angle_separated_frame(support(p)))
+    assert validate_chain(chain) == []
+    violations = validate_chain(dataclasses.replace(chain, frame=standard_frame(2, 2)))
+    assert violations == ["level 0 is not admissible under the chain's frame at sigma_0"]
+    with pytest.raises(InvalidInputError, match="frame dimension"):
+        validate_chain(dataclasses.replace(chain, frame=standard_frame(3, 2)))
+
+
+@settings(max_examples=40, deadline=timedelta(seconds=5))
+@given(data=st.data(), q=st.integers(2, 5), n=st.integers(1, 3), scale=st.integers(-3, 2))
+def test_validate_chain_accepts_random_chains(data, q, n, scale):
+    # coordinates on a 1/4 lattice times 10^scale; a sheet may sit 1e-6 of
+    # the scale from another, near-coincident but a site of its own
+    coord = st.integers(-8, 8).map(lambda t: t / 4)
+    pts = np.array(data.draw(st.lists(coord, min_size=q * n, max_size=q * n))).reshape(q, n)
+    if data.draw(st.booleans()):
+        pts[-1] = pts[0] + 1e-6
+    p = QPoint(pts * 10.0**scale)
+    chain = nested_chain(p, angle_separated_frame(support(p)))
+    assert validate_chain(chain) == []
+
+
 def test_chain_inclusion_trivial_and_hand():
     p = QPoint(np.tile([1.0, 1.0], (2, 1)))
     chain = nested_chain(p, angle_separated_frame(support(p)))
@@ -328,7 +357,7 @@ def test_chain_report_dict():
     p = QPoint([[0.0], [1.0]])
     chain = nested_chain(p, angle_separated_frame(support(p)))
     d = chain.to_dict()
-    assert {"theta0", "K", "C0"} <= set(d["constants"])
+    assert set(d["constants"]) == {"theta0", "K", "C0", "delta"}
     assert len(d["levels"]) == chain.depth + 1
 
 

@@ -9,6 +9,7 @@ from qvalued import (
     MinimizeOptions,
     NumericalFailureError,
     QPoint,
+    constants_block,
     continuity_certificate,
     harmonic_companion,
     hopf_differential,
@@ -16,7 +17,7 @@ from qvalued import (
     standard_frame,
 )
 import qvalued.cli
-from qvalued.cli import _constants_block, _dump_json, _write_csv, main
+from qvalued.cli import _dump_json, _write_csv, main
 
 from helpers import count_analysis_match_edges, two_sheet_field, unit_square_grid
 
@@ -125,6 +126,40 @@ def test_chain_exits_with_a_documented_code(tmp_path, capsys, n):
     assert set(codes) <= {0, 2, 3, 4}
     first_overflow = {1: 13, 2: 11, 3: 9}[n]
     assert codes == [0] * (first_overflow - 1) + [2] * (13 - first_overflow)
+
+
+@pytest.fixture(scope="module")
+def bad_argument_inputs(tmp_path_factory):
+    d = tmp_path_factory.mktemp("inputs")
+    write_json(d / "field.json", two_sheet_field(33, seed=0).to_dict())
+    write_json(d / "tuple.json", QPoint([[0.0, 0.0], [1.0, 0.0]]).to_dict())
+    return d
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["monotonicity", "--wstar", "1000,1000"],
+        ["monotonicity", "--wstar=-40,5"],
+        ["monotonicity", "--wstar", "0,16"],
+        ["monotonicity", "--wstar", "16"],
+        ["monotonicity", "--wstar", "16,16", "--ladder", "0.1:0.9:0"],
+        ["certificate", "--w", "0"],
+        ["certificate", "--w", "0,0,0"],
+        ["variations", "--trials", "0"],
+        ["variations", "--trials", "-3"],
+        ["chain", "--samples", "0"],
+    ],
+    ids=lambda argv: " ".join(argv),
+)
+def test_bad_node_point_or_sample_count_exits_2(bad_argument_inputs, capsys, argv):
+    # a node off the interior, a point that is not two numbers, and a verdict
+    # that would rest on no trial, sample or rung are refused as input
+    name = "tuple.json" if argv[0] == "chain" else "field.json"
+    assert main(argv + ["--input", str(bad_argument_inputs / name)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(("error: ", "input error: "))
 
 
 def test_chain_two_site_hand_value(tmp_path, capsys):
@@ -278,7 +313,7 @@ def test_certificate_cli(tmp_path, capsys):
     want_csv = tmp_path / "want.csv"
     _dump_json(
         {"w": [0.0, 0.0], "certificates": [c.to_dict() for c in certs],
-         "constants": _constants_block(2, 2)},
+         "constants": constants_block(2, 2)},
         str(want_json),
     )
     _write_csv(str(want_csv), ["R", "alpha1", "alpha2", "beta", "modulus"],

@@ -5,9 +5,11 @@ it depends on module names only, never on time.  Importing `qvalued.cli`
 loads no scipy module, and neither do the analysis commands, `chain` and
 `minimize` on a rim-only mask.  Only `minimize`'s SuperLU fallback loads
 `scipy.sparse.linalg`, and only `frame_with_extra_directions` loads
-`scipy.stats`.
+`scipy.stats`.  The CLI also imports no private name of another qvalued
+module, which the last check reads from its source.
 """
 
+import ast
 import json
 import os
 import subprocess
@@ -135,3 +137,18 @@ def test_metric_command_loads_no_optimize(tmp_path):
     loaded = lazy_modules_loaded(RUN_CLI, "metric", *map(str, paths), "--output", str(out))
     assert loaded == set()
     assert len(json.loads(out.read_text())["matching"]) == 7
+
+
+def test_cli_imports_only_public_names():
+    # the reports reach the package through its public API, never through
+    # another module's internals (dunder names such as __version__ are public)
+    tree = ast.parse(Path(qvalued.__file__).with_name("cli.py").read_text())
+    private = [
+        f"{node.module or '.'}.{alias.name}"
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom)
+        and (node.level > 0 or (node.module or "").startswith("qvalued"))
+        for alias in node.names
+        if alias.name.startswith("_") and not alias.name.endswith("__")
+    ]
+    assert private == []

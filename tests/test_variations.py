@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -30,7 +31,8 @@ from qvalued import (
     support,
     xi0,
 )
-from qvalued.variations import cutoff_weights
+from qvalued.cli import main
+from qvalued.variations import RETRACTION_LIPSCHITZ, cutoff_weights
 
 from helpers import (
     harmonic_boundary_field,
@@ -42,7 +44,7 @@ from helpers import (
     two_sheet_field,
     unit_square_grid,
 )
-from oracles import full_grid_domain_derivative, full_grid_range_derivative
+from oracles import full_grid_domain_derivative, full_grid_range_derivative, retraction_lipschitz
 
 
 @pytest.fixture(scope="module")
@@ -237,7 +239,36 @@ def test_retraction_vanishes_at_sites_and_far(minimized_strong_97):
     y2 = y1 + rng.normal(size=(200, 2)) * 0.05 * sigma
     num = np.linalg.norm(rv.retraction(y1) - rv.retraction(y2), axis=-1)
     den = np.linalg.norm(y1 - y2, axis=-1)
-    assert (num / den).max() <= 5.0 / sigma + 1e-6
+    assert (num / den).max() <= RETRACTION_LIPSCHITZ + 1e-6
+
+
+def test_retraction_lipschitz_constant_is_sharp(minimized_strong_97):
+    # the constant is that of the radial profile s chi(s), and a short radial
+    # pair about s = 0.2 sigma (2 + 0.5486) attains it at the level's own sigma
+    assert RETRACTION_LIPSCHITZ == pytest.approx(retraction_lipschitz(), rel=1e-9)
+    _, _, _, _, rv = _range_setup(minimized_strong_97)
+    e = np.array([0.6, 0.8])
+    s = 0.2 * rv.sigma * (2 + 0.5486)
+    y = rv.sites[0] + np.outer([s - 1e-4 * rv.sigma, s + 1e-4 * rv.sigma], e)
+    ratio = np.linalg.norm(np.subtract(*rv.retraction(y))) / np.linalg.norm(y[1] - y[0])
+    assert ratio == pytest.approx(RETRACTION_LIPSCHITZ, rel=1e-6)
+    assert ratio <= RETRACTION_LIPSCHITZ
+
+
+def test_stationarity_residual_does_not_depend_on_the_field_scale(tmp_path):
+    # the retraction check compares pure numbers, so the field scaled by 4
+    # (exact in floats) is no longer refused: its energy and domain
+    # derivatives are exactly 16 times those of the field
+    f = two_sheet_field(33, seed=0)
+    frame = standard_frame(2, 2)
+    big = GridField(4.0 * f.values, f.spacing, f.origin)
+    res = stationarity_residual(f, frame, trials=8)
+    res_big = stationarity_residual(big, frame, trials=8)
+    assert res_big.energy == 16 * res.energy
+    assert res_big.domain_derivatives == tuple(16 * d for d in res.domain_derivatives)
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps(big.to_dict()))
+    assert main(["variations", "--input", str(path), "--output", str(tmp_path / "out.json")]) == 0
 
 
 def test_build_admissible_variation_validation(minimized_strong_97):
