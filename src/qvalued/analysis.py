@@ -110,18 +110,18 @@ class HopfField:
 def hopf_differential(f: GridField, frame: ProjectionFrame) -> HopfField:
     """Hopf density and |grad f|^2 of the field from central differences on
     the edge matchings of `_match_edges`: the east and north neighbours are
-    gathered by the node's own edge permutations, the west and south ones
-    scattered by the inverse of the incoming edge's.  phi and |grad f|^2 do
-    not read the frame, so every frame gives the same floats.  The embedding
+    gathered by the node's own edge permutations, the west and south ones by
+    the inverse of the incoming edge's.  phi and |grad f|^2 do not read the
+    frame, so every frame gives the same floats.  The embedding
     `embed_grid(f, frame)` and its cell energy belong to the frame; they are
     kept on the result with the frame and a copy of the values, so that the
     diagnostics reading this field's companion embed nothing again.
 
     Sheets move as whole rows of the (nodes * Q, n) view of the values, row
-    node * Q + sheet.  The degenerate test takes one square root of the
-    minimum and of the maximum squared distance (`_sum_sq`): sqrt is monotone
-    and correctly rounded, so those are the floats the minimum and maximum
-    of the norms give."""
+    node * Q + sheet, one `np.take` per neighbour.  The degenerate test takes
+    one square root of the minimum and of the maximum squared distance
+    (`_sum_sq`): sqrt is monotone and correctly rounded, so those are the
+    floats the minimum and maximum of the norms give."""
     if f.nx < 3 or f.ny < 3:
         raise InvalidInputError("need interior nodes to form central differences")
     farr = embed_grid(f, frame)
@@ -130,14 +130,15 @@ def hopf_differential(f: GridField, frame: ProjectionFrame) -> HopfField:
     px, py, _ = _match_edges(v)
     rows = v.reshape(-1, n)
     node = q * np.arange(ny * nx).reshape(ny, nx)[1:-1, 1:-1, None]
-    own = q * np.arange((ny - 2) * (nx - 2)).reshape(ny - 2, nx - 2, 1)
     c = v[1:-1, 1:-1]
-    east = rows[node + q + px[1:-1, 1:]]
-    north = rows[node + nx * q + py[1:, 1:-1]]
-    # C order, so that their row views below are views
-    west, south = np.empty(c.shape, v.dtype), np.empty(c.shape, v.dtype)
-    west.reshape(-1, n)[own + px[1:-1, :-1]] = v[1:-1, :-2]
-    south.reshape(-1, n)[own + py[:-1, 1:-1]] = v[:-2, 1:-1]
+    east = np.take(rows, node + q + px[1:-1, 1:], axis=0)
+    north = np.take(rows, node + nx * q + py[1:, 1:-1], axis=0)
+    # argsort inverts each incoming edge's permutation; on rows of Q distinct
+    # labels every sort kind agrees, and the stable one is the fastest here
+    west_of = np.argsort(px[1:-1, :-1], axis=-1, kind="stable")
+    south_of = np.argsort(py[:-1, 1:-1], axis=-1, kind="stable")
+    west = np.take(rows, node - q + west_of, axis=0)
+    south = np.take(rows, node - nx * q + south_of, axis=0)
     du, dv = (east - west) / (2 * f.spacing), (north - south) / (2 * f.spacing)
     uu = np.einsum("...qa,...qa->...", du, du)
     vv = np.einsum("...qa,...qa->...", dv, dv)

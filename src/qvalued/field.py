@@ -34,6 +34,9 @@ DEFAULT_C_CL = math.sqrt(4.0 * math.pi / math.log(2.0))
 #: disc nodes beyond which `disc_oscillation` draws a seeded random subset
 OSC_MAX_NODES = 400
 OSC_SEED = 0
+#: bytes of interpolation work a Courant-Lebesgue scan holds at once: its
+#: circles are interpolated together in batches that fit this budget
+SCAN_BATCH_BYTES = 1 << 22
 
 
 @dataclass(frozen=True)
@@ -542,6 +545,11 @@ def bilinear_array(arr: np.ndarray, f: GridField, pts: np.ndarray) -> np.ndarray
     Interpolating an `embed_grid` array keeps each sorted block sorted, so the
     result is a valid embedded value wherever the field's sheets vary
     continuously.
+
+    Each corner is one row gather from the (ny * nx, m) view of arr, and the
+    four weighted corners are added left to right into one array, so the
+    floats are those of the corner-by-corner sum
+    a00 (1 - tx)(1 - ty) + a01 tx (1 - ty) + a10 (1 - tx) ty + a11 tx ty.
     """
     pts = np.asarray(pts, dtype=np.float64)
     gx = (pts[..., 0] - f.origin[0]) / f.spacing
@@ -554,12 +562,16 @@ def bilinear_array(arr: np.ndarray, f: GridField, pts: np.ndarray) -> np.ndarray
     j0 = np.clip(np.floor(gy).astype(np.intp), 0, f.ny - 2)
     tx = (gx - i0)[..., None]
     ty = (gy - j0)[..., None]
-    return (
-        arr[j0, i0] * (1 - tx) * (1 - ty)
-        + arr[j0, i0 + 1] * tx * (1 - ty)
-        + arr[j0 + 1, i0] * (1 - tx) * ty
-        + arr[j0 + 1, i0 + 1] * tx * ty
-    )
+    ux, uy = 1 - tx, 1 - ty
+    rows = arr.reshape(-1, arr.shape[-1])
+    base = j0 * f.nx + i0
+    out = np.take(rows, base, axis=0)
+    out *= ux
+    out *= uy
+    out += np.take(rows, base + 1, axis=0) * tx * uy
+    out += np.take(rows, base + f.nx, axis=0) * ux * ty
+    out += np.take(rows, base + f.nx + 1, axis=0) * tx * ty
+    return out
 
 
 def disc_energy(f: GridField, frame: ProjectionFrame, w0: tuple[float, float], r: float) -> float:
@@ -568,19 +580,56 @@ def disc_energy(f: GridField, frame: ProjectionFrame, w0: tuple[float, float], r
     return _disc_cell_sum(br.per_cell, f, w0, r)
 
 
+def _require_finite_disc(w0: tuple[float, float], r: float):
+    """Refuse a disc whose centre or radius is not a finite number, or whose
+    radius is negative: NaN passes every comparison of the disc tests."""
+    if not (math.isfinite(w0[0]) and math.isfinite(w0[1]) and math.isfinite(r)) or r < 0:
+        raise InvalidInputError(f"disc of radius {r} at {w0} needs a finite centre and radius >= 0")
+
+
+def _cell_span(c: float, r: float, origin: float, h: float, cells: int) -> slice:
+    """Cells of one axis whose centers origin + (i + 1/2) h can lie within r
+    of c, with one cell of slack each way for rounding."""
+    lo = math.floor((c - r - origin) / h - 0.5) - 1
+    hi = math.floor((c + r - origin) / h - 0.5) + 2
+    return slice(min(max(lo, 0), cells), min(max(hi, 0), cells))
+
+
+def _disc_cell_window(
+    f: GridField, w0: tuple[float, float], r: float
+) -> tuple[tuple[slice, slice], np.ndarray]:
+    """The cells whose centers lie in the disc U_r(w0): the (rows, columns)
+    window of the cell grid that bounds the disc, and their mask in it.
+
+    Each cell is tested with the same center and the same test as on the
+    full cell grid, so the window holds every cell of the full-grid mask."""
+    _require_finite_disc(w0, r)
+    rows = _cell_span(w0[1], r, f.origin[1], f.spacing, f.ny - 1)
+    cols = _cell_span(w0[0], r, f.origin[0], f.spacing, f.nx - 1)
+    cx = f.origin[0] + f.spacing * (np.arange(cols.start, cols.stop) + 0.5)
+    cy = f.origin[1] + f.spacing * (np.arange(rows.start, rows.stop) + 0.5)
+    return (rows, cols), (cx[None, :] - w0[0]) ** 2 + (cy[:, None] - w0[1]) ** 2 <= r**2
+
+
 def _disc_cell_mask(f: GridField, w0: tuple[float, float], r: float) -> np.ndarray:
     """Cells whose centers lie in the disc U_r(w0), as a (ny - 1, nx - 1) mask."""
-    cx = f.origin[0] + f.spacing * (np.arange(f.nx - 1) + 0.5)
-    cy = f.origin[1] + f.spacing * (np.arange(f.ny - 1) + 0.5)
-    gx, gy = np.meshgrid(cx, cy)
-    return (gx - w0[0]) ** 2 + (gy - w0[1]) ** 2 <= r**2
+    window, inside = _disc_cell_window(f, w0, r)
+    mask = np.zeros((f.ny - 1, f.nx - 1), dtype=bool)
+    mask[window] = inside
+    return mask
 
 
 def _disc_cell_sum(per_cell: np.ndarray, f: GridField, w0: tuple[float, float], r: float) -> float:
-    return float(per_cell[_disc_cell_mask(f, w0, r)].sum())
+    """Sum of per_cell over the cells whose centers lie in the disc U_r(w0).
+
+    The cells are taken from the disc's window in row-major order, the
+    elements and order of the full-grid mask, so the sum is the same float."""
+    window, inside = _disc_cell_window(f, w0, r)
+    return float(per_cell[window][inside].sum())
 
 
 def _require_disc_inside(f: GridField, w0: tuple[float, float], r: float):
+    _require_finite_disc(w0, r)
     x0, y0 = f.origin
     x1 = x0 + (f.nx - 1) * f.spacing
     y1 = y0 + (f.ny - 1) * f.spacing
@@ -589,10 +638,13 @@ def _require_disc_inside(f: GridField, w0: tuple[float, float], r: float):
         raise InvalidInputError(f"disc of radius {r} at {w0} exits the grid")
 
 
+def _circle_size(r: float, spacing: float) -> int:
+    return max(8, 4 * int(math.ceil(2 * math.pi * r / spacing)))
+
+
 def circle_points(w0: tuple[float, float], r: float, spacing: float) -> np.ndarray:
     """Resolution-proportional circle sample: 4*ceil(2*pi*r/h) points."""
-    m = max(8, 4 * int(math.ceil(2 * math.pi * r / spacing)))
-    th = np.linspace(0.0, 2 * math.pi, m, endpoint=False)
+    th = np.linspace(0.0, 2 * math.pi, _circle_size(r, spacing), endpoint=False)
     return np.stack([w0[0] + r * np.cos(th), w0[1] + r * np.sin(th)], axis=-1)
 
 
@@ -611,6 +663,30 @@ def courant_lebesgue_slice(
     return _slice_scan(f, embed_grid(f, frame), w0, radius)
 
 
+def _scan_circles(f: GridField, farr: np.ndarray, w0: tuple[float, float], radii: np.ndarray):
+    """Yield (r, embedded circle samples) for each radius, in order.
+
+    Consecutive circles are interpolated by one `bilinear_array` call while
+    their samples' working memory stays within SCAN_BATCH_BYTES; a circle
+    larger than that is a batch of its own.  A sample of m embedded values
+    holds 8 (3m + 16) bytes at the peak: its point and the batch's copy of
+    it, its cell index and weights, the running sum and one weighted corner.
+    Interpolation acts on each point alone, so a circle gets the same floats
+    in any batch."""
+    sizes = [_circle_size(r, f.spacing) for r in radii]
+    per_sample = 8 * (3 * farr.shape[-1] + 16)
+    start = 0
+    while start < len(radii):
+        stop, used = start + 1, sizes[start]
+        while stop < len(radii) and (used + sizes[stop]) * per_sample <= SCAN_BATCH_BYTES:
+            used += sizes[stop]
+            stop += 1
+        pts = np.concatenate([circle_points(w0, r, f.spacing) for r in radii[start:stop]])
+        vals = bilinear_array(farr, f, pts)
+        yield from zip(radii[start:stop], np.split(vals, np.cumsum(sizes[start : stop - 1])))
+        start = stop
+
+
 def _slice_scan(
     f: GridField, farr: np.ndarray, w0: tuple[float, float], radius: float
 ) -> tuple[float, float]:
@@ -621,8 +697,7 @@ def _slice_scan(
     radii = np.arange(radius / 2, radius + f.spacing / 4, f.spacing)
     radii[-1] = min(radii[-1], radius)
     best = (float("nan"), float("inf"))
-    for r in radii:
-        vals = bilinear_array(farr, f, circle_points(w0, r, f.spacing))
+    for r, vals in _scan_circles(f, farr, w0, radii):
         # the oscillation is at least the floor's root, so a root at or
         # above the best oscillation cannot pass the strict test below
         if math.sqrt(_pairwise_floor(vals)) >= best[1]:

@@ -65,26 +65,31 @@ class DomainVariation:
     direction: tuple[float, float]
 
     def __post_init__(self):
+        if not all(map(math.isfinite, (*self.center, self.radius, *self.direction))):
+            raise InvalidInputError("bump centre, radius and direction must be finite")
         if self.radius <= 0:
             raise InvalidInputError("bump radius must be positive")
 
     def displacement(self, pts: np.ndarray) -> np.ndarray:
-        s2 = ((pts - np.asarray(self.center)) ** 2).sum(-1) / self.radius**2
-        eta = np.zeros(s2.shape)
-        inside = s2 < 1.0
-        eta[inside] = np.exp(1.0 - 1.0 / (1.0 - s2[inside]))
-        return eta[..., None] * np.asarray(self.direction)
+        return self._displacement_and_jacobian(pts)[0]
 
     def jacobian(self, pts: np.ndarray) -> np.ndarray:
         """d(displacement)/dx at each point, shape (..., 2, 2)."""
+        return self._displacement_and_jacobian(pts)[1]
+
+    def _displacement_and_jacobian(self, pts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The displacement and its Jacobian at each point, both from one
+        evaluation of eta and its gradient, which vanish outside the open disc."""
         rel = pts - np.asarray(self.center)
         s2 = (rel**2).sum(-1) / self.radius**2
+        eta = np.zeros(s2.shape)
         grad_eta = np.zeros(pts.shape)
         inside = s2 < 1.0
-        eta = np.exp(1.0 - 1.0 / (1.0 - s2[inside]))
-        deta_ds2 = -eta / (1.0 - s2[inside]) ** 2
+        eta[inside] = np.exp(1.0 - 1.0 / (1.0 - s2[inside]))
+        deta_ds2 = -eta[inside] / (1.0 - s2[inside]) ** 2
         grad_eta[inside] = (2.0 / self.radius**2) * deta_ds2[..., None] * rel[inside]
-        return np.asarray(self.direction)[:, None] * grad_eta[..., None, :]
+        d = np.asarray(self.direction)
+        return eta[..., None] * d, d[:, None] * grad_eta[..., None, :]
 
 
 def _interior_box(f: GridField) -> tuple[float, float, float, float]:
@@ -130,8 +135,7 @@ def _domain_derivative(f: GridField, farr: np.ndarray, v: DomainVariation) -> fl
     sy = _support_nodes(v.center[1], v.radius, f.origin[1], f.spacing)
     xg, yg = np.meshgrid(f.xs[sx], f.ys[sy])
     pts = np.stack([xg, yg], axis=-1)
-    disp = v.displacement(pts)
-    jac = v.jacobian(pts)
+    disp, jac = v._displacement_and_jacobian(pts)
     for sgn in (1.0, -1.0):
         m = np.eye(2) + sgn * t * jac
         det = m[..., 0, 0] * m[..., 1, 1] - m[..., 0, 1] * m[..., 1, 0]

@@ -2,11 +2,14 @@
 
 Everything here is implemented from first principles (brute force,
 enumeration, direct sparse solves, quadrature) and never calls back into
-the code paths it is used to check.  Two are exceptions.  The full-grid
-first variations re-embed and sum the whole grid at +t and -t, sharing
-only the embedding, interpolation and energy primitives with the local
-derivatives they check.  The node-by-node Hopf stencil shares only the
-assignment kernel with `hopf_differential`.
+the code paths it is used to check.  Three are exceptions.  The full-grid
+first variations re-embed and sum the whole grid at +t and -t, sharing the
+embedding and energy primitives, and the bump, cutoff and retraction of the
+variation, with the local derivatives they check; they interpolate with
+`index_bilinear`.  The full slice scan shares the embedding and the circle
+sample with `courant_lebesgue_slice`, and also interpolates with
+`index_bilinear`.  The node-by-node Hopf stencil shares only the assignment
+kernel with `hopf_differential`.
 """
 
 import functools
@@ -319,18 +322,41 @@ def max_pairwise_distance(vals: np.ndarray) -> float:
     return float(math.sqrt(d2.max()))
 
 
+def index_bilinear(arr: np.ndarray, f, pts: np.ndarray) -> np.ndarray:
+    """Bilinear interpolation of a nodal (ny, nx, m) array at physical points,
+    each corner read by 2-D integer indexing and the four weighted corners
+    summed in one expression."""
+    pts = np.asarray(pts, dtype=np.float64)
+    gx = (pts[..., 0] - f.origin[0]) / f.spacing
+    gy = (pts[..., 1] - f.origin[1]) / f.spacing
+    if np.any(gx < -1e-9) or np.any(gx > f.nx - 1 + 1e-9) or np.any(gy < -1e-9) or np.any(
+        gy > f.ny - 1 + 1e-9
+    ):
+        raise ValueError("interpolation point outside the grid")
+    i0 = np.clip(np.floor(gx).astype(np.intp), 0, f.nx - 2)
+    j0 = np.clip(np.floor(gy).astype(np.intp), 0, f.ny - 2)
+    tx = (gx - i0)[..., None]
+    ty = (gy - j0)[..., None]
+    return (
+        arr[j0, i0] * (1 - tx) * (1 - ty)
+        + arr[j0, i0 + 1] * tx * (1 - ty)
+        + arr[j0 + 1, i0] * (1 - tx) * ty
+        + arr[j0 + 1, i0 + 1] * tx * ty
+    )
+
+
 def full_slice_scan(f, frame, w0, radius) -> tuple[float, float]:
     """`courant_lebesgue_slice` with `max_pairwise_distance` run at every
-    radius of the scan, none skipped."""
+    radius of the scan, none skipped, each circle interpolated on its own."""
     from qvalued import embed_grid
-    from qvalued.field import bilinear_array, circle_points
+    from qvalued.field import circle_points
 
     farr = embed_grid(f, frame)
     radii = np.arange(radius / 2, radius + f.spacing / 4, f.spacing)
     radii[-1] = min(radii[-1], radius)
     best = (float("nan"), float("inf"))
     for r in radii:
-        osc = max_pairwise_distance(bilinear_array(farr, f, circle_points(w0, r, f.spacing)))
+        osc = max_pairwise_distance(index_bilinear(farr, f, circle_points(w0, r, f.spacing)))
         if osc < best[1]:
             best = (float(r), osc)
     return best
@@ -340,7 +366,7 @@ def full_grid_domain_derivative(f, frame, v) -> float:
     """Central-difference domain derivative from the energies of the whole
     interpolated grid at +t and -t."""
     from qvalued import InvalidStepError, embed_grid
-    from qvalued.field import bilinear_array, embedded_energy
+    from qvalued.field import embedded_energy
     from qvalued.variations import _check_support_interior
 
     _check_support_interior(f, v)
@@ -355,8 +381,8 @@ def full_grid_domain_derivative(f, frame, v) -> float:
         if np.any(det <= 0):
             raise InvalidStepError(f"step {t} makes the domain map non-diffeomorphic")
     farr = embed_grid(f, frame)
-    e_plus = embedded_energy(bilinear_array(farr, f, pts + t * disp)).total
-    e_minus = embedded_energy(bilinear_array(farr, f, pts - t * disp)).total
+    e_plus = embedded_energy(index_bilinear(farr, f, pts + t * disp)).total
+    e_minus = embedded_energy(index_bilinear(farr, f, pts - t * disp)).total
     return (e_plus - e_minus) / (2 * t)
 
 
@@ -411,10 +437,16 @@ def full_grid_cutoff(dst, rho, eps, f, w0, r) -> tuple[np.ndarray, np.ndarray]:
             t = np.clip((rho - dsub) / eps, 0.0, 1.0)
             lam += t**3 * (10.0 - 15.0 * t + 6.0 * t**2)
     lam /= n**2
+    return lam, full_disc_cell_mask(f, w0, r)
+
+
+def full_disc_cell_mask(f, w0, r) -> np.ndarray:
+    """The cells whose centers lie in the disc U_r(w0), tested over the whole
+    (ny - 1, nx - 1) cell grid."""
     cx = f.origin[0] + f.spacing * (np.arange(f.nx - 1) + 0.5)
     cy = f.origin[1] + f.spacing * (np.arange(f.ny - 1) + 0.5)
     gx, gy = np.meshgrid(cx, cy)
-    return lam, (gx - w0[0]) ** 2 + (gy - w0[1]) ** 2 <= r**2
+    return (gx - w0[0]) ** 2 + (gy - w0[1]) ** 2 <= r**2
 
 
 def full_grid_psi(dst, e_cell, rho, eps, f, w0, r) -> float:

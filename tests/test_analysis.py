@@ -13,9 +13,11 @@ from qvalued import (
     build_admissible_variation,
     conformality_defect,
     continuity_certificate,
+    courant_lebesgue_slice,
     d_star,
     delta_constant,
     dirichlet_energy,
+    disc_energy,
     disc_oscillation,
     embed_grid,
     harmonic_companion,
@@ -990,6 +992,40 @@ def test_continuity_certificate_sqrt_decreasing_and_bounds_osc():
         assert cert.modulus >= osc
         mods.append(cert.modulus)
     assert mods[0] > mods[1] > mods[2]
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_non_finite_disc_is_refused(bad):
+    # NaN passes every comparison of the disc tests and inf the window's
+    # bounds, so every entry point refuses a non-finite centre or radius
+    f = two_sheet_field(33, seed=0)
+    fr = standard_frame(2, 2)
+    comp = harmonic_companion(hopf_differential(f, fr))
+    node = (16, 16)
+    w = tuple(f.node_position(node))
+    calls = [
+        lambda: courant_lebesgue_slice(f, fr, (bad, 0.0), 0.3),
+        lambda: courant_lebesgue_slice(f, fr, w, bad),
+        lambda: tau_star(f, fr, node, (0.0, bad), 0.3),
+        lambda: tau_star(f, fr, node, w, bad),
+        lambda: disc_energy(f, fr, (bad, 0.0), 0.3),
+        lambda: disc_energy(f, fr, w, bad),
+        lambda: continuity_certificate(f, fr, (bad, 0.0), 0.3, comp),
+        lambda: continuity_certificate(f, fr, w, bad, comp),
+        lambda: key_lemma_check(f, comp, node, bad, fr),
+    ]
+    for call in calls:
+        with pytest.raises(InvalidInputError, match="finite"):
+            call()
+
+
+def test_negative_disc_radius_is_refused():
+    f = two_sheet_field(33, seed=0)
+    fr = standard_frame(2, 2)
+    with pytest.raises(InvalidInputError, match="radius >= 0"):
+        disc_energy(f, fr, (0.0, 0.0), -0.3)
+    with pytest.raises(InvalidInputError, match="radius >= 0"):
+        tau_star(f, fr, (16, 16), (0.0, 0.0), -0.3)
 
 
 def test_energy_density_floor(minimized_strong_97):

@@ -146,6 +146,8 @@ def bad_argument_inputs(tmp_path_factory):
         ["monotonicity", "--wstar", "16,16", "--ladder", "0.1:0.9:0"],
         ["certificate", "--w", "0"],
         ["certificate", "--w", "0,0,0"],
+        ["certificate", "--w", "nan,0"],
+        ["certificate", "--w", "0,0", "--radii", "nan"],
         ["variations", "--trials", "0"],
         ["variations", "--trials", "-3"],
         ["chain", "--samples", "0"],

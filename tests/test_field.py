@@ -37,8 +37,10 @@ from helpers import (
 from oracles import (
     einsum_embedding,
     frozen_quadratic_solve,
+    full_disc_cell_mask,
     full_slice_scan,
     harmonic_extension,
+    index_bilinear,
     max_pairwise_distance,
     sqrt_circle_oscillation,
     sqrt_disc_energy,
@@ -474,6 +476,74 @@ def test_courant_lebesgue_disc_outside_grid():
     fr = standard_frame(2, 2)
     with pytest.raises(InvalidInputError):
         courant_lebesgue_slice(f, fr, (0.9, 0.9), 0.5)
+
+
+@pytest.mark.parametrize("m", [1, 4, 10])
+def test_bilinear_array_equals_index_oracle(m):
+    # one row take per corner and a running sum give the floats of the 2-D
+    # index corner sum: at nodes, on the last row and column (where the cell
+    # index clips to n - 2), within the 1e-9 rim tolerance and inside
+    from qvalued.field import bilinear_array
+
+    rng = np.random.default_rng(m)
+    f = GridField(np.zeros((9, 13, 1, 1)), 0.125, (-0.5, 0.25))
+    arr = rng.normal(size=(9, 13, m))
+    xs, ys = f.xs, f.ys
+    nodes = np.stack(np.meshgrid(xs, ys), axis=-1)
+    last = np.array([(xs[-1], y) for y in ys] + [(x, ys[-1]) for x in xs])
+    rim = np.array([(xs[0] - 1e-10, ys[3]), (xs[-1] + 1e-10, ys[2]), (xs[4], ys[0] - 1e-10),
+                    (xs[5], ys[-1] + 1e-10), (xs[-1] + 1e-10, ys[-1] + 1e-10)])
+    inside = rng.uniform((xs[0], ys[0]), (xs[-1], ys[-1]), size=(6, 7, 2))
+    for pts in (nodes, last, rim, inside):
+        got = bilinear_array(arr, f, pts)
+        assert got.shape == pts.shape[:-1] + (m,)
+        assert np.array_equal(got, index_bilinear(arr, f, pts))
+    assert np.array_equal(bilinear_array(arr, f, nodes), arr)
+    with pytest.raises(InvalidInputError):
+        bilinear_array(arr, f, np.array([(xs[-1] + 1e-6, ys[0])]))
+
+
+def test_courant_lebesgue_slice_batches_within_the_byte_budget():
+    # the circles of a scan near the rim of a 513^2 grid hold about 590k
+    # samples; interpolated in batches they give the full scan's answer, and
+    # the scan holds no more than the budget plus one circle's arrays: its
+    # interpolation work and a Gram matrix of 512 rows with its masks
+    import tracemalloc
+
+    import qvalued.field as field
+
+    f = root_grid_field(513, 2, z0=0.05 - 0.1j)
+    fr = standard_frame(2, 2)
+    farr = embed_grid(f, fr)
+    w0, radius = (0.01, -0.02), 0.97
+    tracemalloc.start()
+    try:
+        got = field._slice_scan(f, farr, w0, radius)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert got == full_slice_scan(f, fr, w0, radius)
+    circle = field._circle_size(radius, f.spacing) * 8 * (3 * farr.shape[-1] + 16) + 3 * 8 * 512**2
+    assert peak <= field.SCAN_BATCH_BYTES + circle
+
+
+def test_disc_cell_sum_equals_full_grid_mask():
+    # the window holds every cell of the full-grid mask, in row-major order,
+    # so the sums are the same floats: discs inside, across the rim, beyond
+    # it, of radius 0 and with cell centers exactly on the circle
+    from qvalued.field import _disc_cell_mask, _disc_cell_sum
+
+    rng = np.random.default_rng(3)
+    f = GridField(np.zeros((41, 57, 1, 1)), 0.05, (-1.3, -0.9))
+    per_cell = rng.normal(size=(40, 56)) ** 2
+    c = (f.origin[0] + 20.5 * f.spacing, f.origin[1] + 10.5 * f.spacing)
+    discs = [(c, 3 * f.spacing), (c, 5 * f.spacing), (c, 0.0), ((-1.3, -0.9), 0.4),
+             ((1.5, 1.2), 0.3), ((5.0, 5.0), 1.0), ((0.0, 0.0), 10.0)]
+    discs += [(tuple(rng.uniform((-1.5, -1.1), (1.7, 1.3))), rng.uniform(0.0, 1.0)) for _ in range(40)]
+    for w0, r in discs:
+        mask = full_disc_cell_mask(f, w0, r)
+        assert np.array_equal(_disc_cell_mask(f, w0, r), mask)
+        assert _disc_cell_sum(per_cell, f, w0, r) == float(per_cell[mask].sum())
 
 
 def test_gridspec_validation():

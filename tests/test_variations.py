@@ -76,6 +76,15 @@ def test_domain_variation_support_validation():
         domain_variation_derivative(f, standard_frame(2, 2), v)
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_domain_variation_refuses_non_finite_bumps(bad):
+    # a NaN direction made the derivative NaN, and a NaN radius passed radius <= 0
+    for args in (((bad, 0.0), 0.3, (1.0, 0.0)), ((0.0, 0.0), bad, (1.0, 0.0)),
+                 ((0.0, 0.0), 0.3, (1.0, bad))):
+        with pytest.raises(InvalidInputError, match="finite"):
+            DomainVariation(*args)
+
+
 def test_domain_variation_invalid_step():
     # at the step t = h^2 a bump of size 5 / h^2 moves the domain as a unit
     # bump at t = 5 would: the map folds over, so the derivative is refused
