@@ -758,6 +758,7 @@ def disc_oscillation(f: GridField, w0: tuple[float, float], r: float) -> float:
     of that size drawn with seed ``OSC_SEED``, so the result is then a lower
     bound on the true oscillation.
     """
+    _require_finite_disc(w0, r)
     gx, gy = np.meshgrid(f.xs, f.ys)
     mask = (gx - w0[0]) ** 2 + (gy - w0[1]) ** 2 <= r**2
     nodes = f.values[mask]

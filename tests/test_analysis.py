@@ -1013,6 +1013,8 @@ def test_non_finite_disc_is_refused(bad):
         lambda: continuity_certificate(f, fr, (bad, 0.0), 0.3, comp),
         lambda: continuity_certificate(f, fr, w, bad, comp),
         lambda: key_lemma_check(f, comp, node, bad, fr),
+        lambda: disc_oscillation(f, (bad, 0.0), 0.3),
+        lambda: disc_oscillation(f, w, bad),
     ]
     for call in calls:
         with pytest.raises(InvalidInputError, match="finite"):
