@@ -536,9 +536,12 @@ def test_disc_cell_sum_equals_full_grid_mask():
     rng = np.random.default_rng(3)
     f = GridField(np.zeros((41, 57, 1, 1)), 0.05, (-1.3, -0.9))
     per_cell = rng.normal(size=(40, 56)) ** 2
-    c = (f.origin[0] + 20.5 * f.spacing, f.origin[1] + 10.5 * f.spacing)
-    discs = [(c, 3 * f.spacing), (c, 5 * f.spacing), (c, 0.0), ((-1.3, -0.9), 0.4),
-             ((1.5, 1.2), 0.3), ((5.0, 5.0), 1.0), ((0.0, 0.0), 10.0)]
+    # a disc centred on a cell center with radius k h has cell centers on its
+    # circle, where rounding decides the test: the window's slack covers them
+    h, (x0, y0) = f.spacing, f.origin
+    discs = [((x0 + (ix + 0.5) * h, y0 + (iy + 0.5) * h), k * h)
+             for ix in range(5, 50, 3) for iy in (10, 20, 29) for k in range(8)]
+    discs += [((-1.3, -0.9), 0.4), ((1.5, 1.2), 0.3), ((5.0, 5.0), 1.0), ((0.0, 0.0), 10.0)]
     discs += [(tuple(rng.uniform((-1.5, -1.1), (1.7, 1.3))), rng.uniform(0.0, 1.0)) for _ in range(40)]
     for w0, r in discs:
         mask = full_disc_cell_mask(f, w0, r)
