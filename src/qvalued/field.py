@@ -589,8 +589,10 @@ def _require_finite_disc(w0: tuple[float, float], r: float):
 
 def _cell_span(c: float, r: float, origin: float, h: float, cells: int) -> slice:
     """Cells of one axis whose centers origin + (i + 1/2) h can lie within r
-    of c, with one cell of slack each way for rounding."""
-    lo = math.floor((c - r - origin) / h - 0.5) - 1
+    of c.  The floor already starts at or below the first such cell; the
+    stop is one past the last plus one cell of slack, since a center on the
+    circle can pass the disc test while the floor rounds below it."""
+    lo = math.floor((c - r - origin) / h - 0.5)
     hi = math.floor((c + r - origin) / h - 0.5) + 2
     return slice(min(max(lo, 0), cells), min(max(hi, 0), cells))
 
