@@ -5,10 +5,10 @@ enumeration, direct sparse solves, quadrature) and never calls back into
 the code paths it is used to check.  Three are exceptions.  The full-grid
 first variations re-embed and sum the whole grid at +t and -t, sharing the
 embedding and energy primitives, and the bump, cutoff and retraction of the
-variation, with the local derivatives they check; they interpolate with
-`index_bilinear`.  The full slice scan shares the embedding and the circle
-sample with `courant_lebesgue_slice`, and also interpolates with
-`index_bilinear`.  The node-by-node Hopf stencil shares only the assignment
+variation, with the local derivatives they check; the domain one
+interpolates with `index_bilinear`.  The full slice scan shares the
+embedding and the circle sample with `courant_lebesgue_slice`, and also
+interpolates with `index_bilinear`.  The node-by-node Hopf stencil shares only the assignment
 kernel with `hopf_differential`.
 """
 

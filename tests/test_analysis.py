@@ -996,8 +996,9 @@ def test_continuity_certificate_sqrt_decreasing_and_bounds_osc():
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
 def test_non_finite_disc_is_refused(bad):
-    # NaN passes every comparison of the disc tests and inf the window's
-    # bounds, so every entry point refuses a non-finite centre or radius
+    # NaN passes every comparison of the disc tests, and an infinite disc
+    # has no window of cells, so every entry point refuses a non-finite
+    # centre or radius
     f = two_sheet_field(33, seed=0)
     fr = standard_frame(2, 2)
     comp = harmonic_companion(hopf_differential(f, fr))
