@@ -36,9 +36,11 @@ from .field import (
     EnergyBreakdown,
     GridField,
     _check_frame,
-    _disc_cell_mask,
-    _disc_cell_sum,
+    _disc_cell_window,
+    _DiscWindow,
+    _grid_box,
     _match_edges,
+    _neighbour_partners,
     _require_disc_inside,
     _slice_scan,
     bilinear_array,
@@ -109,9 +111,8 @@ class HopfField:
 
 def hopf_differential(f: GridField, frame: ProjectionFrame) -> HopfField:
     """Hopf density and |grad f|^2 of the field from central differences on
-    the edge matchings of `_match_edges`: the east and north neighbours are
-    gathered by the node's own edge permutations, the west and south ones by
-    the inverse of the incoming edge's.  phi and |grad f|^2 do not read the
+    the edge matchings of `_match_edges`, each neighbour's sheets paired with
+    the node's by `_neighbour_partners`.  phi and |grad f|^2 do not read the
     frame, so every frame gives the same floats.  The embedding
     `embed_grid(f, frame)` and its cell energy belong to the frame; they are
     kept on the result with the frame and a copy of the values, so that the
@@ -129,16 +130,13 @@ def hopf_differential(f: GridField, frame: ProjectionFrame) -> HopfField:
     ny, nx, q, n = v.shape
     px, py, _ = _match_edges(v)
     rows = v.reshape(-1, n)
-    node = q * np.arange(ny * nx).reshape(ny, nx)[1:-1, 1:-1, None]
+    iy, ix = np.ogrid[1 : ny - 1, 1 : nx - 1]
+    node = q * (iy * nx + ix)[..., None]
     c = v[1:-1, 1:-1]
-    east = np.take(rows, node + q + px[1:-1, 1:], axis=0)
-    north = np.take(rows, node + nx * q + py[1:, 1:-1], axis=0)
-    # argsort inverts each incoming edge's permutation; on rows of Q distinct
-    # labels every sort kind agrees, and the stable one is the fastest here
-    west_of = np.argsort(px[1:-1, :-1], axis=-1, kind="stable")
-    south_of = np.argsort(py[:-1, 1:-1], axis=-1, kind="stable")
-    west = np.take(rows, node - q + west_of, axis=0)
-    south = np.take(rows, node - nx * q + south_of, axis=0)
+    south, west, east, north = (
+        np.take(rows, node + q * (dy * nx + dx) + partner, axis=0)
+        for (dy, dx), partner in _neighbour_partners(px, py, iy, ix)
+    )
     du, dv = (east - west) / (2 * f.spacing), (north - south) / (2 * f.spacing)
     uu = np.einsum("...qa,...qa->...", du, du)
     vv = np.einsum("...qa,...qa->...", dv, dv)
@@ -356,24 +354,10 @@ def conformality_defect(f: GridField, comp: HarmonicCompanion) -> float:
     return float(np.sqrt((np.abs(phi_g[1:-1, 1:-1]) ** 2).sum() * h * h))
 
 
-def _node_index(f: GridField, w_star: tuple[int, int]) -> tuple[int, int]:
-    iy, ix = int(w_star[0]), int(w_star[1])
-    if not (0 < iy < f.ny - 1 and 0 < ix < f.nx - 1):
-        raise InvalidInputError("base node must be interior")
-    return iy, ix
-
-
 def _rim_distance(f: GridField, w: tuple[float, float]) -> float:
     """Radius of the largest disc centred at w inside the grid rectangle."""
-    x1 = f.origin[0] + (f.nx - 1) * f.spacing
-    y1 = f.origin[1] + (f.ny - 1) * f.spacing
-    return min(w[0] - f.origin[0], x1 - w[0], w[1] - f.origin[1], y1 - w[1])
-
-
-def _node_point(f: GridField, w_star: tuple[int, int]) -> tuple[float, float]:
-    """Position of the interior node w_star."""
-    iy, ix = _node_index(f, w_star)
-    return (f.origin[0] + ix * f.spacing, f.origin[1] + iy * f.spacing)
+    x0, x1, y0, y1 = _grid_box(f, 0)
+    return min(w[0] - x0, x1 - w[0], w[1] - y0, y1 - w[1])
 
 
 def d_star(
@@ -394,7 +378,7 @@ def _d_star_terms(
 ) -> tuple[np.ndarray, np.ndarray]:
     """The level-k tuple q_k and the grid of |h(w*) - h|^2 that `d_star`
     combines, after its checks of the base node and level."""
-    iy, ix = _node_index(f, w_star)
+    iy, ix = f.interior_node(w_star)
     if not 0 <= k < len(chain.levels):
         raise InvalidInputError(f"chain level {k} out of range")
     qk = chain.levels[k].decomposition.rebuild().points
@@ -415,7 +399,7 @@ def tau_star(
 def _tau_star(f: GridField, farr: np.ndarray, w_star, w0, r) -> float:
     """`tau_star` on the embedded field farr."""
     _require_disc_inside(f, w0, r)
-    iy, ix = _node_index(f, w_star)
+    iy, ix = f.interior_node(w_star)
     vals = bilinear_array(farr, f, circle_points(w0, r, f.spacing))
     return float(np.linalg.norm(vals - farr[iy, ix], axis=-1).min())
 
@@ -442,7 +426,7 @@ class _Pivot(NamedTuple):
 def _pivot(f: GridField, comp: HarmonicCompanion, w_star, chain: NestedBallChain) -> _Pivot:
     """The cutoff disc, tau* on its circle and the pivot level k0 (the chain
     depth when tau* = 0), for the field f embedded as its companion carries it."""
-    w0 = _node_point(f, w_star)
+    w0 = tuple(f.node_position(f.interior_node(w_star)).tolist())
     r = _rim_distance(f, w0)
     tau = _tau_star(f, comp.hopf.embedded, w_star, w0, r)
     return _Pivot(w0, r, tau, k_zero(chain, tau) if tau > 0 else chain.depth)
@@ -450,7 +434,7 @@ def _pivot(f: GridField, comp: HarmonicCompanion, w_star, chain: NestedBallChain
 
 def _circle_d_star_min(f, comp: HarmonicCompanion, w_star, k: int, chain, w0, r) -> float:
     """Minimum of the level-k augmented distance over the circle (interpolated)."""
-    iy, ix = _node_index(f, w_star)
+    iy, ix = f.interior_node(w_star)
     pts = circle_points(w0, r, f.spacing)
     fvals = bilinear_array(comp.hopf.embedded, f, pts)
     target = xi0(comp.hopf.frame, chain.levels[k].decomposition.rebuild()).flat
@@ -528,7 +512,7 @@ def _check_rung(chain: NestedBallChain, k: int, piv: _Pivot, hi: float, rho: flo
             f"rho = {rho} outside the valid interval (0, {hi}) for level {k} (k0 = {piv.k0})"
         )
     eps_cap = min(chain.levels[0].sigma, piv.tau) / 10 if piv.tau > 0 else hi / 4
-    if eps <= 0 or eps >= eps_cap:
+    if not (math.isfinite(eps) and 0 < eps < eps_cap):
         raise InvalidInputError(f"ramp width eps = {eps} outside (0, {eps_cap})")
 
 
@@ -542,17 +526,10 @@ def _cutoff_cells(comp: HarmonicCompanion) -> np.ndarray:
     return _cell_average(comp.hopf.grad_sq + comp.grad_sq())
 
 
-class _DiscCells(NamedTuple):
-    """The cells whose centers lie in the cutoff disc: their mask on the cell
-    grid, their energy density and the cell area."""
-    mask: np.ndarray
-    energy: np.ndarray
-    area: float
-
-
-def _disc_cells(f: GridField, e_cell: np.ndarray, w0, r) -> _DiscCells:
-    mask = _disc_cell_mask(f, w0, r)
-    return _DiscCells(mask, e_cell[mask], f.spacing**2)
+def _rung_eps(chain: NestedBallChain, piv: _Pivot, hi0: float) -> float:
+    """Ramp width of the rungs at a base node: min(sigma_0, tau*)/20, or with
+    tau* = 0 2.5 hi0/20, hi0 level 0's valid hi: half `_check_rung`'s cap."""
+    return (min(chain.levels[0].sigma, piv.tau) if piv.tau > 0 else 2.5 * hi0) / 20
 
 
 class _LevelCutoff:
@@ -568,9 +545,9 @@ class _LevelCutoff:
     weight is the ramp's average over the cell's samples.
     """
 
-    def __init__(self, dst: np.ndarray, disc: _DiscCells):
-        m = disc.mask
-        c00, c01, c10, c11 = dst[:-1, :-1][m], dst[:-1, 1:][m], dst[1:, :-1][m], dst[1:, 1:][m]
+    def __init__(self, dst: np.ndarray, disc: _DiscWindow, e_cell: np.ndarray, area: float):
+        c00, c01 = disc.cells(dst[:-1, :-1]), disc.cells(dst[:-1, 1:])
+        c10, c11 = disc.cells(dst[1:, :-1]), disc.cells(dst[1:, 1:])
         n = PSI_SUBSAMPLES
         rows = []
         for a in range(n):
@@ -586,7 +563,8 @@ class _LevelCutoff:
         self.samples = np.stack(rows)  # (PSI_SUBSAMPLES^2, disc cells)
         self.d_min = self.samples.min(axis=0)
         self.d_max = self.samples.max(axis=0)
-        self.disc = disc
+        self.energy = disc.cells(e_cell)
+        self.area = area
 
     def psi(self, rho: float, eps: float) -> float:
         """Disc sum of weight * e_cell * h^2 at the rung (rho, eps)."""
@@ -596,7 +574,7 @@ class _LevelCutoff:
         ramp = _smoothstep((rho - self.samples[:, band]) / eps)
         # summed sample by sample, in the order a full-grid accumulation adds them
         weight[band] = sum(ramp) / PSI_SUBSAMPLES**2
-        return float((weight * self.disc.energy * self.disc.area).sum())
+        return float((weight * self.energy * self.area).sum())
 
 
 def psi_k(
@@ -623,8 +601,9 @@ def psi_k(
     piv = _pivot(f, comp, w_star, chain)
     _, hi, _ = _level_range(f, comp, w_star, k, chain, piv)
     _check_rung(chain, k, piv, hi, rho, eps)
-    disc = _disc_cells(f, _cutoff_cells(comp), piv.w0, piv.r)
-    return _LevelCutoff(d_star(f, comp, w_star, k, chain), disc).psi(rho, eps)
+    disc = _disc_cell_window(f, piv.w0, piv.r)
+    dst = d_star(f, comp, w_star, k, chain)
+    return _LevelCutoff(dst, disc, _cutoff_cells(comp), f.spacing**2).psi(rho, eps)
 
 
 @dataclass(frozen=True)
@@ -700,12 +679,13 @@ def monotonicity_report(
     _check_companion(f, comp, frame)
     piv = _pivot(f, comp, w_star, chain)
     ranges = [_level_range(f, comp, w_star, k, chain, piv) for k in range(piv.k0 + 1)]
-    eps = (min(chain.levels[0].sigma, piv.tau) if piv.tau > 0 else 2.5 * ranges[0][1]) / 20
-    disc = _disc_cells(f, _cutoff_cells(comp), piv.w0, piv.r)
+    eps = _rung_eps(chain, piv, ranges[0][1])
+    disc = _disc_cell_window(f, piv.w0, piv.r)
+    e_cell = _cutoff_cells(comp)
     levels: dict[int, list[LadderRow]] = {}
     violations: list[tuple[int, float, float]] = []
     for k, (lo, hi, mono_hi) in enumerate(ranges):
-        level = _LevelCutoff(d_star(f, comp, w_star, k, chain), disc)
+        level = _LevelCutoff(d_star(f, comp, w_star, k, chain), disc, e_cell, f.spacing**2)
         rows = []
         for rho in lo + (mono_hi - lo) * ladder:
             _check_rung(chain, k, piv, hi, rho, eps)
@@ -733,19 +713,20 @@ def key_lemma_check(
     Returns (lhs, rhs, lhs <= rhs * (1 + BOUND_SLACK)).
     """
     _check_companion(f, comp, frame)
-    w0 = _node_point(f, w_star)
+    w0 = tuple(f.node_position(f.interior_node(w_star)).tolist())
     lhs = _tau_star(f, comp.hopf.embedded, w_star, w0, r)
-    e_f = _disc_cell_sum(comp.hopf.energy.per_cell, f, w0, r)
-    e_h = _companion_disc_energy(comp, f, w0, r)
+    disc = _disc_cell_window(f, w0, r)
+    e_f = disc.sum(comp.hopf.energy.per_cell)
+    e_h = disc.sum(_companion_cell_energy(comp))
     delta = delta_constant(f.n, f.q_sheets)
     rhs = math.sqrt((e_f + e_h) / (2 * math.pi * delta))
     return lhs, rhs, lhs <= rhs * (1 + BOUND_SLACK)
 
 
-def _companion_disc_energy(
-    comp: HarmonicCompanion, f: GridField, w0: tuple[float, float], r: float
-) -> float:
-    return _disc_cell_sum(_cell_average(comp.grad_sq()) * f.spacing**2, f, w0, r)
+def _companion_cell_energy(comp: HarmonicCompanion) -> np.ndarray:
+    """Per-cell energy of the companion h, |grad h|^2 averaged over each cell
+    times its area."""
+    return _cell_average(comp.grad_sq()) * comp.hopf.spacing**2
 
 
 @dataclass(frozen=True)
@@ -792,10 +773,11 @@ def continuity_certificate(
     r0 = _rim_distance(f, w)
     slice_r, slice_osc = _slice_scan(f, comp.hopf.embedded, w, radius)
     per_cell = comp.hopf.energy.per_cell
-    e_r = _disc_cell_sum(per_cell, f, w, radius)
+    disc = _disc_cell_window(f, w, radius)
+    e_r = disc.sum(per_cell)
     alpha1 = DEFAULT_C_CL * math.sqrt(e_r)
-    c_r0 = _disc_cell_sum(per_cell, f, w, r0) / (math.pi * r0**2)
-    e_h = _companion_disc_energy(comp, f, w, radius)
+    c_r0 = _disc_cell_window(f, w, r0).sum(per_cell) / (math.pi * r0**2)
+    e_h = disc.sum(_companion_cell_energy(comp))
     beta = e_h + 2 * math.pi * c_r0**2 * radius**2 + 2 * c_r0 * e_r
     delta = delta_constant(f.n, f.q_sheets)
     alpha2 = (math.sqrt(e_r) + math.sqrt(beta)) / math.sqrt(2 * math.pi * delta)

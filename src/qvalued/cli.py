@@ -110,14 +110,6 @@ def _parse_pair(text: str, kind, option: str) -> tuple:
     return kind(parts[0]), kind(parts[1])
 
 
-def _interior_node(f: GridField, text: str) -> tuple[int, int]:
-    """The (iy, ix) of the --wstar value IX,IY, which must be an interior node of f."""
-    ix, iy = _parse_pair(text, int, "--wstar")
-    if not (0 < iy < f.ny - 1 and 0 < ix < f.nx - 1):
-        raise QValuedError(f"--wstar {text} is not an interior node of the {f.nx}x{f.ny} grid")
-    return iy, ix
-
-
 def cmd_metric(args) -> int:
     p = QPoint.from_dict(_load_json(args.inputs[0]))
     r = QPoint.from_dict(_load_json(args.inputs[1]))
@@ -217,7 +209,8 @@ def cmd_analyze(args) -> int:
 def cmd_monotonicity(args) -> int:
     f = _load_field(args)
     frame = _frame_for(args, f.n, f.q_sheets)
-    w_star = _interior_node(f, args.wstar)
+    ix, iy = _parse_pair(args.wstar, int, "--wstar")
+    w_star = f.interior_node((iy, ix))
     base = QPoint(f.values[w_star[0], w_star[1]].copy())
     chain = nested_chain(base, angle_separated_frame(support(base)))
     comp = harmonic_companion(hopf_differential(f, frame))

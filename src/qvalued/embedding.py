@@ -35,7 +35,7 @@ class ProjectionFrame:
         if dirs.shape[0] < n:
             raise InvalidInputError("need at least n directions")
         norms = np.linalg.norm(dirs, axis=1)
-        if np.any(np.abs(norms - 1.0) > UNIT_TOL):
+        if not np.all(np.abs(norms - 1.0) <= UNIT_TOL):  # NaN and inf fail it too
             raise InvalidInputError("all directions must be unit vectors (within 1e-12)")
         gram = dirs[:n] @ dirs[:n].T
         if np.abs(gram - np.eye(n)).max() > ORTHONORMAL_TOL:

@@ -22,6 +22,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -49,8 +50,14 @@ class GridSpec:
     def __post_init__(self):
         if self.nx < 2 or self.ny < 2:
             raise InvalidInputError("grid needs at least 2 nodes per axis")
-        if self.spacing <= 0:
-            raise InvalidInputError("spacing must be positive")
+        _check_geometry(self.spacing, self.origin)
+
+
+def _check_geometry(spacing: float, origin: tuple[float, float]):
+    """Refuse a spacing that is not finite and positive and an origin that is
+    not finite: NaN passes every comparison."""
+    if not (math.isfinite(spacing) and spacing > 0 and all(map(math.isfinite, origin))):
+        raise InvalidInputError(f"need a finite spacing > 0 and origin, got {spacing}, {origin}")
 
 
 @dataclass(eq=False)
@@ -72,8 +79,8 @@ class GridField:
             raise InvalidInputError("values must have shape (ny, nx, Q, n)")
         if not np.all(np.isfinite(vals)):
             raise InvalidInputError("field values must be finite")
-        if self.spacing <= 0:
-            raise InvalidInputError("spacing must be positive")
+        self.origin = (float(self.origin[0]), float(self.origin[1]))
+        _check_geometry(self.spacing, self.origin)
         self.values = vals
         ny, nx = vals.shape[:2]
         if self.boundary_mask is None:
@@ -87,7 +94,6 @@ class GridField:
             if not (mask[0].all() and mask[-1].all() and mask[:, 0].all() and mask[:, -1].all()):
                 raise InvalidInputError("boundary_mask must be True on the grid rim")
         self.boundary_mask = mask
-        self.origin = (float(self.origin[0]), float(self.origin[1]))
 
     @property
     def ny(self) -> int:
@@ -112,6 +118,13 @@ class GridField:
     @property
     def ys(self) -> np.ndarray:
         return self.origin[1] + self.spacing * np.arange(self.ny)
+
+    def interior_node(self, node: tuple[int, int]) -> tuple[int, int]:
+        """The (iy, ix) of node as ints, refused unless it is off the grid rim."""
+        iy, ix = int(node[0]), int(node[1])
+        if not (0 < iy < self.ny - 1 and 0 < ix < self.nx - 1):
+            raise InvalidInputError(f"node {(iy, ix)} is not inside the {self.nx}x{self.ny} rim")
+        return iy, ix
 
     def node_position(self, node: tuple[int, int]) -> np.ndarray:
         iy, ix = node
@@ -209,6 +222,28 @@ def _match_edges(v: np.ndarray) -> tuple[np.ndarray, np.ndarray, EnergyBreakdown
     px, gx2 = assign(v[:, :-1], v[:, 1:])
     py, gy2 = assign(v[:-1, :], v[1:, :])
     return px, py, _cell_energy(gx2, gy2)
+
+
+def _neighbour_partners(px: np.ndarray, py: np.ndarray, iy: np.ndarray,
+                        ix: np.ndarray) -> tuple[tuple[tuple[int, int], np.ndarray], ...]:
+    """The neighbours of the nodes (iy, ix), which must have all four, down,
+    left, right, up: each as its step (dy, dx) and, per node, the sheet of
+    that neighbour that sheet s of the node pairs with under px, py.
+
+    Right and up are the node's own edge permutations, one row `np.take` each
+    from the (edges, Q) view of px or py; left and down invert those of the
+    edges that end at the node, for the given nodes alone.  argsort of Q
+    distinct labels inverts under every sort kind; stable is the fastest."""
+    q, nx = py.shape[-1], py.shape[1]
+    xrows, yrows = px.reshape(-1, q), py.reshape(-1, q)
+    right = iy * (nx - 1) + ix  # the x-edge from the node to its right neighbour
+    up = iy * nx + ix           # the y-edge from the node to its upper neighbour
+    return (
+        ((-1, 0), np.argsort(np.take(yrows, up - nx, axis=0), axis=-1, kind="stable")),
+        ((0, -1), np.argsort(np.take(xrows, right - 1, axis=0), axis=-1, kind="stable")),
+        ((0, 1), np.take(xrows, right, axis=0)),
+        ((1, 0), np.take(yrows, up, axis=0)),
+    )
 
 
 @dataclass
@@ -396,14 +431,14 @@ def _fixed_neighbour_sum(v: np.ndarray, fixed: np.ndarray, px: np.ndarray,
     that its fixed neighbours (down, left, right, up) pair with it."""
     fy, fx = np.nonzero(~fixed)
     rhs = np.zeros((fy.size, *v.shape[2:]))
-    for dy, dx in ((-1, 0), (0, -1), (0, 1), (1, 0)):
-        on = np.flatnonzero(fixed[fy + dy, fx + dx])
-        iy, ix = fy[on], fx[on]
-        if dy:
-            perm = py[iy, ix] if dy > 0 else np.argsort(py[iy - 1, ix], axis=-1)
-        else:
-            perm = px[iy, ix] if dx > 0 else np.argsort(px[iy, ix - 1], axis=-1)
-        rhs[on] += v[iy[:, None] + dy, ix[:, None] + dx, perm]
+    # the free nodes next to a fixed one, the only ones whose partners are read
+    touches = np.zeros(fixed.shape, dtype=bool)
+    touches[1:-1, 1:-1] = fixed[:-2, 1:-1] | fixed[1:-1, :-2] | fixed[1:-1, 2:] | fixed[2:, 1:-1]
+    near = np.flatnonzero(touches[fy, fx])
+    iy, ix = fy[near], fx[near]
+    for (dy, dx), partner in _neighbour_partners(px, py, iy, ix):
+        on = fixed[iy + dy, ix + dx]
+        rhs[near[on]] += v[iy[on, None] + dy, ix[on, None] + dx, partner[on]]
     return rhs
 
 
@@ -419,17 +454,14 @@ def _superlu_solve(rhs: np.ndarray, fixed: np.ndarray, px: np.ndarray,
     fy, fx = np.nonzero(~fixed)
     compact = np.full(fixed.shape, -1, dtype=np.intc)
     compact[fy, fx] = np.arange(nf, dtype=np.intc)
-    nbrs = ((fy - 1, fx), (fy, fx - 1), (fy, fx + 1), (fy + 1, fx))
-    # sheet s of a free node pairs with sheet partner[s] of each neighbour
-    partners = (np.argsort(py, axis=-1)[fy - 1, fx], np.argsort(px, axis=-1)[fy, fx - 1],
-                px[fy, fx], py[fy, fx])
     # per column (free vertex) the CSC slots are ordered down, left,
     # diagonal, right, up: by node index, hence by row index
     rows = np.empty((nf, q, 5), dtype=np.intc)
     rows[..., 2] = np.arange(nf * q, dtype=np.intc).reshape(nf, q)
     on = np.ones((nf, 5), dtype=bool)
-    for slot, (y, x), sheet in zip((0, 1, 3, 4), nbrs, partners):
-        rows[..., slot] = compact[y, x][:, None] * q + sheet
+    for slot, ((dy, dx), partner) in zip((0, 1, 3, 4), _neighbour_partners(px, py, fy, fx)):
+        y, x = fy + dy, fx + dx
+        rows[..., slot] = compact[y, x][:, None] * q + partner
         on[:, slot] = ~fixed[y, x]
     on = np.broadcast_to(on[:, None, :], (nf, q, 5))
     data = np.broadcast_to(np.array([-1.0, -1.0, 4.0, -1.0, -1.0]), (nf, q, 5))[on]
@@ -576,8 +608,7 @@ def bilinear_array(arr: np.ndarray, f: GridField, pts: np.ndarray) -> np.ndarray
 
 def disc_energy(f: GridField, frame: ProjectionFrame, w0: tuple[float, float], r: float) -> float:
     """Energy restricted to cells whose centers lie in the disc U_r(w0)."""
-    br = dirichlet_energy(f, frame)
-    return _disc_cell_sum(br.per_cell, f, w0, r)
+    return _disc_cell_window(f, w0, r).sum(dirichlet_energy(f, frame).per_cell)
 
 
 def _require_finite_disc(w0: tuple[float, float], r: float):
@@ -597,11 +628,23 @@ def _cell_span(c: float, r: float, origin: float, h: float, cells: int) -> slice
     return slice(min(max(lo, 0), cells), min(max(hi, 0), cells))
 
 
-def _disc_cell_window(
-    f: GridField, w0: tuple[float, float], r: float
-) -> tuple[tuple[slice, slice], np.ndarray]:
-    """The cells whose centers lie in the disc U_r(w0): the (rows, columns)
-    window of the cell grid that bounds the disc, and their mask in it.
+class _DiscWindow(NamedTuple):
+    """The cells whose centers lie in a disc: the (rows, columns) window of
+    the cell grid that bounds the disc, and their mask in it."""
+    window: tuple[slice, slice]
+    inside: np.ndarray
+
+    def cells(self, a: np.ndarray) -> np.ndarray:
+        """The disc cells' entries of a (ny - 1, nx - 1, ...) array, in full-grid mask order."""
+        return a[self.window][self.inside]
+
+    def sum(self, per_cell: np.ndarray) -> float:
+        """The same float as the sum of per_cell over the full-grid mask."""
+        return float(self.cells(per_cell).sum())
+
+
+def _disc_cell_window(f: GridField, w0: tuple[float, float], r: float) -> _DiscWindow:
+    """The cells whose centers lie in the disc U_r(w0).
 
     Each cell is tested with the same center and the same test as on the
     full cell grid, so the window holds every cell of the full-grid mask."""
@@ -610,31 +653,20 @@ def _disc_cell_window(
     cols = _cell_span(w0[0], r, f.origin[0], f.spacing, f.nx - 1)
     cx = f.origin[0] + f.spacing * (np.arange(cols.start, cols.stop) + 0.5)
     cy = f.origin[1] + f.spacing * (np.arange(rows.start, rows.stop) + 0.5)
-    return (rows, cols), (cx[None, :] - w0[0]) ** 2 + (cy[:, None] - w0[1]) ** 2 <= r**2
+    inside = (cx[None, :] - w0[0]) ** 2 + (cy[:, None] - w0[1]) ** 2 <= r**2
+    return _DiscWindow((rows, cols), inside)
 
 
-def _disc_cell_mask(f: GridField, w0: tuple[float, float], r: float) -> np.ndarray:
-    """Cells whose centers lie in the disc U_r(w0), as a (ny - 1, nx - 1) mask."""
-    window, inside = _disc_cell_window(f, w0, r)
-    mask = np.zeros((f.ny - 1, f.nx - 1), dtype=bool)
-    mask[window] = inside
-    return mask
-
-
-def _disc_cell_sum(per_cell: np.ndarray, f: GridField, w0: tuple[float, float], r: float) -> float:
-    """Sum of per_cell over the cells whose centers lie in the disc U_r(w0).
-
-    The cells are taken from the disc's window in row-major order, the
-    elements and order of the full-grid mask, so the sum is the same float."""
-    window, inside = _disc_cell_window(f, w0, r)
-    return float(per_cell[window][inside].sum())
+def _grid_box(f: GridField, inset: int) -> tuple[float, float, float, float]:
+    """(x_lo, x_hi, y_lo, y_hi) of the rectangle ``inset`` nodes in from the
+    grid rim; each corner is origin + k h for its node index k."""
+    (x0, y0), h = f.origin, f.spacing
+    return x0 + inset * h, x0 + (f.nx - 1 - inset) * h, y0 + inset * h, y0 + (f.ny - 1 - inset) * h
 
 
 def _require_disc_inside(f: GridField, w0: tuple[float, float], r: float):
     _require_finite_disc(w0, r)
-    x0, y0 = f.origin
-    x1 = x0 + (f.nx - 1) * f.spacing
-    y1 = y0 + (f.ny - 1) * f.spacing
+    x0, x1, y0, y1 = _grid_box(f, 0)
     if (w0[0] - r < x0 - 1e-12 or w0[0] + r > x1 + 1e-12
             or w0[1] - r < y0 - 1e-12 or w0[1] + r > y1 + 1e-12):
         raise InvalidInputError(f"disc of radius {r} at {w0} exits the grid")

@@ -31,6 +31,7 @@ from .analysis import (
     _d_star_terms,
     _level_range,
     _pivot,
+    _rung_eps,
     _smoothstep,
     harmonic_companion,
     hopf_differential,
@@ -40,6 +41,7 @@ from .errors import InvalidInputError, InvalidStepError, NotInBallError, Numeric
 from .field import (
     GridField,
     _embed_values,
+    _grid_box,
     bilinear_array,
     embed_grid,
     embedded_energy,
@@ -92,18 +94,8 @@ class DomainVariation:
         return eta[..., None] * d, d[:, None] * grad_eta[..., None, :]
 
 
-def _interior_box(f: GridField) -> tuple[float, float, float, float]:
-    """(x_lo, x_hi, y_lo, y_hi) of the box one node in from the grid rim."""
-    return (
-        f.origin[0] + f.spacing,
-        f.origin[0] + (f.nx - 2) * f.spacing,
-        f.origin[1] + f.spacing,
-        f.origin[1] + (f.ny - 2) * f.spacing,
-    )
-
-
 def _check_support_interior(f: GridField, v: DomainVariation):
-    x_lo, x_hi, y_lo, y_hi = _interior_box(f)
+    x_lo, x_hi, y_lo, y_hi = _grid_box(f, 1)
     cx, cy = v.center
     if not (x_lo < cx - v.radius and cx + v.radius < x_hi
             and y_lo < cy - v.radius and cy + v.radius < y_hi):
@@ -200,11 +192,10 @@ def build_admissible_variation(
         raise InvalidInputError(f"chain level {k} out of range")
     sigma = chain.levels[k].sigma
     sigma0 = chain.levels[0].sigma
-    if not math.isinf(sigma) and not 0.0 < rho <= sigma:
+    # an infinite sigma bounds nothing, and NaN fails every comparison
+    if not (math.isfinite(rho) and 0.0 < rho <= sigma):
         raise InvalidInputError(f"rho = {rho} outside (0, sigma_k = {sigma}]")
-    if rho <= 0:
-        raise InvalidInputError("rho must be positive")
-    if eps <= 0 or (not math.isinf(sigma0) and eps >= sigma0 / 10):
+    if not (math.isfinite(eps) and 0.0 < eps < sigma0 / 10):
         raise InvalidInputError(f"eps = {eps} outside (0, sigma_0/10 = {sigma0 / 10})")
     rv = RangeVariation(chain, k, rho, eps, (int(w_star[0]), int(w_star[1])))
     if not math.isinf(sigma):
@@ -358,7 +349,7 @@ def stationarity_residual(
     comp = harmonic_companion(hopf_differential(f, frame))
     farr = comp.hopf.embedded
     energy = comp.hopf.energy.total
-    x_lo, x_hi, y_lo, y_hi = _interior_box(f)
+    x_lo, x_hi, y_lo, y_hi = _grid_box(f, 1)
     span = min(x_hi - x_lo, y_hi - y_lo)
 
     domain_derivs: list[float] = []
@@ -384,9 +375,9 @@ def stationarity_residual(
             continue
         if piv.tau <= 0:
             continue
-        eps = min(chain.levels[0].sigma, piv.tau) / 20
-        for k in range(piv.k0 + 1):
-            lo, _, hi = _level_range(f, comp, (iy, ix), k, chain, piv)
+        ranges = [_level_range(f, comp, (iy, ix), k, chain, piv) for k in range(piv.k0 + 1)]
+        eps = _rung_eps(chain, piv, ranges[0][1])
+        for k, (lo, _, hi) in enumerate(ranges):
             rho = lo + 0.6 * (hi - lo)
             if rho <= 0 or not math.isfinite(rho):
                 continue

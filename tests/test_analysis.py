@@ -43,12 +43,12 @@ from qvalued.analysis import (
     _censor_refit,
     _cutoff_cells,
     _dct_basis,
-    _disc_cells,
     _LevelCutoff,
     _lsq_potential,
     _rim_distance,
     plaquette_defects,
 )
+from qvalued.field import _disc_cell_window, _require_disc_inside
 from qvalued.qspace import assign
 from qvalued.variations import cutoff_weights
 
@@ -588,8 +588,8 @@ def test_psi_k_zero_below_min_distance(minimized_strong_97):
         rho = 0.5 * floor
         # the cutoff disc of psi_k, without its range checks
         w0 = tuple(g.node_position(w))
-        disc = _disc_cells(g, _cutoff_cells(comp), w0, _rim_distance(g, w0))
-        val = _LevelCutoff(dst, disc).psi(rho, rho / 4)
+        disc = _disc_cell_window(g, w0, _rim_distance(g, w0))
+        val = _LevelCutoff(dst, disc, _cutoff_cells(comp), g.spacing**2).psi(rho, rho / 4)
         assert val == 0.0
 
 
@@ -607,8 +607,8 @@ def test_psi_k_saturated_cutoff_full_energy():
     dst = d_star(f, comp, w, 0, chain)
     x, y = np.meshgrid(f.xs, f.ys)
     big = float(dst[np.hypot(x, y) <= r_disc + 0.1].max())
-    disc = _disc_cells(f, _cutoff_cells(comp), (0.0, 0.0), r_disc)
-    val = _LevelCutoff(dst, disc).psi(big + 1.0, 0.5)
+    disc = _disc_cell_window(f, (0.0, 0.0), r_disc)
+    val = _LevelCutoff(dst, disc, _cutoff_cells(comp), f.spacing**2).psi(big + 1.0, 0.5)
     g2 = comp.grad_sq()
     cell = (g2[:-1, :-1] + g2[:-1, 1:] + g2[1:, :-1] + g2[1:, 1:]) / 4 * f.spacing**2
     cx = f.origin[0] + f.spacing * (np.arange(f.nx - 1) + 0.5)
@@ -710,6 +710,58 @@ def _based_at(f, fr, w):
     comp = harmonic_companion(hopf_differential(f, fr))
     base = QPoint(f.values[w[0], w[1]].copy())
     return f, fr, comp, w, nested_chain(base, angle_separated_frame(support(base)))
+
+
+@pytest.mark.parametrize("origin", [(0.0, 0.0), (1e3, -1e3), (-1.3, 0.7)])
+def test_rim_distance_disc_fits_inside_the_grid(origin):
+    # the pivot's cutoff disc about every interior node passes the inside
+    # check, also on a grid far from the origin
+    for spacing, (ny, nx) in ((0.1, (9, 13)), (2.0 / 48, (17, 11)), (7.3, (6, 8))):
+        f = GridField(np.zeros((ny, nx, 1, 1)), spacing, origin)
+        for iy in range(1, ny - 1):
+            for ix in range(1, nx - 1):
+                w = tuple(f.node_position((iy, ix)).tolist())
+                _require_disc_inside(f, w, _rim_distance(f, w))
+
+
+def test_each_disc_is_built_once_per_call(monkeypatch):
+    # the key lemma reads E_f and E_h from one disc, the certificate E_R and
+    # E_h from one and C_R0 from the other, and psi_k and the ladder share one
+    import qvalued.analysis as analysis
+
+    f, fr, comp, w, chain = _split_pair_field_setup()
+    built = []
+    window = analysis._disc_cell_window
+
+    def counting_window(g, w0, r):
+        built.append((tuple(w0), r))
+        return window(g, w0, r)
+
+    monkeypatch.setattr(analysis, "_disc_cell_window", counting_window)
+    wpos = tuple(f.node_position(w).tolist())
+    r0 = _rim_distance(f, wpos)
+    key_lemma_check(f, comp, w, 0.5 * r0, fr)
+    assert built == [(wpos, 0.5 * r0)]
+    built.clear()
+    continuity_certificate(f, fr, wpos, 0.5 * r0, comp)
+    assert built == [(wpos, 0.5 * r0), (wpos, r0)]
+    built.clear()
+    rep = monotonicity_report(f, comp, fr, w, chain)
+    assert built == [(wpos, r0)]
+    built.clear()
+    tau = valid_rho_interval(f, comp, fr, w, 0, chain)[3]
+    psi_k(f, comp, fr, w, 0, chain, rep.levels[0][0].rho, min(chain.levels[0].sigma, tau) / 20)
+    assert built == [(wpos, r0)]
+
+
+@pytest.mark.parametrize("eps", [math.nan, math.inf, -math.inf])
+def test_psi_k_refuses_a_non_finite_ramp_width(eps):
+    # NaN passed `eps <= 0 or eps >= cap`, and psi_k then returned 0.0
+    f = two_sheet_field(33, seed=0)
+    f, fr, comp, w, chain = _based_at(f, standard_frame(2, 2), (16, 16))
+    lo, hi, _, _ = valid_rho_interval(f, comp, fr, w, 0, chain)
+    with pytest.raises(InvalidInputError, match="eps"):
+        psi_k(f, comp, fr, w, 0, chain, 0.5 * (lo + hi), eps)
 
 
 def _constant_field_setup(nn=65):
@@ -864,7 +916,7 @@ def test_monotonicity_report_ramps_only_the_band(which, request, monkeypatch):
     rep = monotonicity_report(f, comp, fr, w, chain)
     assert len(built) == len(rep.levels)
     rungs = sum(len(rows) for rows in rep.levels.values())
-    assert sum(ramped) < analysis.PSI_SUBSAMPLES**2 * built[0].disc.energy.size * rungs
+    assert sum(ramped) < analysis.PSI_SUBSAMPLES**2 * built[0].energy.size * rungs
 
 
 @pytest.mark.parametrize("which, vacuous", [("near_double", True), ("split_pair", False)])

@@ -164,6 +164,41 @@ def test_bad_node_point_or_sample_count_exits_2(bad_argument_inputs, capsys, arg
     assert captured.err.startswith(("error: ", "input error: "))
 
 
+@pytest.fixture(scope="module")
+def non_finite_inputs(tmp_path_factory):
+    d = tmp_path_factory.mktemp("non_finite")
+    field = two_sheet_field(33, seed=0).to_dict()
+    write_json(d / "field.json", field)
+    for name, key, value in (("h_nan", "h", math.nan), ("h_inf", "h", math.inf),
+                             ("x0_nan", "x0", math.nan)):
+        write_json(d / f"{name}.json", dict(field, **{key: value}))
+    frame = standard_frame(2, 2).to_dict()
+    frame["directions"][1][0] = math.nan
+    write_json(d / "frame.json", frame)
+    return d
+
+
+@pytest.mark.parametrize("argv, grid, frame", [
+    *((cmd, grid, None) for cmd in (["minimize"], ["analyze"], ["monotonicity", "--wstar", "16,16"],
+                                    ["variations", "--trials", "2"], ["certificate", "--w", "0,0"])
+      for grid in ("h_nan", "h_inf", "x0_nan")),
+    (["minimize"], "field", "frame"),
+    (["analyze"], "field", "frame"),
+], ids=lambda p: p[0] if isinstance(p, list) else str(p))
+def test_non_finite_grid_or_frame_exits_2(non_finite_inputs, tmp_path, capsys, argv, grid, frame):
+    # a NaN spacing or origin once ran to exit 0 (minimize) or 4, and a NaN
+    # frame direction printed a NaN energy with exit 0
+    d = non_finite_inputs
+    out = tmp_path / "out.json"
+    argv = argv + ["--input", str(d / f"{grid}.json"), "--output", str(out)]
+    if frame:
+        argv += ["--frame", str(d / f"{frame}.json")]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("error: ")
+    assert not out.exists()
+
+
 def test_chain_two_site_hand_value(tmp_path, capsys):
     a = qpoint_file(tmp_path, "a.json", [[0.0], [1.0]])
     assert main(["chain", "--input", str(a), "--samples", "200"]) == 0

@@ -27,6 +27,13 @@ def test_frame_validation():
         ProjectionFrame(np.array([[1.0, 1.0]]), 2)  # not unit
     with pytest.raises(InvalidInputError):
         ProjectionFrame(np.array([[1.0, 0.0], [1.0, 0.0]]), 2)  # not orthonormal
+    # NaN fails every comparison, so it must not pass as a unit direction
+    for bad in (np.nan, np.inf, -np.inf):
+        for row in (0, 2):
+            dirs = np.array([[1.0, 0.0], [0.0, 1.0], [0.6, 0.8]])
+            dirs[row, 0] = bad
+            with pytest.raises(InvalidInputError):
+                ProjectionFrame(dirs, 2)
     fr = standard_frame(3, 2)
     assert fr.p_total == 3 and fr.n == 3
 

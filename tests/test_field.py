@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from qvalued import (
     DEFAULT_C_CL,
@@ -22,7 +23,7 @@ from qvalued import (
     standard_frame,
 )
 
-from qvalued.field import _comb_gauge, _match_edges
+from qvalued.field import _comb_gauge, _compose, _match_edges, _neighbour_partners
 
 from helpers import (
     branch_pair_field,
@@ -61,6 +62,44 @@ def test_grid_field_validation():
     f = GridField(np.zeros((4, 5, 2, 3)), 0.1)
     assert f.ny == 4 and f.nx == 5 and f.q_sheets == 2 and f.n == 3
     assert f.boundary_mask[0].all() and f.boundary_mask[:, -1].all()
+
+
+@pytest.mark.parametrize("spacing, origin", [
+    (math.nan, (0.0, 0.0)), (math.inf, (0.0, 0.0)), (-math.inf, (0.0, 0.0)),
+    (0.1, (math.nan, 0.0)), (0.1, (0.0, math.inf)), (0.1, (-math.inf, 0.0)),
+])
+def test_non_finite_grid_geometry_is_refused(spacing, origin):
+    # NaN passes `spacing <= 0` and every comparison of the disc tests
+    with pytest.raises(InvalidInputError):
+        GridField(np.zeros((5, 5, 1, 1)), spacing, origin)
+    with pytest.raises(InvalidInputError):
+        GridSpec(5, 5, spacing, origin)
+
+
+@settings(max_examples=60, deadline=None)
+@given(q=st.integers(1, 5), ny=st.integers(3, 9), nx=st.integers(3, 9), seed=st.integers(0, 2**32 - 1))
+def test_neighbour_partners_undo_the_edge_permutations(q, ny, nx, seed):
+    # on random permutation grids, each partner composed with the edge
+    # permutation it reads is the identity, both ends of an edge pair the
+    # same sheets, and any subset of nodes gets the rows the interior gets
+    rng = np.random.default_rng(seed)
+    px = np.argsort(rng.random((ny, nx - 1, q)), axis=-1)
+    py = np.argsort(rng.random((ny - 1, nx, q)), axis=-1)
+    iy, ix = np.ogrid[1 : ny - 1, 1 : nx - 1]
+    steps, (down, left, right, up) = zip(*_neighbour_partners(px, py, iy, ix))
+    assert steps == ((-1, 0), (0, -1), (0, 1), (1, 0))
+    ident = np.broadcast_to(np.arange(q), (ny - 2, nx - 2, q))
+    assert np.array_equal(_compose(down, py[:-1, 1:-1]), ident)
+    assert np.array_equal(_compose(left, px[1:-1, :-1]), ident)
+    assert np.array_equal(right, px[1:-1, 1:]) and np.array_equal(up, py[1:, 1:-1])
+    # right then the right neighbour's left partner, up then the upper one's down
+    assert np.array_equal(_compose(right[:, :-1], left[:, 1:]), ident[:, 1:])
+    assert np.array_equal(_compose(up[:-1], down[1:]), ident[1:])
+    sy = rng.integers(1, ny - 1, size=11)
+    sx = rng.integers(1, nx - 1, size=11)
+    for (_, whole), (_, some) in zip(_neighbour_partners(px, py, iy, ix),
+                                     _neighbour_partners(px, py, sy, sx)):
+        assert np.array_equal(whole[sy - 1, sx - 1], some)
 
 
 def test_grid_field_json_roundtrip():
@@ -528,10 +567,10 @@ def test_courant_lebesgue_slice_batches_within_the_byte_budget():
 
 
 def test_disc_cell_sum_equals_full_grid_mask():
-    # the window holds every cell of the full-grid mask, in row-major order,
-    # so the sums are the same floats: discs inside, across the rim, beyond
-    # it, of radius 0 and with cell centers exactly on the circle
-    from qvalued.field import _disc_cell_mask, _disc_cell_sum
+    # the disc record's cells are those of the full-grid mask, in row-major
+    # order, so the sums are the same floats: discs inside, across the rim,
+    # beyond it, of radius 0 and with cell centers exactly on the circle
+    from qvalued.field import _disc_cell_window
 
     rng = np.random.default_rng(3)
     f = GridField(np.zeros((41, 57, 1, 1)), 0.05, (-1.3, -0.9))
@@ -543,10 +582,12 @@ def test_disc_cell_sum_equals_full_grid_mask():
              for ix in range(5, 50, 3) for iy in (10, 20, 29) for k in range(8)]
     discs += [((-1.3, -0.9), 0.4), ((1.5, 1.2), 0.3), ((5.0, 5.0), 1.0), ((0.0, 0.0), 10.0)]
     discs += [(tuple(rng.uniform((-1.5, -1.1), (1.7, 1.3))), rng.uniform(0.0, 1.0)) for _ in range(40)]
+    cell_ids = np.arange(per_cell.size).reshape(per_cell.shape)
     for w0, r in discs:
         mask = full_disc_cell_mask(f, w0, r)
-        assert np.array_equal(_disc_cell_mask(f, w0, r), mask)
-        assert _disc_cell_sum(per_cell, f, w0, r) == float(per_cell[mask].sum())
+        disc = _disc_cell_window(f, w0, r)
+        assert np.array_equal(disc.cells(cell_ids), np.flatnonzero(mask))
+        assert disc.sum(per_cell) == float(per_cell[mask].sum())
 
 
 def test_gridspec_validation():

@@ -74,6 +74,10 @@ def test_domain_variation_support_validation():
     v = DomainVariation((0.9, 0.0), 0.3, (1.0, 0.0))
     with pytest.raises(InvalidInputError):
         domain_variation_derivative(f, standard_frame(2, 2), v)
+    # the support must stay inside the box one node in from the rim, x <= 0.875 here
+    v = DomainVariation((0.6, 0.0), 0.3, (1.0, 0.0))
+    with pytest.raises(InvalidInputError):
+        domain_variation_derivative(f, standard_frame(2, 2), v)
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf])
@@ -289,6 +293,22 @@ def test_build_admissible_variation_validation(minimized_strong_97):
         build_admissible_variation(chain, 0, 0.1 * sigma0, sigma0 / 5, rv.w_star)
     with pytest.raises(InvalidInputError):
         build_admissible_variation(chain, 99, 0.1 * sigma0, sigma0 / 20, rv.w_star)
+
+
+@pytest.mark.parametrize("level, rho, eps", [
+    (0, 0.1, math.nan), (0, math.nan, 0.01), (0, 0.1, math.inf),
+    (1, math.nan, 0.01), (1, math.inf, 0.01), (1, 1.0, math.nan),
+], ids=["eps_nan", "rho_nan", "eps_inf", "last_rho_nan", "last_rho_inf", "last_eps_nan"])
+def test_build_admissible_variation_refuses_non_finite_parameters(level, rho, eps):
+    # NaN fails every comparison, and the last level's sigma is infinite,
+    # so neither the rho nor the eps range stopped them
+    f = two_sheet_field(33, seed=0)
+    base = f.node_value((16, 16))
+    chain = nested_chain(base, angle_separated_frame(support(base)))
+    assert len(chain.levels) == 2 and math.isinf(chain.levels[1].sigma)
+    assert 0.1 < chain.levels[0].sigma and 0.01 < chain.levels[0].sigma / 10
+    with pytest.raises(InvalidInputError):
+        build_admissible_variation(chain, level, rho, eps, (16, 16))
 
 
 def test_range_variation_not_in_ball_guard(minimized_strong_97):
