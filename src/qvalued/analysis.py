@@ -369,20 +369,19 @@ def d_star(
 ) -> np.ndarray:
     """Level-k augmented distance field sqrt(G(q_k, f)^2 + |h(w*) - h|^2)."""
     _check_companion(f, comp)
-    qk, dh2 = _d_star_terms(f, comp, w_star, k, chain)
-    return np.sqrt(metric_g_many(qk, f.values) ** 2 + dh2)
+    return _d_star_at(f, comp, w_star, k, chain, np.s_[:, :])
 
 
-def _d_star_terms(
-    f: GridField, comp: HarmonicCompanion, w_star, k: int, chain: NestedBallChain
-) -> tuple[np.ndarray, np.ndarray]:
-    """The level-k tuple q_k and the grid of |h(w*) - h|^2 that `d_star`
-    combines, after its checks of the base node and level."""
+def _d_star_at(f: GridField, comp: HarmonicCompanion, w_star, k: int,
+               chain: NestedBallChain, nodes) -> np.ndarray:
+    """`d_star` at the grid's nodes ``nodes``, a window of slices or a mask,
+    each the float of the full grid: `assign` is the same in any batch."""
     iy, ix = f.interior_node(w_star)
     if not 0 <= k < len(chain.levels):
         raise InvalidInputError(f"chain level {k} out of range")
     qk = chain.levels[k].decomposition.rebuild().points
-    return qk, np.abs(comp.values - comp.values[iy, ix]) ** 2
+    dh2 = np.abs(comp.values[nodes] - comp.values[iy, ix]) ** 2
+    return np.sqrt(metric_g_many(qk, f.values[nodes]) ** 2 + dh2)
 
 
 def tau_star(
@@ -393,15 +392,17 @@ def tau_star(
     r: float,
 ) -> float:
     """Infimum of the embedded distance to f(w*) over the circle of radius r."""
-    return _tau_star(f, embed_grid(f, frame), w_star, w0, r)
+    return _tau_star(f, embed_grid(f, frame), w_star, w0, r)[0]
 
 
-def _tau_star(f: GridField, farr: np.ndarray, w_star, w0, r) -> float:
-    """`tau_star` on the embedded field farr."""
+def _tau_star(f: GridField, farr: np.ndarray, w_star, w0, r) -> tuple:
+    """`tau_star` on the embedded field farr, with the circle points and the
+    embedded samples it read."""
     _require_disc_inside(f, w0, r)
     iy, ix = f.interior_node(w_star)
-    vals = bilinear_array(farr, f, circle_points(w0, r, f.spacing))
-    return float(np.linalg.norm(vals - farr[iy, ix], axis=-1).min())
+    pts = circle_points(w0, r, f.spacing)
+    vals = bilinear_array(farr, f, pts)
+    return float(np.linalg.norm(vals - farr[iy, ix], axis=-1).min()), pts, vals
 
 
 def k_zero(chain: NestedBallChain, tau: float) -> int:
@@ -416,11 +417,14 @@ def k_zero(chain: NestedBallChain, tau: float) -> int:
 
 class _Pivot(NamedTuple):
     """What a base node fixes for every level and rung: the cutoff disc (the
-    largest one centred on the node), tau*, k0."""
+    largest one centred on the node), tau*, k0, and the points of the disc's
+    circle with the embedded field's samples there, which tau* read."""
     w0: tuple[float, float]
     r: float
     tau: float
     k0: int
+    circle: np.ndarray
+    samples: np.ndarray
 
 
 def _pivot(f: GridField, comp: HarmonicCompanion, w_star, chain: NestedBallChain) -> _Pivot:
@@ -428,20 +432,18 @@ def _pivot(f: GridField, comp: HarmonicCompanion, w_star, chain: NestedBallChain
     depth when tau* = 0), for the field f embedded as its companion carries it."""
     w0 = tuple(f.node_position(f.interior_node(w_star)).tolist())
     r = _rim_distance(f, w0)
-    tau = _tau_star(f, comp.hopf.embedded, w_star, w0, r)
-    return _Pivot(w0, r, tau, k_zero(chain, tau) if tau > 0 else chain.depth)
+    tau, circle, samples = _tau_star(f, comp.hopf.embedded, w_star, w0, r)
+    return _Pivot(w0, r, tau, k_zero(chain, tau) if tau > 0 else chain.depth, circle, samples)
 
 
-def _circle_d_star_min(f, comp: HarmonicCompanion, w_star, k: int, chain, w0, r) -> float:
-    """Minimum of the level-k augmented distance over the circle (interpolated)."""
-    iy, ix = f.interior_node(w_star)
-    pts = circle_points(w0, r, f.spacing)
-    fvals = bilinear_array(comp.hopf.embedded, f, pts)
+def _circle_d_star_min(f, comp: HarmonicCompanion, w_star, k: int, chain, piv: _Pivot) -> float:
+    """Minimum of the level-k augmented distance over the pivot's circle
+    (interpolated), from the embedded samples the pivot keeps."""
     target = xi0(comp.hopf.frame, chain.levels[k].decomposition.rebuild()).flat
-    hvals = bilinear_array(np.stack([comp.values.real, comp.values.imag], axis=-1), f, pts)
-    hw = comp.values[iy, ix]
+    hvals = bilinear_array(np.stack([comp.values.real, comp.values.imag], axis=-1), f, piv.circle)
+    hw = comp.values[f.interior_node(w_star)]
     dh2 = (hvals[..., 0] - hw.real) ** 2 + (hvals[..., 1] - hw.imag) ** 2
-    return float(np.sqrt(np.linalg.norm(fvals - target, axis=-1) ** 2 + dh2).min())
+    return float(np.sqrt(np.linalg.norm(piv.samples - target, axis=-1) ** 2 + dh2).min())
 
 
 def _level_range(f, comp, w_star, k: int, chain, piv: _Pivot) -> tuple[float, float, float]:
@@ -452,7 +454,7 @@ def _level_range(f, comp, w_star, k: int, chain, piv: _Pivot) -> tuple[float, fl
     lv = chain.levels[k]
     hi = lv.sigma if k < piv.k0 else 0.4 * min(piv.tau, lv.sigma)
     if not hi > 0 or math.isinf(hi):
-        hi = 0.4 * _circle_d_star_min(f, comp, w_star, k, chain, piv.w0, piv.r)
+        hi = 0.4 * _circle_d_star_min(f, comp, w_star, k, chain, piv)
     return lv.rho, hi, 0.4 * hi if k < piv.k0 else hi
 
 
@@ -521,9 +523,10 @@ def _cell_average(g: np.ndarray) -> np.ndarray:
     return (g[:-1, :-1] + g[:-1, 1:] + g[1:, :-1] + g[1:, 1:]) / 4
 
 
-def _cutoff_cells(comp: HarmonicCompanion) -> np.ndarray:
-    """Cell averages of the augmented energy density |grad f|^2 + |grad h|^2."""
-    return _cell_average(comp.hopf.grad_sq + comp.grad_sq())
+def _cutoff_cells(comp: HarmonicCompanion, disc: _DiscWindow) -> np.ndarray:
+    """The disc cells' averages of the augmented energy density
+    |grad f|^2 + |grad h|^2, formed on the disc's node window alone."""
+    return _cell_average(comp.hopf.grad_sq[disc.nodes] + comp.grad_sq()[disc.nodes])[disc.inside]
 
 
 def _rung_eps(chain: NestedBallChain, piv: _Pivot, hi0: float) -> float:
@@ -542,28 +545,21 @@ class _LevelCutoff:
     saturated and weighs 1; one whose samples all have (rho - d*)/eps <= 0
     weighs 0; only the cells between, the transition band, go through the
     ramp.  The clipped ramp is exactly 1 and 0 beyond those ends, so every
-    weight is the ramp's average over the cell's samples.
+    weight is the ramp's average over the cell's samples.  ``dst`` is d* on
+    the disc's node window, ``energy`` the disc cells' `_cutoff_cells`.
     """
 
-    def __init__(self, dst: np.ndarray, disc: _DiscWindow, e_cell: np.ndarray, area: float):
-        c00, c01 = disc.cells(dst[:-1, :-1]), disc.cells(dst[:-1, 1:])
-        c10, c11 = disc.cells(dst[1:, :-1]), disc.cells(dst[1:, 1:])
-        n = PSI_SUBSAMPLES
-        rows = []
-        for a in range(n):
-            for b in range(n):
-                ta = (a + 0.5) / n
-                tb = (b + 0.5) / n
-                rows.append(
-                    c00 * (1 - ta) * (1 - tb)
-                    + c01 * ta * (1 - tb)
-                    + c10 * (1 - ta) * tb
-                    + c11 * ta * tb
-                )
-        self.samples = np.stack(rows)  # (PSI_SUBSAMPLES^2, disc cells)
+    def __init__(self, dst: np.ndarray, disc: _DiscWindow, energy: np.ndarray, area: float):
+        c00, c01 = dst[:-1, :-1][disc.inside], dst[:-1, 1:][disc.inside]
+        c10, c11 = dst[1:, :-1][disc.inside], dst[1:, 1:][disc.inside]
+        t = [(a + 0.5) / PSI_SUBSAMPLES for a in range(PSI_SUBSAMPLES)]
+        self.samples = np.stack([  # (PSI_SUBSAMPLES^2, disc cells)
+            c00 * (1 - ta) * (1 - tb) + c01 * ta * (1 - tb) + c10 * (1 - ta) * tb + c11 * ta * tb
+            for ta in t for tb in t
+        ])
         self.d_min = self.samples.min(axis=0)
         self.d_max = self.samples.max(axis=0)
-        self.energy = disc.cells(e_cell)
+        self.energy = energy
         self.area = area
 
     def psi(self, rho: float, eps: float) -> float:
@@ -602,8 +598,8 @@ def psi_k(
     _, hi, _ = _level_range(f, comp, w_star, k, chain, piv)
     _check_rung(chain, k, piv, hi, rho, eps)
     disc = _disc_cell_window(f, piv.w0, piv.r)
-    dst = d_star(f, comp, w_star, k, chain)
-    return _LevelCutoff(dst, disc, _cutoff_cells(comp), f.spacing**2).psi(rho, eps)
+    dst = _d_star_at(f, comp, w_star, k, chain, disc.nodes)
+    return _LevelCutoff(dst, disc, _cutoff_cells(comp, disc), f.spacing**2).psi(rho, eps)
 
 
 @dataclass(frozen=True)
@@ -664,28 +660,29 @@ def monotonicity_report(
     with ratio(s) > ratio(t)(1 + MONOTONE_TOLERANCE) is recorded as a
     violation.  The embedded field comes with the companion; the pivot and
     the disc cells' energy density are computed once, and each level's d*
-    and its subsampled reconstruction on the disc cells once per level.
-    The rungs share them, evaluate the ramp on the transition band alone
-    and still pass the range checks of `psi_k`, so each row equals a
-    standalone `psi_k` call.
+    on the disc's node window and its reconstruction once per level.  The
+    rungs share them, evaluate the ramp on the transition band alone and
+    still pass the range checks of `psi_k`, so each row equals a standalone
+    `psi_k` call.
     """
     if ladder is None:
         ladder = np.linspace(0.35, 0.95, 10)
     ladder = np.asarray(ladder, dtype=np.float64)
     if ladder.size == 0:
         raise InvalidInputError("the ladder has no fractions")
-    if np.any(ladder <= 0) or np.any(ladder >= 1):
+    if not np.all((ladder > 0) & (ladder < 1)):
         raise InvalidInputError("ladder fractions must lie strictly inside (0, 1)")
     _check_companion(f, comp, frame)
     piv = _pivot(f, comp, w_star, chain)
     ranges = [_level_range(f, comp, w_star, k, chain, piv) for k in range(piv.k0 + 1)]
     eps = _rung_eps(chain, piv, ranges[0][1])
     disc = _disc_cell_window(f, piv.w0, piv.r)
-    e_cell = _cutoff_cells(comp)
+    energy = _cutoff_cells(comp, disc)
     levels: dict[int, list[LadderRow]] = {}
     violations: list[tuple[int, float, float]] = []
     for k, (lo, hi, mono_hi) in enumerate(ranges):
-        level = _LevelCutoff(d_star(f, comp, w_star, k, chain), disc, e_cell, f.spacing**2)
+        dst = _d_star_at(f, comp, w_star, k, chain, disc.nodes)
+        level = _LevelCutoff(dst, disc, energy, f.spacing**2)
         rows = []
         for rho in lo + (mono_hi - lo) * ladder:
             _check_rung(chain, k, piv, hi, rho, eps)
@@ -714,7 +711,7 @@ def key_lemma_check(
     """
     _check_companion(f, comp, frame)
     w0 = tuple(f.node_position(f.interior_node(w_star)).tolist())
-    lhs = _tau_star(f, comp.hopf.embedded, w_star, w0, r)
+    lhs = _tau_star(f, comp.hopf.embedded, w_star, w0, r)[0]
     disc = _disc_cell_window(f, w0, r)
     e_f = disc.sum(comp.hopf.energy.per_cell)
     e_h = disc.sum(_companion_cell_energy(comp))

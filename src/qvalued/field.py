@@ -528,9 +528,12 @@ def minimize(f: GridField, opts: MinimizeOptions | None = None) -> MinimizeResul
     solve would repeat it bit for bit (only the fixed neighbours enter its
     right-hand side), so the remaining iterations reuse the iterate and its
     energy without solving again; with a non-negative tolerance the first
-    of them stops the loop.
+    of them stops the loop.  A negative max_iters, which would act as 0,
+    and a NaN tolerance, which every energy drop fails, are refused.
     """
     opts = opts or MinimizeOptions()
+    if opts.max_iters < 0 or math.isnan(opts.tol_rel_energy):
+        raise InvalidInputError(f"minimize needs max_iters >= 0 and a non-NaN tolerance: {opts}")
     g = f.copy()
     v = g.values
     fixed = g.boundary_mask
@@ -633,6 +636,11 @@ class _DiscWindow(NamedTuple):
     the cell grid that bounds the disc, and their mask in it."""
     window: tuple[slice, slice]
     inside: np.ndarray
+
+    @property
+    def nodes(self) -> tuple[slice, slice]:
+        """The window's corner nodes: its rows and columns, each one node longer."""
+        return tuple(slice(s.start, s.stop + 1) for s in self.window)
 
     def cells(self, a: np.ndarray) -> np.ndarray:
         """The disc cells' entries of a (ny - 1, nx - 1, ...) array, in full-grid mask order."""

@@ -28,7 +28,7 @@ from .admissible import NestedBallChain, angle_separated_frame, nested_chain
 from .analysis import (
     HarmonicCompanion,
     _check_companion,
-    _d_star_terms,
+    _d_star_at,
     _level_range,
     _pivot,
     _rung_eps,
@@ -46,7 +46,7 @@ from .field import (
     embed_grid,
     embedded_energy,
 )
-from .qspace import QPoint, metric_g_many, support
+from .qspace import QPoint, support
 
 #: sampled point pairs per site in the retraction's Lipschitz check
 LIP_SAMPLES = 400
@@ -218,16 +218,13 @@ def build_admissible_variation(
     return rv
 
 
-def cutoff_weights(
-    f: GridField, comp: HarmonicCompanion, rv: RangeVariation
-) -> np.ndarray:
+def cutoff_weights(f: GridField, comp: HarmonicCompanion, rv: RangeVariation) -> np.ndarray:
     """Nodal spatial-cutoff weights of the variation (zero on masked nodes).
 
-    The ramp runs only where 0 < (rho - d*)/eps < 1; it is exactly 1 and 0
-    beyond those ends.  In floats d* = sqrt(G^2 + dh^2) is at least
-    sqrt(dh^2), so a node with sqrt(dh^2) >= rho weighs 0, and d* is formed,
-    as `d_star` forms it, only on the other unmasked nodes: `assign` gives a
-    node the same distance in any batch.
+    The clipped ramp is exactly 0 where rho - d* <= 0.  In floats
+    d* = sqrt(G^2 + dh^2) is at least sqrt(dh^2), so a node with
+    sqrt(dh^2) >= rho weighs 0, and d* is formed only on the other unmasked
+    nodes, each the float `d_star` gives it.
     """
     _check_companion(f, comp)
     return _cutoff_weights(f, comp, rv)
@@ -235,15 +232,11 @@ def cutoff_weights(
 
 def _cutoff_weights(f: GridField, comp: HarmonicCompanion, rv: RangeVariation) -> np.ndarray:
     """`cutoff_weights` for a companion already checked against f."""
-    qk, dh2 = _d_star_terms(f, comp, rv.w_star, rv.level, rv.chain)
+    dh2 = np.abs(comp.values - comp.values[f.interior_node(rv.w_star)]) ** 2
     near = (np.sqrt(dh2) < rv.rho) & ~f.boundary_mask
-    dst = np.sqrt(metric_g_many(qk, f.values[near]) ** 2 + dh2[near])
-    t = (rv.rho - dst) / rv.eps
-    weight = (t >= 1.0).astype(np.float64)
-    band = (t > 0.0) & (t < 1.0)
-    weight[band] = _smoothstep(t[band])
-    lam = np.zeros(dh2.shape)
-    lam[near] = weight
+    dst = _d_star_at(f, comp, rv.w_star, rv.level, rv.chain, near)
+    lam = np.zeros(near.shape)
+    lam[near] = _smoothstep((rv.rho - dst) / rv.eps)
     return lam
 
 

@@ -449,6 +449,12 @@ def full_disc_cell_mask(f, w0, r) -> np.ndarray:
     return (gx - w0[0]) ** 2 + (gy - w0[1]) ** 2 <= r**2
 
 
+def full_grid_cutoff_cells(comp) -> np.ndarray:
+    """Four-corner averages of |grad f|^2 + |grad h|^2 over every grid cell."""
+    g = comp.hopf.grad_sq + comp.grad_sq()
+    return (g[:-1, :-1] + g[:-1, 1:] + g[1:, :-1] + g[1:, 1:]) / 4
+
+
 def full_grid_psi(dst, e_cell, rho, eps, f, w0, r) -> float:
     """Cutoff-weighted disc energy: the `full_grid_cutoff` weights times the
     cell energies e_cell h^2, summed over the disc cells."""

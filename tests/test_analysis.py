@@ -35,6 +35,7 @@ from qvalued import (
     support,
     tau_star,
     valid_rho_interval,
+    xi0,
 )
 from qvalued.analysis import (
     CENSOR_DILATION,
@@ -42,14 +43,15 @@ from qvalued.analysis import (
     REFIT_RING,
     _censor_refit,
     _cutoff_cells,
+    _d_star_at,
     _dct_basis,
     _LevelCutoff,
     _lsq_potential,
     _rim_distance,
     plaquette_defects,
 )
-from qvalued.field import _disc_cell_window, _require_disc_inside
-from qvalued.qspace import assign
+from qvalued.field import _disc_cell_window, _require_disc_inside, circle_points
+from qvalued.qspace import assign, metric_g_many
 from qvalued.variations import cutoff_weights
 
 from helpers import (
@@ -66,7 +68,9 @@ from helpers import (
 )
 from oracles import (
     full_grid_cutoff,
+    full_grid_cutoff_cells,
     full_grid_psi,
+    index_bilinear,
     lsq_primitive,
     ndimage_censor_refit,
     node_stencil_hopf,
@@ -589,7 +593,8 @@ def test_psi_k_zero_below_min_distance(minimized_strong_97):
         # the cutoff disc of psi_k, without its range checks
         w0 = tuple(g.node_position(w))
         disc = _disc_cell_window(g, w0, _rim_distance(g, w0))
-        val = _LevelCutoff(dst, disc, _cutoff_cells(comp), g.spacing**2).psi(rho, rho / 4)
+        level = _LevelCutoff(dst[disc.nodes], disc, _cutoff_cells(comp, disc), g.spacing**2)
+        val = level.psi(rho, rho / 4)
         assert val == 0.0
 
 
@@ -608,7 +613,8 @@ def test_psi_k_saturated_cutoff_full_energy():
     x, y = np.meshgrid(f.xs, f.ys)
     big = float(dst[np.hypot(x, y) <= r_disc + 0.1].max())
     disc = _disc_cell_window(f, (0.0, 0.0), r_disc)
-    val = _LevelCutoff(dst, disc, _cutoff_cells(comp), f.spacing**2).psi(big + 1.0, 0.5)
+    level = _LevelCutoff(dst[disc.nodes], disc, _cutoff_cells(comp, disc), f.spacing**2)
+    val = level.psi(big + 1.0, 0.5)
     g2 = comp.grad_sq()
     cell = (g2[:-1, :-1] + g2[:-1, 1:] + g2[1:, :-1] + g2[1:, 1:]) / 4 * f.spacing**2
     cx = f.origin[0] + f.spacing * (np.arange(f.nx - 1) + 0.5)
@@ -764,6 +770,15 @@ def test_psi_k_refuses_a_non_finite_ramp_width(eps):
         psi_k(f, comp, fr, w, 0, chain, 0.5 * (lo + hi), eps)
 
 
+@pytest.mark.parametrize("ladder", [[0.5, math.nan], [math.nan], [0.0, 0.5], [0.5, 1.0]], ids=str)
+def test_monotonicity_report_refuses_fractions_outside_the_interval(ladder):
+    # NaN passed `ladder <= 0` and `ladder >= 1`, and the rung check then
+    # refused it as "rho = nan outside the valid interval"
+    f, fr, comp, w, chain = _based_at(two_sheet_field(33, seed=0), standard_frame(2, 2), (16, 16))
+    with pytest.raises(InvalidInputError, match="ladder fractions"):
+        monotonicity_report(f, comp, fr, w, chain, ladder=np.array(ladder))
+
+
 def _constant_field_setup(nn=65):
     vals = np.tile(np.array([0.2, -0.1]), (nn, nn, 2, 1))
     spec = unit_square_grid(nn)
@@ -836,7 +851,7 @@ def test_monotonicity_rows_equal_direct_psi_k(which, request):
 def test_monotonicity_report_builds_pivot_once(which, request, monkeypatch):
     import qvalued.analysis as analysis
 
-    calls = {"_tau_star": 0, "d_star": 0}
+    calls = {"_tau_star": 0, "_d_star_at": 0}
 
     def counting(name):
         inner = getattr(analysis, name)
@@ -851,7 +866,7 @@ def test_monotonicity_report_builds_pivot_once(which, request, monkeypatch):
     for name in calls:
         monkeypatch.setattr(analysis, name, counting(name))
     rep = monotonicity_report(f, comp, fr, w, chain)
-    assert calls == {"_tau_star": 1, "d_star": len(rep.levels)}
+    assert calls == {"_tau_star": 1, "_d_star_at": len(rep.levels)}
     assert len(rep.levels) == rep.k0 + 1
 
 
@@ -863,6 +878,88 @@ def test_monotonicity_report_embeds_the_grid_once(which, request, monkeypatch):
     calls = count_embed_grid(monkeypatch)
     monotonicity_report(f, comp, fr, w, chain)
     assert calls == []
+
+
+def _cutoff_disc(f, w):
+    """The cells of the largest disc centred on the base node w."""
+    w0 = tuple(f.node_position(w))
+    return _disc_cell_window(f, w0, _rim_distance(f, w0))
+
+
+@pytest.mark.parametrize("which", ["strong", "root3", "sqrt161", "split_pair"])
+def test_d_star_at_nodes_is_the_full_grid_float(which, request):
+    # on a window or a mask, each node gets the float of the full-grid d*
+    f, fr, comp, w, chain = _ladder_setup(which, request)
+    disc = _cutoff_disc(f, w)
+    mask = np.random.default_rng(0).random((f.ny, f.nx)) < 0.3
+    for k in range(len(chain.levels)):
+        full = d_star(f, comp, w, k, chain)
+        assert np.array_equal(_d_star_at(f, comp, w, k, chain, disc.nodes), full[disc.nodes])
+        assert np.array_equal(_d_star_at(f, comp, w, k, chain, mask), full[mask])
+
+
+def test_ladder_measures_d_star_on_the_disc_node_window(request, monkeypatch):
+    # at the `diagnose` grid size each level's d* is measured on the cutoff
+    # disc's node window, not on the whole grid
+    import qvalued.analysis as analysis
+
+    f, fr, comp, w, chain = _ladder_setup("sqrt161", request)
+    sizes = []
+
+    def counting(p, batch):
+        sizes.append(math.prod(batch.shape[:-2]))
+        return metric_g_many(p, batch)
+
+    monkeypatch.setattr(analysis, "metric_g_many", counting)
+    rep = monotonicity_report(f, comp, fr, w, chain)
+    rows, cols = _cutoff_disc(f, w).window
+    window = (rows.stop - rows.start + 1) * (cols.stop - cols.start + 1)
+    assert window < f.nx * f.ny
+    assert len(sizes) == len(rep.levels)
+    assert max(sizes) <= window
+    psi_k(f, comp, fr, w, 0, chain, rep.levels[0][0].rho, 0.5 * rep.levels[0][0].rho)
+    assert len(sizes) == len(rep.levels) + 1 and sizes[-1] <= window
+
+
+def _constant_near_double_setup():
+    # tau* = 0 on a three-level chain: the circle fallback sets hi at k0 = 2,
+    # where rho_2 is beyond it, so the ladder is refused
+    vals = np.tile(np.array([[0.0, 0.0], [1e-6, 0.0], [1.0, 0.5]]), (33, 33, 1, 1))
+    spec = unit_square_grid(33)
+    return _based_at(GridField(vals, spec.spacing, spec.origin), standard_frame(2, 3), (16, 16))
+
+
+@pytest.mark.parametrize("which", ["constant", "constant_near_double"])
+def test_circle_fallback_reuses_the_pivot_circle(which, request, monkeypatch):
+    # the fallback of `_level_range` reads the circle points and embedded
+    # samples the pivot took for tau*, and samples no circle of its own
+    import qvalued.analysis as analysis
+
+    f, fr, comp, w, chain = (_constant_near_double_setup() if which == "constant_near_double"
+                             else _ladder_setup(which, request))
+    calls = []
+
+    def counting(w0, r, spacing):
+        calls.append((w0, r))
+        return circle_points(w0, r, spacing)
+
+    monkeypatch.setattr(analysis, "circle_points", counting)
+    if which == "constant":
+        monotonicity_report(f, comp, fr, w, chain)
+        assert len(calls) == 1
+        calls.clear()
+    k0 = chain.depth
+    _, hi, piv_k0, tau = valid_rho_interval(f, comp, fr, w, k0, chain)
+    assert tau == 0.0 and piv_k0 == k0
+    assert len(calls) == 1
+    # hi is 2/5 of the least augmented distance over the circle, here from
+    # an interpolation of the test's own
+    pts = circle_points(*calls[0], f.spacing)
+    emb = index_bilinear(comp.hopf.embedded, f, pts)
+    target = xi0(fr, chain.levels[k0].decomposition.rebuild()).flat
+    hvals = index_bilinear(comp.values[..., None], f, pts)[..., 0]
+    dist = np.sqrt(np.linalg.norm(emb - target, axis=-1) ** 2 + np.abs(hvals - comp.values[w]) ** 2)
+    assert hi == pytest.approx(0.4 * dist.min(), rel=1e-12)
 
 
 def test_psi_ladder_matches_full_grid_oracle(request):
@@ -879,7 +976,7 @@ def test_psi_ladder_matches_full_grid_oracle(request):
             assert all(row.psi > 0 for row in rep.levels[rep.k0])
         _, hi0, _, tau = valid_rho_interval(f, comp, fr, w, 0, chain)
         eps = (min(chain.levels[0].sigma, tau) if tau > 0 else 2.5 * hi0) / 20
-        e_cell = _cutoff_cells(comp)
+        e_cell = full_grid_cutoff_cells(comp)
         w0 = tuple(f.node_position(w))
         r = _rim_distance(f, w0)
         for k, rows in rep.levels.items():

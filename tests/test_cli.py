@@ -164,6 +164,16 @@ def test_bad_node_point_or_sample_count_exits_2(bad_argument_inputs, capsys, arg
     assert captured.err.startswith(("error: ", "input error: "))
 
 
+@pytest.mark.parametrize("option", [["--tol-rel-energy", "nan"], ["--max-iters", "-1"]], ids=str)
+def test_bad_minimize_options_exit_2(bad_argument_inputs, tmp_path, capsys, option):
+    out = tmp_path / "out.json"
+    argv = ["minimize", "--input", str(bad_argument_inputs / "field.json"), "--output", str(out)]
+    assert main(argv + option) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("error: ")
+    assert not out.exists()
+
+
 @pytest.fixture(scope="module")
 def non_finite_inputs(tmp_path_factory):
     d = tmp_path_factory.mktemp("non_finite")

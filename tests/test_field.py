@@ -303,6 +303,18 @@ def test_minimize_negative_tolerance_repeats_the_final_iterate(monkeypatch):
     assert np.array_equal(res.field.values, once.field.values)
 
 
+@pytest.mark.parametrize("opts", [dict(tol_rel_energy=math.nan), dict(max_iters=-1)], ids=str)
+def test_minimize_options_refuse_nan_tolerance_and_negative_iterations(opts):
+    # a NaN tolerance ran every iteration and reported no convergence after
+    # the matching repeated; a negative max_iters acted as 0
+    f = two_sheet_field(17, seed=0)
+    with pytest.raises(InvalidInputError, match="max_iters >= 0 and a non-NaN tolerance"):
+        minimize(f, MinimizeOptions(**opts))
+    # a finite negative tolerance and zero iterations stay allowed
+    res = minimize(f, MinimizeOptions(max_iters=0, tol_rel_energy=-1.0))
+    assert res.iterations == 0 and len(res.energies) == 1
+
+
 def island_field(nn=25) -> GridField:
     f, g = harmonic_boundary_field(nn)
     mask = f.boundary_mask.copy()
@@ -619,6 +631,38 @@ def test_courant_lebesgue_radius_too_small():
     f = sqrt_grid_field(17)
     with pytest.raises(InvalidInputError):
         courant_lebesgue_slice(f, standard_frame(2, 2), (0.0, 0.0), f.spacing)
+
+
+@pytest.fixture(scope="module")
+def root_family():
+    """All Q-th roots of z on 65^2, 129^2 and 257^2 over [-1, 1]^2, Q = 2, 3, 4:
+    Dir-minimising and homogeneous of degree 1/Q about the branch point 0.
+    Each grid halves the spacing of the one before."""
+    return {q: [root_grid_field(nn, q) for nn in (65, 129, 257)] for q in (2, 3, 4)}
+
+
+@pytest.mark.parametrize("q", [2, 3, 4])
+def test_root_field_slice_oscillation_scales_as_r_to_the_1_over_q(root_family, q):
+    # circle oscillation is c r^(1/Q) about the branch point; the least-squares
+    # slope of log osc against log r over the slices for R = 0.2, 0.4, 0.8
+    fr = standard_frame(2, q)
+    for f in root_family[q]:
+        r, osc = np.array([courant_lebesgue_slice(f, fr, (0.0, 0.0), R) for R in (0.2, 0.4, 0.8)]).T
+        slope = np.polyfit(np.log(r), np.log(osc), 1)[0]
+        assert abs(slope - 1 / q) <= 0.005, (f.nx, slope)
+
+
+@pytest.mark.parametrize("q", [2, 3, 4])
+def test_root_field_disc_energy_error_converges_at_order_2_over_q(root_family, q):
+    # the energy on U_R(0) is exactly 2 pi R^(2/Q); the grid's relative error
+    # at R = 0.8 is O(h^(2/Q)), so each halving of h divides it by 2^(2/Q)
+    fr = standard_frame(2, q)
+    radius = 0.8
+    exact = 2 * math.pi * radius ** (2 / q)
+    err = [disc_energy(f, fr, (0.0, 0.0), radius) / exact - 1 for f in root_family[q]]
+    assert all(e > 0 for e in err), err
+    for coarse, fine in zip(err, err[1:]):
+        assert abs(math.log2(coarse / fine) - 2 / q) <= 0.1, err
 
 
 def test_grid_field_from_dict_shape_mismatch():
