@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import functools
 import math
+import weakref
 from dataclasses import dataclass, replace
 from typing import NamedTuple
 
@@ -86,7 +87,8 @@ class HopfField:
     """Hopf density and |grad f|^2 per node on the matched edges (rim
     replicated), and what `hopf_differential` built them from: the field's
     values, the frame, the embedded field and its cell energy.  Those four
-    are None on a density given directly, which no field diagnostic accepts."""
+    are None on a density given directly, which no field diagnostic accepts.
+    Every array `hopf_differential` puts here is read-only."""
 
     phi: np.ndarray            # (ny, nx) complex
     grad_sq: np.ndarray        # (ny, nx) float
@@ -158,7 +160,7 @@ def hopf_differential(f: GridField, frame: ProjectionFrame) -> HopfField:
     core[1:-1, 1:-1] = np.sqrt(dmin2) <= 8.0 * np.sqrt(inc2)
     energy = embedded_energy(farr)
     values = v.copy()
-    for a in (values, farr, energy.per_cell):
+    for a in (phi, grad_sq, core, values, farr, energy.per_cell):
         a.flags.writeable = False
     return HopfField(phi, grad_sq, core, f.spacing, f.origin, values, frame, farr, energy)
 
@@ -244,7 +246,8 @@ def _censor_refit(hopf: HopfField) -> tuple[np.ndarray, np.ndarray]:
 class HarmonicCompanion:
     """Companion h = psi + conj(z), its diagnostics and the Hopf field it
     integrates.  The central differences of h and |grad h|^2 are formed once,
-    at construction."""
+    at construction.  `harmonic_companion` makes ``values`` and ``patched``
+    read-only, so a companion cannot drift from the field it was built on."""
 
     values: np.ndarray        # (ny, nx) complex
     path_residual: float      # max plaquette circulation of the integrated data
@@ -314,19 +317,31 @@ def _lsq_potential(phi: np.ndarray, h: float) -> np.ndarray:
     return psi - psi[0, 0]
 
 
+#: the companion `harmonic_companion` built last from a field's Hopf field,
+#: held weakly so that it lives no longer than its caller keeps it
+_last_companion: weakref.ref | None = None
+
+
 def harmonic_companion(hopf: HopfField) -> HarmonicCompanion:
     """Companion h = psi + conj(z) with psi a primitive of -phi/4.
 
     Degenerate samples are censored and refitted with a local holomorphic
     polynomial, and psi is recovered by a least-squares potential solve.
+    A companion of a Hopf field built from a field is remembered weakly, so
+    that `stationarity_residual` can reuse it while its caller holds it.
     """
+    global _last_companion
     phi_used, patched = _censor_refit(hopf)
     psi = _lsq_potential(phi_used, hopf.spacing)
     residual = float(np.abs(plaquette_defects(replace(hopf, phi=phi_used))).max())
     values = psi + np.conj(hopf.zgrid())
     if not np.all(np.isfinite(values)):
         raise NumericalFailureError("companion integration produced non-finite values")
-    return HarmonicCompanion(values, residual, patched, hopf)
+    values.flags.writeable = patched.flags.writeable = False
+    comp = HarmonicCompanion(values, residual, patched, hopf)
+    if hopf.values is not None:
+        _last_companion = weakref.ref(comp)
+    return comp
 
 
 def _check_companion(
@@ -344,6 +359,21 @@ def _check_companion(
         _check_frame(f, frame)
         if not np.array_equal(hopf.frame.directions[: f.n], frame.directions[: f.n]):
             raise InvalidInputError("companion was built in another frame")
+
+
+def _companion_of(f: GridField, frame: ProjectionFrame) -> HarmonicCompanion:
+    """The companion `harmonic_companion` built last, while it is alive and
+    `_check_companion` accepts it for f in frame; otherwise a new one.  The
+    check compares all that the companion's floats were computed from, so
+    either way the companion gives the same floats."""
+    comp = _last_companion() if _last_companion is not None else None
+    if comp is not None:
+        try:
+            _check_companion(f, comp, frame)
+            return comp
+        except InvalidInputError:
+            pass
+    return harmonic_companion(hopf_differential(f, frame))
 
 
 def conformality_defect(f: GridField, comp: HarmonicCompanion) -> float:
@@ -380,6 +410,10 @@ def _d_star_at(f: GridField, comp: HarmonicCompanion, w_star, k: int,
     if not 0 <= k < len(chain.levels):
         raise InvalidInputError(f"chain level {k} out of range")
     qk = chain.levels[k].decomposition.rebuild().points
+    if qk.shape != f.values.shape[2:]:
+        raise InvalidInputError(
+            f"chain of (Q, n) = {qk.shape} does not match the field's {f.values.shape[2:]}"
+        )
     dh2 = np.abs(comp.values[nodes] - comp.values[iy, ix]) ** 2
     return np.sqrt(metric_g_many(qk, f.values[nodes]) ** 2 + dh2)
 
@@ -707,12 +741,15 @@ def key_lemma_check(
     """Oscillation bound: circle distance to f(w*) vs augmented disc energy on
     the disc of radius r centred on the base node.
 
-    Returns (lhs, rhs, lhs <= rhs * (1 + BOUND_SLACK)).
+    Returns (lhs, rhs, lhs <= rhs * (1 + BOUND_SLACK)).  A disc that holds
+    no cell is refused, since both sides would be 0 and the bound vacuous.
     """
     _check_companion(f, comp, frame)
     w0 = tuple(f.node_position(f.interior_node(w_star)).tolist())
     lhs = _tau_star(f, comp.hopf.embedded, w_star, w0, r)[0]
     disc = _disc_cell_window(f, w0, r)
+    if not disc.inside.any():
+        raise InvalidInputError(f"the disc of radius {r} holds no grid cell")
     e_f = disc.sum(comp.hopf.energy.per_cell)
     e_h = disc.sum(_companion_cell_energy(comp))
     delta = delta_constant(f.n, f.q_sheets)

@@ -12,14 +12,16 @@ Both kinds of trial are local: a variation moves only the nodes under its
 bump or cutoff, so the cells outside have the same energy at +t and -t.
 Each derivative therefore sums the energy of the box of nodes that move
 plus a one-node ring, which changes the summation order of the full-grid
-difference and nothing else.  `stationarity_residual` builds the field's
-harmonic companion first and shares the embedded grid it carries with its
-domain trials and pivots.
+difference and nothing else.  `stationarity_residual` takes the field's
+harmonic companion that its caller still holds, or builds one when there is
+none, and shares the embedded grid it carries with its domain trials and
+pivots.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,13 +30,12 @@ from .admissible import NestedBallChain, angle_separated_frame, nested_chain
 from .analysis import (
     HarmonicCompanion,
     _check_companion,
+    _companion_of,
     _d_star_at,
     _level_range,
     _pivot,
     _rung_eps,
     _smoothstep,
-    harmonic_companion,
-    hopf_differential,
 )
 from .embedding import ProjectionFrame
 from .errors import InvalidInputError, InvalidStepError, NotInBallError, NumericalFailureError
@@ -329,9 +330,17 @@ def stationarity_residual(
 ) -> StationarityResidual:
     """Max |energy derivative| over ``trials`` random domain bumps and up to
     as many admissible range variations at sampled interior base nodes;
-    fewer than one trial is refused."""
-    if trials < 1:
-        raise InvalidInputError(f"stationarity_residual needs at least one trial, got {trials}")
+    ``trials`` must be a whole number, at least one.
+
+    The range cutoffs read the field's harmonic companion.  While the
+    companion `harmonic_companion` built last is still held by its caller
+    and was built from this field's grid and values in a frame with the same
+    first n directions, it is reused; otherwise one is built here.  Both
+    give the same floats."""
+    if isinstance(trials, bool) or not isinstance(trials, numbers.Integral) or trials < 1:
+        raise InvalidInputError(
+            f"stationarity_residual needs a whole number of trials, at least one, got {trials!r}"
+        )
     # sampled base nodes keep this many nodes from the rim, per axis
     my, mx = max(3, f.ny // 8), max(3, f.nx // 8)
     if f.ny <= 2 * my or f.nx <= 2 * mx:
@@ -339,7 +348,7 @@ def stationarity_residual(
             f"stationarity_residual needs at least 7 nodes per axis, got {f.nx}x{f.ny}"
         )
     rng = np.random.default_rng(seed)
-    comp = harmonic_companion(hopf_differential(f, frame))
+    comp = _companion_of(f, frame)
     farr = comp.hopf.embedded
     energy = comp.hopf.energy.total
     x_lo, x_hi, y_lo, y_hi = _grid_box(f, 1)

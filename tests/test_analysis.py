@@ -445,6 +445,55 @@ def test_companion_of_a_field_changed_in_place_is_rejected():
         key_lemma_check(f, comp, (16, 16), 0.3, fr)
 
 
+def test_hopf_field_and_companion_arrays_are_read_only():
+    # stationarity_residual may reuse a companion its caller holds, so no
+    # array of it can be edited into one a fresh build would not give
+    f = sqrt_grid_field(33)
+    comp = harmonic_companion(hopf_differential(f, standard_frame(2, 2)))
+    hopf = comp.hopf
+    for a in (comp.values, comp.patched, hopf.phi, hopf.grad_sq, hopf.degenerate):
+        with pytest.raises(ValueError, match="read-only"):
+            a[0, 0] = a[1, 1]
+
+
+def _other_q_chain_readers():
+    # each reader of d* with a Q = 3 chain on a Q = 2 field
+    f = two_sheet_field(33, seed=0)
+    fr = standard_frame(2, 2)
+    comp = harmonic_companion(hopf_differential(f, fr))
+    g = root_grid_field(33, 3, z0=0.13 + 0.07j)
+    base = QPoint(g.values[16, 16].copy())
+    chain = nested_chain(base, angle_separated_frame(support(base)))
+    w = (16, 16)
+    _, hi, _, tau = valid_rho_interval(f, comp, fr, w, 0, chain)
+    eps = min(chain.levels[0].sigma, tau) / 20
+    rv = build_admissible_variation(chain, 0, hi / 2, eps, w)
+    return {
+        "d_star": lambda: d_star(f, comp, w, 0, chain),
+        "psi_k": lambda: psi_k(f, comp, fr, w, 0, chain, hi / 2, eps),
+        "monotonicity_report": lambda: monotonicity_report(f, comp, fr, w, chain),
+        "cutoff_weights": lambda: cutoff_weights(f, comp, rv),
+    }
+
+
+@pytest.mark.parametrize("reader", ["d_star", "psi_k", "monotonicity_report", "cutoff_weights"])
+def test_a_chain_of_another_q_is_refused_by_name(reader):
+    # it used to reach metric_g_many and fail there with numpy's broadcast error
+    with pytest.raises(InvalidInputError, match=r"chain of \(Q, n\) = \(3, 2\)"):
+        _other_q_chain_readers()[reader]()
+
+
+@pytest.mark.parametrize("r_over_h", [0.0, 0.5])
+def test_key_lemma_refuses_a_disc_with_no_cell(r_over_h):
+    # both sides would be 0 and the bound would hold vacuously; no cell
+    # centre lies within h/sqrt(2) of the base node
+    f = two_sheet_field(33, seed=0)
+    fr = standard_frame(2, 2)
+    comp = harmonic_companion(hopf_differential(f, fr))
+    with pytest.raises(InvalidInputError, match="holds no grid cell"):
+        key_lemma_check(f, comp, (16, 16), r_over_h * f.spacing, fr)
+
+
 def test_dct_basis_is_cached_and_read_only():
     basis, eig = _dct_basis(37)
     assert _dct_basis(37)[0] is basis

@@ -1,3 +1,4 @@
+import gc
 import json
 import math
 
@@ -18,6 +19,7 @@ from qvalued import (
     d_star,
     dirichlet_energy,
     domain_variation_derivative,
+    frame_with_extra_directions,
     harmonic_companion,
     hopf_differential,
     key_lemma_check,
@@ -26,15 +28,19 @@ from qvalued import (
     monotonicity_report,
     nested_chain,
     range_variation_derivative,
+    rotated_frame,
     standard_frame,
     stationarity_residual,
     support,
     xi0,
 )
+from qvalued import analysis
+from qvalued.analysis import _check_companion
 from qvalued.cli import main
 from qvalued.variations import RETRACTION_LIPSCHITZ, cutoff_weights
 
 from helpers import (
+    count_analysis_match_edges,
     harmonic_boundary_field,
     meshgrid_for,
     count_embed_grid,
@@ -402,10 +408,10 @@ def test_stationarity_residual_embeds_the_grid_once(minimized_strong_97, monkeyp
     assert calls == [g.values.shape]
 
 
-def test_diagnostic_battery_embeds_the_grid_twice(minimized_strong_97, monkeypatch):
-    # once for the caller's Hopf field, whose companion carries the embedding
-    # to the ladder, the certificates and the key lemma, and once for the
-    # companion stationarity_residual builds for itself
+def test_diagnostic_battery_embeds_the_grid_once(minimized_strong_97, monkeypatch):
+    # only for the caller's Hopf field: its companion carries the embedding to
+    # the ladder, the certificates and the key lemma, and stationarity_residual
+    # reuses it while the caller holds it
     g = minimized_strong_97.field
     fr = standard_frame(2, 2)
     w = (48, 44)
@@ -417,7 +423,80 @@ def test_diagnostic_battery_embeds_the_grid_twice(minimized_strong_97, monkeypat
     for radius in (0.6, 0.45, 0.3):
         continuity_certificate(g, fr, tuple(g.node_position(w)), radius, comp)
     key_lemma_check(g, comp, w, 0.5, fr)
-    assert calls == [g.values.shape] * 2
+    assert calls == [g.values.shape]
+
+
+def _stationarity_field(which, request):
+    if which == "root161":
+        return root_grid_field(161, 2, z0=0.11 - 0.07j), 2
+    if which == "harmonic_two_sheet":
+        return request.getfixturevalue("minimized_strong_97").field, 2
+    return root_grid_field(65, 3, z0=0.13 + 0.07j), 3
+
+
+@pytest.mark.parametrize("which", ["root161", "harmonic_two_sheet", "root_q3"])
+def test_stationarity_residual_reuses_the_held_companion_bitwise(which, request, monkeypatch):
+    # with no companion held the residual builds its own; with the caller's
+    # held, also in a frame that differs only past its first n directions, it
+    # builds none and reports the same floats
+    f, q = _stationarity_field(which, request)
+    fr = standard_frame(2, q)
+    gc.collect()
+    calls = count_analysis_match_edges(monkeypatch)
+    cold = stationarity_residual(f, fr, trials=4, seed=3)
+    assert calls == [f.values.shape]
+    comp = harmonic_companion(hopf_differential(f, fr))
+    del calls[:]
+    for frame in (fr, frame_with_extra_directions(2, q, 5)):
+        warm = stationarity_residual(f, frame, trials=4, seed=3)
+        assert json.dumps(warm.to_dict()) == json.dumps(cold.to_dict())
+    assert calls == []
+    assert analysis._last_companion() is comp
+
+
+@pytest.mark.parametrize("change", ["edited_in_place", "spacing", "origin", "frame"])
+def test_stationarity_residual_does_not_reuse_a_companion_that_does_not_fit(change, monkeypatch):
+    # the held companion is refused by the companion check, so the residual
+    # builds its own from the field and frame it was given
+    f = two_sheet_field(33, seed=0)
+    fr = standard_frame(2, 2)
+    comp = harmonic_companion(hopf_differential(f, fr))
+    g, frame = f, fr
+    if change == "edited_in_place":
+        f.values[16, 10] += 1e-3
+    elif change == "spacing":
+        g = GridField(f.values, 2 * f.spacing, f.origin)
+    elif change == "origin":
+        g = GridField(f.values, f.spacing, (f.origin[0] + f.spacing, f.origin[1]))
+    else:
+        frame = rotated_frame(2, 2, seed=3)
+    with pytest.raises(InvalidInputError):
+        _check_companion(g, comp, frame)
+    calls = count_analysis_match_edges(monkeypatch)
+    stationarity_residual(g, frame, trials=2, seed=0)
+    assert calls == [g.values.shape]
+
+
+def test_a_dropped_companion_is_not_reused(monkeypatch):
+    # the companion is held weakly: once its caller drops it, the slot is
+    # empty and the residual builds its own
+    f = two_sheet_field(33, seed=0)
+    fr = standard_frame(2, 2)
+    comp = harmonic_companion(hopf_differential(f, fr))
+    assert analysis._last_companion() is comp
+    del comp
+    gc.collect()
+    assert analysis._last_companion() is None
+    calls = count_analysis_match_edges(monkeypatch)
+    stationarity_residual(f, fr, trials=2, seed=0)
+    assert calls == [f.values.shape]
+
+
+@pytest.mark.parametrize("trials", [0, -2, math.nan, 1.5, 2.0, True])
+def test_stationarity_residual_refuses_trials_that_are_not_a_positive_whole_number(trials):
+    # NaN passed the old `trials < 1` and ran no trial; 1.5 ran two
+    with pytest.raises(InvalidInputError, match="whole number of trials"):
+        stationarity_residual(two_sheet_field(33, seed=0), standard_frame(2, 2), trials=trials)
 
 
 def test_stationarity_residual_samples_each_axis_by_its_own_margin():
