@@ -402,6 +402,15 @@ def d_star(
     return _d_star_at(f, comp, w_star, k, chain, np.s_[:, :])
 
 
+def _check_chain(f: GridField, chain: NestedBallChain) -> None:
+    """Raise unless the chain's tuples have the field's (Q, n)."""
+    dec = chain.levels[0].decomposition
+    if (dec.q, dec.n) != f.values.shape[2:]:
+        raise InvalidInputError(
+            f"chain of (Q, n) = {(dec.q, dec.n)} does not match the field's {f.values.shape[2:]}"
+        )
+
+
 def _d_star_at(f: GridField, comp: HarmonicCompanion, w_star, k: int,
                chain: NestedBallChain, nodes) -> np.ndarray:
     """`d_star` at the grid's nodes ``nodes``, a window of slices or a mask,
@@ -409,11 +418,8 @@ def _d_star_at(f: GridField, comp: HarmonicCompanion, w_star, k: int,
     iy, ix = f.interior_node(w_star)
     if not 0 <= k < len(chain.levels):
         raise InvalidInputError(f"chain level {k} out of range")
+    _check_chain(f, chain)
     qk = chain.levels[k].decomposition.rebuild().points
-    if qk.shape != f.values.shape[2:]:
-        raise InvalidInputError(
-            f"chain of (Q, n) = {qk.shape} does not match the field's {f.values.shape[2:]}"
-        )
     dh2 = np.abs(comp.values[nodes] - comp.values[iy, ix]) ** 2
     return np.sqrt(metric_g_many(qk, f.values[nodes]) ** 2 + dh2)
 
@@ -464,6 +470,7 @@ class _Pivot(NamedTuple):
 def _pivot(f: GridField, comp: HarmonicCompanion, w_star, chain: NestedBallChain) -> _Pivot:
     """The cutoff disc, tau* on its circle and the pivot level k0 (the chain
     depth when tau* = 0), for the field f embedded as its companion carries it."""
+    _check_chain(f, chain)
     w0 = tuple(f.node_position(f.interior_node(w_star)).tolist())
     r = _rim_distance(f, w0)
     tau, circle, samples = _tau_star(f, comp.hopf.embedded, w_star, w0, r)

@@ -8,8 +8,10 @@ assignment that reports a permutation goes through `assign`: one pair in
 once, over bounded-memory chunks of the batch.  `assign` builds one layout
 of squared sheet distances for every Q, sums each permutation's cost in
 row order, and sends exact ties to the lexicographically first optimal
-permutation; it enumerates permutations for small Q and otherwise runs a
-shortest-augmenting-path solver on the whole chunk at once.  Distances
+permutation.  It enumerates permutations for small Q.  Otherwise it settles
+each clear-cut element, whose row minima lie on a permutation by more than
+a tie margin, by those minima, and runs a shortest-augmenting-path solver
+on the rest of the chunk at once.  Distances
 (`metric_g`, `metric_g_many`) come from the same kernel, so this module
 never loads scipy.optimize.
 """
@@ -24,16 +26,20 @@ import numpy as np
 from .errors import InvalidInputError
 
 #: largest sheet count for which `assign` scores all Q! permutations; above
-#: it the batched shortest-augmenting-path solver runs.  Per element on a
-#: 2-core host (49^2 root-field edges; one-base batches whose base repeats
-#: its sites, so every element ties), enumeration against the solver took
-#: 0.14 against 0.39 us (edges) and 0.20 against 1.0 us (ties) at Q = 3,
-#: 0.50 against 0.51 us and 0.43-0.51 against 1.2-1.3 us at Q = 4, but
-#: 1.7 against 0.71 us on the edges at Q = 5, where edge matchings dominate.
+#: it the row-minimum screen settles the clear-cut elements and the batched
+#: shortest-augmenting-path solver the rest.  Per element of a (Q, Q, k)
+#: cost batch on a 2-core host, enumeration against screen and solver took
+#: 0.05 against 0.08 us on 49^2 root-field x-edges and 0.05 against 0.50 us
+#: on one-base batches whose base repeats its sites (so every element ties)
+#: at Q = 3; 0.24 against 0.10 us (edges) but 0.25 against 0.91-0.96 us
+#: (ties) at Q = 4, where tie-rich batches would pay about 4x; and 1.6
+#: against 0.13 us (edges) and 1.6 against 1.6-1.7 us (ties) at Q = 5.
 EXHAUSTIVE_MAX_SHEETS = 4
 
-#: byte budget of one chunk of `assign`: its (Q, Q) cost matrices, or the
-#: Q! permutation costs of the enumeration where those are larger
+#: byte budget of one chunk of `assign`: its (Q, Q, k) float cost batch, or
+#: the (Q!, k) permutation costs of the enumeration where those are larger.
+#: The screen adds a (Q, Q, k) bool array beside the batch, and the solver
+#: its slack batch and potentials over the elements the screen leaves
 ASSIGN_CHUNK_BYTES = 1 << 22
 
 #: coincidence tolerance of `support`, relative to 1 + the tuple's diameter
@@ -326,6 +332,16 @@ def _lexicographic_matchings(tight: np.ndarray, perm: np.ndarray) -> np.ndarray:
     return perm
 
 
+def _matched_costs(cost: np.ndarray, perm: np.ndarray, elements: np.ndarray) -> np.ndarray:
+    """Cost of each (m, Q) permutation ``perm`` in the elements ``elements``
+    of a (Q, Q, k) cost batch, summed in row order.  Every reported squared
+    distance of the solver path comes from here: the gathered (Q, m) costs
+    are laid out with each element's rows adjacent, and from Q = 8 on numpy
+    sums a contiguous axis in another order than a strided one, so the floats
+    depend on this layout."""
+    return cost[np.arange(cost.shape[0])[:, None], perm.T, elements].sum(axis=0)
+
+
 def _tie_broken_assignments(cost: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Lexicographically first optimal assignments of a finite (Q, Q, k) cost
     batch by the shortest-augmenting-path solver, and their costs summed in
@@ -334,7 +350,7 @@ def _tie_broken_assignments(cost: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     rows = np.arange(q)[:, None]
     perm, u, v = _shortest_augmenting_paths(cost)
     elements = np.arange(perm.shape[0])
-    sq = cost[rows, perm.T, elements].sum(axis=0)
+    sq = _matched_costs(cost, perm, elements)
     slack = cost - np.ascontiguousarray(u.T)[:, None]
     slack -= np.ascontiguousarray(v.T)
     slack[rows, perm.T, elements] = np.inf  # look for tight pairs off the matching
@@ -344,7 +360,53 @@ def _tie_broken_assignments(cost: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         tight = tight[..., ties].transpose(2, 0, 1).astype(np.float64)
         tight[np.arange(ties.size)[:, None], rows.T, perm[ties]] = 1.0
         perm[ties] = _lexicographic_matchings(tight, perm[ties])
-        sq[ties] = cost[rows, perm[ties].T, ties].sum(axis=0)
+        sq[ties] = _matched_costs(cost, perm[ties], ties)
+    return perm, sq
+
+
+def _screened_assignments(cost: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """`_tie_broken_assignments` of a finite (Q, Q, k) cost batch, with the
+    clear-cut elements settled by their row minima and only the rest solved.
+
+    An element is clear-cut when its rows' cheapest columns form a
+    permutation and every other entry of each row lies more than the margin
+    m = Q * 2e-12 * (1 + the sum of the row minima) above that row's
+    minimum.  The sum of the row minima bounds every permutation's cost from
+    below, and this permutation attains it, so it is the optimum.  Any other
+    permutation leaves the row minimum in at least two rows and pays more
+    than m in each, while a perfect matching of the solver's tight pairs
+    pays at most the tie tolerance 1e-12 * (1 + sq), below m, in each row
+    where it leaves the optimum.  So no other permutation is tight, and the
+    solver and its tie pass would return this same permutation; its cost is
+    summed by the solver's own `_matched_costs`.  The rest go to the solver
+    as one sub-batch, the batch itself when every element is left; the batch
+    is overwritten.
+    """
+    q, _, k = cost.shape
+    low = cost.min(axis=1)  # (Q, k) row minima
+    near = cost <= (low + q * 2e-12 * (1.0 + low.sum(axis=0)))[:, None]
+    # every row holds its minimum, so Q near entries in all that cover every
+    # column are one per row, on a permutation
+    clear = (near.reshape(q * q, k).sum(axis=0) == q) & near.any(axis=0).all(axis=0)
+    del low
+    if not clear.any():
+        del near
+        return _tie_broken_assignments(cost)
+    perm = np.zeros((q, k), dtype=np.intp)  # each row's last near column
+    for j in range(1, q):
+        np.copyto(perm, j, where=near[:, j])
+    del near
+    perm = perm.T
+    easy = np.nonzero(clear)[0]
+    sq = np.empty(k)
+    sq[easy] = _matched_costs(cost, perm[easy], easy)
+    hard = np.nonzero(~clear)[0]
+    if hard.size:
+        # the rest move to the front of the batch, so that the solver's
+        # sub-batch holds no second copy of the chunk while it runs
+        sub = cost[..., :hard.size]
+        sub[...] = cost[..., hard]
+        perm[hard], sq[hard] = _tie_broken_assignments(sub)
     return perm, sq
 
 
@@ -375,11 +437,14 @@ def assign(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     cost is summed in row order, so the floats do not depend on the batch
     form.  For Q <= EXHAUSTIVE_MAX_SHEETS every permutation is scored, and
     the lexicographically first whose cost is at most min + 1e-12 * (1 + min)
-    wins.  Above that a batched shortest-augmenting-path solver finds an
-    optimum and its dual potentials; a pair is tight when its reduced cost is
-    at most 1e-12 * (1 + sq), and an element whose tight graph admits more
-    than one perfect matching takes the lexicographically first.  Either way
-    exact ties go to the lexicographically first optimal permutation.
+    wins.  Above that an element whose row minima lie on a permutation,
+    each clear of the rest of its row by a tie margin, takes that
+    permutation (see `_screened_assignments`).  For the others a batched
+    shortest-augmenting-path solver finds an optimum and its dual
+    potentials; a pair is tight when its reduced cost is at most
+    1e-12 * (1 + sq), and an element whose tight graph admits more than one
+    perfect matching takes the lexicographically first.  Either way exact
+    ties go to the lexicographically first optimal permutation.
     """
     a = np.asarray(a, dtype=np.float64)
     b = np.asarray(b, dtype=np.float64)
@@ -400,7 +465,7 @@ def assign(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         if not np.isfinite(cost).all():
             raise InvalidInputError("squared sheet distances must be finite")
         if table is None:
-            perm[lo:hi], sq[lo:hi] = _tie_broken_assignments(cost)
+            perm[lo:hi], sq[lo:hi] = _screened_assignments(cost)
         else:
             perm[lo:hi], sq[lo:hi] = _enumerated_assignments(cost, table)
     return perm.reshape(shape[:-1]), sq.reshape(shape[:-2])

@@ -457,7 +457,7 @@ def test_hopf_field_and_companion_arrays_are_read_only():
 
 
 def _other_q_chain_readers():
-    # each reader of d* with a Q = 3 chain on a Q = 2 field
+    # each reader of d* or of the pivot with a Q = 3 chain on a Q = 2 field
     f = two_sheet_field(33, seed=0)
     fr = standard_frame(2, 2)
     comp = harmonic_companion(hopf_differential(f, fr))
@@ -465,20 +465,30 @@ def _other_q_chain_readers():
     base = QPoint(g.values[16, 16].copy())
     chain = nested_chain(base, angle_separated_frame(support(base)))
     w = (16, 16)
-    _, hi, _, tau = valid_rho_interval(f, comp, fr, w, 0, chain)
-    eps = min(chain.levels[0].sigma, tau) / 20
-    rv = build_admissible_variation(chain, 0, hi / 2, eps, w)
+    # tau* is the field's alone: read it with the field's own chain, and
+    # take the level-0 rung inside (2/5) min(tau*, sigma_0) of the Q = 3 chain
+    own = QPoint(f.values[w].copy())
+    own_chain = nested_chain(own, angle_separated_frame(support(own)))
+    tau = valid_rho_interval(f, comp, fr, w, 0, own_chain)[3]
+    cap = min(tau, chain.levels[0].sigma)
+    rho, eps = 0.2 * cap, cap / 20
+    rv = build_admissible_variation(chain, 0, rho, eps, w)
     return {
         "d_star": lambda: d_star(f, comp, w, 0, chain),
-        "psi_k": lambda: psi_k(f, comp, fr, w, 0, chain, hi / 2, eps),
+        "psi_k": lambda: psi_k(f, comp, fr, w, 0, chain, rho, eps),
         "monotonicity_report": lambda: monotonicity_report(f, comp, fr, w, chain),
         "cutoff_weights": lambda: cutoff_weights(f, comp, rv),
+        "valid_rho_interval": lambda: valid_rho_interval(f, comp, fr, w, 0, chain),
+        "monotone_rho_interval": lambda: monotone_rho_interval(f, comp, fr, w, 0, chain),
     }
 
 
-@pytest.mark.parametrize("reader", ["d_star", "psi_k", "monotonicity_report", "cutoff_weights"])
+@pytest.mark.parametrize("reader", ["d_star", "psi_k", "monotonicity_report", "cutoff_weights",
+                                    "valid_rho_interval", "monotone_rho_interval"])
 def test_a_chain_of_another_q_is_refused_by_name(reader):
-    # it used to reach metric_g_many and fail there with numpy's broadcast error
+    # it used to reach metric_g_many and fail there with numpy's broadcast
+    # error; the interval readers, which read d* only on a circle fallback,
+    # returned a range made of the other chain's sigma and this field's tau*
     with pytest.raises(InvalidInputError, match=r"chain of \(Q, n\) = \(3, 2\)"):
         _other_q_chain_readers()[reader]()
 

@@ -17,9 +17,10 @@ from qvalued import (
     support,
 )
 from qvalued import qspace
+from qvalued.field import _match_edges
 from qvalued.qspace import ASSIGN_CHUNK_BYTES, assign
 
-from helpers import random_qpoint, random_qpoint_pair
+from helpers import noisy_copy, random_qpoint, random_qpoint_pair, root_grid_field
 from oracles import exhaustive_assignment, exhaustive_metric, hungarian_metric
 
 
@@ -262,10 +263,13 @@ def test_assign_matches_enumeration(data, q, n, k):
 
 
 def test_assign_memory_is_bounded():
-    # Q = 6 runs the batched solver on (6, 6, k) cost matrices, so a chunk
-    # holds 14563 pairs.  The 30000 random pairs below span three chunks,
-    # the last one partial; they peak near 21 MB chunked and near 42 MB when
-    # solved in one piece
+    # Q = 6 screens and solves (6, 6, k) cost batches, so a chunk holds
+    # 14563 pairs.  Beside its float cost batch a chunk holds the screen's
+    # bool array of the same shape, then the solver's slack batch for the
+    # pairs the screen leaves, nearly all of these random ones; those move
+    # to the front of the batch rather than into a copy.  The 30000 pairs
+    # below span three chunks, the last one partial; they peak near 22 MB
+    # chunked and near 42 MB when solved in one piece
     chunk = ASSIGN_CHUNK_BYTES // (6 * 6 * 8)
     assert chunk < 30000 and 30000 % chunk != 0
     rng = np.random.default_rng(9)
@@ -426,3 +430,79 @@ def test_assign_rejects_non_finite_costs(value):
     for q in (2, 5):
         with np.errstate(over="ignore"), pytest.raises(InvalidInputError):
             assign(np.full((q, 2), value), np.zeros((q, 2)))
+
+
+def far_sheets(q):
+    """Q - 2 sheets far apart on the x-axis, each matched to itself."""
+    return [[10.0 * i, 0.0] for i in range(1, q - 1)]
+
+
+@pytest.mark.parametrize("q", range(5, 9))
+def test_assign_sends_a_near_tie_to_the_first_permutation(q):
+    # each row's minimum lies on the permutation (1, 0, 2, ...) by 2e-13,
+    # but the identity costs only 4e-13 more, inside 1e-12 * (1 + sq): the
+    # two tie, and the lexicographically first wins, as when every
+    # permutation is scored
+    a = np.array([[0.0, 0.0], [0.0, 1.0]] + far_sheets(q))
+    b = np.array([[1.0, 0.501], [-1.0, 0.501 - 2e-13]] + far_sheets(q))
+    cost = qspace._cost_matrices(a[None], b[None])
+    assert cost[0, 1, 0] < cost[0, 0, 0] and cost[1, 0, 0] < cost[1, 1, 0]
+    want, _ = qspace._enumerated_assignments(cost, qspace._permutation_table(q))
+    assert want[0].tolist() == list(range(q))
+    perm, _ = assign(a, b)
+    assert perm.tolist() == list(range(q))
+
+
+@pytest.mark.parametrize("q", range(5, 9))
+def test_assign_does_not_settle_rows_that_share_a_cheapest_column(q):
+    # rows 0 and 1 are both nearest to column 0, each by a clear margin
+    a = np.array([[0.0, 0.0], [0.5, 0.0]] + far_sheets(q))
+    b = np.array([[0.2, 0.0], [3.0, 0.0]] + far_sheets(q))
+    assert_assign_matches_oracle(a, b[None])
+
+
+def grid_edges(values):
+    """The (k, Q, n) end tuples of a grid field's x- and y-edges."""
+    q, n = values.shape[2:]
+    ends = [(values[:, :-1], values[:, 1:]), (values[:-1], values[1:])]
+    return [(u.reshape(-1, q, n), w.reshape(-1, q, n)) for u, w in ends]
+
+
+def edge_fields(q):
+    root = root_grid_field(25 if q == 8 else 33, q, z0=0.13 + 0.07j)
+    rng = np.random.default_rng(q)
+    lattice = rng.integers(0, 2, size=root.values.shape).astype(np.float64)
+    mixed = root.values.copy()
+    mixed[::3] = lattice[::3]
+    return [root.values, noisy_copy(root, scale=0.01, seed=q).values, lattice, mixed]
+
+
+@pytest.mark.parametrize("q", range(5, 9))
+def test_assign_on_grid_edges_is_the_solver_bitwise(q):
+    # the row-minimum screen settles the root and noisy edges, none of the
+    # lattice's tied ones, and of the mixed field those that touch no
+    # lattice row; every perm and squared distance is the float the solver
+    # and its tie pass give the whole batch.  From Q = 8 on a row-minimum
+    # sum in another memory layout differs in the last bit
+    for values in edge_fields(q):
+        for a, b in grid_edges(values):
+            perm, sq = assign(a, b)
+            want_perm, want_sq = qspace._tie_broken_assignments(qspace._cost_matrices(a, b))
+            assert np.array_equal(perm, want_perm)
+            assert np.array_equal(sq, want_sq)
+
+
+def test_root_field_edges_skip_the_solver(monkeypatch):
+    # on a 49^2 Q = 7 root field branched off the nodes every edge matching
+    # is clear-cut, so no element reaches the solver
+    solved = []
+    inner = qspace._tie_broken_assignments
+
+    def counting(cost):
+        solved.append(cost.shape[2])
+        return inner(cost)
+
+    monkeypatch.setattr(qspace, "_tie_broken_assignments", counting)
+    px, _, _ = _match_edges(root_grid_field(49, 7, z0=0.13 + 0.07j).values)
+    assert px.shape == (49, 48, 7)
+    assert solved == []
