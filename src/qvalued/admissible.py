@@ -16,16 +16,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import FrameConstructionError, InvalidInputError, NotInBallError
+from .errors import FrameConstructionError, InvalidInputError, NotInBallError, _is_count
 from .embedding import ProjectionFrame, standard_frame
 from .qspace import (
     QPoint,
     SupportDecomposition,
     _collapse_classes,
+    _distances,
     _threshold_classes,
     metric_g,
     metric_g_many,
-    min_separation,
     project_sheets,
     support,
 )
@@ -205,15 +205,9 @@ class AdmissibleBall:
 
 def is_admissible(ball: AdmissibleBall) -> bool:
     """Projected-interval disjointness of the site balls on all first-n axes."""
-    sites = ball.center.sites
-    if sites.shape[0] < 2:
-        return True
-    for vals in project_sheets(ball.frame.directions[: ball.frame.n], sites):
-        gaps = np.abs(vals[:, None] - vals[None, :])
-        iu = np.triu_indices(sites.shape[0], k=1)
-        if np.any(gaps[iu] <= 2.0 * ball.radius):
-            return False
-    return True
+    proj = project_sheets(ball.frame.directions[: ball.frame.n], ball.center.sites)
+    i, j = np.triu_indices(proj.shape[1], k=1)
+    return not np.any(np.abs(proj[:, i] - proj[:, j]) <= 2.0 * ball.radius)
 
 
 def assign_sheets(q_dec: SupportDecomposition, p: QPoint, ball: AdmissibleBall) -> np.ndarray:
@@ -366,7 +360,8 @@ def nested_chain(q: QPoint, frame: AngleSeparatedFrame) -> NestedBallChain:
     current = dec
     rho = 0.0
     while current.count >= 2:
-        sigma = 0.25 * sin_th * min_separation(current)
+        dist = _distances(current.sites)  # every ladder step reads it
+        sigma = 0.25 * sin_th * float(dist[np.triu_indices(current.count, k=1)].min())
         levels.append(ChainLevel(current, rho, sigma))
 
         # threshold ladder: s_0 = sigma, t_1 = 0, d_k = (Q-1) t_k,
@@ -374,10 +369,10 @@ def nested_chain(q: QPoint, frame: AngleSeparatedFrame) -> NestedBallChain:
         # class count repeats its predecessor's stops it, and the predecessor
         # gives the next inner radius and the merged classes
         s_prev = sigma  # s_1, as t_1 = 0
-        classes_prev = _threshold_classes(current.sites, 0.0)
+        classes_prev = _threshold_classes(dist, 0.0)
         while True:
             t = 2.0 * k_const * s_prev
-            classes = _threshold_classes(current.sites, t)
+            classes = _threshold_classes(dist, t)
             if len(classes) == len(classes_prev):
                 break
             d_k = (q_sheets - 1) * t
@@ -456,10 +451,11 @@ def chain_inclusion_check(chain: NestedBallChain, samples: int, seed: int = 0) -
 
     Members are drawn by perturbing the rebuilt level tuple with offsets whose
     total norm is at most sigma, so they lie in the sigma-ball by construction.
-    ``samples`` members are drawn per level; fewer than one is refused.
+    ``samples`` members, a whole number of at least one, are drawn per level.
     """
-    if samples < 1:
-        raise InvalidInputError(f"the inclusion check needs at least one sample, got {samples}")
+    if not _is_count(samples, 1):
+        raise InvalidInputError(f"the inclusion check needs a whole number of samples, "
+                                f"at least one, got {samples!r}")
     rng = np.random.default_rng(seed)
     for k in range(1, len(chain.levels)):
         prev = chain.levels[k - 1]

@@ -1,4 +1,6 @@
-"""Exception types shared by all qvalued modules."""
+"""Exception types shared by all qvalued modules, and the one check of a count."""
+
+import numbers
 
 
 class QValuedError(Exception):
@@ -30,3 +32,8 @@ class InvalidStepError(QValuedError):
 
 class NumericalFailureError(QValuedError):
     """A numerical routine produced non-finite values or violated a certified bound."""
+
+
+def _is_count(value, least: int) -> bool:
+    """Whether value is a whole number of at least ``least``; bool reads as a flag."""
+    return not isinstance(value, bool) and isinstance(value, numbers.Integral) and value >= least

@@ -26,7 +26,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import InvalidInputError, NumericalFailureError
+from .errors import InvalidInputError, NumericalFailureError, _is_count
 from .embedding import ProjectionFrame
 from .qspace import QPoint, assign, metric_g_many, project_sheets
 
@@ -528,11 +528,11 @@ def minimize(f: GridField, opts: MinimizeOptions | None = None) -> MinimizeResul
     solve would repeat it bit for bit (only the fixed neighbours enter its
     right-hand side), so the remaining iterations reuse the iterate and its
     energy without solving again; with a non-negative tolerance the first
-    of them stops the loop.  A negative max_iters, which would act as 0,
-    and a NaN tolerance, which every energy drop fails, are refused.
+    of them stops the loop.  A max_iters not a whole number >= 0 (a negative
+    one would act as 0) and a NaN tolerance, which every energy drop fails, are refused.
     """
     opts = opts or MinimizeOptions()
-    if opts.max_iters < 0 or math.isnan(opts.tol_rel_energy):
+    if not _is_count(opts.max_iters, 0) or math.isnan(opts.tol_rel_energy):
         raise InvalidInputError(f"minimize needs max_iters >= 0 and a non-NaN tolerance: {opts}")
     g = f.copy()
     v = g.values

@@ -18,6 +18,7 @@ never loads scipy.optimize.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 
@@ -45,15 +46,13 @@ ASSIGN_CHUNK_BYTES = 1 << 22
 #: coincidence tolerance of `support`, relative to 1 + the tuple's diameter
 DEDUP_REL_TOL = 1e-9
 
-_PERM_CACHE: dict[int, np.ndarray] = {}
 
-
+@functools.lru_cache(maxsize=4)
 def _permutation_table(q: int) -> np.ndarray:
-    """All permutations of range(q) as an (q!, q) int array, lexicographic order."""
-    tab = _PERM_CACHE.get(q)
-    if tab is None:
-        tab = np.array(list(itertools.permutations(range(q))), dtype=np.intp)
-        _PERM_CACHE[q] = tab
+    """All permutations of range(q) as an (q!, q) int array, lexicographic
+    order.  Read-only, since the cache hands the same array to every caller."""
+    tab = np.array(list(itertools.permutations(range(q))), dtype=np.intp)
+    tab.flags.writeable = False
     return tab
 
 
@@ -500,11 +499,17 @@ def _union_classes(count: int, pairs) -> list[list[int]]:
     return list(classes.values())
 
 
-def _threshold_classes(points: np.ndarray, threshold: float) -> list[list[int]]:
-    """Classes of points chained by pairwise distance <= threshold."""
+def _distances(points: np.ndarray) -> np.ndarray:
+    """Pairwise distances of (m, n) points, shape (m, m); sqrt is monotone and
+    correctly rounded, so its extremes are the roots of the squares' extremes."""
     diff = points[:, None, :] - points[None, :, :]
-    close = np.sqrt(np.einsum("ijk,ijk->ij", diff, diff)) <= threshold
-    return _union_classes(points.shape[0], zip(*np.nonzero(np.triu(close, k=1))))
+    return np.sqrt(np.einsum("ijk,ijk->ij", diff, diff))
+
+
+def _threshold_classes(dist: np.ndarray, threshold: float) -> list[list[int]]:
+    """Classes of points chained by pairwise distance <= threshold, given
+    their `_distances`."""
+    return _union_classes(dist.shape[0], zip(*np.nonzero(np.triu(dist <= threshold, k=1))))
 
 
 def _collapse_classes(
@@ -525,21 +530,16 @@ def support(p: QPoint) -> SupportDecomposition:
     form one site, represented by its lexicographically smallest member;
     sites are returned in lexicographic order.
     """
-    pts = p.points
-    diff = pts[:, None, :] - pts[None, :, :]
-    diam = np.sqrt(np.einsum("ijk,ijk->ij", diff, diff).max())
-    classes = _threshold_classes(pts, DEDUP_REL_TOL * (1.0 + diam))
-    return _collapse_classes(pts, np.ones(p.q, dtype=np.intp), classes)
+    dist = _distances(p.points)
+    classes = _threshold_classes(dist, DEDUP_REL_TOL * (1.0 + dist.max()))
+    return _collapse_classes(p.points, np.ones(p.q, dtype=np.intp), classes)
 
 
 def min_separation(s: SupportDecomposition) -> float:
     """Minimum pairwise site distance; +inf for a single site."""
     if s.count < 2:
         return float("inf")
-    diff = s.sites[:, None, :] - s.sites[None, :, :]
-    d2 = np.einsum("ijk,ijk->ij", diff, diff)
-    iu = np.triu_indices(s.count, k=1)
-    return float(np.sqrt(d2[iu].min()))
+    return float(_distances(s.sites)[np.triu_indices(s.count, k=1)].min())
 
 
 def project_sheets(directions: np.ndarray, values: np.ndarray) -> np.ndarray:

@@ -21,7 +21,6 @@ pivots.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -38,7 +37,8 @@ from .analysis import (
     _smoothstep,
 )
 from .embedding import ProjectionFrame
-from .errors import InvalidInputError, InvalidStepError, NotInBallError, NumericalFailureError
+from .errors import (InvalidInputError, InvalidStepError, NotInBallError, NumericalFailureError,
+                     _is_count)
 from .field import (
     GridField,
     _embed_values,
@@ -141,13 +141,28 @@ def _domain_derivative(f: GridField, farr: np.ndarray, v: DomainVariation) -> fl
 
 @dataclass(frozen=True, eq=False)
 class RangeVariation:
-    """Retraction toward the level-k sites gated by the level distance cutoff."""
+    """Retraction toward the level-k sites gated by the level distance cutoff.
+
+    Refuses a level off the chain, rho outside (0, sigma_k] and eps outside
+    (0, sigma_0/10), and stores w_star as two ints; the derivative re-checks
+    the tau*-dependent part of the cutoff validity against the field."""
 
     chain: NestedBallChain
     level: int
     rho: float
     eps: float
     w_star: tuple[int, int]
+
+    def __post_init__(self):
+        if not 0 <= self.level < len(self.chain.levels):
+            raise InvalidInputError(f"chain level {self.level} out of range")
+        sigma, sigma0 = self.sigma, self.chain.levels[0].sigma
+        # an infinite sigma bounds nothing, and NaN fails every comparison
+        if not (math.isfinite(self.rho) and 0.0 < self.rho <= sigma):
+            raise InvalidInputError(f"rho = {self.rho} outside (0, sigma_k = {sigma}]")
+        if not (math.isfinite(self.eps) and 0.0 < self.eps < sigma0 / 10):
+            raise InvalidInputError(f"eps = {self.eps} outside (0, sigma_0/10 = {sigma0 / 10})")
+        object.__setattr__(self, "w_star", (int(self.w_star[0]), int(self.w_star[1])))
 
     @property
     def sites(self) -> np.ndarray:
@@ -159,8 +174,11 @@ class RangeVariation:
 
     def retraction(self, y: np.ndarray) -> np.ndarray:
         """Gamma: pull y toward its nearest site inside the two-radius collar."""
-        sites = self.sites
-        d = np.linalg.norm(y[..., None, :] - sites, axis=-1)
+        return self._retraction(y)[0]
+
+    def _retraction(self, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """`retraction` and the distance from each point of y to its nearest site."""
+        d = np.linalg.norm(y[..., None, :] - self.sites, axis=-1)
         j = np.argmin(d, axis=-1)
         s = np.take_along_axis(d, j[..., None], axis=-1)[..., 0]
         sigma = self.sigma
@@ -168,7 +186,7 @@ class RangeVariation:
             chi = np.ones_like(s)
         else:
             chi = 1.0 - _smoothstep((s - 0.4 * sigma) / (0.2 * sigma))
-        return chi[..., None] * (sites[j] - y)
+        return chi[..., None] * (self.sites[j] - y), s
 
 
 def build_admissible_variation(
@@ -181,41 +199,30 @@ def build_admissible_variation(
 ) -> RangeVariation:
     """Assemble the level-k range variation and certify the retraction numerically.
 
-    Checks the structural parameter ranges (the tau*-dependent part of the
-    cutoff validity is re-checked against the field by the derivative) and
+    `RangeVariation` checks the structural parameter ranges.  The certificate
     samples LIP_SAMPLES two-point ratios |Gamma(y1) - Gamma(y2)| / |y1 - y2|
     around every site, pairs closer than 1e-12 sigma_k left out, against
     the retraction's own Lipschitz constant RETRACTION_LIPSCHITZ (plus 1e-6).
     Both the ratios and the constant are pure numbers, so the check does not
-    depend on the field's scale.
+    depend on the field's scale.  The tests guard the constant, so the
+    stationarity battery builds its variations without this certificate.
     """
-    if not 0 <= k < len(chain.levels):
-        raise InvalidInputError(f"chain level {k} out of range")
-    sigma = chain.levels[k].sigma
-    sigma0 = chain.levels[0].sigma
-    # an infinite sigma bounds nothing, and NaN fails every comparison
-    if not (math.isfinite(rho) and 0.0 < rho <= sigma):
-        raise InvalidInputError(f"rho = {rho} outside (0, sigma_k = {sigma}]")
-    if not (math.isfinite(eps) and 0.0 < eps < sigma0 / 10):
-        raise InvalidInputError(f"eps = {eps} outside (0, sigma_0/10 = {sigma0 / 10})")
-    rv = RangeVariation(chain, k, rho, eps, (int(w_star[0]), int(w_star[1])))
-    if not math.isinf(sigma):
-        rng = np.random.default_rng(seed)
-        sites = rv.sites
-        n = sites.shape[1]
-        budget = RETRACTION_LIPSCHITZ + 1e-6
-        for site in sites:
-            y1 = site + rng.normal(size=(LIP_SAMPLES, n)) * (0.4 * sigma)
-            y2 = y1 + rng.normal(size=(LIP_SAMPLES, n)) * (0.05 * sigma)
-            num = np.linalg.norm(rv.retraction(y1) - rv.retraction(y2), axis=-1)
-            den = np.linalg.norm(y1 - y2, axis=-1)
-            ok = den > 1e-12 * sigma
-            ratio = num[ok] / den[ok]
-            if ratio.size and ratio.max() > budget:
-                raise NumericalFailureError(
-                    f"sampled retraction Lipschitz ratio {ratio.max()} exceeds "
-                    f"the retraction's constant {RETRACTION_LIPSCHITZ}"
-                )
+    rv = RangeVariation(chain, k, rho, eps, w_star)
+    if not math.isinf(rv.sigma):
+        m, n = rv.sites.shape
+        # site by site, its y1 offsets and then its y2 offsets
+        z = np.random.default_rng(seed).normal(size=(m, 2, LIP_SAMPLES, n))
+        y1 = rv.sites[:, None, :] + z[:, 0] * (0.4 * rv.sigma)
+        y2 = y1 + z[:, 1] * (0.05 * rv.sigma)
+        num = np.linalg.norm(np.subtract(*rv.retraction(np.stack([y1, y2]))), axis=-1)
+        den = np.linalg.norm(y1 - y2, axis=-1)
+        ok = den > 1e-12 * rv.sigma
+        ratio = num[ok] / den[ok]
+        if ratio.size and ratio.max() > RETRACTION_LIPSCHITZ + 1e-6:
+            raise NumericalFailureError(
+                f"sampled retraction Lipschitz ratio {ratio.max()} exceeds "
+                f"the retraction's constant {RETRACTION_LIPSCHITZ}"
+            )
     return rv
 
 
@@ -255,12 +262,8 @@ def range_variation_derivative(
     return 0.0 if d is None else d
 
 
-def _range_derivative(
-    f: GridField,
-    frame: ProjectionFrame,
-    rv: RangeVariation,
-    lam: np.ndarray,
-) -> float | None:
+def _range_derivative(f: GridField, frame: ProjectionFrame, rv: RangeVariation,
+                      lam: np.ndarray) -> float | None:
     """`range_variation_derivative` for the cutoff weights lam, or None when
     lam * Gamma vanishes on every node, so the variation moves no sheet.
 
@@ -271,20 +274,17 @@ def _range_derivative(
     active = lam > 0
     if not active.any():
         return None
-    sigma = rv.sigma
-    if not math.isinf(sigma):
-        sheets = f.values[active]
-        d = np.linalg.norm(sheets[..., None, :] - rv.sites, axis=-1).min(-1)
-        if d.max() > 0.4 * sigma + 1e-9:
-            raise NotInBallError(
-                "a sheet under the cutoff leaves its 2/5-sigma site ball; "
-                "shrink rho or use a finer level"
-            )
-    t = f.spacing**2
     iy, ix = np.nonzero(active)
     box = np.s_[iy.min() - 1 : iy.max() + 2, ix.min() - 1 : ix.max() + 2]
     vals = f.values[box]
-    bump = lam[box][..., None, None] * rv.retraction(vals)
+    gamma, nearest = rv._retraction(vals)
+    if nearest[active[box]].max() > 0.4 * rv.sigma + 1e-9:
+        raise NotInBallError(
+            "a sheet under the cutoff leaves its 2/5-sigma site ball; "
+            "shrink rho or use a finer level"
+        )
+    t = f.spacing**2
+    bump = lam[box][..., None, None] * gamma
     if not bump.any():
         return None
     e_plus = embedded_energy(_embed_values(vals + t * bump, frame)).total
@@ -337,7 +337,7 @@ def stationarity_residual(
     and was built from this field's grid and values in a frame with the same
     first n directions, it is reused; otherwise one is built here.  Both
     give the same floats."""
-    if isinstance(trials, bool) or not isinstance(trials, numbers.Integral) or trials < 1:
+    if not _is_count(trials, 1):
         raise InvalidInputError(
             f"stationarity_residual needs a whole number of trials, at least one, got {trials!r}"
         )
@@ -355,7 +355,7 @@ def stationarity_residual(
     span = min(x_hi - x_lo, y_hi - y_lo)
 
     domain_derivs: list[float] = []
-    while len(domain_derivs) < trials:
+    for _ in range(trials):
         rad = rng.uniform(0.1, 0.2) * span
         cx = rng.uniform(x_lo + rad * 1.05, x_hi - rad * 1.05)
         cy = rng.uniform(y_lo + rad * 1.05, y_hi - rad * 1.05)
@@ -380,11 +380,8 @@ def stationarity_residual(
         ranges = [_level_range(f, comp, (iy, ix), k, chain, piv) for k in range(piv.k0 + 1)]
         eps = _rung_eps(chain, piv, ranges[0][1])
         for k, (lo, _, hi) in enumerate(ranges):
-            rho = lo + 0.6 * (hi - lo)
-            if rho <= 0 or not math.isfinite(rho):
-                continue
             try:
-                rv = build_admissible_variation(chain, k, rho, eps, (iy, ix), seed=seed)
+                rv = RangeVariation(chain, k, lo + 0.6 * (hi - lo), eps, (iy, ix))
                 lam = _cutoff_weights(f, comp, rv)
                 if not np.any(lam > 0):
                     continue  # cutoff support below grid resolution: nothing varied
@@ -395,8 +392,7 @@ def stationarity_residual(
                 vacuous += 1
             else:
                 range_derivs.append(d)
-    domain_max = max((abs(d) for d in domain_derivs), default=0.0)
-    range_max = max((abs(d) for d in range_derivs), default=0.0)
     return StationarityResidual(
-        domain_max, range_max, energy, tuple(domain_derivs), tuple(range_derivs), vacuous
+        max(map(abs, domain_derivs)), max(map(abs, range_derivs), default=0.0), energy,
+        tuple(domain_derivs), tuple(range_derivs), vacuous,
     )

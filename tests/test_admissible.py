@@ -28,6 +28,7 @@ from qvalued import (
     validate_chain,
     xi0,
 )
+from qvalued import admissible
 
 from helpers import random_qpoint
 
@@ -341,6 +342,30 @@ def test_chain_inclusion_trivial_and_hand():
     two = QPoint([[0.0], [1.0]])
     chain2 = nested_chain(two, angle_separated_frame(support(two)))
     assert bool(chain_inclusion_check(chain2, 1000))
+
+
+def test_nested_chain_forms_one_distance_matrix_per_level(monkeypatch):
+    # sigma_k and every step of the threshold ladder read the level's matrix
+    calls = []
+    orig = admissible._distances
+    monkeypatch.setattr(admissible, "_distances", lambda pts: calls.append(len(pts)) or orig(pts))
+    rng = np.random.default_rng(7)
+    for q in (2, 3, 5):
+        calls.clear()
+        p = QPoint(rng.normal(size=(q, 2)))
+        chain = nested_chain(p, angle_separated_frame(support(p)))
+        finite = [lv.decomposition.count for lv in chain.levels if math.isfinite(lv.sigma)]
+        assert calls == finite
+
+
+@pytest.mark.parametrize("samples", [0, -1, 1.5, math.nan, True, np.float64(5.0)], ids=repr)
+def test_chain_inclusion_refuses_sample_counts_that_are_not_whole(samples):
+    # 1.5 and True raised a bare TypeError or drew one sample; NaN drew none
+    two = QPoint([[0.0], [1.0]])
+    chain = nested_chain(two, angle_separated_frame(support(two)))
+    with pytest.raises(InvalidInputError, match="whole number of samples"):
+        chain_inclusion_check(chain, samples)
+    assert bool(chain_inclusion_check(chain, np.int64(5)))
 
 
 def test_chain_inclusion_random():

@@ -303,10 +303,14 @@ def test_minimize_negative_tolerance_repeats_the_final_iterate(monkeypatch):
     assert np.array_equal(res.field.values, once.field.values)
 
 
-@pytest.mark.parametrize("opts", [dict(tol_rel_energy=math.nan), dict(max_iters=-1)], ids=str)
+@pytest.mark.parametrize("opts", [
+    dict(tol_rel_energy=math.nan), dict(max_iters=-1),
+    dict(max_iters=True), dict(max_iters=1.5), dict(max_iters=np.float64(3.0)),
+], ids=str)
 def test_minimize_options_refuse_nan_tolerance_and_negative_iterations(opts):
     # a NaN tolerance ran every iteration and reported no convergence after
-    # the matching repeated; a negative max_iters acted as 0
+    # the matching repeated; a negative max_iters acted as 0, True ran one
+    # iteration, and 1.5 or a float 3.0 raised a bare TypeError
     f = two_sheet_field(17, seed=0)
     with pytest.raises(InvalidInputError, match="max_iters >= 0 and a non-NaN tolerance"):
         minimize(f, MinimizeOptions(**opts))

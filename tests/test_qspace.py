@@ -155,6 +155,17 @@ def test_support_tolerance_clusters():
     assert s.multiplicities.tolist() == [2, 1]
 
 
+@pytest.mark.parametrize("q", [1, 3, 4])
+def test_permutation_table_is_read_only_and_lexicographic(q):
+    # the cache hands every caller the same array
+    tab = qspace._permutation_table(q)
+    assert tab is qspace._permutation_table(q)
+    assert not tab.flags.writeable
+    assert tab.tolist() == [list(p) for p in itertools.permutations(range(q))]
+    with pytest.raises(ValueError):
+        tab[0, 0] = 1
+
+
 def test_min_separation():
     single = support(QPoint(np.zeros((3, 2))))
     assert min_separation(single) == np.inf

@@ -13,6 +13,7 @@ from qvalued import (
     MinimizeOptions,
     NotInBallError,
     QPoint,
+    RangeVariation,
     angle_separated_frame,
     build_admissible_variation,
     continuity_certificate,
@@ -34,7 +35,7 @@ from qvalued import (
     support,
     xi0,
 )
-from qvalued import analysis
+from qvalued import analysis, variations
 from qvalued.analysis import _check_companion
 from qvalued.cli import main
 from qvalued.variations import RETRACTION_LIPSCHITZ, cutoff_weights
@@ -291,14 +292,20 @@ def test_stationarity_residual_does_not_depend_on_the_field_scale(tmp_path):
 
 
 def test_build_admissible_variation_validation(minimized_strong_97):
+    # the type itself refuses what the builder refuses
     g, fr, comp, chain, rv = _range_setup(minimized_strong_97)
     sigma0 = chain.levels[0].sigma
-    with pytest.raises(InvalidInputError):
-        build_admissible_variation(chain, 0, -0.1, sigma0 / 20, rv.w_star)
-    with pytest.raises(InvalidInputError):
-        build_admissible_variation(chain, 0, 0.1 * sigma0, sigma0 / 5, rv.w_star)
-    with pytest.raises(InvalidInputError):
-        build_admissible_variation(chain, 99, 0.1 * sigma0, sigma0 / 20, rv.w_star)
+    for build in (build_admissible_variation, RangeVariation):
+        with pytest.raises(InvalidInputError):
+            build(chain, 0, -0.1, sigma0 / 20, rv.w_star)
+        with pytest.raises(InvalidInputError):
+            build(chain, 0, 1.01 * sigma0, sigma0 / 20, rv.w_star)
+        with pytest.raises(InvalidInputError):
+            build(chain, 0, 0.1 * sigma0, sigma0 / 5, rv.w_star)
+        with pytest.raises(InvalidInputError):
+            build(chain, 99, 0.1 * sigma0, sigma0 / 20, rv.w_star)
+        with pytest.raises(InvalidInputError):
+            build(chain, -1, 0.1 * sigma0, sigma0 / 20, rv.w_star)
 
 
 @pytest.mark.parametrize("level, rho, eps", [
@@ -313,8 +320,31 @@ def test_build_admissible_variation_refuses_non_finite_parameters(level, rho, ep
     chain = nested_chain(base, angle_separated_frame(support(base)))
     assert len(chain.levels) == 2 and math.isinf(chain.levels[1].sigma)
     assert 0.1 < chain.levels[0].sigma and 0.01 < chain.levels[0].sigma / 10
-    with pytest.raises(InvalidInputError):
-        build_admissible_variation(chain, level, rho, eps, (16, 16))
+    for build in (build_admissible_variation, RangeVariation):
+        with pytest.raises(InvalidInputError):
+            build(chain, level, rho, eps, (16, 16))
+
+
+def test_range_variation_stores_its_base_node_as_ints():
+    f = two_sheet_field(33, seed=0)
+    base = f.node_value((16, 16))
+    chain = nested_chain(base, angle_separated_frame(support(base)))
+    rv = RangeVariation(chain, 0, 0.1, 0.01, (np.int64(16), 16.0))
+    assert rv.w_star == (16, 16) and all(type(i) is int for i in rv.w_star)
+    assert build_admissible_variation(chain, 0, 0.1, 0.01, (np.int64(16), 16.0)).w_star == (16, 16)
+
+
+def test_range_variation_derivative_is_zero_when_the_cutoff_covers_no_node():
+    # the level-1 site is far from every sheet of the base node, so d*_1 >= rho
+    # on every node and the variation moves nothing
+    f = two_sheet_field(33, seed=0)
+    fr = standard_frame(2, 2)
+    comp = harmonic_companion(hopf_differential(f, fr))
+    base = f.node_value((16, 16))
+    chain = nested_chain(base, angle_separated_frame(support(base)))
+    rv = RangeVariation(chain, 1, 0.01, 0.01, (16, 16))
+    assert not np.any(cutoff_weights(f, comp, rv) > 0)
+    assert range_variation_derivative(f, fr, rv, comp) == 0.0
 
 
 def test_range_variation_not_in_ball_guard(minimized_strong_97):
@@ -492,7 +522,7 @@ def test_a_dropped_companion_is_not_reused(monkeypatch):
     assert calls == [f.values.shape]
 
 
-@pytest.mark.parametrize("trials", [0, -2, math.nan, 1.5, 2.0, True])
+@pytest.mark.parametrize("trials", [0, -2, math.nan, 1.5, 2.0, True, np.float64(2.0)])
 def test_stationarity_residual_refuses_trials_that_are_not_a_positive_whole_number(trials):
     # NaN passed the old `trials < 1` and ran no trial; 1.5 ran two
     with pytest.raises(InvalidInputError, match="whole number of trials"):
@@ -524,3 +554,84 @@ def test_vacuous_range_trials_are_counted_apart():
         assert res.range_trials == 0 and res.range_vacuous == 8
         assert res.range_derivatives == () and res.range_max == 0.0
         assert res.to_dict()["range_vacuous"] == 8
+
+
+def test_stationarity_residual_builds_no_retraction_certificate(monkeypatch):
+    # the battery builds its range variations directly, so the sampled
+    # Lipschitz certificate of `build_admissible_variation` never runs in it,
+    # and the residual is the one it was with the certificate
+    f = two_sheet_field(33, seed=0)
+    frame = standard_frame(2, 2)
+    want = stationarity_residual(f, frame, trials=8, seed=0).to_dict()
+    assert want["range_trials"] > 0
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the battery ran the retraction certificate")
+
+    monkeypatch.setattr(variations, "build_admissible_variation", refuse)
+    assert stationarity_residual(f, frame, trials=8, seed=0).to_dict() == want
+
+
+def _record(monkeypatch, name, wrap=None) -> list:
+    """Wrap variations.<name>, keeping each result, or ``wrap``'s result."""
+    calls, orig = [], getattr(variations, name)
+
+    def recorded(*args):
+        out = (wrap or orig)(*args)
+        calls.append(out)
+        return out
+
+    monkeypatch.setattr(variations, name, recorded)
+    return calls
+
+
+def test_stationarity_residual_skips_base_nodes_with_zero_tau(monkeypatch):
+    # a field of y alone on a dyadic grid: the pivot circle's theta = 0
+    # sample lands exactly on a node of the base row, whose value is the
+    # base node's, so tau* = 0 and every range attempt is skipped before
+    # any level range is read
+    f = two_sheet_field(33, seed=0)
+    g = GridField(np.repeat(f.values[:, 16:17], f.nx, axis=1), f.spacing, f.origin)
+    pivots = _record(monkeypatch, "_pivot")
+    ranges = _record(monkeypatch, "_level_range")
+    res = stationarity_residual(g, standard_frame(2, 2), trials=4, seed=0)
+    assert len(pivots) == 40 and all(p.tau == 0.0 for p in pivots)
+    assert ranges == []
+    assert res.domain_trials == 4
+    assert res.range_trials == 0 and res.range_vacuous == 0 and res.range_max == 0.0
+
+
+@pytest.mark.parametrize("case", ["rho_nan", "rho_negative", "rho_above_sigma", "sheets_leave_ball"])
+def test_stationarity_residual_skips_refused_rungs(case, monkeypatch):
+    # a rung whose rho the variation refuses, or whose cutoff lets a sheet
+    # leave its site ball, is skipped: neither a derivative nor vacuous
+    f = two_sheet_field(33, seed=0)
+    frame = standard_frame(2, 2)
+    want = stationarity_residual(f, frame, trials=4, seed=0)
+    orig = variations._level_range
+
+    def level_range(f, comp, w_star, k, chain, piv):
+        lo, hi, _ = orig(f, comp, w_star, k, chain, piv)
+        sigma = chain.levels[k].sigma
+        # the battery varies at rho = lo + 0.6 (mono - lo)
+        target = {"rho_nan": math.nan, "rho_negative": -1.0, "rho_above_sigma": 2.0 * sigma,
+                  "sheets_leave_ball": 0.99 * sigma}[case]
+        return lo, hi, lo + (target - lo) / 0.6
+
+    refused = []
+    orig_derivative = variations._range_derivative
+
+    def range_derivative(*args):
+        try:
+            return orig_derivative(*args)
+        except NotInBallError:
+            refused.append(args[2].level)
+            raise
+
+    ranges = _record(monkeypatch, "_level_range", level_range)
+    monkeypatch.setattr(variations, "_range_derivative", range_derivative)
+    res = stationarity_residual(f, frame, trials=4, seed=0)
+    assert len(ranges) == 40 and all(math.isfinite(r[2]) == (case != "rho_nan") for r in ranges)
+    assert len(refused) == (40 if case == "sheets_leave_ball" else 0)
+    assert res.range_trials == 0 and res.range_vacuous == 0 and res.range_max == 0.0
+    assert res.domain_derivatives == want.domain_derivatives
