@@ -324,6 +324,13 @@ class NestedBallChain:
     def q_sheets(self) -> int:
         return self.levels[0].decomposition.q
 
+    def level(self, k: int) -> ChainLevel:
+        """Level k, refused unless k is a whole number below the level count
+        (a bool is not a level)."""
+        if not (_is_count(k, 0) and k < len(self.levels)):
+            raise InvalidInputError(f"chain level {k} out of range")
+        return self.levels[k]
+
     def to_dict(self) -> dict:
         dec = self.levels[0].decomposition
         return {

@@ -17,6 +17,11 @@ instead of accumulating along integration paths.  Its Neumann grid
 Laplacian is diagonalised by the tensor DCT-II basis, so the solve is a few
 dense products in numpy.  The maximal plaquette circulation of the
 integrated data is reported as the loop residual.
+
+The cutoff rules of a base node (each level's rho range, the rungs' ramp
+width and the checks of a rung) are methods of one pivot record, `_Pivot`,
+which `psi_k`, both rho intervals, the ladder and the stationarity battery
+read; every chain level goes through `NestedBallChain.level`.
 """
 
 from __future__ import annotations
@@ -416,10 +421,9 @@ def _d_star_at(f: GridField, comp: HarmonicCompanion, w_star, k: int,
     """`d_star` at the grid's nodes ``nodes``, a window of slices or a mask,
     each the float of the full grid: `assign` is the same in any batch."""
     iy, ix = f.interior_node(w_star)
-    if not 0 <= k < len(chain.levels):
-        raise InvalidInputError(f"chain level {k} out of range")
+    lv = chain.level(k)
     _check_chain(f, chain)
-    qk = chain.levels[k].decomposition.rebuild().points
+    qk = lv.decomposition.rebuild().points
     dh2 = np.abs(comp.values[nodes] - comp.values[iy, ix]) ** 2
     return np.sqrt(metric_g_many(qk, f.values[nodes]) ** 2 + dh2)
 
@@ -445,20 +449,15 @@ def _tau_star(f: GridField, farr: np.ndarray, w_star, w0, r) -> tuple:
     return float(np.linalg.norm(vals - farr[iy, ix], axis=-1).min()), pts, vals
 
 
-def k_zero(chain: NestedBallChain, tau: float) -> int:
-    """Largest level k with 10 Q rho_k strictly below tau."""
-    q = chain.q_sheets
-    k0 = 0
-    for k, lv in enumerate(chain.levels):
-        if 10 * q * lv.rho < tau:
-            k0 = k
-    return k0
-
-
 class _Pivot(NamedTuple):
-    """What a base node fixes for every level and rung: the cutoff disc (the
-    largest one centred on the node), tau*, k0, and the points of the disc's
-    circle with the embedded field's samples there, which tau* read."""
+    """A base node's cutoff rules, with what they read: the field, its
+    companion, the chain and the interior node; the cutoff disc (the largest
+    one centred on the node), tau*, the pivot level k0, and the disc's
+    circle points with the embedded field's samples there, which tau* read."""
+    f: GridField
+    comp: HarmonicCompanion
+    chain: NestedBallChain
+    node: tuple[int, int]
     w0: tuple[float, float]
     r: float
     tau: float
@@ -466,37 +465,56 @@ class _Pivot(NamedTuple):
     circle: np.ndarray
     samples: np.ndarray
 
+    def level(self, k: int) -> tuple[float, float, float]:
+        """(rho_k, valid hi, monotone hi) of level k; see `valid_rho_interval`
+        and `monotone_rho_interval`.  Where tau* or sigma_k bounds nothing,
+        hi is 2/5 of the least level-k augmented distance over the circle."""
+        lv = self.chain.level(k)
+        if k > self.k0:
+            raise InvalidInputError(f"level {k} beyond the pivot level k0 = {self.k0}")
+        hi = lv.sigma if k < self.k0 else 0.4 * min(self.tau, lv.sigma)
+        if not hi > 0 or math.isinf(hi):
+            comp = self.comp
+            target = xi0(comp.hopf.frame, lv.decomposition.rebuild()).flat
+            hvals = bilinear_array(np.stack([comp.values.real, comp.values.imag], axis=-1),
+                                   self.f, self.circle)
+            hw = comp.values[self.node]
+            dh2 = (hvals[..., 0] - hw.real) ** 2 + (hvals[..., 1] - hw.imag) ** 2
+            dist = np.sqrt(np.linalg.norm(self.samples - target, axis=-1) ** 2 + dh2)
+            hi = 0.4 * float(dist.min())
+        return lv.rho, hi, 0.4 * hi if k < self.k0 else hi
+
+    def eps(self, hi0: float) -> float:
+        """Ramp width of the rungs at the node: min(sigma_0, tau*)/20, or with
+        tau* = 0 2.5 hi0/20, hi0 level 0's valid hi: half `check_rung`'s cap."""
+        return (min(self.chain.levels[0].sigma, self.tau) if self.tau > 0 else 2.5 * hi0) / 20
+
+    def check_rung(self, k: int, hi: float, rho: float, eps: float) -> None:
+        """Raise unless rho lies in (0, hi) and eps in (0, its cap) at level k."""
+        if not 0.0 < rho < hi:
+            raise InvalidInputError(
+                f"rho = {rho} outside the valid interval (0, {hi}) for level {k} (k0 = {self.k0})"
+            )
+        eps_cap = min(self.chain.levels[0].sigma, self.tau) / 10 if self.tau > 0 else hi / 4
+        if not (math.isfinite(eps) and 0 < eps < eps_cap):
+            raise InvalidInputError(f"ramp width eps = {eps} outside (0, {eps_cap})")
+
 
 def _pivot(f: GridField, comp: HarmonicCompanion, w_star, chain: NestedBallChain) -> _Pivot:
-    """The cutoff disc, tau* on its circle and the pivot level k0 (the chain
-    depth when tau* = 0), for the field f embedded as its companion carries it."""
+    """The cutoff disc, tau* on its circle and the pivot level k0, for the
+    field f embedded as its companion carries it.  k0 is the largest level
+    with 10 Q rho_k strictly below tau* (0 if none), or the chain depth when
+    tau* = 0."""
     _check_chain(f, chain)
-    w0 = tuple(f.node_position(f.interior_node(w_star)).tolist())
+    node = f.interior_node(w_star)
+    w0 = tuple(f.node_position(node).tolist())
     r = _rim_distance(f, w0)
     tau, circle, samples = _tau_star(f, comp.hopf.embedded, w_star, w0, r)
-    return _Pivot(w0, r, tau, k_zero(chain, tau) if tau > 0 else chain.depth, circle, samples)
-
-
-def _circle_d_star_min(f, comp: HarmonicCompanion, w_star, k: int, chain, piv: _Pivot) -> float:
-    """Minimum of the level-k augmented distance over the pivot's circle
-    (interpolated), from the embedded samples the pivot keeps."""
-    target = xi0(comp.hopf.frame, chain.levels[k].decomposition.rebuild()).flat
-    hvals = bilinear_array(np.stack([comp.values.real, comp.values.imag], axis=-1), f, piv.circle)
-    hw = comp.values[f.interior_node(w_star)]
-    dh2 = (hvals[..., 0] - hw.real) ** 2 + (hvals[..., 1] - hw.imag) ** 2
-    return float(np.sqrt(np.linalg.norm(piv.samples - target, axis=-1) ** 2 + dh2).min())
-
-
-def _level_range(f, comp, w_star, k: int, chain, piv: _Pivot) -> tuple[float, float, float]:
-    """(rho_k, valid hi, monotone hi) of level k; see `valid_rho_interval` and
-    `monotone_rho_interval`."""
-    if k > piv.k0:
-        raise InvalidInputError(f"level {k} beyond the pivot level k0 = {piv.k0}")
-    lv = chain.levels[k]
-    hi = lv.sigma if k < piv.k0 else 0.4 * min(piv.tau, lv.sigma)
-    if not hi > 0 or math.isinf(hi):
-        hi = 0.4 * _circle_d_star_min(f, comp, w_star, k, chain, piv)
-    return lv.rho, hi, 0.4 * hi if k < piv.k0 else hi
+    k0 = chain.depth
+    if tau > 0:
+        q = chain.q_sheets
+        k0 = max((k for k, lv in enumerate(chain.levels) if 10 * q * lv.rho < tau), default=0)
+    return _Pivot(f, comp, chain, node, w0, r, tau, k0, circle, samples)
 
 
 def valid_rho_interval(
@@ -519,7 +537,7 @@ def valid_rho_interval(
     """
     _check_companion(f, comp, frame)
     piv = _pivot(f, comp, w_star, chain)
-    lo, hi, _ = _level_range(f, comp, w_star, k, chain, piv)
+    lo, hi, _ = piv.level(k)
     return lo, hi, piv.k0, piv.tau
 
 
@@ -538,25 +556,13 @@ def monotone_rho_interval(
     be nondecreasing; it is narrower than psi_k's validity below the pivot.
     """
     _check_companion(f, comp, frame)
-    piv = _pivot(f, comp, w_star, chain)
-    lo, _, hi = _level_range(f, comp, w_star, k, chain, piv)
+    lo, _, hi = _pivot(f, comp, w_star, chain).level(k)
     return lo, hi
 
 
 def _smoothstep(t: np.ndarray) -> np.ndarray:
     t = np.clip(t, 0.0, 1.0)
     return t**3 * (10.0 - 15.0 * t + 6.0 * t**2)
-
-
-def _check_rung(chain: NestedBallChain, k: int, piv: _Pivot, hi: float, rho: float, eps: float):
-    """Raise unless rho lies in (0, hi) and eps in (0, its cap) at level k."""
-    if not 0.0 < rho < hi:
-        raise InvalidInputError(
-            f"rho = {rho} outside the valid interval (0, {hi}) for level {k} (k0 = {piv.k0})"
-        )
-    eps_cap = min(chain.levels[0].sigma, piv.tau) / 10 if piv.tau > 0 else hi / 4
-    if not (math.isfinite(eps) and 0 < eps < eps_cap):
-        raise InvalidInputError(f"ramp width eps = {eps} outside (0, {eps_cap})")
 
 
 def _cell_average(g: np.ndarray) -> np.ndarray:
@@ -568,12 +574,6 @@ def _cutoff_cells(comp: HarmonicCompanion, disc: _DiscWindow) -> np.ndarray:
     """The disc cells' averages of the augmented energy density
     |grad f|^2 + |grad h|^2, formed on the disc's node window alone."""
     return _cell_average(comp.hopf.grad_sq[disc.nodes] + comp.grad_sq()[disc.nodes])[disc.inside]
-
-
-def _rung_eps(chain: NestedBallChain, piv: _Pivot, hi0: float) -> float:
-    """Ramp width of the rungs at a base node: min(sigma_0, tau*)/20, or with
-    tau* = 0 2.5 hi0/20, hi0 level 0's valid hi: half `_check_rung`'s cap."""
-    return (min(chain.levels[0].sigma, piv.tau) if piv.tau > 0 else 2.5 * hi0) / 20
 
 
 class _LevelCutoff:
@@ -636,8 +636,8 @@ def psi_k(
     """
     _check_companion(f, comp, frame)
     piv = _pivot(f, comp, w_star, chain)
-    _, hi, _ = _level_range(f, comp, w_star, k, chain, piv)
-    _check_rung(chain, k, piv, hi, rho, eps)
+    _, hi, _ = piv.level(k)
+    piv.check_rung(k, hi, rho, eps)
     disc = _disc_cell_window(f, piv.w0, piv.r)
     dst = _d_star_at(f, comp, w_star, k, chain, disc.nodes)
     return _LevelCutoff(dst, disc, _cutoff_cells(comp, disc), f.spacing**2).psi(rho, eps)
@@ -715,8 +715,8 @@ def monotonicity_report(
         raise InvalidInputError("ladder fractions must lie strictly inside (0, 1)")
     _check_companion(f, comp, frame)
     piv = _pivot(f, comp, w_star, chain)
-    ranges = [_level_range(f, comp, w_star, k, chain, piv) for k in range(piv.k0 + 1)]
-    eps = _rung_eps(chain, piv, ranges[0][1])
+    ranges = [piv.level(k) for k in range(piv.k0 + 1)]
+    eps = piv.eps(ranges[0][1])
     disc = _disc_cell_window(f, piv.w0, piv.r)
     energy = _cutoff_cells(comp, disc)
     levels: dict[int, list[LadderRow]] = {}
@@ -726,7 +726,7 @@ def monotonicity_report(
         level = _LevelCutoff(dst, disc, energy, f.spacing**2)
         rows = []
         for rho in lo + (mono_hi - lo) * ladder:
-            _check_rung(chain, k, piv, hi, rho, eps)
+            piv.check_rung(k, hi, rho, eps)
             val = level.psi(rho, eps)
             rows.append(LadderRow(float(rho), float(val), float(val / rho**2)))
         levels[k] = rows

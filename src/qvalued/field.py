@@ -28,7 +28,7 @@ import numpy as np
 
 from .errors import InvalidInputError, NumericalFailureError, _is_count
 from .embedding import ProjectionFrame
-from .qspace import QPoint, assign, metric_g_many, project_sheets
+from .qspace import QPoint, assign, project_sheets
 
 #: circle-slice constant of the certificate's alpha1 (the classical Courant-Lebesgue shape)
 DEFAULT_C_CL = math.sqrt(4.0 * math.pi / math.log(2.0))
@@ -290,19 +290,6 @@ def _compose(first: np.ndarray, then: np.ndarray) -> np.ndarray:
     return np.take_along_axis(then, first, axis=-1)
 
 
-def _prefix_compose(p: np.ndarray) -> np.ndarray:
-    """Prefix products of a sequence of permutation arrays along axis 0:
-    out[0] is the identity and out[i + 1] follows out[i], then p[i].  Each
-    doubling step composes the whole sequence at once (Hillis & Steele,
-    CACM 29, 1986), so there are about log2 len(p) of them."""
-    out = np.concatenate([np.broadcast_to(np.arange(p.shape[-1]), (1, *p.shape[1:])), p])
-    d = 1
-    while d < out.shape[0]:
-        out[d:] = _compose(out[:-d], out[d:])
-        d *= 2
-    return out
-
-
 def _comb_gauge(px: np.ndarray, py: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Relabel the sheets so that the matchings along a comb are identities.
 
@@ -314,9 +301,15 @@ def _comb_gauge(px: np.ndarray, py: np.ndarray) -> tuple[np.ndarray, np.ndarray]
     y-edge keeps a non-identity twist only where the cells to its left
     enclose a net holonomy.
     """
-    column = _prefix_compose(py[:, 0])  # (ny, Q)
-    rows = _prefix_compose(px.transpose(1, 0, 2)).transpose(1, 0, 2)  # (ny, nx, Q)
-    g = _compose(column[:, None], rows)
+    ny, nx, q = py.shape[0] + 1, *py.shape[1:]
+    g = np.empty((ny, nx, q), dtype=py.dtype)
+    g[0, 0] = np.arange(q)
+    # plain indexing composes one step for a fraction of a `_compose` call
+    for iy in range(1, ny):
+        g[iy, 0] = py[iy - 1, 0][g[iy - 1, 0]]
+    rows = np.arange(ny)[:, None]
+    for ix in range(1, nx):
+        g[:, ix] = px[rows, ix - 1, g[:, ix - 1]]
     return g, _compose(_compose(g[:-1], py), np.argsort(g[1:], axis=-1))
 
 
@@ -809,8 +802,5 @@ def disc_oscillation(f: GridField, w0: tuple[float, float], r: float) -> float:
     if nodes.shape[0] > OSC_MAX_NODES:
         rng = np.random.default_rng(OSC_SEED)
         nodes = nodes[rng.choice(nodes.shape[0], size=OSC_MAX_NODES, replace=False)]
-    best = 0.0
-    for i in range(nodes.shape[0] - 1):
-        d = metric_g_many(nodes[i], nodes[i + 1 :])
-        best = max(best, float(d.max()))
-    return best
+    i, j = np.triu_indices(nodes.shape[0], 1)
+    return float(np.sqrt(assign(nodes[i], nodes[j])[1]).max())

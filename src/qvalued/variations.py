@@ -15,7 +15,8 @@ plus a one-node ring, which changes the summation order of the full-grid
 difference and nothing else.  `stationarity_residual` takes the field's
 harmonic companion that its caller still holds, or builds one when there is
 none, and shares the embedded grid it carries with its domain trials and
-pivots.
+pivots.  Each sampled base node's pivot record, `analysis._pivot`, gives
+its level ranges and ramp width, the rules `psi_k` and the ladder read.
 """
 
 from __future__ import annotations
@@ -31,9 +32,7 @@ from .analysis import (
     _check_companion,
     _companion_of,
     _d_star_at,
-    _level_range,
     _pivot,
-    _rung_eps,
     _smoothstep,
 )
 from .embedding import ProjectionFrame
@@ -143,9 +142,12 @@ def _domain_derivative(f: GridField, farr: np.ndarray, v: DomainVariation) -> fl
 class RangeVariation:
     """Retraction toward the level-k sites gated by the level distance cutoff.
 
-    Refuses a level off the chain, rho outside (0, sigma_k] and eps outside
-    (0, sigma_0/10), and stores w_star as two ints; the derivative re-checks
-    the tau*-dependent part of the cutoff validity against the field."""
+    Refuses a level that `NestedBallChain.level` refuses, rho outside
+    (0, sigma_k] and eps outside (0, sigma_0/10), and stores w_star as two
+    ints.  The derivative checks that the companion fits the field and that
+    every sheet under the cutoff stays within 2/5 sigma_k of its site; no
+    check holds rho to the base node's tau*-dependent valid range, which
+    `psi_k` enforces."""
 
     chain: NestedBallChain
     level: int
@@ -154,9 +156,7 @@ class RangeVariation:
     w_star: tuple[int, int]
 
     def __post_init__(self):
-        if not 0 <= self.level < len(self.chain.levels):
-            raise InvalidInputError(f"chain level {self.level} out of range")
-        sigma, sigma0 = self.sigma, self.chain.levels[0].sigma
+        sigma, sigma0 = self.chain.level(self.level).sigma, self.chain.levels[0].sigma
         # an infinite sigma bounds nothing, and NaN fails every comparison
         if not (math.isfinite(self.rho) and 0.0 < self.rho <= sigma):
             raise InvalidInputError(f"rho = {self.rho} outside (0, sigma_k = {sigma}]")
@@ -377,8 +377,8 @@ def stationarity_residual(
             continue
         if piv.tau <= 0:
             continue
-        ranges = [_level_range(f, comp, (iy, ix), k, chain, piv) for k in range(piv.k0 + 1)]
-        eps = _rung_eps(chain, piv, ranges[0][1])
+        ranges = [piv.level(k) for k in range(piv.k0 + 1)]
+        eps = piv.eps(ranges[0][1])
         for k, (lo, _, hi) in enumerate(ranges):
             try:
                 rv = RangeVariation(chain, k, lo + 0.6 * (hi - lo), eps, (iy, ix))

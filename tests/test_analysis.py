@@ -990,7 +990,7 @@ def _constant_near_double_setup():
 
 @pytest.mark.parametrize("which", ["constant", "constant_near_double"])
 def test_circle_fallback_reuses_the_pivot_circle(which, request, monkeypatch):
-    # the fallback of `_level_range` reads the circle points and embedded
+    # the fallback of `_Pivot.level` reads the circle points and embedded
     # samples the pivot took for tau*, and samples no circle of its own
     import qvalued.analysis as analysis
 

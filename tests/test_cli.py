@@ -1,5 +1,9 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -20,6 +24,7 @@ import qvalued.cli
 from qvalued.cli import _dump_json, _write_csv, main
 
 from helpers import count_analysis_match_edges, two_sheet_field, unit_square_grid
+from test_imports import RUN_CLI
 
 
 def write_json(path, obj):
@@ -256,6 +261,41 @@ def test_minimize_deterministic_outputs(tmp_path):
         )
         outs.append(out.read_bytes())
     assert outs[0] == outs[1]
+
+
+#: each grid command's own arguments, and the flag of the table it writes
+GRID_COMMANDS = {
+    "analyze": (["--grid", "33,33,0.0625"], "--cell-csv"),
+    "monotonicity": (["--wstar", "16,16", "--ladder", "0.4:0.9:4"], "--csv"),
+    "variations": (["--trials", "3", "--seed", "2"], None),
+    "certificate": (["--w", "0.1,0.05", "--radii", "0.5,0.25"], "--csv"),
+}
+
+
+@pytest.mark.parametrize("cmd", list(GRID_COMMANDS))
+def test_grid_command_outputs_are_deterministic(cmd, tmp_path, capsys):
+    # the second run in this process sees warm caches and the companion the
+    # first left behind, a fresh interpreter neither; all three write the
+    # same bytes
+    inp, _ = small_field_file(tmp_path, nn=33)
+    extra, table = GRID_COMMANDS[cmd]
+
+    def argv(tag):
+        out = [cmd, "--input", str(inp), "--output", str(tmp_path / f"{tag}.json"), *extra]
+        return out + ([table, str(tmp_path / f"{tag}.csv")] if table else [])
+
+    for tag in ("warm_a", "warm_b"):
+        assert main(argv(tag)) == 0
+    env = dict(os.environ)
+    src = str(Path(qvalued.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    subprocess.run([sys.executable, "-c", RUN_CLI, *argv("fresh")], env=env,
+                   capture_output=True, timeout=120, check=True)
+    for suffix in (".json", ".csv") if table else (".json",):
+        warm_a, warm_b, fresh = (
+            (tmp_path / f"{tag}{suffix}").read_bytes() for tag in ("warm_a", "warm_b", "fresh")
+        )
+        assert warm_a == warm_b == fresh and len(warm_a) > 0
 
 
 def test_minimize_warns_when_not_converged(tmp_path, capsys):

@@ -16,14 +16,17 @@ from qvalued import (
     dirichlet_energy,
     dirichlet_energy_matched,
     disc_energy,
+    disc_oscillation,
     embed_grid,
     metric_g,
+    metric_g_many,
     minimize,
     rotated_frame,
     standard_frame,
 )
 
-from qvalued.field import _comb_gauge, _compose, _match_edges, _neighbour_partners
+from qvalued.field import (OSC_MAX_NODES, OSC_SEED, _comb_gauge, _compose, _match_edges,
+                           _neighbour_partners)
 
 from helpers import (
     branch_pair_field,
@@ -712,6 +715,46 @@ def test_two_sheet_fields_have_no_branch_plaquettes():
         f = two_sheet_field(33, seed=seed)
         assert branch_plaquettes(f) == {}
         assert branch_plaquettes(minimize(f).field) == {}
+
+
+@pytest.mark.parametrize("field", [
+    noisy_copy(root_grid_field(17, 3, 0.05 - 0.03j), scale=0.4, seed=3),
+    branch_pair_field(33, -0.4 + 0.013j, 0.37 + 0.3j),
+    two_sheet_field(17, seed=1),
+    root_grid_field(9, 7, 0.05 - 0.03j),
+], ids=["noisy_root3", "branch_pair", "two_sheet", "root7"])
+def test_comb_gauge_makes_the_comb_matchings_identities(field):
+    # label t at a node pairs with label t at its right neighbour and, in
+    # column 0, at the node above; the twists are the y-edge matchings relabelled
+    px, py, _ = _match_edges(field.values)
+    g, twist = _comb_gauge(px, py)
+    assert np.array_equal(g[0, 0], np.arange(field.q_sheets))
+    assert np.array_equal(_compose(g[:, :-1], px), g[:, 1:])
+    assert np.array_equal(_compose(g[:-1, 0], py[:, 0]), g[1:, 0])
+    assert np.array_equal(_compose(g[:-1], py), _compose(twist, g[1:]))
+
+
+def _loop_disc_oscillation(f, w0, r):
+    """`disc_oscillation` with one `metric_g_many` batch per node."""
+    gx, gy = np.meshgrid(f.xs, f.ys)
+    nodes = f.values[(gx - w0[0]) ** 2 + (gy - w0[1]) ** 2 <= r**2]
+    if nodes.shape[0] > OSC_MAX_NODES:
+        rng = np.random.default_rng(OSC_SEED)
+        nodes = nodes[rng.choice(nodes.shape[0], size=OSC_MAX_NODES, replace=False)]
+    return max(float(metric_g_many(nodes[i], nodes[i + 1:]).max())
+               for i in range(nodes.shape[0] - 1))
+
+
+@pytest.mark.parametrize("field", [sqrt_grid_field(49), root_grid_field(33, 3, 0.05 - 0.03j),
+                                   noisy_copy(two_sheet_field(33, seed=2), scale=2.0)],
+                         ids=["sqrt", "root3", "noisy_two_sheet"])
+def test_disc_oscillation_is_the_per_node_loop_bitwise(field):
+    # one assignment batch over every node pair gives each pair the float the
+    # per-node batches gave it, the largest disc sampling OSC_MAX_NODES nodes
+    for w0, r in (((0.0, 0.0), 0.1), ((0.2, -0.1), 0.25), ((-0.3, 0.3), 0.5), ((0.0, 0.0), 0.9)):
+        assert disc_oscillation(field, w0, r) == _loop_disc_oscillation(field, w0, r)
+    gx, gy = np.meshgrid(field.xs, field.ys)
+    assert (gx**2 + gy**2 <= 0.81).sum() > OSC_MAX_NODES
 
 
 @pytest.mark.parametrize("field", [

@@ -6,7 +6,8 @@ loads no scipy module, and neither do the analysis commands, `chain` and
 `minimize` on a rim-only mask.  Only `minimize`'s SuperLU fallback loads
 `scipy.sparse.linalg`, and only `frame_with_extra_directions` loads
 `scipy.stats`.  The CLI also imports no private name of another qvalued
-module, which the last check reads from its source.
+module, and `variations` takes from `analysis` only the pivot and the
+helpers it shares, which the last two checks read from their sources.
 """
 
 import ast
@@ -152,3 +153,21 @@ def test_cli_imports_only_public_names():
         if alias.name.startswith("_") and not alias.name.endswith("__")
     ]
     assert private == []
+
+
+def test_variations_takes_only_the_pivot_and_shared_helpers_from_analysis():
+    # the cutoff rules of a base node are methods of analysis' pivot record,
+    # so variations reads them through `_pivot` and copies none of them
+    tree = ast.parse(Path(qvalued.__file__).with_name("variations.py").read_text())
+    taken, whole = set(), []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            if node.module in ("analysis", "qvalued.analysis"):
+                taken |= {alias.name for alias in node.names}
+            elif node.module in (None, "qvalued"):
+                whole += [alias.name for alias in node.names if alias.name == "analysis"]
+        elif isinstance(node, ast.Import):
+            whole += [alias.name for alias in node.names if alias.name == "qvalued.analysis"]
+    assert whole == []
+    assert taken == {"HarmonicCompanion", "_check_companion", "_companion_of", "_d_star_at",
+                     "_pivot", "_smoothstep"}

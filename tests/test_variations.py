@@ -28,15 +28,17 @@ from qvalued import (
     monotone_rho_interval,
     monotonicity_report,
     nested_chain,
+    psi_k,
     range_variation_derivative,
     rotated_frame,
     standard_frame,
     stationarity_residual,
     support,
+    valid_rho_interval,
     xi0,
 )
 from qvalued import analysis, variations
-from qvalued.analysis import _check_companion
+from qvalued.analysis import _Pivot, _check_companion
 from qvalued.cli import main
 from qvalued.variations import RETRACTION_LIPSCHITZ, cutoff_weights
 
@@ -334,6 +336,31 @@ def test_range_variation_stores_its_base_node_as_ints():
     assert build_admissible_variation(chain, 0, 0.1, 0.01, (np.int64(16), 16.0)).w_star == (16, 16)
 
 
+@pytest.mark.parametrize("k", [True, 0.5, -1, 2], ids=["bool", "half", "negative", "count"])
+def test_every_chain_level_reader_refuses_a_level_off_the_chain(k):
+    # a level is a whole number below the level count: True is no level 1,
+    # 0.5 no index, and -1 no alias of the last level
+    f = two_sheet_field(33, seed=0)
+    fr = standard_frame(2, 2)
+    comp = harmonic_companion(hopf_differential(f, fr))
+    w = (16, 16)
+    base = f.node_value(w)
+    chain = nested_chain(base, angle_separated_frame(support(base)))
+    assert len(chain.levels) == 2
+    readers = [
+        lambda: chain.level(k),
+        lambda: RangeVariation(chain, k, 0.1, 0.01, w),
+        lambda: d_star(f, comp, w, k, chain),
+        lambda: psi_k(f, comp, fr, w, k, chain, 0.1, 0.01),
+        lambda: valid_rho_interval(f, comp, fr, w, k, chain),
+        lambda: monotone_rho_interval(f, comp, fr, w, k, chain),
+    ]
+    for read in readers:
+        with pytest.raises(InvalidInputError, match=f"chain level {k} out of range"):
+            read()
+    assert chain.level(np.int64(1)) is chain.levels[1]
+
+
 def test_range_variation_derivative_is_zero_when_the_cutoff_covers_no_node():
     # the level-1 site is far from every sheet of the base node, so d*_1 >= rho
     # on every node and the variation moves nothing
@@ -572,16 +599,16 @@ def test_stationarity_residual_builds_no_retraction_certificate(monkeypatch):
     assert stationarity_residual(f, frame, trials=8, seed=0).to_dict() == want
 
 
-def _record(monkeypatch, name, wrap=None) -> list:
-    """Wrap variations.<name>, keeping each result, or ``wrap``'s result."""
-    calls, orig = [], getattr(variations, name)
+def _record(monkeypatch, owner, name, wrap=None) -> list:
+    """Wrap owner.<name>, keeping each result, or ``wrap``'s result."""
+    calls, orig = [], getattr(owner, name)
 
     def recorded(*args):
         out = (wrap or orig)(*args)
         calls.append(out)
         return out
 
-    monkeypatch.setattr(variations, name, recorded)
+    monkeypatch.setattr(owner, name, recorded)
     return calls
 
 
@@ -592,8 +619,8 @@ def test_stationarity_residual_skips_base_nodes_with_zero_tau(monkeypatch):
     # any level range is read
     f = two_sheet_field(33, seed=0)
     g = GridField(np.repeat(f.values[:, 16:17], f.nx, axis=1), f.spacing, f.origin)
-    pivots = _record(monkeypatch, "_pivot")
-    ranges = _record(monkeypatch, "_level_range")
+    pivots = _record(monkeypatch, variations, "_pivot")
+    ranges = _record(monkeypatch, _Pivot, "level")
     res = stationarity_residual(g, standard_frame(2, 2), trials=4, seed=0)
     assert len(pivots) == 40 and all(p.tau == 0.0 for p in pivots)
     assert ranges == []
@@ -608,11 +635,11 @@ def test_stationarity_residual_skips_refused_rungs(case, monkeypatch):
     f = two_sheet_field(33, seed=0)
     frame = standard_frame(2, 2)
     want = stationarity_residual(f, frame, trials=4, seed=0)
-    orig = variations._level_range
+    orig = _Pivot.level
 
-    def level_range(f, comp, w_star, k, chain, piv):
-        lo, hi, _ = orig(f, comp, w_star, k, chain, piv)
-        sigma = chain.levels[k].sigma
+    def level_range(piv, k):
+        lo, hi, _ = orig(piv, k)
+        sigma = piv.chain.levels[k].sigma
         # the battery varies at rho = lo + 0.6 (mono - lo)
         target = {"rho_nan": math.nan, "rho_negative": -1.0, "rho_above_sigma": 2.0 * sigma,
                   "sheets_leave_ball": 0.99 * sigma}[case]
@@ -628,7 +655,7 @@ def test_stationarity_residual_skips_refused_rungs(case, monkeypatch):
             refused.append(args[2].level)
             raise
 
-    ranges = _record(monkeypatch, "_level_range", level_range)
+    ranges = _record(monkeypatch, _Pivot, "level", level_range)
     monkeypatch.setattr(variations, "_range_derivative", range_derivative)
     res = stationarity_residual(f, frame, trials=4, seed=0)
     assert len(ranges) == 40 and all(math.isfinite(r[2]) == (case != "rho_nan") for r in ranges)
