@@ -43,7 +43,6 @@ from .admissible import (
     ChainLevel,
     NestedBallChain,
     angle_separated_frame,
-    chain_inclusion_check,
     constants_block,
     delta_cascade,
     delta_constant,

@@ -6,7 +6,8 @@ nearby tuple belongs to exactly one site, which yields a well-defined
 subtraction and a linear interpolation in embedded coordinates.  The chain
 construction coarsens the support level by level, merging sites whose gaps
 fall below a geometrically growing threshold ladder, and certifies the
-radius bookkeeping needed by the monotonicity machinery.
+radius bookkeeping the monotonicity machinery needs, including that each
+level's sigma-ball lies inside the next level's rho-ball.
 """
 
 from __future__ import annotations
@@ -25,7 +26,6 @@ from .qspace import (
     _distances,
     _threshold_classes,
     metric_g,
-    metric_g_many,
     project_sheets,
     support,
 )
@@ -398,6 +398,15 @@ def validate_chain(chain: NestedBallChain) -> list[str]:
     Besides the radius bookkeeping, every finite level must be admissible
     under the chain's frame at radius sigma_k; a frame of another dimension
     raises InvalidInputError.
+
+    Each level's sigma-ball must also lie in the next level's rho-ball.  By
+    the triangle inequality for G it is enough that
+    sigma_{k-1} + G(q^{k-1}, q^k) <= rho_k, which one `metric_g` call per
+    level checks exactly.  `nested_chain` meets it: where the threshold
+    ladder stops at t*, each merged class collapses onto one of its own
+    sites, so at most Q - 1 sheets move, each by at most (Q - 1) t* along
+    the class's chain of gaps, and G(q^{k-1}, q^k) <= (Q - 1)^2 t*, while
+    rho_k >= sigma_{k-1} + (Q - 1)^2 t*.
     """
     v: list[str] = []
     lv = chain.levels
@@ -422,62 +431,26 @@ def validate_chain(chain: NestedBallChain) -> list[str]:
             v.append(f"support count does not strictly decrease at level {k + 1}")
         if not math.isinf(lv[k].sigma) and 10 * q_sheets * lv[k].rho > lv[k].sigma * (1 + 1e-12):
             v.append(f"10*Q*rho_{k} > sigma_{k}")
+    tuples = [level.decomposition.rebuild() for level in lv]
     for k in range(1, len(lv)):
         sig_prev = lv[k - 1].sigma
         if not (sig_prev < lv[k].rho <= c0_const * sig_prev * (1 + 1e-12)):
             v.append(f"sigma_{k - 1} < rho_{k} <= C0*sigma_{k - 1} violated at level {k}")
+        if math.isfinite(sig_prev):
+            reach = sig_prev + metric_g(tuples[k - 1], tuples[k])
+            if reach > lv[k].rho * (1 + 1e-12):
+                v.append(f"sigma_{k - 1} + G(q^{k - 1}, q^{k}) = {reach} > rho_{k} = {lv[k].rho}")
     for k, level in enumerate(lv):
         if math.isfinite(level.sigma) and not is_admissible(
             AdmissibleBall(level.decomposition, level.sigma, chain.frame)
         ):
             v.append(f"level {k} is not admissible under the chain's frame at sigma_{k}")
-    base = lv[0].decomposition.rebuild()
     total = 0.0
     for k in range(1, len(lv)):
         total += lv[k].rho
-        d = metric_g(base, lv[k].decomposition.rebuild())
+        d = metric_g(tuples[0], tuples[k])
         if d > total * (1 + 1e-12) + 1e-15:
             v.append(f"G(q^0, q^{k}) = {d} > rho_1+...+rho_{k} = {total}")
         if d > (q_sheets - 1) * lv[k].rho * (1 + 1e-12) + 1e-15:
             v.append(f"G(q^0, q^{k}) = {d} > (Q-1)*rho_{k}")
     return v
-
-
-@dataclass(frozen=True)
-class InclusionCheck:
-    ok: bool
-    witness: QPoint | None = None
-    level: int | None = None
-
-    def __bool__(self) -> bool:
-        return self.ok
-
-
-def chain_inclusion_check(chain: NestedBallChain, samples: int, seed: int = 0) -> InclusionCheck:
-    """Sample the sigma-ball of each level and test containment in the next rho-ball.
-
-    Members are drawn by perturbing the rebuilt level tuple with offsets whose
-    total norm is at most sigma, so they lie in the sigma-ball by construction.
-    ``samples`` members, a whole number of at least one, are drawn per level.
-    """
-    if not _is_count(samples, 1):
-        raise InvalidInputError(f"the inclusion check needs a whole number of samples, "
-                                f"at least one, got {samples!r}")
-    rng = np.random.default_rng(seed)
-    for k in range(1, len(chain.levels)):
-        prev = chain.levels[k - 1]
-        cur = chain.levels[k]
-        if math.isinf(prev.sigma):
-            continue
-        base = prev.decomposition.rebuild()
-        q_sheets, n = base.q, base.n
-        offsets = rng.normal(size=(samples, q_sheets, n))
-        norms = np.sqrt((offsets**2).sum(axis=(1, 2), keepdims=True))
-        norms[norms == 0] = 1.0
-        radii = prev.sigma * rng.uniform(0, 1, size=(samples, 1, 1)) ** (1.0 / (q_sheets * n))
-        members = base.points[None] + offsets / norms * radii
-        dist = metric_g_many(cur.decomposition.rebuild().points, members)
-        bad = np.where(dist > cur.rho * (1 + 1e-12))[0]
-        if bad.size:
-            return InclusionCheck(False, QPoint(members[bad[0]]), k)
-    return InclusionCheck(True)

@@ -269,6 +269,12 @@ class HarmonicCompanion:
         """Nodal squared gradient |grad h|^2 (rim replicated), read-only."""
         return self._grad_sq
 
+    def energy_identity_error(self) -> np.ndarray:
+        """| |grad h|^2 - |phi|^2/8 - 2 | at the interior nodes.  With
+        dh/dz = -phi/4 and dh/dzbar = 1, |grad h|^2 = 2(|dh/dz|^2 + |dh/dzbar|^2)
+        is |phi|^2/8 + 2, so this is the identity's discretisation error."""
+        return np.abs(self._grad_sq[1:-1, 1:-1] - np.abs(self.hopf.interior) ** 2 / 8 - 2.0)
+
     def hopf_term(self) -> np.ndarray:
         """Hopf density of h alone, from central differences (rim replicated)."""
         hu, hv = self._diffs

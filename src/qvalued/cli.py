@@ -18,7 +18,6 @@ import numpy as np
 from . import __version__
 from .admissible import (
     angle_separated_frame,
-    chain_inclusion_check,
     constants_block,
     nested_chain,
     validate_chain,
@@ -130,15 +129,10 @@ def cmd_chain(args) -> int:
     p = QPoint.from_dict(_load_json(args.input))
     chain = nested_chain(p, angle_separated_frame(support(p)))
     violations = validate_chain(chain)
-    inclusion = chain_inclusion_check(chain, args.samples, seed=args.seed)
     report = chain.to_dict()
-    report["invariants"] = {
-        "violations": violations,
-        "inclusion_ok": bool(inclusion),
-        "inclusion_samples": args.samples,
-    }
+    report["invariants"] = {"violations": violations}
     _dump_json(report, args.output)
-    if violations or not inclusion:
+    if violations:
         print("chain invariant violation", file=sys.stderr)
         return EXIT_INVARIANT
     return EXIT_OK
@@ -182,9 +176,6 @@ def cmd_analyze(args) -> int:
     frame = _frame_for(args, f.n, f.q_sheets)
     comp = harmonic_companion(hopf_differential(f, frame))
     interior = comp.hopf.interior
-    id_err = np.abs(
-        comp.grad_sq()[1:-1, 1:-1] - np.abs(interior) ** 2 / 8 - 2.0
-    )
     energy = comp.hopf.energy
     if args.cell_csv:
         rows = []
@@ -198,7 +189,7 @@ def cmd_analyze(args) -> int:
         "phi_mean": float(np.abs(interior).mean()),
         "holomorphy_residual": holomorphy_residual(comp.hopf),
         "companion_path_residual": comp.path_residual,
-        "energy_identity_max_error": float(id_err.max()),
+        "energy_identity_max_error": float(comp.energy_identity_error().max()),
         "conformality_defect": conformality_defect(f, comp),
         "constants": constants_block(f.n, f.q_sheets),
     }
@@ -295,8 +286,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("chain", help="nested admissible chain of a tuple")
     p.add_argument("--input", required=True)
     p.add_argument("--output")
-    p.add_argument("--samples", type=int, default=200)
-    p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_chain)
 
     # the options every grid command shares

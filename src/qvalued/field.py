@@ -290,16 +290,15 @@ def _compose(first: np.ndarray, then: np.ndarray) -> np.ndarray:
     return np.take_along_axis(then, first, axis=-1)
 
 
-def _comb_gauge(px: np.ndarray, py: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _comb_gauge(px: np.ndarray, py: np.ndarray) -> np.ndarray:
     """Relabel the sheets so that the matchings along a comb are identities.
 
     The comb is every row's x-edges plus column 0's y-edges.  ``g[iy, ix, t]``
     is the sheet that takes label t at node (iy, ix): the identity at (0, 0),
     composed with the matched permutations down column 0 and then along
-    each row.  Returns g and every y-edge's permutation in the new labels,
-    (ny - 1, nx, Q): label t below pairs with label twist[..., t] above.  A
-    y-edge keeps a non-identity twist only where the cells to its left
-    enclose a net holonomy.
+    each row.  A y-edge's matching is the identity in these labels,
+    ``py[iy, ix][g[iy, ix]] == g[iy + 1, ix]``, except where the cells to
+    its left enclose a net holonomy.
     """
     ny, nx, q = py.shape[0] + 1, *py.shape[1:]
     g = np.empty((ny, nx, q), dtype=py.dtype)
@@ -310,7 +309,7 @@ def _comb_gauge(px: np.ndarray, py: np.ndarray) -> tuple[np.ndarray, np.ndarray]
     rows = np.arange(ny)[:, None]
     for ix in range(1, nx):
         g[:, ix] = px[rows, ix - 1, g[:, ix - 1]]
-    return g, _compose(_compose(g[:-1], py), np.argsort(g[1:], axis=-1))
+    return g
 
 
 def branch_plaquettes(f: GridField) -> dict[tuple[int, int], tuple[int, ...]]:
@@ -366,16 +365,17 @@ def _green_matrix(sy: np.ndarray, sxe: np.ndarray, dinv: np.ndarray, ys: np.ndar
     return green
 
 
-def _capacitance_solve(b: np.ndarray, twist: np.ndarray, cut: np.ndarray) -> np.ndarray:
+def _capacitance_solve(b: np.ndarray, perm: np.ndarray, cut: np.ndarray) -> np.ndarray:
     """Solve (L0 + dL) x = b in the comb gauge on a rim-only mask.
 
-    ``b`` is (my, mx, Q, n) over the interior nodes, ``twist`` the (my - 1,
-    mx, Q) permutations of the y-edges between interior nodes, and ``cut``
-    the (E, 2) interior (row, column) of the lower node of each edge whose
-    twist is not the identity.  L0 is Q copies of the 5-point Dirichlet
-    Laplacian, which the DST-I basis of each axis diagonalises.  Each cut
-    edge adds dL = U C U^T on its 2Q (node, sheet) endpoints, with
-    C = [[0, I - P], [(I - P)^T, 0]] and P the twist's permutation matrix.
+    ``b`` is (my, mx, Q, n) over the interior nodes, ``cut`` the (E, 2)
+    interior (row, column) of the lower node of each y-edge between interior
+    nodes whose matching in the comb gauge is not the identity, and ``perm``
+    those (E, Q) matchings: label t below pairs with label perm[e, t] above.
+    L0 is Q copies of the 5-point Dirichlet Laplacian, which the DST-I basis
+    of each axis diagonalises.  Each cut edge adds dL = U C U^T on its 2Q
+    (node, sheet) endpoints, with C = [[0, I - P], [(I - P)^T, 0]] and P
+    the edge's permutation matrix.
     Woodbury's identity x = G (b - U w), (I + C U^T G U) w = C U^T G b, then
     corrects the fast solve G b by one dense system over the endpoints (the
     capacitance matrix method: Buzbee, Dorr, George & Golub, SIAM J. Numer.
@@ -397,7 +397,6 @@ def _capacitance_solve(b: np.ndarray, twist: np.ndarray, cut: np.ndarray) -> np.
         m = nodes.size
         sye, sxe = sy[nodes // mx], sx[nodes % mx]
         green = _green_matrix(sy, sxe, dinv, nodes // mx)
-        perm = twist[cut[:, 0], cut[:, 1]]
         d = np.eye(q) - np.eye(q)[perm]  # I - P per edge
         # I + C (G kron I): C has the block D at (lo, up) and D^T at (up, lo), and
         # a node is the lower end of one cut edge at most, and the upper end of one
@@ -486,17 +485,22 @@ def _frozen_solve(v: np.ndarray, fixed: np.ndarray, px: np.ndarray, py: np.ndarr
     if not rhs.size:
         return rhs
     if not fixed[1:-1, 1:-1].any():
-        g, twist = _comb_gauge(px, py)
-        g = g[1:-1, 1:-1].reshape(-1, q)
-        twist = twist[1:-1, 1:-1]  # y-edges between two interior nodes
-        cut = np.argwhere((twist != np.arange(q)).any(axis=-1))
+        g = _comb_gauge(px, py)[1:-1, 1:-1]
+        # the sheet above that each label below pairs with, on the y-edges
+        # between two interior nodes; an edge is cut where that is not the
+        # sheet of the same label
+        carried = _compose(g[:-1], py[1:-1, 1:-1])
+        cut = np.argwhere((carried != g[1:]).any(axis=-1))
         ends = np.zeros((ny - 2, nx - 2), dtype=bool)
         ends[cut[:, 0], cut[:, 1]] = ends[cut[:, 0] + 1, cut[:, 1]] = True
-        if q * np.count_nonzero(ends) <= _CAPACITANCE_MAX_RATIO * math.sqrt(q * g.shape[0]):
+        if q * np.count_nonzero(ends) <= _CAPACITANCE_MAX_RATIO * math.sqrt(q * (ny - 2) * (nx - 2)):
+            e = (cut[:, 0], cut[:, 1])
+            perm = _compose(carried[e], np.argsort(g[1:][e], axis=-1))
+            g = g.reshape(-1, q)
             node = np.arange(g.shape[0])[:, None]
             b = rhs[node, g].reshape(ny - 2, nx - 2, q, n)  # label t is sheet g[node, t]
             x = np.empty_like(rhs)
-            x[node, g] = _capacitance_solve(b, twist, cut)
+            x[node, g] = _capacitance_solve(b, perm, cut)
             return x
     return _superlu_solve(rhs, fixed, px, py)
 

@@ -1,12 +1,25 @@
 """Field builders and random-instance generators shared across the tests."""
 
+import dataclasses
+
 import numpy as np
 
-from qvalued import GridField, GridSpec, QPoint, sqrt_field
+from qvalued import GridField, GridSpec, QPoint, metric_g, sqrt_field
 
 
 def random_qpoint(rng, q, n, scale=1.0):
     return QPoint(rng.normal(scale=scale, size=(q, n)))
+
+
+def shrunk_chain_level(chain, k, factor=0.99):
+    """The chain with rho_k set to factor * (sigma_{k-1} + G(q^{k-1}, q^k)),
+    so that for factor < 1 level k - 1's sigma-ball leaves level k's
+    rho-ball."""
+    prev, cur = chain.levels[k - 1], chain.levels[k]
+    reach = prev.sigma + metric_g(prev.decomposition.rebuild(), cur.decomposition.rebuild())
+    levels = list(chain.levels)
+    levels[k] = dataclasses.replace(cur, rho=factor * reach)
+    return dataclasses.replace(chain, levels=tuple(levels))
 
 
 def random_qpoint_pair(rng, q, n, scale=1.0):

@@ -471,3 +471,38 @@ def retraction_lipschitz(samples: int = 2_000_001) -> float:
     t = np.clip((s - 0.4) / 0.2, 0.0, 1.0)
     profile = s * (1.0 - t**3 * (10.0 - 15.0 * t + 6.0 * t**2))
     return max(1.0, float(np.abs(np.diff(profile) / np.diff(s)).max()))
+
+
+def sampled_inclusion_witness(chain, samples: int, seed: int = 0):
+    """A member of some level's sigma-ball that lies outside the next level's
+    rho-ball, as (level of that rho-ball, member points), or None.
+
+    ``samples`` members per level are drawn uniformly from the sigma-ball
+    around the rebuilt level tuple: Gaussian offset directions, radius sigma
+    times U^(1/(Qn)).  Each member's distance to the next level's tuple is
+    the minimum over every permutation, taken in chunks of members so that
+    memory stays small at Q = 7.
+    """
+    rng = np.random.default_rng(seed)
+    for k in range(1, len(chain.levels)):
+        prev, cur = chain.levels[k - 1], chain.levels[k]
+        if math.isinf(prev.sigma):
+            continue
+        base = prev.decomposition.rebuild().points
+        target = cur.decomposition.rebuild().points
+        q, n = base.shape
+        offsets = rng.normal(size=(samples, q, n))
+        norms = np.sqrt((offsets**2).sum(axis=(1, 2), keepdims=True))
+        norms[norms == 0] = 1.0
+        radii = prev.sigma * rng.uniform(0, 1, size=(samples, 1, 1)) ** (1.0 / (q * n))
+        members = base[None] + offsets / norms * radii
+        perms = _permutations(q)
+        chunk = max(1, (1 << 18) // perms.size)
+        for lo in range(0, samples, chunk):
+            batch = members[lo:lo + chunk]
+            pair = ((target[None, :, None, :] - batch[:, None, :, :]) ** 2).sum(axis=-1)
+            dist = np.sqrt(pair[:, np.arange(q), perms].sum(axis=-1).min(axis=-1))
+            bad = np.flatnonzero(dist > cur.rho * (1 + 1e-12))
+            if bad.size:
+                return k, batch[bad[0]]
+    return None

@@ -12,7 +12,6 @@ from qvalued import (
     NotInBallError,
     QPoint,
     angle_separated_frame,
-    chain_inclusion_check,
     delta_cascade,
     embedded_distance,
     interpolate,
@@ -30,7 +29,8 @@ from qvalued import (
 )
 from qvalued import admissible
 
-from helpers import random_qpoint
+from helpers import random_qpoint, shrunk_chain_level
+from oracles import exhaustive_metric, sampled_inclusion_witness
 
 
 def test_theta0_one_dimensional():
@@ -336,12 +336,68 @@ def test_validate_chain_accepts_random_chains(data, q, n, scale):
 
 
 def test_chain_inclusion_trivial_and_hand():
+    # a one-site tuple has no inclusion to certify; for {0, 1} the certificate
+    # reads sigma_0 + G(q^0, q^1) = 0.25 + 1 against rho_1 = 20.25
     p = QPoint(np.tile([1.0, 1.0], (2, 1)))
     chain = nested_chain(p, angle_separated_frame(support(p)))
-    assert bool(chain_inclusion_check(chain, 100))
+    assert validate_chain(chain) == []
+    assert sampled_inclusion_witness(chain, 100) is None
     two = QPoint([[0.0], [1.0]])
     chain2 = nested_chain(two, angle_separated_frame(support(two)))
-    assert bool(chain_inclusion_check(chain2, 1000))
+    lv = chain2.levels
+    assert lv[0].sigma + metric_g(lv[0].decomposition.rebuild(), lv[1].decomposition.rebuild()) == 1.25
+    assert lv[1].rho == 20.25
+    assert validate_chain(chain2) == []
+    assert sampled_inclusion_witness(chain2, 1000) is None
+
+
+def _family_tuple(rng, family, q, n):
+    """Clustered: up to q centres, sheets spread 1e-9 to 1e-1 about them.
+    Lattice: integer points of [-3, 3]^n times 10^-3 to 10^3.  Otherwise
+    the family is a scale for Gaussian sheets."""
+    if family == "clustered":
+        centres = rng.normal(size=(int(rng.integers(1, q + 1)), n))
+        spread = 10.0 ** rng.uniform(-9, -1)
+        return centres[rng.integers(0, len(centres), q)] + spread * rng.normal(size=(q, n))
+    if family == "lattice":
+        return rng.integers(-3, 4, size=(q, n)) * 10.0 ** int(rng.integers(-3, 4))
+    return family * rng.normal(size=(q, n))
+
+
+@pytest.mark.parametrize("family", ["clustered", "lattice", 1e-150, 1e150], ids=str)
+def test_validate_chain_certifies_inclusion_on_clustered_lattice_and_extreme_chains(family):
+    # the ladder keeps sigma_{k-1} + G(q^{k-1}, q^k) below rho_k, and the
+    # sampler finds no member of a sigma-ball outside the next rho-ball.
+    # `support` merges sheets within 1e-9 of each other, so at scale 1e-150
+    # every chain is one level.
+    rng = np.random.default_rng(11)
+    for trial in range(40):
+        q, n = int(rng.integers(2, 8)), int(rng.integers(1, 4))
+        p = QPoint(_family_tuple(rng, family, q, n))
+        chain = nested_chain(p, angle_separated_frame(support(p)))
+        assert validate_chain(chain) == []
+        assert sampled_inclusion_witness(chain, 200, seed=trial) is None
+
+
+@pytest.mark.parametrize("points, k", [([[0.0], [1.0]], 1), ([[0.0], [1.0], [1e6]], 2)],
+                         ids=["two_sites", "level_2"])
+def test_validate_chain_names_a_level_shrunk_below_its_inclusion(points, k):
+    # rho_k = 0.99 (sigma_{k-1} + G) breaks only the inclusion: every other
+    # invariant of these chains still holds, and the sampler draws a member
+    # of the sigma_{k-1}-ball that an exhaustive metric puts outside rho_k
+    p = QPoint(points)
+    chain = nested_chain(p, angle_separated_frame(support(p)))
+    assert chain.depth == k and validate_chain(chain) == []
+    shrunk = shrunk_chain_level(chain, k)
+    prev, cur = shrunk.levels[k - 1], shrunk.levels[k]
+    reach = prev.sigma + metric_g(prev.decomposition.rebuild(), cur.decomposition.rebuild())
+    assert validate_chain(shrunk) == [
+        f"sigma_{k - 1} + G(q^{k - 1}, q^{k}) = {reach} > rho_{k} = {cur.rho}"
+    ]
+    level, member = sampled_inclusion_witness(shrunk, 1000)
+    assert level == k
+    assert exhaustive_metric(member, cur.decomposition.rebuild().points) > cur.rho
+    assert exhaustive_metric(member, prev.decomposition.rebuild().points) <= prev.sigma * (1 + 1e-12)
 
 
 def test_nested_chain_forms_one_distance_matrix_per_level(monkeypatch):
@@ -358,16 +414,6 @@ def test_nested_chain_forms_one_distance_matrix_per_level(monkeypatch):
         assert calls == finite
 
 
-@pytest.mark.parametrize("samples", [0, -1, 1.5, math.nan, True, np.float64(5.0)], ids=repr)
-def test_chain_inclusion_refuses_sample_counts_that_are_not_whole(samples):
-    # 1.5 and True raised a bare TypeError or drew one sample; NaN drew none
-    two = QPoint([[0.0], [1.0]])
-    chain = nested_chain(two, angle_separated_frame(support(two)))
-    with pytest.raises(InvalidInputError, match="whole number of samples"):
-        chain_inclusion_check(chain, samples)
-    assert bool(chain_inclusion_check(chain, np.int64(5)))
-
-
 def test_chain_inclusion_random():
     rng = np.random.default_rng(9)
     for trial in range(20):
@@ -375,7 +421,8 @@ def test_chain_inclusion_random():
         q = int(rng.integers(2, 6))
         p = random_qpoint(rng, q, n)
         chain = nested_chain(p, angle_separated_frame(support(p)))
-        assert bool(chain_inclusion_check(chain, 500, seed=trial))
+        assert validate_chain(chain) == []
+        assert sampled_inclusion_witness(chain, 500, seed=trial) is None
 
 
 def test_chain_report_dict():

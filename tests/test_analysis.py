@@ -185,32 +185,25 @@ def test_companion_constant_hopf_linear_primitive():
 
 
 def test_companion_energy_identity_linear_data_exact():
-    hopf = synthetic_hopf(17, lambda z: z)
-    comp = harmonic_companion(hopf)
-    err = np.abs(comp.grad_sq()[1:-1, 1:-1] - np.abs(hopf.interior) ** 2 / 8 - 2.0).max()
-    assert err <= 1e-10  # trapezoid and central differences are exact for degree <= 2
+    comp = harmonic_companion(synthetic_hopf(17, lambda z: z))
+    assert comp.energy_identity_error().max() <= 1e-10  # trapezoid and central differences are exact for degree <= 2
 
 
 def test_companion_energy_identity_holomorphic_data():
     errs = []
     for nn in (17, 33, 65):
-        hopf = synthetic_hopf(nn, lambda z: z**3)
-        comp = harmonic_companion(hopf)
-        err = np.abs(
-            comp.grad_sq()[1:-1, 1:-1] - np.abs(hopf.interior) ** 2 / 8 - 2.0
-        ).max()
-        errs.append(err)
+        comp = harmonic_companion(synthetic_hopf(nn, lambda z: z**3))
+        errs.append(comp.energy_identity_error().max())
     assert errs[2] < errs[1] < errs[0]
     assert errs[2] <= 10 * (2.0 / 64)
 
 
 def test_companion_energy_identity_sqrt_field():
     f = sqrt_grid_field(65)
-    hopf = hopf_differential(f, standard_frame(2, 2))
-    comp = harmonic_companion(hopf)
+    comp = harmonic_companion(hopf_differential(f, standard_frame(2, 2)))
     x, y = np.meshgrid(f.xs, f.ys)
     annulus = (np.hypot(x, y) > 0.1)[1:-1, 1:-1]
-    err = np.abs(comp.grad_sq() - np.abs(hopf.phi) ** 2 / 8 - 2.0)[1:-1, 1:-1]
+    err = comp.energy_identity_error()
     assert err[annulus].max() <= 10 * f.spacing
 
 

@@ -23,7 +23,8 @@ from qvalued import (
 import qvalued.cli
 from qvalued.cli import _dump_json, _write_csv, main
 
-from helpers import count_analysis_match_edges, two_sheet_field, unit_square_grid
+from helpers import (count_analysis_match_edges, shrunk_chain_level, two_sheet_field,
+                     unit_square_grid)
 from test_imports import RUN_CLI
 
 
@@ -82,11 +83,34 @@ def test_embed_outputs_sorted_blocks(tmp_path, capsys):
 
 def test_chain_invariant_violation_exits_3(tmp_path, monkeypatch, capsys):
     a = qpoint_file(tmp_path, "a.json", [[0.0], [1.0]])
-    monkeypatch.setattr(qvalued.cli, "validate_chain", lambda chain: ["forced violation"])
-    assert main(["chain", "--input", str(a), "--samples", "10"]) == 3
+    with monkeypatch.context() as m:
+        m.setattr(qvalued.cli, "validate_chain", lambda chain: ["forced violation"])
+        assert main(["chain", "--input", str(a)]) == 3
     captured = capsys.readouterr()
     assert "chain invariant violation" in captured.err
-    assert json.loads(captured.out)["invariants"]["violations"] == ["forced violation"]
+    assert json.loads(captured.out)["invariants"] == {"violations": ["forced violation"]}
+    # rho_1 shrunk to 0.99 (sigma_0 + G(q^0, q^1)) = 1.2375 fails the inclusion certificate
+    build = qvalued.cli.nested_chain
+    monkeypatch.setattr(qvalued.cli, "nested_chain",
+                        lambda p, frame: shrunk_chain_level(build(p, frame), 1))
+    assert main(["chain", "--input", str(a)]) == 3
+    captured = capsys.readouterr()
+    assert "chain invariant violation" in captured.err
+    out = json.loads(captured.out)
+    assert out["levels"][1]["rho"] == 0.99 * 1.25
+    assert out["invariants"] == {
+        "violations": [f"sigma_0 + G(q^0, q^1) = 1.25 > rho_1 = {0.99 * 1.25}"]
+    }
+
+
+def test_chain_takes_no_samples_or_seed(tmp_path, capsys):
+    # the inclusion is certified exactly, so the report has no sampling knobs
+    a = qpoint_file(tmp_path, "a.json", [[0.0], [1.0]])
+    for option in ("--samples", "--seed"):
+        with pytest.raises(SystemExit) as exc:
+            main(["chain", "--input", str(a), option, "10"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
 
 
 def test_numerical_failure_exits_4(tmp_path, monkeypatch, capsys):
@@ -112,7 +136,7 @@ def test_dump_json_numpy_scalars_print_as_python_values(tmp_path):
 
 def test_chain_single_site(tmp_path, capsys):
     a = qpoint_file(tmp_path, "a.json", [[0.5, 0.5], [0.5, 0.5], [0.5, 0.5]])
-    assert main(["chain", "--input", str(a), "--samples", "50"]) == 0
+    assert main(["chain", "--input", str(a)]) == 0
     out = json.loads(capsys.readouterr().out)
     assert len(out["levels"]) == 1
     assert out["levels"][0]["rho"] == 0.0
@@ -127,7 +151,7 @@ def test_chain_exits_with_a_documented_code(tmp_path, capsys, n):
     codes = []
     for q in range(1, 13):
         a = qpoint_file(tmp_path, f"q{q}.json", rng.normal(size=(q, n)))
-        codes.append(main(["chain", "--input", str(a), "--samples", "20"]))
+        codes.append(main(["chain", "--input", str(a)]))
     assert set(codes) <= {0, 2, 3, 4}
     first_overflow = {1: 13, 2: 11, 3: 9}[n]
     assert codes == [0] * (first_overflow - 1) + [2] * (13 - first_overflow)
@@ -137,7 +161,6 @@ def test_chain_exits_with_a_documented_code(tmp_path, capsys, n):
 def bad_argument_inputs(tmp_path_factory):
     d = tmp_path_factory.mktemp("inputs")
     write_json(d / "field.json", two_sheet_field(33, seed=0).to_dict())
-    write_json(d / "tuple.json", QPoint([[0.0, 0.0], [1.0, 0.0]]).to_dict())
     return d
 
 
@@ -155,15 +178,13 @@ def bad_argument_inputs(tmp_path_factory):
         ["certificate", "--w", "0,0", "--radii", "nan"],
         ["variations", "--trials", "0"],
         ["variations", "--trials", "-3"],
-        ["chain", "--samples", "0"],
     ],
     ids=lambda argv: " ".join(argv),
 )
 def test_bad_node_point_or_sample_count_exits_2(bad_argument_inputs, capsys, argv):
     # a node off the interior, a point that is not two numbers, and a verdict
     # that would rest on no trial, sample or rung are refused as input
-    name = "tuple.json" if argv[0] == "chain" else "field.json"
-    assert main(argv + ["--input", str(bad_argument_inputs / name)]) == 2
+    assert main(argv + ["--input", str(bad_argument_inputs / "field.json")]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith(("error: ", "input error: "))
@@ -216,11 +237,11 @@ def test_non_finite_grid_or_frame_exits_2(non_finite_inputs, tmp_path, capsys, a
 
 def test_chain_two_site_hand_value(tmp_path, capsys):
     a = qpoint_file(tmp_path, "a.json", [[0.0], [1.0]])
-    assert main(["chain", "--input", str(a), "--samples", "200"]) == 0
+    assert main(["chain", "--input", str(a)]) == 0
     out = json.loads(capsys.readouterr().out)
     assert out["levels"][0]["sigma"] == pytest.approx(0.25)
     assert out["levels"][1]["rho"] == pytest.approx(20.25)
-    assert out["invariants"]["inclusion_ok"] is True
+    assert out["invariants"] == {"violations": []}
 
 
 def test_minimize_writes_field_and_csv(tmp_path, capsys):

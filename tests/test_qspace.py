@@ -362,7 +362,7 @@ def test_assign_chunks_beyond_enumeration(monkeypatch):
 @pytest.mark.parametrize("q", [2, 3, 4, 5])
 def test_assign_one_base_with_coincident_sheets(q):
     # a chain level's tuple repeats its sites, so every member of its ball
-    # ties between the coincident sheets, as in `chain_inclusion_check`; the
+    # ties between the coincident sheets, as in `d_star`; the
     # sites are not dyadic, so tied permutations can differ in the last bit
     rng = np.random.default_rng(13)
     mult = {2: [2], 3: [1, 2], 4: [2, 2], 5: [2, 3]}[q]
