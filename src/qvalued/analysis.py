@@ -35,7 +35,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .admissible import NestedBallChain, constants_block, delta_constant
-from .embedding import ProjectionFrame, xi0
+from .embedding import ProjectionFrame, _embed_values
 from .errors import InvalidInputError, NumericalFailureError
 from .field import (
     DEFAULT_C_CL,
@@ -481,7 +481,7 @@ class _Pivot(NamedTuple):
         hi = lv.sigma if k < self.k0 else 0.4 * min(self.tau, lv.sigma)
         if not hi > 0 or math.isinf(hi):
             comp = self.comp
-            target = xi0(comp.hopf.frame, lv.decomposition.rebuild()).flat
+            target = _embed_values(lv.decomposition.rebuild().points, comp.hopf.frame)
             hvals = bilinear_array(np.stack([comp.values.real, comp.values.imag], axis=-1),
                                    self.f, self.circle)
             hw = comp.values[self.node]

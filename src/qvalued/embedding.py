@@ -4,7 +4,8 @@ Each straight-line direction induces a map sending a tuple to its sorted
 projections, a 1-Lipschitz map onto the sorted cone in R^Q.  Concatenating
 the n coordinate axes gives the standard Lipschitz embedding used by the
 Dirichlet energy; extra directions (beyond the first n) sharpen injectivity
-and are generated here as a deterministic low-discrepancy set on the sphere.
+and are generated here as a deterministic seeded set on the sphere.  Every
+embedding of the package sorts its projections in `_sorted_projections`.
 """
 
 from __future__ import annotations
@@ -85,32 +86,16 @@ def standard_frame(n: int, q_sheets: int) -> ProjectionFrame:
 
 
 def frame_with_extra_directions(n: int, q_sheets: int, p_total: int) -> ProjectionFrame:
-    """Coordinate axes plus (p_total - n) low-discrepancy sphere directions.
+    """Coordinate axes plus (p_total - n) random unit directions.
 
-    The extras come from a Sobol sequence pushed through the Gaussian inverse
-    CDF and normalised, seeded by (n, q_sheets) so the set is reproducible.
+    The extras are normalised Gaussian rows drawn from a generator seeded by
+    (n, q_sheets), so the set is reproducible.
     """
     if p_total < n:
         raise InvalidInputError("p_total must be at least n")
-    extra = p_total - n
-    dirs = [np.eye(n)]
-    if extra > 0:
-        if n == 1:
-            dirs.append(np.ones((extra, 1)))
-        else:
-            # Imported here, their only use, so that importing the package
-            # does not pay for loading scipy.stats.
-            from scipy.special import ndtri
-            from scipy.stats import qmc
-
-            sob = qmc.Sobol(d=n, scramble=True, seed=100003 * n + q_sheets)
-            draw = 1 << max(1, (extra - 1).bit_length())
-            u = sob.random(draw)[:extra]
-            g = ndtri(np.clip(u, 1e-12, 1 - 1e-12))
-            norms = np.linalg.norm(g, axis=1, keepdims=True)
-            norms[norms == 0] = 1.0
-            dirs.append(g / norms)
-    return ProjectionFrame(np.vstack(dirs), q_sheets)
+    g = np.random.default_rng(100003 * n + q_sheets).standard_normal((p_total - n, n))
+    return ProjectionFrame(np.vstack([np.eye(n), g / np.linalg.norm(g, axis=1, keepdims=True)]),
+                           q_sheets)
 
 
 def rotated_frame(n: int, q_sheets: int, seed: int = 0) -> ProjectionFrame:
@@ -129,24 +114,39 @@ def _check_point(frame: ProjectionFrame, p: QPoint):
         )
 
 
+def _sorted_projections(directions: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """Ascending projections of (..., Q, n) sheets onto (P, n) directions,
+    shape (..., P, Q): the one place where the package sorts them."""
+    return np.sort(project_sheets(directions, values), axis=-1)
+
+
+def _embed_values(values: np.ndarray, frame: ProjectionFrame) -> np.ndarray:
+    """`xi0` of (..., Q, n) node values, flattened to (..., n*Q).
+
+    Each node is embedded on its own, so a block of nodes embeds to the same
+    floats as it does inside the whole grid, and a node to those of `xi0`.
+    """
+    return _sorted_projections(frame.directions[: frame.n], values).reshape(*values.shape[:-2], -1)
+
+
 def xi_alpha(frame: ProjectionFrame, alpha: int, p: QPoint) -> np.ndarray:
     """Sorted projections of the sheets onto direction ``alpha``."""
     _check_point(frame, p)
     if not 0 <= alpha < frame.p_total:
         raise InvalidInputError(f"direction index {alpha} out of range [0, {frame.p_total})")
-    return np.sort(project_sheets(frame.directions[alpha, None], p.points)[0])
+    return _sorted_projections(frame.directions[alpha, None], p.points)[0]
 
 
 def xi0(frame: ProjectionFrame, p: QPoint) -> EmbeddedPoint:
     """The n-block Lipschitz embedding (first n directions only)."""
     _check_point(frame, p)
-    return EmbeddedPoint(np.sort(project_sheets(frame.directions[: frame.n], p.points), axis=1))
+    return EmbeddedPoint(_sorted_projections(frame.directions[: frame.n], p.points))
 
 
 def xi_full(frame: ProjectionFrame, p: QPoint) -> EmbeddedPoint:
     """Sorted projection blocks for every direction of the frame."""
     _check_point(frame, p)
-    return EmbeddedPoint(np.sort(project_sheets(frame.directions, p.points), axis=1))
+    return EmbeddedPoint(_sorted_projections(frame.directions, p.points))
 
 
 def embedded_distance(a: EmbeddedPoint, b: EmbeddedPoint) -> float:

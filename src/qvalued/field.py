@@ -27,8 +27,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import InvalidInputError, NumericalFailureError, _is_count
-from .embedding import ProjectionFrame
-from .qspace import QPoint, assign, project_sheets
+from .embedding import ProjectionFrame, _embed_values
+from .qspace import QPoint, assign
 
 #: circle-slice constant of the certificate's alpha1 (the classical Courant-Lebesgue shape)
 DEFAULT_C_CL = math.sqrt(4.0 * math.pi / math.log(2.0))
@@ -174,18 +174,6 @@ def embed_grid(f: GridField, frame: ProjectionFrame) -> np.ndarray:
     """Embedded field: per-axis sorted projections, shape (ny, nx, n*Q)."""
     _check_frame(f, frame)
     return _embed_values(f.values, frame)
-
-
-def _embed_values(values: np.ndarray, frame: ProjectionFrame) -> np.ndarray:
-    """Sorted projections of (..., Q, n) node values onto the frame's first n
-    directions, flattened to (..., n*Q).
-
-    Each node is embedded on its own by `project_sheets`, so a block of
-    nodes embeds to the same floats as it does inside the whole grid, and a
-    node to the same floats as `xi0` gives it.
-    """
-    proj = project_sheets(frame.directions[: frame.n], values)
-    return np.sort(proj, axis=-1).reshape(*values.shape[:-2], -1)
 
 
 def _cell_energy(gx2: np.ndarray, gy2: np.ndarray) -> EnergyBreakdown:

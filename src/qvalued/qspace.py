@@ -43,8 +43,11 @@ EXHAUSTIVE_MAX_SHEETS = 4
 #: its slack batch and potentials over the elements the screen leaves
 ASSIGN_CHUNK_BYTES = 1 << 22
 
-#: coincidence tolerance of `support`, relative to 1 + the tuple's diameter
+#: coincidence tolerance of `support`, relative to the tuple's diameter
 DEDUP_REL_TOL = 1e-9
+#: tie tolerance of the assignment kernel: a permutation, or a solver pair,
+#: within TIE_REL_TOL * (1 + cost) of the optimum counts as optimal
+TIE_REL_TOL = 1e-12
 
 
 @functools.lru_cache(maxsize=4)
@@ -353,7 +356,7 @@ def _tie_broken_assignments(cost: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     slack = cost - np.ascontiguousarray(u.T)[:, None]
     slack -= np.ascontiguousarray(v.T)
     slack[rows, perm.T, elements] = np.inf  # look for tight pairs off the matching
-    tight = slack <= 1e-12 * (1.0 + sq)
+    tight = slack <= TIE_REL_TOL * (1.0 + sq)
     ties = np.nonzero(tight.any(axis=(0, 1)))[0]
     if ties.size:
         tight = tight[..., ties].transpose(2, 0, 1).astype(np.float64)
@@ -369,13 +372,13 @@ def _screened_assignments(cost: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
     An element is clear-cut when its rows' cheapest columns form a
     permutation and every other entry of each row lies more than the margin
-    m = Q * 2e-12 * (1 + the sum of the row minima) above that row's
-    minimum.  The sum of the row minima bounds every permutation's cost from
-    below, and this permutation attains it, so it is the optimum.  Any other
-    permutation leaves the row minimum in at least two rows and pays more
-    than m in each, while a perfect matching of the solver's tight pairs
-    pays at most the tie tolerance 1e-12 * (1 + sq), below m, in each row
-    where it leaves the optimum.  So no other permutation is tight, and the
+    m = Q * 2 * TIE_REL_TOL * (1 + the sum of the row minima) above that
+    row's minimum.  The sum of the row minima bounds every permutation's cost
+    from below, and this permutation attains it, so it is the optimum.  Any
+    other permutation leaves the row minimum in at least two rows and pays
+    more than m in each, while a perfect matching of the solver's tight
+    pairs pays at most the tie tolerance TIE_REL_TOL * (1 + sq), below m, in
+    each row where it leaves the optimum.  So no other permutation is tight, and the
     solver and its tie pass would return this same permutation; its cost is
     summed by the solver's own `_matched_costs`.  The rest go to the solver
     as one sub-batch, the batch itself when every element is left; the batch
@@ -383,7 +386,7 @@ def _screened_assignments(cost: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """
     q, _, k = cost.shape
     low = cost.min(axis=1)  # (Q, k) row minima
-    near = cost <= (low + q * 2e-12 * (1.0 + low.sum(axis=0)))[:, None]
+    near = cost <= (low + q * 2 * TIE_REL_TOL * (1.0 + low.sum(axis=0)))[:, None]
     # every row holds its minimum, so Q near entries in all that cover every
     # column are one per row, on a permutation
     clear = (near.reshape(q * q, k).sum(axis=0) == q) & near.any(axis=0).all(axis=0)
@@ -413,12 +416,12 @@ def _enumerated_assignments(cost: np.ndarray, table: np.ndarray) -> tuple[np.nda
     """Lexicographically first optimal assignments of a (Q, Q, k) cost batch
     by scoring every permutation of ``table``, and their costs summed in row
     order.  A permutation is optimal when its cost is at most
-    min + 1e-12 * (1 + min)."""
+    min + TIE_REL_TOL * (1 + min)."""
     s = cost[0, table[:, 0]]  # (Q!, k)
     for i in range(1, table.shape[1]):
         s += cost[i, table[:, i]]
     best = s.min(axis=0)
-    pick = np.argmax(s <= best + 1e-12 * (1.0 + best), axis=0)
+    pick = np.argmax(s <= best + TIE_REL_TOL * (1.0 + best), axis=0)
     return table[pick], s[pick, np.arange(s.shape[1])]
 
 
@@ -435,14 +438,14 @@ def assign(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     out the same whether ``a`` is one tuple or a batch, and each element's
     cost is summed in row order, so the floats do not depend on the batch
     form.  For Q <= EXHAUSTIVE_MAX_SHEETS every permutation is scored, and
-    the lexicographically first whose cost is at most min + 1e-12 * (1 + min)
-    wins.  Above that an element whose row minima lie on a permutation,
-    each clear of the rest of its row by a tie margin, takes that
-    permutation (see `_screened_assignments`).  For the others a batched
-    shortest-augmenting-path solver finds an optimum and its dual
-    potentials; a pair is tight when its reduced cost is at most
-    1e-12 * (1 + sq), and an element whose tight graph admits more than one
-    perfect matching takes the lexicographically first.  Either way exact
+    the lexicographically first whose cost is at most
+    min + TIE_REL_TOL * (1 + min) wins.  Above that an element whose row
+    minima lie on a permutation, each clear of the rest of its row by a tie
+    margin, takes that permutation (see `_screened_assignments`).  For the
+    others a batched shortest-augmenting-path solver finds an optimum and
+    its dual potentials; a pair is tight when its reduced cost is at most
+    TIE_REL_TOL * (1 + sq), and an element whose tight graph admits more
+    than one perfect matching takes the lexicographically first.  Either way exact
     ties go to the lexicographically first optimal permutation.
     """
     a = np.asarray(a, dtype=np.float64)
@@ -526,12 +529,13 @@ def _collapse_classes(
 def support(p: QPoint) -> SupportDecomposition:
     """Cluster coincident sheets into sites.
 
-    Sheets chained by pairwise distance at most DEDUP_REL_TOL * (1 + diameter)
+    Sheets chained by pairwise distance at most DEDUP_REL_TOL * diameter
     form one site, represented by its lexicographically smallest member;
-    sites are returned in lexicographic order.
+    sites are returned in lexicographic order.  The threshold scales with the
+    tuple, and so do the sites; exact coincidences merge at every scale.
     """
     dist = _distances(p.points)
-    classes = _threshold_classes(dist, DEDUP_REL_TOL * (1.0 + dist.max()))
+    classes = _threshold_classes(dist, DEDUP_REL_TOL * dist.max())
     return _collapse_classes(p.points, np.ones(p.q, dtype=np.intp), classes)
 
 

@@ -35,12 +35,11 @@ from .analysis import (
     _pivot,
     _smoothstep,
 )
-from .embedding import ProjectionFrame
+from .embedding import ProjectionFrame, _embed_values
 from .errors import (InvalidInputError, InvalidStepError, NotInBallError, NumericalFailureError,
                      _is_count)
 from .field import (
     GridField,
-    _embed_values,
     _grid_box,
     bilinear_array,
     embed_grid,

@@ -367,9 +367,7 @@ def _family_tuple(rng, family, q, n):
 @pytest.mark.parametrize("family", ["clustered", "lattice", 1e-150, 1e150], ids=str)
 def test_validate_chain_certifies_inclusion_on_clustered_lattice_and_extreme_chains(family):
     # the ladder keeps sigma_{k-1} + G(q^{k-1}, q^k) below rho_k, and the
-    # sampler finds no member of a sigma-ball outside the next rho-ball.
-    # `support` merges sheets within 1e-9 of each other, so at scale 1e-150
-    # every chain is one level.
+    # sampler finds no member of a sigma-ball outside the next rho-ball
     rng = np.random.default_rng(11)
     for trial in range(40):
         q, n = int(rng.integers(2, 8)), int(rng.integers(1, 4))
@@ -377,6 +375,31 @@ def test_validate_chain_certifies_inclusion_on_clustered_lattice_and_extreme_cha
         chain = nested_chain(p, angle_separated_frame(support(p)))
         assert validate_chain(chain) == []
         assert sampled_inclusion_witness(chain, 200, seed=trial) is None
+
+
+@pytest.mark.parametrize("scale", [2.0**-400, 2.0**-20, 2.0**20, 2.0**400],
+                         ids=["2^-400", "2^-20", "2^20", "2^400"])
+def test_support_and_chain_scale_with_the_tuple(scale):
+    # `support` merges sheets within 1e-9 of the diameter, a threshold that
+    # scales with the tuple.  Scaling by a power of two is exact and keeps
+    # every square normal, so the scaled tuple has the scaled sites with the
+    # same multiplicities, and its chain the scaled levels, bitwise.
+    rng = np.random.default_rng(23)
+    for _ in range(100):
+        q, n = int(rng.integers(2, 7)), int(rng.integers(1, 4))
+        pts = rng.normal(size=(q, n))
+        base = support(QPoint(pts))
+        scaled = support(QPoint(scale * pts))
+        assert np.array_equal(scaled.sites, scale * base.sites)
+        assert np.array_equal(scaled.multiplicities, base.multiplicities)
+        chain = nested_chain(QPoint(pts), angle_separated_frame(base))
+        big = nested_chain(QPoint(scale * pts), angle_separated_frame(scaled))
+        assert len(big.levels) == len(chain.levels)
+        for lv, lv_s in zip(chain.levels, big.levels):
+            assert np.array_equal(lv_s.decomposition.sites, scale * lv.decomposition.sites)
+            assert np.array_equal(lv_s.decomposition.multiplicities, lv.decomposition.multiplicities)
+            assert (lv_s.rho, lv_s.sigma) == (scale * lv.rho, scale * lv.sigma)
+        assert validate_chain(big) == []
 
 
 @pytest.mark.parametrize("points, k", [([[0.0], [1.0]], 1), ([[0.0], [1.0], [1e6]], 2)],

@@ -1,4 +1,5 @@
 import math
+from datetime import timedelta
 
 import numpy as np
 import pytest
@@ -249,6 +250,31 @@ def test_minimize_energy_monotone_two_valued():
     res = minimize(f, MinimizeOptions(max_iters=40))
     assert np.all(np.diff(res.energies) <= 1e-12)
     assert res.energies[-1] < res.energies[0]
+
+
+@settings(max_examples=60, deadline=timedelta(seconds=10))
+@given(q=st.integers(1, 3), n=st.integers(1, 2), ny=st.integers(4, 9), nx=st.integers(4, 9),
+       seed=st.integers(0, 2**32 - 1), halves=st.booleans())
+def test_minimize_is_monotone_keeps_the_rim_and_ends_at_a_fixed_point(q, n, ny, nx, seed, halves):
+    # on random small grids, half of whose nodes may sit on a 1/2 lattice so
+    # that edges tie, the matched energy never rises by more than 1e-12 E0,
+    # the rim is returned bitwise, and a second run on the result stops
+    # after one iteration with that result bitwise
+    rng = np.random.default_rng(seed)
+    v = rng.normal(size=(ny, nx, q, n))
+    if halves:
+        pick = rng.random((ny, nx, q)) < 0.5
+        v[pick] = np.round(2 * v[pick]) / 2
+    f = GridField(v, 0.25)
+    opts = MinimizeOptions(max_iters=60, tol_rel_energy=0.0)
+    res = minimize(f, opts)
+    assert np.all(np.diff(res.energies) <= 1e-12 * res.energies[0])
+    rim = f.boundary_mask
+    assert np.array_equal(res.field.values[rim], v[rim])
+    assert res.converged
+    again = minimize(res.field, opts)
+    assert again.iterations == 1 and again.converged
+    assert np.array_equal(again.field.values, res.field.values)
 
 
 def test_minimize_fixed_point():

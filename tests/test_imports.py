@@ -4,8 +4,8 @@ Each check runs in a fresh interpreter and reads `sys.modules` afterwards, so
 it depends on module names only, never on time.  Importing `qvalued.cli`
 loads no scipy module, and neither do the analysis commands, `chain` and
 `minimize` on a rim-only mask.  Only `minimize`'s SuperLU fallback loads
-`scipy.sparse.linalg`, and only `frame_with_extra_directions` loads
-`scipy.stats`.  The CLI also imports no private name of another qvalued
+`scipy.sparse.linalg`, and `frame_with_extra_directions` loads no scipy
+module at all.  The CLI also imports no private name of another qvalued
 module, and `variations` takes from `analysis` only the pivot and the
 helpers it shares, which two checks read from their sources.  A last one
 reads every module's source for the functions that draw random numbers.
@@ -100,6 +100,12 @@ def test_rim_mask_minimize_command_loads_no_scipy(tmp_path, field):
     path.write_text(json.dumps(field.to_dict()))
     out = str(tmp_path / "out.json")
     assert scipy_modules_loaded(RUN_CLI, "minimize", "--input", str(path), "--output", out) == set()
+
+
+def test_extra_directions_load_no_scipy():
+    # the extra directions are normalised Gaussian rows from numpy's generator
+    code = "from qvalued import frame_with_extra_directions\nframe_with_extra_directions(3, 4, 9)"
+    assert scipy_modules_loaded(code) == set()
 
 
 def test_chain_command_loads_no_optimize(tmp_path):

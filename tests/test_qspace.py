@@ -69,6 +69,26 @@ def test_metric_axioms():
     assert metric_g(p, QPoint([[0.0, 1.0], [2.0, 3.1]])) > 0.0
 
 
+@settings(max_examples=100, deadline=timedelta(seconds=5))
+@given(q=st.integers(1, 7), n=st.integers(1, 3), seed=st.integers(0, 2**32 - 1), halves=st.booleans())
+def test_metric_is_a_metric_on_unordered_tuples(q, n, seed, halves):
+    # G(p, p) is exactly 0.  Symmetry, row-permutation invariance and the
+    # triangle inequality hold to 1e-12 relative: each pairing's cost is
+    # summed in row order, so reordering the rows may move the last bits.
+    # Half-integer coordinates make tied pairings common.
+    rng = np.random.default_rng(seed)
+    a, b, c = rng.normal(size=(3, q, n))
+    if halves:
+        a, b, c = (np.round(2 * x) / 2 for x in (a, b, c))
+    p, r, t = QPoint(a), QPoint(b), QPoint(c)
+    assert metric_g(p, p) == 0.0
+    d = metric_g(p, r)
+    assert metric_g(r, p) == pytest.approx(d, rel=1e-12, abs=0)
+    shuffled = metric_g(QPoint(a[rng.permutation(q)]), QPoint(b[rng.permutation(q)]))
+    assert shuffled == pytest.approx(d, rel=1e-12, abs=0)
+    assert metric_g(p, t) <= (d + metric_g(r, t)) * (1 + 1e-12)
+
+
 def test_metric_shape_mismatch():
     with pytest.raises(InvalidInputError):
         metric_g(QPoint([[0.0]]), QPoint([[0.0, 1.0]]))
