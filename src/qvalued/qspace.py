@@ -30,11 +30,11 @@ from .errors import InvalidInputError
 #: it the row-minimum screen settles the clear-cut elements and the batched
 #: shortest-augmenting-path solver the rest.  Per element of a (Q, Q, k)
 #: cost batch on a 2-core host, enumeration against screen and solver took
-#: 0.05 against 0.08 us on 49^2 root-field x-edges and 0.05 against 0.50 us
-#: on one-base batches whose base repeats its sites (so every element ties)
-#: at Q = 3; 0.24 against 0.10 us (edges) but 0.25 against 0.91-0.96 us
-#: (ties) at Q = 4, where tie-rich batches would pay about 4x; and 1.6
-#: against 0.13 us (edges) and 1.6 against 1.6-1.7 us (ties) at Q = 5.
+#: 0.03 against 0.08 us on 49^2 root-field x-edges and 0.03 against
+#: 0.50-0.52 us on one-base batches whose base repeats its sites (so every
+#: element ties) at Q = 3; 0.08 against 0.09-0.10 us (edges) and 0.08
+#: against 0.71-0.76 us (ties) at Q = 4; and 1.5-1.6 against 0.12 us
+#: (edges) and 1.5 against 1.1 us (ties) at Q = 5.
 EXHAUSTIVE_MAX_SHEETS = 4
 
 #: byte budget of one chunk of `assign`: its (Q, Q, k) float cost batch, or
@@ -164,11 +164,12 @@ def optimal_matching(p: QPoint, r: QPoint) -> tuple[np.ndarray, float]:
 
 
 def _cost_matrices(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Squared sheet distances cost[i, j, e] = |a[e, i] - b[e, j]|^2 of
-    (k, Q, n) batches, batch axis last so every operation runs along it.
-    The floats do not depend on the memory layout of either batch."""
-    a = np.ascontiguousarray(a.transpose(2, 1, 0))
-    b = np.ascontiguousarray(b.transpose(2, 1, 0))
+    """Squared sheet distances cost[i, j, e] = |a[:, i, e] - b[:, j, e]|^2 of
+    coordinate-major (n, Q, k) batches, batch axis last so every operation
+    runs along it.  Each batch is made contiguous here, a chunk at a time, and
+    the floats do not depend on the memory layout of either batch."""
+    a = np.ascontiguousarray(a)
+    b = np.ascontiguousarray(b)
     d = a[0, :, None] - b[0, None]
     cost = d * d
     for c in range(1, a.shape[0]):
@@ -416,13 +417,24 @@ def _enumerated_assignments(cost: np.ndarray, table: np.ndarray) -> tuple[np.nda
     """Lexicographically first optimal assignments of a (Q, Q, k) cost batch
     by scoring every permutation of ``table``, and their costs summed in row
     order.  A permutation is optimal when its cost is at most
-    min + TIE_REL_TOL * (1 + min)."""
+    min + TIE_REL_TOL * (1 + min).  The pick runs along the batch axis: the
+    permutations are passed from the last to the first, each overwriting
+    the pick and cost of the elements where it is optimal, so the first
+    optimal one writes last."""
     s = cost[0, table[:, 0]]  # (Q!, k)
     for i in range(1, table.shape[1]):
         s += cost[i, table[:, i]]
-    best = s.min(axis=0)
-    pick = np.argmax(s <= best + TIE_REL_TOL * (1.0 + best), axis=0)
-    return table[pick], s[pick, np.arange(s.shape[1])]
+    limit = s.min(axis=0)
+    limit += TIE_REL_TOL * (1.0 + limit)
+    k = s.shape[1]
+    pick = np.empty(k, dtype=np.intp)
+    sq = np.empty(k)
+    optimal = np.empty(k, dtype=bool)
+    for p in range(table.shape[0] - 1, -1, -1):
+        np.less_equal(s[p], limit, out=optimal)
+        np.copyto(pick, p, where=optimal)
+        np.copyto(sq, s[p], where=optimal)
+    return np.take(table, pick, axis=0), sq
 
 
 def assign(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -434,6 +446,10 @@ def assign(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     solved in chunks whose (Q, Q) cost matrices, or Q! permutation costs
     where those are larger, fit in ASSIGN_CHUNK_BYTES.
 
+    Each input is read as one coordinate-major, batch-last (n, Q, k) array,
+    so every step runs along the batch axis.  It is copied once: whole when
+    its batch axes do not merge, else a chunk at a time by `_cost_matrices`
+    (which copies the chunks of a whole copy again when there are several).
     Each chunk becomes one (Q, Q, k) batch of squared sheet distances, laid
     out the same whether ``a`` is one tuple or a batch, and each element's
     cost is summed in row order, so the floats do not depend on the batch
@@ -452,16 +468,20 @@ def assign(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     b = np.asarray(b, dtype=np.float64)
     shape = np.broadcast_shapes(a.shape, b.shape)
     q, n = shape[-2:]
-    a = np.broadcast_to(a, shape).reshape(-1, q, n)
-    b = np.broadcast_to(b, shape).reshape(-1, q, n)
-    perm = np.empty((a.shape[0], q), dtype=np.intp)
-    sq = np.empty(a.shape[0])
+    # coordinate-major, batch-last (n, Q, k) views; the reshape copies an
+    # input whose batch axes do not merge (an edge slice of a grid), and a
+    # lone tuple broadcast against a batch stays a stride-0 view
+    a = np.moveaxis(np.broadcast_to(a, shape), (-1, -2), (0, 1)).reshape(n, q, -1)
+    b = np.moveaxis(np.broadcast_to(b, shape), (-1, -2), (0, 1)).reshape(n, q, -1)
+    k = a.shape[2]
+    perm = np.empty((k, q), dtype=np.intp)
+    sq = np.empty(k)
     table = _permutation_table(q) if q <= EXHAUSTIVE_MAX_SHEETS else None
     width = q * q if table is None else max(q * q, table.shape[0])
     step = max(1, ASSIGN_CHUNK_BYTES // (width * 8))
-    for lo in range(0, a.shape[0], step):
+    for lo in range(0, k, step):
         hi = lo + step
-        cost = _cost_matrices(a[lo:hi], b[lo:hi])
+        cost = _cost_matrices(a[..., lo:hi], b[..., lo:hi])
         # NaN or overflowed costs have no optimum, and the solver's searches
         # need finite reduced costs to end
         if not np.isfinite(cost).all():

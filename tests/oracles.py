@@ -9,7 +9,10 @@ variation, with the local derivatives they check; the domain one
 interpolates with `index_bilinear`.  The full slice scan shares the
 embedding and the circle sample with `courant_lebesgue_slice`, and also
 interpolates with `index_bilinear`.  The node-by-node Hopf stencil shares only the assignment
-kernel with `hopf_differential`.
+kernel with `hopf_differential`.  The reference assignment kernel keeps the
+earlier layout of `qspace.assign`, (k, Q, n) batches and an `argmax` pick
+over the permutations, and shares the shortest-augmenting-path solver with
+it beyond enumeration.
 """
 
 import functools
@@ -20,6 +23,8 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 from scipy.integrate import quad
+
+from qvalued.qspace import EXHAUSTIVE_MAX_SHEETS, TIE_REL_TOL, _tie_broken_assignments
 
 
 def exhaustive_metric(p_pts: np.ndarray, r_pts: np.ndarray) -> float:
@@ -61,6 +66,50 @@ def exhaustive_assignment(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, flo
     costs = np.sort(pair[np.arange(q), perms], axis=1).sum(axis=1)
     best = int(np.argmin(costs))
     return perms[best], float(costs[best])
+
+
+def reference_cost_matrices(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Squared sheet distances cost[i, j, e] = |a[e, i] - b[e, j]|^2 of
+    (k, Q, n) batches, batch axis last so every operation runs along it.
+    The floats do not depend on the memory layout of either batch."""
+    a = np.ascontiguousarray(a.transpose(2, 1, 0))
+    b = np.ascontiguousarray(b.transpose(2, 1, 0))
+    d = a[0, :, None] - b[0, None]
+    cost = d * d
+    for c in range(1, a.shape[0]):
+        np.subtract(a[c, :, None], b[c, None], out=d)
+        d *= d
+        cost += d
+    return cost
+
+
+def reference_enumerated_assignments(cost: np.ndarray, table: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Lexicographically first optimal assignments of a (Q, Q, k) cost batch
+    by scoring every permutation of ``table``, and their costs summed in row
+    order.  A permutation is optimal when its cost is at most
+    min + TIE_REL_TOL * (1 + min)."""
+    s = cost[0, table[:, 0]]  # (Q!, k)
+    for i in range(1, table.shape[1]):
+        s += cost[i, table[:, i]]
+    best = s.min(axis=0)
+    pick = np.argmax(s <= best + TIE_REL_TOL * (1.0 + best), axis=0)
+    return table[pick], s[pick, np.arange(s.shape[1])]
+
+
+def reference_assignment(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """`qspace.assign` of broadcasting (..., Q, n) batches in one piece, by
+    the reference kernel: every permutation scored up to
+    EXHAUSTIVE_MAX_SHEETS sheets, the shortest-augmenting-path solver and
+    its tie pass on the whole cost batch above."""
+    shape = np.broadcast_shapes(a.shape, b.shape)
+    q, n = shape[-2:]
+    cost = reference_cost_matrices(np.broadcast_to(a, shape).reshape(-1, q, n),
+                                   np.broadcast_to(b, shape).reshape(-1, q, n))
+    if q <= EXHAUSTIVE_MAX_SHEETS:
+        perm, sq = reference_enumerated_assignments(cost, _permutations(q))
+    else:
+        perm, sq = _tie_broken_assignments(cost)
+    return perm.reshape(shape[:-1]), sq.reshape(shape[:-2])
 
 
 def harmonic_extension(boundary_values: np.ndarray, mask: np.ndarray) -> np.ndarray:

@@ -4,7 +4,8 @@ from datetime import timedelta
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
 from qvalued import (
     AdmissibleBall,
@@ -233,6 +234,26 @@ def test_embedding_isometric_inside_admissible_balls():
         fr = ball.frame
         d_emb = embedded_distance(xi0(fr, p), xi0(fr, s.rebuild()))
         assert d_emb == pytest.approx(metric_g(p, s.rebuild()), abs=1e-10)
+
+
+@settings(max_examples=60, deadline=timedelta(seconds=5))
+@given(data=st.data(), q=st.integers(2, 4), n=st.integers(1, 3), fraction=st.floats(0.0, 1.0))
+def test_embedding_is_isometric_inside_admissible_balls(data, q, n, fraction):
+    # the centre's sheets on the half-integers of [-2, 2]^n, so sites often
+    # repeat; a tuple at the given fraction of the ball's radius from it
+    centre = data.draw(arrays(np.float64, (q, n), elements=st.integers(-4, 4).map(lambda t: t / 2)))
+    s = support(QPoint(centre))
+    assume(s.count >= 2)
+    fr = angle_separated_frame(s).frame
+    tau = 0.4 * math.sin(theta0(n, s.q)) * min_separation(s)
+    off = data.draw(arrays(np.float64, (q, n), elements=st.floats(-1.0, 1.0)))
+    size = np.linalg.norm(off)
+    if size > 0.0:
+        off *= fraction * tau / size
+    base = s.rebuild()
+    p = QPoint(base.points + off)
+    d_emb = embedded_distance(xi0(fr, p), xi0(fr, base))
+    assert d_emb == pytest.approx(metric_g(p, base), abs=1e-10)
 
 
 def test_modification_constants_values():

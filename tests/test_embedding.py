@@ -1,5 +1,9 @@
+from datetime import timedelta
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
 from qvalued import (
     EmbeddedPoint,
@@ -82,6 +86,16 @@ def test_xi0_lipschitz():
         p, r = random_qpoint_pair(rng, 3, 3)
         d_emb = embedded_distance(xi0(fr, p), xi0(fr, r))
         assert d_emb <= metric_g(p, r) + 1e-10
+
+
+@settings(max_examples=60, deadline=timedelta(seconds=5))
+@given(data=st.data(), q=st.integers(2, 4), n=st.integers(1, 3))
+def test_xi0_is_1_lipschitz(data, q, n):
+    # sheets anywhere in [-4, 4]^n, coincident or not
+    sheets = arrays(np.float64, (q, n), elements=st.floats(-4.0, 4.0))
+    p, r = QPoint(data.draw(sheets)), QPoint(data.draw(sheets))
+    fr = standard_frame(n, q)
+    assert embedded_distance(xi0(fr, p), xi0(fr, r)) <= metric_g(p, r) + 1e-10
 
 
 def test_xi0_isometry_in_1d():

@@ -1,4 +1,5 @@
 import itertools
+import math
 import tracemalloc
 from datetime import timedelta
 
@@ -21,7 +22,7 @@ from qvalued.field import _match_edges
 from qvalued.qspace import ASSIGN_CHUNK_BYTES, assign
 
 from helpers import noisy_copy, random_qpoint, random_qpoint_pair, root_grid_field
-from oracles import exhaustive_assignment, exhaustive_metric, hungarian_metric
+from oracles import exhaustive_assignment, exhaustive_metric, hungarian_metric, reference_assignment
 
 
 def test_metric_identity():
@@ -320,6 +321,59 @@ def test_assign_memory_is_bounded():
     np.testing.assert_allclose(paired, sq, rtol=0, atol=1e-12)
 
 
+def test_assign_memory_is_bounded_in_enumeration():
+    # one Q = 2 tuple against a contiguous batch of 10^6: the batch is read
+    # in place and the tuple stays a stride-0 view, so each chunk of 131072
+    # pairs is the only copy of either.  The outputs take 24 MB and the
+    # chunks about 21 MB beside them; a whole copy of either input would
+    # add 32 MB
+    rng = np.random.default_rng(16)
+    base = rng.normal(size=(2, 2))
+    batch = rng.normal(size=(10 ** 6, 2, 2))
+    tracemalloc.start()
+    try:
+        perm, sq = assign(base, batch)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak - perm.nbytes - sq.nbytes < 28e6
+    cross = ((base - batch[:, ::-1]) ** 2).sum(axis=(1, 2))
+    straight = ((base - batch) ** 2).sum(axis=(1, 2))
+    np.testing.assert_allclose(sq, np.minimum(straight, cross), rtol=0, atol=1e-12)
+    assert np.array_equal(perm[:, 0], (cross < straight).astype(np.intp))
+
+
+@settings(max_examples=80, deadline=timedelta(seconds=5))
+@given(data=st.data(), q=st.integers(1, 8), n=st.integers(1, 3),
+       batch=st.lists(st.integers(1, 5), min_size=1, max_size=3).filter(lambda s: math.prod(s) >= 3),
+       values=st.sampled_from(["random", "half-lattice", "coincident"]), seed=st.integers(0, 2 ** 32 - 1))
+def test_assign_is_the_reference_kernel_bitwise(data, q, n, batch, values, seed):
+    # `assign` in uneven chunks against the reference kernel on the whole
+    # batch in one piece: every permutation scored with an argmax pick up
+    # to Q = 4, the solver and its tie pass beyond.  Half-lattice values
+    # make exact ties, and coincident sheets tie every pair that meets them
+    rng = np.random.default_rng(seed)
+    shape = (*batch, q, n)
+    a_shape = data.draw(st.sampled_from([(q, n), shape, (1, *shape[1:])]))
+    a, b = rng.normal(size=a_shape), rng.normal(size=shape)
+    if values == "half-lattice":
+        a, b = np.round(2 * a) / 2, np.round(2 * b) / 2
+    elif values == "coincident":
+        i, j = rng.integers(q, size=2)
+        a[..., i, :] = a[..., j, :]
+        b[..., j, :] = b[..., i, :]
+    k = math.prod(batch)
+    step = data.draw(st.sampled_from([s for s in range(2, k) if k % s]))
+    width = q * q if q > qspace.EXHAUSTIVE_MAX_SHEETS else max(q * q, math.factorial(q))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(qspace, "ASSIGN_CHUNK_BYTES", step * width * 8)
+        perm, sq = assign(a, b)
+    want_perm, want_sq = reference_assignment(a, b)
+    assert perm.dtype == want_perm.dtype == np.intp and sq.dtype == want_sq.dtype == np.float64
+    assert np.array_equal(perm, want_perm)
+    assert np.array_equal(sq, want_sq)
+
+
 def dyadic_tuple(rng, q, n):
     """A tuple on the grid of quarters with one sheet duplicated: every cost
     is exact, so tied permutations tie exactly."""
@@ -476,7 +530,7 @@ def test_assign_sends_a_near_tie_to_the_first_permutation(q):
     # permutation is scored
     a = np.array([[0.0, 0.0], [0.0, 1.0]] + far_sheets(q))
     b = np.array([[1.0, 0.501], [-1.0, 0.501 - 2e-13]] + far_sheets(q))
-    cost = qspace._cost_matrices(a[None], b[None])
+    cost = qspace._cost_matrices(a[None].T, b[None].T)
     assert cost[0, 1, 0] < cost[0, 0, 0] and cost[1, 0, 0] < cost[1, 1, 0]
     want, _ = qspace._enumerated_assignments(cost, qspace._permutation_table(q))
     assert want[0].tolist() == list(range(q))
@@ -518,7 +572,7 @@ def test_assign_on_grid_edges_is_the_solver_bitwise(q):
     for values in edge_fields(q):
         for a, b in grid_edges(values):
             perm, sq = assign(a, b)
-            want_perm, want_sq = qspace._tie_broken_assignments(qspace._cost_matrices(a, b))
+            want_perm, want_sq = qspace._tie_broken_assignments(qspace._cost_matrices(a.T, b.T))
             assert np.array_equal(perm, want_perm)
             assert np.array_equal(sq, want_sq)
 
