@@ -569,7 +569,10 @@ def bilinear_array(arr: np.ndarray, f: GridField, pts: np.ndarray) -> np.ndarray
     Each corner is one row gather from the (ny * nx, m) view of arr, and the
     four weighted corners are added left to right into one array, so the
     floats are those of the corner-by-corner sum
-    a00 (1 - tx)(1 - ty) + a01 tx (1 - ty) + a10 (1 - tx) ty + a11 tx ty.
+    a00 (1 - tx)(1 - ty) + a01 tx (1 - ty) + a10 (1 - tx) ty + a11 tx ty,
+    each product taken left to right.  The weights tx, ty, 1 - tx and 1 - ty
+    are built once at the full (..., m) width of a corner, so the eight
+    weight products run in place on contiguous arrays of equal shape.
     """
     pts = np.asarray(pts, dtype=np.float64)
     gx = (pts[..., 0] - f.origin[0]) / f.spacing
@@ -580,17 +583,20 @@ def bilinear_array(arr: np.ndarray, f: GridField, pts: np.ndarray) -> np.ndarray
         raise InvalidInputError("interpolation point outside the grid")
     i0 = np.clip(np.floor(gx).astype(np.intp), 0, f.nx - 2)
     j0 = np.clip(np.floor(gy).astype(np.intp), 0, f.ny - 2)
-    tx = (gx - i0)[..., None]
-    ty = (gy - j0)[..., None]
+    m = arr.shape[-1]
+    tx = np.repeat(gx - i0, m).reshape(*gx.shape, m)
+    ty = np.repeat(gy - j0, m).reshape(*gy.shape, m)
     ux, uy = 1 - tx, 1 - ty
-    rows = arr.reshape(-1, arr.shape[-1])
+    rows = arr.reshape(-1, m)
     base = j0 * f.nx + i0
     out = np.take(rows, base, axis=0)
     out *= ux
     out *= uy
-    out += np.take(rows, base + 1, axis=0) * tx * uy
-    out += np.take(rows, base + f.nx, axis=0) * ux * ty
-    out += np.take(rows, base + f.nx + 1, axis=0) * tx * ty
+    for step, wx, wy in ((1, tx, uy), (f.nx, ux, ty), (f.nx + 1, tx, ty)):
+        corner = np.take(rows, base + step, axis=0)
+        corner *= wx
+        corner *= wy
+        out += corner
     return out
 
 
@@ -690,26 +696,41 @@ def courant_lebesgue_slice(
     return _slice_scan(f, embed_grid(f, frame), w0, radius)
 
 
+def _circle_batch(w0: tuple[float, float], radii: np.ndarray, sizes: list[int]) -> np.ndarray:
+    """`circle_points` of every radius, concatenated, in one pass.
+
+    A circle of N points has the angles i * (2 pi / N), which are the floats
+    `np.linspace(0, 2 pi, N, endpoint=False)` gives; the angles of all the
+    circles come from one concatenated arange times each point's step, and
+    one cos and one sin."""
+    starts = np.cumsum(sizes) - sizes
+    index = np.arange(starts[-1] + sizes[-1]) - np.repeat(starts, sizes)  # on its own circle
+    th = index * np.repeat(2 * math.pi / np.asarray(sizes), sizes)
+    r = np.repeat(radii, sizes)
+    return np.stack([w0[0] + r * np.cos(th), w0[1] + r * np.sin(th)], axis=-1)
+
+
 def _scan_circles(f: GridField, farr: np.ndarray, w0: tuple[float, float], radii: np.ndarray):
     """Yield (r, embedded circle samples) for each radius, in order.
 
     Consecutive circles are interpolated by one `bilinear_array` call while
     their samples' working memory stays within SCAN_BATCH_BYTES; a circle
     larger than that is a batch of its own.  A sample of m embedded values
-    holds 8 (3m + 16) bytes at the peak: its point and the batch's copy of
-    it, its cell index and weights, the running sum and one weighted corner.
+    holds 8 (7m + 8) bytes at the peak, in the corner sums: its point, its
+    scaled coordinates, cell indices and base row, one corner's row index,
+    the four full-width weights, the running sum, and one weighted corner
+    while the next is gathered.
     Interpolation acts on each point alone, so a circle gets the same floats
     in any batch."""
     sizes = [_circle_size(r, f.spacing) for r in radii]
-    per_sample = 8 * (3 * farr.shape[-1] + 16)
+    per_sample = 8 * (7 * farr.shape[-1] + 8)
     start = 0
     while start < len(radii):
         stop, used = start + 1, sizes[start]
         while stop < len(radii) and (used + sizes[stop]) * per_sample <= SCAN_BATCH_BYTES:
             used += sizes[stop]
             stop += 1
-        pts = np.concatenate([circle_points(w0, r, f.spacing) for r in radii[start:stop]])
-        vals = bilinear_array(farr, f, pts)
+        vals = bilinear_array(farr, f, _circle_batch(w0, radii[start:stop], sizes[start:stop]))
         yield from zip(radii[start:stop], np.split(vals, np.cumsum(sizes[start : stop - 1])))
         start = stop
 

@@ -12,7 +12,10 @@ interpolates with `index_bilinear`.  The node-by-node Hopf stencil shares only t
 kernel with `hopf_differential`.  The reference assignment kernel keeps the
 earlier layout of `qspace.assign`, (k, Q, n) batches and an `argmax` pick
 over the permutations, and shares the shortest-augmenting-path solver with
-it beyond enumeration.
+it beyond enumeration.  The reference sorted projections and bilinear
+interpolation are the package's earlier kernels, kept verbatim: an
+`np.sort` of `project_sheets` and (..., 1)-wide weights broadcast over the
+corners.
 """
 
 import functools
@@ -24,7 +27,9 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 from scipy.integrate import quad
 
-from qvalued.qspace import EXHAUSTIVE_MAX_SHEETS, TIE_REL_TOL, _tie_broken_assignments
+from qvalued import InvalidInputError
+from qvalued.qspace import (EXHAUSTIVE_MAX_SHEETS, TIE_REL_TOL, _tie_broken_assignments,
+                            project_sheets)
 
 
 def exhaustive_metric(p_pts: np.ndarray, r_pts: np.ndarray) -> float:
@@ -299,6 +304,17 @@ def sqrt_disc_energy(radius: float) -> float:
     return val
 
 
+#: Dirichlet energy of the square-root field z^(1/2) on [-1, 1]^2, which is
+#: the least energy of a two-valued map with its values on the rim.  A
+#: holomorphic Q-valued map is Dirichlet-minimising because it is
+#: calibrated: |Du|^2 >= 2 det Du pointwise, with equality exactly for
+#: conformal sheets, and the integral of det Du over the square depends on
+#: the rim values alone.  Both sheets +-sqrt(z) have |Du|^2 = 2 |u'|^2 =
+#: 1 / (2 |z|), so the energy is the integral of 1/|z| over the square:
+#: 4 * 2 * integral_0^(pi/4) sec(theta) dtheta = 8 ln(1 + sqrt(2)).
+SQRT_SQUARE_ENERGY = 8.0 * math.log(1.0 + math.sqrt(2.0))
+
+
 def sqrt_circle_distance_to_branch(radius: float) -> float:
     """G(f(z), 2[[0]]) for |z| = radius: sqrt(2 |z|), exact."""
     return math.sqrt(2.0 * radius)
@@ -392,6 +408,45 @@ def index_bilinear(arr: np.ndarray, f, pts: np.ndarray) -> np.ndarray:
         + arr[j0 + 1, i0] * (1 - tx) * ty
         + arr[j0 + 1, i0 + 1] * tx * ty
     )
+
+
+def reference_sorted_projections(directions: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """Ascending projections of (..., Q, n) sheets onto (P, n) directions,
+    shape (..., P, Q): the package's earlier kernel, numpy's default sort."""
+    return np.sort(project_sheets(directions, values), axis=-1)
+
+
+def stable_sorted_rows(a: np.ndarray) -> np.ndarray:
+    """Each row along the last axis sorted by Python's `sorted`, which is
+    stable: equal values, 0.0 and -0.0 among them, keep their order."""
+    rows = a.reshape(-1, a.shape[-1])
+    return np.array([sorted(row) for row in rows.tolist()], dtype=np.float64).reshape(a.shape)
+
+
+def reference_bilinear_array(arr: np.ndarray, f, pts: np.ndarray) -> np.ndarray:
+    """Bilinear interpolation of a nodal array (ny, nx, m) at physical points:
+    the package's earlier kernel, with (..., 1)-wide weights."""
+    pts = np.asarray(pts, dtype=np.float64)
+    gx = (pts[..., 0] - f.origin[0]) / f.spacing
+    gy = (pts[..., 1] - f.origin[1]) / f.spacing
+    if np.any(gx < -1e-9) or np.any(gx > f.nx - 1 + 1e-9) or np.any(gy < -1e-9) or np.any(
+        gy > f.ny - 1 + 1e-9
+    ):
+        raise InvalidInputError("interpolation point outside the grid")
+    i0 = np.clip(np.floor(gx).astype(np.intp), 0, f.nx - 2)
+    j0 = np.clip(np.floor(gy).astype(np.intp), 0, f.ny - 2)
+    tx = (gx - i0)[..., None]
+    ty = (gy - j0)[..., None]
+    ux, uy = 1 - tx, 1 - ty
+    rows = arr.reshape(-1, arr.shape[-1])
+    base = j0 * f.nx + i0
+    out = np.take(rows, base, axis=0)
+    out *= ux
+    out *= uy
+    out += np.take(rows, base + 1, axis=0) * tx * uy
+    out += np.take(rows, base + f.nx, axis=0) * ux * ty
+    out += np.take(rows, base + f.nx + 1, axis=0) * tx * ty
+    return out
 
 
 def full_slice_scan(f, frame, w0, radius) -> tuple[float, float]:

@@ -1,4 +1,5 @@
 from datetime import timedelta
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -23,7 +24,11 @@ from qvalued import (
     xi_full,
 )
 
+from qvalued.embedding import SORT_NETWORK_MIN_NODES, _sorted_projections
+from qvalued.qspace import project_sheets
+
 from helpers import random_qpoint, random_qpoint_pair
+from oracles import reference_sorted_projections, stable_sorted_rows
 
 
 def test_frame_validation():
@@ -205,3 +210,63 @@ def test_projection_paths_agree_bitwise(n, q, kind):
             assert np.array_equal(full.blocks[a], block)
             pushed = pushforward_projection(frame.directions[a], p)
             assert np.array_equal(np.sort(pushed.points[:, 0]), block)
+
+
+#: the two branches of `_sorted_projections`, each forced for every Q up to 8
+#: and every batch: the transposition network and the stable np.sort
+BRANCHES = {"network": {q: 0 for q in range(1, 9)}, "sort": {}}
+#: a few values that make exact ties and 0.0 / -0.0 ties, beside any float
+TIE_VALUES = st.sampled_from([0.0, -0.0, 1.0, -1.0, 0.5])
+
+
+def _bits(a: np.ndarray) -> np.ndarray:
+    return np.ascontiguousarray(a).view(np.int64)
+
+
+def _mixed_zero_rows(proj: np.ndarray) -> np.ndarray:
+    """Rows along the last axis holding both 0.0 and -0.0."""
+    zero = proj == 0
+    neg = np.signbit(proj)
+    return (zero & neg).any(-1) & (zero & ~neg).any(-1)
+
+
+@pytest.mark.parametrize("branch", sorted(BRANCHES))
+@settings(max_examples=60, deadline=timedelta(seconds=5))
+@given(data=st.data(), q=st.integers(1, 8), n=st.integers(1, 3),
+       batch=st.lists(st.integers(0, 5), max_size=3), kind=st.sampled_from(sorted(FRAMES)))
+def test_sorted_projections_match_the_reference_kernel(branch, data, q, n, batch, kind):
+    # a lone tuple, empty and multi-axis batches, exact ties and +-0 ties:
+    # the values are the earlier kernel's, and the bits, sign of zero
+    # included, those of a stable sort, so equal projections keep the order
+    # of their sheets; they are the earlier kernel's bits wherever a tuple's
+    # projections do not mix 0.0 and -0.0
+    values = data.draw(arrays(np.float64, (*batch, q, n),
+                              elements=TIE_VALUES | st.floats(-4.0, 4.0, width=64)))
+    dirs = FRAMES[kind](n, q).directions
+    with mock.patch.dict(SORT_NETWORK_MIN_NODES, BRANCHES[branch], clear=True):
+        got = _sorted_projections(dirs, values)
+    ref = reference_sorted_projections(dirs, values)
+    assert got.shape == ref.shape == (*batch, dirs.shape[0], q)
+    assert got.flags.c_contiguous
+    assert np.array_equal(got, ref)
+    assert np.array_equal(_bits(got), _bits(stable_sorted_rows(project_sheets(dirs, values))))
+    plain = ~_mixed_zero_rows(ref)
+    assert np.array_equal(_bits(got[plain]), _bits(ref[plain]))
+
+
+@pytest.mark.parametrize("q", [2, 4, 9, 10, 12, 16, 17, 20])
+def test_equal_projections_keep_the_order_of_their_sheets(q):
+    # numpy's default sort kind may order 0.0 and -0.0 by its SIMD dispatch;
+    # the embedding orders them as the sheets come, on either branch and in
+    # every public path
+    rng = np.random.default_rng(q)
+    v = rng.normal(size=(49, 49, q, 1))
+    v[rng.random(v.shape) < 0.4] = 0.0
+    v[rng.random(v.shape) < 0.5] *= -1.0
+    fr = standard_frame(1, q)
+    want = _bits(stable_sorted_rows(v[..., 0]))
+    assert np.array_equal(_bits(embed_grid(GridField(v, 0.1), fr)), want)
+    assert np.array_equal(_bits(xi0(fr, QPoint(v[3, 5])).flat), want[3, 5])
+    for branch in BRANCHES.values():
+        with mock.patch.dict(SORT_NETWORK_MIN_NODES, branch, clear=True):
+            assert np.array_equal(_bits(_sorted_projections(fr.directions, v)[..., 0, :]), want)

@@ -215,3 +215,34 @@ def test_only_the_listed_functions_draw_random_numbers():
     probe = ast.parse("class A:\n    def f(self):\n        return np.random.default_rng(0)\n"
                       "from scipy.stats import qmc\n")
     assert _random_drawers(probe) == {"f", "<module>"}
+
+
+#: the functions of the package that sort: every embedding sorts its
+#: projections in one kernel, so equal projections order alike on every path
+SORTERS = {"_sorted_projections"}
+
+
+def _sorters(node: ast.AST, owner: str = "<module>") -> set[str]:
+    """The innermost functions under `node` that call `np.sort`, a `.sort`
+    method or a bare `sort`."""
+    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+        owner = node.name
+    found = set()
+    if isinstance(node, ast.Call):
+        fn = node.func
+        if (fn.attr if isinstance(fn, ast.Attribute) else getattr(fn, "id", None)) == "sort":
+            found.add(owner)
+    for child in ast.iter_child_nodes(node):
+        found |= _sorters(child, owner)
+    return found
+
+
+def test_only_the_listed_functions_sort():
+    found = set()
+    for path in Path(qvalued.__file__).parent.glob("*.py"):
+        found |= _sorters(ast.parse(path.read_text()))
+    assert found == SORTERS
+    # the walk sees np.sort, a method sort and a bare sort, and not argsort
+    probe = ast.parse("def f(a):\n    return np.sort(a)\ndef g(a):\n    a.sort()\n"
+                      "def h(a):\n    return sort(a)\ndef k(a):\n    return a.argsort()\n")
+    assert _sorters(probe) == {"f", "g", "h"}

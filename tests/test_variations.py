@@ -107,6 +107,39 @@ def test_domain_variation_invalid_step():
         domain_variation_derivative(f, standard_frame(2, 2), v)
 
 
+@pytest.mark.parametrize("sign", [1.0, -1.0])
+def test_domain_variation_step_check_is_the_two_by_two_determinant_check(sign):
+    # the Jacobian d grad(eta)^T has rank one, so det(I + sJ) = 1 + s grad(eta).d;
+    # a direction scaled just past the first fold of the oracle's 2x2
+    # determinant check is refused, and one just short of it is not.  The
+    # bump's grid samples are not symmetric about its centre, so one sign of
+    # the direction folds first at +t and the other at -t
+    f = two_sheet_field(33, seed=0)
+    fr = standard_frame(2, 2)
+
+    def bump(scale):
+        return DomainVariation((0.05, -0.1), 0.4, (0.6 * sign * scale, 0.8 * sign * scale))
+
+    def oracle_folds(scale):
+        try:
+            full_grid_domain_derivative(f, fr, bump(scale))
+        except InvalidStepError:
+            return True
+        return False
+
+    lo, hi = 1.0, 2.0
+    while not oracle_folds(hi):
+        lo, hi = hi, 2.0 * hi
+    for _ in range(60):
+        mid = 0.5 * (lo + hi)
+        lo, hi = (lo, mid) if oracle_folds(mid) else (mid, hi)
+    with pytest.raises(InvalidStepError):
+        domain_variation_derivative(f, fr, bump(hi * (1 + 1e-9)))
+    below = bump(lo * (1 - 1e-9))
+    d = domain_variation_derivative(f, fr, below)
+    assert abs(d - full_grid_domain_derivative(f, fr, below)) <= 1e-9 * dirichlet_energy(f, fr).total
+
+
 def test_domain_variation_linear_field_near_zero():
     # affine tuples are stationary under compactly supported reparametrisation
     nn = 33
