@@ -24,13 +24,13 @@ UNIT_TOL = 1e-12
 #: smallest batch, in tuples, that `_sorted_projections` sorts with the
 #: transposition network, by sheet count; smaller batches and other Q go to
 #: a stable np.sort.  Network against stable sort, in us, for 2-D sheets on
-#: two directions (one BLAS thread, 2-core shared host): Q = 1: 22 against
-#: 21 at 1024 tuples, 31 against 38 at 2048, 253 against 351 at 16641;
-#: Q = 2: 27 against 24 at 256, 37 against 47 at 512, 51 against 83 at
-#: 1024, 1043 against 1513 at 16641; Q = 3: 96 against 91 at 1024, 2035
-#: against 2080 at 16641, no gain; Q = 4: 166 against 113 at 1024, 3314
-#: against 2668 at 16641; and a lone tuple 13-24 against 5 at Q = 1-3.
-SORT_NETWORK_MIN_NODES = {1: 2048, 2: 512}
+#: two directions (one BLAS thread, 2-core shared host): Q = 2: 27 against
+#: 24 at 256 tuples, 37 against 47 at 512, 51 against 83 at 1024, 1043
+#: against 1513 at 16641; Q = 3: 96 against 91 at 1024, 2035 against 2080
+#: at 16641, no gain; Q = 4: 166 against 113 at 1024, 3314 against 2668 at
+#: 16641; and a lone tuple 13-24 against 5 at Q = 1-3.  Q = 1 has nothing
+#: to sort and no workload embeds it, so it keeps the sort.
+SORT_NETWORK_MIN_NODES = {2: 512}
 
 
 @dataclass(frozen=True, eq=False)

@@ -675,10 +675,24 @@ def _circle_size(r: float, spacing: float) -> int:
     return max(8, 4 * int(math.ceil(2 * math.pi * r / spacing)))
 
 
+def _circle_batch(w0: tuple[float, float], radii: np.ndarray, sizes: list[int]) -> np.ndarray:
+    """The circles of the given radii about w0, sizes[k] points on the k-th,
+    concatenated: the one place that samples a circle.
+
+    The points of a circle of N points sit at the angles i * (2 pi / N), the
+    floats of `np.linspace(0, 2 pi, N, endpoint=False)`; the angles of all
+    the circles come from one concatenated arange times each point's step,
+    then one cos and one sin."""
+    starts = np.cumsum(sizes) - sizes
+    index = np.arange(starts[-1] + sizes[-1]) - np.repeat(starts, sizes)  # on its own circle
+    th = index * np.repeat(2 * math.pi / np.asarray(sizes), sizes)
+    r = np.repeat(radii, sizes)
+    return np.stack([w0[0] + r * np.cos(th), w0[1] + r * np.sin(th)], axis=-1)
+
+
 def circle_points(w0: tuple[float, float], r: float, spacing: float) -> np.ndarray:
     """Resolution-proportional circle sample: 4*ceil(2*pi*r/h) points."""
-    th = np.linspace(0.0, 2 * math.pi, _circle_size(r, spacing), endpoint=False)
-    return np.stack([w0[0] + r * np.cos(th), w0[1] + r * np.sin(th)], axis=-1)
+    return _circle_batch(w0, np.array([r]), [_circle_size(r, spacing)])
 
 
 def courant_lebesgue_slice(
@@ -696,34 +710,23 @@ def courant_lebesgue_slice(
     return _slice_scan(f, embed_grid(f, frame), w0, radius)
 
 
-def _circle_batch(w0: tuple[float, float], radii: np.ndarray, sizes: list[int]) -> np.ndarray:
-    """`circle_points` of every radius, concatenated, in one pass.
-
-    A circle of N points has the angles i * (2 pi / N), which are the floats
-    `np.linspace(0, 2 pi, N, endpoint=False)` gives; the angles of all the
-    circles come from one concatenated arange times each point's step, and
-    one cos and one sin."""
-    starts = np.cumsum(sizes) - sizes
-    index = np.arange(starts[-1] + sizes[-1]) - np.repeat(starts, sizes)  # on its own circle
-    th = index * np.repeat(2 * math.pi / np.asarray(sizes), sizes)
-    r = np.repeat(radii, sizes)
-    return np.stack([w0[0] + r * np.cos(th), w0[1] + r * np.sin(th)], axis=-1)
-
-
 def _scan_circles(f: GridField, farr: np.ndarray, w0: tuple[float, float], radii: np.ndarray):
     """Yield (r, embedded circle samples) for each radius, in order.
 
     Consecutive circles are interpolated by one `bilinear_array` call while
     their samples' working memory stays within SCAN_BATCH_BYTES; a circle
     larger than that is a batch of its own.  A sample of m embedded values
-    holds 8 (7m + 8) bytes at the peak, in the corner sums: its point, its
-    scaled coordinates, cell indices and base row, one corner's row index,
-    the four full-width weights, the running sum, and one weighted corner
-    while the next is gathered.
+    is counted at 8 (8m + 8) bytes.  In the corner sums it holds 8 (7m + 8):
+    its point, its scaled coordinates, cell indices and base row, one
+    corner's row index, the four full-width weights, the running sum, and
+    one weighted corner while the next is gathered.  The other m words are
+    the previous batch's output, which the caller's view of its last circle
+    keeps alive while the next batch is interpolated; with both batches
+    counted this way, the two together stay within the budget.
     Interpolation acts on each point alone, so a circle gets the same floats
     in any batch."""
     sizes = [_circle_size(r, f.spacing) for r in radii]
-    per_sample = 8 * (7 * farr.shape[-1] + 8)
+    per_sample = 8 * (8 * farr.shape[-1] + 8)
     start = 0
     while start < len(radii):
         stop, used = start + 1, sizes[start]

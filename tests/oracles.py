@@ -7,15 +7,16 @@ first variations re-embed and sum the whole grid at +t and -t, sharing the
 embedding and energy primitives, and the bump, cutoff and retraction of the
 variation, with the local derivatives they check; the domain one
 interpolates with `index_bilinear`.  The full slice scan shares the
-embedding and the circle sample with `courant_lebesgue_slice`, and also
-interpolates with `index_bilinear`.  The node-by-node Hopf stencil shares only the assignment
+embedding and the circle size with `courant_lebesgue_slice`; it samples
+each circle with `linspace_circle_points` and interpolates with
+`index_bilinear`.  The node-by-node Hopf stencil shares only the assignment
 kernel with `hopf_differential`.  The reference assignment kernel keeps the
 earlier layout of `qspace.assign`, (k, Q, n) batches and an `argmax` pick
 over the permutations, and shares the shortest-augmenting-path solver with
-it beyond enumeration.  The reference sorted projections and bilinear
-interpolation are the package's earlier kernels, kept verbatim: an
-`np.sort` of `project_sheets` and (..., 1)-wide weights broadcast over the
-corners.
+it beyond enumeration.  The reference sorted projections, bilinear
+interpolation and circle sample are the package's earlier kernels, kept
+verbatim: an `np.sort` of `project_sheets`, (..., 1)-wide weights broadcast
+over the corners, and one `np.linspace` of angles per circle.
 """
 
 import functools
@@ -449,18 +450,26 @@ def reference_bilinear_array(arr: np.ndarray, f, pts: np.ndarray) -> np.ndarray:
     return out
 
 
+def linspace_circle_points(w0, r: float, spacing: float) -> np.ndarray:
+    """Resolution-proportional circle sample: the package's earlier
+    `circle_points`, its angles from `np.linspace`."""
+    from qvalued.field import _circle_size
+
+    th = np.linspace(0.0, 2 * math.pi, _circle_size(r, spacing), endpoint=False)
+    return np.stack([w0[0] + r * np.cos(th), w0[1] + r * np.sin(th)], axis=-1)
+
+
 def full_slice_scan(f, frame, w0, radius) -> tuple[float, float]:
     """`courant_lebesgue_slice` with `max_pairwise_distance` run at every
     radius of the scan, none skipped, each circle interpolated on its own."""
     from qvalued import embed_grid
-    from qvalued.field import circle_points
 
     farr = embed_grid(f, frame)
     radii = np.arange(radius / 2, radius + f.spacing / 4, f.spacing)
     radii[-1] = min(radii[-1], radius)
     best = (float("nan"), float("inf"))
     for r in radii:
-        osc = max_pairwise_distance(index_bilinear(farr, f, circle_points(w0, r, f.spacing)))
+        osc = max_pairwise_distance(index_bilinear(farr, f, linspace_circle_points(w0, r, f.spacing)))
         if osc < best[1]:
             best = (float(r), osc)
     return best

@@ -48,6 +48,7 @@ from oracles import (
     full_slice_scan,
     harmonic_extension,
     index_bilinear,
+    linspace_circle_points,
     max_pairwise_distance,
     reference_bilinear_array,
     sqrt_circle_oscillation,
@@ -628,7 +629,7 @@ def test_bilinear_array_matches_the_reference_kernel(data, ny, nx, m, batch):
 
 def test_scan_circle_batch_is_the_circle_points():
     # one concatenated pass over a batch's radii gives each circle the floats
-    # of its own `circle_points`
+    # of the earlier one-linspace-per-circle sample, as does `circle_points`
     from qvalued.field import _circle_batch, _circle_size, circle_points
 
     rng = np.random.default_rng(11)
@@ -637,15 +638,20 @@ def test_scan_circle_batch_is_the_circle_points():
         radii = np.sort(rng.uniform(4 * h, 1.5, size=rng.integers(1, 12)))
         w0 = tuple(rng.uniform(-1.0, 1.0, 2))
         sizes = [_circle_size(r, h) for r in radii]
-        want = np.concatenate([circle_points(w0, r, h) for r in radii])
-        assert np.array_equal(_circle_batch(w0, radii, sizes).view(np.int64), want.view(np.int64))
+        want = [linspace_circle_points(w0, r, h) for r in radii]
+        assert np.array_equal(_circle_batch(w0, radii, sizes).view(np.int64),
+                              np.concatenate(want).view(np.int64))
+        for r, pts in zip(radii, want):
+            assert np.array_equal(circle_points(w0, r, h).view(np.int64), pts.view(np.int64))
+            assert np.array_equal(circle_points(w0, float(r), h).view(np.int64), pts.view(np.int64))
 
 
 def test_courant_lebesgue_slice_batches_within_the_byte_budget():
     # the circles of a scan near the rim of a 513^2 grid hold about 590k
     # samples; interpolated in batches they give the full scan's answer, and
-    # the scan holds no more than the budget plus one circle's arrays: its
-    # interpolation work and a Gram matrix of 512 rows with its masks
+    # the scan holds no more than the budget plus a slack of one circle at
+    # 8 (3m + 16) bytes a sample and three 512 x 512 float arrays, a Gram
+    # matrix and its masks
     import tracemalloc
 
     import qvalued.field as field
