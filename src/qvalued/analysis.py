@@ -52,7 +52,6 @@ from .field import (
     bilinear_array,
     circle_points,
     embed_grid,
-    embedded_energy,
 )
 from .qspace import _union_classes, metric_g_many
 
@@ -91,9 +90,10 @@ def _sum_sq(d: np.ndarray) -> np.ndarray:
 class HopfField:
     """Hopf density and |grad f|^2 per node on the matched edges (rim
     replicated), and what `hopf_differential` built them from: the field's
-    values, the frame, the embedded field and its cell energy.  Those four
-    are None on a density given directly, which no field diagnostic accepts.
-    Every array `hopf_differential` puts here is read-only."""
+    values, the frame, the frame embedding and the field's matched energy.
+    Those four are None on a density given directly, which no field
+    diagnostic accepts.  Every array `hopf_differential` puts here is
+    read-only."""
 
     phi: np.ndarray            # (ny, nx) complex
     grad_sq: np.ndarray        # (ny, nx) float
@@ -103,7 +103,7 @@ class HopfField:
     values: np.ndarray | None = None        # (ny, nx, Q, n) read-only copy of the field's values
     frame: ProjectionFrame | None = None
     embedded: np.ndarray | None = None      # (ny, nx, n*Q) read-only embed_grid(f, frame)
-    energy: EnergyBreakdown | None = None   # embedded_energy(embedded)
+    energy: EnergyBreakdown | None = None   # dirichlet_energy_matched(f)
 
     @property
     def interior(self) -> np.ndarray:
@@ -119,11 +119,12 @@ class HopfField:
 def hopf_differential(f: GridField, frame: ProjectionFrame) -> HopfField:
     """Hopf density and |grad f|^2 of the field from central differences on
     the edge matchings of `_match_edges`, each neighbour's sheets paired with
-    the node's by `_neighbour_partners`.  phi and |grad f|^2 do not read the
-    frame, so every frame gives the same floats.  The embedding
-    `embed_grid(f, frame)` and its cell energy belong to the frame; they are
-    kept on the result with the frame and a copy of the values, so that the
-    diagnostics reading this field's companion embed nothing again.
+    the node's by `_neighbour_partners`.  phi, |grad f|^2 and the energy of
+    those matchings (`dirichlet_energy_matched`) do not read the frame, so
+    every frame gives the same floats.  The embedding `embed_grid(f, frame)`,
+    which tau*, d* and the slice scan read, is kept on the result with the
+    frame and a copy of the values, so that the diagnostics reading this
+    field's companion embed nothing again.
 
     Sheets move as whole rows of the (nodes * Q, n) view of the values, row
     node * Q + sheet, one `np.take` per neighbour.  The degenerate test takes
@@ -135,7 +136,7 @@ def hopf_differential(f: GridField, frame: ProjectionFrame) -> HopfField:
     farr = embed_grid(f, frame)
     v = f.values
     ny, nx, q, n = v.shape
-    px, py, _ = _match_edges(v)
+    px, py, energy = _match_edges(v)
     rows = v.reshape(-1, n)
     iy, ix = np.ogrid[1 : ny - 1, 1 : nx - 1]
     node = q * (iy * nx + ix)[..., None]
@@ -163,7 +164,6 @@ def hopf_differential(f: GridField, frame: ProjectionFrame) -> HopfField:
     grad_sq = np.pad(uu + vv, 1, mode="edge")
     core = np.zeros((ny, nx), dtype=bool)
     core[1:-1, 1:-1] = np.sqrt(dmin2) <= 8.0 * np.sqrt(inc2)
-    energy = embedded_energy(farr)
     values = v.copy()
     for a in (phi, grad_sq, core, values, farr, energy.per_cell):
         a.flags.writeable = False

@@ -32,7 +32,7 @@ from .analysis import (
 )
 from .embedding import ProjectionFrame, standard_frame, xi0, xi_full
 from .errors import NumericalFailureError, QValuedError
-from .field import GridField, MinimizeOptions, dirichlet_energy, minimize
+from .field import GridField, MinimizeOptions, minimize
 from .qspace import QPoint, optimal_matching, support
 from .variations import stationarity_residual
 
@@ -140,7 +140,6 @@ def cmd_chain(args) -> int:
 
 def cmd_minimize(args) -> int:
     f = _load_field(args)
-    frame = _frame_for(args, f.n, f.q_sheets)
     opts = MinimizeOptions(max_iters=args.max_iters, tol_rel_energy=args.tol_rel_energy)
     result = minimize(f, opts)
     if args.output:
@@ -149,17 +148,13 @@ def cmd_minimize(args) -> int:
             fh.write(json.dumps(result.field.to_dict(), sort_keys=True))
             fh.write("\n")
     if args.csv:
-        _write_csv(
-            args.csv,
-            ["iteration", "energy"],
-            [[i, float(e)] for i, e in enumerate(result.energies)],
-        )
+        rows = [[i, float(e)] for i, e in enumerate(result.energies)]
+        _write_csv(args.csv, ["iteration", "energy"], rows)
     summary = {
         "iterations": result.iterations,
         "converged": result.converged,
         "energy_initial": float(result.energies[0]),
         "energy_final": float(result.energies[-1]),
-        "dirichlet_energy": dirichlet_energy(result.field, frame).total,
         "constants": constants_block(f.n, f.q_sheets),
     }
     _dump_json(summary, None)
@@ -173,15 +168,11 @@ def cmd_minimize(args) -> int:
 
 def cmd_analyze(args) -> int:
     f = _load_field(args)
-    frame = _frame_for(args, f.n, f.q_sheets)
-    comp = harmonic_companion(hopf_differential(f, frame))
+    comp = harmonic_companion(hopf_differential(f, standard_frame(f.n, f.q_sheets)))
     interior = comp.hopf.interior
     energy = comp.hopf.energy
     if args.cell_csv:
-        rows = []
-        for iy in range(energy.per_cell.shape[0]):
-            for ix in range(energy.per_cell.shape[1]):
-                rows.append([iy, ix, float(energy.per_cell[iy, ix])])
+        rows = [[iy, ix, float(e)] for (iy, ix), e in np.ndenumerate(energy.per_cell)]
         _write_csv(args.cell_csv, ["iy", "ix", "energy"], rows)
     report = {
         "energy": energy.total,
@@ -291,10 +282,12 @@ def build_parser() -> argparse.ArgumentParser:
     # the options every grid command shares
     grid = argparse.ArgumentParser(add_help=False)
     grid.add_argument("--input", required=True)
-    grid.add_argument("--frame")
     grid.add_argument("--output")
     grid.add_argument("--grid", help="assert the input grid is NX,NY,H")
     grid.add_argument("--nQ", dest="nq", help="assert the input field is N,Q")
+    # and the commands whose output reads the frame embedding
+    framed = argparse.ArgumentParser(add_help=False, parents=[grid])
+    framed.add_argument("--frame")
 
     p = sub.add_parser("minimize", parents=[grid], help="relax a grid field toward minimality")
     p.add_argument("--csv", help="energy-vs-iteration table")
@@ -306,18 +299,18 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--cell-csv", dest="cell_csv", help="per-cell energy table")
     p.set_defaults(func=cmd_analyze)
 
-    p = sub.add_parser("monotonicity", parents=[grid], help="cutoff energy ratio ladders")
+    p = sub.add_parser("monotonicity", parents=[framed], help="cutoff energy ratio ladders")
     p.add_argument("--wstar", required=True, metavar="IX,IY")
     p.add_argument("--ladder", help="fractions as LO:HI:COUNT")
     p.add_argument("--csv")
     p.set_defaults(func=cmd_monotonicity)
 
-    p = sub.add_parser("variations", parents=[grid], help="stationarity residual battery")
+    p = sub.add_parser("variations", parents=[framed], help="stationarity residual battery")
     p.add_argument("--trials", type=int, default=8)
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_variations)
 
-    p = sub.add_parser("certificate", parents=[grid], help="continuity modulus at a point")
+    p = sub.add_parser("certificate", parents=[framed], help="continuity modulus at a point")
     p.add_argument("--w", required=True, metavar="X,Y")
     p.add_argument("--radii", help="comma-separated disc radii, each at least 4h "
                    "(default: those of 0.4,0.2,0.1 that are)")

@@ -1,10 +1,9 @@
 """Discretised Q-tuple fields on rectangular 2-D grids.
 
-The Dirichlet energy is cell-integrated from the four edge differences of
-the embedded field (each axis difference averaged over the cell's two
-parallel edges); the matched variant replaces the embedded edge difference
-by the assignment distance on the same stencil, so the two agree exactly
-whenever the per-axis sorted matchings realise the optimal matchings.
+The field's Dirichlet energy is cell-integrated from the squared
+assignment distances of its four edges (each axis averaged over the cell's
+two parallel edges); `minimize` lowers it and every diagnostic reads it.
+The frame embedding's energy on the same stencil is a cell-wise lower bound.
 
 Minimisation alternates per-edge optimal matchings with an exact minimiser
 of the quadratic they freeze: the graph Laplacian on (node, sheet)
@@ -190,17 +189,15 @@ def embedded_energy(farr: np.ndarray) -> EnergyBreakdown:
 
 
 def dirichlet_energy(f: GridField, frame: ProjectionFrame) -> EnergyBreakdown:
-    """Dirichlet energy of the embedded field."""
+    """Energy of the frame embedding `embed_grid(f, frame)`, which moves with the
+    frame; xi0 is 1-Lipschitz, so it is cell-wise at most `dirichlet_energy_matched`."""
     return embedded_energy(embed_grid(f, frame))
 
 
 def dirichlet_energy_matched(f: GridField) -> EnergyBreakdown:
-    """Edge-matched twin of `dirichlet_energy` on the identical stencil.
-
-    Uses the assignment distance per grid edge in place of the embedded edge
-    difference; equals `dirichlet_energy` exactly when sorted and optimal
-    matchings coincide on every edge.
-    """
+    """The field's Dirichlet energy, which `minimize` lowers and every
+    diagnostic reads: each edge's squared assignment distance on the stencil
+    of `embedded_energy`, blind to the sheets' order and to range isometries."""
     return _match_edges(f.values)[2]
 
 
@@ -212,6 +209,13 @@ def _match_edges(v: np.ndarray) -> tuple[np.ndarray, np.ndarray, EnergyBreakdown
     return px, py, _cell_energy(gx2, gy2)
 
 
+def _inverse(perm: np.ndarray) -> np.ndarray:
+    """The inverse permutations along the last axis: argsort's integers, by a scatter."""
+    inv = np.empty_like(perm)
+    np.put_along_axis(inv, perm, np.arange(perm.shape[-1]), axis=-1)
+    return inv
+
+
 def _neighbour_partners(px: np.ndarray, py: np.ndarray, iy: np.ndarray,
                         ix: np.ndarray) -> tuple[tuple[tuple[int, int], np.ndarray], ...]:
     """The neighbours of the nodes (iy, ix), which must have all four, down,
@@ -220,15 +224,14 @@ def _neighbour_partners(px: np.ndarray, py: np.ndarray, iy: np.ndarray,
 
     Right and up are the node's own edge permutations, one row `np.take` each
     from the (edges, Q) view of px or py; left and down invert those of the
-    edges that end at the node, for the given nodes alone.  argsort of Q
-    distinct labels inverts under every sort kind; stable is the fastest."""
+    edges that end at the node, for the given nodes alone."""
     q, nx = py.shape[-1], py.shape[1]
     xrows, yrows = px.reshape(-1, q), py.reshape(-1, q)
     right = iy * (nx - 1) + ix  # the x-edge from the node to its right neighbour
     up = iy * nx + ix           # the y-edge from the node to its upper neighbour
     return (
-        ((-1, 0), np.argsort(np.take(yrows, up - nx, axis=0), axis=-1, kind="stable")),
-        ((0, -1), np.argsort(np.take(xrows, right - 1, axis=0), axis=-1, kind="stable")),
+        ((-1, 0), _inverse(np.take(yrows, up - nx, axis=0))),
+        ((0, -1), _inverse(np.take(xrows, right - 1, axis=0))),
         ((0, 1), np.take(xrows, right, axis=0)),
         ((1, 0), np.take(yrows, up, axis=0)),
     )
@@ -601,8 +604,10 @@ def bilinear_array(arr: np.ndarray, f: GridField, pts: np.ndarray) -> np.ndarray
 
 
 def disc_energy(f: GridField, frame: ProjectionFrame, w0: tuple[float, float], r: float) -> float:
-    """Energy restricted to cells whose centers lie in the disc U_r(w0)."""
-    return _disc_cell_window(f, w0, r).sum(dirichlet_energy(f, frame).per_cell)
+    """The field's energy on the cells whose centers lie in the disc U_r(w0);
+    the frame is checked against the field's (Q, n) and read no further."""
+    _check_frame(f, frame)
+    return _disc_cell_window(f, w0, r).sum(dirichlet_energy_matched(f).per_cell)
 
 
 def _require_finite_disc(w0: tuple[float, float], r: float):

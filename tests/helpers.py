@@ -133,3 +133,16 @@ def branch_pair_field(nn, a, b, half=1.0):
     w = np.sqrt(z - a) * np.sqrt(z - b)
     sheet = np.stack([w.real, w.imag], axis=-1)
     return GridField(np.stack([sheet, -sheet], axis=2), spec.spacing, spec.origin)
+
+
+def relabelled(f, seed):
+    """The field with its sheets in a seeded random order at every node."""
+    perm = np.argsort(np.random.default_rng(seed).random(f.values.shape[:3]), axis=-1)
+    return dataclasses.replace(f, values=np.take_along_axis(f.values, perm[..., None], axis=2))
+
+
+def range_isometry(f, angle=0.0, shift=(0.0, 0.0)):
+    """The planar field with every value v taken to R(angle) v + shift."""
+    c, s = np.cos(angle), np.sin(angle)
+    rot = np.array([[c, -s], [s, c]])
+    return dataclasses.replace(f, values=f.values @ rot.T + np.asarray(shift))

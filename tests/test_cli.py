@@ -15,6 +15,7 @@ from qvalued import (
     QPoint,
     constants_block,
     continuity_certificate,
+    dirichlet_energy_matched,
     harmonic_companion,
     hopf_differential,
     minimize,
@@ -111,6 +112,19 @@ def test_chain_takes_no_samples_or_seed(tmp_path, capsys):
             main(["chain", "--input", str(a), option, "10"])
         assert exc.value.code == 2
         assert "unrecognized arguments" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["minimize", "analyze"])
+def test_energy_commands_take_no_frame(tmp_path, capsys, command):
+    # their outputs read the field's matched energy and the Hopf density,
+    # neither of which depends on a frame
+    path, _ = small_field_file(tmp_path)
+    frame = tmp_path / "frame.json"
+    write_json(frame, standard_frame(2, 2).to_dict())
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--input", str(path), "--frame", str(frame)])
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
 
 
 def test_numerical_failure_exits_4(tmp_path, monkeypatch, capsys):
@@ -218,12 +232,13 @@ def non_finite_inputs(tmp_path_factory):
     *((cmd, grid, None) for cmd in (["minimize"], ["analyze"], ["monotonicity", "--wstar", "16,16"],
                                     ["variations", "--trials", "2"], ["certificate", "--w", "0,0"])
       for grid in ("h_nan", "h_inf", "x0_nan")),
-    (["minimize"], "field", "frame"),
-    (["analyze"], "field", "frame"),
+    *((cmd, "field", "frame") for cmd in (["monotonicity", "--wstar", "16,16"],
+                                          ["variations", "--trials", "2"], ["certificate", "--w", "0,0"])),
 ], ids=lambda p: p[0] if isinstance(p, list) else str(p))
 def test_non_finite_grid_or_frame_exits_2(non_finite_inputs, tmp_path, capsys, argv, grid, frame):
     # a NaN spacing or origin once ran to exit 0 (minimize) or 4, and a NaN
-    # frame direction printed a NaN energy with exit 0
+    # frame direction printed a NaN energy with exit 0; every command that
+    # reads a frame refuses a NaN one
     d = non_finite_inputs
     out = tmp_path / "out.json"
     argv = argv + ["--input", str(d / f"{grid}.json"), "--output", str(out)]
@@ -266,6 +281,9 @@ def test_minimize_writes_field_and_csv(tmp_path, capsys):
     assert summary["energy_final"] <= summary["energy_initial"]
     g = GridField.from_dict(json.loads(out.read_text()))
     assert g.values.shape == f.values.shape
+    # the one energy of the report is the field's, which minimize lowers
+    assert set(summary) == {"iterations", "converged", "energy_initial", "energy_final", "constants"}
+    assert summary["energy_final"] == dirichlet_energy_matched(g).total
     lines = csv.read_text().strip().splitlines()
     assert lines[0] == "iteration,energy"
     assert len(lines) >= 3

@@ -7,8 +7,9 @@ loads no scipy module, and neither do the analysis commands, `chain` and
 `scipy.sparse.linalg`, and `frame_with_extra_directions` loads no scipy
 module at all.  The CLI also imports no private name of another qvalued
 module, and `variations` takes from `analysis` only the pivot and the
-helpers it shares, which two checks read from their sources.  A last one
-reads every module's source for the functions that draw random numbers.
+helpers it shares, which two checks read from their sources.  The last ones
+read every module's source for the functions that draw random numbers,
+that sort, and that call `embedded_energy`.
 """
 
 import ast
@@ -219,30 +220,44 @@ def test_only_the_listed_functions_draw_random_numbers():
 
 #: the functions of the package that sort: every embedding sorts its
 #: projections in one kernel, so equal projections order alike on every path
-SORTERS = {"_sorted_projections"}
+SORTERS = {"embedding._sorted_projections"}
 
 
-def _sorters(node: ast.AST, owner: str = "<module>") -> set[str]:
-    """The innermost functions under `node` that call `np.sort`, a `.sort`
-    method or a bare `sort`."""
+def _callers(node: ast.AST, name: str, owner: str = "<module>") -> set[str]:
+    """The innermost functions under `node` that call `name`, bare or as an
+    attribute: for "sort", `np.sort`, a `.sort` method or a bare `sort`."""
     if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
         owner = node.name
     found = set()
     if isinstance(node, ast.Call):
         fn = node.func
-        if (fn.attr if isinstance(fn, ast.Attribute) else getattr(fn, "id", None)) == "sort":
+        if (fn.attr if isinstance(fn, ast.Attribute) else getattr(fn, "id", None)) == name:
             found.add(owner)
     for child in ast.iter_child_nodes(node):
-        found |= _sorters(child, owner)
+        found |= _callers(child, name, owner)
     return found
 
 
+def _package_callers(name: str) -> set[str]:
+    """`_callers` of `name` in every module of the package, as module.function."""
+    return {f"{path.stem}.{fn}" for path in Path(qvalued.__file__).parent.glob("*.py")
+            for fn in _callers(ast.parse(path.read_text()), name)}
+
+
 def test_only_the_listed_functions_sort():
-    found = set()
-    for path in Path(qvalued.__file__).parent.glob("*.py"):
-        found |= _sorters(ast.parse(path.read_text()))
-    assert found == SORTERS
+    assert _package_callers("sort") == SORTERS
     # the walk sees np.sort, a method sort and a bare sort, and not argsort
     probe = ast.parse("def f(a):\n    return np.sort(a)\ndef g(a):\n    a.sort()\n"
                       "def h(a):\n    return sort(a)\ndef k(a):\n    return a.argsort()\n")
-    assert _sorters(probe) == {"f", "g", "h"}
+    assert _callers(probe, "sort") == {"f", "g", "h"}
+
+
+#: the functions of the package that call `embedded_energy`, the energy of a
+#: frame embedding: the frame's own energy and the domain and range finite
+#: differences.  Every diagnostic reads the field's matched energy instead
+EMBEDDED_ENERGY_CALLERS = {"field.dirichlet_energy", "variations._domain_derivative",
+                           "variations._range_derivative"}
+
+
+def test_only_the_listed_functions_call_embedded_energy():
+    assert _package_callers("embedded_energy") == EMBEDDED_ENERGY_CALLERS

@@ -1,0 +1,134 @@
+"""The field's energy is a function of the unordered field.
+
+The Dirichlet integral on A_Q(R^n) does not see the order of the sheets at a
+node and does not change under isometries of the range.  Every diagnostic
+reads the one discrete energy that `minimize` lowers, the matched energy of
+`dirichlet_energy_matched`, so every energy they report must keep its value,
+up to rounding, under a per-node relabelling, a range rotation and a range
+shift.  The frame embedding's energy `dirichlet_energy` does not: it moves
+with the frame, and cell by cell it stays at most the matched energy.
+"""
+
+import dataclasses
+import math
+from datetime import timedelta
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from qvalued import (
+    GridField,
+    continuity_certificate,
+    dirichlet_energy,
+    dirichlet_energy_matched,
+    disc_energy,
+    harmonic_companion,
+    hopf_differential,
+    key_lemma_check,
+    minimize,
+    rotated_frame,
+    standard_frame,
+    stationarity_residual,
+)
+
+from helpers import range_isometry, relabelled, root_grid_field, sqrt_grid_field, two_sheet_field
+
+#: relative agreement of each energy reader under a transform; the worst
+#: measured on the fields below is 6.0e-16 (beta of the minimised two-sheet
+#: field under the 30 degree rotation)
+INVARIANCE_RTOL = 1e-12
+
+# the frame embedding's energy does not move under a 30 degree rotation of
+# the Q = 3 root or the two-sheet field, nor under 45 degrees of the
+# square-root field, so each field gets a rotation it would see
+TRANSFORMS = {
+    "rotation by 30 degrees": lambda f: range_isometry(f, angle=math.radians(30)),
+    "rotation by 45 degrees": lambda f: range_isometry(f, angle=math.radians(45)),
+    "shift": lambda f: range_isometry(f, shift=(0.7, -1.3)),
+    "relabelling": lambda f: relabelled(f, seed=5),
+}
+
+
+@pytest.fixture(scope="module", params=["sqrt", "root3", "minimized_two_sheet"])
+def energy_field(request):
+    if request.param == "sqrt":
+        return sqrt_grid_field(65)
+    if request.param == "root3":
+        return root_grid_field(65, 3, z0=0.05 - 0.03j)
+    return minimize(two_sheet_field(65, seed=11)).field
+
+
+def energy_readers(f: GridField) -> dict[str, float]:
+    """Every reported value that reads the field's energy, in the standard
+    frame, on one disc and at one base node off the centre."""
+    fr = standard_frame(f.n, f.q_sheets)
+    comp = harmonic_companion(hopf_differential(f, fr))
+    node = (f.ny // 2 + 3, f.nx // 2 - 5)
+    cert = continuity_certificate(f, fr, tuple(f.node_position(node)), 0.4, comp=comp)
+    return {
+        "HopfField.energy": comp.hopf.energy.total,
+        "StationarityResidual.energy": stationarity_residual(f, fr, trials=1).energy,
+        "disc_energy": disc_energy(f, fr, (0.1, -0.05), 0.5),
+        "alpha1": cert.alpha1,
+        "beta": cert.beta,
+        "C_R0": cert.c_r0,
+        "key lemma rhs": key_lemma_check(f, comp, node, 0.5, fr)[1],
+    }
+
+
+@pytest.mark.parametrize("transform", TRANSFORMS)
+def test_energy_readers_are_invariant(energy_field, transform):
+    want = energy_readers(energy_field)
+    got = energy_readers(TRANSFORMS[transform](energy_field))
+    for name, value in want.items():
+        assert got[name] == pytest.approx(value, rel=INVARIANCE_RTOL), name
+
+
+def test_embedded_energy_moves_with_the_range_rotation():
+    # the frame embedding's energy is not an energy of the unordered field:
+    # a 30 degree rotation of the range lowers it on the square-root field
+    f = sqrt_grid_field(65)
+    fr = standard_frame(2, 2)
+    turned = range_isometry(f, angle=math.radians(30))
+    assert dirichlet_energy(turned, fr).total < dirichlet_energy(f, fr).total * (1 - 5e-3)
+    assert dirichlet_energy_matched(turned).total == pytest.approx(
+        dirichlet_energy_matched(f).total, rel=INVARIANCE_RTOL)
+
+
+def embedded_twin(comp):
+    """The companion with its Hopf field's energy replaced by the frame
+    embedding's, the energy every diagnostic read before it read the
+    matched one."""
+    hopf = comp.hopf
+    f = GridField(hopf.values, hopf.spacing, hopf.origin)
+    return dataclasses.replace(comp, hopf=dataclasses.replace(hopf, energy=dirichlet_energy(f, hopf.frame)))
+
+
+@settings(max_examples=60, deadline=timedelta(seconds=10))
+@given(q=st.integers(1, 4), n=st.integers(1, 3), seed=st.integers(0, 2**32 - 1),
+       frame_seed=st.integers(0, 2**32 - 1))
+def test_matched_energy_bounds_the_embedded_one_cell_by_cell(q, n, seed, frame_seed):
+    # xi0 is 1-Lipschitz for G, so each embedded edge difference is at most
+    # the assignment distance of its edge, and every value read from the
+    # per-cell energy through sums over discs and square roots (E, the key
+    # lemma's rhs, alpha1, alpha2, beta, C_R0) can only go up when the
+    # matched energy replaces the embedded one; no bound that held can fail
+    vals = np.random.default_rng(seed).normal(size=(17, 17, q, n))
+    f = GridField(vals, 0.125, (-1.0, -1.0))
+    fr = rotated_frame(n, q, seed=frame_seed)
+    slack = 1e-12 * float(np.abs(vals).max()) ** 2
+    emb, mat = dirichlet_energy(f, fr), dirichlet_energy_matched(f)
+    assert np.all(emb.per_cell <= mat.per_cell + slack)
+    assert emb.total <= mat.total * (1 + 1e-12)
+
+    comp = harmonic_companion(hopf_differential(f, fr))
+    twin = embedded_twin(comp)
+    old = key_lemma_check(f, twin, (8, 8), 0.75, fr)
+    new = key_lemma_check(f, comp, (8, 8), 0.75, fr)
+    assert new[0] == old[0] and new[1] >= old[1] * (1 - 1e-12) and (new[2] or not old[2])
+    old = continuity_certificate(f, fr, (0.05, -0.1), 0.5, comp=twin)
+    new = continuity_certificate(f, fr, (0.05, -0.1), 0.5, comp=comp)
+    for name in ("alpha1", "alpha2", "beta", "c_r0", "modulus"):
+        assert getattr(new, name) >= getattr(old, name) * (1 - 1e-12), name
