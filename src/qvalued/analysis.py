@@ -88,15 +88,13 @@ def _sum_sq(d: np.ndarray) -> np.ndarray:
 
 @dataclass(eq=False)
 class HopfField:
-    """Hopf density and |grad f|^2 per node on the matched edges (rim
-    replicated), and what `hopf_differential` built them from: the field's
-    values, the frame, the frame embedding and the field's matched energy.
-    Those four are None on a density given directly, which no field
-    diagnostic accepts.  Every array `hopf_differential` puts here is
-    read-only."""
+    """Hopf density per node on the matched edges (rim replicated), with
+    what `hopf_differential` built it from: the field's values, the frame,
+    the frame embedding and the field's matched energy per cell.  Those four
+    are None on a density given directly, which no field diagnostic accepts.
+    Every array `hopf_differential` puts here is read-only."""
 
     phi: np.ndarray            # (ny, nx) complex
-    grad_sq: np.ndarray        # (ny, nx) float
     degenerate: np.ndarray     # (ny, nx) bool: stencil matching ill-conditioned
     spacing: float
     origin: tuple[float, float]
@@ -117,11 +115,11 @@ class HopfField:
 
 
 def hopf_differential(f: GridField, frame: ProjectionFrame) -> HopfField:
-    """Hopf density and |grad f|^2 of the field from central differences on
-    the edge matchings of `_match_edges`, each neighbour's sheets paired with
-    the node's by `_neighbour_partners`.  phi, |grad f|^2 and the energy of
-    those matchings (`dirichlet_energy_matched`) do not read the frame, so
-    every frame gives the same floats.  The embedding `embed_grid(f, frame)`,
+    """Hopf density of the field from central differences on the edge
+    matchings of `_match_edges`, each neighbour's sheets paired with the
+    node's by `_neighbour_partners`.  phi and the energy of those matchings
+    (`dirichlet_energy_matched`) do not read the frame, so every frame gives
+    the same floats.  The embedding `embed_grid(f, frame)`,
     which tau*, d* and the slice scan read, is kept on the result with the
     frame and a copy of the values, so that the diagnostics reading this
     field's companion embed nothing again.
@@ -161,13 +159,12 @@ def hopf_differential(f: GridField, frame: ProjectionFrame) -> HopfField:
         for k in range(q):
             inc2 = np.maximum(inc2, sq[..., k])
     phi = np.pad(phi_int, 1, mode="edge")
-    grad_sq = np.pad(uu + vv, 1, mode="edge")
     core = np.zeros((ny, nx), dtype=bool)
     core[1:-1, 1:-1] = np.sqrt(dmin2) <= 8.0 * np.sqrt(inc2)
     values = v.copy()
-    for a in (phi, grad_sq, core, values, farr, energy.per_cell):
+    for a in (phi, core, values, farr, energy.per_cell):
         a.flags.writeable = False
-    return HopfField(phi, grad_sq, core, f.spacing, f.origin, values, frame, farr, energy)
+    return HopfField(phi, core, f.spacing, f.origin, values, frame, farr, energy)
 
 
 def holomorphy_residual(hopf: HopfField) -> float:
@@ -250,8 +247,10 @@ def _censor_refit(hopf: HopfField) -> tuple[np.ndarray, np.ndarray]:
 @dataclass(eq=False)
 class HarmonicCompanion:
     """Companion h = psi + conj(z), its diagnostics and the Hopf field it
-    integrates.  The central differences of h and |grad h|^2 are formed once,
-    at construction.  `harmonic_companion` makes ``values`` and ``patched``
+    integrates.  The central differences of h, |grad h|^2 and ``cell_energy``,
+    its cell averages times the cell area, are formed once, read-only; the
+    augmented map (f, h) has energy ``hopf.energy.per_cell + cell_energy`` on
+    the cells.  `harmonic_companion` makes ``values`` and ``patched``
     read-only, so a companion cannot drift from the field it was built on."""
 
     values: np.ndarray        # (ny, nx) complex
@@ -262,8 +261,10 @@ class HarmonicCompanion:
     def __post_init__(self):
         self._diffs = _central_differences(self.values, self.hopf.spacing)
         hu, hv = self._diffs
-        self._grad_sq = np.pad(np.abs(hu) ** 2 + np.abs(hv) ** 2, 1, mode="edge")
-        self._grad_sq.flags.writeable = False
+        g = self._grad_sq = np.pad(np.abs(hu) ** 2 + np.abs(hv) ** 2, 1, mode="edge")
+        area = self.hopf.spacing**2
+        self.cell_energy = (g[:-1, :-1] + g[:-1, 1:] + g[1:, :-1] + g[1:, 1:]) / 4 * area
+        g.flags.writeable = self.cell_energy.flags.writeable = False
 
     def grad_sq(self) -> np.ndarray:
         """Nodal squared gradient |grad h|^2 (rim replicated), read-only."""
@@ -571,15 +572,10 @@ def _smoothstep(t: np.ndarray) -> np.ndarray:
     return t**3 * (10.0 - 15.0 * t + 6.0 * t**2)
 
 
-def _cell_average(g: np.ndarray) -> np.ndarray:
-    """Four-corner average of a nodal array over each grid cell."""
-    return (g[:-1, :-1] + g[:-1, 1:] + g[1:, :-1] + g[1:, 1:]) / 4
-
-
 def _cutoff_cells(comp: HarmonicCompanion, disc: _DiscWindow) -> np.ndarray:
-    """The disc cells' averages of the augmented energy density
-    |grad f|^2 + |grad h|^2, formed on the disc's node window alone."""
-    return _cell_average(comp.hopf.grad_sq[disc.nodes] + comp.grad_sq()[disc.nodes])[disc.inside]
+    """The disc cells' energies of the augmented map (f, h): f's matched
+    energy plus the companion's, the cells the key lemma sums."""
+    return disc.cells(comp.hopf.energy.per_cell) + disc.cells(comp.cell_energy)
 
 
 class _LevelCutoff:
@@ -596,7 +592,7 @@ class _LevelCutoff:
     the disc's node window, ``energy`` the disc cells' `_cutoff_cells`.
     """
 
-    def __init__(self, dst: np.ndarray, disc: _DiscWindow, energy: np.ndarray, area: float):
+    def __init__(self, dst: np.ndarray, disc: _DiscWindow, energy: np.ndarray):
         c00, c01 = dst[:-1, :-1][disc.inside], dst[:-1, 1:][disc.inside]
         c10, c11 = dst[1:, :-1][disc.inside], dst[1:, 1:][disc.inside]
         t = [(a + 0.5) / PSI_SUBSAMPLES for a in range(PSI_SUBSAMPLES)]
@@ -607,17 +603,17 @@ class _LevelCutoff:
         self.d_min = self.samples.min(axis=0)
         self.d_max = self.samples.max(axis=0)
         self.energy = energy
-        self.area = area
 
     def psi(self, rho: float, eps: float) -> float:
-        """Disc sum of weight * e_cell * h^2 at the rung (rho, eps)."""
+        """Disc sum of weight * cell energy at the rung (rho, eps); with every
+        weight 1 it is the key lemma's augmented disc energy."""
         full = (rho - self.d_max) / eps >= 1.0
         band = ((rho - self.d_min) / eps > 0.0) & ~full
         weight = full.astype(np.float64)
         ramp = _smoothstep((rho - self.samples[:, band]) / eps)
         # summed sample by sample, in the order a full-grid accumulation adds them
         weight[band] = sum(ramp) / PSI_SUBSAMPLES**2
-        return float((weight * self.energy * self.area).sum())
+        return float((weight * self.energy).sum())
 
 
 def psi_k(
@@ -634,11 +630,12 @@ def psi_k(
 
     Integrates lambda(rho - d*_k) |grad G|^2 over the largest disc centred on
     the base node w_star with a quintic ramp of width eps, after checking rho
-    and eps against the level's valid range.  The ramp is evaluated on a
-    subsampled bilinear reconstruction of d* inside each disc cell
-    (``PSI_SUBSAMPLES`` per axis) so that cutoff layers thinner than a cell
-    are still integrated consistently; cells wholly inside the cutoff count
-    their full energy and only the transition band goes through the ramp.
+    and eps against the level's valid range; a cell's |grad G|^2 is the
+    augmented energy the key lemma sums (`_cutoff_cells`).  The ramp is
+    evaluated on a subsampled bilinear reconstruction of d* inside each disc
+    cell (``PSI_SUBSAMPLES`` per axis) so that cutoff layers thinner than a
+    cell are still integrated consistently; cells wholly inside the cutoff
+    count their full energy and only the transition band goes through the ramp.
     """
     _check_companion(f, comp, frame)
     piv = _pivot(f, comp, w_star, chain)
@@ -646,7 +643,7 @@ def psi_k(
     piv.check_rung(k, hi, rho, eps)
     disc = _disc_cell_window(f, piv.w0, piv.r)
     dst = _d_star_at(f, comp, w_star, k, chain, disc.nodes)
-    return _LevelCutoff(dst, disc, _cutoff_cells(comp, disc), f.spacing**2).psi(rho, eps)
+    return _LevelCutoff(dst, disc, _cutoff_cells(comp, disc)).psi(rho, eps)
 
 
 @dataclass(frozen=True)
@@ -706,7 +703,7 @@ def monotonicity_report(
     points from 0.35 to 0.95; an empty ladder is refused).  A pair s < t
     with ratio(s) > ratio(t)(1 + MONOTONE_TOLERANCE) is recorded as a
     violation.  The embedded field comes with the companion; the pivot and
-    the disc cells' energy density are computed once, and each level's d*
+    the disc cells' augmented energies are computed once, and each level's d*
     on the disc's node window and its reconstruction once per level.  The
     rungs share them, evaluate the ramp on the transition band alone and
     still pass the range checks of `psi_k`, so each row equals a standalone
@@ -729,7 +726,7 @@ def monotonicity_report(
     violations: list[tuple[int, float, float]] = []
     for k, (lo, hi, mono_hi) in enumerate(ranges):
         dst = _d_star_at(f, comp, w_star, k, chain, disc.nodes)
-        level = _LevelCutoff(dst, disc, energy, f.spacing**2)
+        level = _LevelCutoff(dst, disc, energy)
         rows = []
         for rho in lo + (mono_hi - lo) * ladder:
             piv.check_rung(k, hi, rho, eps)
@@ -764,16 +761,10 @@ def key_lemma_check(
     if not disc.inside.any():
         raise InvalidInputError(f"the disc of radius {r} holds no grid cell")
     e_f = disc.sum(comp.hopf.energy.per_cell)
-    e_h = disc.sum(_companion_cell_energy(comp))
+    e_h = disc.sum(comp.cell_energy)
     delta = delta_constant(f.n, f.q_sheets)
     rhs = math.sqrt((e_f + e_h) / (2 * math.pi * delta))
     return lhs, rhs, lhs <= rhs * (1 + BOUND_SLACK)
-
-
-def _companion_cell_energy(comp: HarmonicCompanion) -> np.ndarray:
-    """Per-cell energy of the companion h, |grad h|^2 averaged over each cell
-    times its area."""
-    return _cell_average(comp.grad_sq()) * comp.hopf.spacing**2
 
 
 @dataclass(frozen=True)
@@ -824,7 +815,7 @@ def continuity_certificate(
     e_r = disc.sum(per_cell)
     alpha1 = DEFAULT_C_CL * math.sqrt(e_r)
     c_r0 = _disc_cell_window(f, w, r0).sum(per_cell) / (math.pi * r0**2)
-    e_h = disc.sum(_companion_cell_energy(comp))
+    e_h = disc.sum(comp.cell_energy)
     beta = e_h + 2 * math.pi * c_r0**2 * radius**2 + 2 * c_r0 * e_r
     delta = delta_constant(f.n, f.q_sheets)
     alpha2 = (math.sqrt(e_r) + math.sqrt(beta)) / math.sqrt(2 * math.pi * delta)

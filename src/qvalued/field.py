@@ -176,8 +176,9 @@ def embed_grid(f: GridField, frame: ProjectionFrame) -> np.ndarray:
 
 
 def _cell_energy(gx2: np.ndarray, gy2: np.ndarray) -> EnergyBreakdown:
-    """Cell-integrate squared x-edge (ny, nx-1) and y-edge (ny-1, nx) lengths."""
-    per_cell = 0.5 * (gx2[:-1] + gx2[1:]) + 0.5 * (gy2[:, :-1] + gy2[:, 1:])
+    """Cell-integrate squared x-edge (..., ny, nx-1) and y-edge (..., ny-1, nx)
+    lengths; the total sums every leading index too."""
+    per_cell = 0.5 * (gx2[..., :-1, :] + gx2[..., 1:, :]) + 0.5 * (gy2[..., :-1] + gy2[..., 1:])
     return EnergyBreakdown(float(per_cell.sum()), per_cell)
 
 
@@ -202,10 +203,11 @@ def dirichlet_energy_matched(f: GridField) -> EnergyBreakdown:
 
 
 def _match_edges(v: np.ndarray) -> tuple[np.ndarray, np.ndarray, EnergyBreakdown]:
-    """Optimal x- and y-edge permutations of (ny, nx, Q, n) values, and the
-    matched energy they give."""
-    px, gx2 = assign(v[:, :-1], v[:, 1:])
-    py, gy2 = assign(v[:-1, :], v[1:, :])
+    """Optimal x- and y-edge permutations of (..., ny, nx, Q, n) values, and the
+    matched energy they give, one `assign` call per axis for every leading
+    index at once; `assign` gives each edge the same floats in any batch."""
+    px, gx2 = assign(v[..., :-1, :, :], v[..., 1:, :, :])
+    py, gy2 = assign(v[..., :-1, :, :, :], v[..., 1:, :, :, :])
     return px, py, _cell_energy(gx2, gy2)
 
 
@@ -605,9 +607,11 @@ def bilinear_array(arr: np.ndarray, f: GridField, pts: np.ndarray) -> np.ndarray
 
 def disc_energy(f: GridField, frame: ProjectionFrame, w0: tuple[float, float], r: float) -> float:
     """The field's energy on the cells whose centers lie in the disc U_r(w0);
-    the frame is checked against the field's (Q, n) and read no further."""
+    the frame is checked against the field's (Q, n) and read no further.
+    Only the disc's node window is matched, each cell the full grid's float."""
     _check_frame(f, frame)
-    return _disc_cell_window(f, w0, r).sum(dirichlet_energy_matched(f).per_cell)
+    disc = _disc_cell_window(f, w0, r)
+    return float(_match_edges(f.values[disc.nodes])[2].per_cell[disc.inside].sum())
 
 
 def _require_finite_disc(w0: tuple[float, float], r: float):

@@ -4,9 +4,10 @@ range perturbations, with stationarity residuals as the combined certificate.
 Domain variations compose the field with x + t*phi(x) for a compactly
 supported bump and differentiate the energy by central differences, with
 the displaced field evaluated by bilinear interpolation of the embedded
-coordinates.  Range variations push every sheet toward its chain site
-through the two-radius retraction, weighted by the spatial cutoff built
-from the level distance field.
+coordinates, so they difference the frame embedding's energy.  Range
+variations push every sheet toward its chain site through the two-radius
+retraction, weighted by the cutoff built from the level distance field,
+and difference the field's matched energy, which reads no frame.
 
 Both kinds of trial are local: a variation moves only the nodes under its
 bump or cutoff, so the cells outside have the same energy at +t and -t.
@@ -35,12 +36,13 @@ from .analysis import (
     _pivot,
     _smoothstep,
 )
-from .embedding import ProjectionFrame, _embed_values
+from .embedding import ProjectionFrame
 from .errors import (InvalidInputError, InvalidStepError, NotInBallError, NumericalFailureError,
                      _is_count)
 from .field import (
     GridField,
     _grid_box,
+    _match_edges,
     bilinear_array,
     embed_grid,
     embedded_energy,
@@ -254,22 +256,22 @@ def range_variation_derivative(
     rv: RangeVariation,
     comp: HarmonicCompanion,
 ) -> float:
-    """Central-difference energy derivative of the admissible range
-    variation, with step t = h^2, whose cutoff measures d* with the
-    companion ``comp``."""
+    """Central-difference derivative of the field's matched energy under the
+    admissible range variation, with step t = h^2, whose cutoff measures d*
+    with the companion ``comp``; the frame is only checked."""
     _check_companion(f, comp, frame)
-    d = _range_derivative(f, frame, rv, _cutoff_weights(f, comp, rv))
+    d = _range_derivative(f, rv, _cutoff_weights(f, comp, rv))
     return 0.0 if d is None else d
 
 
-def _range_derivative(f: GridField, frame: ProjectionFrame, rv: RangeVariation,
-                      lam: np.ndarray) -> float | None:
+def _range_derivative(f: GridField, rv: RangeVariation, lam: np.ndarray) -> float | None:
     """`range_variation_derivative` for the cutoff weights lam, or None when
     lam * Gamma vanishes on every node, so the variation moves no sheet.
 
     Only nodes with lam > 0 move; they are off the masked rim, so the energy
     difference is that of the cells of their bounding box plus a one-node
-    ring, re-embedded at +t and -t.
+    ring.  The box's edges are matched at +t and -t together, one `assign`
+    call per axis, each cell the float a lone box would give.
     """
     active = lam > 0
     if not active.any():
@@ -287,9 +289,8 @@ def _range_derivative(f: GridField, frame: ProjectionFrame, rv: RangeVariation,
     bump = lam[box][..., None, None] * gamma
     if not bump.any():
         return None
-    e_plus = embedded_energy(_embed_values(vals + t * bump, frame)).total
-    e_minus = embedded_energy(_embed_values(vals - t * bump, frame)).total
-    return (e_plus - e_minus) / (2 * t)
+    e_plus, e_minus = _match_edges(np.stack([vals + t * bump, vals - t * bump]))[2].per_cell
+    return float(e_plus.sum() - e_minus.sum()) / (2 * t)
 
 
 @dataclass(frozen=True)
@@ -385,7 +386,7 @@ def stationarity_residual(
                 lam = _cutoff_weights(f, comp, rv)
                 if not np.any(lam > 0):
                     continue  # cutoff support below grid resolution: nothing varied
-                d = _range_derivative(f, frame, rv, lam)
+                d = _range_derivative(f, rv, lam)
             except (InvalidInputError, NotInBallError):
                 continue
             if d is None:

@@ -336,9 +336,8 @@ def sqrt_circle_oscillation(radius: float, samples: int = 720) -> float:
 
 
 def node_stencil_hopf(values: np.ndarray, axes: np.ndarray, h: float):
-    """Hopf density and |grad f|^2 of (ny, nx, Q, n) values, rim
-    replicated, and the degenerate mask, False on the rim, from a stencil
-    matched node by node.
+    """Hopf density of (ny, nx, Q, n) values, rim replicated, and the
+    degenerate mask, False on the rim, from a stencil matched node by node.
 
     The values are projected onto the rows of axes by `einsum`, and each
     interior node matches each of its four neighbours to itself by its own
@@ -367,7 +366,7 @@ def node_stencil_hopf(values: np.ndarray, axes: np.ndarray, h: float):
         for nb in (east, west, north, south):
             inc = np.maximum(inc, np.linalg.norm(nb - c, axis=-1).max(-1))
         core = dmin <= 8.0 * inc
-    return np.pad(phi, 1, mode="edge"), np.pad(uu + vv, 1, mode="edge"), np.pad(core, 1)
+    return np.pad(phi, 1, mode="edge"), np.pad(core, 1)
 
 
 def einsum_embedding(values: np.ndarray, axes: np.ndarray) -> np.ndarray:
@@ -500,9 +499,10 @@ def full_grid_domain_derivative(f, frame, v) -> float:
 
 
 def full_grid_range_derivative(f, frame, rv, comp=None) -> float:
-    """Central-difference range derivative from the Dirichlet energies of the
+    """Central-difference range derivative from the matched energies of the
     whole varied field at +t and -t."""
-    from qvalued import GridField, NotInBallError, dirichlet_energy, harmonic_companion, hopf_differential
+    from qvalued import (GridField, NotInBallError, dirichlet_energy_matched, harmonic_companion,
+                         hopf_differential)
     from qvalued.variations import cutoff_weights
 
     if comp is None:
@@ -524,7 +524,7 @@ def full_grid_range_derivative(f, frame, rv, comp=None) -> float:
     bump = lam[..., None, None] * gam
     plus = GridField(f.values + t * bump, f.spacing, f.origin, f.boundary_mask)
     minus = GridField(f.values - t * bump, f.spacing, f.origin, f.boundary_mask)
-    return (dirichlet_energy(plus, frame).total - dirichlet_energy(minus, frame).total) / (2 * t)
+    return (dirichlet_energy_matched(plus).total - dirichlet_energy_matched(minus).total) / (2 * t)
 
 
 def full_grid_cutoff(dst, rho, eps, f, w0, r) -> tuple[np.ndarray, np.ndarray]:
@@ -562,17 +562,21 @@ def full_disc_cell_mask(f, w0, r) -> np.ndarray:
     return (gx - w0[0]) ** 2 + (gy - w0[1]) ** 2 <= r**2
 
 
-def full_grid_cutoff_cells(comp) -> np.ndarray:
-    """Four-corner averages of |grad f|^2 + |grad h|^2 over every grid cell."""
-    g = comp.hopf.grad_sq + comp.grad_sq()
-    return (g[:-1, :-1] + g[:-1, 1:] + g[1:, :-1] + g[1:, 1:]) / 4
+def full_grid_cutoff_cells(f, comp) -> np.ndarray:
+    """Energy of the augmented map (f, h) on every grid cell: f's matched
+    energy plus the four-corner average of |grad h|^2 times the cell area."""
+    from qvalued import dirichlet_energy_matched
+
+    g = comp.grad_sq()
+    e_h = (g[:-1, :-1] + g[:-1, 1:] + g[1:, :-1] + g[1:, 1:]) / 4 * f.spacing**2
+    return dirichlet_energy_matched(f).per_cell + e_h
 
 
 def full_grid_psi(dst, e_cell, rho, eps, f, w0, r) -> float:
     """Cutoff-weighted disc energy: the `full_grid_cutoff` weights times the
-    cell energies e_cell h^2, summed over the disc cells."""
+    cell energies e_cell, summed over the disc cells."""
     lam, disc = full_grid_cutoff(dst, rho, eps, f, w0, r)
-    return float((lam * e_cell * f.spacing**2)[disc].sum())
+    return float((lam * e_cell)[disc].sum())
 
 
 def retraction_lipschitz(samples: int = 2_000_001) -> float:

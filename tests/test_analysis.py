@@ -88,14 +88,12 @@ def single_valued_field(nn, fn, half=1.0):
 
 
 def synthetic_hopf(nn, fn, half=1.0):
-    """HopfField with prescribed complex samples (no degeneracies); its
-    |grad f|^2 is |phi|, the least any map with this Hopf density has."""
+    """HopfField with prescribed complex samples (no degeneracies)."""
     spec = unit_square_grid(nn, half)
     x, y = meshgrid_for(spec)
     phi = np.asarray(fn(x + 1j * y), dtype=complex)
     return HopfField(
         phi,
-        np.abs(phi),
         np.zeros((nn, nn), dtype=bool),
         spec.spacing,
         spec.origin,
@@ -223,7 +221,7 @@ def test_lsq_potential_matches_dense_oracle(shape):
     rng = np.random.default_rng(shape[0])
     phi = rng.normal(size=shape) + 1j * rng.normal(size=shape)
     h = 0.13
-    hopf = HopfField(phi, np.abs(phi), np.zeros(shape, dtype=bool), h, (0.0, 0.0))
+    hopf = HopfField(phi, np.zeros(shape, dtype=bool), h, (0.0, 0.0))
     assert np.abs(plaquette_defects(hopf)).max() > 0.1
     psi = _lsq_potential(phi, h)
     assert psi.shape == shape
@@ -262,14 +260,14 @@ def censor_cases():
     phi = rng.normal(size=(60, 70)) + 1j * rng.normal(size=(60, 70))
     core = np.zeros((60, 70), dtype=bool)
     core[[5, 30, 32, 45, 46, 50], [3, 35, 37, 5, 26, 60]] = True
-    yield pytest.param(HopfField(phi, np.abs(phi), core, 0.05, (-1.0, -2.0)), id="blobs")
+    yield pytest.param(HopfField(phi, core, 0.05, (-1.0, -2.0)), id="blobs")
     # two blobs in a 4-row strip touch diagonally; the left one's collar keeps
     # only the 8 < 3 (degree + 1) clean nodes between them, so its fit falls
     # back to every clean node, those right of the second blob included
     core = np.zeros((4, 50), dtype=bool)
     core[[1, 2], [6, 27]] = True
     strip = phi[:4, :50]
-    yield pytest.param(HopfField(strip, np.abs(strip), core, 0.1, (0.0, 0.0)), id="fallback")
+    yield pytest.param(HopfField(strip, core, 0.1, (0.0, 0.0)), id="fallback")
 
 
 @pytest.mark.parametrize("hopf", list(censor_cases()))
@@ -408,7 +406,7 @@ def test_hopf_differential_same_floats_in_every_frame(q):
     want = hopf_differential(f, standard_frame(2, q))
     for seed in (3, 11):
         got = hopf_differential(f, rotated_frame(2, q, seed=seed))
-        for name in ("phi", "grad_sq", "degenerate"):
+        for name in ("phi", "degenerate"):
             assert np.array_equal(getattr(got, name), getattr(want, name)), name
 
 
@@ -445,7 +443,8 @@ def test_hopf_field_and_companion_arrays_are_read_only():
     f = sqrt_grid_field(33)
     comp = harmonic_companion(hopf_differential(f, standard_frame(2, 2)))
     hopf = comp.hopf
-    for a in (comp.values, comp.patched, hopf.phi, hopf.grad_sq, hopf.degenerate):
+    for a in (comp.values, comp.patched, comp.grad_sq(), comp.cell_energy, hopf.phi,
+              hopf.degenerate):
         with pytest.raises(ValueError, match="read-only"):
             a[0, 0] = a[1, 1]
 
@@ -559,7 +558,7 @@ def test_hopf_differential_equals_node_stencil_oracle(which):
     # one matching per edge pairs the neighbours exactly as matching each
     # node's four neighbours to it did, wherever no edge's matching ties
     got, want = _oracle_hopf(_HOPF_FIELDS[which]())
-    for name, ref in zip(("phi", "grad_sq", "degenerate"), want):
+    for name, ref in zip(("phi", "degenerate"), want):
         assert np.array_equal(getattr(got, name), ref), name
 
 
@@ -571,8 +570,8 @@ def test_hopf_lattice_ties_differ_only_at_degenerate_nodes(q):
     # apart than the increments, so only degenerate nodes (and the rim
     # copies of their values) may differ
     vals = np.random.default_rng(q).integers(0, 2, size=(13, 13, q, 2)).astype(float)
-    got, (phi, grad_sq, core) = _oracle_hopf(GridField(vals, 1.0, (0.0, 0.0)))
-    differ = (got.phi != phi) | (got.grad_sq != grad_sq) | (got.degenerate != core)
+    got, (phi, core) = _oracle_hopf(GridField(vals, 1.0, (0.0, 0.0)))
+    differ = (got.phi != phi) | (got.degenerate != core)
     allowed = np.pad(got.degenerate[1:-1, 1:-1], 1, mode="edge")
     assert not np.any(differ & ~allowed)
 
@@ -646,7 +645,7 @@ def test_psi_k_zero_below_min_distance(minimized_strong_97):
         # the cutoff disc of psi_k, without its range checks
         w0 = tuple(g.node_position(w))
         disc = _disc_cell_window(g, w0, _rim_distance(g, w0))
-        level = _LevelCutoff(dst[disc.nodes], disc, _cutoff_cells(comp, disc), g.spacing**2)
+        level = _LevelCutoff(dst[disc.nodes], disc, _cutoff_cells(comp, disc))
         val = level.psi(rho, rho / 4)
         assert val == 0.0
 
@@ -666,7 +665,7 @@ def test_psi_k_saturated_cutoff_full_energy():
     x, y = np.meshgrid(f.xs, f.ys)
     big = float(dst[np.hypot(x, y) <= r_disc + 0.1].max())
     disc = _disc_cell_window(f, (0.0, 0.0), r_disc)
-    level = _LevelCutoff(dst[disc.nodes], disc, _cutoff_cells(comp, disc), f.spacing**2)
+    level = _LevelCutoff(dst[disc.nodes], disc, _cutoff_cells(comp, disc))
     val = level.psi(big + 1.0, 0.5)
     g2 = comp.grad_sq()
     cell = (g2[:-1, :-1] + g2[:-1, 1:] + g2[1:, :-1] + g2[1:, 1:]) / 4 * f.spacing**2
@@ -675,6 +674,32 @@ def test_psi_k_saturated_cutoff_full_energy():
     gx, gy = np.meshgrid(cx, cy)
     want = cell[(gx**2 + gy**2) <= r_disc**2].sum()
     assert val == pytest.approx(want, rel=1e-12)
+
+
+@pytest.mark.parametrize("which", ["sqrt", "root3", "minimised"])
+def test_saturated_rung_is_the_key_lemma_energy(which, minimized_strong_97):
+    # at full weight psi integrates the augmented map's energy over the disc,
+    # the e_f + e_h of the key lemma on the same disc, summed in another order
+    f, w = {
+        "sqrt": (sqrt_grid_field(65), (40, 20)),
+        "root3": (root_grid_field(65, 3, z0=0.05 - 0.03j), (30, 36)),
+        "minimised": (minimized_strong_97.field, (48, 44)),
+    }[which]
+    fr = standard_frame(f.n, f.q_sheets)
+    comp = harmonic_companion(hopf_differential(f, fr))
+    base = QPoint(f.values[w].copy())
+    chain = nested_chain(base, angle_separated_frame(support(base)))
+    w0 = tuple(f.node_position(w))
+    r = 0.7 * _rim_distance(f, w0)
+    disc = _disc_cell_window(f, w0, r)
+    dst = d_star(f, comp, w, 0, chain)[disc.nodes]
+    level = _LevelCutoff(dst, disc, _cutoff_cells(comp, disc))
+    eps = 0.1
+    rho = float(dst.max()) + 2 * eps
+    assert np.all((rho - level.d_max) / eps >= 1.0)  # every disc cell weighs 1
+    _, rhs, _ = key_lemma_check(f, comp, w, r, fr)
+    e_key = rhs**2 * 2 * math.pi * delta_constant(f.n, f.q_sheets)
+    assert level.psi(rho, eps) == pytest.approx(e_key, rel=1e-14)
 
 
 def test_psi_k_nondecreasing_in_rho(minimized_strong_97):
@@ -1029,7 +1054,7 @@ def test_psi_ladder_matches_full_grid_oracle(request):
             assert all(row.psi > 0 for row in rep.levels[rep.k0])
         _, hi0, _, tau = valid_rho_interval(f, comp, fr, w, 0, chain)
         eps = (min(chain.levels[0].sigma, tau) if tau > 0 else 2.5 * hi0) / 20
-        e_cell = full_grid_cutoff_cells(comp)
+        e_cell = full_grid_cutoff_cells(f, comp)
         w0 = tuple(f.node_position(w))
         r = _rim_distance(f, w0)
         for k, rows in rep.levels.items():
@@ -1234,12 +1259,13 @@ def test_negative_disc_radius_is_refused():
 
 
 def test_energy_density_floor(minimized_strong_97):
-    # |grad G|^2 stays above 2 everywhere: the companion contributes at least
-    # the conjugate-coordinate energy density
+    # the augmented map's energy per cell, over the cell's area, stays above
+    # 2 everywhere: the companion contributes at least the
+    # conjugate-coordinate energy density
     g = minimized_strong_97.field
     fr = standard_frame(2, 2)
     comp = harmonic_companion(hopf_differential(g, fr))
-    total = comp.hopf.grad_sq + comp.grad_sq()
+    total = (comp.hopf.energy.per_cell + comp.cell_energy) / g.spacing**2
     assert total.min() >= 2.0 - 1e-6
 
 

@@ -210,6 +210,26 @@ def test_sqrt_energy_converges_to_quadrature():
     assert errs[2] / want < 0.02
 
 
+def test_disc_energy_on_its_window_is_the_full_grid_sum():
+    # disc_energy matches only the edges of the disc's node window; each cell
+    # is the full grid's float and the sum keeps the full-grid mask's order
+    fields = [sqrt_grid_field(33), root_grid_field(65, 3, z0=0.05 - 0.03j),
+              two_sheet_field(41, seed=2), root_grid_field(97, 2, z0=-0.11 + 0.07j)]
+    rng = np.random.default_rng(4)
+    for f in fields:
+        fr = standard_frame(f.n, f.q_sheets)
+        per_cell = dirichlet_energy_matched(f).per_cell
+        discs = [((float(x), float(y)), float(r)) for x, y, r in
+                 zip(rng.uniform(-1.1, 1.1, 6), rng.uniform(-1.1, 1.1, 6), rng.uniform(0.05, 0.9, 6))]
+        discs += [((0.97, -0.9), 0.3), ((0.0, 0.0), 3.0)]  # partly off the grid; the whole grid
+        for w0, r in discs:
+            want = float(per_cell[full_disc_cell_mask(f, w0, r)].sum())
+            assert disc_energy(f, fr, w0, r) == want, (w0, r)
+        # no cell centre lies within 0.1 h of a node, nor in any disc off the grid
+        for w0, r in (((0.0, 0.0), 0.1 * f.spacing), ((5.0, 5.0), 1.0)):
+            assert disc_energy(f, fr, w0, r) == 0.0
+
+
 def test_energy_frame_invariance():
     f = two_sheet_field(33, seed=1)
     fr_a = standard_frame(2, 2)

@@ -253,10 +253,10 @@ def test_only_the_listed_functions_sort():
 
 
 #: the functions of the package that call `embedded_energy`, the energy of a
-#: frame embedding: the frame's own energy and the domain and range finite
-#: differences.  Every diagnostic reads the field's matched energy instead
-EMBEDDED_ENERGY_CALLERS = {"field.dirichlet_energy", "variations._domain_derivative",
-                           "variations._range_derivative"}
+#: frame embedding: the frame's own energy and the domain finite difference.
+#: Every diagnostic and the range finite difference read the field's matched
+#: energy instead
+EMBEDDED_ENERGY_CALLERS = {"field.dirichlet_energy", "variations._domain_derivative"}
 
 
 def test_only_the_listed_functions_call_embedded_energy():

@@ -6,7 +6,10 @@ reads the one discrete energy that `minimize` lowers, the matched energy of
 `dirichlet_energy_matched`, so every energy they report must keep its value,
 up to rounding, under a per-node relabelling, a range rotation and a range
 shift.  The frame embedding's energy `dirichlet_energy` does not: it moves
-with the frame, and cell by cell it stays at most the matched energy.
+with the frame, and cell by cell it stays at most the matched energy.  The
+range trials difference the matched energy too, so at a fixed level, rho,
+eps and base node they read the same derivative in every frame and under
+the same transforms.
 """
 
 import dataclasses
@@ -20,6 +23,8 @@ from hypothesis import strategies as st
 
 from qvalued import (
     GridField,
+    QPoint,
+    angle_separated_frame,
     continuity_certificate,
     dirichlet_energy,
     dirichlet_energy_matched,
@@ -28,10 +33,14 @@ from qvalued import (
     hopf_differential,
     key_lemma_check,
     minimize,
+    nested_chain,
+    range_variation_derivative,
     rotated_frame,
     standard_frame,
     stationarity_residual,
+    support,
 )
+from qvalued.variations import RangeVariation, cutoff_weights
 
 from helpers import range_isometry, relabelled, root_grid_field, sqrt_grid_field, two_sheet_field
 
@@ -84,6 +93,45 @@ def test_energy_readers_are_invariant(energy_field, transform):
     got = energy_readers(TRANSFORMS[transform](energy_field))
     for name, value in want.items():
         assert got[name] == pytest.approx(value, rel=INVARIANCE_RTOL), name
+
+
+#: range trial fields and base nodes.  The square-root field's cutoff at
+#: (75, 109) crosses the ray from its branch point where the y-projections of
+#: the two sheets meet, a kink of the frame embedding: a central difference
+#: of the embedded energy read 2.4e-4 E there, and 2.4e-4 E apart between
+#: the standard and a rotated frame, where the matched one reads 2.3e-10 E
+RANGE_CASES = {
+    "sqrt": (lambda: root_grid_field(129, 2, z0=0.05 + 0.16j), (75, 109)),
+    "minimized_two_sheet": (lambda: minimize(two_sheet_field(65, seed=11)).field, (35, 27)),
+}
+
+
+def range_derivative(f: GridField, frame, node, rho: float, eps: float) -> float:
+    """The level-0 range derivative at the node, for a chain built on the
+    node's own tuple, with the cutoff's rho and eps given."""
+    comp = harmonic_companion(hopf_differential(f, frame))
+    base = QPoint(f.values[node].copy())
+    rv = RangeVariation(nested_chain(base, angle_separated_frame(support(base))), 0, rho, eps, node)
+    assert np.count_nonzero(cutoff_weights(f, comp, rv)) > 1  # the trial moves sheets
+    return range_variation_derivative(f, frame, rv, comp)
+
+
+@pytest.mark.parametrize("case", RANGE_CASES)
+def test_range_derivative_is_invariant(case):
+    # the worst measured difference is 2.6e-15 E (the minimised two-sheet
+    # field under the range shift); the frame does not move it at all
+    make, node = RANGE_CASES[case]
+    f = make()
+    fr = standard_frame(f.n, f.q_sheets)
+    base = QPoint(f.values[node].copy())
+    sigma = nested_chain(base, angle_separated_frame(support(base))).levels[0].sigma
+    rho, eps = 0.24 * sigma, sigma / 20
+    e = dirichlet_energy_matched(f).total
+    want = range_derivative(f, fr, node, rho, eps)
+    assert range_derivative(f, rotated_frame(f.n, f.q_sheets, seed=3), node, rho, eps) == want
+    for name in ("rotation by 30 degrees", "shift", "relabelling"):
+        got = range_derivative(TRANSFORMS[name](f), fr, node, rho, eps)
+        assert abs(got - want) <= INVARIANCE_RTOL * e, name
 
 
 def test_embedded_energy_moves_with_the_range_rotation():

@@ -19,6 +19,7 @@ from qvalued import (
     continuity_certificate,
     d_star,
     dirichlet_energy,
+    dirichlet_energy_matched,
     domain_variation_derivative,
     frame_with_extra_directions,
     harmonic_companion,
@@ -490,6 +491,41 @@ def test_range_derivative_matches_full_grid_oracle(minimized_strong_97):
     assert checked >= 6
 
 
+def test_range_trial_matches_both_signs_in_one_assign_call_per_axis(monkeypatch):
+    # the box of moving nodes is matched at +t and -t in one batch per axis,
+    # each cell the float a lone box gives
+    import qvalued.field as field
+    from qvalued.qspace import assign
+
+    f = root_grid_field(129, 2, z0=0.05 + 0.16j)
+    fr = standard_frame(2, 2)
+    comp = harmonic_companion(hopf_differential(f, fr))
+    w = (75, 109)
+    base = QPoint(f.values[w].copy())
+    chain = nested_chain(base, angle_separated_frame(support(base)))
+    sigma = chain.levels[0].sigma
+    rv = RangeVariation(chain, 0, 0.24 * sigma, sigma / 20, w)
+    calls = []
+
+    def counting(a, b):
+        calls.append(a.shape)
+        return assign(a, b)
+
+    monkeypatch.setattr(field, "assign", counting)
+    d = range_variation_derivative(f, fr, rv, comp)
+    assert [shape[0] for shape in calls] == [2, 2] and d != 0.0
+    monkeypatch.undo()
+    lam = cutoff_weights(f, comp, rv)
+    iy, ix = np.nonzero(lam)
+    box = np.s_[iy.min() - 1 : iy.max() + 2, ix.min() - 1 : ix.max() + 2]
+    vals = f.values[box]
+    bump = lam[box][..., None, None] * rv.retraction(vals)
+    t = f.spacing**2
+    plus = dirichlet_energy_matched(GridField(vals + t * bump, f.spacing)).total
+    minus = dirichlet_energy_matched(GridField(vals - t * bump, f.spacing)).total
+    assert d == (plus - minus) / (2 * t)
+
+
 def test_stationarity_residual_embeds_the_grid_once(minimized_strong_97, monkeypatch):
     g = minimized_strong_97.field
     calls = count_embed_grid(monkeypatch)
@@ -685,7 +721,7 @@ def test_stationarity_residual_skips_refused_rungs(case, monkeypatch):
         try:
             return orig_derivative(*args)
         except NotInBallError:
-            refused.append(args[2].level)
+            refused.append(args[1].level)
             raise
 
     ranges = _record(monkeypatch, _Pivot, "level", level_range)
