@@ -31,9 +31,9 @@ from .qspace import QPoint, assign
 
 #: circle-slice constant of the certificate's alpha1 (the classical Courant-Lebesgue shape)
 DEFAULT_C_CL = math.sqrt(4.0 * math.pi / math.log(2.0))
-#: disc nodes beyond which `disc_oscillation` draws a seeded random subset
-OSC_MAX_NODES = 400
-OSC_SEED = 0
+#: most points a Courant-Lebesgue scan samples on one circle; a multiple of 4,
+#: so each circle's sample angles map onto themselves under the grid's eight symmetries
+SCAN_CIRCLE_POINTS = 512
 #: bytes of interpolation work a Courant-Lebesgue scan holds at once: its
 #: circles are interpolated together in batches that fit this budget
 SCAN_BATCH_BYTES = 1 << 22
@@ -712,9 +712,11 @@ def courant_lebesgue_slice(
 ) -> tuple[float, float]:
     """Scan radii in [R/2, R] and return (r, osc) minimising circle oscillation.
 
-    Oscillation is the maximum pairwise distance of embedded circle values;
-    the chosen slice obeys osc <= DEFAULT_C_CL * sqrt(disc energy) for the
-    classical constant shape, which callers may verify against `disc_energy`.
+    Each circle is sampled at equally spaced points, 4 per grid step of arc
+    as in `circle_points` but at most SCAN_CIRCLE_POINTS; its oscillation is
+    the maximum distance over every pair of its embedded samples.  The chosen
+    slice obeys osc <= DEFAULT_C_CL * sqrt(disc energy) for the classical
+    constant shape, which callers may verify against `disc_energy`.
     """
     return _slice_scan(f, embed_grid(f, frame), w0, radius)
 
@@ -722,19 +724,20 @@ def courant_lebesgue_slice(
 def _scan_circles(f: GridField, farr: np.ndarray, w0: tuple[float, float], radii: np.ndarray):
     """Yield (r, embedded circle samples) for each radius, in order.
 
-    Consecutive circles are interpolated by one `bilinear_array` call while
-    their samples' working memory stays within SCAN_BATCH_BYTES; a circle
-    larger than that is a batch of its own.  A sample of m embedded values
-    is counted at 8 (8m + 8) bytes.  In the corner sums it holds 8 (7m + 8):
-    its point, its scaled coordinates, cell indices and base row, one
-    corner's row index, the four full-width weights, the running sum, and
-    one weighted corner while the next is gathered.  The other m words are
-    the previous batch's output, which the caller's view of its last circle
-    keeps alive while the next batch is interpolated; with both batches
-    counted this way, the two together stay within the budget.
-    Interpolation acts on each point alone, so a circle gets the same floats
-    in any batch."""
-    sizes = [_circle_size(r, f.spacing) for r in radii]
+    A circle gets min(`_circle_size`, SCAN_CIRCLE_POINTS) samples, and the
+    oscillation reads every one.  Consecutive circles are interpolated by
+    one `bilinear_array` call while their samples' working memory stays
+    within SCAN_BATCH_BYTES; a circle larger than that is a batch of its
+    own.  A sample of m embedded values is counted at 8 (8m + 8) bytes.  In
+    the corner sums it holds 8 (7m + 8): its point, its scaled coordinates,
+    cell indices and base row, one corner's row index, the four full-width
+    weights, the running sum, and one weighted corner while the next is
+    gathered.  The other m words are the previous batch's output, which the
+    caller's view of its last circle keeps alive while the next batch is
+    interpolated; with both batches counted this way, the two together stay
+    within the budget.  Interpolation acts on each point alone, so a circle
+    gets the same floats in any batch."""
+    sizes = [min(_circle_size(r, f.spacing), SCAN_CIRCLE_POINTS) for r in radii]
     per_sample = 8 * (8 * farr.shape[-1] + 8)
     start = 0
     while start < len(radii):
@@ -768,27 +771,20 @@ def _slice_scan(
     return best
 
 
-def _pairwise_rows(vals: np.ndarray) -> np.ndarray:
-    """The rows of vals whose distances the oscillation compares: every
-    step-th row beyond 512."""
-    m = vals.shape[0]
-    return vals[:: m // 512 + 1] if m > 512 else vals
-
-
 def _pairwise_floor(vals: np.ndarray) -> float:
-    """A lower bound on the squared `_max_pairwise(vals)` from two sweeps:
-    the row farthest from row 0, then the largest squared distance from it.
+    """A lower bound on the squared `_max_pairwise(vals)` from two sweeps over
+    every row: the row farthest from row 0, then the largest squared
+    distance from it.
 
-    Both sweeps use the rows and the direct form |a - b|^2 of `_max_pairwise`,
-    so the bound is the float that form gives one of the pairs it compares.
+    Both sweeps use the direct form |a - b|^2 of `_max_pairwise`, so the
+    bound is the float that form gives one of the pairs it compares.
     """
-    vals = _pairwise_rows(vals)
     far = vals[((vals - vals[0]) ** 2).sum(-1).argmax()]
     return float(((vals - far) ** 2).sum(-1).max())
 
 
 def _max_pairwise(vals: np.ndarray) -> float:
-    """Largest distance between two rows of `_pairwise_rows(vals)`.
+    """Largest distance between two rows of vals, over every pair of rows.
 
     The Gram form |a|^2 + |b|^2 - 2 a.b finds the largest squared distance to
     within `slack`, a bound on its rounding error and on that of the direct
@@ -796,7 +792,6 @@ def _max_pairwise(vals: np.ndarray) -> float:
     recomputed directly, so the result is the float the direct form gives
     over all pairs.
     """
-    vals = _pairwise_rows(vals)
     sq = np.einsum("ik,ik->i", vals, vals)
     gram = vals @ vals.T
     gram *= -2.0
@@ -814,18 +809,15 @@ def _max_pairwise(vals: np.ndarray) -> float:
 def disc_oscillation(f: GridField, w0: tuple[float, float], r: float) -> float:
     """Exact assignment-metric oscillation over grid nodes in U_r(w0).
 
-    A disc of more than ``OSC_MAX_NODES`` nodes is replaced by a random subset
-    of that size drawn with seed ``OSC_SEED``, so the result is then a lower
-    bound on the true oscillation.
+    Every pair of nodes in the disc is compared: one `assign` batch per node
+    against the nodes after it, so the working memory grows with the number
+    of nodes, not of pairs.  `assign` gives a pair the same float in any
+    batch.
     """
     _require_finite_disc(w0, r)
     gx, gy = np.meshgrid(f.xs, f.ys)
     mask = (gx - w0[0]) ** 2 + (gy - w0[1]) ** 2 <= r**2
     nodes = f.values[mask]
-    if nodes.shape[0] < 2:
-        return 0.0
-    if nodes.shape[0] > OSC_MAX_NODES:
-        rng = np.random.default_rng(OSC_SEED)
-        nodes = nodes[rng.choice(nodes.shape[0], size=OSC_MAX_NODES, replace=False)]
-    i, j = np.triu_indices(nodes.shape[0], 1)
-    return float(np.sqrt(assign(nodes[i], nodes[j])[1]).max())
+    sq = max((float(assign(nodes[i], nodes[i + 1 :])[1].max()) for i in range(len(nodes) - 1)),
+             default=0.0)
+    return math.sqrt(sq)

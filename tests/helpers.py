@@ -146,3 +146,31 @@ def range_isometry(f, angle=0.0, shift=(0.0, 0.0)):
     c, s = np.cos(angle), np.sin(angle)
     rot = np.array([[c, -s], [s, c]])
     return dataclasses.replace(f, values=f.values @ rot.T + np.asarray(shift))
+
+
+def d4_image(f, turns, flip=False):
+    """The image g of a field on a square grid centred at 0 under one of the
+    grid's eight symmetries, with its point map T, so that g(T(p)) = f(p).
+
+    The node axes are turned by ``turns`` quarter turns (`np.rot90` of the
+    (iy, ix) axes), then with ``flip`` the rows are reversed.  A quarter
+    turn gives g(x, y) = f(-y, x) and the row reversal g(x, y) = f(x, -y),
+    so p = M T(p) for M = R^turns F, R the rotation by +90 degrees and F
+    the reflection y -> -y; T is M's transpose, with entries 0 and +-1, so
+    it moves a point without rounding.
+    """
+    if f.nx != f.ny or not np.allclose(f.origin, -(f.nx - 1) * f.spacing / 2, rtol=1e-12):
+        raise ValueError("the D4 action needs a square grid centred at 0")
+
+    def act(a):
+        a = np.rot90(a, turns, axes=(0, 1))
+        return np.ascontiguousarray(a[::-1] if flip else a)
+
+    m = np.linalg.matrix_power(np.array([[0, -1], [1, 0]]), turns) @ np.diag([1, -1 if flip else 1])
+    g = dataclasses.replace(f, values=act(f.values), boundary_mask=act(f.boundary_mask))
+    return g, lambda p: tuple(float(c) for c in m.T @ np.asarray(p, dtype=np.float64))
+
+
+def scaled(f, s):
+    """The field with every value v taken to s v."""
+    return dataclasses.replace(f, values=f.values * s)

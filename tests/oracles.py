@@ -2,21 +2,23 @@
 
 Everything here is implemented from first principles (brute force,
 enumeration, direct sparse solves, quadrature) and never calls back into
-the code paths it is used to check.  Three are exceptions.  The full-grid
+the code paths it is used to check.  A few are exceptions.  The full-grid
 first variations re-embed and sum the whole grid at +t and -t, sharing the
 embedding and energy primitives, and the bump, cutoff and retraction of the
 variation, with the local derivatives they check; the domain one
 interpolates with `index_bilinear`.  The full slice scan shares the
-embedding and the circle size with `courant_lebesgue_slice`; it samples
-each circle with `linspace_circle_points` and interpolates with
+embedding, the circle size and its cap with `courant_lebesgue_slice`; it
+samples each circle with `linspace_circle_points` and interpolates with
 `index_bilinear`.  The node-by-node Hopf stencil shares only the assignment
-kernel with `hopf_differential`.  The reference assignment kernel keeps the
-earlier layout of `qspace.assign`, (k, Q, n) batches and an `argmax` pick
-over the permutations, and shares the shortest-augmenting-path solver with
-it beyond enumeration.  The reference sorted projections, bilinear
-interpolation and circle sample are the package's earlier kernels, kept
-verbatim: an `np.sort` of `project_sheets`, (..., 1)-wide weights broadcast
-over the corners, and one `np.linspace` of angles per circle.
+kernel with `hopf_differential`, and the all-pairs disc oscillation only
+the assignment kernel with `disc_oscillation`.  The reference assignment
+kernel keeps the earlier layout of `qspace.assign`, (k, Q, n) batches and
+an `argmax` pick over the permutations, and shares the
+shortest-augmenting-path solver with it beyond enumeration.  The reference
+sorted projections, bilinear interpolation and circle sample are the
+package's earlier kernels, kept verbatim: an `np.sort` of `project_sheets`,
+(..., 1)-wide weights broadcast over the corners, and one `np.linspace` of
+angles per circle.
 """
 
 import functools
@@ -377,14 +379,11 @@ def einsum_embedding(values: np.ndarray, axes: np.ndarray) -> np.ndarray:
 
 
 def max_pairwise_distance(vals: np.ndarray) -> float:
-    """Largest distance between rows (every step-th row beyond 512), by the
-    direct m x m difference array."""
-    m = vals.shape[0]
-    if m > 512:
-        step = m // 512 + 1
-        vals = vals[::step]
-    d2 = ((vals[:, None, :] - vals[None, :, :]) ** 2).sum(-1)
-    return float(math.sqrt(d2.max()))
+    """Largest distance between any two rows, by the direct m x m difference
+    array, built 64 rows at a time."""
+    d2 = max(((vals[i : i + 64, None, :] - vals[None, :, :]) ** 2).sum(-1).max()
+             for i in range(0, vals.shape[0], 64))
+    return float(math.sqrt(d2))
 
 
 def index_bilinear(arr: np.ndarray, f, pts: np.ndarray) -> np.ndarray:
@@ -449,12 +448,13 @@ def reference_bilinear_array(arr: np.ndarray, f, pts: np.ndarray) -> np.ndarray:
     return out
 
 
-def linspace_circle_points(w0, r: float, spacing: float) -> np.ndarray:
-    """Resolution-proportional circle sample: the package's earlier
-    `circle_points`, its angles from `np.linspace`."""
+def linspace_circle_points(w0, r: float, spacing: float, most: int | None = None) -> np.ndarray:
+    """Resolution-proportional circle sample, at most ``most`` points: the
+    package's earlier `circle_points`, its angles from `np.linspace`."""
     from qvalued.field import _circle_size
 
-    th = np.linspace(0.0, 2 * math.pi, _circle_size(r, spacing), endpoint=False)
+    size = _circle_size(r, spacing) if most is None else min(_circle_size(r, spacing), most)
+    th = np.linspace(0.0, 2 * math.pi, size, endpoint=False)
     return np.stack([w0[0] + r * np.cos(th), w0[1] + r * np.sin(th)], axis=-1)
 
 
@@ -462,16 +462,31 @@ def full_slice_scan(f, frame, w0, radius) -> tuple[float, float]:
     """`courant_lebesgue_slice` with `max_pairwise_distance` run at every
     radius of the scan, none skipped, each circle interpolated on its own."""
     from qvalued import embed_grid
+    from qvalued.field import SCAN_CIRCLE_POINTS
 
     farr = embed_grid(f, frame)
     radii = np.arange(radius / 2, radius + f.spacing / 4, f.spacing)
     radii[-1] = min(radii[-1], radius)
     best = (float("nan"), float("inf"))
     for r in radii:
-        osc = max_pairwise_distance(index_bilinear(farr, f, linspace_circle_points(w0, r, f.spacing)))
+        pts = linspace_circle_points(w0, r, f.spacing, most=SCAN_CIRCLE_POINTS)
+        osc = max_pairwise_distance(index_bilinear(farr, f, pts))
         if osc < best[1]:
             best = (float(r), osc)
     return best
+
+
+def all_pairs_disc_oscillation(f, w0, r) -> float:
+    """Assignment-metric oscillation over the grid nodes in U_r(w0), from
+    one `assign` batch over every pair of them."""
+    from qvalued.qspace import assign
+
+    gx, gy = np.meshgrid(f.xs, f.ys)
+    nodes = f.values[(gx - w0[0]) ** 2 + (gy - w0[1]) ** 2 <= r**2]
+    if nodes.shape[0] < 2:
+        return 0.0
+    i, j = np.triu_indices(nodes.shape[0], 1)
+    return float(np.sqrt(assign(nodes[i], nodes[j])[1]).max())
 
 
 def full_grid_domain_derivative(f, frame, v) -> float:

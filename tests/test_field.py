@@ -21,14 +21,12 @@ from qvalued import (
     disc_oscillation,
     embed_grid,
     metric_g,
-    metric_g_many,
     minimize,
     rotated_frame,
     standard_frame,
 )
 
-from qvalued.field import (OSC_MAX_NODES, OSC_SEED, _comb_gauge, _compose, _match_edges,
-                           _neighbour_partners)
+from qvalued.field import _comb_gauge, _compose, _match_edges, _neighbour_partners
 
 from helpers import (
     branch_pair_field,
@@ -42,6 +40,7 @@ from helpers import (
 )
 from oracles import (
     SQRT_SQUARE_ENERGY,
+    all_pairs_disc_oscillation,
     einsum_embedding,
     frozen_quadratic_solve,
     full_disc_cell_mask,
@@ -666,12 +665,16 @@ def test_scan_circle_batch_is_the_circle_points():
             assert np.array_equal(circle_points(w0, float(r), h).view(np.int64), pts.view(np.int64))
 
 
+#: a scan near the rim of a 513^2 grid: 125 radii, whose circles would hold
+#: 585,088 samples at 4 per grid step of arc
+_RIM_SCAN = ((0.01, -0.02), 0.97)
+
+
 def test_courant_lebesgue_slice_batches_within_the_byte_budget():
-    # the circles of a scan near the rim of a 513^2 grid hold about 590k
-    # samples; interpolated in batches they give the full scan's answer, and
-    # the scan holds no more than the budget plus a slack of one circle at
-    # 8 (3m + 16) bytes a sample and three 512 x 512 float arrays, a Gram
-    # matrix and its masks
+    # the circles of the rim scan, interpolated in batches, give the full
+    # scan's answer, and the scan holds no more than the budget plus a slack
+    # of one circle of SCAN_CIRCLE_POINTS samples at 8 (3m + 16) bytes a
+    # sample and three 512 x 512 float arrays, a Gram matrix and its masks
     import tracemalloc
 
     import qvalued.field as field
@@ -679,7 +682,7 @@ def test_courant_lebesgue_slice_batches_within_the_byte_budget():
     f = root_grid_field(513, 2, z0=0.05 - 0.1j)
     fr = standard_frame(2, 2)
     farr = embed_grid(f, fr)
-    w0, radius = (0.01, -0.02), 0.97
+    w0, radius = _RIM_SCAN
     tracemalloc.start()
     try:
         got = field._slice_scan(f, farr, w0, radius)
@@ -687,8 +690,27 @@ def test_courant_lebesgue_slice_batches_within_the_byte_budget():
     finally:
         tracemalloc.stop()
     assert got == full_slice_scan(f, fr, w0, radius)
-    circle = field._circle_size(radius, f.spacing) * 8 * (3 * farr.shape[-1] + 16) + 3 * 8 * 512**2
+    circle = field.SCAN_CIRCLE_POINTS * 8 * (3 * farr.shape[-1] + 16) + 3 * 8 * 512**2
     assert peak <= field.SCAN_BATCH_BYTES + circle
+
+
+def test_courant_lebesgue_slice_interpolates_only_what_it_reads(monkeypatch):
+    # each circle of the rim scan is interpolated at no more points than the
+    # oscillation reads, SCAN_CIRCLE_POINTS, so the scan sends at most
+    # 125 x 512 = 64,000 samples to `bilinear_array`, and finds radius 0.485
+    import qvalued.field as field
+
+    f = root_grid_field(513, 2, z0=0.05 - 0.1j)
+    farr = embed_grid(f, standard_frame(2, 2))
+    w0, radius = _RIM_SCAN
+    sent = []
+    inner = field.bilinear_array
+    monkeypatch.setattr(field, "bilinear_array",
+                        lambda arr, g, pts: sent.append(pts.shape[0]) or inner(arr, g, pts))
+    r, _ = field._slice_scan(f, farr, w0, radius)
+    radii = np.arange(radius / 2, radius + f.spacing / 4, f.spacing)
+    assert radii.size == 125 and r == 0.485
+    assert sum(sent) <= radii.size * field.SCAN_CIRCLE_POINTS == 64_000
 
 
 def test_disc_cell_sum_equals_full_grid_mask():
@@ -839,27 +861,17 @@ def test_comb_gauge_makes_the_comb_matchings_identities(field):
     assert np.array_equal(_compose(g[:-1, 0], py[:, 0]), g[1:, 0])
 
 
-def _loop_disc_oscillation(f, w0, r):
-    """`disc_oscillation` with one `metric_g_many` batch per node."""
-    gx, gy = np.meshgrid(f.xs, f.ys)
-    nodes = f.values[(gx - w0[0]) ** 2 + (gy - w0[1]) ** 2 <= r**2]
-    if nodes.shape[0] > OSC_MAX_NODES:
-        rng = np.random.default_rng(OSC_SEED)
-        nodes = nodes[rng.choice(nodes.shape[0], size=OSC_MAX_NODES, replace=False)]
-    return max(float(metric_g_many(nodes[i], nodes[i + 1:]).max())
-               for i in range(nodes.shape[0] - 1))
-
-
 @pytest.mark.parametrize("field", [sqrt_grid_field(49), root_grid_field(33, 3, 0.05 - 0.03j),
                                    noisy_copy(two_sheet_field(33, seed=2), scale=2.0)],
                          ids=["sqrt", "root3", "noisy_two_sheet"])
 def test_disc_oscillation_is_the_per_node_loop_bitwise(field):
-    # one assignment batch over every node pair gives each pair the float the
-    # per-node batches gave it, the largest disc sampling OSC_MAX_NODES nodes
+    # the per-node batches give each pair the float one assignment batch over
+    # every node pair gives it, so the exact oscillation is the same float;
+    # the largest disc holds more than 600 nodes, every one of them read
     for w0, r in (((0.0, 0.0), 0.1), ((0.2, -0.1), 0.25), ((-0.3, 0.3), 0.5), ((0.0, 0.0), 0.9)):
-        assert disc_oscillation(field, w0, r) == _loop_disc_oscillation(field, w0, r)
+        assert disc_oscillation(field, w0, r) == all_pairs_disc_oscillation(field, w0, r)
     gx, gy = np.meshgrid(field.xs, field.ys)
-    assert (gx**2 + gy**2 <= 0.81).sum() > OSC_MAX_NODES
+    assert (gx**2 + gy**2 <= 0.81).sum() > 600
 
 
 @pytest.mark.parametrize("field", [

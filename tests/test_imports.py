@@ -184,7 +184,7 @@ def test_variations_takes_only_the_pivot_and_shared_helpers_from_analysis():
 #: the functions of the package that draw random numbers, each from its own
 #: seed; a property the code can settle exactly is never sampled instead
 RANDOM_DRAWERS = {"stationarity_residual", "build_admissible_variation", "rotated_frame",
-                  "frame_with_extra_directions", "disc_oscillation"}
+                  "frame_with_extra_directions"}
 RANDOM_NAMES = {"default_rng", "qmc", "random"}
 
 
