@@ -72,7 +72,11 @@ class AngleSeparatedFrame:
 
 
 def _difference_directions(sites: np.ndarray) -> np.ndarray:
-    """Unit directions between distinct sites, deduplicated up to sign."""
+    """Unit directions between distinct sites, deduplicated up to sign, each
+    signed so that its first nonzero coordinate is positive.
+
+    Every reader takes |e . v|, so the sign changes no angle.  The sites of
+    `support` are sorted, so there the sign is already positive."""
     count = sites.shape[0]
     dirs = []
     for i in range(count):
@@ -81,7 +85,7 @@ def _difference_directions(sites: np.ndarray) -> np.ndarray:
             norm = np.linalg.norm(d)
             if norm == 0:
                 continue
-            dirs.append(d / norm)
+            dirs.append(d / norm if d[np.flatnonzero(d)[0]] > 0 else -d / norm)
     if not dirs:
         return np.empty((0, sites.shape[1]))
     arr = np.array(dirs)
@@ -93,18 +97,12 @@ def _difference_directions(sites: np.ndarray) -> np.ndarray:
 
 
 def _rotation_to(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Rotation matrix mapping unit vector a to unit vector b (plane rotation)."""
+    """Rotation matrix mapping unit vector a to unit vector b (plane rotation),
+    for a . b > -1: the seed of `angle_separated_frame` has a . b >= -sqrt((n - 1) / n)."""
     n = a.shape[0]
     c = float(np.clip(a @ b, -1.0, 1.0))
     if c > 1 - 1e-15:
         return np.eye(n)
-    if c < -1 + 1e-15:
-        # antipodal: rotate by pi in any plane containing a
-        u = np.zeros(n)
-        u[int(np.argmin(np.abs(a)))] = 1.0
-        u = u - (u @ a) * a
-        u /= np.linalg.norm(u)
-        return _plane_rotation(a, u, math.pi)
     w = b - c * a
     w /= np.linalg.norm(w)
     return _plane_rotation(a, w, math.acos(c))
@@ -163,8 +161,7 @@ def angle_separated_frame(s: SupportDecomposition) -> AngleSeparatedFrame:
                     stage_target = 0.5 ** i * delta_prev
                     if current >= stage_target:
                         continue
-                    if abs(abs(proj) - 1.0) < 1e-14:
-                        continue  # parallel to the pole: angle already pi/2
+                    # here |proj| < sin(asin(1/sqrt(n)) / 2) <= sin(pi/8), so w is not 0
                     pole = e if proj >= 0 else -e
                     w = pole - (pole @ v_cur) * v_cur
                     w /= np.linalg.norm(w)

@@ -317,7 +317,7 @@ def branch_plaquettes(f: GridField) -> dict[tuple[int, int], tuple[int, ...]]:
     px, py, _ = _match_edges(f.values)
     right = _compose(px[:-1], py[:, 1:])  # along the bottom, then up the right side
     left = _compose(py[:, :-1], px[1:])   # up the left side, then along the top
-    hol = _compose(right, np.argsort(left, axis=-1))
+    hol = _compose(right, _inverse(left))
     cells = np.argwhere((hol != np.arange(f.q_sheets)).any(axis=-1))
     return {(int(iy), int(ix)): tuple(hol[iy, ix].tolist()) for iy, ix in cells}
 
@@ -402,7 +402,7 @@ def _capacitance_solve(b: np.ndarray, perm: np.ndarray, cut: np.ndarray) -> np.n
         y = y.reshape(m, q, n)  # G b at the endpoints
         cy = np.zeros((m, q, n))
         cy[lo] += y[up] - y[up[:, None], perm]
-        cy[up] += y[lo] - y[lo[:, None], np.argsort(perm, axis=-1)]
+        cy[up] += y[lo] - y[lo[:, None], _inverse(perm)]
         w = np.linalg.solve(cap, cy.reshape(m * q, n)).reshape(m, c)
         uw = sye.T @ (sxe[:, :, None] * w[:, None, :]).reshape(m, mx * c)  # U w, sine basis
         hat -= uw.reshape(my, mx, c) * dinv[..., None]
@@ -488,7 +488,7 @@ def _frozen_solve(v: np.ndarray, fixed: np.ndarray, px: np.ndarray, py: np.ndarr
         ends[cut[:, 0], cut[:, 1]] = ends[cut[:, 0] + 1, cut[:, 1]] = True
         if q * np.count_nonzero(ends) <= _CAPACITANCE_MAX_RATIO * math.sqrt(q * (ny - 2) * (nx - 2)):
             e = (cut[:, 0], cut[:, 1])
-            perm = _compose(carried[e], np.argsort(g[1:][e], axis=-1))
+            perm = _compose(carried[e], _inverse(g[1:][e]))
             g = g.reshape(-1, q)
             node = np.arange(g.shape[0])[:, None]
             b = rhs[node, g].reshape(ny - 2, nx - 2, q, n)  # label t is sheet g[node, t]
@@ -721,51 +721,47 @@ def courant_lebesgue_slice(
     return _slice_scan(f, embed_grid(f, frame), w0, radius)
 
 
-def _scan_circles(f: GridField, farr: np.ndarray, w0: tuple[float, float], radii: np.ndarray):
-    """Yield (r, embedded circle samples) for each radius, in order.
-
-    A circle gets min(`_circle_size`, SCAN_CIRCLE_POINTS) samples, and the
-    oscillation reads every one.  Consecutive circles are interpolated by
-    one `bilinear_array` call while their samples' working memory stays
-    within SCAN_BATCH_BYTES; a circle larger than that is a batch of its
-    own.  A sample of m embedded values is counted at 8 (8m + 8) bytes.  In
-    the corner sums it holds 8 (7m + 8): its point, its scaled coordinates,
-    cell indices and base row, one corner's row index, the four full-width
-    weights, the running sum, and one weighted corner while the next is
-    gathered.  The other m words are the previous batch's output, which the
-    caller's view of its last circle keeps alive while the next batch is
-    interpolated; with both batches counted this way, the two together stay
-    within the budget.  Interpolation acts on each point alone, so a circle
-    gets the same floats in any batch."""
-    sizes = [min(_circle_size(r, f.spacing), SCAN_CIRCLE_POINTS) for r in radii]
-    per_sample = 8 * (8 * farr.shape[-1] + 8)
-    start = 0
-    while start < len(radii):
-        stop, used = start + 1, sizes[start]
-        while stop < len(radii) and (used + sizes[stop]) * per_sample <= SCAN_BATCH_BYTES:
-            used += sizes[stop]
-            stop += 1
-        vals = bilinear_array(farr, f, _circle_batch(w0, radii[start:stop], sizes[start:stop]))
-        yield from zip(radii[start:stop], np.split(vals, np.cumsum(sizes[start : stop - 1])))
-        start = stop
-
-
 def _slice_scan(
     f: GridField, farr: np.ndarray, w0: tuple[float, float], radius: float
 ) -> tuple[float, float]:
-    """`courant_lebesgue_slice` on the embedded field farr."""
+    """`courant_lebesgue_slice` on the embedded field farr.
+
+    The radii are scanned in order, in batches of whole circles that
+    `_scan_batch` interpolates together.  A circle has at most
+    SCAN_CIRCLE_POINTS samples, and a sample of m embedded values holds
+    8 (7m + 8) bytes while it is interpolated: its point, its scaled
+    coordinates, cell indices and base row, one corner's row index, the
+    four full-width weights, the running sum, and one weighted corner while
+    the next is gathered.  So a batch of SCAN_BATCH_BYTES // (that times
+    SCAN_CIRCLE_POINTS) circles, and at least one, stays within
+    SCAN_BATCH_BYTES, and no batch outlives its call.  Interpolation acts
+    on each point alone, so a circle gets the same floats in any batch."""
     _require_disc_inside(f, w0, radius)
     if radius < 4 * f.spacing:
         raise InvalidInputError("slice radius too small for the grid resolution")
     radii = np.arange(radius / 2, radius + f.spacing / 4, f.spacing)
     radii[-1] = min(radii[-1], radius)
+    step = max(1, SCAN_BATCH_BYTES // (SCAN_CIRCLE_POINTS * 8 * (7 * farr.shape[-1] + 8)))
     best = (float("nan"), float("inf"))
-    for r, vals in _scan_circles(f, farr, w0, radii):
+    for start in range(0, radii.size, step):
+        best = _scan_batch(f, farr, w0, radii[start : start + step], best)
+    return best
+
+
+def _scan_batch(f: GridField, farr: np.ndarray, w0: tuple[float, float], radii: np.ndarray,
+                best: tuple[float, float]) -> tuple[float, float]:
+    """The first (r, osc) of least oscillation among ``best`` and the circles
+    of the given radii, in order.  A circle gets min(`_circle_size`,
+    SCAN_CIRCLE_POINTS) samples, all interpolated by one `bilinear_array`
+    call, and its oscillation reads every one."""
+    sizes = [min(_circle_size(r, f.spacing), SCAN_CIRCLE_POINTS) for r in radii]
+    vals = bilinear_array(farr, f, _circle_batch(w0, radii, sizes))
+    for r, circle in zip(radii, np.split(vals, np.cumsum(sizes[:-1]))):
         # the oscillation is at least the floor's root, so a root at or
         # above the best oscillation cannot pass the strict test below
-        if math.sqrt(_pairwise_floor(vals)) >= best[1]:
+        if math.sqrt(_pairwise_floor(circle)) >= best[1]:
             continue
-        osc = _max_pairwise(vals)
+        osc = _max_pairwise(circle)
         if osc < best[1]:
             best = (float(r), osc)
     return best

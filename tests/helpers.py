@@ -161,14 +161,18 @@ def d4_image(f, turns, flip=False):
     """
     if f.nx != f.ny or not np.allclose(f.origin, -(f.nx - 1) * f.spacing / 2, rtol=1e-12):
         raise ValueError("the D4 action needs a square grid centred at 0")
-
-    def act(a):
-        a = np.rot90(a, turns, axes=(0, 1))
-        return np.ascontiguousarray(a[::-1] if flip else a)
-
     m = np.linalg.matrix_power(np.array([[0, -1], [1, 0]]), turns) @ np.diag([1, -1 if flip else 1])
-    g = dataclasses.replace(f, values=act(f.values), boundary_mask=act(f.boundary_mask))
+    g = dataclasses.replace(f, values=d4_nodes(f.values, turns, flip),
+                            boundary_mask=d4_nodes(f.boundary_mask, turns, flip))
     return g, lambda p: tuple(float(c) for c in m.T @ np.asarray(p, dtype=np.float64))
+
+
+def d4_nodes(a, turns, flip=False):
+    """A node array, or a cell array, of a square grid moved as `d4_image`
+    moves the field's values: its first two axes turned, then the rows
+    reversed with ``flip``."""
+    a = np.rot90(a, turns, axes=(0, 1))
+    return np.ascontiguousarray(a[::-1] if flip else a)
 
 
 def scaled(f, s):

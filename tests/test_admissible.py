@@ -9,7 +9,9 @@ from hypothesis.extra.numpy import arrays
 
 from qvalued import (
     AdmissibleBall,
+    ChainLevel,
     InvalidInputError,
+    NestedBallChain,
     NotInBallError,
     QPoint,
     angle_separated_frame,
@@ -23,6 +25,7 @@ from qvalued import (
     nested_chain,
     standard_frame,
     subtract,
+    SupportDecomposition,
     support,
     theta0,
     validate_chain,
@@ -444,6 +447,118 @@ def test_validate_chain_names_a_level_shrunk_below_its_inclusion(points, k):
     assert exhaustive_metric(member, prev.decomposition.rebuild().points) <= prev.sigma * (1 + 1e-12)
 
 
+#: chains in R^1, where theta0 = pi/2.  The pair's levels are (rho, sigma) =
+#: (0, 1/4), (20.25 = C0 sigma_0, inf); the triple's (0, 1/4), (120.25,
+#: 250000), (1.2025e8, inf), with C0 = 231361 at Q = 3
+_PAIR = [[0.0], [1.0]]
+_TRIPLE = [[0.0], [1.0], [1e6]]
+
+
+def _valid_levels(points):
+    """The levels and frame of the nested chain of a tuple, which validates."""
+    p = QPoint(points)
+    chain = nested_chain(p, angle_separated_frame(support(p)))
+    assert validate_chain(chain) == []
+    return list(chain.levels), chain.frame
+
+
+def _level(lv, rho=None, sigma=None, decomposition=None):
+    """lv with the given fields replaced, as a new `ChainLevel`."""
+    return ChainLevel(lv.decomposition if decomposition is None else decomposition,
+                      lv.rho if rho is None else rho, lv.sigma if sigma is None else sigma)
+
+
+def test_validate_chain_names_a_nonzero_rho_0():
+    (l0, l1), frame = _valid_levels(_PAIR)
+    chain = NestedBallChain((_level(l0, rho=0.01), l1), frame)
+    assert validate_chain(chain) == ["rho_0 = 0.01 != 0"]
+
+
+def test_validate_chain_names_a_finite_last_sigma():
+    # one site is admissible at any radius, so only sigma_L's finiteness breaks
+    (l0, l1), frame = _valid_levels(_PAIR)
+    chain = NestedBallChain((l0, _level(l1, sigma=1e9)), frame)
+    assert validate_chain(chain) == ["sigma_L = 1000000000.0 finite"]
+
+
+def test_validate_chain_names_a_final_support_of_two_sites():
+    # the triple's chain cut after level 1, whose sigma is made infinite
+    (l0, l1, _), frame = _valid_levels(_TRIPLE)
+    chain = NestedBallChain((l0, _level(l1, sigma=math.inf)), frame)
+    assert validate_chain(chain) == ["final support has more than one site"]
+
+
+def test_validate_chain_names_a_depth_beyond_q_minus_1():
+    # a third level repeats the pair's one site, so its count cannot drop;
+    # sigma_1 = 1000 >= 10 Q rho_1 and rho_2 = 2000 keep every radius rule
+    (l0, l1), frame = _valid_levels(_PAIR)
+    chain = NestedBallChain((l0, _level(l1, sigma=1000.0), _level(l1, rho=2000.0)), frame)
+    assert validate_chain(chain) == ["depth 2 exceeds Q-1 = 1",
+                                     "support count does not strictly decrease at level 2"]
+
+
+def test_validate_chain_names_broken_interlacing():
+    # each finite radius must exceed the one before: sigma_L = rho_L breaks
+    # that, and a finite sigma_L is a violation of its own
+    (l0, l1), frame = _valid_levels(_PAIR)
+    chain = NestedBallChain((l0, _level(l1, sigma=l1.rho)), frame)
+    assert validate_chain(chain) == [
+        "sigma_L = 20.25 finite",
+        "interlacing 0=rho_0<sigma_0<rho_1<... violated: [0.0, 0.25, 20.25, 20.25]",
+    ]
+
+
+def test_validate_chain_names_a_support_count_that_does_not_drop():
+    # level 1 as three sites, two of them equal: the same tuple, so every
+    # distance rule holds, but coincident sites are admissible at no radius
+    (l0, l1, l2), frame = _valid_levels(_TRIPLE)
+    three = SupportDecomposition(np.array([[0.0], [0.0], [1e6]]), np.array([1, 1, 1]))
+    chain = NestedBallChain((l0, _level(l1, decomposition=three), l2), frame)
+    assert validate_chain(chain) == [
+        "support count does not strictly decrease at level 1",
+        "level 1 is not admissible under the chain's frame at sigma_1",
+    ]
+
+
+def test_validate_chain_names_a_sigma_below_10_q_rho():
+    # sigma_1 = 1000 < 10 Q rho_1 = 3607.5, and still above rho_1 and C0
+    # sigma_1 above rho_2
+    (l0, l1, l2), frame = _valid_levels(_TRIPLE)
+    chain = NestedBallChain((l0, _level(l1, sigma=1000.0), l2), frame)
+    assert validate_chain(chain) == ["10*Q*rho_1 > sigma_1"]
+
+
+def test_validate_chain_names_a_rho_beyond_c0_sigma():
+    # the pair's rho_1 is C0 sigma_0 exactly; twice that is too far
+    (l0, l1), frame = _valid_levels(_PAIR)
+    chain = NestedBallChain((l0, _level(l1, rho=2 * l1.rho)), frame)
+    assert validate_chain(chain) == ["sigma_0 < rho_1 <= C0*sigma_0 violated at level 1"]
+
+
+def test_validate_chain_names_a_distance_beyond_the_rho_sum():
+    # rho_1 = 0.8 < G(q^0, q^1) = 1 <= (Q - 1) rho_1: the sum fails and the
+    # Q - 1 bound holds.  By the triangle inequality the sum fails only where
+    # an inclusion does, here level 0's sigma-ball in level 1's rho-ball
+    (l0, l1, l2), frame = _valid_levels(_TRIPLE)
+    chain = NestedBallChain((l0, _level(l1, rho=0.8), l2), frame)
+    assert validate_chain(chain) == [
+        "sigma_0 + G(q^0, q^1) = 1.25 > rho_1 = 0.8",
+        "G(q^0, q^1) = 1.0 > rho_1+...+rho_1 = 0.8",
+    ]
+
+
+def test_validate_chain_names_a_distance_beyond_q_minus_1_rho():
+    # at Q = 2 the bound (Q - 1) rho_k is the sum of level 1's one radius, so
+    # rho_1 = 0.9 < G(q^0, q^1) = 1 breaks both, and the inclusion with them
+    (l0, l1), frame = _valid_levels(_PAIR)
+    chain = NestedBallChain((l0, _level(l1, rho=0.9)), frame)
+    assert validate_chain(chain) == [
+        "sigma_0 + G(q^0, q^1) = 1.25 > rho_1 = 0.9",
+        "G(q^0, q^1) = 1.0 > rho_1+...+rho_1 = 0.9",
+        "G(q^0, q^1) = 1.0 > (Q-1)*rho_1",
+    ]
+
+
 def test_nested_chain_forms_one_distance_matrix_per_level(monkeypatch):
     # sigma_k and every step of the threshold ladder read the level's matrix
     calls = []
@@ -488,8 +603,30 @@ def test_subtract_rejects_count_mismatch():
 
 
 def test_angle_separated_frame_antipodal_seed():
-    # first difference direction opposite to the diagonal seed vector
+    # a difference opposite to the diagonal seed vector is signed onto it,
+    # whether the sites come unsorted or sorted by `support`
     d = -np.array([1.0, 1.0]) / np.sqrt(2.0)
-    s = support(QPoint(np.stack([np.zeros(2), 3.0 * d])))
-    asf = angle_separated_frame(s)
-    assert asf.achieved_min_angle >= asf.target_theta0 - 1e-9
+    unsorted = SupportDecomposition(np.stack([np.zeros(2), 3.0 * d]), np.array([1, 1]))
+    for dec in (unsorted, support(QPoint(unsorted.sites))):
+        assert np.allclose(admissible._difference_directions(dec.sites), [-d], rtol=0, atol=1e-15)
+        asf = angle_separated_frame(dec)
+        assert asf.achieved_min_angle >= asf.target_theta0 - 1e-9
+
+
+def test_difference_directions_are_signed_by_their_first_nonzero_coordinate():
+    # each direction is +-(s_j - s_i)/|s_j - s_i| with its first nonzero
+    # coordinate positive; the sorted sites of `support` already give +,
+    # bitwise, so the frames built on them are unchanged
+    rng = np.random.default_rng(17)
+    for trial in range(200):
+        q, n = int(rng.integers(2, 6)), int(rng.integers(1, 4))
+        pts = rng.integers(-2, 3, size=(q, n)).astype(float) if trial % 2 else rng.normal(size=(q, n))
+        for sites in (pts, support(QPoint(pts)).sites):
+            dirs = admissible._difference_directions(sites)
+            for v in dirs:
+                assert v[np.flatnonzero(v)[0]] > 0
+        s = support(QPoint(pts)).sites
+        plain = [(s[j] - s[i]) / np.linalg.norm(s[j] - s[i])
+                 for i in range(len(s)) for j in range(i + 1, len(s))]
+        dirs = admissible._difference_directions(s)
+        assert all(any(np.array_equal(v, w) for w in plain) for v in dirs)

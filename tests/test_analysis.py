@@ -524,6 +524,16 @@ def _coincident_sqrt(nn):
     return GridField(np.concatenate([s.values, s.values[:, :, :1]], axis=2), s.spacing, s.origin)
 
 
+def _lifted_sqrt(nn, n=8):
+    # the square-root sheets +-w mapped into R^n by orthonormal columns, plus
+    # a single-valued term; n >= 8 takes `_sum_sq`'s numpy reduction
+    s = sqrt_grid_field(nn)
+    cols = np.linalg.qr(np.random.default_rng(n).normal(size=(n, n)))[0][:, :2]
+    x, y = meshgrid_for(unit_square_grid(nn))
+    common = np.stack([np.sin(k * x + y) for k in range(n)], axis=-1)[:, :, None, :]
+    return GridField(s.values @ cols.T + 0.1 * common, s.spacing, s.origin)
+
+
 _HOPF_FIELDS = {
     "diagnose_root_161": lambda: root_grid_field(161, 2, z0=0.11 - 0.07j),
     "diagnose_two_sheet_129": lambda: minimize(two_sheet_field(129, seed=41)).field,
@@ -545,6 +555,7 @@ _HOPF_FIELDS = {
     "grid_3x40": lambda: _window(two_sheet_field(41, seed=5), np.s_[:3, :40]),
     "grid_41x9": lambda: _window(two_sheet_field(41, seed=5), np.s_[:, :9]),
     "coincident": lambda: _coincident_sqrt(25),
+    "q2_n8": lambda: _lifted_sqrt(33),
 }
 
 

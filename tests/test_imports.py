@@ -9,7 +9,8 @@ module at all.  The CLI also imports no private name of another qvalued
 module, and `variations` takes from `analysis` only the pivot and the
 helpers it shares, which two checks read from their sources.  The last ones
 read every module's source for the functions that draw random numbers,
-that sort, and that call `embedded_energy`.
+that sort, and that call `embedded_energy`, and `field`'s for any that
+calls `argsort`.
 """
 
 import ast
@@ -250,6 +251,14 @@ def test_only_the_listed_functions_sort():
     probe = ast.parse("def f(a):\n    return np.sort(a)\ndef g(a):\n    a.sort()\n"
                       "def h(a):\n    return sort(a)\ndef k(a):\n    return a.argsort()\n")
     assert _callers(probe, "sort") == {"f", "g", "h"}
+
+
+def test_field_inverts_permutations_only_through_its_scatter():
+    # `field._inverse` gives argsort's integers by one scatter, so no
+    # function of the field module sorts a permutation to invert it
+    tree = ast.parse(Path(qvalued.__file__).with_name("field.py").read_text())
+    assert _callers(tree, "argsort") == set()
+    assert _callers(ast.parse("def f(p):\n    return np.argsort(p, axis=-1)\n"), "argsort") == {"f"}
 
 
 #: the functions of the package that call `embedded_energy`, the energy of a
