@@ -19,6 +19,12 @@ rounding, when the grid is turned or reflected.  Scaling the values by a
 power of two scales every oscillation and alpha1 by it and C_R0 by its
 square, without rounding.
 
+tau*, the key lemma's lhs, the pivot level k0, the ladder's rows and the
+battery's range trials should keep their values under the range
+isometries and the relabelling, and read no frame.  They still read xi0 of
+one frame on their circles, so the cases that move are strict xfails
+naming ROADMAP item 21; the Courant-Lebesgue slice's is one naming 21(ii).
+
 `minimize`, the Hopf density and the branch cells follow the field too: on
 fields without tied matchings, the minimiser's energy and its unordered
 values, phi under the law of each grid symmetry, and the cells that hold a
@@ -51,12 +57,14 @@ from qvalued import (
     hopf_differential,
     key_lemma_check,
     minimize,
+    monotonicity_report,
     nested_chain,
     range_variation_derivative,
     rotated_frame,
     standard_frame,
     stationarity_residual,
     support,
+    tau_star,
 )
 from qvalued.field import SCAN_CIRCLE_POINTS, _circle_size
 from qvalued.variations import RangeVariation, cutoff_weights
@@ -153,6 +161,97 @@ def test_range_derivative_is_invariant(case):
     for name in ("rotation by 30 degrees", "shift", "relabelling"):
         got = range_derivative(TRANSFORMS[name](f), fr, node, rho, eps)
         assert abs(got - want) <= INVARIANCE_RTOL * e, name
+
+
+#: fields of the circle readers, each read at one base node off the centre.
+#: When tau* and the key lemma read xi0 of the standard frame, a 45 degree
+#: range rotation moved tau* by 13% on the square-root field, 0.46% on the
+#: Q = 3 root and the pivot's tau* by 1.4% on the noisy two-sheet field; a
+#: 30 degree one moved the square root's by 1.0%.  The square root's ladder
+#: holds positive rows and its battery keeps range trials; the ladders of
+#: the other two read 0 on every rung and their trials move no sheet
+CIRCLE_CASES = {
+    "sqrt": lambda: sqrt_grid_field(129),
+    "root3": lambda: root_grid_field(97, 3, z0=0.05 - 0.03j),
+    "noisy_two_sheet": lambda: noisy_copy(two_sheet_field(129, seed=2), scale=0.5),
+}
+
+
+def circle_readers(f: GridField, fr) -> dict:
+    """tau*, the key lemma's lhs, the ladder's k0 and rows and the battery's
+    range derivatives, at one base node off the centre, with the field's
+    matched energy E."""
+    comp = harmonic_companion(hopf_differential(f, fr))
+    node = (f.ny // 2 + 3, f.nx // 2 - 5)
+    base = QPoint(f.values[node].copy())
+    chain = nested_chain(base, angle_separated_frame(support(base)))
+    rep = monotonicity_report(f, comp, fr, node, chain)
+    return {
+        "tau*": tau_star(f, fr, node, tuple(f.node_position(node)), 0.5),
+        "key lemma lhs": key_lemma_check(f, comp, node, 0.5, fr)[0],
+        "k0": rep.k0,
+        "pivot tau*": rep.tau_star,
+        "ladder": [(k, row.rho, row.psi) for k, rows in rep.levels.items() for row in rows],
+        "range derivatives": stationarity_residual(f, fr, trials=4).range_derivatives,
+        "E": comp.hopf.energy.total,
+    }
+
+
+@pytest.fixture(scope="module", params=list(CIRCLE_CASES))
+def circle_case(request):
+    f = CIRCLE_CASES[request.param]()
+    want = circle_readers(f, standard_frame(f.n, f.q_sheets))
+    if request.param == "sqrt":
+        assert any(row[2] > 0 for row in want["ladder"]) and want["range derivatives"]
+    return f, want
+
+
+ITEM_21 = pytest.mark.xfail(strict=True, raises=AssertionError,
+                             reason="ROADMAP item 21: tau*, the key lemma and the pivot read xi0")
+#: the (field, transform) cases that move while the circle readers read xi0
+MOVED_BY_XI0 = {("sqrt", "rotation by 30 degrees"), ("sqrt", "rotation by 45 degrees"),
+                ("root3", "rotation by 45 degrees"), ("noisy_two_sheet", "rotation by 45 degrees")}
+
+
+@pytest.mark.parametrize("transform", TRANSFORMS)
+def test_circle_readers_are_invariant(circle_case, transform, request):
+    if (request.node.callspec.params["circle_case"], transform) in MOVED_BY_XI0:
+        request.applymarker(ITEM_21)
+    # every distance on the pivot's and the key lemma's circles is G, which
+    # the transforms keep; the worst measured is 4.4e-16 (tau* of the Q = 3
+    # root under the 30 degree rotation)
+    f, want = circle_case
+    got = circle_readers(TRANSFORMS[transform](f), standard_frame(f.n, f.q_sheets))
+    for name in ("tau*", "key lemma lhs", "pivot tau*"):
+        assert got[name] == pytest.approx(want[name], rel=INVARIANCE_RTOL), name
+    assert got["k0"] == want["k0"]
+    assert [row[0] for row in got["ladder"]] == [row[0] for row in want["ladder"]]
+    for (k, rho, psi), (_, rho_want, psi_want) in zip(got["ladder"], want["ladder"]):
+        assert rho == pytest.approx(rho_want, rel=INVARIANCE_RTOL), k
+        assert psi == pytest.approx(psi_want, rel=INVARIANCE_RTOL), k
+    # a derivative near 0 has no relative digits, so each is compared with E
+    assert len(got["range derivatives"]) == len(want["range derivatives"])
+    for d, d_want in zip(got["range derivatives"], want["range derivatives"]):
+        assert abs(d - d_want) <= INVARIANCE_RTOL * want["E"]
+
+
+@ITEM_21
+def test_circle_readers_read_no_frame(circle_case):
+    f, want = circle_case
+    assert circle_readers(f, rotated_frame(f.n, f.q_sheets, seed=3)) == want
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError,
+                   reason="ROADMAP item 21(ii): the Courant-Lebesgue slice reads xi0 of one frame")
+def test_slice_is_invariant_under_a_range_rotation():
+    # a 30 degree rotation moves slice_osc from 2.53 to 2.19 and slice_radius
+    # from 0.394 to 0.316 here
+    f = noisy_copy(two_sheet_field(129, seed=2), scale=0.5)
+    # a disc of radius 0 holds no pair of nodes, so only the certificate works
+    want, got = (oscillation_readers(g, OSC_CENTRE, 0.0)
+                 for g in (f, range_isometry(f, angle=math.radians(30))))
+    for name in ("slice_osc", "slice_radius"):
+        assert got[name] == pytest.approx(want[name], rel=INVARIANCE_RTOL), name
 
 
 def test_embedded_energy_moves_with_the_range_rotation():
