@@ -35,7 +35,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .admissible import NestedBallChain, constants_block, delta_constant
-from .embedding import ProjectionFrame, _embed_values
+from .embedding import ProjectionFrame
 from .errors import InvalidInputError, NumericalFailureError
 from .field import (
     DEFAULT_C_CL,
@@ -90,9 +90,9 @@ def _sum_sq(d: np.ndarray) -> np.ndarray:
 class HopfField:
     """Hopf density per node on the matched edges (rim replicated), with
     what `hopf_differential` built it from: the field's values, the frame,
-    the frame embedding and the field's matched energy per cell.  Those four
-    are None on a density given directly, which no field diagnostic accepts.
-    Every array `hopf_differential` puts here is read-only."""
+    its embedding (for the slice scan and domain trials) and the matched
+    energy per cell.  Those four are None on a density given directly, which
+    no field diagnostic accepts.  Every array it puts here is read-only."""
 
     phi: np.ndarray            # (ny, nx) complex
     degenerate: np.ndarray     # (ny, nx) bool: stencil matching ill-conditioned
@@ -119,10 +119,10 @@ def hopf_differential(f: GridField, frame: ProjectionFrame) -> HopfField:
     matchings of `_match_edges`, each neighbour's sheets paired with the
     node's by `_neighbour_partners`.  phi and the energy of those matchings
     (`dirichlet_energy_matched`) do not read the frame, so every frame gives
-    the same floats.  The embedding `embed_grid(f, frame)`,
-    which tau*, d* and the slice scan read, is kept on the result with the
-    frame and a copy of the values, so that the diagnostics reading this
-    field's companion embed nothing again.
+    the same floats.  The embedding `embed_grid(f, frame)`, which only the
+    certificate's slice scan and the battery's domain trials read, is kept
+    on the result with the frame and a copy of the values, so that they
+    embed nothing again; tau*, d* and the pivot read G of the values.
 
     Sheets move as whole rows of the (nodes * Q, n) view of the values, row
     node * Q + sheet, one `np.take` per neighbour.  The degenerate test takes
@@ -425,8 +425,8 @@ def _check_chain(f: GridField, chain: NestedBallChain) -> None:
 
 def _d_star_at(f: GridField, comp: HarmonicCompanion, w_star, k: int,
                chain: NestedBallChain, nodes) -> np.ndarray:
-    """`d_star` at the grid's nodes ``nodes``, a window of slices or a mask,
-    each the float of the full grid: `assign` is the same in any batch."""
+    """`d_star` at the grid's ``nodes`` (a window of slices, a mask or index
+    arrays), each the float of the full grid: `assign` is the same in any batch."""
     iy, ix = f.interior_node(w_star)
     lv = chain.level(k)
     _check_chain(f, chain)
@@ -435,32 +435,39 @@ def _d_star_at(f: GridField, comp: HarmonicCompanion, w_star, k: int,
     return np.sqrt(metric_g_many(qk, f.values[nodes]) ** 2 + dh2)
 
 
-def tau_star(
-    f: GridField,
-    frame: ProjectionFrame,
-    w_star: tuple[int, int],
-    w0: tuple[float, float],
-    r: float,
-) -> float:
-    """Infimum of the embedded distance to f(w*) over the circle of radius r."""
-    return _tau_star(f, embed_grid(f, frame), w_star, w0, r)[0]
+def tau_star(f: GridField, frame: ProjectionFrame, w_star: tuple[int, int],
+             w0: tuple[float, float], r: float) -> float:
+    """Least assignment distance G to f(w*) over the circle of radius r about
+    w0, read as `_circle_min` reads it; the frame is checked against the
+    field's (Q, n) and read no further."""
+    _check_frame(f, frame)
+    return _tau_star(f, w_star, w0, r)
 
 
-def _tau_star(f: GridField, farr: np.ndarray, w_star, w0, r) -> tuple:
-    """`tau_star` on the embedded field farr, with the circle points and the
-    embedded samples it read."""
+def _tau_star(f: GridField, w_star, w0, r) -> float:
+    base = f.values[f.interior_node(w_star)]
+    return _circle_min(f, w0, r, lambda nodes: metric_g_many(base, f.values[nodes]))
+
+
+def _circle_min(f: GridField, w0, r, distance) -> float:
+    """Least over `circle_points(w0, r)` of the bilinear interpolant of a nodal
+    distance, which ``distance(nodes)`` gives in one batch at the (rows,
+    columns) index arrays of the corners of the cells the points fall in."""
     _require_disc_inside(f, w0, r)
-    iy, ix = f.interior_node(w_star)
     pts = circle_points(w0, r, f.spacing)
-    vals = bilinear_array(farr, f, pts)
-    return float(np.linalg.norm(vals - farr[iy, ix], axis=-1).min()), pts, vals
+    cell = np.clip(np.floor((pts - f.origin) / f.spacing).astype(np.intp), 0, (f.nx - 2, f.ny - 2))
+    corners = np.zeros(f.ny * f.nx, dtype=bool)
+    corners[(cell[:, 1] * f.nx + cell[:, 0])[:, None] + (0, 1, f.nx, f.nx + 1)] = True
+    nodes = np.unravel_index(np.flatnonzero(corners), (f.ny, f.nx))
+    nodal = np.zeros((f.ny, f.nx, 1))
+    nodal[nodes] = distance(nodes)[:, None]
+    return float(bilinear_array(nodal, f, pts).min())
 
 
 class _Pivot(NamedTuple):
     """A base node's cutoff rules, with what they read: the field, its
     companion, the chain and the interior node; the cutoff disc (the largest
-    one centred on the node), tau*, the pivot level k0, and the disc's
-    circle points with the embedded field's samples there, which tau* read."""
+    one centred on the node), tau* on its circle and the pivot level k0."""
     f: GridField
     comp: HarmonicCompanion
     chain: NestedBallChain
@@ -469,26 +476,18 @@ class _Pivot(NamedTuple):
     r: float
     tau: float
     k0: int
-    circle: np.ndarray
-    samples: np.ndarray
 
     def level(self, k: int) -> tuple[float, float, float]:
         """(rho_k, valid hi, monotone hi) of level k; see `valid_rho_interval`
         and `monotone_rho_interval`.  Where tau* or sigma_k bounds nothing,
-        hi is 2/5 of the least level-k augmented distance over the circle."""
+        hi is 2/5 of the `_circle_min` of d*_k on the disc's circle."""
         lv = self.chain.level(k)
         if k > self.k0:
             raise InvalidInputError(f"level {k} beyond the pivot level k0 = {self.k0}")
         hi = lv.sigma if k < self.k0 else 0.4 * min(self.tau, lv.sigma)
         if not hi > 0 or math.isinf(hi):
-            comp = self.comp
-            target = _embed_values(lv.decomposition.rebuild().points, comp.hopf.frame)
-            hvals = bilinear_array(np.stack([comp.values.real, comp.values.imag], axis=-1),
-                                   self.f, self.circle)
-            hw = comp.values[self.node]
-            dh2 = (hvals[..., 0] - hw.real) ** 2 + (hvals[..., 1] - hw.imag) ** 2
-            dist = np.sqrt(np.linalg.norm(self.samples - target, axis=-1) ** 2 + dh2)
-            hi = 0.4 * float(dist.min())
+            hi = 0.4 * _circle_min(self.f, self.w0, self.r, functools.partial(
+                _d_star_at, self.f, self.comp, self.node, k, self.chain))
         return lv.rho, hi, 0.4 * hi if k < self.k0 else hi
 
     def eps(self, hi0: float) -> float:
@@ -508,20 +507,19 @@ class _Pivot(NamedTuple):
 
 
 def _pivot(f: GridField, comp: HarmonicCompanion, w_star, chain: NestedBallChain) -> _Pivot:
-    """The cutoff disc, tau* on its circle and the pivot level k0, for the
-    field f embedded as its companion carries it.  k0 is the largest level
-    with 10 Q rho_k strictly below tau* (0 if none), or the chain depth when
-    tau* = 0."""
+    """The cutoff disc, tau* on its circle and the pivot level k0.  k0 is the
+    largest level with 10 Q rho_k strictly below tau* (0 if none), or the
+    chain depth when tau* = 0."""
     _check_chain(f, chain)
     node = f.interior_node(w_star)
     w0 = tuple(f.node_position(node).tolist())
     r = _rim_distance(f, w0)
-    tau, circle, samples = _tau_star(f, comp.hopf.embedded, w_star, w0, r)
+    tau = _tau_star(f, w_star, w0, r)
     k0 = chain.depth
     if tau > 0:
         q = chain.q_sheets
         k0 = max((k for k, lv in enumerate(chain.levels) if 10 * q * lv.rho < tau), default=0)
-    return _Pivot(f, comp, chain, node, w0, r, tau, k0, circle, samples)
+    return _Pivot(f, comp, chain, node, w0, r, tau, k0)
 
 
 def valid_rho_interval(
@@ -702,12 +700,11 @@ def monotonicity_report(
     ``ladder`` holds fractions of each level's valid interval (default ten
     points from 0.35 to 0.95; an empty ladder is refused).  A pair s < t
     with ratio(s) > ratio(t)(1 + MONOTONE_TOLERANCE) is recorded as a
-    violation.  The embedded field comes with the companion; the pivot and
-    the disc cells' augmented energies are computed once, and each level's d*
-    on the disc's node window and its reconstruction once per level.  The
-    rungs share them, evaluate the ramp on the transition band alone and
-    still pass the range checks of `psi_k`, so each row equals a standalone
-    `psi_k` call.
+    violation.  The pivot and the disc cells' augmented energies are
+    computed once, and each level's d* on the disc's node window and its
+    reconstruction once per level.  The rungs share them, evaluate the ramp
+    on the transition band alone and still pass the range checks of `psi_k`,
+    so each row equals a standalone `psi_k` call.
     """
     if ladder is None:
         ladder = np.linspace(0.35, 0.95, 10)
@@ -748,15 +745,16 @@ def key_lemma_check(
     r: float,
     frame: ProjectionFrame,
 ) -> tuple[float, float, bool]:
-    """Oscillation bound: circle distance to f(w*) vs augmented disc energy on
-    the disc of radius r centred on the base node.
+    """Oscillation bound: the least assignment distance G to f(w*) over the
+    circle of radius r centred on the base node (`_tau_star`) vs the
+    augmented energy of its disc.
 
     Returns (lhs, rhs, lhs <= rhs * (1 + BOUND_SLACK)).  A disc that holds
     no cell is refused, since both sides would be 0 and the bound vacuous.
     """
     _check_companion(f, comp, frame)
     w0 = tuple(f.node_position(f.interior_node(w_star)).tolist())
-    lhs = _tau_star(f, comp.hopf.embedded, w_star, w0, r)[0]
+    lhs = _tau_star(f, w_star, w0, r)
     disc = _disc_cell_window(f, w0, r)
     if not disc.inside.any():
         raise InvalidInputError(f"the disc of radius {r} holds no grid cell")

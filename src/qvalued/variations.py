@@ -15,9 +15,9 @@ Each derivative therefore sums the energy of the box of nodes that move
 plus a one-node ring, which changes the summation order of the full-grid
 difference and nothing else.  `stationarity_residual` takes the field's
 harmonic companion that its caller still holds, or builds one when there is
-none, and shares the embedded grid it carries with its domain trials and
-pivots.  Each sampled base node's pivot record, `analysis._pivot`, gives
-its level ranges and ramp width, the rules `psi_k` and the ladder read.
+none, and shares the embedded grid it carries with its domain trials.  Each
+sampled base node's pivot record, `analysis._pivot`, gives its level
+ranges and ramp width, the rules `psi_k` and the ladder read.
 """
 
 from __future__ import annotations

@@ -9,8 +9,9 @@ variation, with the local derivatives they check; the domain one
 interpolates with `index_bilinear`.  The full slice scan shares the
 embedding, the circle size and its cap with `courant_lebesgue_slice`; it
 samples each circle with `linspace_circle_points` and interpolates with
-`index_bilinear`.  The node-by-node Hopf stencil shares only the assignment
-kernel with `hopf_differential`, and the all-pairs disc oscillation only
+`index_bilinear`, as the embedded tau* does with `einsum_embedding`.  The
+node-by-node Hopf stencil shares only the assignment kernel with
+`hopf_differential`, and the all-pairs disc oscillation only
 the assignment kernel with `disc_oscillation`.  The reference assignment
 kernel keeps the earlier layout of `qspace.assign`, (k, Q, n) batches and
 an `argmax` pick over the permutations, and shares the
@@ -474,6 +475,15 @@ def full_slice_scan(f, frame, w0, radius) -> tuple[float, float]:
         if osc < best[1]:
             best = (float(r), osc)
     return best
+
+
+def embedded_tau_star(f, frame, w_star, w0, r) -> float:
+    """tau* read in the frame embedding: the least distance over the circle
+    of `linspace_circle_points` between the bilinear interpolant of xi0 of f
+    and xi0 of f(w*), the reading `tau_star` had before it read G."""
+    farr = einsum_embedding(f.values, frame.directions[: f.n])
+    vals = index_bilinear(farr, f, linspace_circle_points(w0, r, f.spacing))
+    return float(np.linalg.norm(vals - farr[w_star], axis=-1).min())
 
 
 def all_pairs_disc_oscillation(f, w0, r) -> float:

@@ -35,7 +35,6 @@ from qvalued import (
     support,
     tau_star,
     valid_rho_interval,
-    xi0,
 )
 from qvalued.analysis import (
     CENSOR_DILATION,
@@ -61,16 +60,20 @@ from helpers import (
     harmonic_boundary_field,
     meshgrid_for,
     noisy_copy,
+    range_isometry,
     root_grid_field,
     sqrt_grid_field,
     two_sheet_field,
     unit_square_grid,
 )
 from oracles import (
+    einsum_embedding,
+    embedded_tau_star,
     full_grid_cutoff,
     full_grid_cutoff_cells,
     full_grid_psi,
     index_bilinear,
+    linspace_circle_points,
     lsq_primitive,
     ndimage_censor_refit,
     node_stencil_hopf,
@@ -987,9 +990,16 @@ def test_d_star_at_nodes_is_the_full_grid_float(which, request):
         assert np.array_equal(_d_star_at(f, comp, w, k, chain, mask), full[mask])
 
 
+def circle_corner_count(f, pts) -> int:
+    """The corner nodes of the grid cells that hold the points."""
+    cells = np.floor((pts - np.asarray(f.origin)) / f.spacing).astype(int)
+    return len({(x + dx, y + dy) for x, y in cells.tolist() for dx in (0, 1) for dy in (0, 1)})
+
+
 def test_ladder_measures_d_star_on_the_disc_node_window(request, monkeypatch):
     # at the `diagnose` grid size each level's d* is measured on the cutoff
-    # disc's node window, not on the whole grid
+    # disc's node window, not on the whole grid, and tau* in one batch of
+    # its own on the corner nodes of the cells the disc's circle crosses
     import qvalued.analysis as analysis
 
     f, fr, comp, w, chain = _ladder_setup("sqrt161", request)
@@ -1003,11 +1013,15 @@ def test_ladder_measures_d_star_on_the_disc_node_window(request, monkeypatch):
     rep = monotonicity_report(f, comp, fr, w, chain)
     rows, cols = _cutoff_disc(f, w).window
     window = (rows.stop - rows.start + 1) * (cols.stop - cols.start + 1)
-    assert window < f.nx * f.ny
-    assert len(sizes) == len(rep.levels)
-    assert max(sizes) <= window
+    w0 = tuple(f.node_position(w))
+    corners = circle_corner_count(f, circle_points(w0, _rim_distance(f, w0), f.spacing))
+    assert corners < window < f.nx * f.ny
+    assert len(sizes) == 1 + len(rep.levels)
+    assert sizes[0] <= corners
+    assert max(sizes[1:]) <= window
     psi_k(f, comp, fr, w, 0, chain, rep.levels[0][0].rho, 0.5 * rep.levels[0][0].rho)
-    assert len(sizes) == len(rep.levels) + 1 and sizes[-1] <= window
+    assert len(sizes) == len(rep.levels) + 3
+    assert sizes[-2] <= corners and sizes[-1] <= window
 
 
 def _constant_near_double_setup():
@@ -1019,9 +1033,10 @@ def _constant_near_double_setup():
 
 
 @pytest.mark.parametrize("which", ["constant", "constant_near_double"])
-def test_circle_fallback_reuses_the_pivot_circle(which, request, monkeypatch):
-    # the fallback of `_Pivot.level` reads the circle points and embedded
-    # samples the pivot took for tau*, and samples no circle of its own
+def test_circle_fallback_reads_d_star_on_the_pivot_circle(which, request, monkeypatch):
+    # where tau* = 0 the fallback of `_Pivot.level` takes 2/5 of the least
+    # d*_k, G plus the companion, over the circle of the pivot's disc, the
+    # circle tau* read; no frame enters it
     import qvalued.analysis as analysis
 
     f, fr, comp, w, chain = (_constant_near_double_setup() if which == "constant_near_double"
@@ -1033,22 +1048,19 @@ def test_circle_fallback_reuses_the_pivot_circle(which, request, monkeypatch):
         return circle_points(w0, r, spacing)
 
     monkeypatch.setattr(analysis, "circle_points", counting)
-    if which == "constant":
-        monotonicity_report(f, comp, fr, w, chain)
-        assert len(calls) == 1
-        calls.clear()
     k0 = chain.depth
     _, hi, piv_k0, tau = valid_rho_interval(f, comp, fr, w, k0, chain)
     assert tau == 0.0 and piv_k0 == k0
-    assert len(calls) == 1
-    # hi is 2/5 of the least augmented distance over the circle, here from
-    # an interpolation of the test's own
-    pts = circle_points(*calls[0], f.spacing)
-    emb = index_bilinear(comp.hopf.embedded, f, pts)
-    target = xi0(fr, chain.levels[k0].decomposition.rebuild()).flat
-    hvals = index_bilinear(comp.values[..., None], f, pts)[..., 0]
-    dist = np.sqrt(np.linalg.norm(emb - target, axis=-1) ** 2 + np.abs(hvals - comp.values[w]) ** 2)
+    w0 = tuple(f.node_position(w))
+    r = _rim_distance(f, w0)
+    assert calls == [(w0, r)] * 2  # tau* and the fallback
+    # the bilinear interpolant of the full-grid d*, by the test's own kernels
+    dist = index_bilinear(d_star(f, comp, w, k0, chain)[..., None], f,
+                          linspace_circle_points(w0, r, f.spacing))
     assert hi == pytest.approx(0.4 * dist.min(), rel=1e-12)
+    turned = rotated_frame(f.n, f.q_sheets, seed=3)
+    other = harmonic_companion(hopf_differential(f, turned))
+    assert valid_rho_interval(f, other, turned, w, k0, chain)[1] == hi
 
 
 def test_psi_ladder_matches_full_grid_oracle(request):
@@ -1204,6 +1216,59 @@ def test_tau_star_sqrt_branch():
     fr = standard_frame(2, 2)
     got = tau_star(f, fr, (64, 64), (0.0, 0.0), 0.5)
     assert got == pytest.approx(sqrt_circle_distance_to_branch(0.5), rel=0.01)
+
+
+LADDER_SETUPS = ["strong", "constant", "constant_33", "near_double", "root3", "sqrt161",
+                 "split_pair"]
+
+
+@pytest.mark.parametrize("frame_kind", ["standard", "rotated"])
+@pytest.mark.parametrize("which", LADDER_SETUPS)
+def test_tau_star_bounds_the_embedded_tau_star(which, frame_kind, request):
+    # xi0 is 1-Lipschitz for G, so at every node G(f(node), f(w*)) is at
+    # least the embedded distance; a norm is convex, so at every circle
+    # point the interpolated embedded distance is at most the interpolated
+    # G, and the least over the circle is too
+    f, _, comp, w, chain = _ladder_setup(which, request)
+    fr = (standard_frame if frame_kind == "standard" else rotated_frame)(f.n, f.q_sheets)
+    w0 = tuple(f.node_position(w))
+    r = _rim_distance(f, w0)
+    slack = 1e-12 * max(1.0, float(np.abs(f.values).max()))
+    tau = tau_star(f, fr, w, w0, r)
+    assert tau == valid_rho_interval(f, comp, standard_frame(f.n, f.q_sheets), w, 0, chain)[3]
+    # the least over the circle of the interpolated full-grid G, by the test's own kernels
+    g = metric_g_many(f.values[w], f.values)[..., None]
+    assert tau == pytest.approx(index_bilinear(g, f, linspace_circle_points(w0, r, f.spacing)).min(),
+                                rel=1e-12, abs=slack)
+    assert tau >= embedded_tau_star(f, fr, w, w0, r) - slack
+    gx, gy = meshgrid_for(f)
+    disc = (gx - w0[0]) ** 2 + (gy - w0[1]) ** 2 <= (0.5 * r) ** 2  # the key lemma's at r/2
+    farr = einsum_embedding(f.values, fr.directions[: f.n])
+    emb = np.linalg.norm(farr[disc] - farr[w], axis=-1)
+    assert np.all(metric_g_many(f.values[w], f.values[disc]) >= emb - slack)
+
+
+def test_tau_star_sees_the_mirror_point():
+    # sqrt(z - z0) at the mirror image of z across Im z = Im z0 is the
+    # conjugate pair, whose xi0 in the standard frame is xi0 of the pair at
+    # z.  The largest circle about the base node passes through its mirror
+    # image, so the embedded distance reads 0 there while G does not; a 45
+    # degree range rotation hides the mirror from xi0 again
+    f = root_grid_field(65, 2, z0=0.11 - 0.0625j)
+    w, mirror = (20, 40), (40, 40)
+    fr = standard_frame(2, 2)
+    w0 = tuple(f.node_position(w))
+    r = _rim_distance(f, w0)
+    assert np.allclose(f.node_position(mirror), (w0[0], w0[1] + r), rtol=0, atol=1e-15)
+    assert embedded_tau_star(f, fr, w, w0, r) < 1e-12
+    reports = []
+    for g in (f, range_isometry(f, angle=math.radians(45))):
+        comp = harmonic_companion(hopf_differential(g, fr))
+        base = QPoint(g.values[w].copy())
+        reports.append(monotonicity_report(g, comp, fr, w,
+                                           nested_chain(base, angle_separated_frame(support(base)))))
+    assert reports[0].tau_star >= 0.5 * reports[1].tau_star > 0
+    assert not reports[0].vacuous
 
 
 def test_continuity_certificate_constant_field():

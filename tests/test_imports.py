@@ -9,8 +9,8 @@ module at all.  The CLI also imports no private name of another qvalued
 module, and `variations` takes from `analysis` only the pivot and the
 helpers it shares, which two checks read from their sources.  The last ones
 read every module's source for the functions that draw random numbers,
-that sort, and that call `embedded_energy`, and `field`'s for any that
-calls `argsort`.
+that sort, that call `embedded_energy` and that read a Hopf field's frame
+or embedding, and `field`'s for any that calls `argsort`.
 """
 
 import ast
@@ -270,3 +270,38 @@ EMBEDDED_ENERGY_CALLERS = {"field.dirichlet_energy", "variations._domain_derivat
 
 def test_only_the_listed_functions_call_embedded_energy():
     assert _package_callers("embedded_energy") == EMBEDDED_ENERGY_CALLERS
+
+
+#: the functions of the package that read a Hopf field's frame or its frame
+#: embedding: the certificate's Courant-Lebesgue slice, the battery's domain
+#: trials and the companion's frame check.  tau*, the pivot and the key
+#: lemma read G, and no other reader may start to read the frame
+HOPF_FRAME_READERS = {"analysis.continuity_certificate", "analysis._check_companion",
+                      "variations.stationarity_residual"}
+
+
+def _hopf_frame_readers(node: ast.AST, owner: str = "<module>") -> set[str]:
+    """The innermost functions under `node` that read `.embedded` or
+    `.frame` of a name or an attribute called `hopf`."""
+    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+        owner = node.name
+    found = set()
+    if isinstance(node, ast.Attribute) and node.attr in ("embedded", "frame"):
+        held = node.value
+        if (held.id if isinstance(held, ast.Name) else getattr(held, "attr", None)) == "hopf":
+            found.add(owner)
+    for child in ast.iter_child_nodes(node):
+        found |= _hopf_frame_readers(child, owner)
+    return found
+
+
+def test_only_the_listed_functions_read_the_hopf_frame():
+    found = {f"{path.stem}.{fn}" for path in Path(qvalued.__file__).parent.glob("*.py")
+             for fn in _hopf_frame_readers(ast.parse(path.read_text()))}
+    assert found == HOPF_FRAME_READERS
+    # the walk sees both reads through a companion and a bare Hopf field,
+    # and not a chain's frame
+    probe = ast.parse("def f(comp):\n    return comp.hopf.embedded\n"
+                      "def g(hopf):\n    return hopf.frame.directions\n"
+                      "def h(chain):\n    return chain.frame\n")
+    assert _hopf_frame_readers(probe) == {"f", "g"}

@@ -20,10 +20,10 @@ power of two scales every oscillation and alpha1 by it and C_R0 by its
 square, without rounding.
 
 tau*, the key lemma's lhs, the pivot level k0, the ladder's rows and the
-battery's range trials should keep their values under the range
-isometries and the relabelling, and read no frame.  They still read xi0 of
-one frame on their circles, so the cases that move are strict xfails
-naming ROADMAP item 21; the Courant-Lebesgue slice's is one naming 21(ii).
+battery's range trials take every distance on their circles from G, so
+they too keep their values under the range isometries and the relabelling,
+and read no frame.  The Courant-Lebesgue slice still reads xi0 of one
+frame and moves under a range rotation, a known failure.
 
 `minimize`, the Hopf density and the branch cells follow the field too: on
 fields without tied matchings, the minimiser's energy and its unordered
@@ -206,20 +206,11 @@ def circle_case(request):
     return f, want
 
 
-ITEM_21 = pytest.mark.xfail(strict=True, raises=AssertionError,
-                             reason="ROADMAP item 21: tau*, the key lemma and the pivot read xi0")
-#: the (field, transform) cases that move while the circle readers read xi0
-MOVED_BY_XI0 = {("sqrt", "rotation by 30 degrees"), ("sqrt", "rotation by 45 degrees"),
-                ("root3", "rotation by 45 degrees"), ("noisy_two_sheet", "rotation by 45 degrees")}
-
-
 @pytest.mark.parametrize("transform", TRANSFORMS)
-def test_circle_readers_are_invariant(circle_case, transform, request):
-    if (request.node.callspec.params["circle_case"], transform) in MOVED_BY_XI0:
-        request.applymarker(ITEM_21)
+def test_circle_readers_are_invariant(circle_case, transform):
     # every distance on the pivot's and the key lemma's circles is G, which
-    # the transforms keep; the worst measured is 4.4e-16 (tau* of the Q = 3
-    # root under the 30 degree rotation)
+    # the transforms keep; the worst measured is 2.8e-14 (a ladder psi of
+    # the square root under the 45 degree rotation)
     f, want = circle_case
     got = circle_readers(TRANSFORMS[transform](f), standard_frame(f.n, f.q_sheets))
     for name in ("tau*", "key lemma lhs", "pivot tau*"):
@@ -235,7 +226,6 @@ def test_circle_readers_are_invariant(circle_case, transform, request):
         assert abs(d - d_want) <= INVARIANCE_RTOL * want["E"]
 
 
-@ITEM_21
 def test_circle_readers_read_no_frame(circle_case):
     f, want = circle_case
     assert circle_readers(f, rotated_frame(f.n, f.q_sheets, seed=3)) == want

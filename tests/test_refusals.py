@@ -23,6 +23,7 @@ from qvalued import (
     GridField,
     HopfField,
     InvalidInputError,
+    MinimizeOptions,
     NumericalFailureError,
     ProjectionFrame,
     QPoint,
@@ -130,6 +131,16 @@ def test_minimize_refuses_a_non_finite_energy():
     with np.errstate(over="ignore"), pytest.raises(
             NumericalFailureError, match="^non-finite energy during minimisation$"):
         minimize(GridField(v, 1.0))
+
+
+def test_minimize_refuses_a_non_finite_start_without_iterating():
+    # the start's energy is checked before the first solve, so no iteration
+    # is needed to refuse it
+    v = np.zeros((3, 3, 1, 1))
+    v[0], v[2] = 1.2e154, -1.2e154
+    with np.errstate(over="ignore"), pytest.raises(
+            NumericalFailureError, match="^non-finite energy during minimisation$"):
+        minimize(GridField(v, 1.0), MinimizeOptions(max_iters=0))
 
 
 def test_companion_refuses_non_finite_values():
