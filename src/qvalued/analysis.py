@@ -48,10 +48,9 @@ from .field import (
     _match_edges,
     _neighbour_partners,
     _require_disc_inside,
-    _slice_scan,
     bilinear_array,
     circle_points,
-    embed_grid,
+    courant_lebesgue_slice,
 )
 from .qspace import _union_classes, metric_g_many
 
@@ -89,18 +88,15 @@ def _sum_sq(d: np.ndarray) -> np.ndarray:
 @dataclass(eq=False)
 class HopfField:
     """Hopf density per node on the matched edges (rim replicated), with
-    what `hopf_differential` built it from: the field's values, the frame,
-    its embedding (for the slice scan and domain trials) and the matched
-    energy per cell.  Those four are None on a density given directly, which
-    no field diagnostic accepts.  Every array it puts here is read-only."""
+    what `hopf_differential` built it from, read-only: the field's values
+    and the matched energy per cell, both None on a density given directly,
+    which no field diagnostic accepts.  It holds no frame."""
 
     phi: np.ndarray            # (ny, nx) complex
     degenerate: np.ndarray     # (ny, nx) bool: stencil matching ill-conditioned
     spacing: float
     origin: tuple[float, float]
     values: np.ndarray | None = None        # (ny, nx, Q, n) read-only copy of the field's values
-    frame: ProjectionFrame | None = None
-    embedded: np.ndarray | None = None      # (ny, nx, n*Q) read-only embed_grid(f, frame)
     energy: EnergyBreakdown | None = None   # dirichlet_energy_matched(f)
 
     @property
@@ -119,10 +115,8 @@ def hopf_differential(f: GridField, frame: ProjectionFrame) -> HopfField:
     matchings of `_match_edges`, each neighbour's sheets paired with the
     node's by `_neighbour_partners`.  phi and the energy of those matchings
     (`dirichlet_energy_matched`) do not read the frame, so every frame gives
-    the same floats.  The embedding `embed_grid(f, frame)`, which only the
-    certificate's slice scan and the battery's domain trials read, is kept
-    on the result with the frame and a copy of the values, so that they
-    embed nothing again; tau*, d* and the pivot read G of the values.
+    the same floats; the frame is only checked against the field's (Q, n),
+    and nothing is embedded.  The values are copied for the companion check.
 
     Sheets move as whole rows of the (nodes * Q, n) view of the values, row
     node * Q + sheet, one `np.take` per neighbour.  The degenerate test takes
@@ -131,7 +125,7 @@ def hopf_differential(f: GridField, frame: ProjectionFrame) -> HopfField:
     floats the minimum and maximum of the norms give."""
     if f.nx < 3 or f.ny < 3:
         raise InvalidInputError("need interior nodes to form central differences")
-    farr = embed_grid(f, frame)
+    _check_frame(f, frame)
     v = f.values
     ny, nx, q, n = v.shape
     px, py, energy = _match_edges(v)
@@ -162,9 +156,9 @@ def hopf_differential(f: GridField, frame: ProjectionFrame) -> HopfField:
     core = np.zeros((ny, nx), dtype=bool)
     core[1:-1, 1:-1] = np.sqrt(dmin2) <= 8.0 * np.sqrt(inc2)
     values = v.copy()
-    for a in (phi, core, values, farr, energy.per_cell):
+    for a in (phi, core, values, energy.per_cell):
         a.flags.writeable = False
-    return HopfField(phi, core, f.spacing, f.origin, values, frame, farr, energy)
+    return HopfField(phi, core, f.spacing, f.origin, values, energy)
 
 
 def holomorphy_residual(hopf: HopfField) -> float:
@@ -360,8 +354,8 @@ def _check_companion(
     f: GridField, comp: HarmonicCompanion, frame: ProjectionFrame | None = None
 ) -> None:
     """Raise unless the companion was built on the field's grid from values
-    equal to the field's and, when a frame is given, in a frame with the same
-    first n directions, all that the embedding it carries reads."""
+    equal to the field's, all that its floats are computed from; a frame,
+    when given, is checked against the field's (Q, n) alone."""
     hopf = comp.hopf
     if (hopf.phi.shape, hopf.spacing, hopf.origin) != ((f.ny, f.nx), f.spacing, f.origin):
         raise InvalidInputError("companion grid does not match the field")
@@ -369,15 +363,13 @@ def _check_companion(
         raise InvalidInputError("companion was not built from the field's values")
     if frame is not None:
         _check_frame(f, frame)
-        if not np.array_equal(hopf.frame.directions[: f.n], frame.directions[: f.n]):
-            raise InvalidInputError("companion was built in another frame")
 
 
 def _companion_of(f: GridField, frame: ProjectionFrame) -> HarmonicCompanion:
     """The companion `harmonic_companion` built last, while it is alive and
-    `_check_companion` accepts it for f in frame; otherwise a new one.  The
-    check compares all that the companion's floats were computed from, so
-    either way the companion gives the same floats."""
+    `_check_companion` accepts it for f, in whatever frame it was built;
+    otherwise a new one.  The check compares all that the companion's
+    floats were computed from, so either way they are the same floats."""
     comp = _last_companion() if _last_companion is not None else None
     if comp is not None:
         try:
@@ -804,10 +796,9 @@ def continuity_certificate(
     independently of the frame choice; alpha2 feeds both into the
     oscillation bound; the modulus is 4 max(a1, a2).
     """
-    _require_disc_inside(f, w, radius)
-    _check_companion(f, comp, frame)
+    _check_companion(f, comp)
+    slice_r, slice_osc = courant_lebesgue_slice(f, frame, w, radius)
     r0 = _rim_distance(f, w)
-    slice_r, slice_osc = _slice_scan(f, comp.hopf.embedded, w, radius)
     per_cell = comp.hopf.energy.per_cell
     disc = _disc_cell_window(f, w, radius)
     e_r = disc.sum(per_cell)

@@ -190,7 +190,7 @@ def cmd_analyze(args) -> int:
 
 def cmd_monotonicity(args) -> int:
     f = _load_field(args)
-    frame = _frame_for(args, f.n, f.q_sheets)
+    frame = standard_frame(f.n, f.q_sheets)
     ix, iy = _parse_pair(args.wstar, int, "--wstar")
     w_star = f.interior_node((iy, ix))
     base = QPoint(f.values[w_star[0], w_star[1]].copy())
@@ -299,7 +299,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--cell-csv", dest="cell_csv", help="per-cell energy table")
     p.set_defaults(func=cmd_analyze)
 
-    p = sub.add_parser("monotonicity", parents=[framed], help="cutoff energy ratio ladders")
+    p = sub.add_parser("monotonicity", parents=[grid], help="cutoff energy ratio ladders")
     p.add_argument("--wstar", required=True, metavar="IX,IY")
     p.add_argument("--ladder", help="fractions as LO:HI:COUNT")
     p.add_argument("--csv")

@@ -567,12 +567,15 @@ def sqrt_field(spec: GridSpec) -> GridField:
     return GridField(v, spec.spacing, spec.origin)
 
 
-def bilinear_array(arr: np.ndarray, f: GridField, pts: np.ndarray) -> np.ndarray:
+def bilinear_array(arr: np.ndarray, f: GridField, pts: np.ndarray,
+                   _corner: tuple[int, int] = (0, 0)) -> np.ndarray:
     """Bilinear interpolation of a nodal array (ny, nx, m) at physical points.
 
     Interpolating an `embed_grid` array keeps each sorted block sorted, so the
     result is a valid embedded value wherever the field's sheets vary
-    continuously.
+    continuously.  arr may hold only the box of nodes from grid node
+    ``_corner`` (row, column) on: cells are found on the full grid, so a
+    point whose cell the box holds gets the full array's floats.
 
     Each corner is one row gather from the (ny * nx, m) view of arr, and the
     four weighted corners are added left to right into one array, so the
@@ -591,16 +594,16 @@ def bilinear_array(arr: np.ndarray, f: GridField, pts: np.ndarray) -> np.ndarray
         raise InvalidInputError("interpolation point outside the grid")
     i0 = np.clip(np.floor(gx).astype(np.intp), 0, f.nx - 2)
     j0 = np.clip(np.floor(gy).astype(np.intp), 0, f.ny - 2)
-    m = arr.shape[-1]
+    m, width = arr.shape[-1], arr.shape[1]
     tx = np.repeat(gx - i0, m).reshape(*gx.shape, m)
     ty = np.repeat(gy - j0, m).reshape(*gy.shape, m)
     ux, uy = 1 - tx, 1 - ty
     rows = arr.reshape(-1, m)
-    base = j0 * f.nx + i0
+    base = (j0 - _corner[0]) * width + (i0 - _corner[1])
     out = np.take(rows, base, axis=0)
     out *= ux
     out *= uy
-    for step, wx, wy in ((1, tx, uy), (f.nx, ux, ty), (f.nx + 1, tx, ty)):
+    for step, wx, wy in ((1, tx, uy), (width, ux, ty), (width + 1, tx, ty)):
         corner = np.take(rows, base + step, axis=0)
         corner *= wx
         corner *= wy
@@ -717,20 +720,28 @@ def courant_lebesgue_slice(
 
     Each circle is sampled at equally spaced points, 4 per grid step of arc
     as in `circle_points` but at most SCAN_CIRCLE_POINTS; its oscillation is
-    the maximum distance over every pair of its samples of xi0 in ``frame``.
+    the maximum distance over every pair of its samples of xi0 in ``frame``,
+    which embeds only the disc cells' corner nodes (`_disc_cell_window`):
+    their box holds the full-grid cell of every sample, so each sample is
+    the float interpolating `embed_grid(f, frame)` gives.
     The classical Courant-Lebesgue lemma applies to the W^{1,2} map xi0 o f,
     whose energy is at most f's (`disc_energy`), so the slice obeys osc <=
     DEFAULT_C_CL * sqrt(disc energy) for the classical constant shape.  It
     moves with the frame: a 30 degree range rotation takes osc from 2.53 to
     2.19 on the noisy two-sheet 129^2 field of the invariance tests.
     """
-    return _slice_scan(f, embed_grid(f, frame), w0, radius)
+    _check_frame(f, frame)
+    _require_disc_inside(f, w0, radius)
+    if radius < 4 * f.spacing:
+        raise InvalidInputError("slice radius too small for the grid resolution")
+    rows, cols = _disc_cell_window(f, w0, radius).nodes
+    farr = _embed_values(f.values[rows, cols], frame)
+    return _slice_scan(f, farr, (rows.start, cols.start), w0, radius)
 
 
-def _slice_scan(
-    f: GridField, farr: np.ndarray, w0: tuple[float, float], radius: float
-) -> tuple[float, float]:
-    """`courant_lebesgue_slice` on farr, xi0 of the field in one frame.
+def _slice_scan(f: GridField, farr: np.ndarray, corner: tuple[int, int],
+                w0: tuple[float, float], radius: float) -> tuple[float, float]:
+    """`courant_lebesgue_slice` on farr, xi0 of the nodes from ``corner`` on.
 
     The radii are scanned in order, in batches of whole circles that
     `_scan_batch` interpolates together.  A circle has at most
@@ -742,26 +753,23 @@ def _slice_scan(
     SCAN_CIRCLE_POINTS) circles, and at least one, stays within
     SCAN_BATCH_BYTES, and no batch outlives its call.  Interpolation acts
     on each point alone, so a circle gets the same floats in any batch."""
-    _require_disc_inside(f, w0, radius)
-    if radius < 4 * f.spacing:
-        raise InvalidInputError("slice radius too small for the grid resolution")
     radii = np.arange(radius / 2, radius + f.spacing / 4, f.spacing)
     radii[-1] = min(radii[-1], radius)
     step = max(1, SCAN_BATCH_BYTES // (SCAN_CIRCLE_POINTS * 8 * (7 * farr.shape[-1] + 8)))
     best = (float("nan"), float("inf"))
     for start in range(0, radii.size, step):
-        best = _scan_batch(f, farr, w0, radii[start : start + step], best)
+        best = _scan_batch(f, farr, corner, w0, radii[start : start + step], best)
     return best
 
 
-def _scan_batch(f: GridField, farr: np.ndarray, w0: tuple[float, float], radii: np.ndarray,
-                best: tuple[float, float]) -> tuple[float, float]:
+def _scan_batch(f: GridField, farr: np.ndarray, corner: tuple[int, int], w0: tuple[float, float],
+                radii: np.ndarray, best: tuple[float, float]) -> tuple[float, float]:
     """The first (r, osc) of least oscillation among ``best`` and the circles
     of the given radii, in order.  A circle gets min(`_circle_size`,
     SCAN_CIRCLE_POINTS) samples, all interpolated by one `bilinear_array`
     call, and its oscillation reads every one."""
     sizes = [min(_circle_size(r, f.spacing), SCAN_CIRCLE_POINTS) for r in radii]
-    vals = bilinear_array(farr, f, _circle_batch(w0, radii, sizes))
+    vals = bilinear_array(farr, f, _circle_batch(w0, radii, sizes), corner)
     for r, circle in zip(radii, np.split(vals, np.cumsum(sizes[:-1]))):
         # the oscillation is at least the floor's root, so a root at or
         # above the best oscillation cannot pass the strict test below

@@ -15,9 +15,9 @@ Each derivative therefore sums the energy of the box of nodes that move
 plus a one-node ring, which changes the summation order of the full-grid
 difference and nothing else.  `stationarity_residual` takes the field's
 harmonic companion that its caller still holds, or builds one when there is
-none, and shares the embedded grid it carries with its domain trials.  Each
-sampled base node's pivot record, `analysis._pivot`, gives its level
-ranges and ramp width, the rules `psi_k` and the ladder read.
+none, and embeds the grid once, in the caller's frame, for its domain
+trials.  Each sampled base node's pivot record, `analysis._pivot`, gives
+its level ranges and ramp width, the rules `psi_k` and the ladder read.
 """
 
 from __future__ import annotations
@@ -335,9 +335,8 @@ def stationarity_residual(
 
     The range cutoffs read the field's harmonic companion.  While the
     companion `harmonic_companion` built last is still held by its caller
-    and was built from this field's grid and values in a frame with the same
-    first n directions, it is reused; otherwise one is built here.  Both
-    give the same floats."""
+    and was built from this field's grid and values, in any frame, it is
+    reused; otherwise one is built here.  Both give the same floats."""
     if not _is_count(trials, 1):
         raise InvalidInputError(
             f"stationarity_residual needs a whole number of trials, at least one, got {trials!r}"
@@ -350,7 +349,7 @@ def stationarity_residual(
         )
     rng = np.random.default_rng(seed)
     comp = _companion_of(f, frame)
-    farr = comp.hopf.embedded
+    farr = embed_grid(f, frame)
     energy = comp.hopf.energy.total
     x_lo, x_hi, y_lo, y_hi = _grid_box(f, 1)
     span = min(x_hi - x_lo, y_hi - y_lo)

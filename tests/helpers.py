@@ -93,7 +93,6 @@ def noisy_copy(f, scale=0.05, seed=99):
 
 def count_embed_grid(monkeypatch) -> list:
     """Record the shape of every full-grid `embed_grid` call in the package."""
-    import qvalued.analysis as analysis
     import qvalued.field as field
     import qvalued.variations as variations
 
@@ -104,7 +103,7 @@ def count_embed_grid(monkeypatch) -> list:
         calls.append(f.values.shape)
         return inner(f, frame)
 
-    for mod in (field, analysis, variations):
+    for mod in (field, variations):
         monkeypatch.setattr(mod, "embed_grid", counting)
     return calls
 

@@ -350,20 +350,16 @@ def test_companion_of_another_field_is_rejected():
             call()
 
 
-def test_companion_from_a_rotated_frame_is_rejected():
-    # the companion's embedding belongs to its frame, so each diagnostic that
-    # reads it in the caller's frame refuses another one; those that take no
-    # frame read the frame-free density alone and give the same floats
+def test_companion_from_a_rotated_frame_is_accepted_bitwise():
+    # a companion's floats read the field's values alone, so one built in
+    # another frame gives every diagnostic the floats of one built in the
+    # caller's frame; the certificate's slice embeds in the caller's frame
     f = sqrt_grid_field(65)
     fr = standard_frame(2, 2)
     want = _companion_calls(f, fr, harmonic_companion(hopf_differential(f, fr)))
     comp = harmonic_companion(hopf_differential(f, rotated_frame(2, 2, seed=3)))
-    for name, (takes_frame, call) in _companion_calls(f, fr, comp).items():
-        if takes_frame:
-            with pytest.raises(InvalidInputError, match="companion was built in another frame"):
-                call()
-        else:
-            assert _bits(call()) == _bits(want[name][1]()), name
+    for name, (_, call) in _companion_calls(f, fr, comp).items():
+        assert _bits(call()) == _bits(want[name][1]()), name
 
 
 def test_equal_field_and_frame_are_accepted_bitwise():
@@ -415,18 +411,16 @@ def test_hopf_differential_same_floats_in_every_frame(q):
 
 @pytest.mark.parametrize("q", [2, 3])
 def test_hopf_field_carries_the_embedding_of_its_frame(q):
-    # the embedding is that of the frame it was built in; the energy is the
-    # field's matched energy, the same floats in every frame
+    # the Hopf field carries no embedding: it keeps a copy of the values and
+    # the field's matched energy, the same floats in every frame
     f = sqrt_grid_field(33) if q == 2 else root_grid_field(33, 3, z0=0.13 + 0.07j)
     energy = dirichlet_energy_matched(f)
     for fr in (standard_frame(2, q), rotated_frame(2, q, seed=3)):
         hopf = hopf_differential(f, fr)
-        assert hopf.frame is fr
-        assert np.array_equal(hopf.embedded, embed_grid(f, fr))
         assert np.array_equal(hopf.energy.per_cell, energy.per_cell)
         assert hopf.energy.total == energy.total
         assert np.array_equal(hopf.values, f.values) and not np.shares_memory(hopf.values, f.values)
-        assert not any(a.flags.writeable for a in (hopf.values, hopf.embedded, hopf.energy.per_cell))
+        assert not any(a.flags.writeable for a in (hopf.values, hopf.energy.per_cell))
 
 
 def test_companion_of_a_field_changed_in_place_is_rejected():
@@ -964,8 +958,8 @@ def test_monotonicity_report_builds_pivot_once(which, request, monkeypatch):
 
 @pytest.mark.parametrize("which", ["strong", "constant", "near_double"])
 def test_monotonicity_report_embeds_the_grid_once(which, request, monkeypatch):
-    # the grid is embedded once per Hopf field: the pivot and the circle
-    # fallback of every level read the array the companion carries
+    # the ladder embeds nothing: the pivot and the circle fallback of every
+    # level read G of the values
     f, fr, comp, w, chain = _ladder_setup(which, request)
     calls = count_embed_grid(monkeypatch)
     monotonicity_report(f, comp, fr, w, chain)
@@ -1161,7 +1155,7 @@ def test_certificate_and_key_lemma_embed_the_grid_once(monkeypatch):
     calls = count_embed_grid(monkeypatch)
     continuity_certificate(f, fr, (0.0, 0.0), 0.4, comp)
     key_lemma_check(f, comp, (32, 32), 0.5, fr)
-    assert calls == []  # both read the embedded grid and its cell energy from comp.hopf
+    assert calls == []  # the slice embeds its disc's node box, the key lemma nothing
 
 
 def test_monotonicity_flags_violations_on_rough_field():

@@ -114,15 +114,16 @@ def test_chain_takes_no_samples_or_seed(tmp_path, capsys):
         assert "unrecognized arguments" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("command", ["minimize", "analyze"])
+@pytest.mark.parametrize("command", [["minimize"], ["analyze"], ["monotonicity", "--wstar", "8,8"]],
+                         ids=lambda argv: argv[0])
 def test_energy_commands_take_no_frame(tmp_path, capsys, command):
-    # their outputs read the field's matched energy and the Hopf density,
-    # neither of which depends on a frame
+    # their outputs read the field's matched energy, the Hopf density and the
+    # assignment metric G, none of which depends on a frame
     path, _ = small_field_file(tmp_path)
     frame = tmp_path / "frame.json"
     write_json(frame, standard_frame(2, 2).to_dict())
     with pytest.raises(SystemExit) as exc:
-        main([command, "--input", str(path), "--frame", str(frame)])
+        main([*command, "--input", str(path), "--frame", str(frame)])
     assert exc.value.code == 2
     assert "unrecognized arguments" in capsys.readouterr().err
 
@@ -232,8 +233,7 @@ def non_finite_inputs(tmp_path_factory):
     *((cmd, grid, None) for cmd in (["minimize"], ["analyze"], ["monotonicity", "--wstar", "16,16"],
                                     ["variations", "--trials", "2"], ["certificate", "--w", "0,0"])
       for grid in ("h_nan", "h_inf", "x0_nan")),
-    *((cmd, "field", "frame") for cmd in (["monotonicity", "--wstar", "16,16"],
-                                          ["variations", "--trials", "2"], ["certificate", "--w", "0,0"])),
+    *((cmd, "field", "frame") for cmd in (["variations", "--trials", "2"], ["certificate", "--w", "0,0"])),
 ], ids=lambda p: p[0] if isinstance(p, list) else str(p))
 def test_non_finite_grid_or_frame_exits_2(non_finite_inputs, tmp_path, capsys, argv, grid, frame):
     # a NaN spacing or origin once ran to exit 0 (minimize) or 4, and a NaN

@@ -670,6 +670,15 @@ def test_scan_circle_batch_is_the_circle_points():
 _RIM_SCAN = ((0.01, -0.02), 0.97)
 
 
+def _scan_window(f, frame, w0, radius):
+    """What `courant_lebesgue_slice` hands `_slice_scan`: xi0 of the disc's
+    node box, a contiguous array, and the box's first node."""
+    from qvalued.field import _disc_cell_window, _embed_values
+
+    rows, cols = _disc_cell_window(f, w0, radius).nodes
+    return _embed_values(f.values[rows, cols], frame), (rows.start, cols.start)
+
+
 def test_courant_lebesgue_slice_batches_within_the_byte_budget():
     # the circles of the rim scan, interpolated in batches, give the full
     # scan's answer, and the scan holds no more than the budget plus a slack
@@ -681,11 +690,11 @@ def test_courant_lebesgue_slice_batches_within_the_byte_budget():
 
     f = root_grid_field(513, 2, z0=0.05 - 0.1j)
     fr = standard_frame(2, 2)
-    farr = embed_grid(f, fr)
     w0, radius = _RIM_SCAN
+    farr, corner = _scan_window(f, fr, w0, radius)
     tracemalloc.start()
     try:
-        got = field._slice_scan(f, farr, w0, radius)
+        got = field._slice_scan(f, farr, corner, w0, radius)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -701,16 +710,55 @@ def test_courant_lebesgue_slice_interpolates_only_what_it_reads(monkeypatch):
     import qvalued.field as field
 
     f = root_grid_field(513, 2, z0=0.05 - 0.1j)
-    farr = embed_grid(f, standard_frame(2, 2))
     w0, radius = _RIM_SCAN
+    farr, corner = _scan_window(f, standard_frame(2, 2), w0, radius)
     sent = []
     inner = field.bilinear_array
     monkeypatch.setattr(field, "bilinear_array",
-                        lambda arr, g, pts: sent.append(pts.shape[0]) or inner(arr, g, pts))
-    r, _ = field._slice_scan(f, farr, w0, radius)
+                        lambda arr, g, pts, *box: sent.append(pts.shape[0]) or inner(arr, g, pts, *box))
+    r, _ = field._slice_scan(f, farr, corner, w0, radius)
     radii = np.arange(radius / 2, radius + f.spacing / 4, f.spacing)
     assert radii.size == 125 and r == 0.485
     assert sum(sent) <= radii.size * field.SCAN_CIRCLE_POINTS == 64_000
+
+
+def _window_cases():
+    """(field, frame, w0, R) on the 161^2 square-root field and the 129^2
+    two-sheet field in the standard and a rotated frame: discs whose radius
+    is the rim distance, centred on a node and on a vertical and a
+    horizontal cell edge."""
+    for f in (root_grid_field(161, 2, z0=0.11 - 0.07j), two_sheet_field(129, seed=5)):
+        h, (x0, y0) = f.spacing, f.origin
+        x1, y1 = x0 + (f.nx - 1) * h, y0 + (f.ny - 1) * h
+        centres = [(x0 + 70 * h, y0 + 90 * h), (x0 + 50 * h, y0 + 60.5 * h),
+                   (x0 + 41.5 * h, y0 + 64 * h)]
+        for fr in (standard_frame(2, 2), rotated_frame(2, 2, seed=3)):
+            for w0 in centres:
+                yield f, fr, w0, min(w0[0] - x0, x1 - w0[0], w0[1] - y0, y1 - w0[1])
+
+
+def test_courant_lebesgue_slice_on_its_window_equals_the_full_grid_scan():
+    # the disc's node box holds every corner the scan reads, so interpolating
+    # it gives the floats that interpolating the full grid's embedding gives,
+    # also for discs that touch the rim and centres on cell edges
+    for f, fr, w0, radius in _window_cases():
+        assert courant_lebesgue_slice(f, fr, w0, radius) == full_slice_scan(f, fr, w0, radius)
+
+
+def test_courant_lebesgue_slice_embeds_only_the_disc_node_box(monkeypatch):
+    # one scan embeds one block of nodes, the disc's node box, and not the grid
+    import qvalued.field as field
+
+    blocks = []
+    inner = field._embed_values
+    monkeypatch.setattr(field, "_embed_values",
+                        lambda values, frame: blocks.append(values.shape) or inner(values, frame))
+    f = root_grid_field(161, 2, z0=0.11 - 0.07j)
+    w0, radius = (0.1, -0.2), 0.3
+    courant_lebesgue_slice(f, standard_frame(2, 2), w0, radius)
+    rows, cols = field._disc_cell_window(f, w0, radius).nodes
+    assert blocks == [(rows.stop - rows.start, cols.stop - cols.start, 2, 2)]
+    assert blocks[0][0] * blocks[0][1] < f.nx * f.ny / 8
 
 
 def test_disc_cell_sum_equals_full_grid_mask():

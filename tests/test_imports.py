@@ -9,11 +9,12 @@ module at all.  The CLI also imports no private name of another qvalued
 module, and `variations` takes from `analysis` only the pivot and the
 helpers it shares, which two checks read from their sources.  The last ones
 read every module's source for the functions that draw random numbers,
-that sort, that call `embedded_energy` and that read a Hopf field's frame
-or embedding, and `field`'s for any that calls `argsort`.
+that sort, that call `embedded_energy` and that embed a field in a frame,
+and `field`'s for any that calls `argsort`.
 """
 
 import ast
+import dataclasses
 import json
 import os
 import subprocess
@@ -24,7 +25,7 @@ import numpy as np
 import pytest
 
 import qvalued
-from qvalued import QPoint, hopf_differential, standard_frame
+from qvalued import HopfField, QPoint, hopf_differential, standard_frame
 
 from helpers import root_grid_field, sqrt_grid_field, two_sheet_field
 
@@ -272,36 +273,16 @@ def test_only_the_listed_functions_call_embedded_energy():
     assert _package_callers("embedded_energy") == EMBEDDED_ENERGY_CALLERS
 
 
-#: the functions of the package that read a Hopf field's frame or its frame
-#: embedding: the certificate's Courant-Lebesgue slice, the battery's domain
-#: trials and the companion's frame check.  tau*, the pivot and the key
-#: lemma read G, and no other reader may start to read the frame
-HOPF_FRAME_READERS = {"analysis.continuity_certificate", "analysis._check_companion",
-                      "variations.stationarity_residual"}
+#: the functions of the package that embed a field in a frame, by
+#: `embed_grid` or `_embed_values`: the frame's own energy, the
+#: Courant-Lebesgue slice (of its disc's node box) and the domain trials.
+#: tau*, the pivot, the key lemma and the Hopf field read G and the matched
+#: energy, and no other function may start to embed
+EMBEDDERS = {"field.embed_grid", "field.dirichlet_energy", "field.courant_lebesgue_slice",
+             "variations.domain_variation_derivative", "variations.stationarity_residual"}
 
 
-def _hopf_frame_readers(node: ast.AST, owner: str = "<module>") -> set[str]:
-    """The innermost functions under `node` that read `.embedded` or
-    `.frame` of a name or an attribute called `hopf`."""
-    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-        owner = node.name
-    found = set()
-    if isinstance(node, ast.Attribute) and node.attr in ("embedded", "frame"):
-        held = node.value
-        if (held.id if isinstance(held, ast.Name) else getattr(held, "attr", None)) == "hopf":
-            found.add(owner)
-    for child in ast.iter_child_nodes(node):
-        found |= _hopf_frame_readers(child, owner)
-    return found
-
-
-def test_only_the_listed_functions_read_the_hopf_frame():
-    found = {f"{path.stem}.{fn}" for path in Path(qvalued.__file__).parent.glob("*.py")
-             for fn in _hopf_frame_readers(ast.parse(path.read_text()))}
-    assert found == HOPF_FRAME_READERS
-    # the walk sees both reads through a companion and a bare Hopf field,
-    # and not a chain's frame
-    probe = ast.parse("def f(comp):\n    return comp.hopf.embedded\n"
-                      "def g(hopf):\n    return hopf.frame.directions\n"
-                      "def h(chain):\n    return chain.frame\n")
-    assert _hopf_frame_readers(probe) == {"f", "g"}
+def test_only_the_listed_functions_embed_a_field_in_a_frame():
+    assert _package_callers("embed_grid") | _package_callers("_embed_values") == EMBEDDERS
+    # the Hopf field holds neither a frame nor an embedding of one
+    assert not {"frame", "embedded"} & {fl.name for fl in dataclasses.fields(HopfField)}

@@ -535,9 +535,9 @@ def test_stationarity_residual_embeds_the_grid_once(minimized_strong_97, monkeyp
 
 
 def test_diagnostic_battery_embeds_the_grid_once(minimized_strong_97, monkeypatch):
-    # only for the caller's Hopf field: its companion carries the embedding to
-    # the ladder, the certificates and the key lemma, and stationarity_residual
-    # reuses it while the caller holds it
+    # only for the domain trials of stationarity_residual, which reuses the
+    # companion the caller holds: the Hopf field, the ladder and the key
+    # lemma embed nothing, and each certificate only its disc's node box
     g = minimized_strong_97.field
     fr = standard_frame(2, 2)
     w = (48, 44)
@@ -563,43 +563,45 @@ def _stationarity_field(which, request):
 @pytest.mark.parametrize("which", ["root161", "harmonic_two_sheet", "root_q3"])
 def test_stationarity_residual_reuses_the_held_companion_bitwise(which, request, monkeypatch):
     # with no companion held the residual builds its own; with the caller's
-    # held, also in a frame that differs only past its first n directions, it
-    # builds none and reports the same floats
+    # held, in any frame, it builds none and reports the floats of a cold run
+    # in that frame: a frame that differs only past its first n directions
+    # gives the standard frame's, and a rotated one its own domain trials
     f, q = _stationarity_field(which, request)
     fr = standard_frame(2, q)
+    turned = rotated_frame(2, q, seed=3)
     gc.collect()
     calls = count_analysis_match_edges(monkeypatch)
     cold = stationarity_residual(f, fr, trials=4, seed=3)
-    assert calls == [f.values.shape]
+    cold_turned = stationarity_residual(f, turned, trials=4, seed=3)
+    assert calls == [f.values.shape] * 2
     comp = harmonic_companion(hopf_differential(f, fr))
     del calls[:]
-    for frame in (fr, frame_with_extra_directions(2, q, 5)):
+    for frame, want in ((fr, cold), (frame_with_extra_directions(2, q, 5), cold),
+                        (turned, cold_turned)):
         warm = stationarity_residual(f, frame, trials=4, seed=3)
-        assert json.dumps(warm.to_dict()) == json.dumps(cold.to_dict())
+        assert json.dumps(warm.to_dict()) == json.dumps(want.to_dict())
     assert calls == []
     assert analysis._last_companion() is comp
 
 
-@pytest.mark.parametrize("change", ["edited_in_place", "spacing", "origin", "frame"])
+@pytest.mark.parametrize("change", ["edited_in_place", "spacing", "origin"])
 def test_stationarity_residual_does_not_reuse_a_companion_that_does_not_fit(change, monkeypatch):
     # the held companion is refused by the companion check, so the residual
-    # builds its own from the field and frame it was given
+    # builds its own from the field it was given
     f = two_sheet_field(33, seed=0)
     fr = standard_frame(2, 2)
     comp = harmonic_companion(hopf_differential(f, fr))
-    g, frame = f, fr
+    g = f
     if change == "edited_in_place":
         f.values[16, 10] += 1e-3
     elif change == "spacing":
         g = GridField(f.values, 2 * f.spacing, f.origin)
-    elif change == "origin":
-        g = GridField(f.values, f.spacing, (f.origin[0] + f.spacing, f.origin[1]))
     else:
-        frame = rotated_frame(2, 2, seed=3)
+        g = GridField(f.values, f.spacing, (f.origin[0] + f.spacing, f.origin[1]))
     with pytest.raises(InvalidInputError):
-        _check_companion(g, comp, frame)
+        _check_companion(g, comp, fr)
     calls = count_analysis_match_edges(monkeypatch)
-    stationarity_residual(g, frame, trials=2, seed=0)
+    stationarity_residual(g, fr, trials=2, seed=0)
     assert calls == [g.values.shape]
 
 
