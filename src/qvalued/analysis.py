@@ -41,18 +41,20 @@ from .field import (
     DEFAULT_C_CL,
     EnergyBreakdown,
     GridField,
+    _bilinear_cells,
+    _bilinear_sum,
     _check_frame,
+    _circle_size,
     _disc_cell_window,
     _DiscWindow,
     _grid_box,
     _match_edges,
     _neighbour_partners,
     _require_disc_inside,
-    bilinear_array,
     circle_points,
     courant_lebesgue_slice,
 )
-from .qspace import _union_classes, metric_g_many
+from .qspace import ASSIGN_CHUNK_BYTES, _union_classes, metric_g_many
 
 #: dilation (in nodes) around degenerate-matching cores censored before integration
 CENSOR_DILATION = 10
@@ -418,12 +420,27 @@ def _check_chain(f: GridField, chain: NestedBallChain) -> None:
 def _d_star_at(f: GridField, comp: HarmonicCompanion, w_star, k: int,
                chain: NestedBallChain, nodes) -> np.ndarray:
     """`d_star` at the grid's ``nodes`` (a window of slices, a mask or index
-    arrays), each the float of the full grid: `assign` is the same in any batch."""
-    iy, ix = f.interior_node(w_star)
-    lv = chain.level(k)
-    _check_chain(f, chain)
-    qk = lv.decomposition.rebuild().points
-    dh2 = np.abs(comp.values[nodes] - comp.values[iy, ix]) ** 2
+    arrays), each the float of the full grid: `assign` is the same in any batch.
+
+    A batch of jobs passes lists, one entry a job, as w_star, k and chain,
+    and as nodes the (job, rows, columns) index arrays of every job's nodes;
+    d* comes back at each node, all from one `metric_g_many` call."""
+    lone = not isinstance(chain, list)
+    if lone:
+        w_star, k, chain = [w_star], [k], [chain]
+    sites, centres = [], []
+    for w, level, ch in zip(w_star, k, chain):
+        iy, ix = f.interior_node(w)
+        lv = ch.level(level)
+        _check_chain(f, ch)
+        sites.append(lv.decomposition.rebuild().points)
+        centres.append(comp.values[iy, ix])
+    if lone:
+        qk, h_star = sites[0], centres[0]
+    else:
+        job, nodes = nodes[0], tuple(nodes[1:])
+        qk, h_star = np.stack(sites)[job], np.array(centres)[job]
+    dh2 = np.abs(comp.values[nodes] - h_star) ** 2
     return np.sqrt(metric_g_many(qk, f.values[nodes]) ** 2 + dh2)
 
 
@@ -433,27 +450,51 @@ def tau_star(f: GridField, frame: ProjectionFrame, w_star: tuple[int, int],
     w0, read as `_circle_min` reads it; the frame is checked against the
     field's (Q, n) and read no further."""
     _check_frame(f, frame)
-    return _tau_star(f, w_star, w0, r)
+    return float(_tau_star(f, [w_star], [w0], [r])[0])
 
 
-def _tau_star(f: GridField, w_star, w0, r) -> float:
-    base = f.values[f.interior_node(w_star)]
-    return _circle_min(f, w0, r, lambda nodes: metric_g_many(base, f.values[nodes]))
+def _tau_star(f: GridField, w_stars, w0s, radii) -> np.ndarray:
+    """`tau_star` of each base node on its circle, all from one `_circle_min` batch."""
+    bases = np.stack([f.values[f.interior_node(w)] for w in w_stars])
+    return _circle_min(f, w0s, radii, lambda circle, nodes: metric_g_many(bases[circle],
+                                                                           f.values[nodes]))
 
 
-def _circle_min(f: GridField, w0, r, distance) -> float:
-    """Least over `circle_points(w0, r)` of the bilinear interpolant of a nodal
-    distance, which ``distance(nodes)`` gives in one batch at the (rows,
-    columns) index arrays of the corners of the cells the points fall in."""
-    _require_disc_inside(f, w0, r)
-    pts = circle_points(w0, r, f.spacing)
-    cell = np.clip(np.floor((pts - f.origin) / f.spacing).astype(np.intp), 0, (f.nx - 2, f.ny - 2))
-    corners = np.zeros(f.ny * f.nx, dtype=bool)
-    corners[(cell[:, 1] * f.nx + cell[:, 0])[:, None] + (0, 1, f.nx, f.nx + 1)] = True
-    nodes = np.unravel_index(np.flatnonzero(corners), (f.ny, f.nx))
-    nodal = np.zeros((f.ny, f.nx, 1))
-    nodal[nodes] = distance(nodes)[:, None]
-    return float(bilinear_array(nodal, f, pts).min())
+def _circle_min(f: GridField, centres, radii, distance) -> np.ndarray:
+    """The least over `circle_points(w0, r)` of each circle of the bilinear
+    interpolant of a nodal distance.
+
+    ``distance(circle, nodes)`` gives it in one batch at the distinct corner
+    nodes of the cells each circle's points fall in: ``nodes`` are (rows,
+    columns) index arrays and ``circle`` the index of each node's circle, so
+    a node that two circles share is asked for once for each.  Each point
+    gets the cell, weights and sum of `bilinear_array` (`_bilinear_cells`,
+    `_bilinear_sum`), so each circle's least value is the float it has
+    alone, and no full-grid array is built.  The circles go in runs of whole
+    circles, each run at most ASSIGN_CHUNK_BYTES over 8 Q n words a point:
+    a point's four corner tuples and the tuples they are measured from.
+    """
+    for w0, r in zip(centres, radii):
+        _require_disc_inside(f, w0, r)
+    sizes = [_circle_size(r, f.spacing) for r in radii]
+    step = max(1, ASSIGN_CHUNK_BYTES // (max(sizes, default=1) * 64 * f.q_sheets * f.n))
+    least = np.empty(len(sizes))
+    for lo in range(0, len(sizes), step):
+        pts = [circle_points(w0, r, f.spacing) for w0, r in zip(centres[lo:lo + step],
+                                                                 radii[lo:lo + step])]
+        counts = [len(p) for p in pts]
+        j0, i0, tx, ty = _bilinear_cells(f, np.concatenate(pts))
+        cell = np.repeat(np.arange(len(pts)) * (f.ny * f.nx), counts) + j0 * f.nx + i0
+        # a circle's points cross its cells in turn, so most repeats are neighbours
+        new = np.concatenate([[True], cell[1:] != cell[:-1]])
+        corners = cell[new][:, None] + (0, 1, f.nx, f.nx + 1)
+        keys, inverse = np.unique(corners.ravel(), return_inverse=True)
+        circle, node = np.divmod(keys, f.ny * f.nx)
+        at = distance(circle + lo, np.divmod(node, f.nx))[inverse].reshape(corners.shape)
+        point_cell = np.cumsum(new) - 1
+        vals = _bilinear_sum((at[point_cell, c] for c in range(4)), tx, ty)
+        least[lo:lo + step] = np.minimum.reduceat(vals, np.cumsum(counts) - counts)
+    return least
 
 
 class _Pivot(NamedTuple):
@@ -478,8 +519,8 @@ class _Pivot(NamedTuple):
             raise InvalidInputError(f"level {k} beyond the pivot level k0 = {self.k0}")
         hi = lv.sigma if k < self.k0 else 0.4 * min(self.tau, lv.sigma)
         if not hi > 0 or math.isinf(hi):
-            hi = 0.4 * _circle_min(self.f, self.w0, self.r, functools.partial(
-                _d_star_at, self.f, self.comp, self.node, k, self.chain))
+            hi = 0.4 * float(_circle_min(self.f, [self.w0], [self.r], lambda _, nodes: _d_star_at(
+                self.f, self.comp, self.node, k, self.chain, nodes))[0])
         return lv.rho, hi, 0.4 * hi if k < self.k0 else hi
 
     def eps(self, hi0: float) -> float:
@@ -498,20 +539,26 @@ class _Pivot(NamedTuple):
             raise InvalidInputError(f"ramp width eps = {eps} outside (0, {eps_cap})")
 
 
-def _pivot(f: GridField, comp: HarmonicCompanion, w_star, chain: NestedBallChain) -> _Pivot:
-    """The cutoff disc, tau* on its circle and the pivot level k0.  k0 is the
-    largest level with 10 Q rho_k strictly below tau* (0 if none), or the
-    chain depth when tau* = 0."""
-    _check_chain(f, chain)
-    node = f.interior_node(w_star)
-    w0 = tuple(f.node_position(node).tolist())
-    r = _rim_distance(f, w0)
-    tau = _tau_star(f, w_star, w0, r)
-    k0 = chain.depth
-    if tau > 0:
-        q = chain.q_sheets
-        k0 = max((k for k, lv in enumerate(chain.levels) if 10 * q * lv.rho < tau), default=0)
-    return _Pivot(f, comp, chain, node, w0, r, tau, k0)
+def _pivot(f: GridField, comp: HarmonicCompanion, w_stars, chains) -> list[_Pivot]:
+    """The pivot record of each base node in ``w_stars``, with the chain of
+    the same place in ``chains``: the cutoff disc, tau* on its circle and
+    the pivot level k0.  The tau* of all the nodes come from one
+    `_tau_star` batch.  k0 is the largest level with 10 Q rho_k strictly
+    below tau* (0 if none), or the chain depth when tau* = 0."""
+    for chain in chains:
+        _check_chain(f, chain)
+    nodes = [f.interior_node(w) for w in w_stars]
+    w0s = [tuple(f.node_position(node).tolist()) for node in nodes]
+    radii = [_rim_distance(f, w0) for w0 in w0s]
+    pivots = []
+    for chain, node, w0, r, tau in zip(chains, nodes, w0s, radii,
+                                       _tau_star(f, nodes, w0s, radii).tolist()):
+        k0 = chain.depth
+        if tau > 0:
+            q = chain.q_sheets
+            k0 = max((k for k, lv in enumerate(chain.levels) if 10 * q * lv.rho < tau), default=0)
+        pivots.append(_Pivot(f, comp, chain, node, w0, r, tau, k0))
+    return pivots
 
 
 def valid_rho_interval(
@@ -533,7 +580,7 @@ def valid_rho_interval(
     supported in the disc.
     """
     _check_companion(f, comp, frame)
-    piv = _pivot(f, comp, w_star, chain)
+    piv = _pivot(f, comp, [w_star], [chain])[0]
     lo, hi, _ = piv.level(k)
     return lo, hi, piv.k0, piv.tau
 
@@ -553,7 +600,7 @@ def monotone_rho_interval(
     be nondecreasing; it is narrower than psi_k's validity below the pivot.
     """
     _check_companion(f, comp, frame)
-    lo, _, hi = _pivot(f, comp, w_star, chain).level(k)
+    lo, _, hi = _pivot(f, comp, [w_star], [chain])[0].level(k)
     return lo, hi
 
 
@@ -628,7 +675,7 @@ def psi_k(
     count their full energy and only the transition band goes through the ramp.
     """
     _check_companion(f, comp, frame)
-    piv = _pivot(f, comp, w_star, chain)
+    piv = _pivot(f, comp, [w_star], [chain])[0]
     _, hi, _ = piv.level(k)
     piv.check_rung(k, hi, rho, eps)
     disc = _disc_cell_window(f, piv.w0, piv.r)
@@ -706,7 +753,7 @@ def monotonicity_report(
     if not np.all((ladder > 0) & (ladder < 1)):
         raise InvalidInputError("ladder fractions must lie strictly inside (0, 1)")
     _check_companion(f, comp, frame)
-    piv = _pivot(f, comp, w_star, chain)
+    piv = _pivot(f, comp, [w_star], [chain])[0]
     ranges = [piv.level(k) for k in range(piv.k0 + 1)]
     eps = piv.eps(ranges[0][1])
     disc = _disc_cell_window(f, piv.w0, piv.r)
@@ -746,7 +793,7 @@ def key_lemma_check(
     """
     _check_companion(f, comp, frame)
     w0 = tuple(f.node_position(f.interior_node(w_star)).tolist())
-    lhs = _tau_star(f, w_star, w0, r)
+    lhs = float(_tau_star(f, [w_star], [w0], [r])[0])
     disc = _disc_cell_window(f, w0, r)
     if not disc.inside.any():
         raise InvalidInputError(f"the disc of radius {r} holds no grid cell")

@@ -577,14 +577,26 @@ def bilinear_array(arr: np.ndarray, f: GridField, pts: np.ndarray,
     ``_corner`` (row, column) on: cells are found on the full grid, so a
     point whose cell the box holds gets the full array's floats.
 
-    Each corner is one row gather from the (ny * nx, m) view of arr, and the
-    four weighted corners are added left to right into one array, so the
-    floats are those of the corner-by-corner sum
-    a00 (1 - tx)(1 - ty) + a01 tx (1 - ty) + a10 (1 - tx) ty + a11 tx ty,
-    each product taken left to right.  The weights tx, ty, 1 - tx and 1 - ty
-    are built once at the full (..., m) width of a corner, so the eight
-    weight products run in place on contiguous arrays of equal shape.
+    Each corner is one row gather from the (ny * nx, m) view of arr, and
+    `_bilinear_sum` adds the weighted corners.  The weights tx and ty are
+    built once at the full (..., m) width of a corner, so the eight weight
+    products run in place on contiguous arrays of equal shape.
     """
+    j0, i0, tx, ty = _bilinear_cells(f, pts)
+    m, width = arr.shape[-1], arr.shape[1]
+    tx = np.repeat(tx, m).reshape(*tx.shape, m)
+    ty = np.repeat(ty, m).reshape(*ty.shape, m)
+    rows = arr.reshape(-1, m)
+    base = (j0 - _corner[0]) * width + (i0 - _corner[1])
+    return _bilinear_sum((np.take(rows, base + step, axis=0) for step in (0, 1, width, width + 1)),
+                         tx, ty)
+
+
+def _bilinear_cells(f: GridField, pts: np.ndarray) -> tuple[np.ndarray, ...]:
+    """(j0, i0, tx, ty): the row and column of the full-grid cell that holds
+    each physical point and the point's offsets in it, in grid steps.  A
+    point on the grid's far edge belongs to the last cell, and a point
+    outside the grid is refused."""
     pts = np.asarray(pts, dtype=np.float64)
     gx = (pts[..., 0] - f.origin[0]) / f.spacing
     gy = (pts[..., 1] - f.origin[1]) / f.spacing
@@ -594,17 +606,21 @@ def bilinear_array(arr: np.ndarray, f: GridField, pts: np.ndarray,
         raise InvalidInputError("interpolation point outside the grid")
     i0 = np.clip(np.floor(gx).astype(np.intp), 0, f.nx - 2)
     j0 = np.clip(np.floor(gy).astype(np.intp), 0, f.ny - 2)
-    m, width = arr.shape[-1], arr.shape[1]
-    tx = np.repeat(gx - i0, m).reshape(*gx.shape, m)
-    ty = np.repeat(gy - j0, m).reshape(*gy.shape, m)
+    return j0, i0, gx - i0, gy - j0
+
+
+def _bilinear_sum(corners, tx: np.ndarray, ty: np.ndarray) -> np.ndarray:
+    """a00 (1 - tx)(1 - ty) + a01 tx (1 - ty) + a10 (1 - tx) ty + a11 tx ty of
+    the corner arrays a00, a01, a10, a11, taken from ``corners`` one at a
+    time and overwritten.  Each product is taken left to right and the four
+    terms are added left to right, so a point's float does not depend on
+    the batch it is interpolated in."""
     ux, uy = 1 - tx, 1 - ty
-    rows = arr.reshape(-1, m)
-    base = (j0 - _corner[0]) * width + (i0 - _corner[1])
-    out = np.take(rows, base, axis=0)
+    corners = iter(corners)
+    out = next(corners)
     out *= ux
     out *= uy
-    for step, wx, wy in ((1, tx, uy), (width, ux, ty), (width + 1, tx, ty)):
-        corner = np.take(rows, base + step, axis=0)
+    for corner, wx, wy in zip(corners, (tx, ux, tx), (uy, ty, ty)):
         corner *= wx
         corner *= wy
         out += corner

@@ -18,6 +18,15 @@ harmonic companion that its caller still holds, or builds one when there is
 none, and embeds the grid once, in the caller's frame, for its domain
 trials.  Each sampled base node's pivot record, `analysis._pivot`, gives
 its level ranges and ramp width, the rules `psi_k` and the ladder read.
+
+The range trials run in groups of attempts, as many as trials are still
+needed, and each stage makes one pass over a group: the pivots of all its
+base nodes from one tau* batch, the cutoff weights of all its rungs from
+one d* batch at their near nodes, and the derivatives of all its moving
+rungs from one matching of their stacked boxes.  Every kernel takes a
+batch, and the public one-variation functions call it with a batch of one.
+The outcomes are read in the order of the attempts under the stopping rule
+of one attempt at a time, so a group gives the floats of that loop.
 """
 
 from __future__ import annotations
@@ -47,7 +56,7 @@ from .field import (
     embed_grid,
     embedded_energy,
 )
-from .qspace import QPoint, support
+from .qspace import ASSIGN_CHUNK_BYTES, QPoint, support
 
 #: sampled point pairs per site in the retraction's Lipschitz check
 LIP_SAMPLES = 400
@@ -237,17 +246,42 @@ def cutoff_weights(f: GridField, comp: HarmonicCompanion, rv: RangeVariation) ->
     nodes, each the float `d_star` gives it.
     """
     _check_companion(f, comp)
-    return _cutoff_weights(f, comp, rv)
+    (nodes, lam), = _cutoff_weights(f, comp, [rv])
+    out = np.zeros((f.ny, f.nx))
+    out[nodes] = lam
+    return out
 
 
-def _cutoff_weights(f: GridField, comp: HarmonicCompanion, rv: RangeVariation) -> np.ndarray:
-    """`cutoff_weights` for a companion already checked against f."""
-    dh2 = np.abs(comp.values - comp.values[f.interior_node(rv.w_star)]) ** 2
-    near = (np.sqrt(dh2) < rv.rho) & ~f.boundary_mask
-    dst = _d_star_at(f, comp, rv.w_star, rv.level, rv.chain, near)
-    lam = np.zeros(near.shape)
-    lam[near] = _smoothstep((rv.rho - dst) / rv.eps)
-    return lam
+def _cutoff_weights(f: GridField, comp: HarmonicCompanion, rvs) -> list:
+    """(nodes, lam) of each variation of ``rvs``, for a companion already
+    checked against f: its near nodes, those off the mask with
+    sqrt(dh^2) < rho, as (rows, columns) index arrays, and their weights.
+
+    A node whose real or imaginary part of dh is at least 2 rho from 0 has
+    sqrt(dh^2) > rho, so each variation's near nodes lie in the rows and
+    columns whose span of h comes within 2 rho of h(w*) in both parts, and
+    only those are read.  d* at the near nodes of every variation comes from
+    one `_d_star_at` batch, so each weight is the float the full grid gives.
+    """
+    h = comp.values
+    parts = np.stack([h.real, h.imag])
+    spans = [(parts.min(axis), parts.max(axis)) for axis in (2, 1)]  # of each row, of each column
+    near = []
+    for rv in rvs:
+        centre = h[f.interior_node(rv.w_star)]
+        at, reach = np.array([[centre.real], [centre.imag]]), 2 * rv.rho
+        rows, cols = (np.flatnonzero(np.all((lo - at < reach) & (hi - at > -reach), axis=0))
+                      for lo, hi in spans)
+        box = np.ix_(rows, cols)
+        iy, ix = np.nonzero((np.sqrt(np.abs(h[box] - centre) ** 2) < rv.rho)
+                            & ~f.boundary_mask[box])
+        near.append((rows[iy], cols[ix]))
+    counts = [len(rows) for rows, _ in near]
+    job = np.repeat(np.arange(len(rvs)), counts)
+    dst = _d_star_at(f, comp, [rv.w_star for rv in rvs], [rv.level for rv in rvs],
+                     [rv.chain for rv in rvs], (job, *map(np.concatenate, zip(*near))))
+    return [(nodes, _smoothstep((rv.rho - d) / rv.eps))
+            for rv, nodes, d in zip(rvs, near, np.split(dst, np.cumsum(counts)[:-1]))]
 
 
 def range_variation_derivative(
@@ -260,37 +294,73 @@ def range_variation_derivative(
     admissible range variation, with step t = h^2, whose cutoff measures d*
     with the companion ``comp``; the frame is only checked."""
     _check_companion(f, comp, frame)
-    d = _range_derivative(f, rv, _cutoff_weights(f, comp, rv))
-    return 0.0 if d is None else d
+    (nodes, lam), = _cutoff_weights(f, comp, [rv])
+    move = _range_move(f, rv, nodes, lam)
+    return 0.0 if move is None else _range_derivative(f, [move])[0]
 
 
-def _range_derivative(f: GridField, rv: RangeVariation, lam: np.ndarray) -> float | None:
-    """`range_variation_derivative` for the cutoff weights lam, or None when
-    lam * Gamma vanishes on every node, so the variation moves no sheet.
+def _range_move(f: GridField, rv: RangeVariation, nodes, lam: np.ndarray):
+    """(vals, bump) of the variation with cutoff weights lam at ``nodes``:
+    the values of the box of its moving nodes plus a one-node ring, and
+    lam * Gamma there; None when lam * Gamma vanishes on every node, so the
+    variation moves no sheet.
 
-    Only nodes with lam > 0 move; they are off the masked rim, so the energy
-    difference is that of the cells of their bounding box plus a one-node
-    ring.  The box's edges are matched at +t and -t together, one `assign`
-    call per axis, each cell the float a lone box would give.
+    Only nodes with lam > 0 move, and they are off the masked rim.  Raises
+    NotInBallError when a sheet under the cutoff leaves its 2/5-sigma site ball.
     """
     active = lam > 0
     if not active.any():
         return None
-    iy, ix = np.nonzero(active)
-    box = np.s_[iy.min() - 1 : iy.max() + 2, ix.min() - 1 : ix.max() + 2]
-    vals = f.values[box]
+    iy, ix = nodes[0][active], nodes[1][active]
+    y0, x0 = iy.min() - 1, ix.min() - 1
+    vals = f.values[y0 : iy.max() + 2, x0 : ix.max() + 2]
     gamma, nearest = rv._retraction(vals)
-    if nearest[active[box]].max() > 0.4 * rv.sigma + 1e-9:
+    if nearest[iy - y0, ix - x0].max() > 0.4 * rv.sigma + 1e-9:
         raise NotInBallError(
             "a sheet under the cutoff leaves its 2/5-sigma site ball; "
             "shrink rho or use a finer level"
         )
+    weight = np.zeros(vals.shape[:2])
+    weight[iy - y0, ix - x0] = lam[active]
+    bump = weight[..., None, None] * gamma
+    return (vals, bump) if bump.any() else None
+
+
+def _range_derivative(f: GridField, moves) -> list[float]:
+    """The central-difference derivative, step t = h^2, of each (vals, bump)
+    of ``moves``: the energy difference of the box between vals + t bump and
+    vals - t bump, which is that of the full grid summed in another order.
+
+    The +t and -t boxes of all the moves are matched by one `_match_edges`
+    call for every run of moves.  Each box is padded to the largest box by
+    repeating its last row and column.  The matching holds about six times
+    the bytes of its input at its peak (5.9 on the 120 boxes of 15 x 17
+    nodes of a 129^2 two-sheet field), so a run's boxes take at most a
+    sixth of ASSIGN_CHUNK_BYTES.  A cell reads only its own box's nodes,
+    and `assign` gives each edge the same floats in any batch, so each
+    box's cells are summed from a contiguous copy of them to the float a
+    lone box gives.
+    """
     t = f.spacing**2
-    bump = lam[box][..., None, None] * gamma
-    if not bump.any():
-        return None
-    e_plus, e_minus = _match_edges(np.stack([vals + t * bump, vals - t * bump]))[2].per_cell
-    return float(e_plus.sum() - e_minus.sum()) / (2 * t)
+    ny = max((vals.shape[0] for vals, _ in moves), default=1)
+    nx = max((vals.shape[1] for vals, _ in moves), default=1)
+    step = max(1, ASSIGN_CHUNK_BYTES // (6 * 2 * ny * nx * f.values[0, 0].nbytes))
+    out = []
+    for lo in range(0, len(moves), step):
+        run = moves[lo : lo + step]
+        boxes = np.empty((2 * len(run), ny, nx, f.q_sheets, f.n))
+        for box, (vals, bump) in zip(boxes.reshape(len(run), 2, *boxes.shape[1:]), run):
+            by, bx = vals.shape[:2]
+            box[:, :by, :bx] = vals + t * bump, vals - t * bump
+            box[:, by:, :bx] = box[:, by - 1 : by, :bx]
+            box[:, :, bx:] = box[:, :, bx - 1 : bx]
+        cells = _match_edges(boxes)[2].per_cell
+        for (vals, _), plus, minus in zip(run, cells[0::2], cells[1::2]):
+            by, bx = vals.shape[0] - 1, vals.shape[1] - 1
+            e_plus = np.ascontiguousarray(plus[:by, :bx]).sum()
+            e_minus = np.ascontiguousarray(minus[:by, :bx]).sum()
+            out.append(float(e_plus - e_minus) / (2 * t))
+    return out
 
 
 @dataclass(frozen=True)
@@ -366,33 +436,66 @@ def stationarity_residual(
     range_derivs: list[float] = []
     vacuous = attempts = 0
     while len(range_derivs) + vacuous < trials and attempts < 10 * trials:
-        attempts += 1
-        iy = int(rng.integers(my, f.ny - my))
-        ix = int(rng.integers(mx, f.nx - mx))
-        base = QPoint(f.values[iy, ix].copy())
+        group = min(trials - len(range_derivs) - vacuous, 10 * trials - attempts)
+        attempts += group
+        nodes = [(int(rng.integers(my, f.ny - my)), int(rng.integers(mx, f.nx - mx)))
+                 for _ in range(group)]
+        for outcomes in _range_attempts(f, comp, nodes):
+            if len(range_derivs) + vacuous >= trials:
+                break  # the attempts past the stop are dropped
+            vacuous += outcomes.count(None)
+            range_derivs += [d for d in outcomes if d is not None]
+    return StationarityResidual(
+        max(map(abs, domain_derivs)), max(map(abs, range_derivs), default=0.0), energy,
+        tuple(domain_derivs), tuple(range_derivs), vacuous,
+    )
+
+
+def _range_attempts(f: GridField, comp: HarmonicCompanion, drawn) -> list[list[float | None]]:
+    """The outcomes of the range attempts at the ``drawn`` base nodes, in
+    order: for each attempt whose base has a chain, one entry a rung, the
+    derivative of a rung that moves a sheet or None for one that moves none.
+
+    An attempt whose base has no chain, or whose tau* is 0, is skipped.  A
+    rung is refused when its variation refuses its parameters, when its
+    cutoff holds no node or when a sheet under it leaves its site ball.
+    Each stage runs once over the whole group: the pivots (one tau* batch),
+    the cutoff weights of every rung (one d* batch) and the derivatives
+    (one box matching).
+    """
+    nodes, chains = [], []
+    for node in drawn:
+        base = QPoint(f.values[node].copy())
         try:
-            chain = nested_chain(base, angle_separated_frame(support(base)))
-            piv = _pivot(f, comp, (iy, ix), chain)
+            chains.append(nested_chain(base, angle_separated_frame(support(base))))
         except InvalidInputError:
             continue
+        nodes.append(node)
+    rungs = []  # (attempt, variation)
+    for a, piv in enumerate(_pivot(f, comp, nodes, chains) if nodes else []):
         if piv.tau <= 0:
             continue
         ranges = [piv.level(k) for k in range(piv.k0 + 1)]
         eps = piv.eps(ranges[0][1])
         for k, (lo, _, hi) in enumerate(ranges):
             try:
-                rv = RangeVariation(chain, k, lo + 0.6 * (hi - lo), eps, (iy, ix))
-                lam = _cutoff_weights(f, comp, rv)
-                if not np.any(lam > 0):
-                    continue  # cutoff support below grid resolution: nothing varied
-                d = _range_derivative(f, rv, lam)
-            except (InvalidInputError, NotInBallError):
+                rungs.append((a, RangeVariation(piv.chain, k, lo + 0.6 * (hi - lo), eps, piv.node)))
+            except InvalidInputError:
                 continue
-            if d is None:
-                vacuous += 1
-            else:
-                range_derivs.append(d)
-    return StationarityResidual(
-        max(map(abs, domain_derivs)), max(map(abs, range_derivs), default=0.0), energy,
-        tuple(domain_derivs), tuple(range_derivs), vacuous,
-    )
+    outcomes: list[list] = [[] for _ in nodes]  # None or the rung's index in moves
+    moves = []
+    cutoffs = _cutoff_weights(f, comp, [rv for _, rv in rungs]) if rungs else []
+    for (a, rv), (at, lam) in zip(rungs, cutoffs):
+        if not np.any(lam > 0):
+            continue  # cutoff support below grid resolution: nothing varied
+        try:
+            move = _range_move(f, rv, at, lam)
+        except NotInBallError:
+            continue
+        if move is None:
+            outcomes[a].append(None)
+        else:
+            outcomes[a].append(len(moves))
+            moves.append(move)
+    derivs = _range_derivative(f, moves)
+    return [[None if m is None else derivs[m] for m in out] for out in outcomes]

@@ -19,7 +19,10 @@ shortest-augmenting-path solver with it beyond enumeration.  The reference
 sorted projections, bilinear interpolation and circle sample are the
 package's earlier kernels, kept verbatim: an `np.sort` of `project_sheets`,
 (..., 1)-wide weights broadcast over the corners, and one `np.linspace` of
-angles per circle.
+angles per circle.  The sequential stationarity battery is the package's
+earlier loop, one range attempt at a time: it shares every helper of
+`stationarity_residual`, each called with a batch of one, and finds each
+cutoff's near nodes on the full grid.
 """
 
 import functools
@@ -550,6 +553,68 @@ def full_grid_range_derivative(f, frame, rv, comp=None) -> float:
     plus = GridField(f.values + t * bump, f.spacing, f.origin, f.boundary_mask)
     minus = GridField(f.values - t * bump, f.spacing, f.origin, f.boundary_mask)
     return (dirichlet_energy_matched(plus).total - dirichlet_energy_matched(minus).total) / (2 * t)
+
+
+def sequential_stationarity_residual(f, frame, trials: int, seed: int = 0):
+    """`stationarity_residual` with its range attempts run one at a time, in
+    the order drawn, each stage on a batch of one: a chain, a pivot, then
+    every rung's full-grid cutoff, move and derivative, until ``trials``
+    rungs are counted or 10 ``trials`` attempts are spent."""
+    from qvalued import DomainVariation, NotInBallError, QPoint, RangeVariation
+    from qvalued import analysis, variations
+    from qvalued.admissible import angle_separated_frame, nested_chain
+    from qvalued.field import _grid_box, embed_grid
+    from qvalued.qspace import support
+
+    my, mx = max(3, f.ny // 8), max(3, f.nx // 8)
+    rng = np.random.default_rng(seed)
+    comp = analysis._companion_of(f, frame)
+    farr = embed_grid(f, frame)
+    x_lo, x_hi, y_lo, y_hi = _grid_box(f, 1)
+    span = min(x_hi - x_lo, y_hi - y_lo)
+    domain = []
+    for _ in range(trials):
+        rad = rng.uniform(0.1, 0.2) * span
+        cx = rng.uniform(x_lo + rad * 1.05, x_hi - rad * 1.05)
+        cy = rng.uniform(y_lo + rad * 1.05, y_hi - rad * 1.05)
+        th = rng.uniform(0, 2 * math.pi)
+        v = DomainVariation((cx, cy), rad, (math.cos(th), math.sin(th)))
+        domain.append(variations._domain_derivative(f, farr, v))
+    derivs, vacuous, attempts = [], 0, 0
+    while len(derivs) + vacuous < trials and attempts < 10 * trials:
+        attempts += 1
+        iy = int(rng.integers(my, f.ny - my))
+        ix = int(rng.integers(mx, f.nx - mx))
+        base = QPoint(f.values[iy, ix].copy())
+        try:
+            chain = nested_chain(base, angle_separated_frame(support(base)))
+            piv, = analysis._pivot(f, comp, [(iy, ix)], [chain])
+        except InvalidInputError:
+            continue
+        if piv.tau <= 0:
+            continue
+        ranges = [piv.level(k) for k in range(piv.k0 + 1)]
+        eps = piv.eps(ranges[0][1])
+        for k, (lo, _, hi) in enumerate(ranges):
+            try:
+                rv = RangeVariation(chain, k, lo + 0.6 * (hi - lo), eps, (iy, ix))
+                dh2 = np.abs(comp.values - comp.values[iy, ix]) ** 2
+                near = (np.sqrt(dh2) < rv.rho) & ~f.boundary_mask
+                dst = analysis._d_star_at(f, comp, (iy, ix), k, chain, near)
+                lam = analysis._smoothstep((rv.rho - dst) / rv.eps)
+                if not np.any(lam > 0):
+                    continue
+                move = variations._range_move(f, rv, np.nonzero(near), lam)
+            except (InvalidInputError, NotInBallError):
+                continue
+            if move is None:
+                vacuous += 1
+            else:
+                derivs.append(variations._range_derivative(f, [move])[0])
+    return variations.StationarityResidual(
+        max(map(abs, domain)), max(map(abs, derivs), default=0.0), comp.hopf.energy.total,
+        tuple(domain), tuple(derivs), vacuous,
+    )
 
 
 def full_grid_cutoff(dst, rho, eps, f, w0, r) -> tuple[np.ndarray, np.ndarray]:

@@ -1057,6 +1057,38 @@ def test_circle_fallback_reads_d_star_on_the_pivot_circle(which, request, monkey
     assert valid_rho_interval(f, other, turned, w, k0, chain)[1] == hi
 
 
+@pytest.mark.parametrize("which", ["sqrt161", "constant"])
+def test_circle_min_over_several_circles_is_each_circle_alone_bitwise(which, request):
+    # one batch of circles, some about the same node or about neighbours so
+    # that they share corner nodes: each circle's tau*, and its d*_k minimum
+    # that the fallback of `_Pivot.level` reads where tau* = 0, is the float
+    # of the circle alone, and tau* is the least full-grid interpolant of G
+    import qvalued.analysis as analysis
+    from qvalued.field import bilinear_array
+
+    f, fr, comp, w, chain = _ladder_setup(which, request)
+    nodes = [w, (w[0], w[1] + 1), w, (w[0] + 1, w[1]), (w[0] - 5, w[1] + 7)]
+    w0s = [tuple(f.node_position(node).tolist()) for node in nodes]
+    radii = [_rim_distance(f, w0s[0]), 0.2, 0.2 + f.spacing / 3, 0.2, 0.3]
+    taus = analysis._tau_star(f, nodes, w0s, radii)
+    for node, w0, r, tau in zip(nodes, w0s, radii, taus.tolist()):
+        assert analysis._tau_star(f, [node], [w0], [r]).tolist() == [tau]
+        g = metric_g_many(f.values[node], f.values)[..., None]
+        assert tau == float(bilinear_array(g, f, circle_points(w0, r, f.spacing)).min())
+    k = chain.depth
+
+    lows = analysis._circle_min(f, w0s, radii, lambda circle, at: analysis._d_star_at(
+        f, comp, nodes, [k] * len(nodes), [chain] * len(nodes), (circle, *at)))
+    for node, w0, r, low in zip(nodes, w0s, radii, lows.tolist()):
+        alone = analysis._circle_min(f, [w0], [r], lambda _, at: d_star(f, comp, node, k, chain)[at])
+        assert alone.tolist() == [low]
+    if which == "constant":
+        pivots = analysis._pivot(f, comp, nodes, [chain] * len(nodes))
+        assert all(piv.tau == 0.0 and piv.k0 == k for piv in pivots)
+        # the first pivot's circle is the first of the batch
+        assert pivots[0].level(k)[1] == 0.4 * lows[0]
+
+
 def test_psi_ladder_matches_full_grid_oracle(request):
     # every rung of every level against the full-grid kernel, which ramps all
     # nine subsamples of every cell and masks to the disc at the end; the

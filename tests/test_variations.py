@@ -1,6 +1,7 @@
 import gc
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -54,7 +55,8 @@ from helpers import (
     two_sheet_field,
     unit_square_grid,
 )
-from oracles import full_grid_domain_derivative, full_grid_range_derivative, retraction_lipschitz
+from oracles import (full_grid_domain_derivative, full_grid_range_derivative, retraction_lipschitz,
+                     sequential_stationarity_residual)
 
 
 @pytest.fixture(scope="module")
@@ -690,9 +692,10 @@ def test_stationarity_residual_skips_base_nodes_with_zero_tau(monkeypatch):
     # any level range is read
     f = two_sheet_field(33, seed=0)
     g = GridField(np.repeat(f.values[:, 16:17], f.nx, axis=1), f.spacing, f.origin)
-    pivots = _record(monkeypatch, variations, "_pivot")
+    batches = _record(monkeypatch, variations, "_pivot")
     ranges = _record(monkeypatch, _Pivot, "level")
     res = stationarity_residual(g, standard_frame(2, 2), trials=4, seed=0)
+    pivots = [p for batch in batches for p in batch]
     assert len(pivots) == 40 and all(p.tau == 0.0 for p in pivots)
     assert ranges == []
     assert res.domain_trials == 4
@@ -717,19 +720,112 @@ def test_stationarity_residual_skips_refused_rungs(case, monkeypatch):
         return lo, hi, lo + (target - lo) / 0.6
 
     refused = []
-    orig_derivative = variations._range_derivative
+    orig_move = variations._range_move
 
-    def range_derivative(*args):
+    def range_move(*args):
         try:
-            return orig_derivative(*args)
+            return orig_move(*args)
         except NotInBallError:
             refused.append(args[1].level)
             raise
 
     ranges = _record(monkeypatch, _Pivot, "level", level_range)
-    monkeypatch.setattr(variations, "_range_derivative", range_derivative)
+    monkeypatch.setattr(variations, "_range_move", range_move)
     res = stationarity_residual(f, frame, trials=4, seed=0)
     assert len(ranges) == 40 and all(math.isfinite(r[2]) == (case != "rho_nan") for r in ranges)
     assert len(refused) == (40 if case == "sheets_leave_ball" else 0)
     assert res.range_trials == 0 and res.range_vacuous == 0 and res.range_max == 0.0
     assert res.domain_derivatives == want.domain_derivatives
+
+
+def _sequential_case(which, request):
+    """A field of the grouped-battery cases, and its Q."""
+    if which in ("strip_rows", "strip_cols"):
+        f = two_sheet_field(65, seed=4)
+        box = np.s_[:9] if which == "strip_rows" else np.s_[:, :9]
+        return GridField(f.values[box], f.spacing, f.origin), 2
+    if which in ("y_only", "y_only_left"):
+        f = two_sheet_field(33, seed=0)
+        y_only = np.repeat(f.values[:, 16:17], f.nx, axis=1)
+        if which == "y_only_left":
+            y_only = np.where((np.arange(f.nx) < 8)[:, None, None], y_only, f.values)
+        return GridField(y_only, f.spacing, f.origin), 2
+    if which == "near_double":
+        # two of the three sheets 1e-6 apart: k0 = 1, so each attempt has two rungs
+        spec = unit_square_grid(65)
+        x, y = meshgrid_for(spec)
+        s0 = np.stack([0.1 * x, 0.1 * y], -1)
+        far = np.stack([1 + 0.1 * x, 0.5 + 0 * y], -1)
+        return GridField(np.stack([s0, s0 + np.array([1e-6, 0.0]), far], axis=2), spec.spacing,
+                         spec.origin), 3
+    return _stationarity_field(which, request)
+
+
+@pytest.mark.parametrize("trials", [1, 3, 8])
+@pytest.mark.parametrize("which", ["root161", "harmonic_two_sheet", "root_q3", "strip_rows",
+                                   "strip_cols", "y_only", "y_only_left", "near_double"])
+def test_grouped_range_attempts_equal_the_sequential_battery(which, trials, request):
+    # the attempts run in groups, each stage once over a group, and report
+    # what the one-attempt-at-a-time loop reports: on the strips every trial
+    # is vacuous, and on the field of y alone every attempt is skipped up to
+    # the cap of 10 trials attempts.  Where y alone fills the left columns
+    # some attempts are skipped, so a battery takes several groups; on the
+    # near-double field an attempt counts two rungs, so a group's last
+    # attempts can fall past the stop and are dropped
+    f, q = _sequential_case(which, request)
+    fr = standard_frame(2, q)
+    comp = harmonic_companion(hopf_differential(f, fr))
+    for seed in (0, 7):
+        want = sequential_stationarity_residual(f, fr, trials, seed)
+        got = stationarity_residual(f, fr, trials=trials, seed=seed)
+        assert json.dumps(got.to_dict()) == json.dumps(want.to_dict())
+        if which.startswith("strip"):
+            assert got.range_vacuous == trials
+        elif which == "y_only":
+            assert got.range_trials == got.range_vacuous == 0
+    assert analysis._last_companion() is comp
+
+
+def test_a_group_of_range_attempts_runs_one_tau_star_assign_and_one_box_matching(monkeypatch):
+    # on the 161^2 root field every attempt of the first group counts, so the
+    # group is the whole battery: tau* of its 8 circles from one `assign`
+    # call, d* of every rung from one, and one matching of all its boxes
+    import qvalued.qspace as qspace
+
+    f, _ = _stationarity_field("root161", None)
+    events = []
+
+    def spy(owner, name, event):
+        inner = getattr(owner, name)
+
+        def wrapped(*args):
+            events.append(event(*args))
+            return inner(*args)
+
+        monkeypatch.setattr(owner, name, wrapped)
+
+    spy(analysis, "_tau_star", lambda f, w_stars, *rest: ("tau*", len(w_stars)))
+    spy(variations, "_d_star_at", lambda *args: ("d*", len(args[2])))
+    spy(qspace, "assign", lambda *args: "assign")
+    spy(variations, "_match_edges", lambda boxes: ("boxes", boxes.shape[0] // 2))
+    res = stationarity_residual(f, standard_frame(2, 2), trials=8, seed=7)
+    assert res.range_trials + res.range_vacuous == 8
+    assert events == [("tau*", 8), "assign", ("d*", 8), "assign", ("boxes", res.range_trials)]
+
+
+def test_stationarity_memory_does_not_grow_with_the_trials():
+    # each batched stage works in runs bounded by ASSIGN_CHUNK_BYTES, so
+    # eight times the trials does not take the peak to 1.5 times its size
+    f = two_sheet_field(129, seed=0)
+    frame = standard_frame(2, 2)
+    gc.collect()
+    peaks = {}
+    for trials in (8, 64):
+        tracemalloc.start()
+        try:
+            res = stationarity_residual(f, frame, trials=trials, seed=7)
+            peaks[trials] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert res.range_trials + res.range_vacuous == trials
+    assert peaks[64] <= 1.5 * peaks[8]
